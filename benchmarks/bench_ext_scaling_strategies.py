@@ -9,9 +9,10 @@ throughput, and discusses two ways out:
 * **relayer coordination within a channel** — absent from ICS-18, which
   the paper argues should specify basic scaling.
 
-We implement both (static tx-hash partitioning for coordination; true
-multi-channel paths for the alternative) and measure all four deployments
-at a rate beyond the single-relayer saturation point.
+We implement both (the fleet's ``shard`` policy — packet-sequence ownership
+— for coordination; true multi-channel paths for the alternative) and
+measure all four deployments at a rate beyond the single-relayer
+saturation point.
 """
 
 from benchmarks.conftest import run_batch, run_cached

@@ -22,7 +22,7 @@ from repro.cosmos.accounts import Wallet
 from repro.cosmos.app import FEE_DENOM, TRANSFER_DENOM
 from repro.cosmos.tx import TxFactory
 from repro.framework import ExperimentConfig, Testbed
-from repro.framework.metrics import count_events_total
+from repro.framework.metrics import scan_window
 from repro.ibc.msgs import MsgTransfer
 from repro.ibc.packet import Height
 
@@ -82,13 +82,15 @@ def build_run():
         while chain_b.engine.height < target:
             yield env.timeout(5.0)
 
-        outcome["sends"] = count_events_total(chain_a, "send_packet", start_height)
-        outcome["acks"] = count_events_total(
-            chain_a, "acknowledge_packet", start_height
+        counts, _blocks = scan_window(
+            chain_a,
+            ("send_packet", "acknowledge_packet", "timeout_packet"),
+            [("transfer", path.a.channel_id)],
+            after_height=start_height,
         )
-        outcome["timeouts"] = count_events_total(
-            chain_a, "timeout_packet", start_height
-        )
+        outcome["sends"] = counts["send_packet"]
+        outcome["acks"] = counts["acknowledge_packet"]
+        outcome["timeouts"] = counts["timeout_packet"]
         outcome["pending"] = len(
             chain_a.app.ibc.pending_commitments("transfer", path.a.channel_id)
         )

@@ -30,7 +30,7 @@ Or, from a shell (see ``python -m repro bench --help``)::
 # `repro.calibration` through the partially-initialised `repro` package.
 from repro.calibration import Calibration, DEFAULT_CALIBRATION
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 
 from repro.errors import ReproError, SchemaError
 from repro.faults import FaultSchedule
@@ -40,6 +40,7 @@ from repro.framework import (
     FleetConfig,
     TopologySpec,
     TraceReport,
+    WorkloadSpec,
     run_experiment,
     sweep,
 )
@@ -55,6 +56,7 @@ __all__ = [
     "SchemaError",
     "TopologySpec",
     "TraceReport",
+    "WorkloadSpec",
     "__version__",
     "run_experiment",
     "sweep",

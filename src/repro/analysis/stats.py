@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.sim.monitor import SummaryStats, percentile
+from repro.sim.monitor import SummaryStats
 
 
 @dataclass(frozen=True)
@@ -76,12 +76,3 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> st
             "  ".join(str(cell).ljust(w) for cell, w in zip(row, widths))
         )
     return "\n".join(lines)
-
-
-def quartile_row(values: list[float]) -> tuple[float, float, float]:
-    ordered = sorted(values)
-    return (
-        percentile(ordered, 25.0),
-        percentile(ordered, 50.0),
-        percentile(ordered, 75.0),
-    )

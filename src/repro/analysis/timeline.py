@@ -14,12 +14,11 @@ def render_step_table(report: TransferTimelineReport) -> str:
         f"{'step':>4}  {'name':<22}  {'start':>8}  {'end':>8}  {'count':>7}"
     ]
     origin = report.origin_time
-    for step in sorted(report.timelines):
-        timeline = report.timelines[step]
+    for timeline in report.steps:
         if not timeline.points:
             continue
         lines.append(
-            f"{step:>4}  {timeline.name:<22}  "
+            f"{timeline.step:>4}  {timeline.name:<22}  "
             f"{timeline.started_at - origin:>8.1f}  "
             f"{timeline.finished_at - origin:>8.1f}  "
             f"{timeline.total:>7}"

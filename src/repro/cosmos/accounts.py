@@ -53,9 +53,6 @@ class AddressIndex:
         """Index for ``address``, or None if never interned."""
         return self._slots.get(address)
 
-    def address_of(self, idx: int) -> str:
-        return self._addresses[idx]
-
     def __contains__(self, address: str) -> bool:
         return address in self._slots
 

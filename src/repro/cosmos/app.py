@@ -335,7 +335,3 @@ class GaiaApp:
 
     def account_sequence(self, address: str) -> int:
         return self.accounts.sequence_of(address)
-
-    @property
-    def current_height(self) -> int:
-        return self._ctx.height

@@ -47,9 +47,6 @@ class BankKeeper(Journaled):
         self._supply: dict[str, int] = defaultdict(int)
         self._store = store
 
-    def bind_store(self, store) -> None:
-        self._store = store
-
     def _column(self, denom: str, idx: int) -> array:
         """The denom's balance column, grown (zero-filled) to cover ``idx``."""
         column = self._columns.get(denom)

@@ -95,6 +95,3 @@ class DenomRegistry:
         if trace is None:
             raise KeyError(f"unknown voucher denom {denom}")
         return trace
-
-    def known_vouchers(self) -> list[str]:
-        return sorted(self._traces)

@@ -19,14 +19,6 @@ from repro.framework.topology import TopologySpec
 from repro.relayer.fleet import FleetConfig
 from repro.workload.spec import WorkloadSpec
 
-#: Flat relayer knobs of config schema v4 and earlier, now nested in the
-#: ``relayer`` section — :meth:`ExperimentConfig.from_dict` migrates them.
-_LEGACY_RELAYER_KEYS = (
-    "coordinate_relayers",
-    "rpc_retry_attempts",
-    "resubscribe_on_disconnect",
-)
-
 
 @dataclass
 class ExperimentConfig:
@@ -204,25 +196,15 @@ class ExperimentConfig:
     def from_dict(cls, data: Any) -> "ExperimentConfig":
         """Load a config from its wire dict, rejecting unknown keys.
 
-        Missing keys take the field defaults (documents from older
-        versions keep loading); unknown keys raise :class:`SchemaError`
-        so a typo'd parameter can never silently run the default
-        experiment instead.  Schema-v4 documents carried the relayer
-        knobs as flat keys (``rpc_retry_attempts``,
-        ``resubscribe_on_disconnect``, ``coordinate_relayers``); they are
-        migrated into the nested ``relayer`` section here, with
-        ``coordinate_relayers: true`` mapping to the ``shard`` policy.
+        Missing keys take the field defaults; unknown keys raise
+        :class:`SchemaError` so a typo'd parameter can never silently run
+        the default experiment instead.
         """
         if not isinstance(data, dict):
             raise SchemaError(
                 f"experiment config must be a dict, got {type(data).__name__}"
             )
         kwargs = dict(data)
-        legacy = {
-            key: kwargs.pop(key)
-            for key in _LEGACY_RELAYER_KEYS
-            if key in kwargs
-        }
         known = {spec.name for spec in fields(cls)}
         unknown = sorted(set(kwargs) - known)
         if unknown:
@@ -230,22 +212,6 @@ class ExperimentConfig:
                 f"unknown key(s) {', '.join(unknown)} in experiment config "
                 f"(known keys: {', '.join(sorted(known))})"
             )
-        if legacy:
-            if kwargs.get("relayer") is not None:
-                raise SchemaError(
-                    "experiment config mixes the nested relayer section "
-                    f"with legacy flat key(s) {', '.join(sorted(legacy))}"
-                )
-            relayer: dict[str, Any] = {}
-            if legacy.get("coordinate_relayers"):
-                relayer["policy"] = "shard"
-            if "rpc_retry_attempts" in legacy:
-                relayer["rpc_retry_attempts"] = legacy["rpc_retry_attempts"]
-            if "resubscribe_on_disconnect" in legacy:
-                relayer["resubscribe_on_disconnect"] = legacy[
-                    "resubscribe_on_disconnect"
-                ]
-            kwargs["relayer"] = relayer
         if kwargs.get("faults") is not None:
             kwargs["faults"] = FaultSchedule.from_dict(kwargs["faults"])
         if kwargs.get("calibration") is not None:
@@ -261,6 +227,22 @@ class ExperimentConfig:
         if kwargs.get("workload") is not None:
             kwargs["workload"] = WorkloadSpec.from_dict(kwargs["workload"])
         return cls(**kwargs)
+
+    def summary_lines(self) -> list[str]:
+        """The configuration's lines of the report's text summary."""
+        lines = [
+            f"input rate        : {self.input_rate:.0f} transfers/s "
+            f"({self.fleet_count} relayer(s), "
+            f"{self.network_rtt * 1000:.0f} ms RTT)",
+        ]
+        if self.topology is not None:
+            topo = self.topology
+            lines.append(
+                f"topology          : {topo.name} — {len(topo.chain_ids)} "
+                f"chains, {len(topo.edges)} edge(s), {len(topo.routes)} "
+                f"route(s), max {topo.max_hops} hop(s)"
+            )
+        return lines
 
     # ------------------------------------------------------------------
 

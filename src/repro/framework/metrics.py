@@ -3,17 +3,140 @@
 All ground-truth counts come from chain state (the executed blocks and the
 IBC module), windowed to the measurement interval; the relayer-side view
 comes from the event processor.
+
+Each report section is defined here once, beside its collector: a
+dataclass whose fields are the section's wire shape (``to_dict`` /
+``from_dict``) plus the lines it contributes to the text summary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import Any, Optional, Union, get_args, get_origin, get_type_hints
 
 from repro.errors import SchemaError
 from repro.faults import FaultWindow
 from repro.sim.monitor import SummaryStats
 from repro.tendermint.node import Chain
+
+# ----------------------------------------------------------------------
+# The wire form of a section: its dataclass fields, in declaration order
+# ----------------------------------------------------------------------
+#
+# Field metadata states the few places where wire and attribute differ:
+# ``wire`` is the key the field travels under (None keeps the field
+# host-side, never serialized); ``derived`` names a property dumped right
+# after the field, which a loaded document must carry with exactly the
+# value recomputed from the loaded fields.
+
+
+def to_wire(value: Any) -> Any:
+    """JSON form of a section value — a fresh copy, safe to mutate."""
+    if is_dataclass(value):
+        wire: dict[str, Any] = {}
+        for spec in fields(value):
+            key = spec.metadata.get("wire", spec.name)
+            if key is None:
+                continue
+            wire[key] = to_wire(getattr(value, spec.name))
+            derived = spec.metadata.get("derived")
+            if derived is not None:
+                wire[derived] = getattr(value, derived)
+        return wire
+    if isinstance(value, (list, tuple)):
+        return [to_wire(item) for item in value]
+    if isinstance(value, dict):
+        return {key: to_wire(item) for key, item in value.items()}
+    return value
+
+
+def from_wire(hint: Any, value: Any, where: str) -> Any:
+    """Rebuild a value of annotation ``hint`` from its JSON form.
+
+    The inverse of :func:`to_wire`, and the loaders' one validator: a
+    dataclass hint demands exactly its wire keys, containers and scalars
+    demand their annotated types (JSON arrays stand in for tuples, ints
+    are accepted where a float is annotated).  Anything else raises
+    :class:`SchemaError` naming ``where`` the document went wrong.
+    """
+    if hint is Any:
+        return value
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:  # Optional[X]
+        if value is None:
+            return None
+        (hint,) = (arg for arg in args if arg is not type(None))
+        return from_wire(hint, value, where)
+    if is_dataclass(hint):
+        if not isinstance(value, dict):
+            raise SchemaError(
+                f"{where} must be a dict, got {type(value).__name__}"
+            )
+        hints = get_type_hints(hint)
+        attributes: dict[str, str] = {}  # wire key -> field name
+        derived: list[str] = []
+        for spec in fields(hint):
+            key = spec.metadata.get("wire", spec.name)
+            if key is not None:
+                attributes[key] = spec.name
+            if "derived" in spec.metadata:
+                derived.append(spec.metadata["derived"])
+        known = [*attributes, *derived]
+        unknown = sorted(set(value) - set(known))
+        if unknown:
+            raise SchemaError(
+                f"unknown key(s) {', '.join(unknown)} in {where} "
+                f"(known keys: {', '.join(known)})"
+            )
+        missing = sorted(set(known) - set(value))
+        if missing:
+            raise SchemaError(
+                f"{where} is missing key(s): {', '.join(missing)}"
+            )
+        built = hint(
+            **{
+                name: from_wire(hints[name], value[key], f"{where}.{key}")
+                for key, name in attributes.items()
+            }
+        )
+        for name in derived:
+            if value[name] != getattr(built, name):
+                raise SchemaError(
+                    f"{where}.{name} is {value[name]!r}, but the section's "
+                    f"own fields give {getattr(built, name)!r}"
+                )
+        return built
+    if origin is list and isinstance(value, list):
+        return [
+            from_wire(args[0], item, f"{where}[{i}]")
+            for i, item in enumerate(value)
+        ]
+    if (
+        origin is tuple
+        and isinstance(value, (list, tuple))
+        and len(value) == len(args)
+    ):
+        return tuple(
+            from_wire(arg, item, f"{where}[{i}]")
+            for i, (arg, item) in enumerate(zip(args, value))
+        )
+    if origin is dict and isinstance(value, dict):
+        return {
+            from_wire(args[0], key, f"{where} key"): from_wire(
+                args[1], item, f"{where}.{key}"
+            )
+            for key, item in value.items()
+        }
+    if origin is None and (
+        type(value) is hint
+        or (hint is float and type(value) is int)
+    ):
+        return value
+    expected = hint.__name__ if origin is None else hint
+    raise SchemaError(
+        f"{where} must be {expected}, got {type(value).__name__}"
+    )
+
 
 #: Packet event kinds per life-cycle stage, from the source chain's and the
 #: destination chain's perspective.
@@ -68,7 +191,9 @@ class CompletionStatus:
 
 @dataclass
 class WindowMetrics:
-    """Everything measured inside one experiment's window."""
+    """Everything measured inside one experiment's window — the report's
+    ``window`` section, and the source its ``throughput`` / ``completion``
+    / ``counts`` / ``block_interval_mean`` sections are recomputed from."""
 
     start_time: float
     end_time: float
@@ -87,8 +212,7 @@ class WindowMetrics:
     block_message_counts_a: list[int] = field(default_factory=list)
     #: Per-channel breakdown (fairness view): one dict per channel end,
     #: ``{chain, port, channel, sends, receives, acks, timeouts}``, counted
-    #: in the block-time window on the owning chain.  Empty for reports
-    #: loaded from pre-topology (schema < 4) documents.
+    #: in the block-time window on the owning chain.
     channels: list[dict[str, Any]] = field(default_factory=list)
 
     @property
@@ -115,116 +239,106 @@ class WindowMetrics:
             timed_out=self.timeouts,
         )
 
-    def interval_summary(self) -> SummaryStats:
-        return SummaryStats.from_values(self.block_intervals_a)
+    @property
+    def block_interval_mean(self) -> float:
+        intervals = self.block_intervals_a
+        return sum(intervals) / len(intervals) if intervals else 0.0
+
+    def derived_sections(self) -> dict[str, Any]:
+        """The report's top-level sections that restate this window.
+
+        They are recomputed on every dump, never loaded — so a loaded
+        report re-serializes byte-identically — and a document whose copy
+        disagrees with its own ``window`` section is rejected.
+        """
+        return {
+            "throughput": {
+                "chain_tfps": self.chain_throughput_tfps,
+                "transfer_tfps": self.transfer_throughput_tfps,
+                "duration": self.duration,
+            },
+            "completion": self.completion.as_fractions(),
+            "counts": {
+                "sends": self.sends,
+                "receives": self.receives,
+                "acks": self.acks,
+                "timeouts": self.timeouts,
+            },
+            "block_interval_mean": self.block_interval_mean,
+        }
+
+    def to_dict(self) -> dict[str, Any]:
+        return to_wire(self)
+
+    @classmethod
+    def from_dict(cls, data: Any) -> "WindowMetrics":
+        return from_wire(cls, data, "window section")
+
+    def summary_lines(self) -> list[str]:
+        completion = self.completion
+        return [
+            f"window            : "
+            f"{self.end_height_a - self.start_height_a} blocks, "
+            f"{self.duration:.1f} s",
+            f"committed (chain) : {self.sends} "
+            f"({self.chain_throughput_tfps:.1f} TFPS included)",
+            f"completed (acked) : {self.acks} "
+            f"({self.transfer_throughput_tfps:.1f} TFPS end-to-end)",
+            f"partially complete: {completion.partially_completed}",
+            f"only initiated    : {completion.only_initiated}",
+            f"not committed     : {completion.not_committed}",
+            f"timed out         : {self.timeouts}",
+            f"avg block interval: {self.block_interval_mean:.2f} s",
+        ]
 
 
 #: A channel end for scoped counting: (port, channel) on a known chain.
 ChannelEnd = tuple[str, str]
 
 
-def _events_at(
+def scan_window(
     chain: Chain,
-    event_type: str,
-    height: int,
-    channels: Optional[list[ChannelEnd]],
-) -> int:
-    """Events of a type at one height, optionally scoped to channel ends.
+    kinds: tuple[str, ...],
+    channels: list[ChannelEnd],
+    *,
+    after_height: int = 0,
+    start_time: float = float("-inf"),
+    end_time: float = float("inf"),
+) -> tuple[dict[str, int], list[tuple[int, float]]]:
+    """The one pass every windowed count goes through.
 
-    Channel scoping keys on the event's *local* end (source end for
-    send/ack/timeout, destination end for recv), so two channels on one
-    chain never double-count each other's traffic.
+    Visits ``chain``'s blocks above ``after_height`` whose block time lies
+    in ``[start_time, end_time]`` (open by default) and returns the
+    number of events of each of ``kinds`` on ``channels`` in them, plus the
+    visited ``(height, block time)`` pairs in height order.
+
+    Counts key on an event's *local* channel end (the source end for
+    send/ack/timeout events, the destination end for recv), so two
+    channels on one chain never double-count each other's traffic.
     """
-    if channels is None:
-        return chain.indexer.events_at(height).get(event_type, 0)
-    return sum(
-        chain.indexer.channel_events_at(height, event_type, port, channel)
-        for port, channel in channels
-    )
-
-
-def count_events_in_window(
-    chain: Chain,
-    event_type: str,
-    start_height: int,
-    end_time: float,
-    channels: Optional[list[ChannelEnd]] = None,
-) -> int:
-    """Count events of a type in blocks after ``start_height`` whose block
-    time falls inside the window, optionally scoped to channel ends."""
-    total = 0
-    store = chain.block_store
-    for height in range(start_height + 1, store.latest_height + 1):
-        block = store.block(height)
-        if block is None or block.header.time > end_time:
+    counts = dict.fromkeys(kinds, 0)
+    blocks: list[tuple[int, float]] = []
+    store, indexer = chain.block_store, chain.indexer
+    for height in range(after_height + 1, store.latest_height + 1):
+        time = store.block_time(height)
+        if not start_time <= time <= end_time:
             continue
-        total += _events_at(chain, event_type, height, channels)
-    return total
+        blocks.append((height, time))
+        for kind in kinds:
+            for port, channel in channels:
+                counts[kind] += indexer.channel_events_at(
+                    height, kind, port, channel
+                )
+    return counts, blocks
 
 
-def count_events_total(
-    chain: Chain,
-    event_type: str,
-    start_height: int,
-    channels: Optional[list[ChannelEnd]] = None,
-) -> int:
-    """Count events of a type in every block after ``start_height``,
-    regardless of window end (chain-truth commit counting)."""
-    total = 0
-    for height in range(start_height + 1, chain.block_store.latest_height + 1):
-        total += _events_at(chain, event_type, height, channels)
-    return total
-
-
-def _count_in_time_window(
-    chain: Chain,
-    event_type: str,
-    start_time: float,
-    end_time: float,
-    channels: Optional[list[ChannelEnd]] = None,
-) -> int:
-    """Count events in blocks whose block time falls inside the window."""
-    total = 0
-    store = chain.block_store
-    for height in range(1, store.latest_height + 1):
-        block = store.block(height)
-        if block is None:
-            continue
-        if block.header.time < start_time or block.header.time > end_time:
-            continue
-        total += _events_at(chain, event_type, height, channels)
-    return total
-
-
-def channel_breakdown(
-    channel_ends: list[tuple[Chain, str, str]],
-    start_time: float,
-    end_time: float,
-) -> list[dict[str, Any]]:
-    """Per-channel event counts in the block-time window (fairness view)."""
-    rows: list[dict[str, Any]] = []
-    for chain, port, channel in channel_ends:
-        ends = [(port, channel)]
-        rows.append(
-            {
-                "chain": chain.chain_id,
-                "port": port,
-                "channel": channel,
-                "sends": _count_in_time_window(
-                    chain, SEND_EVENT, start_time, end_time, ends
-                ),
-                "receives": _count_in_time_window(
-                    chain, RECV_EVENT, start_time, end_time, ends
-                ),
-                "acks": _count_in_time_window(
-                    chain, ACK_EVENT, start_time, end_time, ends
-                ),
-                "timeouts": _count_in_time_window(
-                    chain, TIMEOUT_EVENT, start_time, end_time, ends
-                ),
-            }
-        )
-    return rows
+#: Per-channel-end wire keys of ``window.channels`` and their event kinds.
+_CHANNEL_COUNTS = {
+    "sends": SEND_EVENT,
+    "receives": RECV_EVENT,
+    "acks": ACK_EVENT,
+    "timeouts": TIMEOUT_EVENT,
+}
 
 
 def collect_window_metrics(
@@ -235,9 +349,9 @@ def collect_window_metrics(
     start_height_a: int,
     requested: int,
     accepted: int,
-    source_channels: Optional[list[ChannelEnd]] = None,
-    dest_channels: Optional[list[ChannelEnd]] = None,
-    channel_ends: Optional[list[tuple[Chain, str, str]]] = None,
+    source_channels: list[ChannelEnd],
+    dest_channels: list[ChannelEnd],
+    channel_ends: list[tuple[Chain, str, str]],
 ) -> WindowMetrics:
     """Assemble the ground-truth window metrics.
 
@@ -249,61 +363,57 @@ def collect_window_metrics(
     same chain) would be double-counted.  ``channel_ends`` enumerates
     every channel end in the topology for the per-channel breakdown.
     """
-    sends = count_events_in_window(
-        source_chain, SEND_EVENT, start_height_a, end_time, source_channels
+    source, blocks = scan_window(
+        source_chain,
+        (SEND_EVENT, ACK_EVENT, TIMEOUT_EVENT),
+        source_channels,
+        after_height=start_height_a,
+        end_time=end_time,
     )
-    acks = count_events_in_window(
-        source_chain, ACK_EVENT, start_height_a, end_time, source_channels
-    )
-    timeouts = count_events_in_window(
-        source_chain, TIMEOUT_EVENT, start_height_a, end_time, source_channels
+    # Chain-truth commit counting: every send after the workload began,
+    # whether or not its block made the window.
+    committed, _ = scan_window(
+        source_chain, (SEND_EVENT,), source_channels, after_height=start_height_a
     )
     # The destination chain's matching window starts at its height when the
     # workload began; we approximate by block time.
-    receives = _count_in_time_window(
-        dest_chain, RECV_EVENT, start_time, end_time, dest_channels
+    dest, _ = scan_window(
+        dest_chain,
+        (RECV_EVENT,),
+        dest_channels,
+        start_time=start_time,
+        end_time=end_time,
     )
-
-    intervals: list[float] = []
-    message_counts: list[int] = []
-    store_a = source_chain.block_store
-    previous_time: Optional[float] = None
-    for height in range(start_height_a + 1, store_a.latest_height + 1):
-        block = store_a.block(height)
-        if block is None or block.header.time > end_time:
-            break
-        if previous_time is not None:
-            intervals.append(block.header.time - previous_time)
-        previous_time = block.header.time
-        message_counts.append(source_chain.indexer.message_count_at(height))
-
-    end_height_a = start_height_a
-    for height in range(start_height_a + 1, store_a.latest_height + 1):
-        block = store_a.block(height)
-        if block is not None and block.header.time <= end_time:
-            end_height_a = height
-
+    channels: list[dict[str, Any]] = []
+    for chain, port, channel in channel_ends:
+        counts, _ = scan_window(
+            chain,
+            tuple(_CHANNEL_COUNTS.values()),
+            [(port, channel)],
+            start_time=start_time,
+            end_time=end_time,
+        )
+        row = {"chain": chain.chain_id, "port": port, "channel": channel}
+        row.update((key, counts[kind]) for key, kind in _CHANNEL_COUNTS.items())
+        channels.append(row)
+    times = [time for _, time in blocks]
     return WindowMetrics(
         start_time=start_time,
         end_time=end_time,
         start_height_a=start_height_a,
-        end_height_a=end_height_a,
-        sends=sends,
-        receives=receives,
-        acks=acks,
-        timeouts=timeouts,
+        end_height_a=blocks[-1][0] if blocks else start_height_a,
+        sends=source[SEND_EVENT],
+        receives=dest[RECV_EVENT],
+        acks=source[ACK_EVENT],
+        timeouts=source[TIMEOUT_EVENT],
         requested=requested,
         accepted=accepted,
-        sends_total=count_events_total(
-            source_chain, SEND_EVENT, start_height_a, source_channels
-        ),
-        block_intervals_a=intervals,
-        block_message_counts_a=message_counts,
-        channels=(
-            channel_breakdown(channel_ends, start_time, end_time)
-            if channel_ends
-            else []
-        ),
+        sends_total=committed[SEND_EVENT],
+        block_intervals_a=[t1 - t0 for t0, t1 in zip(times, times[1:])],
+        block_message_counts_a=[
+            source_chain.indexer.message_count_at(height) for height, _ in blocks
+        ],
+        channels=channels,
     )
 
 
@@ -317,6 +427,16 @@ class GasMetrics:
     transfer_samples: int
     recv_samples: int
     ack_samples: int
+
+    def to_dict(self) -> dict[str, Any]:
+        return to_wire(self)
+
+    @classmethod
+    def from_dict(cls, data: Any) -> "GasMetrics":
+        return from_wire(cls, data, "gas section")
+
+    def summary_lines(self) -> list[str]:
+        return []  # gas is a data-file metric (§IV-A), not a headline
 
 
 def collect_gas_metrics(chains: list[Chain]) -> GasMetrics:
@@ -376,6 +496,28 @@ class FaultReport:
     resubscribes: int
     height_gaps: int
     recovery_latency: Optional[SummaryStats] = None
+
+    def to_dict(self) -> dict[str, Any]:
+        return to_wire(self)
+
+    @classmethod
+    def from_dict(cls, data: Any) -> "FaultReport":
+        return from_wire(cls, data, "faults section")
+
+    def summary_lines(self) -> list[str]:
+        lines = [
+            f"faults            : {len(self.windows)} window(s), "
+            f"{self.rpc_refused} refused / {self.rpc_dropped} dropped RPCs, "
+            f"{self.rpc_retries} retries, {self.resubscribes} resubscribes, "
+            f"{self.height_gaps} height gap(s)"
+        ]
+        if self.recovery_latency is not None:
+            lines.append(
+                f"recovery latency  : median "
+                f"{self.recovery_latency.median:.1f} s, max "
+                f"{self.recovery_latency.maximum:.1f} s after first fault"
+            )
+        return lines
 
 
 def collect_fault_metrics(
@@ -482,14 +624,15 @@ def collect_fleet_metrics(
         acked = 0
         for path in edge_paths[edge]:
             for end in (path.a, path.b):
-                chain = chains_by_id[end.chain_id]
-                ends = [(end.port_id, end.channel_id)]
-                delivered += _count_in_time_window(
-                    chain, RECV_EVENT, start_time, end_time, ends
+                counts, _ = scan_window(
+                    chains_by_id[end.chain_id],
+                    (RECV_EVENT, ACK_EVENT),
+                    [(end.port_id, end.channel_id)],
+                    start_time=start_time,
+                    end_time=end_time,
                 )
-                acked += _count_in_time_window(
-                    chain, ACK_EVENT, start_time, end_time, ends
-                )
+                delivered += counts[RECV_EVENT]
+                acked += counts[ACK_EVENT]
         members: list[dict[str, Any]] = []
         recv_attempts = 0
         ack_attempts = 0
@@ -560,12 +703,30 @@ def collect_fleet_metrics(
     return rows
 
 
+def fleet_summary_lines(rows: list[dict[str, Any]]) -> list[str]:
+    lines = []
+    for row in rows:
+        line = (
+            f"fleet (edge {row['edge']})    : K={row['count']} "
+            f"policy={row['policy']}, redundancy "
+            f"{row['redundant_ratio']:.2f}x, "
+            f"{row['redundant_errors']} redundant error(s)"
+        )
+        leader = row.get("leader")
+        if leader is not None:
+            line += f", {leader['handoff_count']} handoff(s)"
+            if leader["recovery_seconds"] is not None:
+                line += f", recovery {leader['recovery_seconds']:.1f} s"
+        lines.append(line)
+    return lines
+
+
 @dataclass
 class RpcBusyMetrics:
-    """Where RPC time went (the 69 % data-pull claim)."""
+    """Where RPC time went (the 69 % data-pull claim) — the ``rpc`` section."""
 
     total_busy_seconds: float
-    pull_busy_seconds: float
+    pull_busy_seconds: float = field(metadata={"derived": "pull_fraction"})
     by_method: dict[str, float]
 
     @property
@@ -573,6 +734,19 @@ class RpcBusyMetrics:
         if self.total_busy_seconds <= 0:
             return 0.0
         return self.pull_busy_seconds / self.total_busy_seconds
+
+    def to_dict(self) -> dict[str, Any]:
+        return to_wire(self)
+
+    @classmethod
+    def from_dict(cls, data: Any) -> "RpcBusyMetrics":
+        return from_wire(cls, data, "rpc section")
+
+    def summary_lines(self) -> list[str]:
+        return [
+            f"rpc pull fraction : {self.pull_fraction * 100:.1f}% "
+            f"of RPC busy time"
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -650,26 +824,6 @@ class PacketTrace:
         }
 
 
-#: Wire keys of the report's ``trace`` section, in dump order.
-_TRACE_KEYS = (
-    "traced",
-    "completed",
-    "partial",
-    "timed_out",
-    "forwarded",
-    "origin_time",
-    "wall_seconds",
-    "stage_seconds",
-    "transfer_pull_seconds",
-    "recv_pull_seconds",
-    "data_pull_share",
-)
-
-#: Keys absent from pre-topology (schema < 4) trace sections; loaders
-#: default them instead of rejecting the document.
-_TRACE_OPTIONAL_KEYS = frozenset({"forwarded"})
-
-
 @dataclass
 class TraceReport:
     """The latency decomposition distilled from one run's trace.
@@ -697,59 +851,35 @@ class TraceReport:
     transfer_pull_seconds: float
     recv_pull_seconds: float
     data_pull_share: float
-    packets: list[PacketTrace] = field(default_factory=list, compare=False)
+    packets: list[PacketTrace] = field(
+        default_factory=list, compare=False, metadata={"wire": None}
+    )
 
     @property
     def pull_seconds(self) -> float:
         return self.transfer_pull_seconds + self.recv_pull_seconds
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "traced": self.traced,
-            "completed": self.completed,
-            "partial": self.partial,
-            "timed_out": self.timed_out,
-            "forwarded": self.forwarded,
-            "origin_time": self.origin_time,
-            "wall_seconds": self.wall_seconds,
-            "stage_seconds": {
-                stage: self.stage_seconds[stage] for stage in TRACE_STAGES
-            },
-            "transfer_pull_seconds": self.transfer_pull_seconds,
-            "recv_pull_seconds": self.recv_pull_seconds,
-            "data_pull_share": self.data_pull_share,
-        }
+        return to_wire(self)
 
     @classmethod
     def from_dict(cls, data: Any) -> "TraceReport":
-        if not isinstance(data, dict):
-            raise SchemaError(
-                f"trace section must be a dict, got {type(data).__name__}"
-            )
-        unknown = sorted(set(data) - set(_TRACE_KEYS))
-        if unknown:
-            raise SchemaError(
-                f"unknown key(s) {', '.join(unknown)} in trace section "
-                f"(known keys: {', '.join(_TRACE_KEYS)})"
-            )
-        missing = sorted(set(_TRACE_KEYS) - _TRACE_OPTIONAL_KEYS - set(data))
-        if missing:
-            raise SchemaError(
-                f"trace section is missing key(s): {', '.join(missing)}"
-            )
-        return cls(
-            traced=data["traced"],
-            completed=data["completed"],
-            partial=data["partial"],
-            timed_out=data["timed_out"],
-            forwarded=data.get("forwarded", 0),
-            origin_time=data["origin_time"],
-            wall_seconds=data["wall_seconds"],
-            stage_seconds=dict(data["stage_seconds"]),
-            transfer_pull_seconds=data["transfer_pull_seconds"],
-            recv_pull_seconds=data["recv_pull_seconds"],
-            data_pull_share=data["data_pull_share"],
+        return from_wire(cls, data, "trace section")
+
+    def summary_lines(self) -> list[str]:
+        if not self.completed:
+            return []
+        stages = " / ".join(
+            f"{stage} {seconds:.1f}s"
+            for stage, seconds in self.stage_seconds.items()
         )
+        return [
+            f"trace             : {self.completed}/{self.traced} lifecycles "
+            f"complete; pulls {self.pull_seconds:.1f}s of "
+            f"{self.wall_seconds:.1f}s wall "
+            f"({self.data_pull_share * 100:.1f}%)",
+            f"trace stages      : {stages}",
+        ]
 
 
 def _min_by_key(
@@ -1001,6 +1131,19 @@ def collect_population_metrics(engine, source_chain: Chain) -> dict[str, Any]:
     return summary
 
 
+def population_summary_lines(population: dict[str, Any]) -> list[str]:
+    mempool = population["mempool"]
+    return [
+        f"population        : {population['population']} senders, "
+        f"{population['senders_active']} active, p99 activity "
+        f"{population['activity_p99']}, top-1% share "
+        f"{population['top1_share'] * 100:.1f}%, "
+        f"{population['deferred']} deferred",
+        f"mempool           : {mempool['admitted']} admitted / "
+        f"{mempool['rejected']} rejected / {mempool['evicted']} evicted",
+    ]
+
+
 def collect_frame_metrics(chains: list[Chain]) -> dict[str, Any]:
     """The report's ``frames`` section: §V WebSocket frame accounting.
 
@@ -1028,3 +1171,13 @@ def collect_frame_metrics(chains: list[Chain]) -> dict[str, Any]:
         "max_frame_bytes": max_frame,
         "limit_bytes": limit,
     }
+
+
+def frame_summary_lines(frames: dict[str, Any]) -> list[str]:
+    if not frames["latched"]:
+        return []
+    return [
+        f"frame limit       : {frames['latched']} subscription(s) latched "
+        f"(max frame {frames['max_frame_bytes']} B > "
+        f"limit {frames['limit_bytes']} B)"
+    ]

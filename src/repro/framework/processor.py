@@ -30,9 +30,10 @@ plots.  Only relayer-side timestamps are used, mirroring the paper's choice
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Optional
 
 from repro.framework.connectors import CrossChainEventConnector
+from repro.framework.metrics import from_wire, to_wire
 from repro.relayer.logging import LogRecord
 
 #: The 13 steps, in execution order.
@@ -91,13 +92,18 @@ class StepTimeline:
 
 @dataclass
 class TransferTimelineReport:
-    """The full Fig. 12-style reconstruction."""
+    """The full Fig. 12-style reconstruction — the ``timeline`` section."""
 
-    origin_time: float
-    timelines: dict[int, StepTimeline]
-    phase_seconds: dict[str, float]
     total_seconds: float
-    data_pull_seconds: float
+    phase_seconds: dict[str, float]
+    data_pull_seconds: float = field(metadata={"derived": "data_pull_fraction"})
+    origin_time: float
+    #: The 13 step curves, in step order.
+    steps: list[StepTimeline]
+
+    @property
+    def timelines(self) -> dict[int, StepTimeline]:
+        return {timeline.step: timeline for timeline in self.steps}
 
     def phase_fraction(self, phase: str) -> float:
         if self.total_seconds <= 0:
@@ -110,6 +116,24 @@ class TransferTimelineReport:
         if self.total_seconds <= 0:
             return 0.0
         return self.data_pull_seconds / self.total_seconds
+
+    def to_dict(self) -> dict[str, Any]:
+        return to_wire(self)
+
+    @classmethod
+    def from_dict(cls, data: Any) -> "TransferTimelineReport":
+        return from_wire(cls, data, "timeline section")
+
+    def summary_lines(self) -> list[str]:
+        if self.total_seconds <= 0:
+            return []
+        return [
+            "phase breakdown   : "
+            f"transfer {self.phase_fraction('transfer') * 100:.1f}% / "
+            f"receive {self.phase_fraction('receive') * 100:.1f}% / "
+            f"ack {self.phase_fraction('acknowledge') * 100:.1f}% "
+            f"(pulls {self.data_pull_fraction * 100:.1f}%)"
+        ]
 
 
 class CrossChainEventProcessor:
@@ -196,11 +220,11 @@ class CrossChainEventProcessor:
                 pull_seconds += record.field("duration", 0.0) or 0.0
 
         return TransferTimelineReport(
-            origin_time=origin,
-            timelines=timelines,
-            phase_seconds=phase_seconds,
             total_seconds=total_end - origin,
+            phase_seconds=phase_seconds,
             data_pull_seconds=pull_seconds,
+            origin_time=origin,
+            steps=[timelines[step] for step, _name, _event in STEP_EVENTS],
         )
 
     # ------------------------------------------------------------------

@@ -12,13 +12,19 @@ sweep points on disk and ship results across process boundaries without
 any loss (`repro.parallel`).  Two in-memory structures are deliberately
 *not* part of the wire format: per-transfer submission records
 (``workload.submissions``) and the optional host-side ``journal`` text.
+
+This module only orders the document.  Every section's shape, loader and
+summary lines live with the class that collects it
+(:mod:`repro.framework.metrics`, :mod:`~repro.framework.processor`,
+:mod:`~repro.framework.workload`); ``_SECTIONS`` below is the one table
+the dump, the load and the text summary all walk.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Optional, get_type_hints
 
 from repro.errors import SchemaError
 from repro.framework.config import ExperimentConfig
@@ -28,109 +34,63 @@ from repro.framework.metrics import (
     RpcBusyMetrics,
     TraceReport,
     WindowMetrics,
+    fleet_summary_lines,
+    frame_summary_lines,
+    from_wire,
+    population_summary_lines,
+    to_wire,
 )
-from repro.framework.processor import StepTimeline, TransferTimelineReport
+from repro.framework.processor import TransferTimelineReport
 from repro.framework.workload import WorkloadStats
-from repro.sim.monitor import SummaryStats
-
-def _timeline_from_dict(data: Optional[dict[str, Any]]) -> Optional[TransferTimelineReport]:
-    """Rebuild a :class:`TransferTimelineReport` from its wire section."""
-    if data is None:
-        return None
-    return TransferTimelineReport(
-        origin_time=data["origin_time"],
-        timelines={
-            entry["step"]: StepTimeline(
-                step=entry["step"],
-                name=entry["name"],
-                points=[(point[0], point[1]) for point in entry["points"]],
-            )
-            for entry in data["steps"]
-        },
-        phase_seconds=dict(data["phase_seconds"]),
-        total_seconds=data["total_seconds"],
-        data_pull_seconds=data["data_pull_seconds"],
-    )
 
 
-def _faults_from_dict(data: Optional[dict[str, Any]]) -> Optional[FaultReport]:
-    """Rebuild a :class:`FaultReport` from its wire section."""
-    if data is None:
-        return None
-    latency = data["recovery_latency"]
-    return FaultReport(
-        windows=[dict(window) for window in data["windows"]],
-        rpc_refused=data["rpc_refused"],
-        rpc_dropped=data["rpc_dropped"],
-        ws_disconnects=data["ws_disconnects"],
-        rpc_retries=data["rpc_retries"],
-        retry_exhausted=data["retry_exhausted"],
-        resubscribes=data["resubscribes"],
-        height_gaps=data["height_gaps"],
-        recovery_latency=(
-            None
-            if latency is None
-            else SummaryStats(
-                count=latency["count"],
-                mean=latency["mean"],
-                stdev=latency["stdev"],
-                minimum=latency["min"],
-                p25=latency["p25"],
-                median=latency["median"],
-                p75=latency["p75"],
-                maximum=latency["max"],
-            )
-        ),
-    )
+def _latency_lines(latency: float) -> list[str]:
+    return [
+        f"completion latency: {latency:.1f} s until every requested "
+        f"transfer settled"
+    ]
 
 
-#: Top-level keys every schema-6 report document carries, in dump order.
-_DOCUMENT_KEYS = (
-    "schema_version",
-    "config",
-    "throughput",
-    "submission",
-    "completion",
-    "counts",
-    "window",
-    "block_interval_mean",
-    "completion_latency",
-    "completion_curve",
-    "errors",
-    "gas",
-    "rpc",
-    "timeline",
-    "faults",
-    "fleet",
-    "trace",
-    "population",
-    "frames",
-    "sim_end_time",
+def _error_lines(errors: dict[str, int]) -> list[str]:
+    if not errors:
+        return []
+    rendered = ", ".join(f"{k}={v}" for k, v in sorted(errors.items()))
+    return [f"errors            : {rendered}"]
+
+
+#: The report document after ``schema_version``, in dump order.  Per wire
+#: key: the report attribute it carries (None: restated from the window by
+#: :meth:`WindowMetrics.derived_sections`) and its owner — the section
+#: class defining its shape and summary lines, or, for a plain JSON value
+#: (checked against the attribute's annotation), the function rendering
+#: its summary lines, or None when it has none.
+_SECTIONS = (
+    ("config", "config", ExperimentConfig),
+    ("throughput", None, None),
+    ("submission", "workload", WorkloadStats),
+    ("completion", None, None),
+    ("counts", None, None),
+    ("window", "window", WindowMetrics),
+    ("block_interval_mean", None, None),
+    ("completion_latency", "completion_latency", _latency_lines),
+    ("completion_curve", "completion_curve", None),
+    ("errors", "errors", _error_lines),
+    ("gas", "gas", GasMetrics),
+    ("rpc", "rpc", RpcBusyMetrics),
+    ("timeline", "timeline", TransferTimelineReport),
+    ("faults", "faults", FaultReport),
+    ("fleet", "fleet", fleet_summary_lines),
+    ("trace", "trace", TraceReport),
+    ("population", "population", population_summary_lines),
+    ("frames", "frames", frame_summary_lines),
+    ("sim_end_time", "sim_end_time", None),
 )
 
-#: Schema-5 documents predate the generated-workload engine: no
-#: ``population``/``frames`` sections, and the ``submission`` section
-#: lacks the failed/unconfirmed/deferred split (defaulted on load).
-_V5_DOCUMENT_KEYS = tuple(
-    k for k in _DOCUMENT_KEYS if k not in ("population", "frames")
-)
-
-#: Schema-4 (and 3) documents additionally predate relayer fleets: the
-#: ``fleet`` key does not exist (and their ``config`` carries the
-#: relayer knobs as flat keys, migrated by the config loader).
-_V34_DOCUMENT_KEYS = tuple(k for k in _V5_DOCUMENT_KEYS if k != "fleet")
-
-#: Schema-2 documents additionally predate per-packet tracing: no
-#: ``trace`` key either.  They still load (tracing absent).
-_V2_DOCUMENT_KEYS = tuple(
-    k for k in _V5_DOCUMENT_KEYS if k not in ("trace", "fleet")
-)
-
-#: Schema 3 → 4 added the topology layer: ``config.topology``, the
-#: ``window.channels`` per-channel breakdown and the trace section's
-#: ``forwarded`` count.  The top-level key set is unchanged; old
-#: documents load with those subkeys defaulted.  Schema 4 → 5 added the
-#: per-edge ``fleet`` section and nested the config's relayer knobs.
+#: Sections schema 6 added.  A schema-5 document (the generated-workload
+#: engine's predecessor) must not carry them and loads with them absent;
+#: its ``submission`` section may also lack the failed/unconfirmed/deferred
+#: split, which then reads as zero.
+_ADDED_IN_V6 = ("population", "frames")
 
 
 @dataclass
@@ -138,15 +98,11 @@ class ExperimentReport:
     """One experiment's full outcome (see module docstring)."""
 
     #: Version of the JSON wire schema ``to_dict`` emits.  Bump whenever a
-    #: key is added, removed or changes meaning; ``from_dict`` refuses
-    #: documents with any other version except older ones where a lossless
-    #: upgrade exists (schema 2 → 3 added the ``trace`` section; 3 → 4
-    #: added the topology subkeys; 4 → 5 added the relayer-fleet section
-    #: and the config's nested ``relayer`` wire section; 5 → 6 added the
-    #: generated-workload engine: the config's nested ``workload``
-    #: section, the ``population``/``frames`` report sections and the
-    #: submission split into failed/unconfirmed/deferred).  Version 1 was
-    #: the unversioned, presentation-only dump of the pre-parallel era.
+    #: key is added, removed or changes meaning.  ``from_dict`` reads this
+    #: version and the one before it (5 → 6 added the generated-workload
+    #: engine: the config's nested ``workload`` section, the
+    #: ``population``/``frames`` report sections and the submission split
+    #: into failed/unconfirmed/deferred) and refuses everything else.
     SCHEMA_VERSION = 6
 
     config: ExperimentConfig
@@ -192,139 +148,17 @@ class ExperimentReport:
     # ------------------------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
-        completion = self.window.completion
-        return {
-            "schema_version": self.SCHEMA_VERSION,
-            "config": self.config.to_dict(),
-            "throughput": {
-                "chain_tfps": self.window.chain_throughput_tfps,
-                "transfer_tfps": self.window.transfer_throughput_tfps,
-                "duration": self.window.duration,
-            },
-            "submission": {
-                "requested": self.workload.requested_transfers,
-                "accepted": self.workload.accepted_transfers,
-                "committed": self.workload.committed_transfers,
-                "committed_chain": self.window.sends_total,
-                "rejected": self.workload.rejected_transfers,
-                "failed": self.workload.failed_transfers,
-                "unconfirmed": self.workload.unconfirmed_transfers,
-                "deferred": self.workload.deferred_transfers,
-                "lost": self.workload.lost_transfers,
-            },
-            "completion": completion.as_fractions(),
-            "counts": {
-                "sends": self.window.sends,
-                "receives": self.window.receives,
-                "acks": self.window.acks,
-                "timeouts": self.window.timeouts,
-            },
-            # Raw window measurements — the reconstruction source for the
-            # derived sections above (they are recomputed, not stored, so
-            # a loaded report re-serializes byte-identically).
-            "window": {
-                "start_time": self.window.start_time,
-                "end_time": self.window.end_time,
-                "start_height_a": self.window.start_height_a,
-                "end_height_a": self.window.end_height_a,
-                "sends": self.window.sends,
-                "receives": self.window.receives,
-                "acks": self.window.acks,
-                "timeouts": self.window.timeouts,
-                "requested": self.window.requested,
-                "accepted": self.window.accepted,
-                "sends_total": self.window.sends_total,
-                "block_intervals_a": list(self.window.block_intervals_a),
-                "block_message_counts_a": list(
-                    self.window.block_message_counts_a
-                ),
-                "channels": [dict(row) for row in self.window.channels],
-            },
-            "block_interval_mean": (
-                sum(self.window.block_intervals_a)
-                / len(self.window.block_intervals_a)
-                if self.window.block_intervals_a
-                else 0.0
-            ),
-            "completion_latency": self.completion_latency,
-            "completion_curve": [list(point) for point in self.completion_curve],
-            "errors": dict(self.errors),
-            "gas": {
-                "transfer_avg": self.gas.transfer_avg,
-                "recv_avg": self.gas.recv_avg,
-                "ack_avg": self.gas.ack_avg,
-                "transfer_samples": self.gas.transfer_samples,
-                "recv_samples": self.gas.recv_samples,
-                "ack_samples": self.gas.ack_samples,
-            },
-            "rpc": {
-                "total_busy_seconds": self.rpc.total_busy_seconds,
-                "pull_busy_seconds": self.rpc.pull_busy_seconds,
-                "pull_fraction": self.rpc.pull_fraction,
-                "by_method": dict(self.rpc.by_method),
-            },
-            "timeline": self._timeline_dict(),
-            "faults": self._faults_dict(),
-            "fleet": (
-                None
-                if self.fleet is None
-                else [dict(row) for row in self.fleet]
-            ),
-            "trace": None if self.trace is None else self.trace.to_dict(),
-            "population": (
-                None if self.population is None else dict(self.population)
-            ),
-            "frames": None if self.frames is None else dict(self.frames),
-            "sim_end_time": self.sim_end_time,
-        }
-
-    def _faults_dict(self) -> Optional[dict[str, Any]]:
-        if self.faults is None:
-            return None
-        latency = self.faults.recovery_latency
-        return {
-            "windows": list(self.faults.windows),
-            "rpc_refused": self.faults.rpc_refused,
-            "rpc_dropped": self.faults.rpc_dropped,
-            "ws_disconnects": self.faults.ws_disconnects,
-            "rpc_retries": self.faults.rpc_retries,
-            "retry_exhausted": self.faults.retry_exhausted,
-            "resubscribes": self.faults.resubscribes,
-            "height_gaps": self.faults.height_gaps,
-            "recovery_latency": (
-                None
-                if latency is None
-                else {
-                    "count": latency.count,
-                    "mean": latency.mean,
-                    "stdev": latency.stdev,
-                    "min": latency.minimum,
-                    "p25": latency.p25,
-                    "median": latency.median,
-                    "p75": latency.p75,
-                    "max": latency.maximum,
-                }
-            ),
-        }
-
-    def _timeline_dict(self) -> Optional[dict[str, Any]]:
-        if self.timeline is None:
-            return None
-        return {
-            "total_seconds": self.timeline.total_seconds,
-            "phase_seconds": dict(self.timeline.phase_seconds),
-            "data_pull_seconds": self.timeline.data_pull_seconds,
-            "data_pull_fraction": self.timeline.data_pull_fraction,
-            "origin_time": self.timeline.origin_time,
-            "steps": [
-                {
-                    "step": timeline.step,
-                    "name": timeline.name,
-                    "points": [list(point) for point in timeline.points],
-                }
-                for _step, timeline in sorted(self.timeline.timelines.items())
-            ],
-        }
+        derived = self.window.derived_sections()
+        document: dict[str, Any] = {"schema_version": self.SCHEMA_VERSION}
+        for key, attribute, _owner in _SECTIONS:
+            if attribute is None:
+                document[key] = derived[key]
+                continue
+            value = getattr(self, attribute)
+            document[key] = (
+                value.to_dict() if hasattr(value, "to_dict") else to_wire(value)
+            )
+        return document
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -333,102 +167,73 @@ class ExperimentReport:
 
     @classmethod
     def from_dict(cls, data: Any) -> "ExperimentReport":
-        """Load a schema-6 (or legacy schema-2/3/4/5) report document.
+        """Load a schema-6 (or schema-5) report document.
 
         A loaded current-schema report re-serializes byte-identically:
         the raw sections (``config``, ``window``, ``timeline.steps``, ...)
         are restored and every derived section is recomputed from them.
-        Schema-2 documents (pre-tracing) load with ``trace`` absent;
-        schema-3 documents (pre-topology) load with the topology subkeys
-        defaulted; schema-3/4 documents load with ``fleet`` absent and
-        their flat relayer config keys migrated into the nested
-        ``relayer`` section; schema-5 documents load with the
-        ``population``/``frames`` sections absent and the submission
-        split defaulted to zero; all re-serialize as schema 6.  Unknown
-        keys and foreign schema versions raise :class:`SchemaError`.
+        Schema-5 documents load with the ``population``/``frames``
+        sections absent and the submission split defaulted to zero, and
+        re-serialize as schema 6.  Unknown, missing or wrongly-typed keys
+        — at the top level or inside any section — and foreign schema
+        versions raise :class:`SchemaError`.
         """
         if not isinstance(data, dict):
             raise SchemaError(
                 f"report document must be a dict, got {type(data).__name__}"
             )
         version = data.get("schema_version")
-        if version not in (2, 3, 4, 5, cls.SCHEMA_VERSION):
+        if version not in (cls.SCHEMA_VERSION - 1, cls.SCHEMA_VERSION):
             raise SchemaError(
                 f"unsupported report schema_version {version!r} "
-                f"(this library reads versions 2, 3, 4, 5 and "
-                f"{cls.SCHEMA_VERSION})"
+                f"(this library reads versions {cls.SCHEMA_VERSION - 1} "
+                f"and {cls.SCHEMA_VERSION})"
             )
-        if version == 2:
-            expected = _V2_DOCUMENT_KEYS
-        elif version in (3, 4):
-            expected = _V34_DOCUMENT_KEYS
-        elif version == 5:
-            expected = _V5_DOCUMENT_KEYS
-        else:
-            expected = _DOCUMENT_KEYS
+        expected = ["schema_version"] + [
+            key
+            for key, _attribute, _owner in _SECTIONS
+            if version == cls.SCHEMA_VERSION or key not in _ADDED_IN_V6
+        ]
         unknown = sorted(set(data) - set(expected))
         if unknown:
             raise SchemaError(
-                f"unknown key(s) {', '.join(unknown)} in report document "
-                f"(known keys: {', '.join(expected)})"
+                f"unknown key(s) {', '.join(unknown)} in schema-{version} "
+                f"report document (known keys: {', '.join(expected)})"
             )
         missing = sorted(set(expected) - set(data))
         if missing:
             raise SchemaError(
                 f"report document is missing key(s): {', '.join(missing)}"
             )
-        trace_data = data.get("trace")
-        submission = data["submission"]
-        workload = WorkloadStats(
-            requested_transfers=submission["requested"],
-            accepted_transfers=submission["accepted"],
-            committed_transfers=submission["committed"],
-            rejected_transfers=submission["rejected"],
-            lost_transfers=submission["lost"],
-            failed_transfers=submission.get("failed", 0),
-            unconfirmed_transfers=submission.get("unconfirmed", 0),
-            deferred_transfers=submission.get("deferred", 0),
-        )
-        gas = data["gas"]
-        rpc = data["rpc"]
-        return cls(
-            config=ExperimentConfig.from_dict(data["config"]),
-            window=WindowMetrics(**data["window"]),
-            workload=workload,
-            timeline=_timeline_from_dict(data["timeline"]),
-            gas=GasMetrics(
-                transfer_avg=gas["transfer_avg"],
-                recv_avg=gas["recv_avg"],
-                ack_avg=gas["ack_avg"],
-                transfer_samples=gas["transfer_samples"],
-                recv_samples=gas["recv_samples"],
-                ack_samples=gas["ack_samples"],
-            ),
-            rpc=RpcBusyMetrics(
-                total_busy_seconds=rpc["total_busy_seconds"],
-                pull_busy_seconds=rpc["pull_busy_seconds"],
-                by_method=dict(rpc["by_method"]),
-            ),
-            errors=dict(data["errors"]),
-            completion_curve=[
-                (point[0], point[1]) for point in data["completion_curve"]
-            ],
-            completion_latency=data["completion_latency"],
-            faults=_faults_from_dict(data["faults"]),
-            fleet=(
-                None
-                if data.get("fleet") is None
-                else [dict(row) for row in data["fleet"]]
-            ),
-            trace=None if trace_data is None else TraceReport.from_dict(trace_data),
-            population=(
-                None
-                if data.get("population") is None
-                else dict(data["population"])
-            ),
-            frames=None if data.get("frames") is None else dict(data["frames"]),
-            sim_end_time=data["sim_end_time"],
-        )
+        if version != cls.SCHEMA_VERSION:
+            data = {**data, **dict.fromkeys(_ADDED_IN_V6)}
+            if isinstance(data["submission"], dict):
+                data["submission"] = {
+                    **WorkloadStats().to_dict(),
+                    **data["submission"],
+                }
+        hints = get_type_hints(cls)
+        loaded: dict[str, Any] = {}
+        for key, attribute, owner in _SECTIONS:
+            if attribute is None:
+                continue
+            value = data[key]
+            if isinstance(owner, type) and value is not None:
+                loaded[attribute] = owner.from_dict(value)
+            else:
+                # A plain value — or a null, legal only where the
+                # attribute is annotated Optional.
+                loaded[attribute] = from_wire(
+                    hints[attribute], value, f"{key} section"
+                )
+        report = cls(**loaded)
+        for key, section in report.window.derived_sections().items():
+            if data[key] != section:
+                raise SchemaError(
+                    f"{key} section does not restate the document's own "
+                    f"window section (expected {section!r})"
+                )
+        return report
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentReport":
@@ -456,119 +261,11 @@ class ExperimentReport:
     # ------------------------------------------------------------------
 
     def summary(self) -> str:
-        completion = self.window.completion
-        lines = [
-            "=== Cross-chain experiment report ===",
-            f"input rate        : {self.config.input_rate:.0f} transfers/s "
-            f"({self.config.fleet_count} relayer(s), "
-            f"{self.config.network_rtt * 1000:.0f} ms RTT)",
-            f"window            : {self.config.measurement_blocks} blocks, "
-            f"{self.window.duration:.1f} s",
-        ]
-        if self.config.topology is not None:
-            topo = self.config.topology
-            lines.append(
-                f"topology          : {topo.name} — {len(topo.chain_ids)} "
-                f"chains, {len(topo.edges)} edge(s), {len(topo.routes)} "
-                f"route(s), max {topo.max_hops} hop(s)"
-            )
-        lines += [
-            f"requested         : {self.workload.requested_transfers}",
-            f"committed (chain) : {self.window.sends} "
-            f"({self.window.chain_throughput_tfps:.1f} TFPS included)",
-            f"completed (acked) : {self.window.acks} "
-            f"({self.window.transfer_throughput_tfps:.1f} TFPS end-to-end)",
-            f"partially complete: {completion.partially_completed}",
-            f"only initiated    : {completion.only_initiated}",
-            f"not committed     : {completion.not_committed}",
-            f"timed out         : {self.window.timeouts}",
-            f"avg block interval: "
-            f"{(sum(self.window.block_intervals_a) / len(self.window.block_intervals_a)) if self.window.block_intervals_a else 0.0:.2f} s",
-            f"rpc pull fraction : {self.rpc.pull_fraction * 100:.1f}% of RPC busy time",
-        ]
-        if self.completion_latency is not None:
-            lines.append(
-                f"completion latency: {self.completion_latency:.1f} s for all "
-                f"{self.workload.requested_transfers} transfers"
-            )
-        if self.timeline is not None and self.timeline.total_seconds > 0:
-            t = self.timeline
-            lines.append(
-                "phase breakdown   : "
-                f"transfer {t.phase_fraction('transfer') * 100:.1f}% / "
-                f"receive {t.phase_fraction('receive') * 100:.1f}% / "
-                f"ack {t.phase_fraction('acknowledge') * 100:.1f}% "
-                f"(pulls {t.data_pull_fraction * 100:.1f}%)"
-            )
-        if self.trace is not None and self.trace.completed:
-            t = self.trace
-            stages = " / ".join(
-                f"{stage} {seconds:.1f}s"
-                for stage, seconds in t.stage_seconds.items()
-            )
-            lines.append(
-                f"trace             : {t.completed}/{t.traced} lifecycles "
-                f"complete; pulls {t.pull_seconds:.1f}s of "
-                f"{t.wall_seconds:.1f}s wall "
-                f"({t.data_pull_share * 100:.1f}%)"
-            )
-            lines.append(f"trace stages      : {stages}")
-        if self.faults is not None:
-            f = self.faults
-            lines.append(
-                f"faults            : {len(f.windows)} window(s), "
-                f"{f.rpc_refused} refused / {f.rpc_dropped} dropped RPCs, "
-                f"{f.rpc_retries} retries, {f.resubscribes} resubscribes, "
-                f"{f.height_gaps} height gap(s)"
-            )
-            if f.recovery_latency is not None:
-                lines.append(
-                    f"recovery latency  : median "
-                    f"{f.recovery_latency.median:.1f} s, max "
-                    f"{f.recovery_latency.maximum:.1f} s after first fault"
-                )
-        if self.fleet:
-            for row in self.fleet:
-                line = (
-                    f"fleet (edge {row['edge']})    : K={row['count']} "
-                    f"policy={row['policy']}, redundancy "
-                    f"{row['redundant_ratio']:.2f}x, "
-                    f"{row['redundant_errors']} redundant error(s)"
-                )
-                leader = row.get("leader")
-                if leader is not None:
-                    recovery = leader["recovery_seconds"]
-                    line += (
-                        f", {leader['handoff_count']} handoff(s)"
-                        + (
-                            f", recovery {recovery:.1f} s"
-                            if recovery is not None
-                            else ""
-                        )
-                    )
-                lines.append(line)
-        if self.population is not None:
-            p = self.population
-            lines.append(
-                f"population        : {p['population']} senders, "
-                f"{p['senders_active']} active, p99 activity "
-                f"{p['activity_p99']}, top-1% share "
-                f"{p['top1_share'] * 100:.1f}%, {p['deferred']} deferred"
-            )
-            mempool = p["mempool"]
-            lines.append(
-                f"mempool           : {mempool['admitted']} admitted / "
-                f"{mempool['rejected']} rejected / "
-                f"{mempool['evicted']} evicted"
-            )
-        if self.frames is not None and self.frames["latched"]:
-            f = self.frames
-            lines.append(
-                f"frame limit       : {f['latched']} subscription(s) latched "
-                f"(max frame {f['max_frame_bytes']} B > "
-                f"limit {f['limit_bytes']} B)"
-            )
-        if self.errors:
-            rendered = ", ".join(f"{k}={v}" for k, v in sorted(self.errors.items()))
-            lines.append(f"errors            : {rendered}")
+        lines = ["=== Cross-chain experiment report ==="]
+        for _key, attribute, owner in _SECTIONS:
+            value = None if attribute is None else getattr(self, attribute)
+            if value is None or owner is None:
+                continue
+            render = owner.summary_lines if isinstance(owner, type) else owner
+            lines += render(value)
         return "\n".join(lines)

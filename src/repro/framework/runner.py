@@ -268,6 +268,7 @@ class _ExperimentEngine:
             dest_channels=dest_channels,
             channel_ends=channel_ends,
         )
+        stats.committed_chain = window.sends_total
         processor = self._processor()
         timeline = processor.transfer_timeline(self._window_start_time)
         completion_curve = processor.completion_curve(self._window_start_time)

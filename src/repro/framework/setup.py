@@ -268,9 +268,6 @@ class Testbed:
             self.edge_paths[edge] for edge in self.topology.route_edges(route)
         ]
 
-    def route_chains(self, r: int) -> list[Chain]:
-        return [self.chains[i] for i in self.topology.routes[r]]
-
     def start_chains(self) -> None:
         for chain in self.chains:
             chain.start()

@@ -31,9 +31,7 @@ METRICS: dict[str, Metric] = {
     "transfer_tfps": lambda r: r.window.transfer_throughput_tfps,
     "completed_fraction": lambda r: r.window.completion.as_fractions()["completed"],
     "block_interval": lambda r: (
-        sum(r.window.block_intervals_a) / len(r.window.block_intervals_a)
-        if r.window.block_intervals_a
-        else float("nan")
+        r.window.block_interval_mean if r.window.block_intervals_a else float("nan")
     ),
     "completion_latency": lambda r: (
         r.completion_latency if r.completion_latency is not None else float("nan")

@@ -23,12 +23,13 @@ Multi-hop routes encode the remaining hops into the receiver field
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Optional
 
 from repro.cosmos.accounts import Wallet
 from repro.cosmos.bank import module_address
 from repro.cosmos.gas import GasSchedule
 from repro.errors import RpcError, WorkloadError
+from repro.framework.metrics import from_wire, to_wire
 from repro.framework.setup import Testbed
 from repro.ibc.transfer import encode_forward_receiver
 from repro.relayer.cli import TransferSubmission, WorkloadCli
@@ -44,28 +45,54 @@ from repro.workload import (
 )
 
 
+def _count(wire: str) -> Any:
+    """A transfer counter that travels under ``wire`` in the report."""
+    return field(default=0, metadata={"wire": wire})
+
+
 @dataclass(slots=True)
 class WorkloadStats:
-    """Submission-side accounting (Table I's first three columns)."""
+    """Submission-side accounting (Table I's first three columns) — the
+    report's ``submission`` section, in wire order."""
 
-    requested_transfers: int = 0
-    accepted_transfers: int = 0  # passed CheckTx into the mempool
-    committed_transfers: int = 0  # executed OK on chain
-    rejected_transfers: int = 0  # CheckTx rejections
-    lost_transfers: int = 0  # broadcast RPC failures (never reached the node)
+    requested_transfers: int = _count("requested")
+    #: Passed CheckTx into the mempool.
+    accepted_transfers: int = _count("accepted")
+    #: Executed OK on chain, as seen through the submitters' confirmations.
+    committed_transfers: int = _count("committed")
+    #: The same count from chain state (the window's ``sends_total``, set
+    #: when the report is built): Table I compares the two.
+    committed_chain: int = 0
+    #: CheckTx rejections.
+    rejected_transfers: int = _count("rejected")
     #: Confirmed on chain with a non-zero code (e.g. out-of-gas griefing,
     #: failed-ante spam) — distinct from never-confirmed submissions.
-    failed_transfers: int = 0
+    failed_transfers: int = _count("failed")
     #: Accepted into the mempool but never seen in a confirmation lookup.
-    unconfirmed_transfers: int = 0
+    unconfirmed_transfers: int = _count("unconfirmed")
     #: Engine-mode arrivals dropped because the drawn sender was still
     #: waiting on its previous transaction (§IV-A sequence rule).
-    deferred_transfers: int = 0
-    submissions: list[TransferSubmission] = field(default_factory=list)
-    start_time: float = 0.0
+    deferred_transfers: int = _count("deferred")
+    #: Broadcast RPC failures (never reached the node).
+    lost_transfers: int = _count("lost")
+    # Run bookkeeping (``wire: None``): never enters the report.
+    submissions: list[TransferSubmission] = field(
+        default_factory=list, metadata={"wire": None}
+    )
+    start_time: float = field(default=0.0, metadata={"wire": None})
     #: None until the workload finishes (an explicit sentinel: comparing a
     #: simulated float timestamp against 0.0 for "unset" is fragile).
-    end_time: Optional[float] = None
+    end_time: Optional[float] = field(default=None, metadata={"wire": None})
+
+    def to_dict(self) -> dict[str, Any]:
+        return to_wire(self)
+
+    @classmethod
+    def from_dict(cls, data: Any) -> "WorkloadStats":
+        return from_wire(cls, data, "submission section")
+
+    def summary_lines(self) -> list[str]:
+        return [f"requested         : {self.requested_transfers}"]
 
     def record(self, submission: TransferSubmission) -> None:
         self.submissions.append(submission)
@@ -198,18 +225,32 @@ class WorkloadDriver:
                         )
                     receiver = encode_forward_receiver(hops, final_receiver)
                 self._clis.append(
-                    WorkloadCli(
-                        env=self.env,
-                        node=source.node(testbed.cli_host),
-                        wallet=wallet,
-                        client_host=testbed.cli_host,
-                        log=self.log,
-                        source_channel=first.channel_id,
-                        receiver=receiver,
-                    )
+                    self._cli(source, wallet, first.channel_id, receiver)
                 )
                 self._hint_chains.append(hint_chain)
                 self._routes.append(r)
+
+    def _cli(
+        self, source: Chain, wallet: Wallet, channel_id: str, receiver: str
+    ) -> WorkloadCli:
+        """A submitter's Hermes CLI against ``source``'s CLI-side node."""
+        return WorkloadCli(
+            env=self.env,
+            node=source.node(self.testbed.cli_host),
+            wallet=wallet,
+            client_host=self.testbed.cli_host,
+            log=self.log,
+            source_channel=channel_id,
+            receiver=receiver,
+        )
+
+    def _exit(self) -> None:
+        """A submission loop ended; the last one out finishes the workload."""
+        self._active -= 1
+        if self._active == 0:
+            self.stats.end_time = self.env.now
+            if not self.finished.triggered:
+                self.finished.succeed()
 
     # ------------------------------------------------------------------
 
@@ -312,11 +353,7 @@ class WorkloadDriver:
                         continue
                     yield from self._one_submission(cli, r, hint_chain, count)
         finally:
-            self._active -= 1
-            if self._active == 0:
-                self.stats.end_time = self.env.now
-                if not self.finished.triggered:
-                    self.finished.succeed()
+            self._exit()
 
     def _one_submission(
         self,
@@ -375,14 +412,11 @@ class WorkloadDriver:
         return cli
 
     def _engine_cli(self, wallet: Wallet) -> WorkloadCli:
-        return WorkloadCli(
-            env=self.env,
-            node=self._engine_source.node(self.testbed.cli_host),
-            wallet=wallet,
-            client_host=self.testbed.cli_host,
-            log=self.log,
-            source_channel=self._engine_channel,
-            receiver=self._engine_receiver,
+        return self._cli(
+            self._engine_source,
+            wallet,
+            self._engine_channel,
+            self._engine_receiver,
         )
 
     def _engine_loop(self):
@@ -414,7 +448,7 @@ class WorkloadDriver:
                     name=f"workload/tx-{index - 1}",
                 )
         finally:
-            self._engine_exit()
+            self._exit()
 
     def _engine_submission(self, cli: WorkloadCli, rank: int, count: int):
         try:
@@ -471,7 +505,7 @@ class WorkloadDriver:
                     "spam_flood", burst=spec.spam_burst, rejected=rejected
                 )
         finally:
-            self._engine_exit()
+            self._exit()
 
     def _griefing_loop(self):
         """§IV-A gas griefing: under-gassed 100-message transactions."""
@@ -497,14 +531,7 @@ class WorkloadDriver:
                 if confirmed is not None and confirmed.found and confirmed.code:
                     engine.griefing_failed += 1
         finally:
-            self._engine_exit()
-
-    def _engine_exit(self) -> None:
-        self._active -= 1
-        if self._active == 0:
-            self.stats.end_time = self.env.now
-            if not self.finished.triggered:
-                self.finished.succeed()
+            self._exit()
 
     # ------------------------------------------------------------------
 

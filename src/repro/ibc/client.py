@@ -100,9 +100,6 @@ class TendermintLightClient:
             )
         return state
 
-    def has_height(self, height: int) -> bool:
-        return height in self.consensus_states
-
     # -- updates --------------------------------------------------------------
 
     def update(self, header: SignedHeader, now: float) -> ConsensusState:

@@ -78,28 +78,3 @@ class ConnectionEnd:
     @property
     def is_open(self) -> bool:
         return self.state == ConnectionState.OPEN
-
-
-def expected_counterparty_end(
-    end: ConnectionEnd, self_connection_id: str
-) -> ConnectionEnd:
-    """The ConnectionEnd the counterparty must have committed for ``end``
-    to be a valid next handshake step (used in proof verification)."""
-    mirrored_state = {
-        ConnectionState.TRYOPEN: ConnectionState.INIT,
-        ConnectionState.OPEN: ConnectionState.TRYOPEN,
-    }.get(end.state)
-    if mirrored_state is None:
-        raise ConnectionError_(
-            f"no counterparty expectation for state {end.state.value}"
-        )
-    return ConnectionEnd(
-        connection_id=end.counterparty.connection_id,
-        state=mirrored_state,
-        client_id=end.counterparty.client_id,
-        counterparty=ConnectionCounterparty(
-            client_id=end.client_id, connection_id=self_connection_id
-        ),
-        versions=end.versions,
-        delay_period=end.delay_period,
-    )

@@ -56,18 +56,6 @@ def channel_path(port: str, channel: str) -> bytes:
     return f"channelEnds/ports/{port}/channels/{channel}".encode()
 
 
-def next_sequence_send_path(port: str, channel: str) -> bytes:
-    return f"nextSequenceSend/ports/{port}/channels/{channel}".encode()
-
-
-def next_sequence_recv_path(port: str, channel: str) -> bytes:
-    return f"nextSequenceRecv/ports/{port}/channels/{channel}".encode()
-
-
-def next_sequence_ack_path(port: str, channel: str) -> bytes:
-    return f"nextSequenceAck/ports/{port}/channels/{channel}".encode()
-
-
 def packet_commitment_path(port: str, channel: str, sequence: int) -> bytes:
     return (
         f"commitments/ports/{port}/channels/{channel}/sequences/{sequence}".encode()

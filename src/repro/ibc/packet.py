@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 from repro.tendermint.crypto import sha256
 
@@ -124,21 +123,3 @@ def _ack_encode(ack: Acknowledgement) -> bytes:
 @lru_cache(maxsize=None)
 def _ack_commitment(ack: Acknowledgement) -> bytes:
     return sha256(_ack_encode(ack))
-
-
-def packet_from_event_attrs(attrs: dict) -> Packet:
-    """Rebuild a packet from indexed event attributes (what relayers do)."""
-    return Packet(
-        sequence=int(attrs["packet_sequence"]),
-        source_port=attrs["packet_src_port"],
-        source_channel=attrs["packet_src_channel"],
-        destination_port=attrs["packet_dst_port"],
-        destination_channel=attrs["packet_dst_channel"],
-        data=attrs["packet_data"],
-        timeout_height=attrs["packet_timeout_height"],
-        timeout_timestamp=float(attrs["packet_timeout_timestamp"]),
-    )
-
-
-def optional_height(height: Optional[Height]) -> Height:
-    return height if height is not None else Height.zero()

@@ -20,6 +20,7 @@ import json
 import os
 from typing import Optional
 
+from repro.errors import SchemaError
 from repro.framework.config import ExperimentConfig
 from repro.framework.report import ExperimentReport
 
@@ -57,10 +58,10 @@ class ResultCache:
     def load(self, config: ExperimentConfig) -> Optional[str]:
         """The cached report JSON for ``config``, or None on a miss.
 
-        A cached document that no longer parses under the current schema
-        (e.g. a truncated write from a pre-atomic-rename crash of a
-        foreign tool) is treated as a miss and re-run rather than
-        poisoning the sweep.
+        A cached document the loader rejects (:class:`SchemaError`: e.g. a
+        truncated write from a pre-atomic-rename crash of a foreign tool)
+        is treated as a miss and re-run rather than poisoning the sweep.
+        Any other exception is a loader bug and propagates.
         """
         try:
             with open(self.path_for(config), "r") as handle:
@@ -69,7 +70,7 @@ class ResultCache:
             return None
         try:
             ExperimentReport.from_json(text)
-        except Exception:
+        except SchemaError:
             return None
         return text
 

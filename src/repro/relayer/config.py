@@ -28,14 +28,6 @@ class RelayerConfig:
     #: (and Tendermint's serial RPC would serialise more anyway); the
     #: parallel-RPC ablation raises both sides.
     pull_concurrency: int = 1
-    #: EXTENSION (not in Hermes 1.0.0): static work partitioning between
-    #: relayer instances, the coordination mechanism the paper wishes
-    #: ICS-18 specified.  Instance ``coordination_index`` of
-    #: ``coordination_total`` handles only the transactions it owns (by
-    #: tx-hash partition); with the default total of 1 every instance
-    #: relays everything, reproducing Hermes's uncoordinated behaviour.
-    coordination_index: int = 0
-    coordination_total: int = 1
     #: Confirmation polling cadence against /tx.
     confirm_poll_seconds: float = cal.RELAYER_CONFIRM_POLL_SECONDS
     #: Give up confirming a tx after this many seconds.
@@ -56,6 +48,3 @@ class RelayerConfig:
     #: First resubscribe backoff; doubles per attempt up to the cap.
     resubscribe_backoff_seconds: float = 1.0
     resubscribe_max_backoff_seconds: float = 30.0
-    #: Timeout offset (in destination blocks) stamped on relayed... not used
-    #: by the relayer itself; kept for CLI convenience.
-    default_timeout_blocks: int = cal.DEFAULT_TIMEOUT_BLOCKS

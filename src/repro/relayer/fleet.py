@@ -28,10 +28,7 @@ no processes at all — a fleet with the default policy leaves the legacy
 single-relayer event accounting untouched.
 
 :class:`FleetConfig` is also the nested ``relayer`` section of the
-experiment-config wire format (schema v5): the flat relayer knobs that
-used to live on :class:`~repro.framework.config.ExperimentConfig`
-(``rpc_retry_attempts``, ``resubscribe_on_disconnect``,
-``coordinate_relayers``) collapsed into it.
+experiment-config wire format.
 """
 
 from __future__ import annotations

@@ -94,7 +94,3 @@ class RelayerLog:
 
     def errors(self) -> list[LogRecord]:
         return [r for r in self.records if r.level == "error"]
-
-    def events_matching(self, events: Iterable[str]) -> list[LogRecord]:
-        wanted = set(events)
-        return [r for r in self.records if r.event in wanted]

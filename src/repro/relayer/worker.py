@@ -140,32 +140,12 @@ class DirectionWorker:
             yield from self._relay_recv_batch(batch)
 
     def _owned(self, batch: WorkBatch) -> WorkBatch:
-        """Keep only the work this relayer instance owns.
-
-        Fleet coordination (sequence ownership via the member's policy)
-        applies first; the legacy tx-hash partition of
-        ``RelayerConfig.coordination_index/total`` composes on top for
-        direct users of that knob.  With no member and a coordination
-        total of 1 (Hermes behaviour) everything is owned.
-        """
-        if self.member is not None:
-            batch = self.member.filter_batch(batch)
-        total = self.config.coordination_total
-        if total <= 1:
+        """Keep only the work this relayer instance owns: the fleet
+        member's policy filter (sequence ownership); a standalone relayer
+        (Hermes behaviour) owns everything."""
+        if self.member is None:
             return batch
-        index = self.config.coordination_index
-        owned_events = [
-            e
-            for e in batch.events
-            if int.from_bytes(e.tx_hash[:4], "big") % total == index
-        ]
-        return WorkBatch(
-            chain_id=batch.chain_id,
-            height=batch.height,
-            kind=batch.kind,
-            routing_channel=batch.routing_channel,
-            events=owned_events,
-        )
+        return self.member.filter_batch(batch)
 
     def _relay_recv_batch(self, batch: WorkBatch):
         batch = self._owned(batch)

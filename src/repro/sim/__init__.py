@@ -25,9 +25,7 @@ from repro.sim.core import (
 from repro.sim.monitor import (
     Counter,
     DurationHistogram,
-    ProbeSet,
     SummaryStats,
-    TimeSeries,
     percentile,
 )
 from repro.sim.network import Host, LinkSpec, Network
@@ -47,7 +45,6 @@ __all__ = [
     "KeyedStream",
     "LinkSpec",
     "Network",
-    "ProbeSet",
     "Process",
     "ProcessGroup",
     "Request",
@@ -57,7 +54,6 @@ __all__ = [
     "RngRegistry",
     "Store",
     "SummaryStats",
-    "TimeSeries",
     "Timeout",
     "derive_seed",
     "percentile",

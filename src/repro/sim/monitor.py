@@ -1,9 +1,9 @@
 """Lightweight measurement probes for simulation components.
 
 The paper's analysis pipeline is built on event logs; these probes are the
-in-simulation complement: counters, time-series gauges and duration
-histogram summaries that components update as they run and that the
-framework's analysis module reads afterwards.
+in-simulation complement: counters and duration histogram summaries that
+components update as they run and that the framework's analysis module
+reads afterwards.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Iterable
-
-from repro.sim.core import Environment
 
 
 class Counter:
@@ -31,51 +29,22 @@ class Counter:
         return f"Counter({self.name}={self.value})"
 
 
-class TimeSeries:
-    """Samples of (time, value) pairs, e.g. queue length over time."""
-
-    __slots__ = ("env", "name", "samples")
-
-    def __init__(self, env: Environment, name: str):
-        self.env = env
-        self.name = name
-        self.samples: list[tuple[float, float]] = []
-
-    def record(self, value: float) -> None:
-        self.samples.append((self.env.now, value))
-
-    def values(self) -> list[float]:
-        return [v for _, v in self.samples]
-
-    def mean(self) -> float:
-        vals = self.values()
-        return sum(vals) / len(vals) if vals else float("nan")
-
-    def time_weighted_mean(self) -> float:
-        """Mean weighted by how long each value was held."""
-        if len(self.samples) < 2:
-            return self.mean()
-        total = 0.0
-        span = self.samples[-1][0] - self.samples[0][0]
-        if span <= 0:
-            return self.mean()
-        for (t0, v0), (t1, _v1) in zip(self.samples, self.samples[1:]):
-            total += v0 * (t1 - t0)
-        return total / span
-
-
 @dataclass(slots=True)
 class SummaryStats:
-    """Distribution summary — the data behind one violin in Fig. 6."""
+    """Distribution summary — the data behind one violin in Fig. 6.
+
+    Report sections embed it (``wire`` metadata: the JSON key where it
+    differs from the attribute, see :mod:`repro.framework.metrics`).
+    """
 
     count: int
     mean: float
     stdev: float
-    minimum: float
+    minimum: float = field(metadata={"wire": "min"})
     p25: float
     median: float
     p75: float
-    maximum: float
+    maximum: float = field(metadata={"wire": "max"})
 
     @classmethod
     def from_values(cls, values: Iterable[float]) -> "SummaryStats":
@@ -130,39 +99,3 @@ class DurationHistogram:
 
     def summary(self) -> SummaryStats:
         return SummaryStats.from_values(self.durations)
-
-
-@dataclass(slots=True)
-class ProbeSet:
-    """A named bundle of probes owned by one component."""
-
-    env: Environment
-    prefix: str
-    counters: dict[str, Counter] = field(default_factory=dict)
-    series: dict[str, TimeSeries] = field(default_factory=dict)
-    histograms: dict[str, DurationHistogram] = field(default_factory=dict)
-
-    def counter(self, name: str) -> Counter:
-        probe = self.counters.get(name)
-        if probe is None:
-            probe = Counter(f"{self.prefix}.{name}")
-            self.counters[name] = probe
-        return probe
-
-    def time_series(self, name: str) -> TimeSeries:
-        probe = self.series.get(name)
-        if probe is None:
-            probe = TimeSeries(self.env, f"{self.prefix}.{name}")
-            self.series[name] = probe
-        return probe
-
-    def histogram(self, name: str) -> DurationHistogram:
-        probe = self.histograms.get(name)
-        if probe is None:
-            probe = DurationHistogram(f"{self.prefix}.{name}")
-            self.histograms[name] = probe
-        return probe
-
-    def counter_value(self, name: str, default: int = 0) -> int:
-        probe = self.counters.get(name)
-        return probe.value if probe is not None else default

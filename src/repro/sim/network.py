@@ -183,7 +183,3 @@ class Network:
                 dst_host.mailbox(self.env, service).put(payload)
 
         self.env.schedule_callback(delay, deliver)
-
-    def rpc_round_trip(self, src: str, dst: str) -> float:
-        """Sampled round-trip delay for a request/response exchange."""
-        return self.delay(src, dst) + self.delay(dst, src)

@@ -10,7 +10,7 @@ ABCI codes, gas figures and events.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional, Protocol, Sequence
+from typing import Any, Protocol, Sequence
 
 from repro.tendermint.types import Evidence, Header, TxLike
 
@@ -151,18 +151,3 @@ class ExecutedBlock:
 
     def count_events_of_type(self, event_type: str) -> int:
         return len(self.events_of_type(event_type))
-
-
-def tx_hash_hex(tx: TxLike) -> str:
-    return tx.hash.hex().upper()
-
-
-def find_executed(
-    blocks: Sequence[ExecutedBlock], tx_hash: bytes
-) -> Optional[ExecutedTx]:
-    """Linear search helper used by tests (the indexer is the fast path)."""
-    for block in blocks:
-        for executed in block.txs:
-            if executed.hash == tx_hash:
-                return executed
-    return None

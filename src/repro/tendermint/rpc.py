@@ -176,10 +176,6 @@ class RpcServer:
         pressure = (active - threshold) / (self.cal.rpc_overload_scale * threshold)
         return min(self.cal.rpc_overload_max_shed, pressure)
 
-    @property
-    def queue_depth(self) -> int:
-        return self._outstanding
-
     def register(
         self,
         method: str,

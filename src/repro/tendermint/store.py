@@ -69,14 +69,12 @@ class HeightIndex:
     """Aggregated event-index footprint for one height."""
 
     height: int
-    tx_count: int = 0
     message_count: int = 0
     #: Messages inside FAILED transactions at this height.  Failed txs are
     #: still indexed by Tendermint and still returned by tx_search — when
     #: two relayers race, the loser's redundant transactions inflate every
     #: later scan of the height (the interference behind Fig. 9's drop).
     failed_message_count: int = 0
-    event_count: int = 0
     event_bytes: int = 0
     events_by_type: dict[str, int] = field(default_factory=dict)
     #: Packet events keyed by (type, local port, local channel) — the
@@ -120,12 +118,10 @@ class TxIndexer:
         index = HeightIndex(height=executed.height)
         for item in executed.txs:
             self._by_hash[item.hash] = item
-            index.tx_count += 1
             index.message_count += getattr(item.tx, "msg_count", 1)
             if not item.ok:
                 index.failed_message_count += getattr(item.tx, "msg_count", 1)
             for event in item.result.events:
-                index.event_count += 1
                 index.event_bytes += event.size_bytes
                 index.events_by_type[event.type] = (
                     index.events_by_type.get(event.type, 0) + 1
@@ -137,15 +133,11 @@ class TxIndexer:
                         index.events_by_channel.get(key, 0) + 1
                     )
         for event in executed.end_block_events:
-            index.event_count += 1
             index.event_bytes += event.size_bytes
         self._height_index[executed.height] = index
 
     def get_tx(self, tx_hash: bytes) -> Optional[ExecutedTx]:
         return self._by_hash.get(tx_hash)
-
-    def height_index(self, height: int) -> Optional[HeightIndex]:
-        return self._height_index.get(height)
 
     def events_at(self, height: int) -> dict[str, int]:
         index = self._height_index.get(height)

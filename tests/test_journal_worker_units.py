@@ -75,7 +75,7 @@ def test_nested_state_rollback_composition():
 # -- worker ownership/batching helpers -------------------------------------------
 
 
-def make_worker(coordination_index=0, coordination_total=1):
+def make_worker(member=None):
     """A DirectionWorker with inert dependencies, for pure-logic tests."""
     from repro.relayer.config import RelayerConfig
     from repro.relayer.logging import RelayerLog
@@ -89,19 +89,16 @@ def make_worker(coordination_index=0, coordination_total=1):
             class wallet:
                 address = "addr"
 
-    config = RelayerConfig(
-        coordination_index=coordination_index,
-        coordination_total=coordination_total,
-    )
     return DirectionWorker(
         env=env,
         src=_Endpoint(),
         dst=_Endpoint(),
         src_end=PathEnd("a", "c", "conn", "transfer", "channel-0"),
         dst_end=PathEnd("b", "c", "conn", "transfer", "channel-0"),
-        config=config,
+        config=RelayerConfig(),
         log=RelayerLog(env, "unit"),
         heights={},
+        member=member,
     )
 
 
@@ -138,16 +135,19 @@ def test_uncoordinated_worker_owns_everything():
     assert len(worker._owned(batch)) == 10
 
 
-def test_coordinated_workers_partition_batches():
-    hashes = [bytes([i, i + 1]) * 16 for i in range(30)]
-    batch = _batch(hashes)
-    w0 = make_worker(0, 2)
-    w1 = make_worker(1, 2)
-    owned0 = {e.tx_hash for e in w0._owned(batch).events}
-    owned1 = {e.tx_hash for e in w1._owned(batch).events}
-    assert owned0 | owned1 == set(hashes)
-    assert owned0 & owned1 == set()
-    assert owned0 and owned1  # both got a share
+def test_worker_ownership_is_the_member_filter():
+    """A fleet member's policy filter is the one ownership rule: whatever
+    ``filter_batch`` keeps is exactly what the worker relays."""
+    batch = _batch([bytes([i]) * 32 for i in range(10)])
+
+    class _EvenSequences:
+        def filter_batch(self, batch):
+            kept = _batch([])
+            kept.events = [e for e in batch.events if e.packet.sequence % 2 == 0]
+            return kept
+
+    owned = make_worker(member=_EvenSequences())._owned(batch)
+    assert [e.packet.sequence for e in owned.events] == [2, 4, 6, 8, 10]
 
 
 def test_work_batch_tx_hash_order_preserved():

@@ -7,13 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import format_table, relative_error, summarize
-from repro.sim import Environment
 from repro.sim.monitor import (
     Counter,
     DurationHistogram,
-    ProbeSet,
     SummaryStats,
-    TimeSeries,
     percentile,
 )
 
@@ -23,25 +20,6 @@ def test_counter():
     counter.inc()
     counter.inc(5)
     assert counter.value == 6
-
-
-def test_time_series_means(env):
-    series = TimeSeries(env, "queue")
-    env._now = 0.0
-    series.record(10)
-    env._now = 4.0
-    series.record(20)
-    env._now = 5.0
-    series.record(0)
-    assert series.mean() == pytest.approx(10.0)
-    # 10 held for 4 s, 20 held for 1 s.
-    assert series.time_weighted_mean() == pytest.approx((10 * 4 + 20 * 1) / 5)
-
-
-def test_time_series_empty():
-    env = Environment()
-    series = TimeSeries(env, "empty")
-    assert math.isnan(series.mean())
 
 
 def test_percentile_interpolation():
@@ -86,16 +64,6 @@ def test_duration_histogram():
         histogram.observe(d)
     assert histogram.summary().count == 3
     assert histogram.summary().mean == pytest.approx(0.2)
-
-
-def test_probe_set_reuses_probes(env):
-    probes = ProbeSet(env, "rpc")
-    assert probes.counter("served") is probes.counter("served")
-    probes.counter("served").inc(3)
-    assert probes.counter_value("served") == 3
-    assert probes.counter_value("missing", default=-1) == -1
-    assert probes.time_series("q") is probes.time_series("q")
-    assert probes.histogram("h") is probes.histogram("h")
 
 
 # -- analysis helpers -------------------------------------------------------------

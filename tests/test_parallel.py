@@ -95,9 +95,14 @@ def test_cache_key_depends_on_config_and_version(monkeypatch):
 def test_corrupt_cache_entry_is_a_miss(tmp_path):
     config = ExperimentConfig(input_rate=20, measurement_blocks=2)
     cache = ResultCache(str(tmp_path))
-    with open(cache.path_for(config), "w") as handle:
-        handle.write("{not a report")
-    assert cache.load(config) is None
+    # Not JSON at all, and JSON whose rpc section lost its shape (which
+    # used to escape the loader as a TypeError): both are plain misses.
+    broken = json.loads(run_points([config], workers=1).results[0].report_json)
+    broken["rpc"] = []
+    for text in ("{not a report", json.dumps(broken)):
+        with open(cache.path_for(config), "w") as handle:
+            handle.write(text)
+        assert cache.load(config) is None
     # And the executor recomputes rather than failing.
     run = run_points([config], workers=1, cache_dir=str(tmp_path))
     assert run.points_run.value == 1 and run.cache_hits.value == 0

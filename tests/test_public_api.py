@@ -59,7 +59,7 @@ def test_public_classes_have_docstrings():
 def test_version_exposed():
     import repro
 
-    assert repro.__version__ == "1.2.0"
+    assert repro.__version__ == "2.0.0"
 
 
 def test_top_level_stable_surface():
@@ -73,6 +73,7 @@ def test_top_level_stable_surface():
         "FleetConfig",
         "TopologySpec",
         "TraceReport",
+        "WorkloadSpec",
         "run_experiment",
         "sweep",
     ):

@@ -65,7 +65,7 @@ def make_report() -> TransferTimelineReport:
     }
     return TransferTimelineReport(
         origin_time=10.0,
-        timelines=timelines,
+        steps=list(timelines.values()),
         phase_seconds={"transfer": 35.0, "receive": 50.0, "acknowledge": 45.0},
         total_seconds=130.0,
         data_pull_seconds=90.0,

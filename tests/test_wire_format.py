@@ -251,33 +251,18 @@ def test_untraced_report_serializes_null_trace(fault_report):
     assert ExperimentReport.from_dict(document).trace is None
 
 
-def test_v2_document_still_loads(fault_report):
-    """Reports written before the trace section (schema 2) load with
-    tracing absent and re-serialize as the current schema."""
+@pytest.mark.parametrize("version", [2, 3, 4])
+def test_report_rejects_older_schema_versions(fault_report, version):
+    """Only the current schema and the one before it load; documents from
+    the pre-trace (2), pre-topology (3) and pre-fleet (4) eras are refused
+    with an error naming what this library reads."""
     document = fault_report.to_dict()
-    document["schema_version"] = 2
-    del document["trace"]
-    del document["fleet"]
-    del document["population"]
-    del document["frames"]
-    clone = ExperimentReport.from_dict(document)
-    assert clone.trace is None
-    assert clone.window == fault_report.window
-    assert clone.to_dict()["schema_version"] == 6
-
-
-def test_v2_document_rejects_trace_key(fault_report):
-    """A document claiming schema 2 must not smuggle in a trace section."""
-    document = fault_report.to_dict()
-    document["schema_version"] = 2
-    del document["fleet"]
-    del document["population"]
-    del document["frames"]
-    with pytest.raises(SchemaError, match="trace"):
+    document["schema_version"] = version
+    with pytest.raises(SchemaError, match="reads versions 5 and 6"):
         ExperimentReport.from_dict(document)
 
 
-# -- v4 -> v5 migration (nested relayer section, fleet report section) -------
+# -- the nested relayer config section ---------------------------------------
 
 
 def test_nested_relayer_section_round_trips():
@@ -295,30 +280,14 @@ def test_nested_relayer_section_round_trips():
     assert ExperimentConfig.from_dict(wire) == config
 
 
-def test_v4_flat_relayer_keys_migrate():
-    """Pre-1.2 config documents used flat relayer knobs; the loader
-    migrates them into the nested ``relayer`` section."""
-    config = ExperimentConfig.from_dict(
-        {
-            "num_relayers": 2,
-            "coordinate_relayers": True,
-            "rpc_retry_attempts": 3,
-            "resubscribe_on_disconnect": False,
-        }
-    )
-    assert config.relayer == FleetConfig(
-        policy="shard", rpc_retry_attempts=3, resubscribe_on_disconnect=False
-    )
-    # The migrated config re-serializes in the v5 nested spelling.
-    assert "coordinate_relayers" not in config.to_dict()
-    assert config.to_dict()["relayer"]["policy"] == "shard"
-
-
-def test_v4_uncoordinated_flat_keys_migrate_to_none_policy():
-    config = ExperimentConfig.from_dict(
-        {"num_relayers": 2, "coordinate_relayers": False}
-    )
-    assert config.relayer.policy == "none"
+@pytest.mark.parametrize(
+    "key", ["coordinate_relayers", "rpc_retry_attempts", "resubscribe_on_disconnect"]
+)
+def test_v4_flat_relayer_keys_rejected(key):
+    """Pre-1.2 config documents spelled the relayer knobs as flat keys;
+    they are unknown keys now, not silently migrated."""
+    with pytest.raises(SchemaError, match=key):
+        ExperimentConfig.from_dict({"num_relayers": 2, key: 1})
 
 
 def test_mixing_flat_and_nested_relayer_keys_rejected():
@@ -334,33 +303,6 @@ def test_mixing_flat_and_nested_relayer_keys_rejected():
 def test_relayer_section_rejects_unknown_keys():
     with pytest.raises(SchemaError, match="polciy"):
         ExperimentConfig.from_dict({"relayer": {"polciy": "shard"}})
-
-
-def test_v4_report_document_still_loads(fault_report):
-    """Reports written before the fleet section (schema 4) load with the
-    section absent and re-serialize as the current schema."""
-    document = fault_report.to_dict()
-    document["schema_version"] = 4
-    del document["fleet"]
-    del document["population"]
-    del document["frames"]
-    # v4 documents carry the flat relayer config keys.
-    relayer = document["config"].pop("relayer")
-    document["config"]["rpc_retry_attempts"] = relayer["rpc_retry_attempts"]
-    clone = ExperimentReport.from_dict(document)
-    assert clone.fleet is None
-    assert clone.window == fault_report.window
-    assert clone.to_dict()["schema_version"] == 6
-
-
-def test_v4_document_rejects_fleet_key(fault_report):
-    """A document claiming schema 4 must not smuggle in a fleet section."""
-    document = fault_report.to_dict()
-    document["schema_version"] = 4
-    del document["population"]
-    del document["frames"]
-    with pytest.raises(SchemaError, match="fleet"):
-        ExperimentReport.from_dict(document)
 
 
 # -- v5 -> v6 migration (workload engine: population/frames sections) ---------
@@ -426,3 +368,98 @@ def test_fleet_section_round_trips(fault_report):
     assert row["policy"] == "none"
     clone = ExperimentReport.from_json(fault_report.to_json())
     assert clone.fleet == fault_report.fleet
+
+
+# -- every section validates its own shape -----------------------------------
+
+
+@pytest.fixture(scope="module")
+def rich_report() -> ExperimentReport:
+    """One run whose report carries every optional section: a fault
+    schedule, a two-relayer fleet, lifecycle tracing and the workload
+    engine (population/frames)."""
+    from repro.framework import WorkloadSpec
+
+    report = run_experiment(
+        ExperimentConfig(
+            input_rate=20,
+            measurement_blocks=3,
+            seed=7,
+            drain_seconds=30.0,
+            num_relayers=2,
+            relayer=FleetConfig(rpc_retry_attempts=3),
+            clear_interval=2,
+            faults=FaultSchedule(
+                (RpcBrownout("machine-0", at=4.0, duration=6.0, drop_probability=0.3),)
+            ),
+            tracing=True,
+            workload=WorkloadSpec(population=40),
+        )
+    )
+    assert report.faults.recovery_latency is not None
+    assert report.fleet and report.trace.completed and report.population
+    return report
+
+
+#: Where the document keeps a keyed shape of its own: the top level, each
+#: class-backed section (with the dataclasses nested inside them) and the
+#: sections restated from the window.  ``config`` is left out on purpose —
+#: its missing keys take defaults by design (see the config tests above) —
+#: and the dict-valued fleet/population/frames sections are covered as
+#: top-level values.
+SECTION_PATHS = [
+    (),
+    ("submission",),
+    ("window",),
+    ("gas",),
+    ("rpc",),
+    ("timeline",),
+    ("timeline", "steps", 0),
+    ("faults",),
+    ("faults", "recovery_latency"),
+    ("trace",),
+    ("throughput",),
+    ("completion",),
+    ("counts",),
+]
+
+
+def _wrong_type(value):
+    if isinstance(value, dict):
+        return list(value)
+    if isinstance(value, list):
+        return {"was": "a list"}
+    return [value]
+
+
+def _section(document, path):
+    for step in path:
+        document = document[step]
+    return document
+
+
+@pytest.mark.parametrize("kind", ["remove", "add", "swap-type"])
+@pytest.mark.parametrize(
+    "path", SECTION_PATHS, ids=lambda p: ".".join(map(str, p)) or "document"
+)
+def test_every_section_rejects_a_mutated_shape(rich_report, path, kind):
+    """Remove a key, add a key or swap a value's type anywhere a section
+    defines a shape: the loader raises SchemaError — never KeyError or
+    TypeError (any other exception fails the test as an error)."""
+    pristine = rich_report.to_json()
+    keys = ["bogus"] if kind == "add" else list(_section(json.loads(pristine), path))
+    assert keys
+    for key in keys:
+        document = json.loads(pristine)
+        section = _section(document, path)
+        if kind == "remove":
+            del section[key]
+        elif kind == "add":
+            section[key] = 1
+        else:
+            section[key] = _wrong_type(section[key])
+        try:
+            ExperimentReport.from_dict(document)
+        except SchemaError:
+            continue
+        pytest.fail(f"{kind} {'.'.join(map(str, path))}.{key}: document loaded")
