@@ -28,6 +28,9 @@ Examples::
 
     # Per-packet lifecycle tracing (see repro.trace)
     python -m repro trace --total 200 --perfetto trace.json
+
+    # Dynamic gates over the named scenarios (see repro.lint.check)
+    python -m repro check stall --scenario hub4
 """
 
 from __future__ import annotations
@@ -158,6 +161,11 @@ def main(argv: list[str] | None = None) -> int:
         from repro.lint.cli import main as lint_main
 
         return lint_main(argv[1:])
+    if argv and argv[0] == "check":
+        # Subcommand: the dynamic gates over the scenario registry.
+        from repro.lint.check import main as check_main
+
+        return check_main(argv[1:])
     if argv and argv[0] == "bench":
         # Subcommand: the parallel sweep executor.
         from repro.parallel.cli import main as bench_main

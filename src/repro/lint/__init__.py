@@ -4,8 +4,8 @@ The reproduction's numbers are only credible if the discrete-event
 simulation replays identically for a given seed, runs fast enough to
 sweep, and never silently stalls.  This package enforces all three with
 a per-module rule set, a whole-program analysis layer (symbol table +
-import graph + call graph over every linted module), and three dynamic
-sanitizers:
+import graph + call graph over every linted module), and four dynamic
+checks behind one harness:
 
 =======  ==============================================================
 Rule     What it forbids
@@ -35,14 +35,17 @@ W005     granted requests held across a ``yield`` outside try/finally
 =======  ==============================================================
 
 The whole-program phase also emits a machine-readable RNG stream-name
-inventory (``--stream-inventory FILE``).  The dynamic tiers rerun real
-scenarios: :mod:`repro.lint.schedcheck` reverses the event-heap
-tie-break and treats any artifact divergence as a scheduling race,
-:mod:`repro.lint.alloccheck` diffs per-event allocations against a
-pinned budget, and :mod:`repro.lint.stallcheck` monitors a run's wait
-graph, tears the testbed down, and reports deadlocks, livelocks, leaks
-and store-backlog regressions
-(``python -m repro lint --schedcheck|--alloccheck|--stallcheck <scenario>``).
+inventory (``--stream-inventory FILE``).  The dynamic tiers rerun the
+named scenarios of :mod:`repro.lint.scenarios` through
+:mod:`repro.lint.check` (``python -m repro check [replay|sched|alloc|stall
+...] [--scenario NAME ...]``) against the pins in
+``SCENARIO_PINS.json``: ``replay`` holds each scenario's event count
+and report hash fixed, :mod:`repro.lint.schedcheck` reverses the
+event-heap tie-break and treats any artifact divergence as a scheduling
+race, :mod:`repro.lint.alloccheck` measures per-event allocations
+against a pinned budget, and :mod:`repro.lint.stallcheck` monitors a
+run's wait graph, tears the testbed down, and reports deadlocks,
+livelocks, leaks and store-backlog regressions.
 
 Run the static tiers with ``python -m repro.lint [paths]`` (or
 ``python -m repro lint``).  Findings can be waived inline with

@@ -4,10 +4,11 @@ The static Tier P rules flag *patterns* that allocate per event; this
 module measures the real thing: run a scenario under :mod:`tracemalloc`
 and report how many traced allocations are still live at the end of the
 run, normalised per simulated event, with the top allocating call sites.
-The normalised figure is diffed against a pinned budget file
-(``ALLOC_BUDGET.json`` at the repo root) so an allocation regression —
-a dropped ``__slots__``, a new per-event closure, an unbounded cache on
-a hot path — fails tier-1 the same way a lint finding does.
+The harness (:mod:`repro.lint.check`) diffs the normalised figure
+against the scenario's ``alloc`` pin in ``SCENARIO_PINS.json`` so an
+allocation regression — a dropped ``__slots__``, a new per-event
+closure, an unbounded cache on a hot path — fails tier-1 the same way
+a lint finding does.
 
 Methodology
 -----------
@@ -27,29 +28,21 @@ knowing when reading a report:
   from a cold process is an upper bound and the check cannot false-fail
   from cache warmth.
 
-The budget gates only ``blocks_per_event`` (with a relative tolerance
-recorded in the file); event counts and top sites are informational.
+The pin gates only ``blocks_per_event`` (with the relative tolerance
+recorded in the pin file); event counts and top sites are informational.
 """
 
 from __future__ import annotations
 
 import gc
-import json
 import tracemalloc
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
-#: Default budget file, pinned at the repo root (src-layout: this file is
-#: ``<root>/src/repro/lint/alloccheck.py``).
-DEFAULT_BUDGET_PATH = Path(__file__).resolve().parents[3] / "ALLOC_BUDGET.json"
+from repro.lint.reporters import short_path
 
 #: How many call sites a report spells out.
 TOP_SITES = 10
-
-#: Relative headroom applied when *pinning* a budget, so identical code
-#: re-measured under slightly different GC/cache conditions stays clean.
-DEFAULT_TOLERANCE = 0.25
 
 
 @dataclass(frozen=True)
@@ -70,17 +63,15 @@ class AlloccheckResult:
     """Outcome of one scenario's allocation measurement."""
 
     scenario: str
-    seed: int
     events: int
     total_blocks: int
     total_kb: float
     peak_kb: float
     blocks_per_event: float
     top_sites: list[AllocSite] = field(default_factory=list)
-    #: Budget document the run was diffed against (None when pinning).
-    budget: Optional[dict] = None
+    #: blocks/event the pin it was diffed against allows (None: not diffed).
+    limit: Optional[float] = None
     violations: list[str] = field(default_factory=list)
-    wrote_budget_to: Optional[str] = None
 
     @property
     def clean(self) -> bool:
@@ -94,40 +85,22 @@ class AlloccheckResult:
             f"{self.blocks_per_event:.2f} blocks/event"
         )
         lines = [header]
-        if self.wrote_budget_to is not None:
-            lines.append(f"  pinned budget to {self.wrote_budget_to}")
-        elif self.clean:
-            budget_limit = _budget_limit(self.budget)
-            if budget_limit is not None:
-                lines.append(
-                    f"  OK — within budget ({budget_limit:.2f} blocks/event "
-                    "allowed)"
-                )
-            else:
-                lines.append("  OK (no budget file; nothing to diff against)")
-        else:
+        if not self.clean:
             lines.append(f"  REGRESSION — {len(self.violations)} violation(s):")
             lines += [f"    {v}" for v in self.violations]
             lines.append(
                 "    a regression means per-event allocation grew past the "
                 "pinned budget (see DESIGN.md §6: how to read an alloccheck "
-                "report); re-pin with --write-alloc-budget only after "
-                "auditing the growth"
+                "report); re-pin with `python -m repro check alloc "
+                "--write-pins` only after auditing the growth"
+            )
+        elif self.limit is not None:
+            lines.append(
+                f"  OK — within budget ({self.limit:.2f} blocks/event allowed)"
             )
         lines.append("  top call sites by live blocks:")
         lines += [f"    {site}" for site in self.top_sites]
         return "\n".join(lines)
-
-
-def _budget_limit(budget: Optional[dict]) -> Optional[float]:
-    if not budget:
-        return None
-    try:
-        return float(budget["blocks_per_event"]) * (
-            1.0 + float(budget.get("tolerance", DEFAULT_TOLERANCE))
-        )
-    except (KeyError, TypeError, ValueError):
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +108,7 @@ def _budget_limit(budget: Optional[dict]) -> Optional[float]:
 # ---------------------------------------------------------------------------
 
 
-def measure(scenario: str, config, seed: int) -> AlloccheckResult:
+def measure(scenario: str, config) -> AlloccheckResult:
     """Run one experiment under tracemalloc and collect allocation stats."""
     from repro.framework.runner import _ExperimentEngine
 
@@ -165,7 +138,7 @@ def measure(scenario: str, config, seed: int) -> AlloccheckResult:
     )
     top = [
         AllocSite(
-            path=_short_path(s.traceback[0].filename),
+            path=short_path(s.traceback[0].filename),
             line=s.traceback[0].lineno,
             count=s.count,
             size_kb=s.size / 1024.0,
@@ -174,7 +147,6 @@ def measure(scenario: str, config, seed: int) -> AlloccheckResult:
     ]
     return AlloccheckResult(
         scenario=scenario,
-        seed=seed,
         events=events,
         total_blocks=total_blocks,
         total_kb=total_kb,
@@ -182,104 +154,3 @@ def measure(scenario: str, config, seed: int) -> AlloccheckResult:
         blocks_per_event=(total_blocks / events) if events else float("inf"),
         top_sites=top,
     )
-
-
-def _short_path(filename: str) -> str:
-    """Shorten an absolute path to its in-repo tail where possible."""
-    for marker in ("/src/", "/lib/python"):
-        idx = filename.rfind(marker)
-        if idx >= 0:
-            return filename[idx + len(marker) :]
-    return filename
-
-
-# ---------------------------------------------------------------------------
-# Budget diffing
-# ---------------------------------------------------------------------------
-
-
-def budget_document(result: AlloccheckResult) -> dict:
-    """The JSON document pinned by ``--write-alloc-budget``."""
-    return {
-        "scenario": result.scenario,
-        "seed": result.seed,
-        "events": result.events,
-        "blocks_per_event": round(result.blocks_per_event, 2),
-        "tolerance": DEFAULT_TOLERANCE,
-        "note": (
-            "Gate: measured blocks_per_event must stay within "
-            "blocks_per_event * (1 + tolerance).  Pinned by "
-            "`python -m repro lint --alloccheck <scenario> "
-            "--write-alloc-budget`; re-pin only after auditing growth."
-        ),
-    }
-
-
-def apply_budget(result: AlloccheckResult, budget: dict) -> None:
-    """Populate ``result.violations`` from a pinned budget document."""
-    result.budget = budget
-    scenario = budget.get("scenario")
-    if scenario is not None and scenario != result.scenario:
-        result.violations.append(
-            f"budget file pins scenario {scenario!r}, ran {result.scenario!r}"
-        )
-        return
-    limit = _budget_limit(budget)
-    if limit is None:
-        result.violations.append(
-            "budget file has no usable blocks_per_event entry"
-        )
-        return
-    if result.blocks_per_event > limit:
-        result.violations.append(
-            f"blocks/event {result.blocks_per_event:.2f} exceeds budget "
-            f"{float(budget['blocks_per_event']):.2f} "
-            f"(+{100 * float(budget.get('tolerance', DEFAULT_TOLERANCE)):.0f}% "
-            f"tolerance = {limit:.2f})"
-        )
-
-
-# ---------------------------------------------------------------------------
-# Scenarios + entry point (mirrors repro.lint.schedcheck)
-# ---------------------------------------------------------------------------
-
-
-def _golden_config(seed: int):
-    from repro.framework import ExperimentConfig
-
-    return ExperimentConfig(
-        input_rate=20,
-        measurement_blocks=4,
-        seed=seed,
-        drain_seconds=20.0,
-    )
-
-
-#: Named scenarios for the CLI / tier-1 gate.  Each maps a name to a
-#: ``seed -> ExperimentConfig`` factory.
-SCENARIOS: dict[str, Callable] = {
-    "golden": _golden_config,
-}
-
-
-def check_scenario(
-    name: str,
-    seed: int = 7,
-    budget_path: Optional[str] = None,
-    write_budget: bool = False,
-) -> AlloccheckResult:
-    """Measure a named scenario and diff (or pin) its allocation budget."""
-    try:
-        factory = SCENARIOS[name]
-    except KeyError:
-        known = ", ".join(sorted(SCENARIOS))
-        raise ValueError(f"unknown alloccheck scenario {name!r} (known: {known})")
-    result = measure(name, factory(seed), seed)
-    path = Path(budget_path) if budget_path is not None else DEFAULT_BUDGET_PATH
-    if write_budget:
-        path.write_text(json.dumps(budget_document(result), indent=2) + "\n")
-        result.wrote_budget_to = str(path)
-        return result
-    if path.exists():
-        apply_budget(result, json.loads(path.read_text()))
-    return result

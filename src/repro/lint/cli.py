@@ -1,9 +1,9 @@
 """``python -m repro.lint`` — run the determinism analyzer from the shell.
 
 Exit status: 0 when no findings, 1 when any finding survives suppression
-and exemption filtering (or a dynamic check reports a divergence), 2 on
-usage errors *and* analyzer crashes — so CI can tell "the tree is dirty"
-(1) from "the analyzer itself broke" (2).
+and exemption filtering, 2 on usage errors *and* analyzer crashes — so CI
+can tell "the tree is dirty" (1) from "the analyzer itself broke" (2).
+The dynamic gates are ``python -m repro check`` (:mod:`repro.lint.check`).
 """
 
 from __future__ import annotations
@@ -73,80 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the registered rules and exit",
     )
     parser.add_argument(
-        "--schedcheck",
-        metavar="SCENARIO",
-        default=None,
-        help=(
-            "dynamic mode: run SCENARIO under both event-heap tie-break "
-            "policies and report any divergence (a scheduling race) "
-            "instead of running the static rules"
-        ),
-    )
-    parser.add_argument(
-        "--alloccheck",
-        metavar="SCENARIO",
-        default=None,
-        help=(
-            "dynamic mode: run SCENARIO under tracemalloc and report "
-            "allocations per simulated event by top call site, diffed "
-            "against the pinned budget file (ALLOC_BUDGET.json)"
-        ),
-    )
-    parser.add_argument(
-        "--alloc-budget",
-        metavar="FILE",
-        default=None,
-        help=(
-            "budget file for --alloccheck (default: ALLOC_BUDGET.json "
-            "next to the repo root)"
-        ),
-    )
-    parser.add_argument(
-        "--write-alloc-budget",
-        action="store_true",
-        help=(
-            "re-pin the --alloccheck budget file from this run's "
-            "measurements instead of diffing against it"
-        ),
-    )
-    parser.add_argument(
-        "--stallcheck",
-        metavar="SCENARIO",
-        default=None,
-        help=(
-            "dynamic mode: run SCENARIO under the liveness monitor, tear "
-            "the testbed down, and report deadlocks, livelocks, leaked "
-            "waiters and store-backlog regressions against the pinned "
-            "budget file (STALL_BUDGET.json)"
-        ),
-    )
-    parser.add_argument(
-        "--stall-budget",
-        metavar="FILE",
-        default=None,
-        help=(
-            "budget file for --stallcheck (default: STALL_BUDGET.json "
-            "next to the repo root)"
-        ),
-    )
-    parser.add_argument(
-        "--write-stall-budget",
-        action="store_true",
-        help=(
-            "re-pin this scenario's entry in the --stallcheck budget file "
-            "from this run's high-water marks instead of diffing"
-        ),
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=7,
-        help=(
-            "experiment seed for --schedcheck/--alloccheck/--stallcheck "
-            "scenarios (default 7)"
-        ),
-    )
-    parser.add_argument(
         "--stream-inventory",
         metavar="FILE",
         default=None,
@@ -184,69 +110,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         for rule_id, rule in PROGRAM_REGISTRY.items():
             print(f"{rule_id}  [whole-program] {rule.description}")
         return 0
-
-    if args.schedcheck is not None:
-        from repro.lint.schedcheck import SCENARIOS, check_scenario
-
-        if args.schedcheck not in SCENARIOS:
-            parser.error(
-                f"unknown schedcheck scenario {args.schedcheck!r} "
-                f"(known: {', '.join(sorted(SCENARIOS))})"
-            )
-        try:
-            result = check_scenario(args.schedcheck, seed=args.seed)
-        except Exception:
-            traceback.print_exc()
-            print("schedcheck crashed (not a divergence)", file=sys.stderr)
-            return 2
-        print(result.summary())
-        return 0 if result.clean else 1
-
-    if args.alloccheck is not None:
-        from repro.lint.alloccheck import SCENARIOS as ALLOC_SCENARIOS
-        from repro.lint.alloccheck import check_scenario as alloc_check
-
-        if args.alloccheck not in ALLOC_SCENARIOS:
-            parser.error(
-                f"unknown alloccheck scenario {args.alloccheck!r} "
-                f"(known: {', '.join(sorted(ALLOC_SCENARIOS))})"
-            )
-        try:
-            result = alloc_check(
-                args.alloccheck,
-                seed=args.seed,
-                budget_path=args.alloc_budget,
-                write_budget=args.write_alloc_budget,
-            )
-        except Exception:
-            traceback.print_exc()
-            print("alloccheck crashed (not a regression)", file=sys.stderr)
-            return 2
-        print(result.summary())
-        return 0 if result.clean else 1
-
-    if args.stallcheck is not None:
-        from repro.lint.stallcheck import SCENARIOS as STALL_SCENARIOS
-        from repro.lint.stallcheck import check_scenario as stall_check
-
-        if args.stallcheck not in STALL_SCENARIOS:
-            parser.error(
-                f"unknown stallcheck scenario {args.stallcheck!r} "
-                f"(known: {', '.join(sorted(STALL_SCENARIOS))})"
-            )
-        try:
-            result = stall_check(
-                args.stallcheck,
-                seed=args.seed,
-                budget_path=args.stall_budget,
-                write_budget=args.write_stall_budget,
-            )
-        except Exception:
-            traceback.print_exc()
-            print("stallcheck crashed (not a stall)", file=sys.stderr)
-            return 2
-        print(result.summary())
-        return 0 if result.clean else 1
 
     select = None
     if args.rules:

@@ -20,7 +20,7 @@ P001-P005  the performance tier (:mod:`repro.lint.program.performance`):
 W001-W005  the liveness tier (:mod:`repro.lint.program.liveness`):
          unguarded blocking waits, lock-order cycles, zero-delay
          livelock loops, consumer-less queues and slot leaks on the
-         fault path — the static half of ``--stallcheck``
+         fault path — the static half of ``check stall``
 =======  ==============================================================
 
 As a side effect of D005's analysis the layer produces a machine-readable

@@ -1,4 +1,5 @@
-"""Finding reporters: text (human) and JSON (machine / CI)."""
+"""Finding reporters: text (human) and JSON (machine / CI), plus the
+path shortener the dynamic sanitizers' reports share."""
 
 from __future__ import annotations
 
@@ -29,3 +30,12 @@ def render_json(findings: Sequence[Finding]) -> str:
 
 
 REPORTERS = {"text": render_text, "json": render_json}
+
+
+def short_path(filename: str) -> str:
+    """Shorten an absolute path to its in-repo tail where possible."""
+    for marker in ("/src/", "/lib/python"):
+        idx = filename.rfind(marker)
+        if idx >= 0:
+            return filename[idx + len(marker) :]
+    return filename

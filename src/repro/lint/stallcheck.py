@@ -22,10 +22,11 @@ checks that nothing survived:
   still queued, stores with live putters or waiting getters, process
   groups with live members, and WebSocket subscriptions still
   registered on any node.
-* **backlog** — the high-water mark of every store (by creation site)
-  is diffed against the pinned budget file (``STALL_BUDGET.json`` at
-  the repo root), so an unbounded queue growth regression fails tier-1
-  the same way a lint finding does.
+* **backlog** — the high-water mark of every store, keyed by the file
+  and function that created it, is recorded for the harness
+  (:mod:`repro.lint.check`) to diff against the scenario's ``stall``
+  pin in ``SCENARIO_PINS.json``, so an unbounded queue growth
+  regression fails tier-1 the same way a lint finding does.
 
 The teardown path is *only* exercised here: the normal experiment
 runner never calls ``engine.shutdown()``, keeping its event accounting
@@ -34,27 +35,12 @@ byte-identical to the pinned golden run.
 
 from __future__ import annotations
 
-import json
 import sys
 import weakref
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Optional
 
-from repro.lint.alloccheck import _short_path
-
-#: Default budget file, pinned at the repo root (src-layout: this file is
-#: ``<root>/src/repro/lint/stallcheck.py``).
-DEFAULT_BUDGET_PATH = Path(__file__).resolve().parents[3] / "STALL_BUDGET.json"
-
-#: Relative headroom applied when diffing high-water marks, plus a small
-#: absolute slack so tiny pinned values (1-2 items) don't false-fail.
-DEFAULT_TOLERANCE = 0.25
-ABSOLUTE_SLACK = 2
-
-#: Stores whose creation site is *not* in the budget fail only past this
-#: floor — a brand-new queue is fine until it grows suspiciously deep.
-UNBUDGETED_FLOOR = 256
+from repro.lint.reporters import short_path
 
 #: Default number of same-instant events treated as a livelock.  The
 #: busiest pinned scenario (hub4) peaks well under 2k events at one
@@ -66,15 +52,19 @@ class StallError(Exception):
     """Raised by the monitor when simulated time stops advancing."""
 
 
-def _creation_site() -> str:
-    """The first stack frame outside the kernel modules, as ``path:line``."""
+def _creation_site(by_function: bool = False) -> str:
+    """The first stack frame outside the kernel modules, as ``path:line``
+    (for diagnostics) or ``path:function`` (for pins: an unrelated edit
+    above the creating line must not unpin the site).  ``co_name``, not
+    ``co_qualname``: CI still runs 3.10."""
     frame = sys._getframe(1)
     while frame is not None:
         filename = frame.f_code.co_filename.replace("\\", "/")
         if not filename.endswith(
             ("repro/sim/core.py", "repro/sim/resources.py", "repro/lint/stallcheck.py")
         ):
-            return f"{_short_path(filename)}:{frame.f_lineno}"
+            where = frame.f_code.co_name if by_function else frame.f_lineno
+            return f"{short_path(filename)}:{where}"
         frame = frame.f_back
     return "<unknown>"
 
@@ -96,7 +86,9 @@ class StallMonitor:
         self.stores: weakref.WeakSet = weakref.WeakSet()
         #: kernel object -> "path:line" that created it.
         self.sites: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-        #: store creation site -> max observed ``len(store.items)``.
+        #: store -> "path:function" that created it (the pin key).
+        self.store_keys: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+        #: store pin key -> max observed ``len(store.items)``.
         self.high_water: dict[str, int] = {}
         self.same_instant_max = 0
         self._last_when: Optional[float] = None
@@ -119,14 +111,15 @@ class StallMonitor:
     def on_store(self, store) -> None:
         self.stores.add(store)
         self.sites[store] = _creation_site()
+        self.store_keys[store] = _creation_site(by_function=True)
 
     def on_store_put(self, store) -> None:
-        site = self.sites.get(store, "<unknown>")
+        key = self.store_keys.get(store, "<unknown>")
         depth = len(store.items)
         # Record every put site, even at depth 0 (a waiting consumer
         # drained it synchronously) — the budget then pins the site.
-        if depth > self.high_water.get(site, -1):
-            self.high_water[site] = depth
+        if depth > self.high_water.get(key, -1):
+            self.high_water[key] = depth
 
     def on_step(self, when: float) -> None:
         if when == self._last_when:
@@ -161,7 +154,7 @@ class StallMonitor:
         for process in sorted(self.live_processes(), key=lambda p: p.name):
             frame = getattr(process._generator, "gi_frame", None)
             if frame is not None:
-                at = f"{_short_path(frame.f_code.co_filename)}:{frame.f_lineno}"
+                at = f"{short_path(frame.f_code.co_filename)}:{frame.f_lineno}"
             else:
                 at = "<no frame>"
             waiting = self._describe_event(process._waiting_on)
@@ -273,15 +266,12 @@ class StallcheckResult:
     """Outcome of one monitored scenario (or toy) run."""
 
     scenario: str
-    seed: int
     events: int = 0
     live: int = 0
     same_instant_max: int = 0
     high_water: dict[str, int] = field(default_factory=dict)
     violations: list[str] = field(default_factory=list)
     wait_lines: list[str] = field(default_factory=list)
-    budget: Optional[dict] = None
-    wrote_budget_to: Optional[str] = None
 
     @property
     def clean(self) -> bool:
@@ -294,9 +284,7 @@ class StallcheckResult:
             f"same-instant peak {self.same_instant_max}"
         )
         lines = [header]
-        if self.wrote_budget_to is not None:
-            lines.append(f"  pinned stall budget to {self.wrote_budget_to}")
-        elif self.clean:
+        if self.clean:
             lines.append(
                 "  OK — no deadlock, no livelock, no teardown residue, "
                 "all store high-water marks within budget"
@@ -309,110 +297,34 @@ class StallcheckResult:
                 lines += [f"    {w}" for w in self.wait_lines]
             lines.append(
                 "    see DESIGN.md §6 (how to read a stallcheck report); "
-                "re-pin high-water budgets with --write-stall-budget only "
-                "after auditing the growth"
+                "re-pin high-water budgets with `python -m repro check "
+                "stall --write-pins` only after auditing the growth"
             )
         return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
-# Budget diffing
+# Entry points
 # ---------------------------------------------------------------------------
 
 
-def budget_document(
-    result: StallcheckResult, existing: Optional[dict] = None
-) -> dict:
-    """Merge this run's scenario into the (single) pinned budget file."""
-    document = dict(existing) if existing else {}
-    document.setdefault("tolerance", DEFAULT_TOLERANCE)
-    document.setdefault(
-        "note",
-        (
-            "Gate: each store's measured high-water mark must stay within "
-            "pinned * (1 + tolerance) + 2; unpinned sites within "
-            f"{UNBUDGETED_FLOOR}.  Pinned by `python -m repro lint "
-            "--stallcheck <scenario> --write-stall-budget`; re-pin only "
-            "after auditing the growth."
-        ),
-    )
-    scenarios = dict(document.get("scenarios", {}))
-    scenarios[result.scenario] = {
-        "seed": result.seed,
-        "events": result.events,
-        "high_water": dict(sorted(result.high_water.items())),
-    }
-    document["scenarios"] = {k: scenarios[k] for k in sorted(scenarios)}
-    return document
+def _collect(result: StallcheckResult, monitor: StallMonitor, env) -> None:
+    """Copy what the monitor observed over the run into ``result``."""
+    result.events = env.events_processed
+    result.live = len(monitor.live_processes())
+    result.same_instant_max = monitor.same_instant_max
+    result.high_water = dict(monitor.high_water)
 
 
-def apply_budget(result: StallcheckResult, budget: dict) -> None:
-    """Diff the run's high-water marks against the pinned budget."""
-    result.budget = budget
-    tolerance = float(budget.get("tolerance", DEFAULT_TOLERANCE))
-    pinned = budget.get("scenarios", {}).get(result.scenario, {})
-    pinned_marks = pinned.get("high_water", {})
-    for site, depth in sorted(result.high_water.items()):
-        if site in pinned_marks:
-            limit = int(pinned_marks[site] * (1.0 + tolerance)) + ABSOLUTE_SLACK
-            if depth > limit:
-                result.violations.append(
-                    f"store backlog regression at {site}: high-water {depth} "
-                    f"exceeds pinned {pinned_marks[site]} "
-                    f"(+{100 * tolerance:.0f}% +{ABSOLUTE_SLACK} = {limit})"
-                )
-        elif depth > UNBUDGETED_FLOOR:
-            result.violations.append(
-                f"unbudgeted store at {site} reached high-water {depth} "
-                f"(> floor {UNBUDGETED_FLOOR}); pin it with "
-                "--write-stall-budget after auditing"
-            )
-
-
-# ---------------------------------------------------------------------------
-# Scenarios + entry points (mirrors repro.lint.alloccheck)
-# ---------------------------------------------------------------------------
-
-#: Named scenarios for the CLI / tier-1 gate; the configs are shared with
-#: schedcheck (run under the default fifo tie-break).
-SCENARIOS: dict[str, Callable] = {}
-
-
-def _register_scenarios() -> None:
-    from repro.lint import schedcheck
-
-    SCENARIOS.update(
-        {
-            name: (lambda factory: lambda seed: factory("fifo", seed))(factory)
-            for name, factory in schedcheck.SCENARIOS.items()
-        }
-    )
-
-
-_register_scenarios()
-
-
-def check_scenario(
-    name: str,
-    seed: int = 7,
-    budget_path: Optional[str] = None,
-    write_budget: bool = False,
-) -> StallcheckResult:
-    """Run a named scenario monitored, tear it down, report every stall."""
+def run_monitored(scenario: str, config) -> StallcheckResult:
+    """Run ``config`` monitored, tear it down, report every stall."""
     from repro.errors import SimulationError
     from repro.framework.runner import _ExperimentEngine
 
-    try:
-        factory = SCENARIOS[name]
-    except KeyError:
-        known = ", ".join(sorted(SCENARIOS))
-        raise ValueError(f"unknown stallcheck scenario {name!r} (known: {known})")
-
     monitor = StallMonitor()
-    result = StallcheckResult(scenario=name, seed=seed)
+    result = StallcheckResult(scenario=scenario)
     with monitor.activate():
-        engine = _ExperimentEngine(factory(seed))
-        env = engine.testbed.env
+        engine = _ExperimentEngine(config)
         try:
             engine.run()
         except StallError as exc:
@@ -435,20 +347,7 @@ def check_scenario(
                 result.wait_lines = monitor.wait_graph()
             result.violations += monitor.residue()
             result.violations += _subscription_residue(engine.testbed)
-        result.events = env.events_processed
-        result.live = len(monitor.live_processes())
-        result.same_instant_max = monitor.same_instant_max
-        result.high_water = dict(monitor.high_water)
-
-    path = Path(budget_path) if budget_path is not None else DEFAULT_BUDGET_PATH
-    if write_budget:
-        existing = json.loads(path.read_text()) if path.exists() else None
-        document = budget_document(result, existing)
-        path.write_text(json.dumps(document, indent=2) + "\n")
-        result.wrote_budget_to = str(path)
-        return result
-    if path.exists():
-        apply_budget(result, json.loads(path.read_text()))
+        _collect(result, monitor, engine.testbed.env)
     return result
 
 
@@ -474,13 +373,13 @@ def check_toy(
     """Run a self-contained toy under the monitor (for tests/examples).
 
     ``build(env)`` sets up processes on a fresh :class:`Environment`;
-    the toy then runs until its heap drains.  No budget is consulted —
+    the toy then runs until its heap drains.  No pin is consulted —
     toys report deadlock, livelock and residue only.
     """
     from repro.sim.core import Environment
 
     monitor = StallMonitor(livelock_threshold=livelock_threshold)
-    result = StallcheckResult(scenario=name, seed=0)
+    result = StallcheckResult(scenario=name)
     with monitor.activate():
         env = Environment()
         build(env)
@@ -497,8 +396,5 @@ def check_toy(
                 )
                 result.wait_lines = monitor.wait_graph()
             result.violations += monitor.residue()
-        result.events = env.events_processed
-        result.live = len(monitor.live_processes())
-        result.same_instant_max = monitor.same_instant_max
-        result.high_water = dict(monitor.high_water)
+        _collect(result, monitor, env)
     return result

@@ -1,9 +1,9 @@
-"""Allocation sanitizer: unit tests plus the tier-1 budget gate.
+"""Allocation sanitizer: the measurement and the pin-diff semantics.
 
-``test_alloccheck_gate_golden`` is the enforcement point: it runs the
-golden scenario under tracemalloc and diffs it against the committed
-``ALLOC_BUDGET.json``, so an allocation regression anywhere on the hot
-path fails the ordinary pytest run.
+The enforcement point — golden measured under tracemalloc and diffed
+against the committed ``SCENARIO_PINS.json`` — is the ``alloc`` cell of
+the matrix gate in ``tests/test_check.py``; ``test_alloccheck_gate_golden``
+checks that cell's report carries the pinned limit.
 """
 
 import json
@@ -11,24 +11,16 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint.alloccheck import (
-    DEFAULT_BUDGET_PATH,
-    SCENARIOS,
-    AlloccheckResult,
-    AllocSite,
-    apply_budget,
-    budget_document,
-    check_scenario,
-    measure,
-)
+from repro.lint import check, scenarios
+from repro.lint.alloccheck import AlloccheckResult, AllocSite, measure
+from repro.lint.check import DEFAULT_PINS_PATH, PinError, compare_alloc
 
 REPO_ROOT = Path(__file__).parent.parent
 
 
-def _result(blocks_per_event: float = 10.0) -> AlloccheckResult:
-    return AlloccheckResult(
+def _diffed(blocks_per_event: float, pinned: float = 9.0) -> AlloccheckResult:
+    result = AlloccheckResult(
         scenario="golden",
-        seed=7,
         events=2000,
         total_blocks=int(blocks_per_event * 2000),
         total_kb=1000.0,
@@ -36,25 +28,31 @@ def _result(blocks_per_event: float = 10.0) -> AlloccheckResult:
         blocks_per_event=blocks_per_event,
         top_sites=[AllocSite(path="repro/x.py", line=1, count=5, size_kb=1.0)],
     )
+    compare_alloc(result, {"alloc": {"blocks_per_event": pinned}}, 0.25)
+    return result
+
+
+def _pins(tmp_path, entry: dict, name: str = "golden") -> str:
+    path = tmp_path / "pins.json"
+    path.write_text(
+        json.dumps({"tolerance": 0.25, "scenarios": {name: {"seed": 7, **entry}}})
+    )
+    return str(path)
 
 
 # ----------------------------------------------------------------------
-# Budget diff semantics (no experiment run needed)
+# Pin diff semantics (no experiment run needed)
 # ----------------------------------------------------------------------
 
 
 def test_within_budget_is_clean():
-    result = _result(10.0)
-    apply_budget(result, {"scenario": "golden", "blocks_per_event": 9.0,
-                          "tolerance": 0.25})
+    result = _diffed(10.0)
     assert result.clean
     assert "OK" in result.summary()
 
 
 def test_over_budget_is_a_violation():
-    result = _result(12.0)
-    apply_budget(result, {"scenario": "golden", "blocks_per_event": 9.0,
-                          "tolerance": 0.25})
+    result = _diffed(12.0)
     assert not result.clean
     assert "REGRESSION" in result.summary()
     assert "exceeds budget" in result.violations[0]
@@ -62,83 +60,73 @@ def test_over_budget_is_a_violation():
 
 def test_budget_boundary_is_inclusive():
     """Exactly at budget * (1 + tolerance) still passes."""
-    result = _result(11.25)
-    apply_budget(result, {"scenario": "golden", "blocks_per_event": 9.0,
-                          "tolerance": 0.25})
-    assert result.clean
+    assert _diffed(11.25).clean
 
 
-def test_scenario_mismatch_is_a_violation():
-    result = _result(1.0)
-    apply_budget(result, {"scenario": "other", "blocks_per_event": 9.0})
-    assert not result.clean
-    assert "pins scenario" in result.violations[0]
+def test_scenario_mismatch_is_a_violation(tmp_path):
+    """An ``alloc`` pin under a scenario the registry does not gate by
+    ``alloc`` is rejected, not ignored."""
+    path = _pins(tmp_path, {"alloc": {"blocks_per_event": 9.0}}, name="hub4")
+    with pytest.raises(PinError, match="'hub4' has pin key 'alloc'"):
+        check.run(["stall"], ["hub4"], pins_path=path)
 
 
-def test_unusable_budget_is_a_violation():
-    result = _result(1.0)
-    apply_budget(result, {"scenario": "golden"})
-    assert not result.clean
-    assert "no usable blocks_per_event" in result.violations[0]
+def test_unusable_budget_is_a_violation(tmp_path):
+    path = _pins(tmp_path, {"alloc": {}})
+    with pytest.raises(PinError, match="'golden' has a malformed 'alloc' pin"):
+        check.run(["alloc"], ["golden"], pins_path=path)
 
 
 def test_budget_document_roundtrip():
-    doc = budget_document(_result(10.0))
-    fresh = _result(10.0)
-    apply_budget(fresh, doc)
-    assert fresh.clean
+    """A measurement re-pinned at its own (rounded) figure is clean."""
+    assert _diffed(10.004, pinned=round(10.004, 2)).clean
 
 
 def test_unknown_scenario_raises():
-    with pytest.raises(ValueError, match="unknown alloccheck scenario"):
-        check_scenario("no-such-scenario")
+    """``alloc`` gates golden only; asking for another scenario's cell
+    is an error, not an empty pass."""
+    with pytest.raises(ValueError, match="gated by"):
+        check.run(["alloc"], ["hub4"])
 
 
 # ----------------------------------------------------------------------
-# Measurement + the tier-1 gate
+# Measurement + the harness path
 # ----------------------------------------------------------------------
 
 
 def test_default_budget_path_is_repo_root():
-    assert DEFAULT_BUDGET_PATH == REPO_ROOT / "ALLOC_BUDGET.json"
-    assert DEFAULT_BUDGET_PATH.is_file(), (
-        "ALLOC_BUDGET.json must be committed; re-pin with "
-        "`python -m repro lint --alloccheck golden --write-alloc-budget`"
-    )
+    assert DEFAULT_PINS_PATH == REPO_ROOT / "SCENARIO_PINS.json"
 
 
 def test_write_budget_pins_a_diffable_file(tmp_path):
-    path = tmp_path / "budget.json"
-    pinned = check_scenario("golden", budget_path=str(path), write_budget=True)
-    assert pinned.wrote_budget_to == str(path)
-    assert "pinned budget" in pinned.summary()
+    path = tmp_path / "pins.json"
+    (pinned,) = check.run(
+        ["alloc"], ["golden"], pins_path=str(path), write_pins=True
+    )
     document = json.loads(path.read_text())
-    assert document["scenario"] == "golden"
-    assert document["blocks_per_event"] == round(pinned.blocks_per_event, 2)
+    assert document["scenarios"]["golden"]["alloc"] == {
+        "blocks_per_event": round(pinned.blocks_per_event, 2)
+    }
 
-    checked = check_scenario("golden", budget_path=str(path))
+    (checked,) = check.run(["alloc"], ["golden"], pins_path=str(path))
     assert checked.clean, checked.summary()
 
 
 def test_alloccheck_gate_golden():
-    """THE gate: golden must stay within the committed allocation budget.
-
-    If this fails after an intentional change (new feature allocating
-    per-event state), audit the top call sites in the failure summary,
-    then re-pin the budget.
-    """
-    result = check_scenario("golden")
-    assert result.budget is not None, "committed ALLOC_BUDGET.json not loaded"
+    """The committed pin is loaded and reported: 22.66 blocks/event at
+    25 % tolerance.  If this fails after an intentional change (new
+    feature allocating per-event state), audit the top call sites in the
+    failure summary, then re-pin with ``check alloc --write-pins``."""
+    (result,) = check.run(["alloc"], ["golden"])
     assert result.clean, result.summary()
-    # The golden scenario's event count is pinned (alloccheck shares it
-    # with schedcheck and the kernel benchmark).
-    assert result.events == 2013
+    pins = json.loads(DEFAULT_PINS_PATH.read_text())
+    pinned = pins["scenarios"]["golden"]["alloc"]["blocks_per_event"]
+    assert result.limit == pinned * (1 + pins["tolerance"])
+    assert "within budget" in result.summary()
 
 
 def test_measure_reports_sites_and_normalises():
-    config = SCENARIOS["golden"](7)
-    result = measure("golden", config, 7)
-    assert result.events == 2013
+    result = measure("golden", scenarios.lookup("golden").build(7))
     assert result.total_blocks > 0
     assert result.blocks_per_event == result.total_blocks / result.events
     assert len(result.top_sites) > 0

@@ -1,25 +1,21 @@
 """Kernel benchmark accounting — deterministic and pinned.
 
 The ``accounting`` section of ``BENCH_kernel.json`` must be a pure
-function of the simulation (event counts, golden report hash); only the
-``timing`` section may vary between hosts and runs.  These tests re-derive
-the accounting figures and diff them against the committed artifact, so
-a behaviour change that silently alters the benchmark workload fails
-tier-1 until the artifact is regenerated
-(``pytest benchmarks/bench_kernel.py``).
+function of the kernel (the microbench's event count); only the
+``timing`` section may vary between hosts and runs.  The test re-derives
+the figure and diffs it against the committed artifact, so a kernel
+change that silently alters the benchmark workload fails tier-1 until
+the artifact is regenerated (``pytest benchmarks/bench_kernel.py``).
+The scenarios' event counts and report hashes are pinned in
+``SCENARIO_PINS.json`` and gated by ``tests/test_check.py``.
 """
 
-import hashlib
 import json
 from pathlib import Path
-
-from repro.framework import run_experiment
 
 from benchmarks.bench_kernel import (
     ARTIFACT,
     MICRO_PROCESSES,
-    golden_config,
-    run_events_count,
     run_kernel_microbench,
 )
 
@@ -39,39 +35,10 @@ def test_artifact_lives_at_repo_root():
     assert Path(ARTIFACT) == REPO_ROOT / "BENCH_kernel.json"
 
 
-def test_golden_accounting_is_byte_stable():
-    """Two same-seed golden runs serialise to identical bytes, and those
-    bytes hash to the figure pinned in the committed artifact."""
-    first = run_experiment(golden_config()).to_json()
-    second = run_experiment(golden_config()).to_json()
-    assert first == second
-
-    accounting = _artifact()["accounting"]
-    digest = hashlib.sha256(first.encode()).hexdigest()
-    assert accounting["golden_report_sha256"] == digest
-    assert accounting["golden_events"] == run_events_count(golden_config())
-
-
 def test_event_counts_match_committed_artifact():
     accounting = _artifact()["accounting"]
-    assert accounting["golden_events"] == 2013
-    assert accounting["fig12_events"] == 12137
-
     events, _wall = run_kernel_microbench()
     assert events == accounting["microbench_events"]
     # Each pinger fires ~horizon events plus its spawn; the exact figure
     # is pinned by the artifact, the shape sanity-checked here.
     assert events > MICRO_PROCESSES
-
-
-def test_committed_timing_records_the_headline_speedup():
-    """The pinned artifact carries the kernel PR's headline claim: the
-    hot-path fixes hold their speedup vs the pre-PR baseline.  (Honest
-    measurement — the golden floor sits below the reference container's
-    best recorded ratio (1.86x) because a loaded host eats ~30% of the
-    margin; an A/B re-run of the pre-fix tree on the same degraded host
-    shows the *relative* speedup intact.  Regenerating on a noisy host
-    may need a re-run, but the committed numbers must back the claim.)"""
-    timing = _artifact()["timing"]
-    assert timing["golden"]["speedup_vs_pre_pr"] >= 1.25
-    assert timing["fig12"]["speedup_vs_pre_pr"] >= 1.5

@@ -8,74 +8,27 @@ stack starts consuming wall clocks, unmanaged RNGs or hash order, this
 test fails.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro.faults import (
-    FaultSchedule,
-    LinkDegradation,
-    NodeCrash,
-    RpcBrownout,
-    WsDisconnect,
-)
-from repro.framework import (
-    ExperimentConfig,
-    ExperimentReport,
-    FleetConfig,
-    run_experiment,
-)
-
-#: Exercises every fault kind inside the measurement window, against both
-#: testbed machines; see :data:`run_fault_scenario`.
-FAULTS = FaultSchedule(
-    (
-        LinkDegradation(
-            "machine-0",
-            "machine-1",
-            at=2.0,
-            duration=15.0,
-            latency=0.3,
-            jitter=0.05,
-            loss=0.05,
-        ),
-        RpcBrownout("machine-0", at=4.0, duration=10.0, drop_probability=0.3),
-        NodeCrash("machine-1", at=6.0, duration=12.0),
-        WsDisconnect("machine-0", at=18.0),
-    )
-)
+from repro.framework import ExperimentReport, run_experiment
+from repro.lint.scenarios import lookup
 
 
-def run_scenario(seed):
-    """One small two-chain transfer experiment; returns (report_json, journal)."""
-    config = ExperimentConfig(
-        input_rate=20,
-        measurement_blocks=4,
-        seed=seed,
-        drain_seconds=20.0,
-    )
-    report = run_experiment(config, capture_journal=True)
-    return report.to_json(), report.journal
-
-
-def run_fault_scenario(seed):
-    """The same scenario with a full fault schedule and recovery enabled."""
-    config = ExperimentConfig(
-        input_rate=10,
-        measurement_blocks=3,
-        seed=seed,
-        drain_seconds=30.0,
-        relayer=FleetConfig(rpc_retry_attempts=3),
-        clear_interval=2,
-        faults=FAULTS,
-    )
+def run_scenario(name, seed, **changes):
+    """One run of the registry scenario ``name`` at ``seed`` (with
+    ``changes`` applied to its config); returns (report_json, journal)."""
+    config = replace(lookup(name).build(seed), **changes)
     report = run_experiment(config, capture_journal=True)
     return report.to_json(), report.journal
 
 
 @pytest.fixture(scope="module")
 def golden_runs():
-    first = run_scenario(seed=11)
-    second = run_scenario(seed=11)
-    other = run_scenario(seed=12)
+    first = run_scenario("golden", 11)
+    second = run_scenario("golden", 11)
+    other = run_scenario("golden", 12)
     return first, second, other
 
 
@@ -118,8 +71,8 @@ def test_golden_report_wire_round_trip(golden_runs):
 
 @pytest.fixture(scope="module")
 def golden_fault_runs():
-    first = run_fault_scenario(seed=21)
-    second = run_fault_scenario(seed=21)
+    first = run_scenario("golden-faults", 21)
+    second = run_scenario("golden-faults", 21)
     return first, second
 
 
@@ -145,20 +98,9 @@ def test_fault_scenario_really_faulted(golden_fault_runs):
 # -- With lifecycle tracing enabled -----------------------------------------
 
 
-def run_traced_scenario(seed, *, tiebreak="fifo", faults=None):
-    """The golden scenario with the tracer threaded through the stack."""
-    config = ExperimentConfig(
-        input_rate=20 if faults is None else 10,
-        measurement_blocks=4 if faults is None else 3,
-        seed=seed,
-        drain_seconds=20.0 if faults is None else 30.0,
-        relayer=FleetConfig(rpc_retry_attempts=0 if faults is None else 3),
-        clear_interval=0 if faults is None else 2,
-        faults=faults,
-        tracing=True,
-        tiebreak=tiebreak,
-    )
-    return run_experiment(config).to_json()
+def run_traced_scenario(name, seed, **changes):
+    """``name`` with the tracer threaded through the stack."""
+    return run_scenario(name, seed, tracing=True, **changes)[0]
 
 
 def _masked(report_json, *config_keys, drop_trace=False):
@@ -176,7 +118,7 @@ def _masked(report_json, *config_keys, drop_trace=False):
 
 @pytest.fixture(scope="module")
 def golden_traced_runs():
-    return run_traced_scenario(seed=11), run_traced_scenario(seed=11)
+    return run_traced_scenario("golden", 11), run_traced_scenario("golden", 11)
 
 
 def test_traced_run_same_seed_identical(golden_traced_runs):
@@ -200,8 +142,8 @@ def test_traced_fault_scenario_same_seed_identical():
     """Tracing and the full fault schedule together stay byte-stable:
     crash/brownout/disconnect recovery paths emit their spans in the
     same order every run."""
-    json1 = run_traced_scenario(seed=21, faults=FAULTS)
-    json2 = run_traced_scenario(seed=21, faults=FAULTS)
+    json1 = run_traced_scenario("golden-faults", 21)
+    json2 = run_traced_scenario("golden-faults", 21)
     assert json1.encode() == json2.encode()
     import json
 
@@ -214,7 +156,7 @@ def test_trace_invariant_under_tiebreak_reversal(golden_traced_runs):
     aggregator's min-merges and sorted accumulation guarantee this).
     Only the config's tiebreak echo may differ."""
     fifo = golden_traced_runs[0]
-    lifo = run_traced_scenario(seed=11, tiebreak="lifo")
+    lifo = run_traced_scenario("golden", 11, tiebreak="lifo")
     assert _masked(fifo, "tiebreak") == _masked(lifo, "tiebreak")
 
 
@@ -223,7 +165,7 @@ def test_tracing_off_leaves_report_byte_identical(golden_traced_runs):
     trace section and the config echo — every other byte of the report
     is identical to an untraced run."""
     traced = golden_traced_runs[0]
-    untraced, _ = run_scenario(seed=11)
+    untraced, _ = run_scenario("golden", 11)
     assert _masked(traced, "tracing", drop_trace=True) == _masked(
         untraced, "tracing", drop_trace=True
     )
@@ -235,14 +177,7 @@ def test_traced_run_identical_across_worker_counts():
     from repro.parallel import run_points
 
     configs = [
-        ExperimentConfig(
-            input_rate=20,
-            measurement_blocks=3,
-            seed=seed,
-            drain_seconds=20.0,
-            tracing=True,
-        )
-        for seed in (31, 32)
+        replace(lookup("golden").build(seed), tracing=True) for seed in (31, 32)
     ]
     serial = run_points(configs, workers=1)
     parallel = run_points(configs, workers=4)
@@ -254,36 +189,14 @@ def test_traced_run_identical_across_worker_counts():
 # -- Multi-chain topologies --------------------------------------------------
 
 
-def run_topology_scenario(topology, seed):
-    """A small traced run on ``topology``; returns (report_json, journal)."""
-    config = ExperimentConfig(
-        input_rate=5,
-        measurement_blocks=3,
-        seed=seed,
-        drain_seconds=45.0,
-        topology=topology,
-        tracing=True,
-    )
-    report = run_experiment(config, capture_journal=True)
-    return report.to_json(), report.journal
-
-
 @pytest.fixture(scope="module")
 def line3_runs():
-    from repro.framework import TopologySpec
-
-    first = run_topology_scenario(TopologySpec.line(3), seed=11)
-    second = run_topology_scenario(TopologySpec.line(3), seed=11)
-    return first, second
+    return run_scenario("line3", 11), run_scenario("line3", 11)
 
 
 @pytest.fixture(scope="module")
 def hub4_runs():
-    from repro.framework import TopologySpec
-
-    first = run_topology_scenario(TopologySpec.hub_and_spoke(4), seed=11)
-    second = run_topology_scenario(TopologySpec.hub_and_spoke(4), seed=11)
-    return first, second
+    return run_scenario("hub4", 11), run_scenario("hub4", 11)
 
 
 def test_line3_same_seed_identical(line3_runs):

@@ -583,15 +583,35 @@ def test_cli_list_rules(capsys):
 
 
 def test_cli_rejects_unknown_schedcheck_scenario(capsys):
-    with pytest.raises(SystemExit):
-        lint_cli(["--schedcheck", "no-such-scenario"])
-    capsys.readouterr()
+    """The dynamic gates live under ``python -m repro check``: an unknown
+    scenario is a usage error that lists the known ones."""
+    from repro.__main__ import main
+
+    with pytest.raises(SystemExit) as exit_info:
+        main(["check", "sched", "--scenario", "no-such-scenario"])
+    assert exit_info.value.code == 2
+    assert "golden, golden-faults, fleet" in capsys.readouterr().err
 
 
 def test_cli_rejects_unknown_stallcheck_scenario(capsys):
-    with pytest.raises(SystemExit):
-        lint_cli(["--stallcheck", "no-such-scenario"])
-    capsys.readouterr()
+    """So is a known scenario the named check does not gate, and an
+    unknown check."""
+    from repro.__main__ import main
+
+    for argv in (["stall", "--scenario", "fig12"], ["stallcheck"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check", *argv])
+        assert exit_info.value.code == 2
+    assert "replay, sched, alloc, stall" in capsys.readouterr().err
+
+
+def test_cli_has_no_dynamic_flags(capsys):
+    """The lint CLI is static-only; the retired sanitizer flags are
+    usage errors, not silently-accepted no-ops."""
+    with pytest.raises(SystemExit) as exit_info:
+        lint_cli(["--schedcheck", "golden"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --schedcheck" in capsys.readouterr().err
 
 
 def test_cli_accepts_program_rule_selection(capsys):

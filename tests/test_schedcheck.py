@@ -14,13 +14,13 @@ import zlib
 
 import pytest
 
+from repro.lint import scenarios
 from repro.lint.schedcheck import (
-    SCENARIOS,
     Divergence,
     RunArtifacts,
     SchedcheckResult,
     check,
-    check_scenario,
+    check_config,
     compare_runs,
 )
 from repro.sim import Environment, RngRegistry
@@ -131,48 +131,26 @@ def test_summary_points_at_the_design_walkthrough():
 
 
 def test_unknown_scenario_raises():
-    with pytest.raises(ValueError, match="unknown schedcheck scenario"):
-        check_scenario("nope")
+    with pytest.raises(ValueError, match="unknown scenario 'nope'.*golden"):
+        scenarios.lookup("nope")
 
 
 # ----------------------------------------------------------------------
-# Experiment-backed golden scenarios (the acceptance gate)
+# Experiment-backed runs (tests/test_check.py gates the whole matrix)
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.schedcheck
 def test_golden_scenario_has_no_scheduling_race():
-    result = check_scenario("golden", seed=7)
+    """``check_config`` varies only the tie-break of the config it is
+    handed, and leaves that config as it was."""
+    config = scenarios.lookup("golden").build(7)
+    result = check_config("golden", config)
     assert result.clean, result.summary()
-
-
-@pytest.mark.schedcheck
-def test_golden_faults_scenario_has_no_scheduling_race():
-    result = check_scenario("golden-faults", seed=7)
-    assert result.clean, result.summary()
-
-
-@pytest.mark.schedcheck
-def test_line3_scenario_has_no_scheduling_race():
-    result = check_scenario("line3", seed=7)
-    assert result.clean, result.summary()
-
-
-@pytest.mark.schedcheck
-def test_hub4_scenario_has_no_scheduling_race():
-    result = check_scenario("hub4", seed=7)
-    assert result.clean, result.summary()
-
-
-@pytest.mark.schedcheck
-def test_skewed_scenario_has_no_scheduling_race():
-    """The workload-engine scenario: Zipf senders, bursty arrivals and
-    adversarial traffic must not let heap tie order leak into state."""
-    result = check_scenario("skewed", seed=7)
-    assert result.clean, result.summary()
+    assert result.scenario == "golden"
+    assert config.tiebreak == "fifo"
 
 
 def test_scenario_registry_names():
-    assert set(SCENARIOS) == {
+    assert {name for _check, name in scenarios.matrix(["sched"])} == {
         "golden", "golden-faults", "fleet", "line3", "hub4", "skewed"
     }

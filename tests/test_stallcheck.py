@@ -1,11 +1,10 @@
-"""Liveness sanitizer: toy detections plus the tier-1 budget gate.
+"""Liveness sanitizer: toy detections and the pin-diff semantics.
 
-``test_stallcheck_gate_golden`` is the enforcement point: it runs the
-golden scenario under the :class:`StallMonitor`, tears the testbed down
-and diffs the store high-water marks against the committed
-``STALL_BUDGET.json`` — so a deadlock, a leaked waiter, or an unbounded
-queue regression anywhere in the stack fails the ordinary pytest run.
-The toy tests pin each detector's behaviour on a purpose-built stall.
+The toy tests pin each detector's behaviour on a purpose-built stall;
+the budget tests pin how a monitored run is diffed against a ``stall``
+pin.  The enforcement point — every gated scenario run under the
+:class:`StallMonitor`, torn down and diffed against the committed
+``SCENARIO_PINS.json`` — is the matrix gate in ``tests/test_check.py``.
 """
 # repro-lint: disable-file=R003 -- clean toys hand their processes to env.run()
 
@@ -15,16 +14,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.lint import check, scenarios
+from repro.lint.check import DEFAULT_PINS_PATH, UNBUDGETED_FLOOR, compare_stall
 from repro.lint.stallcheck import (
-    DEFAULT_BUDGET_PATH,
-    SCENARIOS,
-    UNBUDGETED_FLOOR,
     StallcheckResult,
     StallMonitor,
-    apply_budget,
-    budget_document,
-    check_scenario,
     check_toy,
+    run_monitored,
 )
 from repro.sim.core import SHUTDOWN, Environment, ProcessGroup
 from repro.sim.resources import Store
@@ -130,9 +126,13 @@ def test_monitor_tracks_store_high_water():
         store = Store(env)
         for item in range(4):
             store.put(item)
-    assert list(monitor.high_water.values()) == [4]
-    (site,) = monitor.high_water
-    assert "test_stallcheck.py" in site
+    # Keyed by file + function, so an edit above the creating line
+    # cannot unpin the site.
+    ((site, depth),) = monitor.high_water.items()
+    assert depth == 4
+    assert site.endswith(
+        "tests/test_stallcheck.py:test_monitor_tracks_store_high_water"
+    )
 
 
 def test_nested_activation_is_rejected():
@@ -144,138 +144,119 @@ def test_nested_activation_is_rejected():
 
 
 # ----------------------------------------------------------------------
-# Budget diff semantics (no experiment run needed)
+# Pin diff semantics (no experiment run needed)
 # ----------------------------------------------------------------------
 
 
-def _result(high_water=None) -> StallcheckResult:
-    return StallcheckResult(
-        scenario="golden",
-        seed=7,
-        events=2000,
-        high_water=high_water or {},
+def _diffed(high_water, pinned, events=2000) -> StallcheckResult:
+    result = StallcheckResult(
+        scenario="golden", events=2000, high_water=high_water
     )
-
-
-def _budget(high_water) -> dict:
-    return {
-        "tolerance": 0.25,
-        "scenarios": {"golden": {"seed": 7, "high_water": high_water}},
-    }
+    compare_stall(
+        result, {"stall": {"events": events, "high_water": pinned}}, 0.25
+    )
+    return result
 
 
 def test_within_budget_is_clean():
-    result = _result({"repro/x.py:1": 10})
-    apply_budget(result, _budget({"repro/x.py:1": 10}))
-    assert result.clean
+    assert _diffed({"repro/x.py:f": 10}, {"repro/x.py:f": 10}).clean
 
 
 def test_budget_boundary_is_inclusive():
     """Exactly int(pinned * 1.25) + 2 still passes; one more fails."""
-    result = _result({"repro/x.py:1": 14})  # int(10 * 1.25) + 2 == 14
-    apply_budget(result, _budget({"repro/x.py:1": 10}))
-    assert result.clean
-    over = _result({"repro/x.py:1": 15})
-    apply_budget(over, _budget({"repro/x.py:1": 10}))
+    # int(10 * 1.25) + 2 == 14
+    assert _diffed({"repro/x.py:f": 14}, {"repro/x.py:f": 10}).clean
+    over = _diffed({"repro/x.py:f": 15}, {"repro/x.py:f": 10})
     assert not over.clean
     assert "backlog regression" in over.violations[0]
+    assert "= 14)" in over.violations[0]
     assert "STALL" in over.summary()
 
 
 def test_unbudgeted_site_gated_only_past_floor():
-    result = _result({"repro/new.py:9": UNBUDGETED_FLOOR})
-    apply_budget(result, _budget({}))
-    assert result.clean
-    over = _result({"repro/new.py:9": UNBUDGETED_FLOOR + 1})
-    apply_budget(over, _budget({}))
+    assert _diffed({"repro/new.py:f": UNBUDGETED_FLOOR}, {}).clean
+    over = _diffed({"repro/new.py:f": UNBUDGETED_FLOOR + 1}, {})
     assert not over.clean
     assert "unbudgeted store" in over.violations[0]
 
 
-def test_budget_document_merges_scenarios():
-    existing = budget_document(_result({"repro/x.py:1": 3}))
-    other = StallcheckResult(
-        scenario="line3", seed=7, events=100, high_water={"repro/y.py:2": 1}
+def test_pinned_site_the_run_never_observed_is_a_stale_pin():
+    """Regression: the old budget pinned ``websocket.py:119`` while the
+    store was created at line 123, so the site silently fell back to the
+    unbudgeted floor.  A pin nothing matched now fails."""
+    stale = _diffed(
+        {"repro/tendermint/websocket.py:subscribe": 0},
+        {"repro/tendermint/websocket.py:119": 0},
     )
-    merged = budget_document(other, existing)
-    assert set(merged["scenarios"]) == {"golden", "line3"}
-    assert merged["scenarios"]["golden"]["high_water"] == {"repro/x.py:1": 3}
-    fresh = _result({"repro/x.py:1": 3})
-    apply_budget(fresh, merged)
-    assert fresh.clean
+    assert not stale.clean
+    assert any(
+        "stale pin" in v and "websocket.py:119" in v for v in stale.violations
+    )
+
+
+def test_moved_event_count_is_a_violation():
+    moved = _diffed({}, {}, events=1999)
+    assert moved.violations == ["events 2000 != pinned 1999"]
+
+
+def test_budget_document_merges_scenarios(tmp_path):
+    """Re-pinning one cell leaves every other pin in the file as it was."""
+    path = tmp_path / "pins.json"
+    check.run(["stall"], ["golden"], pins_path=str(path), write_pins=True)
+    before = json.loads(path.read_text())["scenarios"]["golden"]
+    check.run(["replay"], ["line3"], pins_path=str(path), write_pins=True)
+    after = json.loads(path.read_text())["scenarios"]
+    assert set(after) == {"golden", "line3"}
+    assert after["golden"] == before
+    assert set(after["line3"]) == {"seed", "events", "report_sha256"}
 
 
 def test_unknown_scenario_raises():
-    with pytest.raises(ValueError, match="unknown stallcheck scenario"):
-        check_scenario("no-such-scenario")
+    with pytest.raises(ValueError, match="unknown scenario"):
+        check.run(["stall"], ["no-such-scenario"])
 
 
 def test_scenario_registry_names():
-    assert set(SCENARIOS) == {
+    assert {name for _check, name in scenarios.matrix(["stall"])} == {
         "golden", "golden-faults", "fleet", "line3", "hub4", "skewed"
     }
 
 
 def test_default_budget_path_is_repo_root():
-    assert DEFAULT_BUDGET_PATH == REPO_ROOT / "STALL_BUDGET.json"
-    assert DEFAULT_BUDGET_PATH.is_file(), (
-        "STALL_BUDGET.json must be committed; re-pin with "
-        "`python -m repro lint --stallcheck <scenario> --write-stall-budget`"
+    assert DEFAULT_PINS_PATH == REPO_ROOT / "SCENARIO_PINS.json"
+    assert DEFAULT_PINS_PATH.is_file(), (
+        "SCENARIO_PINS.json must be committed; re-pin with "
+        "`python -m repro check replay stall --write-pins`"
     )
 
 
 # ----------------------------------------------------------------------
-# Experiment-backed scenarios (the acceptance gate)
+# Experiment-backed runs (tests/test_check.py gates the whole matrix)
 # ----------------------------------------------------------------------
 
 
 def test_stallcheck_gate_golden():
-    """THE gate: golden must run, tear down leak-free, and stay within
-    the committed stall budget.  On an intentional queue-depth change,
-    audit the summary, then re-pin with --write-stall-budget."""
-    result = check_scenario("golden")
-    assert result.budget is not None, "committed STALL_BUDGET.json not loaded"
+    """A monitored golden run tears down leak-free and reports its
+    stores under the function-keyed sites the pin file names."""
+    result = run_monitored("golden", scenarios.lookup("golden").build(7))
     assert result.clean, result.summary()
     assert result.live == 0
-    # Teardown steps a deterministic number of drain events on top of the
-    # pinned 2013-event golden run; the total is pinned in the budget.
-    assert result.events == result.budget["scenarios"]["golden"]["events"]
+    assert sorted(result.high_water) == [
+        "repro/relayer/worker.py:__init__",
+        "repro/tendermint/websocket.py:subscribe",
+    ]
 
 
 def test_write_budget_pins_a_diffable_file(tmp_path):
-    path = tmp_path / "budget.json"
-    pinned = check_scenario("golden", budget_path=str(path), write_budget=True)
-    assert pinned.wrote_budget_to == str(path)
-    assert "pinned stall budget" in pinned.summary()
+    path = tmp_path / "pins.json"
+    (pinned,) = check.run(
+        ["stall"], ["golden"], pins_path=str(path), write_pins=True
+    )
     document = json.loads(path.read_text())
-    assert "golden" in document["scenarios"]
+    assert document["scenarios"]["golden"]["stall"] == {
+        "events": pinned.events,
+        "high_water": pinned.high_water,
+    }
 
-    checked = check_scenario("golden", budget_path=str(path))
+    (checked,) = check.run(["stall"], ["golden"], pins_path=str(path))
     assert checked.clean, checked.summary()
-
-
-@pytest.mark.stallcheck
-def test_golden_faults_scenario_has_no_stall():
-    result = check_scenario("golden-faults", seed=7)
-    assert result.clean, result.summary()
-
-
-@pytest.mark.stallcheck
-def test_line3_scenario_has_no_stall():
-    result = check_scenario("line3", seed=7)
-    assert result.clean, result.summary()
-
-
-@pytest.mark.stallcheck
-def test_hub4_scenario_has_no_stall():
-    result = check_scenario("hub4", seed=7)
-    assert result.clean, result.summary()
-
-
-@pytest.mark.stallcheck
-def test_skewed_scenario_has_no_stall():
-    """Engine mode spawns a process per arrival (plus spam/griefing
-    loops); none of them may leak a live process or store entry past
-    teardown, and the mempool/queue high-water marks stay in budget."""
-    result = check_scenario("skewed", seed=7)
-    assert result.clean, result.summary()
