@@ -100,7 +100,7 @@ def test_fault_recovery_completion(benchmark):
     # The crash really happened and severed the subscriptions.
     for report in out.values():
         assert report.faults is not None
-        assert [w["kind"] for w in report.faults.windows] == ["node_crash"]
+        assert [w.kind for w in report.faults.windows] == ["node_crash"]
         assert report.faults.ws_disconnects >= 1
 
     # Recovery: resubscribed, detected the gap, and completed the batch.

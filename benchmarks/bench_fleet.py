@@ -77,12 +77,12 @@ def _cell(report) -> dict:
     """The deterministic accounting for one grid point's fleet row."""
     (row,) = report.fleet
     return {
-        "delivered": row["delivered"],
-        "recv_attempts": row["recv_attempts"],
-        "redundant_ratio": row["redundant_ratio"],
-        "redundant_errors": row["redundant_errors"],
-        "failed_txs": row["failed_txs"],
-        "goodput_tfps": row["goodput_tfps"],
+        "delivered": row.delivered,
+        "recv_attempts": row.recv_attempts,
+        "redundant_ratio": row.redundant_ratio,
+        "redundant_errors": row.redundant_errors,
+        "failed_txs": row.failed_txs,
+        "goodput_tfps": row.goodput_tfps,
         "completed": report.window.completion.as_fractions()["completed"],
     }
 
@@ -107,12 +107,12 @@ def run_grid() -> dict:
 
     crash_report = run_cached(leader_crash_config())
     (crash_row,) = crash_report.fleet
-    leader = crash_row["leader"]
+    leader = crash_row.leader
     leader_crash = {
         "completed": crash_report.window.completion.as_fractions()["completed"],
-        "handoff_count": leader["handoff_count"],
-        "recovery_seconds": leader["recovery_seconds"],
-        "redundant_errors": crash_row["redundant_errors"],
+        "handoff_count": leader.handoff_count,
+        "recovery_seconds": leader.recovery_seconds,
+        "redundant_errors": crash_row.redundant_errors,
     }
 
     return {

@@ -89,11 +89,10 @@ def measure_scale(population: int) -> dict:
             "peak_rss_kb": peak_kb,
             "bytes_per_account": (peak_kb - baseline_kb) * 1024 / population,
         },
-        "timing": {
-            "wall_seconds": wall,
-            "events_per_second": events / wall,
-            "admission_per_second": stats.accepted_transfers / wall,
-        },
+        # Whole-run wall clock only: at 1 M accounts ~90 % of it is genesis,
+        # so no per-second rate is derived from it (perf/'s genesis_300k
+        # reports setup_s and the run-phase events_per_s separately).
+        "timing": {"wall_seconds": wall},
     }
 
 
@@ -135,8 +134,7 @@ def test_workload_bench(benchmark):
         print(
             f"  {population:>9,} accounts: "
             f"{memory['bytes_per_account']:7.1f} B/account, "
-            f"{timing['events_per_second']:8.1f} ev/s, "
-            f"{timing['admission_per_second']:6.1f} adm/s, "
+            f"{timing['wall_seconds']:6.2f} s wall, "
             f"{accounting['committed']} committed"
         )
 

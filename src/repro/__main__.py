@@ -109,10 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--coordinate", action="store_true",
-        help="EXTENSION: shorthand for --fleet-policy shard",
-    )
-    parser.add_argument(
         "--channels", type=int, default=1,
         help="EXTENSION: one channel per relayer when > 1",
     )
@@ -132,7 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    policy = "shard" if args.coordinate else args.fleet_policy
     return ExperimentConfig(
         input_rate=args.rate,
         measurement_blocks=args.blocks,
@@ -146,7 +141,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         run_to_completion=args.to_completion,
         chain_only=args.chain_only,
         clear_interval=args.clear_interval,
-        relayer=FleetConfig(policy=policy),
+        relayer=FleetConfig(policy=args.fleet_policy),
         num_channels=args.channels,
         tracing=args.tracing,
         seed=args.seed,

@@ -1,7 +1,6 @@
 """Analysis helpers shared by the benchmark harness."""
 
 from repro.analysis.stats import (
-    DistributionSummary,
     format_table,
     relative_error,
     summarize,
@@ -13,7 +12,6 @@ from repro.analysis.timeline import (
 )
 
 __all__ = [
-    "DistributionSummary",
     "format_table",
     "relative_error",
     "render_packet_waterfall",

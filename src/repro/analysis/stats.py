@@ -7,42 +7,14 @@ The paper presents Fig. 6 as violins (median + quartiles over 20 runs);
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.sim.monitor import SummaryStats
 
 
-@dataclass(frozen=True)
-class DistributionSummary:
+def summarize(values: Iterable[float]) -> SummaryStats:
     """Median and quartiles — the data behind one violin."""
-
-    count: int
-    median: float
-    p25: float
-    p75: float
-    minimum: float
-    maximum: float
-    mean: float
-    stdev: float
-
-    def spread(self) -> float:
-        """Interquartile range, the paper's variance indicator."""
-        return self.p75 - self.p25
-
-
-def summarize(values: Iterable[float]) -> DistributionSummary:
-    stats = SummaryStats.from_values(values)
-    return DistributionSummary(
-        count=stats.count,
-        median=stats.median,
-        p25=stats.p25,
-        p75=stats.p75,
-        minimum=stats.minimum,
-        maximum=stats.maximum,
-        mean=stats.mean,
-        stdev=stats.stdev,
-    )
+    return SummaryStats.from_values(values)
 
 
 def relative_error(measured: float, expected: float) -> float:

@@ -12,9 +12,9 @@ enforced RTT, two Gaia v7.0.3 chains with 5 validators each, Hermes 1.0.0,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
-from repro.errors import SchemaError
+from repro.errors import from_wire, to_wire
 
 # ---------------------------------------------------------------------------
 # Message / gas model (paper §IV-A, "Hermes Relayer" paragraph)
@@ -284,31 +284,14 @@ class Calibration:
 
     def to_dict(self) -> dict:
         """Wire form: every tunable by field name (``event_bytes`` nests)."""
-        out = {}
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            out[spec.name] = dict(value) if spec.name == "event_bytes" else value
-        return out
+        return to_wire(self)
 
     @classmethod
     def from_dict(cls, data: object) -> "Calibration":
-        """Exact inverse of :meth:`to_dict`; rejects unknown keys.
-
-        Missing keys fall back to the defaults above, so documents written
-        by older library versions keep loading.
-        """
-        if not isinstance(data, dict):
-            raise SchemaError(
-                f"calibration must be a dict, got {type(data).__name__}"
-            )
-        known = {spec.name for spec in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise SchemaError(
-                f"unknown key(s) {', '.join(unknown)} in calibration "
-                f"(known keys: {', '.join(sorted(known))})"
-            )
-        return cls(**data)
+        """Exact inverse of :meth:`to_dict`.  Missing keys fall back to the
+        defaults above, so documents written by older library versions
+        keep loading."""
+        return from_wire(cls, data, "calibration", defaults=True)
 
 
 #: The default calibration used throughout the library.

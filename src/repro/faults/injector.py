@@ -97,7 +97,7 @@ class FaultInjector:
             yield from self._run_link(fault)
 
     def _run_crash(self, fault: NodeCrash):
-        window = FaultWindow("node_crash", fault.host, start=self.env.now)
+        window = FaultWindow(fault.kind, fault.host, start=self.env.now)
         self.windows.append(window)
         silenced: list[tuple[Chain, str]] = []
         for node in self._nodes_on(fault.host):
@@ -116,7 +116,7 @@ class FaultInjector:
         window.end = self.env.now
 
     def _run_brownout(self, fault: RpcBrownout, index: int):
-        window = FaultWindow("rpc_brownout", fault.host, start=self.env.now)
+        window = FaultWindow(fault.kind, fault.host, start=self.env.now)
         self.windows.append(window)
         until = self.env.now + fault.duration
         stream = self.rng.keyed(f"faults/brownout/{fault.host}/{index}")
@@ -126,7 +126,7 @@ class FaultInjector:
         window.end = self.env.now
 
     def _run_disconnect(self, fault: WsDisconnect) -> None:
-        window = FaultWindow("ws_disconnect", fault.host, start=self.env.now)
+        window = FaultWindow(fault.kind, fault.host, start=self.env.now)
         window.end = self.env.now  # instantaneous: the reset has no width
         self.windows.append(window)
         for node in self._nodes_on(fault.host):
@@ -134,7 +134,7 @@ class FaultInjector:
 
     def _run_link(self, fault: LinkDegradation):
         target = f"{fault.a}<->{fault.b}"
-        window = FaultWindow("link_degradation", target, start=self.env.now)
+        window = FaultWindow(fault.kind, target, start=self.env.now)
         self.windows.append(window)
         previous = self.network.link_override(fault.a, fault.b)
         self.network.set_link(

@@ -10,11 +10,10 @@ report serialization both rely on that.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Union
+from typing import Any, Union, get_args
 
-from repro.errors import SchemaError, SimulationError
+from repro.errors import SimulationError, from_wire, to_wire
 
 
 @dataclass(frozen=True)
@@ -27,6 +26,8 @@ class NodeCrash:
     without state loss, at restart — a fail-recover crash, not Byzantine).
     """
 
+    kind = "node_crash"
+
     host: str
     at: float
     duration: float
@@ -37,6 +38,8 @@ class RpcBrownout:
     """Silently drop ``drop_probability`` of ``host``'s RPC requests
     between ``at`` and ``at + duration``.  Clients see timeouts, not
     refusals — the degraded-but-alive node of an I/O-saturated machine."""
+
+    kind = "rpc_brownout"
 
     host: str
     at: float
@@ -53,6 +56,8 @@ class WsDisconnect:
     keeps serving RPC, so an immediate resubscribe succeeds.
     """
 
+    kind = "ws_disconnect"
+
     host: str
     at: float
 
@@ -62,6 +67,8 @@ class LinkDegradation:
     """Override the ``a``–``b`` link with the given characteristics
     between ``at`` and ``at + duration``; the previous link (explicit or
     default) is restored afterwards."""
+
+    kind = "link_degradation"
 
     a: str
     b: str
@@ -74,47 +81,20 @@ class LinkDegradation:
 
 Fault = Union[NodeCrash, RpcBrownout, WsDisconnect, LinkDegradation]
 
-#: Wire-format discriminator tags, one per fault spec class.  The tag is
-#: the ``"kind"`` key of a serialized fault dict.
-FAULT_KINDS: dict[str, type] = {
-    "node_crash": NodeCrash,
-    "rpc_brownout": RpcBrownout,
-    "ws_disconnect": WsDisconnect,
-    "link_degradation": LinkDegradation,
-}
-_KIND_BY_CLASS = {cls: kind for kind, cls in FAULT_KINDS.items()}
+#: Wire-format discriminator tags — each fault class's ``kind``, the
+#: ``"kind"`` key of a serialized fault dict.
+FAULT_KINDS: dict[str, type] = {cls.kind: cls for cls in get_args(Fault)}
 
 
 def fault_to_dict(fault: Fault) -> dict[str, Any]:
     """Serialize one fault spec to its tagged wire dict."""
-    kind = _KIND_BY_CLASS.get(type(fault))
-    if kind is None:
-        raise SchemaError(f"cannot serialize fault of type {type(fault).__name__}")
-    out: dict[str, Any] = {"kind": kind}
-    for spec_field in dataclasses.fields(fault):
-        out[spec_field.name] = getattr(fault, spec_field.name)
-    return out
+    return to_wire(fault)
 
 
 def fault_from_dict(data: Any) -> Fault:
     """Load one fault spec from its tagged wire dict, rejecting unknown
     kinds and unknown keys."""
-    if not isinstance(data, dict):
-        raise SchemaError(f"fault spec must be a dict, got {type(data).__name__}")
-    payload = dict(data)
-    kind = payload.pop("kind", None)
-    cls = FAULT_KINDS.get(kind)
-    if cls is None:
-        known = ", ".join(sorted(FAULT_KINDS))
-        raise SchemaError(f"unknown fault kind {kind!r} (known kinds: {known})")
-    known_keys = {spec_field.name for spec_field in dataclasses.fields(cls)}
-    unknown = sorted(set(payload) - known_keys)
-    if unknown:
-        raise SchemaError(
-            f"unknown key(s) {', '.join(unknown)} in {kind} fault spec "
-            f"(known keys: {', '.join(sorted(known_keys))})"
-        )
-    return cls(**payload)
+    return from_wire(Fault, data, "fault spec", defaults=True)
 
 
 @dataclass(frozen=True)
@@ -156,28 +136,12 @@ class FaultSchedule:
 
     def to_dict(self) -> dict[str, Any]:
         """Wire form: a dict with one ``"faults"`` list of tagged specs."""
-        return {"faults": [fault_to_dict(fault) for fault in self.faults]}
+        return to_wire(self)
 
     @classmethod
     def from_dict(cls, data: Any) -> "FaultSchedule":
         """Exact inverse of :meth:`to_dict`; rejects unknown keys."""
-        if not isinstance(data, dict):
-            raise SchemaError(
-                f"fault schedule must be a dict, got {type(data).__name__}"
-            )
-        unknown = sorted(set(data) - {"faults"})
-        if unknown:
-            raise SchemaError(
-                f"unknown key(s) {', '.join(unknown)} in fault schedule "
-                "(known keys: faults)"
-            )
-        specs = data.get("faults", [])
-        if not isinstance(specs, list):
-            raise SchemaError(
-                f"fault schedule 'faults' must be a list, got "
-                f"{type(specs).__name__}"
-            )
-        return cls(tuple(fault_from_dict(spec) for spec in specs))
+        return from_wire(cls, data, "fault schedule", defaults=True)
 
     @property
     def horizon(self) -> float:

@@ -9,11 +9,11 @@ simulation mechanics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro import calibration as cal
-from repro.errors import SchemaError, WorkloadError
+from repro.errors import WorkloadError, from_wire, to_wire
 from repro.faults import FaultSchedule
 from repro.framework.topology import TopologySpec
 from repro.relayer.fleet import FleetConfig
@@ -180,53 +180,18 @@ class ExperimentConfig:
         inverse of :meth:`from_dict`, nested fault schedules and
         calibration overrides included.
         """
-        out: dict[str, Any] = {}
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            if (
-                spec.name
-                in ("faults", "calibration", "topology", "relayer", "workload")
-                and value is not None
-            ):
-                value = value.to_dict()
-            out[spec.name] = value
-        return out
+        return to_wire(self)
 
     @classmethod
     def from_dict(cls, data: Any) -> "ExperimentConfig":
-        """Load a config from its wire dict, rejecting unknown keys.
+        """Load a config from its wire dict.
 
-        Missing keys take the field defaults; unknown keys raise
-        :class:`SchemaError` so a typo'd parameter can never silently run
-        the default experiment instead.
+        Missing keys take the field defaults; unknown keys, wrongly-typed
+        values and values the config tree's classes refuse raise
+        :class:`~repro.errors.SchemaError` naming the path, so a typo'd
+        parameter can never silently run the default experiment instead.
         """
-        if not isinstance(data, dict):
-            raise SchemaError(
-                f"experiment config must be a dict, got {type(data).__name__}"
-            )
-        kwargs = dict(data)
-        known = {spec.name for spec in fields(cls)}
-        unknown = sorted(set(kwargs) - known)
-        if unknown:
-            raise SchemaError(
-                f"unknown key(s) {', '.join(unknown)} in experiment config "
-                f"(known keys: {', '.join(sorted(known))})"
-            )
-        if kwargs.get("faults") is not None:
-            kwargs["faults"] = FaultSchedule.from_dict(kwargs["faults"])
-        if kwargs.get("calibration") is not None:
-            kwargs["calibration"] = cal.Calibration.from_dict(
-                kwargs["calibration"]
-            )
-        if kwargs.get("topology") is not None:
-            kwargs["topology"] = TopologySpec.from_dict(kwargs["topology"])
-        if kwargs.get("relayer") is not None:
-            kwargs["relayer"] = FleetConfig.from_dict(kwargs["relayer"])
-        elif "relayer" in kwargs:
-            del kwargs["relayer"]  # null section = the default fleet
-        if kwargs.get("workload") is not None:
-            kwargs["workload"] = WorkloadSpec.from_dict(kwargs["workload"])
-        return cls(**kwargs)
+        return from_wire(cls, data, "config", defaults=True)
 
     def summary_lines(self) -> list[str]:
         """The configuration's lines of the report's text summary."""

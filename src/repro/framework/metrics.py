@@ -5,138 +5,20 @@ IBC module), windowed to the measurement interval; the relayer-side view
 comes from the event processor.
 
 Each report section is defined here once, beside its collector: a
-dataclass whose fields are the section's wire shape (``to_dict`` /
-``from_dict``) plus the lines it contributes to the text summary.
+dataclass whose fields are the section's wire shape (read and written by
+the codec in :mod:`repro.errors`) plus the lines it contributes to the
+text summary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Any, Optional, Union, get_args, get_origin, get_type_hints
+from dataclasses import dataclass, field
+from typing import Any, Optional
 
-from repro.errors import SchemaError
 from repro.faults import FaultWindow
+from repro.relayer.fleet import Handoff
 from repro.sim.monitor import SummaryStats
 from repro.tendermint.node import Chain
-
-# ----------------------------------------------------------------------
-# The wire form of a section: its dataclass fields, in declaration order
-# ----------------------------------------------------------------------
-#
-# Field metadata states the few places where wire and attribute differ:
-# ``wire`` is the key the field travels under (None keeps the field
-# host-side, never serialized); ``derived`` names a property dumped right
-# after the field, which a loaded document must carry with exactly the
-# value recomputed from the loaded fields.
-
-
-def to_wire(value: Any) -> Any:
-    """JSON form of a section value — a fresh copy, safe to mutate."""
-    if is_dataclass(value):
-        wire: dict[str, Any] = {}
-        for spec in fields(value):
-            key = spec.metadata.get("wire", spec.name)
-            if key is None:
-                continue
-            wire[key] = to_wire(getattr(value, spec.name))
-            derived = spec.metadata.get("derived")
-            if derived is not None:
-                wire[derived] = getattr(value, derived)
-        return wire
-    if isinstance(value, (list, tuple)):
-        return [to_wire(item) for item in value]
-    if isinstance(value, dict):
-        return {key: to_wire(item) for key, item in value.items()}
-    return value
-
-
-def from_wire(hint: Any, value: Any, where: str) -> Any:
-    """Rebuild a value of annotation ``hint`` from its JSON form.
-
-    The inverse of :func:`to_wire`, and the loaders' one validator: a
-    dataclass hint demands exactly its wire keys, containers and scalars
-    demand their annotated types (JSON arrays stand in for tuples, ints
-    are accepted where a float is annotated).  Anything else raises
-    :class:`SchemaError` naming ``where`` the document went wrong.
-    """
-    if hint is Any:
-        return value
-    origin, args = get_origin(hint), get_args(hint)
-    if origin is Union:  # Optional[X]
-        if value is None:
-            return None
-        (hint,) = (arg for arg in args if arg is not type(None))
-        return from_wire(hint, value, where)
-    if is_dataclass(hint):
-        if not isinstance(value, dict):
-            raise SchemaError(
-                f"{where} must be a dict, got {type(value).__name__}"
-            )
-        hints = get_type_hints(hint)
-        attributes: dict[str, str] = {}  # wire key -> field name
-        derived: list[str] = []
-        for spec in fields(hint):
-            key = spec.metadata.get("wire", spec.name)
-            if key is not None:
-                attributes[key] = spec.name
-            if "derived" in spec.metadata:
-                derived.append(spec.metadata["derived"])
-        known = [*attributes, *derived]
-        unknown = sorted(set(value) - set(known))
-        if unknown:
-            raise SchemaError(
-                f"unknown key(s) {', '.join(unknown)} in {where} "
-                f"(known keys: {', '.join(known)})"
-            )
-        missing = sorted(set(known) - set(value))
-        if missing:
-            raise SchemaError(
-                f"{where} is missing key(s): {', '.join(missing)}"
-            )
-        built = hint(
-            **{
-                name: from_wire(hints[name], value[key], f"{where}.{key}")
-                for key, name in attributes.items()
-            }
-        )
-        for name in derived:
-            if value[name] != getattr(built, name):
-                raise SchemaError(
-                    f"{where}.{name} is {value[name]!r}, but the section's "
-                    f"own fields give {getattr(built, name)!r}"
-                )
-        return built
-    if origin is list and isinstance(value, list):
-        return [
-            from_wire(args[0], item, f"{where}[{i}]")
-            for i, item in enumerate(value)
-        ]
-    if (
-        origin is tuple
-        and isinstance(value, (list, tuple))
-        and len(value) == len(args)
-    ):
-        return tuple(
-            from_wire(arg, item, f"{where}[{i}]")
-            for i, (arg, item) in enumerate(zip(args, value))
-        )
-    if origin is dict and isinstance(value, dict):
-        return {
-            from_wire(args[0], key, f"{where} key"): from_wire(
-                args[1], item, f"{where}.{key}"
-            )
-            for key, item in value.items()
-        }
-    if origin is None and (
-        type(value) is hint
-        or (hint is float and type(value) is int)
-    ):
-        return value
-    expected = hint.__name__ if origin is None else hint
-    raise SchemaError(
-        f"{where} must be {expected}, got {type(value).__name__}"
-    )
-
 
 #: Packet event kinds per life-cycle stage, from the source chain's and the
 #: destination chain's perspective.
@@ -266,13 +148,6 @@ class WindowMetrics:
             },
             "block_interval_mean": self.block_interval_mean,
         }
-
-    def to_dict(self) -> dict[str, Any]:
-        return to_wire(self)
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "WindowMetrics":
-        return from_wire(cls, data, "window section")
 
     def summary_lines(self) -> list[str]:
         completion = self.completion
@@ -428,13 +303,6 @@ class GasMetrics:
     recv_samples: int
     ack_samples: int
 
-    def to_dict(self) -> dict[str, Any]:
-        return to_wire(self)
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "GasMetrics":
-        return from_wire(cls, data, "gas section")
-
     def summary_lines(self) -> list[str]:
         return []  # gas is a data-file metric (§IV-A), not a headline
 
@@ -487,7 +355,7 @@ class FaultReport:
     inflation the fault-recovery benchmark bounds.
     """
 
-    windows: list[dict[str, Any]]
+    windows: list[FaultWindow]
     rpc_refused: int
     rpc_dropped: int
     ws_disconnects: int
@@ -496,13 +364,6 @@ class FaultReport:
     resubscribes: int
     height_gaps: int
     recovery_latency: Optional[SummaryStats] = None
-
-    def to_dict(self) -> dict[str, Any]:
-        return to_wire(self)
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "FaultReport":
-        return from_wire(cls, data, "faults section")
 
     def summary_lines(self) -> list[str]:
         lines = [
@@ -566,10 +427,7 @@ def collect_fault_metrics(
                 previous = cumulative
 
     return FaultReport(
-        windows=[
-            {"kind": w.kind, "target": w.target, "start": w.start, "end": w.end}
-            for w in windows
-        ],
+        windows=list(windows),
         rpc_refused=refused,
         rpc_dropped=dropped,
         ws_disconnects=count("websocket_disconnected"),
@@ -581,6 +439,72 @@ def collect_fault_metrics(
             SummaryStats.from_values(latencies) if latencies else None
         ),
     )
+
+
+@dataclass
+class FleetMemberRow:
+    """One fleet member's share of an edge's relay work."""
+
+    index: int
+    name: str
+    recv_attempts: int
+    ack_attempts: int
+    redundant_errors: int
+    failed_txs: int
+
+
+@dataclass
+class FleetLeader:
+    """A leader-policy fleet's failover history."""
+
+    handoffs: list[Handoff] = field(metadata={"derived": "handoff_count"})
+    #: Seconds from the first handoff to the new leader's first successful
+    #: confirmation (None: no handoff, or nothing confirmed after it).
+    recovery_seconds: Optional[float]
+
+    @property
+    def handoff_count(self) -> int:
+        return len(self.handoffs)
+
+
+@dataclass
+class FleetRow:
+    """One topology edge's fleet accounting — a row of the ``fleet``
+    section: goodput vs. redundancy (Fig. 9's axis)."""
+
+    edge: int
+    chains: tuple[str, str]
+    count: int
+    policy: str
+    #: Chain-truth delivery counts on the edge's channels.
+    delivered: int
+    acked: int
+    recv_attempts: int
+    ack_attempts: int = field(metadata={"derived": "redundant_ratio"})
+    redundant_errors: int
+    failed_txs: int
+    goodput_tfps: float
+    leader: Optional[FleetLeader]  # leader-policy fleets only
+    members: list[FleetMemberRow]
+
+    @property
+    def redundant_ratio(self) -> float:
+        """Receive attempts per delivered packet: ≈2.0 for two
+        uncoordinated relayers (Fig. 9), ≈1.0 under ``shard``/``leader``."""
+        return self.recv_attempts / self.delivered if self.delivered else 0.0
+
+    def summary_lines(self) -> list[str]:
+        line = (
+            f"fleet (edge {self.edge})    : K={self.count} "
+            f"policy={self.policy}, redundancy "
+            f"{self.redundant_ratio:.2f}x, "
+            f"{self.redundant_errors} redundant error(s)"
+        )
+        if self.leader is not None:
+            line += f", {self.leader.handoff_count} handoff(s)"
+            if self.leader.recovery_seconds is not None:
+                line += f", recovery {self.leader.recovery_seconds:.1f} s"
+        return [line]
 
 
 def _log_field_sum(log, event: str, key: str) -> int:
@@ -596,17 +520,13 @@ def collect_fleet_metrics(
     fleets,
     start_time: float,
     end_time: float,
-) -> Optional[list[dict[str, Any]]]:
-    """Per-edge fleet accounting: goodput vs. redundancy (Fig. 9's axis).
-
-    One row per topology edge with the fleet's size and policy, the
-    chain-truth delivery counts on the edge's channels, every member's
-    broadcast attempts, and the derived redundancy ratio — attempts per
-    delivered packet, ≈2.0 for two uncoordinated relayers (Fig. 9), ≈1.0
-    under the ``shard``/``leader`` policies.  Leader fleets add their
-    handoff history and the post-crash recovery latency (first successful
-    confirmation by the new leader after the handoff).  Returns None when
-    no relayers were deployed (chain-only experiments).
+) -> Optional[list[FleetRow]]:
+    """Per-edge fleet accounting: one :class:`FleetRow` per topology edge
+    with the fleet's size and policy, the chain-truth delivery counts on
+    the edge's channels and every member's broadcast attempts.  Leader
+    fleets add their handoff history and the post-crash recovery latency
+    (first successful confirmation by the new leader after the handoff).
+    Returns None when no relayers were deployed (chain-only experiments).
 
     Every value is integer event accounting or a ratio of such integers
     on the simulated clock, so the section is byte-stable across host
@@ -616,7 +536,7 @@ def collect_fleet_metrics(
         return None
     chains_by_id = {chain.chain_id: chain for chain in chains}
     duration = max(end_time - start_time, 0.0)
-    rows: list[dict[str, Any]] = []
+    rows: list[FleetRow] = []
     for edge, (i, j) in enumerate(topology.edges):
         fleet = fleets[edge]
         relayers = edge_relayers[edge]
@@ -633,92 +553,56 @@ def collect_fleet_metrics(
                 )
                 delivered += counts[RECV_EVENT]
                 acked += counts[ACK_EVENT]
-        members: list[dict[str, Any]] = []
-        recv_attempts = 0
-        ack_attempts = 0
-        redundant_errors = 0
-        failed_txs = 0
-        for index, relayer in enumerate(relayers):
-            log = relayer.log
-            member_recv = _log_field_sum(log, "recv_broadcast", "count")
-            member_ack = _log_field_sum(log, "ack_broadcast", "count")
-            member_redundant = log.count("packet_messages_redundant")
-            member_failed = log.count("tx_execution_failed") + log.count(
-                "failed_tx_no_confirmation"
+        members = [
+            FleetMemberRow(
+                index=index,
+                name=relayer.name,
+                recv_attempts=_log_field_sum(
+                    relayer.log, "recv_broadcast", "count"
+                ),
+                ack_attempts=_log_field_sum(relayer.log, "ack_broadcast", "count"),
+                redundant_errors=relayer.log.count("packet_messages_redundant"),
+                failed_txs=relayer.log.count("tx_execution_failed")
+                + relayer.log.count("failed_tx_no_confirmation"),
             )
-            recv_attempts += member_recv
-            ack_attempts += member_ack
-            redundant_errors += member_redundant
-            failed_txs += member_failed
-            members.append(
-                {
-                    "index": index,
-                    "name": relayer.name,
-                    "recv_attempts": member_recv,
-                    "ack_attempts": member_ack,
-                    "redundant_errors": member_redundant,
-                    "failed_txs": member_failed,
-                }
-            )
+            for index, relayer in enumerate(relayers)
+        ]
         leader = None
         if fleet.config.policy == "leader":
             recovery = None
             if fleet.handoffs:
                 first = fleet.handoffs[0]
-                successor = relayers[first["to"]].log
+                successor = relayers[first.to_index].log
                 confirmed = [
                     record.time
                     for record in successor.records
                     if record.event in ("recv_confirmation", "ack_confirmation")
                     and record.field("code") == 0
-                    and record.time >= first["time"]
+                    and record.time >= first.time
                 ]
                 if confirmed:
-                    recovery = min(confirmed) - first["time"]
-            leader = {
-                "handoffs": [dict(h) for h in fleet.handoffs],
-                "handoff_count": len(fleet.handoffs),
-                "recovery_seconds": recovery,
-            }
+                    recovery = min(confirmed) - first.time
+            leader = FleetLeader(
+                handoffs=list(fleet.handoffs), recovery_seconds=recovery
+            )
         rows.append(
-            {
-                "edge": edge,
-                "chains": [chains[i].chain_id, chains[j].chain_id],
-                "count": fleet.count,
-                "policy": fleet.config.policy,
-                "delivered": delivered,
-                "acked": acked,
-                "recv_attempts": recv_attempts,
-                "ack_attempts": ack_attempts,
-                "redundant_ratio": (
-                    recv_attempts / delivered if delivered else 0.0
-                ),
-                "redundant_errors": redundant_errors,
-                "failed_txs": failed_txs,
-                "goodput_tfps": acked / duration if duration else 0.0,
-                "leader": leader,
-                "members": members,
-            }
+            FleetRow(
+                edge=edge,
+                chains=(chains[i].chain_id, chains[j].chain_id),
+                count=fleet.count,
+                policy=fleet.config.policy,
+                delivered=delivered,
+                acked=acked,
+                recv_attempts=sum(m.recv_attempts for m in members),
+                ack_attempts=sum(m.ack_attempts for m in members),
+                redundant_errors=sum(m.redundant_errors for m in members),
+                failed_txs=sum(m.failed_txs for m in members),
+                goodput_tfps=acked / duration if duration else 0.0,
+                leader=leader,
+                members=members,
+            )
         )
     return rows
-
-
-def fleet_summary_lines(rows: list[dict[str, Any]]) -> list[str]:
-    lines = []
-    for row in rows:
-        line = (
-            f"fleet (edge {row['edge']})    : K={row['count']} "
-            f"policy={row['policy']}, redundancy "
-            f"{row['redundant_ratio']:.2f}x, "
-            f"{row['redundant_errors']} redundant error(s)"
-        )
-        leader = row.get("leader")
-        if leader is not None:
-            line += f", {leader['handoff_count']} handoff(s)"
-            if leader["recovery_seconds"] is not None:
-                line += f", recovery {leader['recovery_seconds']:.1f} s"
-        lines.append(line)
-    return lines
 
 
 @dataclass
@@ -734,13 +618,6 @@ class RpcBusyMetrics:
         if self.total_busy_seconds <= 0:
             return 0.0
         return self.pull_busy_seconds / self.total_busy_seconds
-
-    def to_dict(self) -> dict[str, Any]:
-        return to_wire(self)
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "RpcBusyMetrics":
-        return from_wire(cls, data, "rpc section")
 
     def summary_lines(self) -> list[str]:
         return [
@@ -858,13 +735,6 @@ class TraceReport:
     @property
     def pull_seconds(self) -> float:
         return self.transfer_pull_seconds + self.recv_pull_seconds
-
-    def to_dict(self) -> dict[str, Any]:
-        return to_wire(self)
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "TraceReport":
-        return from_wire(cls, data, "trace section")
 
     def summary_lines(self) -> list[str]:
         if not self.completed:
@@ -1106,51 +976,101 @@ def collect_rpc_metrics(chains: list[Chain]) -> RpcBusyMetrics:
     )
 
 
-def collect_population_metrics(engine, source_chain: Chain) -> dict[str, Any]:
-    """The report's ``population`` section (generated workloads only).
+@dataclass
+class SpamCounts:
+    """Stale-sequence spam transactions the engine submitted."""
 
-    Per-percentile sender activity from the engine, the adversarial
-    counters, and the source mempool's admission accounting — every
-    value an integer or a ratio of integers, so the section is
-    byte-stable across scheduler tie-break variations."""
-    summary = engine.activity_summary()
-    summary["spam"] = {
-        "submitted": engine.spam_submitted,
-        "rejected": engine.spam_rejected,
-    }
-    summary["griefing"] = {
-        "submitted": engine.griefing_submitted,
-        "failed": engine.griefing_failed,
-    }
+    submitted: int
+    rejected: int
+
+
+@dataclass
+class GriefingCounts:
+    """§IV-A gas-griefing transactions the engine submitted."""
+
+    submitted: int
+    failed: int
+
+
+@dataclass
+class MempoolCounts:
+    """The source mempool's admission accounting."""
+
+    admitted: int
+    rejected: int
+    evicted: int
+
+
+@dataclass
+class PopulationReport:
+    """The ``population`` section (generated workloads only): per-percentile
+    sender activity from the engine, the adversarial counters, and the
+    source mempool's admission accounting — every value an integer or a
+    ratio of integers, so the section is byte-stable across scheduler
+    tie-break variations."""
+
+    population: int
+    senders_active: int
+    submissions: int
+    activity_p50: int
+    activity_p90: int
+    activity_p99: int
+    activity_max: int
+    top1_share: float
+    deferred: int
+    spam: SpamCounts
+    griefing: GriefingCounts
+    mempool: MempoolCounts
+
+    def summary_lines(self) -> list[str]:
+        mempool = self.mempool
+        return [
+            f"population        : {self.population} senders, "
+            f"{self.senders_active} active, p99 activity "
+            f"{self.activity_p99}, top-1% share "
+            f"{self.top1_share * 100:.1f}%, "
+            f"{self.deferred} deferred",
+            f"mempool           : {mempool.admitted} admitted / "
+            f"{mempool.rejected} rejected / {mempool.evicted} evicted",
+        ]
+
+
+def collect_population_metrics(engine, source_chain: Chain) -> PopulationReport:
     mempool = source_chain.mempool
-    summary["mempool"] = {
-        "admitted": mempool.admitted,
-        "rejected": mempool.rejected,
-        "evicted": mempool.evicted,
-    }
-    return summary
+    return PopulationReport(
+        **engine.activity_summary(),
+        spam=SpamCounts(engine.spam_submitted, engine.spam_rejected),
+        griefing=GriefingCounts(engine.griefing_submitted, engine.griefing_failed),
+        mempool=MempoolCounts(mempool.admitted, mempool.rejected, mempool.evicted),
+    )
 
 
-def population_summary_lines(population: dict[str, Any]) -> list[str]:
-    mempool = population["mempool"]
-    return [
-        f"population        : {population['population']} senders, "
-        f"{population['senders_active']} active, p99 activity "
-        f"{population['activity_p99']}, top-1% share "
-        f"{population['top1_share'] * 100:.1f}%, "
-        f"{population['deferred']} deferred",
-        f"mempool           : {mempool['admitted']} admitted / "
-        f"{mempool['rejected']} rejected / {mempool['evicted']} evicted",
-    ]
+@dataclass
+class FrameReport:
+    """The ``frames`` section: §V WebSocket frame accounting over every
+    node's event server."""
+
+    #: Frames delivered, and failures (including repeat suppressions after
+    #: a latch).
+    delivered: int
+    failures: int
+    #: Subscriptions latched by an oversized frame.
+    latched: int
+    #: The largest frame any server computed, against the calibrated limit.
+    max_frame_bytes: int
+    limit_bytes: int
+
+    def summary_lines(self) -> list[str]:
+        if not self.latched:
+            return []
+        return [
+            f"frame limit       : {self.latched} subscription(s) latched "
+            f"(max frame {self.max_frame_bytes} B > "
+            f"limit {self.limit_bytes} B)"
+        ]
 
 
-def collect_frame_metrics(chains: list[Chain]) -> dict[str, Any]:
-    """The report's ``frames`` section: §V WebSocket frame accounting.
-
-    Aggregates every node's event server: frames delivered, failures
-    (including repeat suppressions after a latch), subscriptions latched
-    by an oversized frame, and the largest frame any server computed
-    against the calibrated limit."""
+def collect_frame_metrics(chains: list[Chain]) -> FrameReport:
     delivered = failures = latched = 0
     max_frame = 0
     limit = 0
@@ -1164,20 +1084,10 @@ def collect_frame_metrics(chains: list[Chain]) -> dict[str, Any]:
                 delivered += subscription.delivered
                 failures += subscription.failures
                 latched += 1 if subscription.failed else 0
-    return {
-        "delivered": delivered,
-        "failures": failures,
-        "latched": latched,
-        "max_frame_bytes": max_frame,
-        "limit_bytes": limit,
-    }
-
-
-def frame_summary_lines(frames: dict[str, Any]) -> list[str]:
-    if not frames["latched"]:
-        return []
-    return [
-        f"frame limit       : {frames['latched']} subscription(s) latched "
-        f"(max frame {frames['max_frame_bytes']} B > "
-        f"limit {frames['limit_bytes']} B)"
-    ]
+    return FrameReport(
+        delivered=delivered,
+        failures=failures,
+        latched=latched,
+        max_frame_bytes=max_frame,
+        limit_bytes=limit,
+    )

@@ -30,10 +30,9 @@ plots.  Only relayer-side timestamps are used, mirroring the paper's choice
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Optional
 
 from repro.framework.connectors import CrossChainEventConnector
-from repro.framework.metrics import from_wire, to_wire
 from repro.relayer.logging import LogRecord
 
 #: The 13 steps, in execution order.
@@ -116,13 +115,6 @@ class TransferTimelineReport:
         if self.total_seconds <= 0:
             return 0.0
         return self.data_pull_seconds / self.total_seconds
-
-    def to_dict(self) -> dict[str, Any]:
-        return to_wire(self)
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "TransferTimelineReport":
-        return from_wire(cls, data, "timeline section")
 
     def summary_lines(self) -> list[str]:
         if self.total_seconds <= 0:

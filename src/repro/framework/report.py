@@ -13,11 +13,13 @@ any loss (`repro.parallel`).  Two in-memory structures are deliberately
 *not* part of the wire format: per-transfer submission records
 (``workload.submissions``) and the optional host-side ``journal`` text.
 
-This module only orders the document.  Every section's shape, loader and
-summary lines live with the class that collects it
-(:mod:`repro.framework.metrics`, :mod:`~repro.framework.processor`,
-:mod:`~repro.framework.workload`); ``_SECTIONS`` below is the one table
-the dump, the load and the text summary all walk.
+This module only orders the document.  Every section's shape (its
+dataclass fields) and summary lines live with the class that collects it
+(:mod:`repro.framework.config`, :mod:`~repro.framework.metrics`,
+:mod:`~repro.framework.processor`, :mod:`~repro.framework.workload`), and
+one codec (:func:`repro.errors.to_wire` / :func:`~repro.errors.from_wire`)
+writes and reads them all; ``_SECTIONS`` below is the one table the dump,
+the load and the text summary walk.
 """
 
 from __future__ import annotations
@@ -26,19 +28,17 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Optional, get_type_hints
 
-from repro.errors import SchemaError
+from repro.errors import SchemaError, from_wire, to_wire
 from repro.framework.config import ExperimentConfig
 from repro.framework.metrics import (
     FaultReport,
+    FleetRow,
+    FrameReport,
     GasMetrics,
+    PopulationReport,
     RpcBusyMetrics,
     TraceReport,
     WindowMetrics,
-    fleet_summary_lines,
-    frame_summary_lines,
-    from_wire,
-    population_summary_lines,
-    to_wire,
 )
 from repro.framework.processor import TransferTimelineReport
 from repro.framework.workload import WorkloadStats
@@ -58,12 +58,16 @@ def _error_lines(errors: dict[str, int]) -> list[str]:
     return [f"errors            : {rendered}"]
 
 
+def _fleet_lines(rows: list[FleetRow]) -> list[str]:
+    return [line for row in rows for line in row.summary_lines()]
+
+
 #: The report document after ``schema_version``, in dump order.  Per wire
 #: key: the report attribute it carries (None: restated from the window by
 #: :meth:`WindowMetrics.derived_sections`) and its owner — the section
-#: class defining its shape and summary lines, or, for a plain JSON value
-#: (checked against the attribute's annotation), the function rendering
-#: its summary lines, or None when it has none.
+#: class defining its shape and summary lines, or, for a plain value or a
+#: list, the function rendering its summary lines (None when it has none).
+#: Every value is loaded against its attribute's annotation.
 _SECTIONS = (
     ("config", "config", ExperimentConfig),
     ("throughput", None, None),
@@ -79,10 +83,10 @@ _SECTIONS = (
     ("rpc", "rpc", RpcBusyMetrics),
     ("timeline", "timeline", TransferTimelineReport),
     ("faults", "faults", FaultReport),
-    ("fleet", "fleet", fleet_summary_lines),
+    ("fleet", "fleet", _fleet_lines),
     ("trace", "trace", TraceReport),
-    ("population", "population", population_summary_lines),
-    ("frames", "frames", frame_summary_lines),
+    ("population", "population", PopulationReport),
+    ("frames", "frames", FrameReport),
     ("sim_end_time", "sim_end_time", None),
 )
 
@@ -120,10 +124,9 @@ class ExperimentReport:
     #: key is always present in ``to_dict`` for schema stability).
     faults: Optional[FaultReport] = None
     #: Per-edge relayer-fleet accounting rows
-    #: (:func:`repro.framework.metrics.collect_fleet_metrics`); stored as
-    #: raw dicts so loaded reports re-serialize byte-identically.  None
-    #: for chain-only runs (key always present for schema stability).
-    fleet: Optional[list[dict[str, Any]]] = None
+    #: (:func:`repro.framework.metrics.collect_fleet_metrics`).  None for
+    #: chain-only runs (key always present for schema stability).
+    fleet: Optional[list[FleetRow]] = None
     #: Per-packet latency decomposition (None unless ``config.tracing``;
     #: the key is always present in ``to_dict`` for schema stability).
     trace: Optional[TraceReport] = None
@@ -131,11 +134,11 @@ class ExperimentReport:
     #: adversarial counters, mempool admission/eviction
     #: (:func:`repro.framework.metrics.collect_population_metrics`); None
     #: unless the run used the workload engine.
-    population: Optional[dict[str, Any]] = None
+    population: Optional[PopulationReport] = None
     #: §V WebSocket frame accounting
-    #: (:func:`repro.framework.metrics.collect_frame_metrics`); always a
-    #: dict on fresh runs, None when loaded from a pre-v6 document.
-    frames: Optional[dict[str, Any]] = None
+    #: (:func:`repro.framework.metrics.collect_frame_metrics`); always
+    #: set on fresh runs, None when loaded from a pre-v6 document.
+    frames: Optional[FrameReport] = None
     sim_end_time: float = 0.0
     #: Canonical journal text (``render_journal``), captured only when
     #: ``run_experiment(..., capture_journal=True)`` asked for it.  A
@@ -151,12 +154,10 @@ class ExperimentReport:
         derived = self.window.derived_sections()
         document: dict[str, Any] = {"schema_version": self.SCHEMA_VERSION}
         for key, attribute, _owner in _SECTIONS:
-            if attribute is None:
-                document[key] = derived[key]
-                continue
-            value = getattr(self, attribute)
             document[key] = (
-                value.to_dict() if hasattr(value, "to_dict") else to_wire(value)
+                derived[key]
+                if attribute is None
+                else to_wire(getattr(self, attribute))
             )
         return document
 
@@ -207,24 +208,19 @@ class ExperimentReport:
             )
         if version != cls.SCHEMA_VERSION:
             data = {**data, **dict.fromkeys(_ADDED_IN_V6)}
-            if isinstance(data["submission"], dict):
-                data["submission"] = {
-                    **WorkloadStats().to_dict(),
-                    **data["submission"],
-                }
         hints = get_type_hints(cls)
         loaded: dict[str, Any] = {}
-        for key, attribute, owner in _SECTIONS:
-            if attribute is None:
-                continue
-            value = data[key]
-            if isinstance(owner, type) and value is not None:
-                loaded[attribute] = owner.from_dict(value)
-            else:
-                # A plain value — or a null, legal only where the
-                # attribute is annotated Optional.
+        for key, attribute, _owner in _SECTIONS:
+            if attribute == "config":
+                # The one partial document: absent keys take defaults.
+                loaded[attribute] = ExperimentConfig.from_dict(data[key])
+            elif attribute is not None:
                 loaded[attribute] = from_wire(
-                    hints[attribute], value, f"{key} section"
+                    hints[attribute],
+                    data[key],
+                    f"{key} section",
+                    # Schema 5 predates the submission split: absent = 0.
+                    defaults=key == "submission" and version != cls.SCHEMA_VERSION,
                 )
         report = cls(**loaded)
         for key, section in report.window.derived_sections().items():

@@ -18,9 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional, Sequence
 
-from repro.analysis import DistributionSummary, summarize
+from repro.analysis import summarize
 from repro.framework.config import ExperimentConfig
 from repro.framework.report import ExperimentReport
+from repro.sim.monitor import SummaryStats
 
 #: A metric extractor: report -> value.
 Metric = Callable[[ExperimentReport], float]
@@ -46,7 +47,7 @@ class SweepPoint:
 
     config: ExperimentConfig
     values: tuple[float, ...]
-    summary: DistributionSummary
+    summary: SummaryStats
 
 
 def _execute(

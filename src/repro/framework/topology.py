@@ -21,16 +21,21 @@ built from equal specs deploy byte-identical testbeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
-from repro.errors import WorkloadError
+from repro.errors import WorkloadError, from_wire, to_wire
 
 
 @dataclass(frozen=True)
 class TopologySpec:
     """A chain/connection graph plus the transfer routes laid over it."""
 
+    #: Preset name (``pair`` / ``hub_and_spoke`` / ``line`` / ``mesh`` /
+    #: ``custom``) — informational, carried through reports.  Declared
+    #: first because it leads the wire form; keyword-only so positional
+    #: construction still starts at ``chain_ids``.
+    name: str = field(default="custom", kw_only=True)
     #: Chain ids in construction order; index positions name the vertices.
     chain_ids: tuple[str, ...]
     #: Connections as ``(i, j)`` index pairs, normalized to ``i < j``.
@@ -39,9 +44,6 @@ class TopologySpec:
     #: entries must be joined by an edge.  Route 0 is the primary route —
     #: the one the report's headline window metrics are anchored on.
     routes: tuple[tuple[int, ...], ...]
-    #: Preset name (``pair`` / ``hub_and_spoke`` / ``line`` / ``mesh`` /
-    #: ``custom``) — informational, carried through reports.
-    name: str = "custom"
 
     def __post_init__(self) -> None:
         if len(self.chain_ids) < 2:
@@ -161,18 +163,8 @@ class TopologySpec:
     # -- wire format ---------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "chain_ids": list(self.chain_ids),
-            "edges": [list(edge) for edge in self.edges],
-            "routes": [list(route) for route in self.routes],
-        }
+        return to_wire(self)
 
     @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "TopologySpec":
-        return cls(
-            chain_ids=tuple(str(c) for c in data["chain_ids"]),
-            edges=tuple(tuple(int(x) for x in e) for e in data["edges"]),
-            routes=tuple(tuple(int(x) for x in r) for r in data["routes"]),
-            name=str(data.get("name", "custom")),
-        )
+    def from_dict(cls, data: Any) -> "TopologySpec":
+        return from_wire(cls, data, "topology section", defaults=True)

@@ -29,7 +29,6 @@ from repro.cosmos.accounts import Wallet
 from repro.cosmos.bank import module_address
 from repro.cosmos.gas import GasSchedule
 from repro.errors import RpcError, WorkloadError
-from repro.framework.metrics import from_wire, to_wire
 from repro.framework.setup import Testbed
 from repro.ibc.transfer import encode_forward_receiver
 from repro.relayer.cli import TransferSubmission, WorkloadCli
@@ -83,13 +82,6 @@ class WorkloadStats:
     #: None until the workload finishes (an explicit sentinel: comparing a
     #: simulated float timestamp against 0.0 for "unset" is fragile).
     end_time: Optional[float] = field(default=None, metadata={"wire": None})
-
-    def to_dict(self) -> dict[str, Any]:
-        return to_wire(self)
-
-    @classmethod
-    def from_dict(cls, data: Any) -> "WorkloadStats":
-        return from_wire(cls, data, "submission section")
 
     def summary_lines(self) -> list[str]:
         return [f"requested         : {self.requested_transfers}"]

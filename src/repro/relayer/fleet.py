@@ -33,10 +33,10 @@ experiment-config wire format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Optional
 
-from repro.errors import SchemaError, WorkloadError
+from repro.errors import WorkloadError, from_wire, to_wire
 from repro.sim.core import SHUTDOWN, Environment, ProcessGroup
 
 if TYPE_CHECKING:
@@ -173,22 +173,11 @@ class FleetConfig:
     # -- wire format ---------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
-        return {spec.name: getattr(self, spec.name) for spec in fields(self)}
+        return to_wire(self)
 
     @classmethod
     def from_dict(cls, data: Any) -> "FleetConfig":
-        if not isinstance(data, dict):
-            raise SchemaError(
-                f"relayer section must be a dict, got {type(data).__name__}"
-            )
-        known = {spec.name for spec in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise SchemaError(
-                f"unknown key(s) {', '.join(unknown)} in relayer section "
-                f"(known keys: {', '.join(sorted(known))})"
-            )
-        return cls(**data)
+        return from_wire(cls, data, "relayer section", defaults=True)
 
     # ------------------------------------------------------------------
 
@@ -197,6 +186,16 @@ class FleetConfig:
         if self.count is not None:
             return self
         return replace(self, count=num_relayers)
+
+
+@dataclass(slots=True)
+class Handoff:
+    """One leadership transition of a leader-policy fleet (reported in
+    the ``fleet`` section's ``leader.handoffs``)."""
+
+    time: float
+    from_index: int = field(metadata={"wire": "from"})
+    to_index: int = field(metadata={"wire": "to"})
 
 
 class FleetMember:
@@ -279,8 +278,8 @@ class Fleet:
         #: Index of the current leader (leader policy; fixed at 0 otherwise).
         self.leader_index = 0
         self.healthy = [True] * self.count
-        #: Leadership transitions: ``{"time", "from", "to"}`` per handoff.
-        self.handoffs: list[dict[str, Any]] = []
+        #: Leadership transitions, oldest first.
+        self.handoffs: list[Handoff] = []
         self.processes = ProcessGroup(env)
         self._started = False
         # Keyed (cursor-free) jitter: probe times are a pure function of
@@ -337,9 +336,7 @@ class Fleet:
             return
         old_leader = self.leader_index
         self.leader_index = new_leader
-        self.handoffs.append(
-            {"time": self.env.now, "from": old_leader, "to": new_leader}
-        )
+        self.handoffs.append(Handoff(self.env.now, old_leader, new_leader))
         leader = self.members[new_leader]
         if leader.relayer is not None:
             leader.relayer.log.info(

@@ -34,7 +34,7 @@ class SummaryStats:
     """Distribution summary — the data behind one violin in Fig. 6.
 
     Report sections embed it (``wire`` metadata: the JSON key where it
-    differs from the attribute, see :mod:`repro.framework.metrics`).
+    differs from the attribute, see :mod:`repro.errors`).
     """
 
     count: int
@@ -45,6 +45,10 @@ class SummaryStats:
     median: float
     p75: float
     maximum: float = field(metadata={"wire": "max"})
+
+    def spread(self) -> float:
+        """Interquartile range, the paper's variance indicator."""
+        return self.p75 - self.p25
 
     @classmethod
     def from_values(cls, values: Iterable[float]) -> "SummaryStats":

@@ -25,6 +25,7 @@ import argparse
 import json
 import sys
 
+from repro.errors import to_wire
 from repro.framework import ExperimentConfig, run_experiment
 
 
@@ -88,7 +89,7 @@ def main(argv: list[str] | None = None) -> int:
     trace = report.trace
     assert trace is not None  # tracing=True guarantees the section
     if args.json:
-        print(json.dumps(trace.to_dict(), indent=2))
+        print(json.dumps(to_wire(trace), indent=2))
     else:
         from repro.analysis import render_packet_waterfall, render_trace_table
 

@@ -11,10 +11,10 @@ messages-per-transaction distribution, and optional adversarial traffic
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any
 
-from repro.errors import SchemaError, WorkloadError
+from repro.errors import WorkloadError, from_wire, to_wire
 
 #: Arrival-process names understood by :func:`repro.workload.arrivals.build_arrivals`.
 ARRIVAL_PROCESSES = ("uniform", "diurnal", "bursty")
@@ -43,7 +43,7 @@ class WorkloadSpec:
     burst_on_seconds: float = 20.0
     burst_off_seconds: float = 120.0
     #: Weighted (msgs_per_tx, weight) pairs; drawn per transaction.
-    payload_mix: tuple = DEFAULT_PAYLOAD_MIX
+    payload_mix: tuple[tuple[int, float], ...] = DEFAULT_PAYLOAD_MIX
     #: Stale-sequence spam floods per second (0 disables), and the number
     #: of replayed transactions per flood tick.
     spam_rate: float = 0.0
@@ -104,30 +104,8 @@ class WorkloadSpec:
     # -- wire format ---------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {}
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            if spec.name == "payload_mix":
-                value = [[msgs, weight] for msgs, weight in value]
-            out[spec.name] = value
-        return out
+        return to_wire(self)
 
     @classmethod
     def from_dict(cls, data: Any) -> "WorkloadSpec":
-        if not isinstance(data, dict):
-            raise SchemaError(
-                f"workload section must be a dict, got {type(data).__name__}"
-            )
-        kwargs = dict(data)
-        known = {spec.name for spec in fields(cls)}
-        unknown = sorted(set(kwargs) - known)
-        if unknown:
-            raise SchemaError(
-                f"unknown key(s) {', '.join(unknown)} in workload section "
-                f"(known keys: {', '.join(sorted(known))})"
-            )
-        if kwargs.get("payload_mix") is not None:
-            kwargs["payload_mix"] = tuple(
-                (msgs, weight) for msgs, weight in kwargs["payload_mix"]
-            )
-        return cls(**kwargs)
+        return from_wire(cls, data, "workload section", defaults=True)

@@ -66,13 +66,13 @@ def test_grid_accounting_matches_a_fresh_run(policy, count):
 def test_leader_crash_accounting_matches_a_fresh_run():
     report = run_experiment(leader_crash_config())
     (row,) = report.fleet
-    leader = row["leader"]
+    leader = row.leader
     pinned = _artifact()["leader_crash"]
     assert pinned == {
         "completed": report.window.completion.as_fractions()["completed"],
-        "handoff_count": leader["handoff_count"],
-        "recovery_seconds": leader["recovery_seconds"],
-        "redundant_errors": row["redundant_errors"],
+        "handoff_count": leader.handoff_count,
+        "recovery_seconds": leader.recovery_seconds,
+        "redundant_errors": row.redundant_errors,
     }
 
 

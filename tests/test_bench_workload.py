@@ -61,9 +61,6 @@ def test_committed_memory_figures_back_the_scaling_claim():
         accounting = document["accounting"][str(scale)]
         assert accounting["committed"] > 0
         assert accounting["accepted"] <= accounting["requested"]
-        timing = document["timing"][str(scale)]
-        assert timing["events_per_second"] > 0
-        assert timing["admission_per_second"] > 0
 
 
 @pytest.mark.slow

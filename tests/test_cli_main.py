@@ -38,7 +38,7 @@ def test_fixed_total_flags():
 
 def test_extension_flags():
     config = config_from_args(
-        parse(["--relayers", "2", "--coordinate"])
+        parse(["--relayers", "2", "--fleet-policy", "shard"])
     )
     assert config.relayer.policy == "shard"
     config = config_from_args(
@@ -47,6 +47,10 @@ def test_extension_flags():
     assert config.relayer.policy == "leader"
     config = config_from_args(parse(["--relayers", "2", "--channels", "2"]))
     assert config.num_channels == 2
+    # One spelling per option: the old shard shorthand is a usage error.
+    with pytest.raises(SystemExit) as usage:
+        parse(["--relayers", "2", "--coordinate"])
+    assert usage.value.code == 2
 
 
 def test_main_runs_and_prints_summary(capsys):

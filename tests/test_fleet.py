@@ -151,34 +151,34 @@ def test_uncoordinated_pair_does_double_work():
     every packet twice — redundant-delivery ratio ~2x."""
     report, _ = fleet_run("none")
     (row,) = report.fleet
-    assert row["count"] == 2 and row["policy"] == "none"
-    assert row["delivered"] == 40
-    assert 1.6 <= row["redundant_ratio"] <= 2.4
-    assert row["redundant_errors"] > 0
-    assert all(m["recv_attempts"] > 0 for m in row["members"])
+    assert row.count == 2 and row.policy == "none"
+    assert row.delivered == 40
+    assert 1.6 <= row.redundant_ratio <= 2.4
+    assert row.redundant_errors > 0
+    assert all(m.recv_attempts > 0 for m in row.members)
 
 
 def test_shard_pair_splits_work_without_redundancy():
     report, _ = fleet_run("shard")
     (row,) = report.fleet
-    assert row["policy"] == "shard"
-    assert row["delivered"] == 40
-    assert row["redundant_ratio"] == 1.0
-    assert row["redundant_errors"] == 0
+    assert row.policy == "shard"
+    assert row.delivered == 40
+    assert row.redundant_ratio == 1.0
+    assert row.redundant_errors == 0
     # The work was actually split, not won by one member.
-    assert all(m["recv_attempts"] > 0 for m in row["members"])
+    assert all(m.recv_attempts > 0 for m in row.members)
 
 
 def test_leader_pair_standby_stays_idle_without_faults():
     report, _ = fleet_run("leader")
     (row,) = report.fleet
-    assert row["policy"] == "leader"
-    assert row["redundant_ratio"] == 1.0
-    assert row["redundant_errors"] == 0
-    assert row["leader"]["handoff_count"] == 0
-    standby = row["members"][1]
-    assert standby["recv_attempts"] == 0
-    assert standby["ack_attempts"] == 0
+    assert row.policy == "leader"
+    assert row.redundant_ratio == 1.0
+    assert row.redundant_errors == 0
+    assert row.leader.handoff_count == 0
+    standby = row.members[1]
+    assert standby.recv_attempts == 0
+    assert standby.ack_attempts == 0
 
 
 def test_leader_crash_fails_over_and_completes():
@@ -187,17 +187,17 @@ def test_leader_crash_fails_over_and_completes():
     recovery latency measured in the fleet section."""
     report, testbed = fleet_run("leader", crash=True, clear_interval=2)
     (row,) = report.fleet
-    leader = row["leader"]
-    assert leader["handoff_count"] >= 1
-    assert leader["handoffs"][0]["from"] == 0
-    assert leader["handoffs"][0]["to"] == 1
-    assert leader["recovery_seconds"] is not None
-    assert leader["recovery_seconds"] > 0
+    leader = row.leader
+    assert leader.handoff_count >= 1
+    assert leader.handoffs[0].from_index == 0
+    assert leader.handoffs[0].to_index == 1
+    assert leader.recovery_seconds is not None
+    assert leader.recovery_seconds > 0
     done = report.window.completion.as_fractions()["completed"]
     assert done == 1.0, f"only {done:.1%} completed across the failover"
     # The handoff is visible in the new leader's journal.
     (fleet,) = testbed.fleets
-    assert fleet.handoffs == leader["handoffs"]
+    assert fleet.handoffs == leader.handoffs
     assert testbed.relayers[1].log.count("fleet_leader_handoff") == 1
 
 
@@ -250,4 +250,4 @@ def test_leader_failover_is_deterministic():
     first, _ = fleet_run("leader", crash=True, clear_interval=2, seed=5)
     second, _ = fleet_run("leader", crash=True, clear_interval=2, seed=5)
     assert first.to_json().encode() == second.to_json().encode()
-    assert first.fleet[0]["leader"]["handoff_count"] >= 1
+    assert first.fleet[0].leader.handoff_count >= 1

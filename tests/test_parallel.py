@@ -95,11 +95,19 @@ def test_cache_key_depends_on_config_and_version(monkeypatch):
 def test_corrupt_cache_entry_is_a_miss(tmp_path):
     config = ExperimentConfig(input_rate=20, measurement_blocks=2)
     cache = ResultCache(str(tmp_path))
-    # Not JSON at all, and JSON whose rpc section lost its shape (which
-    # used to escape the loader as a TypeError): both are plain misses.
-    broken = json.loads(run_points([config], workers=1).results[0].report_json)
-    broken["rpc"] = []
-    for text in ("{not a report", json.dumps(broken)):
+    # Not JSON at all, JSON whose rpc section lost its shape (which used to
+    # escape the loader as a TypeError), and a config echo that is
+    # malformed, semantically invalid or wrongly typed (which used to be a
+    # KeyError, a WorkloadError and a silent hit): all plain misses.
+    pristine = run_points([config], workers=1).results[0].report_json
+    broken = [
+        {"rpc": []},
+        {"config": {"topology": {}}},
+        {"config": {"relayer": {"policy": "bogus"}}},
+        {"config": {"seed": "x"}},
+    ]
+    texts = [json.dumps({**json.loads(pristine), **change}) for change in broken]
+    for text in ["{not a report", *texts]:
         with open(cache.path_for(config), "w") as handle:
             handle.write(text)
         assert cache.load(config) is None

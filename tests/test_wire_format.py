@@ -11,9 +11,12 @@ pin the two guarantees everything else builds on:
   so a typo'd parameter can never silently run a default experiment.
 """
 
+import functools
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import Calibration, DEFAULT_CALIBRATION, SchemaError
 from repro.faults import (
@@ -29,6 +32,8 @@ from repro.framework import (
     ExperimentConfig,
     ExperimentReport,
     FleetConfig,
+    TopologySpec,
+    WorkloadSpec,
     run_experiment,
 )
 
@@ -340,8 +345,6 @@ def test_v5_document_rejects_population_key(fault_report):
 def test_population_and_frames_sections_round_trip():
     """An engine-mode run carries the population/frames sections and they
     survive the round trip exactly."""
-    from repro.framework import WorkloadSpec
-
     report = run_experiment(
         ExperimentConfig(
             input_rate=20,
@@ -351,9 +354,9 @@ def test_population_and_frames_sections_round_trip():
         )
     )
     assert report.population is not None
-    assert report.population["population"] == 40
+    assert report.population.population == 40
     assert report.frames is not None
-    assert report.frames["limit_bytes"] > 0
+    assert report.frames.limit_bytes > 0
     clone = ExperimentReport.from_json(report.to_json())
     assert clone.population == report.population
     assert clone.frames == report.frames
@@ -364,8 +367,8 @@ def test_fleet_section_round_trips(fault_report):
     survives the round trip exactly."""
     assert fault_report.fleet is not None
     (row,) = fault_report.fleet
-    assert row["count"] == 1
-    assert row["policy"] == "none"
+    assert row.count == 1
+    assert row.policy == "none"
     clone = ExperimentReport.from_json(fault_report.to_json())
     assert clone.fleet == fault_report.fleet
 
@@ -373,14 +376,15 @@ def test_fleet_section_round_trips(fault_report):
 # -- every section validates its own shape -----------------------------------
 
 
-@pytest.fixture(scope="module")
-def rich_report() -> ExperimentReport:
-    """One run whose report carries every optional section: a fault
-    schedule, a two-relayer fleet, lifecycle tracing and the workload
-    engine (population/frames)."""
-    from repro.framework import WorkloadSpec
-
-    report = run_experiment(
+@functools.cache
+def rich_documents() -> tuple[str, str]:
+    """Two report documents that between them carry every optional section
+    and every nested config structure (two, because the workload engine and
+    an explicit topology exclude each other): an engine-mode run with a
+    fault schedule, an uncoordinated two-relayer fleet and lifecycle
+    tracing (population/frames), and a leader fleet on an explicit topology
+    whose leader's host crashes (one handoff) under a calibration override."""
+    engine = run_experiment(
         ExperimentConfig(
             input_rate=20,
             measurement_blocks=3,
@@ -396,17 +400,29 @@ def rich_report() -> ExperimentReport:
             workload=WorkloadSpec(population=40),
         )
     )
-    assert report.faults.recovery_latency is not None
-    assert report.fleet and report.trace.completed and report.population
-    return report
+    assert engine.faults.recovery_latency is not None
+    assert engine.fleet and engine.trace.completed and engine.population
+    failover = run_experiment(
+        ExperimentConfig(
+            total_transfers=40,
+            measurement_blocks=3,
+            seed=9,
+            run_to_completion=True,
+            num_relayers=2,
+            relayer=FleetConfig(policy="leader", rpc_retry_attempts=3),
+            clear_interval=2,
+            faults=FaultSchedule((NodeCrash("machine-0", at=8.0, duration=30.0),)),
+            topology=TopologySpec.pair(),
+            calibration=DEFAULT_CALIBRATION.with_overrides(rpc_workers=2),
+        )
+    )
+    assert failover.fleet[0].leader.handoff_count == 1
+    return engine.to_json(), failover.to_json()
 
 
 #: Where the document keeps a keyed shape of its own: the top level, each
-#: class-backed section (with the dataclasses nested inside them) and the
-#: sections restated from the window.  ``config`` is left out on purpose —
-#: its missing keys take defaults by design (see the config tests above) —
-#: and the dict-valued fleet/population/frames sections are covered as
-#: top-level values.
+#: section class (with the dataclasses nested inside them), the sections
+#: restated from the window and the config tree.
 SECTION_PATHS = [
     (),
     ("submission",),
@@ -416,12 +432,37 @@ SECTION_PATHS = [
     ("timeline",),
     ("timeline", "steps", 0),
     ("faults",),
+    ("faults", "windows", 0),
     ("faults", "recovery_latency"),
     ("trace",),
     ("throughput",),
     ("completion",),
     ("counts",),
+    ("config",),
+    ("config", "relayer"),
+    ("config", "workload"),
+    ("config", "topology"),
+    ("config", "calibration"),
+    ("config", "faults", "faults", 0),
+    ("fleet", 0),
+    ("fleet", 0, "members", 0),
+    ("fleet", 0, "leader"),
+    ("population",),
+    ("population", "mempool"),
+    ("frames",),
 ]
+
+#: The config tree is the one partial document: a key whose field has a
+#: default may be absent and then reads as that default (every other key,
+#: and every key of a report section, is required).
+CONFIG_DEFAULTS = {
+    ("config",): ExperimentConfig().to_dict(),
+    ("config", "relayer"): FleetConfig().to_dict(),
+    ("config", "workload"): WorkloadSpec().to_dict(),
+    ("config", "topology"): {"name": "custom"},
+    ("config", "calibration"): DEFAULT_CALIBRATION.to_dict(),
+    ("config", "faults", "faults", 0): {"drop_probability": 0.5},
+}
 
 
 def _wrong_type(value):
@@ -438,17 +479,30 @@ def _section(document, path):
     return document
 
 
+def _document_with(path) -> str:
+    """The first rich document in which ``path`` leads to a keyed section."""
+    for text in rich_documents():
+        try:
+            if isinstance(_section(json.loads(text), path), dict):
+                return text
+        except (KeyError, IndexError, TypeError):
+            continue
+    raise AssertionError(f"no rich document has a section at {path}")
+
+
 @pytest.mark.parametrize("kind", ["remove", "add", "swap-type"])
 @pytest.mark.parametrize(
     "path", SECTION_PATHS, ids=lambda p: ".".join(map(str, p)) or "document"
 )
-def test_every_section_rejects_a_mutated_shape(rich_report, path, kind):
+def test_every_section_rejects_a_mutated_shape(path, kind):
     """Remove a key, add a key or swap a value's type anywhere a section
     defines a shape: the loader raises SchemaError — never KeyError or
-    TypeError (any other exception fails the test as an error)."""
-    pristine = rich_report.to_json()
+    TypeError (any other exception fails the test as an error).  The one
+    legal mutation is removing a defaulted key of the config tree."""
+    pristine = _document_with(path)
     keys = ["bogus"] if kind == "add" else list(_section(json.loads(pristine), path))
     assert keys
+    defaults = CONFIG_DEFAULTS.get(path, {}) if kind == "remove" else {}
     for key in keys:
         document = json.loads(pristine)
         section = _section(document, path)
@@ -458,8 +512,125 @@ def test_every_section_rejects_a_mutated_shape(rich_report, path, kind):
             section[key] = 1
         else:
             section[key] = _wrong_type(section[key])
+        where = f"{kind} {'.'.join(map(str, path))}.{key}"
         try:
-            ExperimentReport.from_dict(document)
+            loaded = ExperimentReport.from_dict(document)
         except SchemaError:
+            assert key not in defaults, f"{where}: default not taken"
             continue
-        pytest.fail(f"{kind} {'.'.join(map(str, path))}.{key}: document loaded")
+        assert key in defaults, f"{where}: document loaded"
+        assert _section(loaded.to_dict(), path)[key] == defaults[key], where
+
+
+# -- no loader raises anything but SchemaError --------------------------------
+
+LOADERS = {
+    "config": ExperimentConfig.from_dict,
+    "faults": FaultSchedule.from_dict,
+    "workload": WorkloadSpec.from_dict,
+    "calibration": Calibration.from_dict,
+    "topology": TopologySpec.from_dict,
+    "report": ExperimentReport.from_dict,
+}
+
+
+def _pristine(loader: str):
+    """A valid document for ``loader``, cut from the rich documents."""
+    engine, failover = (json.loads(text) for text in rich_documents())
+    return {
+        "config": failover["config"],
+        "faults": engine["config"]["faults"],
+        "workload": engine["config"]["workload"],
+        "calibration": failover["config"]["calibration"],
+        "topology": failover["config"]["topology"],
+        "report": failover,
+    }[loader]
+
+
+def _load_mutated(loader, path, junk):
+    """Load ``loader``'s pristine document with ``junk`` put at ``path``
+    (``()`` = junk is the whole document); returns the SchemaError, or
+    None when the document loaded.  Any other exception propagates."""
+    document = junk
+    if path:
+        document = _pristine(loader)
+        _section(document, path[:-1])[path[-1]] = junk
+    try:
+        LOADERS[loader](document)
+    except SchemaError as error:
+        return error
+    return None
+
+
+#: Documents the hand-written loaders mishandled (TypeError, KeyError, a
+#: silent load, or a report that loaded and then broke ``summary()``), with
+#: the path their SchemaError must name.
+BAD_DOCUMENTS = [
+    ("config", (), {"input_rate": "fast"}, "config.input_rate"),
+    ("config", (), {"relayer": {"count": "2"}}, "config.relayer.count"),
+    ("config", (), {"workload": {"payload_mix": 5}}, "config.workload.payload_mix"),
+    (
+        "config",
+        (),
+        {"faults": {"faults": [{"kind": "node_crash"}]}},
+        "config.faults.faults[0]",
+    ),
+    ("config", (), {"topology": {}}, "config.topology"),
+    ("config", (), {"seed": 1.5}, "config.seed"),
+    ("config", (), {"tracing": "yes"}, "config.tracing"),
+    (
+        "config",
+        (),
+        {"calibration": {"rpc_workers": "many"}},
+        "config.calibration.rpc_workers",
+    ),
+    ("config", ("topology", "nmae"), "line", "nmae in config.topology"),
+    ("report", ("config", "seed"), "7", "config.seed"),
+    ("report", ("fleet",), [{"junk": 1}], "fleet section[0]"),
+]
+
+
+@pytest.mark.parametrize(
+    "loader, path, junk, names",
+    BAD_DOCUMENTS,
+    ids=[f"{case[0]}:{case[3]}" for case in BAD_DOCUMENTS],
+)
+def test_bad_document_raises_schema_error_naming_the_path(loader, path, junk, names):
+    error = _load_mutated(loader, path, junk)
+    assert error is not None and names in str(error)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def mutations(draw):
+    """A loader, a path to an existing value of its pristine document
+    (or ``()``), and an arbitrary JSON value to put there."""
+    loader = draw(st.sampled_from(sorted(LOADERS)))
+    node, path = _pristine(loader), []
+    while isinstance(node, (dict, list)) and node and draw(st.booleans()):
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        path.append(draw(st.sampled_from(keys)))
+        node = node[path[-1]]
+    return loader, tuple(path), draw(JSON_VALUES)
+
+
+def _with_bad_documents(test):
+    for loader, path, junk, _names in BAD_DOCUMENTS:
+        test = example((loader, path, junk))(test)
+    return test
+
+
+@_with_bad_documents
+@settings(max_examples=400, deadline=None)
+@given(mutations())
+def test_loaders_raise_only_schema_error(mutation):
+    """Arbitrary JSON — as the whole document or in place of any value of
+    a valid one — either loads or raises SchemaError, nothing else."""
+    _load_mutated(*mutation)

@@ -30,17 +30,17 @@ def test_engine_mode_runs_and_reports_population():
     )
     population = report.population
     assert population is not None
-    assert population["population"] == 50
-    assert 0 < population["senders_active"] <= 50
-    assert population["submissions"] > 0
-    assert population["activity_max"] >= population["activity_p50"]
+    assert population.population == 50
+    assert 0 < population.senders_active <= 50
+    assert population.submissions > 0
+    assert population.activity_max >= population.activity_p50
     # Zipf skew: the busiest 1% of senders carry a visible share.
-    assert population["top1_share"] > 0.0
+    assert population.top1_share > 0.0
     # Arrivals to busy senders are dropped, not queued (§IV-A).  The
     # population section counts deferred *arrivals*; the submission
     # stats count the *messages* those arrivals would have carried.
-    assert population["deferred"] > 0
-    assert report.workload.deferred_transfers >= population["deferred"]
+    assert population.deferred > 0
+    assert report.workload.deferred_transfers >= population.deferred
     assert report.workload.requested_transfers > 0
     assert report.workload.committed_transfers > 0
 
@@ -53,8 +53,8 @@ def test_legacy_mode_reports_no_population_section():
     # The frames section is always present: §V accounting applies to
     # every run, workload-generated or not.
     assert report.frames is not None
-    assert report.frames["latched"] == 0
-    assert report.frames["delivered"] > 0
+    assert report.frames.latched == 0
+    assert report.frames.delivered > 0
 
 
 def test_mixed_payload_workload_latches_frame_limit():
@@ -76,10 +76,10 @@ def test_mixed_payload_workload_latches_frame_limit():
     report = run_experiment(config)
     frames = report.frames
     assert frames is not None
-    assert frames["limit_bytes"] == 4_000
-    assert frames["max_frame_bytes"] > frames["limit_bytes"]
-    assert frames["latched"] >= 1
-    assert frames["failures"] >= frames["latched"]
+    assert frames.limit_bytes == 4_000
+    assert frames.max_frame_bytes > frames.limit_bytes
+    assert frames.latched >= 1
+    assert frames.failures >= frames.latched
     # The report's human summary names the latch.
     assert "frame limit" in report.summary()
 
@@ -95,8 +95,8 @@ def test_same_workload_below_limit_does_not_latch():
             workload=WorkloadSpec(population=80, payload_mix=((20, 1.0),)),
         )
     )
-    assert report.frames["latched"] == 0
-    assert report.frames["max_frame_bytes"] > 4_000  # same traffic shape
+    assert report.frames.latched == 0
+    assert report.frames.max_frame_bytes > 4_000  # same traffic shape
 
 
 def test_griefing_failures_counted_distinct_from_unconfirmed():
@@ -113,8 +113,8 @@ def test_griefing_failures_counted_distinct_from_unconfirmed():
         )
     )
     stats = report.workload
-    assert report.population["griefing"]["submitted"] > 0
-    assert report.population["griefing"]["failed"] > 0
+    assert report.population.griefing.submitted > 0
+    assert report.population.griefing.failed > 0
     # Each failed griefing tx carries 100 messages.
     assert stats.failed_transfers >= 100
     assert stats.failed_transfers % 100 == 0
@@ -163,13 +163,13 @@ def test_spam_flood_is_absorbed_by_admission_control():
             workload=WorkloadSpec(population=20, spam_rate=0.5, spam_burst=6),
         )
     )
-    spam = report.population["spam"]
-    assert spam["submitted"] > 0
+    spam = report.population.spam
+    assert spam.submitted > 0
     # Everything after the first broadcast is a rejection.
-    assert spam["rejected"] >= spam["submitted"] - 1
-    mempool = report.population["mempool"]
-    assert mempool["rejected"] >= spam["rejected"]
-    assert mempool["admitted"] > 0
+    assert spam.rejected >= spam.submitted - 1
+    mempool = report.population.mempool
+    assert mempool.rejected >= spam.rejected
+    assert mempool.admitted > 0
     # The honest traffic still gets through.
     assert report.workload.committed_transfers > 0
 
@@ -198,5 +198,5 @@ def test_every_arrival_process_drives_an_experiment(arrival):
             workload=WorkloadSpec(population=30, arrival=arrival),
         )
     )
-    assert report.population["submissions"] > 0
+    assert report.population.submissions > 0
     assert report.workload.committed_transfers > 0
