@@ -179,21 +179,19 @@ class _ExperimentEngine:
         while self._anchor_chain.engine.height < target:
             yield env.timeout(_POLL)
 
-    def _pending_commitments(self) -> list:
-        """Outstanding packet commitments on every channel end of every
+    def _has_pending_commitments(self) -> bool:
+        """Any outstanding packet commitment on any channel end of any
         edge — forwarded hops pend on the hub's outgoing channels, so
         settlement must sweep the whole topology, not just edge 0."""
         chains = {chain.chain_id: chain for chain in self.testbed.chains}
-        pending: list = []
-        for paths in self.testbed.edge_paths:
-            for path in paths:
-                for end in (path.a, path.b):
-                    pending.extend(
-                        chains[end.chain_id].app.ibc.pending_commitments(
-                            end.port_id, end.channel_id
-                        )
-                    )
-        return pending
+        return any(
+            chains[end.chain_id].app.ibc.has_pending_commitments(
+                end.port_id, end.channel_id
+            )
+            for paths in self.testbed.edge_paths
+            for path in paths
+            for end in (path.a, path.b)
+        )
 
     def _wait_for_settlement(self) -> Generator[Event, Any, None]:
         """Wait until every committed transfer is acked or timed out."""
@@ -201,7 +199,7 @@ class _ExperimentEngine:
         assert self.driver is not None
         while True:
             if self.driver.finished.triggered:
-                if not self._pending_commitments():
+                if not self._has_pending_commitments():
                     processor = self._processor()
                     latency = processor.completion_latency(
                         self._window_start_time,

@@ -836,6 +836,12 @@ class IbcModule(Journaled):
             if p == port_id and c == channel_id
         )
 
+    def has_pending_commitments(self, port_id: str, channel_id: str) -> bool:
+        """Whether any commitment on the channel is still live."""
+        return any(
+            p == port_id and c == channel_id for (p, c, _seq) in self._commitments
+        )
+
     def prove_commitment(
         self, port_id: str, channel_id: str, sequence: int
     ) -> CommitmentProof:

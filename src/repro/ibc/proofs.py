@@ -2,16 +2,21 @@
 
 Two proof modes are supported:
 
-* ``merkle`` — real audit-path proofs generated by the host chain's
-  :class:`~repro.tendermint.merkle.ProvableStore` and verified against the
-  app hash stored in the verifying chain's light client.  This is the
-  default and what all protocol tests use.
-* ``stub`` — structural stand-ins that skip hashing, for very large
-  benchmark sweeps where per-block merkle tree rebuilds would dominate
-  host CPU without affecting any *simulated* quantity.  Stub proofs still
-  carry the claimed key/value and the state generation they were produced
-  at, so gross protocol errors (proving against the wrong chain or path)
-  are caught.
+* ``merkle`` — real ``(index, total, aunts)`` proofs generated by the host
+  chain's :class:`~repro.tendermint.merkle.ProvableStore` and verified hash
+  by hash against the app hash stored in the verifying chain's light
+  client.  This is the default and what all protocol tests use.
+* ``stub`` — structural stand-ins that skip hashing, for the largest
+  sweeps.  A proof itself is cheap (about 3 us to generate and 10 us to
+  verify at 10 k keys, most of it the ~15 SHA-256 calls); what real mode
+  still costs is rebuilding the positional tree of every dirty store each
+  block.  Measured on the ``relay_steady`` benchmark workload (140 tx/s, a
+  store that grows to ~20 k keys, every dirty commit structural): 1.8 s of
+  host time with stubs, 2.6-2.8 s with real proofs (+45-55 %; 3.2-3.4 s
+  before the level-array tree), with no *simulated* quantity affected.
+  Stub proofs still carry the claimed key/value and the state generation
+  they were produced at, so gross protocol errors (proving against the
+  wrong chain or path) are caught.
 
 The choice is a host-performance knob only: simulated RPC costs are
 identical in both modes.

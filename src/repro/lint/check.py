@@ -9,7 +9,7 @@ repo root::
     {"tolerance": 0.25,
      "scenarios": {"golden": {"seed": 7,
                               "events": 2013, "report_sha256": "d773…",
-                              "alloc": {"blocks_per_event": 22.66},
+                              "alloc": {"blocks_per_event": 19.85},
                               "stall": {"events": 2034,
                                         "high_water": {"<site>": 0}}}}}
 

@@ -31,54 +31,83 @@ def _leaf_hash(data: bytes) -> bytes:
     return _hashlib_sha256(_LEAF_PREFIX + data).digest()
 
 
-def _inner_hash(left: bytes, right: bytes) -> bytes:
-    return _hashlib_sha256(_INNER_PREFIX + left + right).digest()
+def _tree_levels(leaf_hashes: list[bytes]) -> list[list[bytes]]:
+    """Bottom-up levels of the RFC-6962 tree over a non-empty leaf list.
 
-
-def _split_point(length: int) -> int:
-    """Largest power of two strictly less than ``length``."""
-    if length < 1:
-        raise ValueError("split point undefined for length < 1")
-    if length == 1:
-        return 1
-    return 1 << ((length - 1).bit_length() - 1)
+    ``levels[0]`` is the leaves and ``levels[-1]`` is ``[root]``.  Adjacent
+    nodes pair; an unpaired last node is promoted unhashed, which yields the
+    same tree as splitting at the largest power of two below the length.
+    Node ``i`` of level ``l`` therefore has sibling ``i ^ 1`` when that
+    index exists and parent ``i >> 1`` either way.
+    """
+    sha = _hashlib_sha256
+    levels = [leaf_hashes]
+    level = leaf_hashes
+    while len(level) > 1:
+        size = len(level)
+        parents = [
+            sha(_INNER_PREFIX + level[i] + level[i + 1]).digest()
+            for i in range(0, size - 1, 2)
+        ]
+        if size & 1:
+            parents.append(level[-1])
+        levels.append(parents)
+        level = parents
+    return levels
 
 
 def simple_hash_from_byte_slices(items: Sequence[bytes]) -> bytes:
     """Tendermint's SimpleMerkleRoot over a list of byte slices."""
     if len(items) == 0:
         return EMPTY_HASH
-    if len(items) == 1:
-        return _leaf_hash(items[0])
-    split = _split_point(len(items))
-    left = simple_hash_from_byte_slices(items[:split])
-    right = simple_hash_from_byte_slices(items[split:])
-    return _inner_hash(left, right)
+    return _tree_levels([_leaf_hash(item) for item in items])[-1][0]
 
 
-@dataclass(frozen=True, slots=True)
-class ProofNode:
-    """One step in an audit path: a sibling hash and its side."""
-
-    sibling: bytes
-    sibling_on_left: bool
+def _aunt_sides(index: int, total: int) -> Optional[str]:
+    """Leaf-upward side of leaf ``index`` of ``total`` at each level where it
+    has a sibling: ``L`` it is the left child (aunt on the right), ``R`` the
+    right.  Promoted levels contribute nothing, so the length is the exact
+    aunt count.  ``None`` when ``index`` is outside ``[0, total)``.
+    """
+    if not 0 <= index < total:
+        return None
+    sides = ""
+    last = total - 1  # index of the level's last node; halves per level
+    while last:
+        if index & 1:
+            sides += "R"
+        elif index < last:
+            sides += "L"
+        index >>= 1
+        last >>= 1
+    return sides
 
 
 @dataclass(frozen=True, slots=True)
 class MembershipProof:
-    """Audit path proving ``key -> value`` is in the tree with some root."""
+    """Tendermint-shaped proof that ``key -> value`` is leaf ``index`` of
+    ``total``: the sibling hashes (``aunts``) from the leaf up to the root."""
 
     key: bytes
     value_hash: bytes
-    path: tuple[ProofNode, ...]
+    index: int
+    total: int
+    aunts: tuple[bytes, ...]
 
-    def compute_root(self) -> bytes:
-        node = _leaf_hash(self.key + b"=" + self.value_hash)
-        for step in self.path:
-            if step.sibling_on_left:
-                node = _inner_hash(step.sibling, node)
+    def compute_root(self) -> Optional[bytes]:
+        """Fold the aunts into a root; ``None`` unless ``(index, total)`` is
+        a position and implies exactly ``len(aunts)`` siblings."""
+        sides = _aunt_sides(self.index, self.total)
+        aunts = self.aunts
+        if sides is None or len(sides) != len(aunts):
+            return None
+        sha = _hashlib_sha256
+        node = sha(_LEAF_PREFIX + self.key + b"=" + self.value_hash).digest()
+        for side, aunt in zip(sides, aunts):
+            if side == "R":
+                node = sha(_INNER_PREFIX + aunt + node).digest()
             else:
-                node = _inner_hash(node, step.sibling)
+                node = sha(_INNER_PREFIX + node + aunt).digest()
         return node
 
 
@@ -87,32 +116,42 @@ class NonMembershipProof:
     """Proof that ``key`` is absent: membership proofs of its neighbours.
 
     With leaves sorted by key, a key is absent iff its would-be left and
-    right neighbours are adjacent in the tree.  Edge positions use a single
-    neighbour proof plus the boundary flag.
+    right neighbours are adjacent in the tree.  Edge positions carry a
+    single neighbour, which must then be the first or last leaf.
     """
 
     key: bytes
     left: Optional[MembershipProof]
     right: Optional[MembershipProof]
-    left_index: Optional[int]
-    right_index: Optional[int]
 
     def consistent(self) -> bool:
-        """Structural sanity: the claimed neighbours bracket the key."""
-        if self.left is not None and self.left.key >= self.key:
+        """The neighbours bracket the key and their paths make them adjacent.
+
+        Adjacency is read from the side sequences, not from ``index``: once
+        both proofs fold to the root the hash chain binds every side, while
+        an index is only the prover's claim.  Root-down, adjacent leaves
+        share a prefix, then the left goes ``L·R*`` and the right ``R·L*``;
+        the first leaf is all ``L`` and the last all ``R``.
+        """
+        left, right = self.left, self.right
+        if left is not None and left.key >= self.key:
             return False
-        if self.right is not None and self.right.key <= self.key:
+        if right is not None and right.key <= self.key:
             return False
-        if self.left is None and self.right is None:
-            # Absent from an empty tree.
-            return self.left_index is None and self.right_index is None
-        if (
-            self.left_index is not None
-            and self.right_index is not None
-            and self.right_index != self.left_index + 1
-        ):
+        left_up = "" if left is None else _aunt_sides(left.index, left.total)
+        right_up = "" if right is None else _aunt_sides(right.index, right.total)
+        if left_up is None or right_up is None:
             return False
-        return True
+        if left is None or right is None:
+            # An edge of the tree (both missing: the empty tree).
+            return "L" not in left_up and "R" not in right_up
+        if left.total != right.total:
+            return False
+        left_up = left_up.lstrip("R")
+        right_up = right_up.lstrip("L")
+        return (
+            left_up[:1] == "L" and right_up[:1] == "R" and left_up[1:] == right_up[1:]
+        )
 
 
 class ProvableStore:
@@ -125,19 +164,19 @@ class ProvableStore:
 
     def __init__(self) -> None:
         self._data: dict[bytes, bytes] = {}
-        self._committed_keys: list[bytes] = []
-        self._committed: dict[bytes, bytes] = {}
         self._root: bytes = EMPTY_HASH
         self._dirty = False
-        # Memoized merkle internals for the committed snapshot: leaf hashes
-        # and subtree roots keyed by (start, end) ranges.  Computed once per
-        # commit so that each proof is O(log n) instead of O(n).
-        self._leaf_hashes: list[bytes] = []
-        self._subtree_roots: dict[tuple[int, int], bytes] = {}
+        # The committed snapshot: sorted keys, each key's leaf index, and
+        # the tree as bottom-up level arrays (see ``_tree_levels``), built
+        # once per commit so that each proof is O(log n) list lookups.
+        self._committed_keys: list[bytes] = []
         self._key_index: dict[bytes, int] = {}
+        self._levels: list[list[bytes]] = []
         # Leaf hashes survive across commits: most keys are unchanged from
         # block to block, so each entry maps key -> (value, value_hash,
         # leaf_hash) and is recomputed only when the value actually moved.
+        # Entries change only in ``commit``, so a committed key's entry
+        # always describes the snapshot, never the pending state.
         self._leaf_cache: dict[bytes, tuple[bytes, bytes, bytes]] = {}
         # Proofs are immutable and snapshot-scoped, so identical requests
         # between commits (relayers re-proving the same commitment) share
@@ -184,36 +223,38 @@ class ProvableStore:
             # Nothing changed since the last snapshot (an empty block):
             # the committed tree is already current.
             return self._root
-        self._committed = dict(self._data)
-        self._committed_keys = sorted(self._committed)
-        self._key_index = {k: i for i, k in enumerate(self._committed_keys)}
+        data = self._data
+        keys = sorted(data)
         leaf_cache = self._leaf_cache
         leaf_hashes = []
-        for key in self._committed_keys:
-            value = self._committed[key]
+        for key in keys:
+            value = data[key]
             cached = leaf_cache.get(key)
             if cached is None or cached[0] != value:
                 value_hash = sha256(value)
                 cached = (value, value_hash, _leaf_hash(key + b"=" + value_hash))
                 leaf_cache[key] = cached
             leaf_hashes.append(cached[2])
-        self._leaf_hashes = leaf_hashes
-        self._subtree_roots = {}
-        self._proof_cache = {}
-        if self._leaf_hashes:
-            self._root = self._subtree_root(0, len(self._leaf_hashes))
+        self._committed_keys = keys
+        self._key_index = dict(zip(keys, range(len(keys))))
+        if leaf_hashes:
+            self._levels = _tree_levels(leaf_hashes)
+            self._root = self._levels[-1][0]
         else:
+            self._levels = []
             self._root = EMPTY_HASH
+        self._proof_cache = {}
         self._dirty = False
         return self._root
 
     def commit_cheap(self, root: bytes) -> bytes:
         """Commit without rebuilding the merkle tree (stub-proof mode).
 
-        Used by very large benchmark sweeps where per-block tree rebuilds
-        would dominate host CPU.  ``prove``/``prove_absence`` must not be
-        called afterwards (stub proofs are used instead); the provided
-        ``root`` becomes the app hash that stub proofs tag themselves with.
+        Used by very large benchmark sweeps to skip the per-block tree
+        rebuild (cost quoted in :mod:`repro.ibc.proofs`).  ``prove`` and
+        ``prove_absence`` must not be called afterwards (stub proofs are
+        used instead); the provided ``root`` becomes the app hash that stub
+        proofs tag themselves with.
         """
         self._root = root
         self._dirty = False
@@ -223,21 +264,6 @@ class ProvableStore:
     def root(self) -> bytes:
         """Root of the last committed snapshot."""
         return self._root
-
-    def _subtree_root(self, start: int, end: int) -> bytes:
-        """Root of leaves [start, end), memoized for the committed snapshot."""
-        if end - start == 1:
-            return self._leaf_hashes[start]
-        cached = self._subtree_roots.get((start, end))
-        if cached is not None:
-            return cached
-        split = _split_point(end - start)
-        root = _inner_hash(
-            self._subtree_root(start, start + split),
-            self._subtree_root(start + split, end),
-        )
-        self._subtree_roots[(start, end)] = root
-        return root
 
     # -- proofs (against the committed snapshot) ------------------------------
 
@@ -249,61 +275,34 @@ class ProvableStore:
         index = self._key_index.get(key)
         if index is None:
             raise KeyError(f"key {key!r} not in committed state")
-        path = self._audit_path(index)
-        cached = self._leaf_cache.get(key)
-        if cached is not None and cached[0] == self._committed[key]:
-            value_hash = cached[1]
-        else:
-            value_hash = sha256(self._committed[key])
+        aunts = []
+        position = index
+        for level in self._levels[:-1]:
+            sibling = position ^ 1
+            if sibling < len(level):
+                aunts.append(level[sibling])
+            position >>= 1
         proof = MembershipProof(
             key=key,
-            value_hash=value_hash,
-            path=tuple(path),
+            value_hash=self._leaf_cache[key][1],
+            index=index,
+            total=len(self._committed_keys),
+            aunts=tuple(aunts),
         )
         self._proof_cache[key] = proof
         return proof
 
     def prove_absence(self, key: bytes) -> NonMembershipProof:
         """Non-membership proof for ``key`` in the committed snapshot."""
-        if key in self._committed:
+        if key in self._key_index:
             raise KeyError(f"key {key!r} IS in committed state")
-        idx = bisect.bisect_left(self._committed_keys, key)
-        left = right = None
-        left_index = right_index = None
-        if idx > 0:
-            left_index = idx - 1
-            left = self.prove(self._committed_keys[left_index])
-        if idx < len(self._committed_keys):
-            right_index = idx
-            right = self.prove(self._committed_keys[right_index])
+        keys = self._committed_keys
+        idx = bisect.bisect_left(keys, key)
         return NonMembershipProof(
             key=key,
-            left=left,
-            right=right,
-            left_index=left_index,
-            right_index=right_index,
+            left=self.prove(keys[idx - 1]) if idx > 0 else None,
+            right=self.prove(keys[idx]) if idx < len(keys) else None,
         )
-
-    def _audit_path(self, index: int) -> list[ProofNode]:
-        # Walk the tree top-down collecting siblings, then reverse so the
-        # path reads leaf-upward (the order ``compute_root`` folds in).
-        subtree_root = self._subtree_root
-        path: list[ProofNode] = []
-        start, end = 0, len(self._leaf_hashes)
-        while end - start > 1:
-            mid = start + _split_point(end - start)
-            if index < mid:
-                path.append(
-                    ProofNode(sibling=subtree_root(mid, end), sibling_on_left=False)
-                )
-                end = mid
-            else:
-                path.append(
-                    ProofNode(sibling=subtree_root(start, mid), sibling_on_left=True)
-                )
-                start = mid
-        path.reverse()
-        return path
 
 
 def verify_membership(root: bytes, proof: MembershipProof, value: bytes) -> bool:
@@ -316,9 +315,9 @@ def verify_membership(root: bytes, proof: MembershipProof, value: bytes) -> bool
 def verify_non_membership(root: bytes, proof: NonMembershipProof) -> bool:
     """Check a non-membership proof against a root.
 
-    Verifies both neighbour membership proofs and their bracketing of the
-    absent key.  (Adjacency of audit-path indices is asserted structurally
-    via :meth:`NonMembershipProof.consistent`.)
+    :meth:`NonMembershipProof.consistent` reads bracketing and adjacency
+    from the neighbours' paths; both neighbour proofs folding to ``root`` is
+    what authenticates those paths.
     """
     if not proof.consistent():
         return False

@@ -113,7 +113,7 @@ def test_write_budget_pins_a_diffable_file(tmp_path):
 
 
 def test_alloccheck_gate_golden():
-    """The committed pin is loaded and reported: 22.66 blocks/event at
+    """The committed pin is loaded and reported: 19.85 blocks/event at
     25 % tolerance.  If this fails after an intentional change (new
     feature allocating per-event state), audit the top call sites in the
     failure summary, then re-pin with ``check alloc --write-pins``."""

@@ -243,3 +243,7 @@ def test_websocket_overflow_leaves_packets_stuck(harness):
     pending = h.chain_a.app.ibc.pending_commitments("transfer", path.a.channel_id)
     assert len(pending) == 40
     assert h.chain_b.app.ibc.pending_commitments("transfer", path.b.channel_id) == []
+    # The settlement poll's emptiness test agrees, per channel.
+    assert h.chain_a.app.ibc.has_pending_commitments("transfer", path.a.channel_id)
+    assert not h.chain_a.app.ibc.has_pending_commitments("transfer", "channel-99")
+    assert not h.chain_b.app.ibc.has_pending_commitments("transfer", path.b.channel_id)
