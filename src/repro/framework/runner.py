@@ -10,6 +10,7 @@ public API.
 
 from __future__ import annotations
 
+import gc
 from typing import Any, Generator, Optional
 
 from repro.faults import FaultInjector
@@ -77,15 +78,25 @@ class _ExperimentEngine:
     def run(self) -> ExperimentReport:
         env = self.testbed.env
         main = env.process(self._orchestrate(), name="runner")
-        # Step only until the orchestration finishes — the chains would
-        # otherwise keep producing (idle) blocks to the time horizon.
-        while not main.triggered:
-            if env.peek() > self.config.max_sim_seconds:
-                raise TimeoutError(
-                    f"experiment did not finish within "
-                    f"{self.config.max_sim_seconds} simulated seconds"
-                )
-            env.step()
+        # The event loop only grows the heap and creates no reference cycles
+        # (`repro check stall` gates that), so collector passes would
+        # re-traverse it and free nothing (DESIGN.md, "Host memory model").
+        # Paused for the loop, handed back as found before the report build.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            # Step only until the orchestration finishes — the chains would
+            # otherwise keep producing (idle) blocks to the time horizon.
+            while not main.triggered:
+                if env.peek() > self.config.max_sim_seconds:
+                    raise TimeoutError(
+                        f"experiment did not finish within "
+                        f"{self.config.max_sim_seconds} simulated seconds"
+                    )
+                env.step()
+        finally:
+            if collecting:
+                gc.enable()
         if not main.ok:
             raise main.value
         crashed = [

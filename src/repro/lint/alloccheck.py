@@ -15,10 +15,12 @@ Methodology
 
 ``tracemalloc`` traces every allocation made *after* it starts, so the
 measurement covers exactly one scenario execution: testbed construction,
-the simulated run, and the report build.  A ``gc.collect()`` before the
-final snapshot makes the live set deterministic (cyclic garbage is
-collected at a GC-chosen instant otherwise).  Two consequences worth
-knowing when reading a report:
+the simulated run, and the report build.  The live set at the final
+snapshot is deterministic because a run leaves no cyclic garbage behind
+(``run()`` pauses the collector on that premise and the ``stall`` check
+enforces it); the ``gc.collect()`` before the snapshot is a backstop
+that finds nothing.  Two consequences worth knowing when reading a
+report:
 
 * The metric counts *retained* blocks (live at snapshot time), not
   cumulative allocations — per-event garbage that was already freed is

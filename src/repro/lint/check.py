@@ -22,10 +22,11 @@ The checks:
 * ``alloc`` — :mod:`repro.lint.alloccheck`: live blocks per event within
   ``pinned * (1 + tolerance)``.  A banded measurement, not a replay,
   which is why ``--write-pins`` re-pins only the checks it is given.
-* ``stall`` — :mod:`repro.lint.stallcheck`: no deadlock, livelock or
-  teardown residue; the monitored run's event count equals the pinned
-  one; each store's high-water mark within ``pinned * (1 + tolerance)
-  + 2``; a pinned store site the run never created is a stale pin.
+* ``stall`` — :mod:`repro.lint.stallcheck`: no deadlock, livelock,
+  teardown residue or cyclic garbage (a hard zero, nothing pinned); the
+  monitored run's event count equals the pinned one; each store's
+  high-water mark within ``pinned * (1 + tolerance) + 2``; a pinned
+  store site the run never created is a stale pin.
 
 A scenario or pin key the registry does not know, or a gated check with
 no pin, is an error — never a silent pass.

@@ -27,6 +27,15 @@ checks that nothing survived:
   (:mod:`repro.lint.check`) to diff against the scenario's ``stall``
   pin in ``SCENARIO_PINS.json``, so an unbounded queue growth
   regression fails tier-1 the same way a lint finding does.
+* **cyclic garbage** — ``_ExperimentEngine.run()`` pauses CPython's
+  cyclic collector for the event loop, which is only sound while the
+  loop creates no reference cycles.  The gate is wider than the pause:
+  the monitored run collects once before the engine is built, keeps the
+  collector off through construction, loop and report build, and
+  collects again when ``run()`` returns; that pass must find nothing.
+  If it does, the report counts the unreachable objects by type and
+  names every frame and generator among them (``path:function``) — the
+  cycle runs through one of those.
 
 The teardown path is *only* exercised here: the normal experiment
 runner never calls ``engine.shutdown()``, keeping its event accounting
@@ -35,10 +44,13 @@ byte-identical to the pinned golden run.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import sys
 import weakref
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.lint.reporters import short_path
 
@@ -269,6 +281,7 @@ class StallcheckResult:
     events: int = 0
     live: int = 0
     same_instant_max: int = 0
+    cyclic_garbage: int = 0
     high_water: dict[str, int] = field(default_factory=dict)
     violations: list[str] = field(default_factory=list)
     wait_lines: list[str] = field(default_factory=list)
@@ -281,13 +294,14 @@ class StallcheckResult:
         header = (
             f"stallcheck[{self.scenario}]: {self.events} events, "
             f"{len(self.high_water)} store site(s) tracked, "
-            f"same-instant peak {self.same_instant_max}"
+            f"same-instant peak {self.same_instant_max}, "
+            f"cyclic garbage: {self.cyclic_garbage} object(s)"
         )
         lines = [header]
         if self.clean:
             lines.append(
-                "  OK — no deadlock, no livelock, no teardown residue, "
-                "all store high-water marks within budget"
+                "  OK — no deadlock, no livelock, no teardown residue, no "
+                "reference cycles, all store high-water marks within budget"
             )
         else:
             lines.append(f"  STALL — {len(self.violations)} violation(s):")
@@ -316,6 +330,52 @@ def _collect(result: StallcheckResult, monitor: StallMonitor, env) -> None:
     result.high_water = dict(monitor.high_water)
 
 
+def _collect_cyclic_garbage(result: StallcheckResult) -> None:
+    """One full collector pass; anything it finds is a violation.
+
+    ``DEBUG_SAVEALL`` parks the unreachable objects in ``gc.garbage``
+    instead of freeing them, so a failing run can say what they were.
+    """
+    flags = gc.get_debug()
+    gc.set_debug(flags | gc.DEBUG_SAVEALL)
+    try:
+        result.cyclic_garbage = gc.collect()
+        garbage = gc.garbage[:]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    if not garbage:
+        return
+    types = Counter(type(obj).__name__ for obj in garbage)
+    codes = {
+        getattr(obj, "f_code", None) or getattr(obj, "gi_code", None)
+        for obj in garbage
+    } - {None}
+    sites = sorted(f"{short_path(c.co_filename)}:{c.co_name}" for c in codes)
+    result.violations.append(
+        f"cyclic garbage: {result.cyclic_garbage} object(s) unreachable when "
+        "run() returned — the run must create no reference cycles ("
+        + ", ".join(f"{count} {name}" for name, count in sorted(types.items()))
+        + "; frames: "
+        + (", ".join(sites) or "none")
+        + ")"
+    )
+
+
+@contextlib.contextmanager
+def _collector_off() -> Iterator[None]:
+    """A collected heap, then no collector pass until the block exits — so
+    the next ``gc.collect()`` counts only what the block made unreachable."""
+    gc.collect()
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
+
 def run_monitored(scenario: str, config) -> StallcheckResult:
     """Run ``config`` monitored, tear it down, report every stall."""
     from repro.errors import SimulationError
@@ -323,7 +383,7 @@ def run_monitored(scenario: str, config) -> StallcheckResult:
 
     monitor = StallMonitor()
     result = StallcheckResult(scenario=scenario)
-    with monitor.activate():
+    with _collector_off(), monitor.activate():
         engine = _ExperimentEngine(config)
         try:
             engine.run()
@@ -337,6 +397,9 @@ def run_monitored(scenario: str, config) -> StallcheckResult:
             )
             result.wait_lines = monitor.wait_graph()
         else:
+            # Before teardown: its interrupts raise exceptions whose
+            # tracebacks are cyclic, and no normal run executes it.
+            _collect_cyclic_garbage(result)
             engine.shutdown()
             stuck = monitor.live_processes()
             if stuck:

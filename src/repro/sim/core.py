@@ -339,6 +339,19 @@ class Condition(Event):
     def _check(self, event: Event) -> None:
         raise NotImplementedError
 
+    def _detach(self) -> None:
+        """Stop listening to the children that lost, once the outcome is set.
+
+        A child that never triggers (the response a deadline beat) would
+        otherwise keep ``_check`` in its callbacks while ``events`` keeps
+        the child: one reference cycle per decided race.
+        """
+        check = self._check
+        for event in self.events:
+            callbacks = event.callbacks
+            if callbacks and not event._triggered and check in callbacks:
+                callbacks.remove(check)
+
     def _results(self) -> dict[Event, Any]:
         return {e: e._value for e in self.events if e.triggered and e._ok}
 
@@ -356,6 +369,7 @@ class AllOf(Condition):
             return
         if not event._ok:
             self.fail(event._value)
+            self._detach()
             return
         if all(e.triggered for e in self.events):
             self.succeed(self._results())
@@ -373,6 +387,7 @@ class AnyOf(Condition):
             self.fail(event._value)
         else:
             self.succeed(self._results())
+        self._detach()
 
 
 class Environment:

@@ -343,11 +343,18 @@ class RpcClient:
             yield outcome
         except RpcError:
             self.errors += 1
+            # The raised error's traceback keeps this frame alive, and these
+            # locals hold the error as their event value: drop them, or every
+            # failed call is a reference cycle pinning its whole caller chain.
+            del response, request, outcome, deadline
             raise
         if response.triggered:
             if not response.ok:
                 self.errors += 1
-                raise response.value
+                try:
+                    raise response.value
+                finally:
+                    del response, request, outcome, deadline
             return response.value
         # Timed out: abandon; the server may still burn time on it.
         request.abandoned = True

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
+from itertools import accumulate, repeat
 from typing import Iterator
 
 from repro.cosmos.accounts import derive_address
@@ -30,12 +31,11 @@ class Population:
     def __init__(self, size: int, zipf_s: float, seed: int):
         self.size = size
         self.seed = seed
-        cumulative = array("d")
-        total = 0.0
-        for rank in range(1, size + 1):
-            total += rank**-zipf_s
-            cumulative.append(total)
-        self._cumulative = cumulative
+        # A left fold, so every partial sum is the one the explicit
+        # ``total += rank**-zipf_s`` loop produces, bit for bit.
+        self._cumulative = array(
+            "d", accumulate(map(pow, range(1, size + 1), repeat(-zipf_s)))
+        )
 
     def sender_name(self, rank: int) -> str:
         """The wallet name of sender ``rank`` — the same ``user{i}-{seed}``

@@ -164,6 +164,58 @@ def test_all_of_fails_fast(env):
     assert env.run_until_complete(p) == 1.0
 
 
+def test_any_of_lets_go_of_the_child_that_lost(env):
+    """The abandoned child must not keep the condition alive (and the
+    condition the child): once decided, its callback is removed."""
+    never = env.event()
+
+    def proc():
+        yield env.any_of([never, env.timeout(1.0)])
+        return env.now
+
+    p = env.process(proc())
+    assert env.run_until_complete(p) == 1.0
+    assert never.callbacks == []
+
+
+def test_any_of_losing_timeout_still_resumes_its_own_waiter_once(env):
+    """Detaching the condition removes only the condition's callback: a
+    process waiting on the losing Timeout itself is resumed exactly once,
+    and the Timeout still pops (no event added, removed or reordered)."""
+    slow = env.timeout(5.0)
+    resumed = []
+
+    def racer():
+        yield env.any_of([env.timeout(1.0), slow])
+        return env.now
+
+    def waiter():
+        yield slow
+        resumed.append(env.now)
+
+    race = env.process(racer())
+    env.process(waiter())
+    env.run()
+    assert race.value == 1.0
+    assert resumed == [5.0]
+    assert slow.processed
+
+
+def test_all_of_failing_early_detaches_from_pending_children(env):
+    failing = env.event()
+    pending = env.event()
+
+    def proc():
+        with pytest.raises(ValueError):
+            yield env.all_of([pending, failing])
+        return env.now
+
+    p = env.process(proc())
+    env.schedule_callback(1.0, lambda: failing.fail(ValueError("nope")))
+    assert env.run_until_complete(p) == 1.0
+    assert pending.callbacks == []
+
+
 def test_run_until_stops_at_horizon(env):
     hits = []
 

@@ -22,7 +22,7 @@ from repro.lint.stallcheck import (
     check_toy,
     run_monitored,
 )
-from repro.sim.core import SHUTDOWN, Environment, ProcessGroup
+from repro.sim.core import SHUTDOWN, Condition, Environment, ProcessGroup
 from repro.sim.resources import Store
 
 REPO_ROOT = Path(__file__).parent.parent
@@ -245,6 +245,24 @@ def test_stallcheck_gate_golden():
         "repro/relayer/worker.py:__init__",
         "repro/tendermint/websocket.py:subscribe",
     ]
+
+
+def test_gate_fires_on_a_reference_cycle_in_the_loop(monkeypatch):
+    """The cyclic collector is paused for a run, so a cycle per event is
+    a leak: with the Condition detach disabled, every timed-out RPC of
+    golden-faults leaves its AnyOf <-> response pair unreachable and the
+    gate says what they are."""
+    config = scenarios.lookup("golden-faults").build(7)
+    clean = run_monitored("golden-faults", config)
+    assert clean.clean and clean.cyclic_garbage == 0, clean.summary()
+
+    monkeypatch.setattr(Condition, "_detach", lambda self: None)
+    leaky = run_monitored("golden-faults", config)
+    assert not leaky.clean
+    assert leaky.cyclic_garbage > 0
+    (violation,) = leaky.violations
+    assert violation.startswith(f"cyclic garbage: {leaky.cyclic_garbage} object(s)")
+    assert "AnyOf" in violation
 
 
 def test_write_budget_pins_a_diffable_file(tmp_path):

@@ -9,6 +9,7 @@ not matter — byte-identical or bust.
 """
 
 import math
+from array import array
 from itertools import islice
 
 import pytest
@@ -116,6 +117,21 @@ def test_zipf_rank_frequency_slope_in_band():
     assert -1.25 < slope < -0.95, f"zipf slope {slope} drifted off -1.1"
     # The head really dominates: rank 0 alone draws >10% of the traffic.
     assert counts[0] / draws > 0.10
+
+
+@pytest.mark.parametrize(
+    "size, zipf_s", [(1, 1.0), (7, 0.0), (2000, 1.1), (50_000, 0.8), (300, 2.5)]
+)
+def test_zipf_cumulative_table_is_the_explicit_left_fold(size, zipf_s):
+    """The table is built with ``itertools.accumulate``; every partial sum
+    must be bit-identical to the loop it replaced (sampling is an exact
+    ``bisect`` over it, so one differing ulp can move a draw)."""
+    expected = array("d")
+    total = 0.0
+    for rank in range(1, size + 1):
+        total += rank**-zipf_s
+        expected.append(total)
+    assert Population(size, zipf_s, seed=0)._cumulative == expected
 
 
 def test_population_addresses_match_wallet_naming():
