@@ -7,7 +7,6 @@ from repro.cosmos.accounts import (
     AddressIndex,
     BaseAccount,
     Wallet,
-    derive_address,
 )
 from repro.cosmos.app import FEE_DENOM, TRANSFER_DENOM, GaiaApp
 from repro.cosmos.bank import BankKeeper, module_address
@@ -35,6 +34,5 @@ __all__ = [
     "TxFactory",
     "Wallet",
     "chunk_msgs",
-    "derive_address",
     "module_address",
 ]

@@ -9,20 +9,20 @@ values tracked here.
 The keeper stores account state in flat ``array('q')`` columns indexed by
 an :class:`AddressIndex` (a string-interning table shared with the bank
 keeper), not one object per account.  A million-account population then
-costs a few dozen bytes per account instead of a kilobyte: the address
-string and its index slot, two machine words of column state, and *no* key
-objects — key material stays lazy (see :func:`derive_address`) until an
-account actually signs something.
+costs two machine words of column state per account and *no* strings or
+key objects: it is a reserved slot range (:meth:`AddressIndex.reserve`),
+and a slot learns its address (:meth:`AddressIndex.bind`) only when its
+owner's wallet is first materialised.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.errors import ChainError
-from repro.tendermint.crypto import PrivateKey, PublicKey, new_keypair, sha256
+from repro.tendermint.crypto import PrivateKey, PublicKey, new_keypair
 
 
 class AddressIndex:
@@ -32,45 +32,59 @@ class AddressIndex:
     modules touch to a stable small integer, so both keepers can use flat
     array columns instead of per-address dictionaries.  Indices are
     allocated in first-touch order and never reused.
+
+    A genesis population takes a block of indices at once (:meth:`reserve`):
+    a reserved slot is an account whose address nobody has computed yet,
+    reachable by slot and not by string until :meth:`bind` attaches it.
     """
 
-    __slots__ = ("_slots", "_addresses")
+    __slots__ = ("_slots", "_count", "_blocks", "_bound")
 
     def __init__(self) -> None:
         self._slots: dict[str, int] = {}
-        self._addresses: list[str] = []
+        self._count = 0
+        self._blocks: list[range] = []
+        self._bound: dict[int, str] = {}  # reserved slot -> bound address
 
     def intern(self, address: str) -> int:
         """Index for ``address``, allocating one on first sight."""
         idx = self._slots.get(address)
         if idx is None:
-            idx = len(self._addresses)
+            idx = self._count
             self._slots[address] = idx
-            self._addresses.append(address)
+            self._count += 1
         return idx
 
     def lookup(self, address: str) -> Optional[int]:
         """Index for ``address``, or None if never interned."""
         return self._slots.get(address)
 
-    def __contains__(self, address: str) -> bool:
-        return address in self._slots
+    def reserve(self, count: int) -> range:
+        """Allocate ``count`` consecutive indices with no address yet."""
+        block = range(self._count, self._count + count)
+        self._count = block.stop
+        self._blocks.append(block)
+        return block
+
+    def bind(self, slot: int, address: str) -> None:
+        """Attach ``address`` to reserved ``slot``, before its first use.
+
+        Refused unless that is provable: an address interned elsewhere was
+        credited or created before its owner activated, and binding over
+        it would turn the mis-ordering into a wrong balance.  The same
+        pair again is a no-op.
+        """
+        if not any(slot in block for block in self._blocks):
+            raise ChainError(f"slot {slot} is not in a reserved block")
+        interned = self._slots.get(address, slot)
+        if interned != slot:
+            raise ChainError(f"{address} already interned at {interned}, not {slot}")
+        if self._bound.setdefault(slot, address) != address:
+            raise ChainError(f"slot {slot} is already bound to {self._bound[slot]}")
+        self._slots[address] = slot
 
     def __len__(self) -> int:
-        return len(self._addresses)
-
-
-def derive_address(name: str) -> str:
-    """The address :meth:`Wallet.named` would produce for ``name``.
-
-    Pure hashing — no key objects, no cache entries, no signature-registry
-    registration.  The workload population model derives the addresses of
-    a million prospective senders through this and materializes an actual
-    :class:`Wallet` only for the (few) accounts that become active.
-    """
-    secret = sha256(b"privkey/" + name.encode())
-    public = sha256(b"pubkey/" + secret)
-    return sha256(public)[:20].hex()
+        return self._count
 
 
 @dataclass
@@ -161,7 +175,6 @@ class AccountKeeper:
         self._numbers = array("q")
         self._keys: dict[int, PublicKey] = {}
         self._next_number = 0
-        self._count = 0
 
     def _grow(self, idx: int) -> None:
         short = idx + 1 - len(self._numbers)
@@ -169,31 +182,26 @@ class AccountKeeper:
             self._sequences.frombytes(bytes(8 * short))
             self._numbers.extend([_NO_ACCOUNT] * short)
 
-    def _create_at(self, idx: int, address: str) -> None:
+    def create(self, public_key: PublicKey) -> AccountView:
+        address = public_key.address
+        idx = self.index.intern(address)
         self._grow(idx)
         if self._numbers[idx] != _NO_ACCOUNT:
             raise ChainError(f"account {address} already exists")
         self._numbers[idx] = self._next_number
         self._next_number += 1
-        self._count += 1
-
-    def create(self, public_key: PublicKey) -> AccountView:
-        address = public_key.address
-        idx = self.index.intern(address)
-        self._create_at(idx, address)
         self._keys[idx] = public_key
         return AccountView(self, idx, address)
 
-    def create_lazy(self, address: str) -> int:
-        """Create an account with no stored key material; returns its index."""
-        idx = self.index.intern(address)
-        self._create_at(idx, address)
-        return idx
-
-    def create_many(self, addresses: Iterable[str]) -> None:
-        """Bulk genesis: create lazy accounts in iteration order."""
-        for address in addresses:
-            self.create_lazy(address)
+    def create_range(self, count: int) -> range:
+        """Bulk genesis: ``count`` keyless accounts on a freshly reserved
+        slot block, numbered in slot order; returns the block."""
+        block = self.index.reserve(count)
+        self._grow(block.start - 1)
+        self._sequences.frombytes(bytes(8 * count))
+        self._numbers.extend(range(self._next_number, self._next_number + count))
+        self._next_number += count
+        return block
 
     def get(self, address: str) -> Optional[AccountView]:
         idx = self.index.lookup(address)
@@ -231,4 +239,4 @@ class AccountKeeper:
         return self._sequences[idx]
 
     def __len__(self) -> int:
-        return self._count
+        return self._next_number

@@ -120,20 +120,20 @@ class GaiaApp:
             if amount > 0:
                 self.bank.mint(wallet.address, denom, amount)
 
-    def genesis_accounts_bulk(
-        self, addresses: Sequence[str], coins: Optional[dict[str, int]] = None
-    ) -> None:
-        """Create many genesis accounts with identical balances, lazily.
+    def genesis_population(self, count: int, coins: dict[str, int]) -> range:
+        """Create ``count`` genesis accounts holding ``coins`` each and
+        return their slot block — columns only, the path that lets a
+        million-account population fit in memory.
 
         The accounts carry no stored key material (validation uses the
-        public key each transaction presents) and their balances go
-        straight into the bank's array columns — the path that lets a
-        million-account population fit in memory.
+        public key each transaction presents) and no address: whoever
+        materialises member ``i``'s wallet calls ``address_index.bind(
+        block[i], wallet.address)`` before its first use.
         """
-        self.accounts.create_many(addresses)
-        for denom, amount in (coins or {}).items():
-            if amount > 0:
-                self.bank.genesis_mint_many(addresses, denom, amount)
+        block = self.accounts.create_range(count)
+        for denom, amount in coins.items():
+            self.bank.genesis_mint_range(block, denom, amount)
+        return block
 
     def register_counterparty(self, info: CounterpartyChainInfo) -> None:
         """Make a counterparty chain's public info available for

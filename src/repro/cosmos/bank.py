@@ -7,7 +7,8 @@ maintained by construction and checked by property tests.
 
 Balances live in per-denom ``array('q')`` columns indexed by the shared
 :class:`~repro.cosmos.accounts.AddressIndex`, not per-address dicts: a
-denom held by a million accounts costs eight bytes per account.  The
+denom held by a million accounts costs eight bytes per account (and a
+genesis population is funded by slot range, without naming anyone).  The
 rollback journal records ``(column, index, previous)`` triples — an array
 indexes exactly like the dicts :meth:`Journal.record_kv` was built for,
 and a balance's previous value is never ``None``, so the journal's
@@ -18,11 +19,11 @@ from __future__ import annotations
 
 from array import array
 from collections import defaultdict
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from repro.cosmos.accounts import AddressIndex
 from repro.cosmos.journal import Journaled
-from repro.errors import InsufficientFundsError
+from repro.errors import ChainError, InsufficientFundsError
 from repro.tendermint.crypto import sha256
 
 
@@ -136,27 +137,25 @@ class BankKeeper(Journaled):
         if amount <= 0:
             raise InsufficientFundsError(f"amount must be positive, got {amount}")
 
-    def genesis_mint_many(
-        self, addresses: Sequence[str], denom: str, amount: int
-    ) -> None:
-        """Bulk genesis funding: every address gets ``amount`` of ``denom``.
+    def genesis_mint_range(self, block: range, denom: str, amount: int) -> None:
+        """Bulk genesis funding: every slot of reserved ``block`` gets
+        ``amount`` of ``denom``.
 
-        Fills the balance column directly and skips the provable-store
+        Appends to the balance column directly and skips the provable-store
         mirror — a million genesis balances would otherwise dominate the
-        store.  Valid only at genesis (no journal attached); runtime
-        writes store absolute values, so any balance the simulation later
-        touches lands in the store as usual.
+        store.  Valid only at genesis (no journal attached, ``denom`` not
+        yet credited at or past the block); runtime writes store absolute
+        values, so any balance the simulation later touches lands in the
+        store as usual.
         """
         self._require_positive(amount)
         if self.journal is not None:
-            raise RuntimeError("genesis_mint_many is a genesis-only operation")
-        if not addresses:
-            return
-        indices = [self.index.intern(address) for address in addresses]
-        column = self._column(denom, max(indices))
-        for idx in indices:
-            column[idx] += amount
-        self._supply[denom] += amount * len(addresses)
+            raise RuntimeError("genesis_mint_range is a genesis-only operation")
+        column = self._column(denom, block.start - 1)
+        if len(column) > block.start:
+            raise ChainError(f"{denom} is already credited at slot {block.start}")
+        column.extend(array("q", [amount]) * len(block))
+        self._supply[denom] += amount * len(block)
 
     # -- invariants ----------------------------------------------------------
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Generator, Optional
 
-from repro.cosmos.accounts import Wallet, derive_address
+from repro.cosmos.accounts import Wallet
 from repro.cosmos.app import FEE_DENOM, TRANSFER_DENOM
 from repro.framework.config import ExperimentConfig
 from repro.framework.topology import TopologySpec
@@ -61,6 +61,8 @@ class Testbed:
     fleets: list[Fleet] = field(init=False, default_factory=list)
     #: Workload sender wallets per route (route 0 == legacy user_wallets).
     route_wallets: list[list[Wallet]] = field(init=False, default_factory=list)
+    #: Engine mode: each route's sender slot block (rank r owns block[r]).
+    route_blocks: list[range] = field(init=False, default_factory=list)
     #: Final-receiver wallet per route.
     receivers: list[Wallet] = field(init=False, default_factory=list)
     #: Adversarial wallets, funded only when the workload engine asks for
@@ -162,21 +164,20 @@ class Testbed:
 
         # Workload accounts (paper §III-D: many accounts, 100 msgs each),
         # one pool per route, funded on the route's source chain.  The
-        # generated-workload engine replaces the pool with a bulk-created
-        # lazy population: addresses are derived (no key material) and
-        # balances land directly in the bank's array columns, so a
-        # million senders cost a few dozen bytes each at genesis.
+        # generated-workload engine replaces the pool with a reserved slot
+        # block: no address is computed (the driver binds a slot when its
+        # sender first submits) and balances land directly in the bank's
+        # array columns, so a million senders cost 32 bytes each at genesis.
         single_route = len(topology.routes) == 1
         engine_spec = config.workload
         for r, route in enumerate(topology.routes):
             source = self.chains[route[0]]
             if engine_spec is not None:
-                source.app.genesis_accounts_bulk(
-                    [
-                        derive_address(f"user{i}-{config.seed}")
-                        for i in range(engine_spec.population)
-                    ],
-                    {FEE_DENOM: GENESIS_FEE, TRANSFER_DENOM: GENESIS_TOKENS},
+                self.route_blocks.append(
+                    source.app.genesis_population(
+                        engine_spec.population,
+                        {FEE_DENOM: GENESIS_FEE, TRANSFER_DENOM: GENESIS_TOKENS},
+                    )
                 )
                 self.route_wallets.append([])
                 if engine_spec.spam_rate > 0:

@@ -392,13 +392,16 @@ class WorkloadDriver:
     def _sender_cli(self, rank: int) -> WorkloadCli:
         """The (lazily materialized) CLI for sender ``rank``.
 
-        The genesis population carries derived addresses only; the first
-        submission from a sender builds its wallet and CLI here.
+        The genesis population is a slot block with no addresses; a
+        sender's first submission builds its wallet and binds its slot here.
         """
         cli = self._lazy_clis.get(rank)
         if cli is None:
             assert self.engine is not None
             wallet = Wallet.named(self.engine.population.sender_name(rank))
+            self._engine_source.app.address_index.bind(
+                self.testbed.route_blocks[0][rank], wallet.address
+            )
             cli = self._engine_cli(wallet)
             self._lazy_clis[rank] = cli
         return cli

@@ -1,10 +1,11 @@
 """Sender populations with Zipf-skewed activity, and payload-size mixes.
 
 A :class:`Population` holds no per-sender objects: the cumulative weight
-table costs eight bytes per sender and addresses are *derived* (pure
-hashing, :func:`repro.cosmos.accounts.derive_address`) rather than built
-from key material, so a million-sender population is cheap until a
-sender actually submits and a wallet is materialized for it.
+table costs eight bytes per sender and a sender is a *rank* — on chain, a
+slot of the block genesis reserved — so a million-sender population is
+cheap until a sender actually submits and a wallet is materialized for it
+(``Wallet.named(population.sender_name(rank))``, the one way an address is
+derived).
 """
 
 from __future__ import annotations
@@ -12,9 +13,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from itertools import accumulate, repeat
-from typing import Iterator
 
-from repro.cosmos.accounts import derive_address
 from repro.sim.rng import KeyedStream
 
 
@@ -41,14 +40,6 @@ class Population:
         """The wallet name of sender ``rank`` — the same ``user{i}-{seed}``
         convention the fixed-pool setup path uses."""
         return f"user{rank}-{self.seed}"
-
-    def address(self, rank: int) -> str:
-        return derive_address(self.sender_name(rank))
-
-    def addresses(self) -> Iterator[str]:
-        """Every sender's address, in rank order (bulk genesis)."""
-        for rank in range(self.size):
-            yield self.address(rank)
 
     def sample_rank(self, u: float) -> int:
         """Rank for a uniform draw ``u`` in [0, 1): inverse CDF."""

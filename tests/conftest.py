@@ -11,26 +11,6 @@ settings.register_profile("repro", derandomize=True)
 settings.load_profile("repro")
 
 from repro.cosmos.accounts import Wallet
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--runslow",
-        action="store_true",
-        default=False,
-        help="run tests marked slow (e.g. the 1M-account workload ramp)",
-    )
-
-
-def pytest_collection_modifyitems(config, items):
-    if config.getoption("--runslow"):
-        return
-    skip_slow = pytest.mark.skip(reason="needs --runslow")
-    for item in items:
-        if "slow" in item.keywords:
-            item.add_marker(skip_slow)
-
-
 from repro.cosmos.app import FEE_DENOM, TRANSFER_DENOM
 from repro.relayer import Relayer, WorkloadCli
 from repro.sim import Environment, Network, RngRegistry

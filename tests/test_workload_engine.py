@@ -135,13 +135,17 @@ def test_zipf_cumulative_table_is_the_explicit_left_fold(size, zipf_s):
 
 
 def test_population_addresses_match_wallet_naming():
-    from repro.cosmos.accounts import Wallet
+    """A sender has a *name*, not an address: the address is whatever
+    ``Wallet.named`` makes of it, the same ``user{i}-{seed}`` convention
+    (and so the same keys) as the fixed-pool setup path."""
+    from repro import framework
 
     population = Population(3, 1.1, seed=9)
     assert population.sender_name(1) == "user1-9"
-    assert population.address(1) == Wallet.named("user1-9").address
-    assert list(population.addresses()) == [
-        population.address(rank) for rank in range(3)
+    config = framework.ExperimentConfig(input_rate=60, seed=9)
+    pool = framework.Testbed(config).user_wallets
+    assert [wallet.name for wallet in pool] == [
+        population.sender_name(rank) for rank in range(3)
     ]
 
 
