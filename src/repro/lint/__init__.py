@@ -1,11 +1,12 @@
-"""repro.lint — determinism, performance & liveness analysis.
+"""repro.lint — determinism analysis, static and dynamic.
 
 The reproduction's numbers are only credible if the discrete-event
-simulation replays identically for a given seed, runs fast enough to
-sweep, and never silently stalls.  This package enforces all three with
-a per-module rule set, a whole-program analysis layer (symbol table +
-import graph + call graph over every linted module), and four dynamic
-checks behind one harness:
+simulation replays identically for a given seed, and never silently
+stalls or drops an error.  This package enforces that with four dynamic
+checks behind one harness and a small static rule set kept for the code
+the dynamic checks never execute (about a quarter of the simulation's
+statements lie on paths no pinned scenario runs — DESIGN.md §6, *Rule
+yield*, has the audit every rule here survived):
 
 =======  ==============================================================
 Rule     What it forbids
@@ -14,28 +15,16 @@ D001     wall-clock reads (``time.time``, ``datetime.now``, ...)
 D002     RNG construction outside ``sim/rng.py``'s RngRegistry streams
 D003     iteration over sets / raw ``dict.keys()`` in ordered positions
 D004     float equality comparisons on simulated timestamps
-R001     sim resource ``request()`` without a matching ``release()``
 R002     swallowed RPC errors (bare/broad ``except`` around RPC calls)
-D005     one RNG stream name claimed by multiple modules; opaque
-         dynamically-built stream names (whole-program)
 D006     module-global entropy transitively reachable from a simulation
-         process generator (whole-program)
-R003     discarded ``env.process(...)`` / ``env.timeout(...)`` handles
-         (whole-program)
-P001     hot classes without ``__slots__`` (whole-program)
-P002     constant containers/closures rebuilt in hot loops
-P003     repeated attribute-chain reads in one hot loop
-P004     eager string formatting handed to loggers in hot code
-P005     list-literal membership tests in hot code
-W001     unguarded blocking waits in uninterruptible service loops
-W002     resources acquired in opposite orders (circular wait)
-W003     loops that can iterate without a real wait (livelock)
-W004     containers produced to from hot code but never consumed
-W005     granted requests held across a ``yield`` outside try/finally
+         process generator (whole-program: symbol table + call graph
+         over every linted module)
+R003     discarded ``env.timeout(...)`` / ``env.process(...)`` results:
+         a forgotten ``yield``, a handle nobody can interrupt
 =======  ==============================================================
 
 The whole-program phase also emits a machine-readable RNG stream-name
-inventory (``--stream-inventory FILE``).  The dynamic tiers rerun the
+inventory (``--stream-inventory FILE``).  The dynamic checks rerun the
 named scenarios of :mod:`repro.lint.scenarios` through
 :mod:`repro.lint.check` (``python -m repro check [replay|sched|alloc|stall
 ...] [--scenario NAME ...]``) against the pins in
@@ -47,7 +36,7 @@ against a pinned budget, and :mod:`repro.lint.stallcheck` monitors a
 run's wait graph, tears the testbed down, and reports deadlocks,
 livelocks, leaks and store-backlog regressions.
 
-Run the static tiers with ``python -m repro.lint [paths]`` (or
+Run the static rules with ``python -m repro.lint [paths]`` (or
 ``python -m repro lint``).  Findings can be waived inline with
 ``# repro-lint: disable=<RULE>`` or per-file with
 ``# repro-lint: disable-file=<RULE>``.

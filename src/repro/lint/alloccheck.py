@@ -1,14 +1,13 @@
-"""Dynamic allocation sanitizer (lint Tier P's runtime complement).
+"""Dynamic allocation sanitizer: the ``alloc`` check.
 
-The static Tier P rules flag *patterns* that allocate per event; this
-module measures the real thing: run a scenario under :mod:`tracemalloc`
-and report how many traced allocations are still live at the end of the
-run, normalised per simulated event, with the top allocating call sites.
-The harness (:mod:`repro.lint.check`) diffs the normalised figure
+Per-event allocation is measured, not inferred from source patterns: run
+a scenario under :mod:`tracemalloc` and report how many traced
+allocations are still live at the end of the run, normalised per
+simulated event, with the top allocating call sites.  The harness
+(:mod:`repro.lint.check`) diffs the normalised figure
 against the scenario's ``alloc`` pin in ``SCENARIO_PINS.json`` so an
 allocation regression — a dropped ``__slots__``, a new per-event
-closure, an unbounded cache on a hot path — fails tier-1 the same way
-a lint finding does.
+closure, an unbounded cache on a hot path — fails tier-1.
 
 Methodology
 -----------

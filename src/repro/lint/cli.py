@@ -42,19 +42,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="report format (default: text)",
     )
     parser.add_argument(
-        "--rules",
-        default=None,
-        help="comma-separated rule ids to run (default: all)",
-    )
-    parser.add_argument(
         "--select",
         action="append",
         default=None,
         metavar="GLOB",
         help=(
-            "rule-id glob to run (repeatable, comma-separable); e.g. "
-            "'--select P*' runs only the performance tier, '--select D*,R*' "
-            "the determinism and resource tiers"
+            "rule-id or glob to run (repeatable, comma-separable; default: "
+            "all); e.g. '--select D002,D006' or '--select D*' for the "
+            "determinism tier"
         ),
     )
     parser.add_argument(
@@ -64,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="GLOB",
         help=(
             "rule-id glob to skip after selection (repeatable, "
-            "comma-separable); e.g. '--ignore P00[45]'"
+            "comma-separable); e.g. '--ignore D00[34]'"
         ),
     )
     parser.add_argument(
@@ -111,14 +106,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"{rule_id}  [whole-program] {rule.description}")
         return 0
 
-    select = None
-    if args.rules:
-        select = frozenset(r.strip() for r in args.rules.split(",") if r.strip())
-        unknown = select - set(REGISTRY) - set(PROGRAM_REGISTRY)
-        if unknown:
-            parser.error(f"unknown rule id(s): {', '.join(sorted(unknown))}")
     config = LintConfig(
-        select=select,
         select_globs=_parse_globs(parser, args.select, "--select"),
         ignore_globs=_parse_globs(parser, args.ignore, "--ignore"),
         stream_inventory_path=args.stream_inventory,

@@ -16,11 +16,6 @@ DEFAULT_EXEMPT_PATHS: Mapping[str, tuple[str, ...]] = {
     # sim/rng.py is the one blessed constructor of random.Random instances:
     # every other module must go through its RngRegistry named streams.
     "D002": ("sim/rng.py",),
-    # resources.py implements request()/release() themselves.
-    "R001": ("sim/resources.py",),
-    # sim/rng.py implements stream()/keyed()/derive_seed: the name flows
-    # through as a parameter, which is opaque by construction.
-    "D005": ("sim/rng.py",),
 }
 
 #: Directory names skipped while expanding directory arguments.  The lint
@@ -33,12 +28,10 @@ DEFAULT_EXCLUDE_DIRS: tuple[str, ...] = ("lint_fixtures",)
 class LintConfig:
     """What to check and where exceptions are allowed."""
 
-    #: Rule ids to run; ``None`` means every registered rule (both the
-    #: per-module registry and the whole-program registry).
-    select: Optional[frozenset[str]] = None
-    #: Rule-id glob patterns (``fnmatch`` style, e.g. ``P*`` or ``D00?``);
-    #: when non-empty, only rules matching at least one pattern run.  This
-    #: is how the CLI's ``--select`` runs one tier (D/R/P) in isolation.
+    #: Rule-id glob patterns (``fnmatch`` style: ``D*``, ``D00?``, or an
+    #: exact id); empty means every registered rule (both the per-module
+    #: and the whole-program registry), otherwise only rules matching at
+    #: least one pattern run (CLI ``--select``).
     select_globs: tuple[str, ...] = ()
     #: Rule-id glob patterns removed *after* selection (CLI ``--ignore``).
     ignore_globs: tuple[str, ...] = ()
@@ -53,8 +46,6 @@ class LintConfig:
     stream_inventory_path: Optional[str] = None
 
     def rule_enabled(self, rule_id: str) -> bool:
-        if self.select is not None and rule_id not in self.select:
-            return False
         if self.select_globs and not any(
             fnmatchcase(rule_id, pattern) for pattern in self.select_globs
         ):
@@ -70,6 +61,3 @@ class LintConfig:
                 return True
         return False
 
-    @classmethod
-    def with_rules(cls, rule_ids: Optional[frozenset[str]]) -> "LintConfig":
-        return cls(select=rule_ids)

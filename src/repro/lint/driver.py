@@ -2,14 +2,14 @@
 
 Linting runs in two phases.  Phase one parses each module and runs the
 per-module rules.  Phase two builds a :class:`~repro.lint.program.ProgramIndex`
-over *every* parsed module and runs the whole-program rules (D005/D006/
-R003 and the Tier P performance rules), which need the cross-module
-symbol table and call graph.  Both phases share the same suppression and
-exemption filtering — and the same parsed-AST cache: every module is
-``ast.parse``\\ d exactly once per (content, path) and the resulting
-:class:`ModuleContext` is handed to both phases, and reused across
-repeated ``lint_paths`` calls in one process (the tier-1 lint gates run
-the driver several times over overlapping trees).
+over *every* parsed module and runs the whole-program rules (D006, R003),
+which need the cross-module symbol table and call graph.  Both phases
+share the same suppression and exemption filtering — and the same
+parsed-AST cache: every module is ``ast.parse``\\ d exactly once per
+(content, path) and the resulting :class:`ModuleContext` is handed to
+both phases, and reused across repeated ``lint_paths`` calls in one
+process (the tier-1 lint gates run the driver several times over
+overlapping trees).
 """
 
 from __future__ import annotations
@@ -175,8 +175,8 @@ def lint_source(
     """Lint one module given as text (the unit-test entry point).
 
     The whole-program rules run over a single-module index, so R003 and
-    the opaque-name arm of D005 fire here too; cross-module collisions
-    (D005) and cross-module reachability (D006) need :func:`lint_paths`.
+    a D006 spawn chain inside one module fire here too; cross-module
+    reachability (D006) needs :func:`lint_paths`.
     """
     config = config or LintConfig()
     ctx, parse_error = _parse_module(source, path)

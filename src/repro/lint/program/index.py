@@ -1,4 +1,4 @@
-"""The program index: symbol table, import graph and call graph.
+"""The program index: symbol table and call graph.
 
 Built once per lint run from every parsed module, then handed to the
 cross-module rules.  Resolution is deliberately *syntactic* — no code is
@@ -21,12 +21,6 @@ from repro.lint.rules.base import ModuleContext
 #: Method names whose first argument is treated as a process generator
 #: (the spawned callee becomes a call-graph root for reachability).
 SPAWN_METHODS = frozenset({"process", "spawn", "run_process"})
-
-#: Modules that *are* the hot path by definition: every function in the
-#: DES event loop and its resource layer runs once (or more) per event,
-#: so they seed the Tier P "hot" reachability set alongside the spawn
-#: roots even though nothing spawns them directly.
-HOT_KERNEL_MODULES = frozenset({"repro.sim.core", "repro.sim.resources"})
 
 #: Method/function names that create named RNG streams; the stream name
 #: is the call's last positional argument (``stream(name)``,
@@ -67,7 +61,6 @@ class FunctionInfo:
     qualname: str  #: e.g. ``Network.delay`` or ``helper``
     node: ast.AST  #: the FunctionDef / AsyncFunctionDef
     owner_class: Optional[str]  #: enclosing class qualname, if a method
-    is_generator: bool
 
     @property
     def fqn(self) -> str:
@@ -81,7 +74,6 @@ class StreamCall:
     module: str
     path: str
     line: int
-    col: int
     method: str  #: ``stream`` / ``keyed`` / ``derive_seed``
     #: Normalized stream name: the literal itself, an f-string template
     #: with ``{}`` placeholders, or ``None`` when the name is opaque.
@@ -101,12 +93,10 @@ class ModuleInfo:
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     #: class qualname -> base-class dotted names (as written/resolved).
     class_bases: dict[str, list[str]] = field(default_factory=dict)
-    #: class qualname -> its ClassDef node (for body/decorator checks).
-    class_nodes: dict[str, ast.ClassDef] = field(default_factory=dict)
 
 
 class ProgramIndex:
-    """Project-wide symbol table, import graph and call graph."""
+    """Project-wide symbol table and call graph."""
 
     def __init__(self) -> None:
         #: module name -> module info.
@@ -115,30 +105,16 @@ class ProgramIndex:
         self.by_path: dict[str, ModuleInfo] = {}
         #: function fqn -> info.
         self.functions: dict[str, FunctionInfo] = {}
-        #: module name -> project modules it imports.
-        self.import_graph: dict[str, set[str]] = {}
         #: function fqn -> callee fqns (project-internal, resolved).
         self.call_graph: dict[str, set[str]] = {}
         #: fqns spawned as simulation processes (reachability roots).
         self.spawn_roots: set[str] = set()
-        #: spawn-root fqn -> the spawn method names used (``process``,
-        #: ``spawn``, ``run_process``).  Tier W treats a root spawned
-        #: *only* via plain ``env.process(...)`` as unguarded: no owning
-        #: :class:`ProcessGroup` will ever interrupt it on teardown.
-        self.spawn_methods: dict[str, set[str]] = {}
         #: every statically visible stream creation, in file/line order.
         self.stream_calls: list[StreamCall] = []
-        #: class fqn -> (owning module info, class qualname).
-        self.classes: dict[str, tuple[ModuleInfo, str]] = {}
-        #: function fqn -> class fqns it instantiates.  Tracked separately
-        #: from the call graph because a dataclass-generated ``__init__``
-        #: has no definition node for the call graph to land on.
-        self.instantiations: dict[str, set[str]] = {}
         #: method name -> fqns of every class method with that name; used
         #: for unique-name attribute dispatch (``store.put(...)`` resolves
         #: to ``Store.put`` when exactly one class defines ``put``).
         self._method_owners: dict[str, list[str]] = {}
-        self._hot_cache: Optional[dict[str, list[str]]] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -163,7 +139,6 @@ class ProgramIndex:
                     fn.qualname.split(".")[-1], []
                 ).append(fqn)
         for info in index.modules.values():
-            index._collect_imports(info)
             index._collect_calls(info)
         return index
 
@@ -179,7 +154,6 @@ class ProgramIndex:
                         qualname=qualname,
                         node=child,
                         owner_class=owner,
-                        is_generator=_is_generator(child),
                     )
                     info.functions[qualname] = fn
                     self.functions[fn.fqn] = fn
@@ -193,22 +167,9 @@ class ProgramIndex:
                         )
                         if base
                     ]
-                    info.class_nodes[class_qual] = child
-                    self.classes[f"{info.name}.{class_qual}"] = (info, class_qual)
                     visit(child, f"{class_qual}.", class_qual)
 
         visit(info.ctx.tree, "", None)
-
-    def _collect_imports(self, info: ModuleInfo) -> None:
-        """Import graph restricted to modules in the index."""
-        edges: set[str] = set()
-        targets = list(info.ctx.module_aliases.values())
-        targets += list(info.ctx.from_imports.values())
-        for target in targets:
-            module = self._owning_module(target)
-            if module and module != info.name:
-                edges.add(module)
-        self.import_graph[info.name] = edges
 
     def _owning_module(self, dotted: str) -> Optional[str]:
         """Longest known module that is a dotted-prefix of ``dotted``."""
@@ -226,16 +187,11 @@ class ProgramIndex:
     def _collect_calls(self, info: ModuleInfo) -> None:
         for fn in info.functions.values():
             callees: set[str] = set()
-            for call in _calls_in(fn.node):
+            for call in calls_in(fn.node):
                 self._record_stream_call(info, call, fn.qualname)
                 callee = self._resolve_call(info, fn, call)
                 if callee:
                     callees.add(callee)
-                instantiated = self._resolve_class(info, call)
-                if instantiated:
-                    self.instantiations.setdefault(fn.fqn, set()).add(
-                        instantiated
-                    )
                 self._record_spawn(info, fn, call)
             self.call_graph[fn.fqn] = callees
         # Module-level code (including class bodies outside methods).
@@ -301,63 +257,6 @@ class ProgramIndex:
             return self._resolve_method(target, remainder, "__init__", set())
         return None
 
-    def _resolve_class(
-        self, info: ModuleInfo, call: ast.Call
-    ) -> Optional[str]:
-        """Resolve a call expression to a known *class* fqn (instantiation)."""
-        resolved = info.ctx.resolve(call.func)
-        if resolved is None:
-            return None
-        if "." not in resolved:
-            if resolved in info.class_bases:
-                return f"{info.name}.{resolved}"
-            return None
-        module = self._owning_module(resolved)
-        if module is None:
-            return None
-        remainder = resolved[len(module) + 1 :]
-        if remainder in self.modules[module].class_bases:
-            return f"{module}.{remainder}"
-        return None
-
-    def resolve_base_fqn(
-        self, info: ModuleInfo, base: str
-    ) -> Optional[str]:
-        """Map a collected base-class name to a class fqn in the index."""
-        if "." not in base:
-            if base in info.class_bases:
-                return f"{info.name}.{base}"
-            return None
-        module = self._owning_module(base)
-        if module is None:
-            return None
-        remainder = base[len(module) + 1 :]
-        if remainder in self.modules[module].class_bases:
-            return f"{module}.{remainder}"
-        return None
-
-    def class_has_external_base(
-        self, class_fqn: str, _seen: Optional[set[str]] = None
-    ) -> bool:
-        """True when the class (transitively) inherits from anything the
-        index cannot see — ``Exception``, ``Enum``, ABCs, third-party
-        classes — where adding ``__slots__`` may be wrong or pointless."""
-        seen = _seen if _seen is not None else set()
-        if class_fqn in seen:
-            return False
-        seen.add(class_fqn)
-        entry = self.classes.get(class_fqn)
-        if entry is None:
-            return True
-        info, qual = entry
-        for base in info.class_bases.get(qual, ()):
-            if base == "object":
-                continue
-            resolved = self.resolve_base_fqn(info, base)
-            if resolved is None or self.class_has_external_base(resolved, seen):
-                return True
-        return False
-
     def _resolve_method(
         self,
         info: ModuleInfo,
@@ -400,7 +299,6 @@ class ProgramIndex:
         callee = self._resolve_call(info, fn, spawned)
         if callee:
             self.spawn_roots.add(callee)
-            self.spawn_methods.setdefault(callee, set()).add(func.attr)
 
     # ------------------------------------------------------------------
     # Stream inventory
@@ -429,7 +327,6 @@ class ProgramIndex:
                 module=info.name,
                 path=info.ctx.path,
                 line=call.lineno,
-                col=call.col_offset + 1,
                 method=method,
                 name=name,
                 kind=kind,
@@ -447,13 +344,8 @@ class ProgramIndex:
         Returns fqn -> call chain (root first) for every reachable
         function, shortest chain wins; deterministic order.
         """
-        return self._bfs(sorted(self.spawn_roots))
-
-    def _bfs(self, roots: "list[str]") -> dict[str, list[str]]:
-        chains: dict[str, list[str]] = {}
-        frontier = sorted(roots)
-        for root in frontier:
-            chains.setdefault(root, [root])
+        frontier = sorted(self.spawn_roots)
+        chains: dict[str, list[str]] = {root: [root] for root in frontier}
         while frontier:
             next_frontier: list[str] = []
             for fqn in frontier:
@@ -465,79 +357,8 @@ class ProgramIndex:
             frontier = next_frontier
         return chains
 
-    def hot_roots(self) -> set[str]:
-        """Tier P reachability roots: every spawned process generator plus
-        every function in the DES kernel modules themselves."""
-        roots = set(self.spawn_roots)
-        for name in sorted(HOT_KERNEL_MODULES):
-            info = self.modules.get(name)
-            if info is not None:
-                roots.update(fn.fqn for fn in info.functions.values())
-        return roots
 
-    def hot_chains(self) -> dict[str, list[str]]:
-        """fqn -> shortest chain from a hot root, for every hot function.
-
-        *Hot* means transitively reachable from a spawned process
-        generator or from the event loop / resource layer — i.e. code
-        that runs per simulated event.  Cached; the index is immutable
-        once built.
-        """
-        if self._hot_cache is None:
-            self._hot_cache = self._bfs(sorted(self.hot_roots()))
-        return self._hot_cache
-
-    def hot_classes(self) -> dict[str, list[str]]:
-        """class fqn -> chain explaining why the class is hot.
-
-        A class is hot when it is defined in a kernel module or when any
-        hot function instantiates it (tracked via
-        :attr:`instantiations`, which sees dataclass constructors the
-        call graph cannot).
-        """
-        chains = self.hot_chains()
-        out: dict[str, list[str]] = {}
-        for name in sorted(HOT_KERNEL_MODULES & set(self.modules)):
-            for qual in self.modules[name].class_bases:
-                fqn = f"{name}.{qual}"
-                out.setdefault(fqn, [fqn])
-        for fqn in sorted(self.instantiations):
-            chain = chains.get(fqn)
-            if chain is None:
-                continue
-            for cls in sorted(self.instantiations[fqn]):
-                if cls not in out:
-                    out[cls] = chain + [cls]
-        return out
-
-
-def _is_generator(node: ast.AST) -> bool:
-    for child in ast.walk(node):
-        if isinstance(child, (ast.Yield, ast.YieldFrom)):
-            owner = _enclosing_ok(node, child)
-            if owner:
-                return True
-    return False
-
-
-def _enclosing_ok(func: ast.AST, target: ast.AST) -> bool:
-    """True if ``target`` belongs to ``func`` itself, not a nested def."""
-    # Cheap check: walk again, stopping at nested function boundaries.
-    stack: list[ast.AST] = [func]
-    while stack:
-        node = stack.pop()
-        for child in ast.iter_child_nodes(node):
-            if child is target:
-                return True
-            if isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-            ):
-                continue
-            stack.append(child)
-    return False
-
-
-def _calls_in(func: ast.AST) -> Iterator[ast.Call]:
+def calls_in(func: ast.AST) -> Iterator[ast.Call]:
     """Every call in a function body, excluding nested function bodies
     (those are indexed — and resolved — as their own functions)."""
     stack: list[ast.AST] = [func]

@@ -1,12 +1,12 @@
-"""Cross-module rules D005/D006/R003, built on the program index."""
+"""Cross-module rules D006/R003 and the stream inventory, over the program index."""
 
 from __future__ import annotations
 
 import ast
-from typing import Any, Iterable, Optional, Type
+from typing import Any, Iterable, Type
 
 from repro.lint.findings import Finding
-from repro.lint.program.index import ProgramIndex, StreamCall
+from repro.lint.program.index import ProgramIndex, calls_in
 from repro.lint.rules.determinism import _GLOBAL_RANDOM_FUNCS, _WALL_CLOCK_CALLS
 
 #: rule id -> rule instance, in registration (= documentation) order.
@@ -37,67 +37,15 @@ class ProgramRule:
     def check(self, index: ProgramIndex) -> Iterable[Finding]:
         raise NotImplementedError
 
-    def finding(
-        self, call: "StreamCall | None", path: str, line: int, col: int, message: str
-    ) -> Finding:
+    def finding(self, path: str, line: int, col: int, message: str) -> Finding:
         return Finding(
             path=path, line=line, col=col, rule_id=self.rule_id, message=message
         )
 
 
 # ----------------------------------------------------------------------
-# D005 — RNG stream-name collisions and opaque stream names
+# The RNG stream inventory
 # ----------------------------------------------------------------------
-
-
-@register_program
-class StreamNameCollisionRule(ProgramRule):
-    """Each component must own its stream names; silent sharing couples
-    the components' draw sequences (and is how draw-assignment races
-    start).  Names the analyzer cannot read defeat the inventory."""
-
-    rule_id = "D005"
-    description = (
-        "RNG stream name claimed by more than one module (silent stream "
-        "sharing), or a dynamically-built name that defeats the static "
-        "stream inventory"
-    )
-
-    def check(self, index: ProgramIndex) -> Iterable[Finding]:
-        sites: dict[str, list[StreamCall]] = {}
-        for call in index.stream_calls:
-            if call.kind == "opaque":
-                yield self.finding(
-                    call,
-                    call.path,
-                    call.line,
-                    call.col,
-                    f"stream name passed to {call.method}() is not statically "
-                    "readable; use a literal or f-string with a literal "
-                    "prefix so the stream inventory stays complete",
-                )
-                continue
-            sites.setdefault(call.name or "", []).append(call)
-        for name in sorted(sites):
-            calls = sites[name]
-            modules = sorted({c.module for c in calls})
-            if len(modules) < 2:
-                continue
-            ordered = sorted(calls, key=lambda c: (c.path, c.line, c.col))
-            first = ordered[0]
-            for call in ordered[1:]:
-                if call.module == first.module:
-                    continue
-                yield self.finding(
-                    call,
-                    call.path,
-                    call.line,
-                    call.col,
-                    f"stream name {name!r} is also claimed by "
-                    f"{first.module} ({first.path}:{first.line}); two "
-                    "components sharing one stream couple their draw "
-                    "sequences — derive distinct names",
-                )
 
 
 def build_stream_inventory(index: ProgramIndex) -> dict[str, Any]:
@@ -155,13 +103,12 @@ class TransitiveEntropyRule(ProgramRule):
             if fn is None:
                 continue
             info = index.modules[fn.module]
-            for call in _direct_calls(fn.node):
+            for call in calls_in(fn.node):
                 resolved = info.ctx.resolve(call.func)
                 if resolved not in _ROGUE_CALLS:
                     continue
                 chain = " -> ".join(chains[fqn])
                 yield self.finding(
-                    None,
                     info.ctx.path,
                     call.lineno,
                     call.col_offset + 1,
@@ -171,17 +118,6 @@ class TransitiveEntropyRule(ProgramRule):
                 )
 
 
-def _direct_calls(func: ast.AST) -> Iterable[ast.Call]:
-    stack: list[ast.AST] = list(ast.iter_child_nodes(func))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if isinstance(node, ast.Call):
-            yield node
-        stack.extend(reversed(list(ast.iter_child_nodes(node))))
-
-
 # ----------------------------------------------------------------------
 # R003 — discarded process / timeout handles
 # ----------------------------------------------------------------------
@@ -189,9 +125,10 @@ def _direct_calls(func: ast.AST) -> Iterable[ast.Call]:
 
 @register_program
 class DroppedProcessRule(ProgramRule):
-    """A discarded ``env.process(...)`` handle can never be joined or
-    interrupted (fault injection and clean shutdown both need it), and a
-    discarded ``env.timeout(...)`` schedules an event nobody awaits."""
+    """A discarded ``env.timeout(...)`` is a forgotten ``yield``: the
+    event is scheduled and the process does not wait for it.  A discarded
+    ``env.process(...)`` handle can never be joined or interrupted (clean
+    shutdown needs it; ``check stall`` sees those that outlive a run)."""
 
     rule_id = "R003"
     description = (
@@ -218,7 +155,6 @@ class DroppedProcessRule(ProgramRule):
                 if not _receiver_is_env(func.value):
                     continue
                 yield self.finding(
-                    None,
                     info.ctx.path,
                     call.lineno,
                     call.col_offset + 1,

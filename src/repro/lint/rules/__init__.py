@@ -33,5 +33,4 @@ def all_rules() -> "list[Rule]":
 
 # Built-in rule modules (import order fixes documentation order).
 from repro.lint.rules import determinism as _determinism  # noqa: E402,F401
-from repro.lint.rules import resources as _resources  # noqa: E402,F401
 from repro.lint.rules import exceptions as _exceptions  # noqa: E402,F401

@@ -1,8 +1,8 @@
-"""Dynamic liveness sanitizer (lint Tier W's runtime complement).
+"""Dynamic liveness sanitizer: the ``stall`` check.
 
-The static Tier W rules flag wait-graph *patterns* (unguarded waits,
-inconsistent lock orders, zero-delay loops); this module watches the
-real thing.  A :class:`StallMonitor` hooks the kernel via the
+Unguarded waits, leaked slots, zero-delay loops and un-drained queues
+are caught here, on the running simulation, not by static pattern
+rules (DESIGN.md §6, *Rule yield*).  A :class:`StallMonitor` hooks the kernel via the
 ``_STALL_MONITOR`` globals in :mod:`repro.sim.core` and
 :mod:`repro.sim.resources`, keeping weak-reference registries of every
 process, process group, resource and store the run creates — each

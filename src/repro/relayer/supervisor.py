@@ -126,7 +126,7 @@ class Supervisor:
                 )
                 # Deregister the dead subscription: the server keeps
                 # delivering to registered subscriptions, so leaving it
-                # behind leaks one queue per disconnect (stallcheck W-tier
+                # behind leaks one queue per disconnect (stallcheck
                 # residue finding).
                 self._nodes[chain_id].websocket.unsubscribe(subscription)
                 if not self.config.resubscribe_on_disconnect:

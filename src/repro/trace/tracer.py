@@ -24,8 +24,9 @@ Two recording styles:
   scope (RPC service, data pulls, block execution).
 * :meth:`Tracer.open_span` / :meth:`Tracer.close_span` — a genuinely
   in-flight span that closes in a different scope (a workload submission
-  that confirms blocks later).  Lint rule R004 enforces the pairing the
-  same way R001 enforces resource-slot release.
+  that confirms blocks later).  A span that never closes drops its
+  packets from the trace section, which the ``replay`` pins of the
+  traced scenarios (``line3``, ``hub4``) hold fixed.
 
 A disabled run uses the module-level :data:`NULL_TRACER`, whose methods
 are no-ops, so instrumentation sites need no conditionals.
@@ -117,7 +118,7 @@ class Tracer:
         key: Optional[tuple[str, str, int]] = None,
         **attrs: Any,
     ) -> Span:
-        """Start a span now; pair with :meth:`close_span` (rule R004)."""
+        """Start a span now; pair with :meth:`close_span`."""
         span = Span(
             span_id=self._next_span_id,
             name=name,

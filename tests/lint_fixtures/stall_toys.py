@@ -3,10 +3,8 @@
 Each ``build_*`` function wires a purpose-built liveness bug onto a
 fresh environment; ``tests/test_stallcheck.py`` loads this module by
 path and runs the toys under the :class:`~repro.lint.stallcheck`
-monitor.  The file lives under ``lint_fixtures`` because the *static*
-Tier W rules flag these same bugs (by design) — the clean-tree gate
-excludes this directory, and the dynamic sanitizer must catch what the
-toys do at runtime with zero suppressions anywhere else.
+monitor.  The file lives under ``lint_fixtures`` with the other
+deliberately broken code, never imported as part of the test package.
 """
 
 from repro.sim.resources import Resource

@@ -1,5 +1,4 @@
 """Unit tests for sim/rng.py: named-stream derivation guarantees."""
-# repro-lint: disable-file=D005 -- exercises stream derivation with throwaway names
 
 from repro.sim.rng import RngRegistry, derive_seed
 

@@ -1,5 +1,4 @@
 """Tests for the network latency model and named RNG streams."""
-# repro-lint: disable-file=D005 -- exercises stream derivation with throwaway names
 
 import pytest
 

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.framework import ExperimentConfig
 from repro.lint import check, scenarios
 from repro.lint.check import DEFAULT_PINS_PATH, UNBUDGETED_FLOOR, compare_stall
 from repro.lint.stallcheck import (
@@ -27,8 +28,8 @@ from repro.sim.resources import Store
 
 REPO_ROOT = Path(__file__).parent.parent
 
-# The stalling builders are static Tier W violations by design, so they
-# live in the lint-excluded fixture directory (zero suppressions here).
+# The stalling builders live in the fixture directory the clean-tree
+# lint gate skips, loaded by path.
 _TOYS_PATH = Path(__file__).parent / "lint_fixtures" / "stall_toys.py"
 _spec = importlib.util.spec_from_file_location("stall_toys", _TOYS_PATH)
 stall_toys = importlib.util.module_from_spec(_spec)
@@ -245,6 +246,31 @@ def test_stallcheck_gate_golden():
         "repro/relayer/worker.py:__init__",
         "repro/tendermint/websocket.py:subscribe",
     ]
+
+
+def test_teardown_reaches_a_pull_in_flight(monkeypatch):
+    """A run with no drain ends while a data pull is still waiting on
+    its RPC.  Teardown must interrupt it: pulls are spawned through the
+    worker's group.  No registry scenario ends mid-pull, so this is the
+    only gate on that spawn — the twin run, with pulls started as bare
+    ``env.process`` handles, proves a pull really is in flight."""
+    config = ExperimentConfig(
+        input_rate=140, measurement_blocks=3, drain_seconds=0, seed=7
+    )
+    clean = run_monitored("no-drain", config)
+    assert clean.clean, clean.summary()
+
+    owned_spawn = ProcessGroup.spawn
+
+    def spawn(self, generator, name=""):
+        if name.startswith("pull/"):
+            return self.env.process(generator, name=name)
+        return owned_spawn(self, generator, name)
+
+    monkeypatch.setattr(ProcessGroup, "spawn", spawn)
+    leaky = run_monitored("no-drain", config)
+    assert any("process(es) alive" in v for v in leaky.violations), leaky.summary()
+    assert any("pull/" in line for line in leaky.wait_lines)
 
 
 def test_gate_fires_on_a_reference_cycle_in_the_loop(monkeypatch):

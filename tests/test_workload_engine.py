@@ -242,7 +242,7 @@ def _times(seed: int, arrival: str, n: int = 500) -> list:
     engine = WorkloadEngine(
         # Deliberately the driver's stream name: the engine under test
         # must draw exactly what an experiment run would.
-        spec, 20.0, RngRegistry(seed).keyed("workload"), seed  # repro-lint: disable=D005
+        spec, 20.0, RngRegistry(seed).keyed("workload"), seed
     )
     return list(islice(engine.arrivals.times(), n))
 
@@ -264,7 +264,7 @@ def test_engine_draws_are_order_independent():
     spec = WorkloadSpec(population=500, zipf_s=1.2)
 
     def build() -> WorkloadEngine:
-        return WorkloadEngine(spec, 20.0, RngRegistry(7).keyed("workload"), 7)  # repro-lint: disable=D005
+        return WorkloadEngine(spec, 20.0, RngRegistry(7).keyed("workload"), 7)
 
     forward = build()
     backward = build()
@@ -279,7 +279,7 @@ def test_engine_draws_are_order_independent():
 
 def test_engine_activity_summary_percentiles():
     spec = WorkloadSpec(population=100)
-    engine = WorkloadEngine(spec, 20.0, RngRegistry(9).keyed("workload"), 9)  # repro-lint: disable=D005
+    engine = WorkloadEngine(spec, 20.0, RngRegistry(9).keyed("workload"), 9)
     for _ in range(10):
         engine.record_start(0)
     for rank in range(1, 11):
@@ -366,3 +366,45 @@ def test_workload_section_unknown_key_rejected():
     wire["workload"]["zipf_z"] = 1.0
     with pytest.raises(SchemaError, match="zipf_z"):
         ExperimentConfig.from_dict(wire)
+
+
+# ----------------------------------------------------------------------
+# The million-account claim, measured
+# ----------------------------------------------------------------------
+
+#: Ceiling on a 1 M population's marginal memory.  By construction it is
+#: 40 B/account: four int64 column slots (auth number and sequence, two
+#: bank denoms) + the 8-byte cumulative weight; no address until named.
+MAX_BYTES_PER_ACCOUNT = 100
+
+_MILLION_ACCOUNT_RUN = """
+from repro.framework import ExperimentConfig, WorkloadSpec, run_experiment
+def peak_kb():  # VmHWM, not ru_maxrss: that one starts at the parent's RSS
+    status = open("/proc/self/status").read()
+    return int(status.split("VmHWM:")[1].split()[0])
+baseline_kb = peak_kb()
+report = run_experiment(ExperimentConfig(
+    input_rate=20, measurement_blocks=3, seed=7,
+    workload=WorkloadSpec(population=1_000_000)))
+print(report.workload.committed_transfers, (peak_kb() - baseline_kb) * 1024 / 1e6)
+"""
+
+
+def test_million_accounts_commit_transfers_within_the_memory_ceiling():
+    """Run in a fresh interpreter, because a peak never goes down: the
+    high-water mark is this run's own, and the run really commits."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    completed = subprocess.run(
+        [sys.executable, "-c", _MILLION_ACCOUNT_RUN],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    committed, bytes_per_account = completed.stdout.split()
+    assert int(committed) > 0
+    assert 0 < float(bytes_per_account) < MAX_BYTES_PER_ACCOUNT
