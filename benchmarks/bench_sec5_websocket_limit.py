@@ -52,7 +52,7 @@ def build_run():
         chain_a.app.genesis_account(
             wallet, {FEE_DENOM: 10**15, TRANSFER_DENOM: 10**9}
         )
-        factories.append(TxFactory(wallet))
+        factories.append(TxFactory(wallet, chain_a.cal))
 
     def flow():
         path = yield from testbed.bootstrap()
@@ -148,9 +148,10 @@ def test_websocket_frame_limit_strands_packets(benchmark):
     )
 
     # The staged burst produced a block whose events exceed the 16 MB frame.
+    calibration = cal.DEFAULT_CALIBRATION
     assert (
-        outcome["giant_block_events"] * cal.EVENT_BYTES_TRANSFER
-        > cal.WEBSOCKET_MAX_FRAME_BYTES
+        outcome["giant_block_events"] * calibration.event_bytes["send_packet"]
+        > calibration.websocket_max_frame_bytes
     )
     assert outcome["ws_errors"] >= 1
     # Most packets are stuck: committed on the source, never completed,

@@ -1,4 +1,4 @@
-"""Gas metering and fees.
+"""Gas metering.
 
 Message gas figures are calibrated to the paper's measurements: a 100-message
 transaction consumes on average 3 669 161 gas for transfers, 7 238 699 for
@@ -86,6 +86,3 @@ class GasSchedule:
             else:
                 total += 60_000
         return total
-
-    def fee_for_gas(self, gas: int) -> float:
-        return gas * self.cal.gas_price

@@ -1,4 +1,4 @@
-"""Transactions: signed containers of up to ``MAX_MSGS_PER_TX`` messages.
+"""Transactions: signed containers of up to ``max_msgs_per_tx`` messages.
 
 The paper's workload packs 100 ``MsgTransfer`` messages per transaction —
 the Hermes maximum — to work around the one-transaction-per-account-per-block
@@ -114,12 +114,16 @@ class TxFactory:
     def __init__(
         self,
         wallet: Wallet,
-        max_msgs_per_tx: int = cal.MAX_MSGS_PER_TX,
-        gas_price: float = cal.GAS_PRICE,
+        calibration: cal.Calibration,
+        prepended_msgs: int = 0,
     ):
+        """``calibration`` is the chain's: it sets the per-transaction
+        message limit and the gas price.  ``prepended_msgs`` raises the
+        limit for messages a client puts in front of a full chunk (the
+        relayer's ``MsgUpdateClient``)."""
         self.wallet = wallet
-        self.max_msgs_per_tx = max_msgs_per_tx
-        self.gas_price = gas_price
+        self.max_msgs_per_tx = calibration.max_msgs_per_tx + prepended_msgs
+        self.gas_price = calibration.gas_price
         self.local_sequence = 0
         self._nonces = itertools.count()
 

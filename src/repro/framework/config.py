@@ -34,12 +34,14 @@ class ExperimentConfig:
     network_rtt: float = cal.DEFAULT_RTT
     #: Number of concurrent (uncoordinated) relayer instances.
     num_relayers: int = 1
-    #: Transfer messages per workload transaction (Hermes max: 100).
-    msgs_per_tx: int = cal.MAX_MSGS_PER_TX
+    #: Transfer messages per workload transaction (Hermes max: 100); the
+    #: run's ``calibration.max_msgs_per_tx``.
+    msgs_per_tx: int = cal.DEFAULT_CALIBRATION.max_msgs_per_tx
     #: Validators per chain (the paper uses 5).
     num_validators: int = cal.DEFAULT_VALIDATORS
-    #: Minimum block interval (the paper configures 5 s).
-    block_interval: float = cal.MIN_BLOCK_INTERVAL
+    #: Minimum block interval (the paper configures 5 s); the run's
+    #: ``calibration.min_block_interval``.
+    block_interval: float = cal.DEFAULT_CALIBRATION.min_block_interval
 
     # -- workload shaping ---------------------------------------------------
     #: Fixed-total mode (Figs. 12/13): submit exactly this many transfers...
@@ -112,7 +114,8 @@ class ExperimentConfig:
     run_to_completion: bool = False
     #: Hard stop for the simulation clock.
     max_sim_seconds: float = 3600.0 * 6
-    #: Calibration overrides for ablations (e.g. parallel RPC).
+    #: Calibration overrides for ablations (e.g. parallel RPC).  Its two
+    #: paper parameters come from ``msgs_per_tx`` and ``block_interval``.
     calibration: Optional[cal.Calibration] = None
 
     AUTO_STUB_THRESHOLD: int = field(default=6_000, repr=False)
@@ -155,6 +158,20 @@ class ExperimentConfig:
             )
         if self.tiebreak not in ("fifo", "lifo"):
             raise WorkloadError(f"unknown tie-break policy {self.tiebreak!r}")
+        if self.calibration is not None:
+            for name, parameter in (
+                ("max_msgs_per_tx", "msgs_per_tx"),
+                ("min_block_interval", "block_interval"),
+            ):
+                value = getattr(self.calibration, name)
+                if value not in (
+                    getattr(cal.DEFAULT_CALIBRATION, name),
+                    getattr(self, parameter),
+                ):
+                    raise WorkloadError(
+                        f"calibration.{name} comes from the {parameter} "
+                        f"parameter: set {parameter}={value!r} instead"
+                    )
         if self.workload is not None:
             if self.total_transfers is not None:
                 raise WorkloadError(
@@ -225,13 +242,12 @@ class ExperimentConfig:
 
     @property
     def resolved_calibration(self) -> cal.Calibration:
-        base = self.calibration or cal.DEFAULT_CALIBRATION
-        overrides = {}
-        if self.msgs_per_tx != base.max_msgs_per_tx:
-            overrides["max_msgs_per_tx"] = self.msgs_per_tx
-        if self.block_interval != base.min_block_interval:
-            overrides["min_block_interval"] = self.block_interval
-        return base.with_overrides(**overrides) if overrides else base
+        """The run's calibration: ``calibration`` (or the default) with the
+        two paper parameters filled in from this config."""
+        return (self.calibration or cal.DEFAULT_CALIBRATION).with_overrides(
+            max_msgs_per_tx=self.msgs_per_tx,
+            min_block_interval=self.block_interval,
+        )
 
     @property
     def transfers_per_block(self) -> int:

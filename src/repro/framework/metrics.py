@@ -387,17 +387,14 @@ def collect_fault_metrics(
     logs: list,
     completion_curve: list[tuple[float, int]],
     first_fault_offset: Optional[float] = None,
-    ack_offsets: Optional[list[float]] = None,
 ) -> FaultReport:
     """Assemble the fault report after a run.
 
     ``completion_curve`` and ``first_fault_offset`` share the same origin
     (the workload start); the offset is the first fault window's opening
-    relative to it.  When the run was traced, pass the per-packet ack
-    confirmation offsets from :func:`trace_ack_offsets` — the recovery
-    latencies then come from the trace spans directly instead of being
-    scraped back out of the journal's cumulative curve (the two agree
-    exactly; a regression test pins that).
+    relative to it.  Recovery latencies are read off the journal's
+    cumulative completion curve: one per transfer completed after the
+    first fault opened.
     """
     refused = 0
     dropped = 0
@@ -411,20 +408,13 @@ def collect_fault_metrics(
 
     latencies: list[float] = []
     if first_fault_offset is not None:
-        if ack_offsets is not None:
-            latencies = [
-                offset - first_fault_offset
-                for offset in ack_offsets
-                if offset >= first_fault_offset
-            ]
-        else:
-            previous = 0
-            for time, cumulative in completion_curve:
-                if time >= first_fault_offset:
-                    latencies.extend(
-                        [time - first_fault_offset] * (cumulative - previous)
-                    )
-                previous = cumulative
+        previous = 0
+        for time, cumulative in completion_curve:
+            if time >= first_fault_offset:
+                latencies.extend(
+                    [time - first_fault_offset] * (cumulative - previous)
+                )
+            previous = cumulative
 
     return FaultReport(
         windows=list(windows),
@@ -898,23 +888,6 @@ def assemble_route_traces(tracer) -> list[RouteTrace]:
             hops.append(by_key[child_of[hops[-1].key]])
         routes.append(RouteTrace(hops=hops))
     return routes
-
-
-def trace_ack_offsets(tracer, start_time: float) -> list[float]:
-    """Ack-confirmation times relative to the window start, from the trace.
-
-    One entry per packet whose ``ack_confirmed`` mark carries code 0 —
-    the exact population :meth:`CrossChainEventProcessor.completion_curve`
-    counts from ``ack_confirmation`` journal records, stamped at the same
-    simulated instants, so journal- and trace-derived recovery metrics
-    agree (see :func:`collect_fault_metrics`).
-    """
-    offsets = [
-        event.time - start_time
-        for event in tracer.packet_events("ack_confirmed")
-        if event.attr("code", 0) == 0
-    ]
-    return sorted(offsets)
 
 
 def collect_trace_metrics(tracer, window_start: float = 0.0) -> Optional[TraceReport]:

@@ -90,12 +90,6 @@ _SECTIONS = (
     ("sim_end_time", "sim_end_time", None),
 )
 
-#: Sections schema 6 added.  A schema-5 document (the generated-workload
-#: engine's predecessor) must not carry them and loads with them absent;
-#: its ``submission`` section may also lack the failed/unconfirmed/deferred
-#: split, which then reads as zero.
-_ADDED_IN_V6 = ("population", "frames")
-
 
 @dataclass
 class ExperimentReport:
@@ -103,10 +97,8 @@ class ExperimentReport:
 
     #: Version of the JSON wire schema ``to_dict`` emits.  Bump whenever a
     #: key is added, removed or changes meaning.  ``from_dict`` reads this
-    #: version and the one before it (5 → 6 added the generated-workload
-    #: engine: the config's nested ``workload`` section, the
-    #: ``population``/``frames`` report sections and the submission split
-    #: into failed/unconfirmed/deferred) and refuses everything else.
+    #: version only (the parallel cache keys on it, so an older cached
+    #: point is a miss, not a load).
     SCHEMA_VERSION = 6
 
     config: ExperimentConfig
@@ -136,8 +128,7 @@ class ExperimentReport:
     #: unless the run used the workload engine.
     population: Optional[PopulationReport] = None
     #: §V WebSocket frame accounting
-    #: (:func:`repro.framework.metrics.collect_frame_metrics`); always
-    #: set on fresh runs, None when loaded from a pre-v6 document.
+    #: (:func:`repro.framework.metrics.collect_frame_metrics`).
     frames: Optional[FrameReport] = None
     sim_end_time: float = 0.0
     #: Canonical journal text (``render_journal``), captured only when
@@ -168,46 +159,36 @@ class ExperimentReport:
 
     @classmethod
     def from_dict(cls, data: Any) -> "ExperimentReport":
-        """Load a schema-6 (or schema-5) report document.
+        """Load a schema-6 report document.
 
-        A loaded current-schema report re-serializes byte-identically:
-        the raw sections (``config``, ``window``, ``timeline.steps``, ...)
-        are restored and every derived section is recomputed from them.
-        Schema-5 documents load with the ``population``/``frames``
-        sections absent and the submission split defaulted to zero, and
-        re-serialize as schema 6.  Unknown, missing or wrongly-typed keys
-        — at the top level or inside any section — and foreign schema
-        versions raise :class:`SchemaError`.
+        A loaded report re-serializes byte-identically: the raw sections
+        (``config``, ``window``, ``timeline.steps``, ...) are restored and
+        every derived section is recomputed from them.  Unknown, missing or
+        wrongly-typed keys — at the top level or inside any section — and
+        any other schema version raise :class:`SchemaError`.
         """
         if not isinstance(data, dict):
             raise SchemaError(
                 f"report document must be a dict, got {type(data).__name__}"
             )
         version = data.get("schema_version")
-        if version not in (cls.SCHEMA_VERSION - 1, cls.SCHEMA_VERSION):
+        if version != cls.SCHEMA_VERSION:
             raise SchemaError(
                 f"unsupported report schema_version {version!r} "
-                f"(this library reads versions {cls.SCHEMA_VERSION - 1} "
-                f"and {cls.SCHEMA_VERSION})"
+                f"(this library reads version {cls.SCHEMA_VERSION})"
             )
-        expected = ["schema_version"] + [
-            key
-            for key, _attribute, _owner in _SECTIONS
-            if version == cls.SCHEMA_VERSION or key not in _ADDED_IN_V6
-        ]
+        expected = ["schema_version"] + [key for key, _, _ in _SECTIONS]
         unknown = sorted(set(data) - set(expected))
         if unknown:
             raise SchemaError(
-                f"unknown key(s) {', '.join(unknown)} in schema-{version} "
-                f"report document (known keys: {', '.join(expected)})"
+                f"unknown key(s) {', '.join(unknown)} in report document "
+                f"(known keys: {', '.join(expected)})"
             )
         missing = sorted(set(expected) - set(data))
         if missing:
             raise SchemaError(
                 f"report document is missing key(s): {', '.join(missing)}"
             )
-        if version != cls.SCHEMA_VERSION:
-            data = {**data, **dict.fromkeys(_ADDED_IN_V6)}
         hints = get_type_hints(cls)
         loaded: dict[str, Any] = {}
         for key, attribute, _owner in _SECTIONS:
@@ -216,11 +197,7 @@ class ExperimentReport:
                 loaded[attribute] = ExperimentConfig.from_dict(data[key])
             elif attribute is not None:
                 loaded[attribute] = from_wire(
-                    hints[attribute],
-                    data[key],
-                    f"{key} section",
-                    # Schema 5 predates the submission split: absent = 0.
-                    defaults=key == "submission" and version != cls.SCHEMA_VERSION,
+                    hints[attribute], data[key], f"{key} section"
                 )
         report = cls(**loaded)
         for key, section in report.window.derived_sections().items():

@@ -25,7 +25,6 @@ from repro.framework.metrics import (
     collect_rpc_metrics,
     collect_trace_metrics,
     collect_window_metrics,
-    trace_ack_offsets,
 )
 from repro.framework.processor import CrossChainEventProcessor
 from repro.framework.report import ExperimentReport
@@ -297,13 +296,6 @@ class _ExperimentEngine:
                 [relayer.log for relayer in self.testbed.relayers],
                 completion_curve,
                 first_fault_offset=first_offset,
-                # Traced runs derive recovery latency from the trace spans
-                # rather than re-scraping the journal's cumulative curve.
-                ack_offsets=(
-                    trace_ack_offsets(tracer, self._window_start_time)
-                    if tracer.enabled
-                    else None
-                ),
             )
         fleet = collect_fleet_metrics(
             topology=testbed.topology,

@@ -146,7 +146,6 @@ class Testbed:
                     wallet_b=wallet_b,
                     config=RelayerConfig(
                         name=f"hermes-{k}",
-                        max_msgs_per_tx=config.msgs_per_tx,
                         clear_interval=config.clear_interval,
                         pull_concurrency=config.pull_concurrency,
                         rpc_retry_attempts=fleet_config.rpc_retry_attempts,

@@ -69,15 +69,11 @@ from repro.tendermint.abci import AbciEvent
 from repro.tendermint.merkle import ProvableStore
 from repro.tendermint.validator import ValidatorSet
 
-#: Default event byte sizes (overridden from calibration by the app).
+#: Event byte sizes of the handshake and client events; packet events take
+#: theirs from the chain's calibration (``Calibration.event_bytes``).
 DEFAULT_EVENT_BYTES = {
     "create_client": 200,
     "update_client": 250,
-    "send_packet": 400,
-    "recv_packet": 700,
-    "write_acknowledgement": 700,
-    "acknowledge_packet": 300,
-    "timeout_packet": 300,
     "channel_open_init": 150,
     "channel_open_try": 150,
     "channel_open_ack": 150,
@@ -128,17 +124,15 @@ class IbcModule(Journaled):
         self,
         chain_id: str,
         store: ProvableStore,
+        event_bytes: dict[str, int],
         proof_mode: str = PROOF_MODE_MERKLE,
-        event_bytes: Optional[dict[str, int]] = None,
     ):
         if proof_mode not in (PROOF_MODE_MERKLE, PROOF_MODE_STUB):
             raise IbcError(f"unknown proof mode {proof_mode!r}")
         self.chain_id = chain_id
         self.store = store
         self.proof_mode = proof_mode
-        self.event_bytes = dict(DEFAULT_EVENT_BYTES)
-        if event_bytes:
-            self.event_bytes.update(event_bytes)
+        self.event_bytes = {**DEFAULT_EVENT_BYTES, **event_bytes}
 
         self.clients: dict[str, TendermintLightClient] = {}
         self.connections: dict[str, ConnectionEnd] = {}
@@ -932,5 +926,5 @@ class IbcModule(Journaled):
         return AbciEvent(
             type=event_type,
             attributes=attrs,
-            size_bytes=self.event_bytes.get(event_type, 400),
+            size_bytes=self.event_bytes[event_type],
         )

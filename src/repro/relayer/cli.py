@@ -77,7 +77,6 @@ class WorkloadCli:
         receiver: str,
         denom: str = "uatom",
         rpc_timeout: Optional[float] = None,
-        confirm_poll_seconds: float = cal.CLI_CONFIRM_POLL_SECONDS,
         confirm_timeout_seconds: float = 300.0,
     ):
         self.env = env
@@ -86,7 +85,7 @@ class WorkloadCli:
         self.source_channel = source_channel
         self.receiver = receiver
         self.denom = denom
-        self.confirm_poll_seconds = confirm_poll_seconds
+        self.confirm_poll_seconds = node.chain.cal.cli_confirm_poll_seconds
         self.confirm_timeout_seconds = confirm_timeout_seconds
         self.client = RpcClient(
             env,
@@ -96,7 +95,7 @@ class WorkloadCli:
             timeout=rpc_timeout,
             client_id=f"cli/{wallet.name}",
         )
-        self.factory = TxFactory(wallet)
+        self.factory = TxFactory(wallet, node.chain.cal)
         self._gas = GasSchedule(node.chain.cal)
         self.wallet = wallet
 
@@ -141,7 +140,7 @@ class WorkloadCli:
         )
         msgs = self.build_transfer_msgs(count, amount, timeout_blocks, dst_height)
         # CLI-side preparation (encode + sign).
-        yield self.env.timeout(cal.CLI_PREPARE_SECONDS_PER_TX)
+        yield self.env.timeout(self.node.chain.cal.cli_prepare_seconds_per_tx)
         gas = int(self._gas.estimate_tx_gas([m.kind for m in msgs]) * gas_factor)
         tx = self.factory.build(msgs, gas_limit=gas)
         submission = TransferSubmission(

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import calibration as cal
-
 
 @dataclass
 class RelayerConfig:
@@ -13,12 +11,12 @@ class RelayerConfig:
 
     ``clear_interval`` is Hermes's packet-clearing cadence in blocks; the
     paper's §V WebSocket experiment sets it to 0 (disabled), which is what
-    leaves 81.8 % of packets stuck after a frame-size failure.
+    leaves 81.8 % of packets stuck after a frame-size failure.  Calibrated
+    timings, the per-transaction message limit and the gas price are not
+    settings here: the relayer reads them from its chains' calibration.
     """
 
     name: str = "hermes"
-    max_msgs_per_tx: int = cal.MAX_MSGS_PER_TX
-    gas_price: float = cal.GAS_PRICE
     #: Multiplier applied to estimated gas when setting tx gas limits
     #: (Hermes's default_gas/max_gas behaviour, simplified).
     gas_multiplier: float = 1.3
@@ -28,12 +26,8 @@ class RelayerConfig:
     #: (and Tendermint's serial RPC would serialise more anyway); the
     #: parallel-RPC ablation raises both sides.
     pull_concurrency: int = 1
-    #: Confirmation polling cadence against /tx.
-    confirm_poll_seconds: float = cal.RELAYER_CONFIRM_POLL_SECONDS
     #: Give up confirming a tx after this many seconds.
     confirm_timeout_seconds: float = 120.0
-    #: RPC client timeout.
-    rpc_timeout_seconds: float = cal.RPC_CLIENT_TIMEOUT_SECONDS
     #: Retries (on top of the first attempt) for transient RPC failures
     #: (timeout / overload / node-down), with capped exponential backoff.
     #: 0 disables retries — Hermes 1.0.0's effective behaviour for queries,

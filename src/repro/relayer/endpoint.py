@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
-from repro import calibration as cal
 from repro.cosmos.accounts import Wallet
 from repro.cosmos.gas import GasSchedule
 from repro.cosmos.tx import Tx, TxFactory, chunk_msgs
@@ -86,6 +85,8 @@ class ChainEndpoint:
         self.env = env
         self.node = node
         self.chain = node.chain
+        #: The chain's calibration: the relayer's timings and limits.
+        self.cal = node.chain.cal
         self.config = config
         self.log = log
         self.tracer = tracer
@@ -95,20 +96,15 @@ class ChainEndpoint:
             node.chain.network,
             client_host,
             node.rpc,
-            timeout=config.rpc_timeout_seconds,
             # Stable id (relayer names are unique per testbed): the default
             # falls back to a process-global counter, which is replay-safe
             # but drifts across runs in one process.
             client_id=f"{config.name}/{node.chain.chain_id}",
         )
-        # +1: each packet transaction carries a prepended MsgUpdateClient on
+        # Each packet transaction carries a prepended MsgUpdateClient on
         # top of the (paper-reported) 100 packet messages.
-        self.factory = TxFactory(
-            wallet,
-            max_msgs_per_tx=config.max_msgs_per_tx + 1,
-            gas_price=config.gas_price,
-        )
-        self._gas = GasSchedule(node.chain.cal)
+        self.factory = TxFactory(wallet, self.cal, prepended_msgs=1)
+        self._gas = GasSchedule(self.cal)
         #: Accounting for analysis.
         self.broadcast_failures = 0
         self.sequence_resyncs = 0
@@ -193,11 +189,11 @@ class ChainEndpoint:
         """
         src_chain = packet_src_chain if packet_src_chain is not None else self.chain_id
         submitted: list[SubmittedTx] = []
-        for chunk in chunk_msgs(msgs, self.config.max_msgs_per_tx):
+        for chunk in chunk_msgs(msgs, self.cal.max_msgs_per_tx):
             started = self.env.now
             if build_seconds_per_msg > 0:
                 yield self.env.timeout(build_seconds_per_msg * len(chunk))
-            yield self.env.timeout(cal.RELAYER_SIGN_SECONDS_PER_TX)
+            yield self.env.timeout(self.cal.relayer_sign_seconds_per_tx)
             payload = [prepend_msg] + chunk if prepend_msg is not None else chunk
             entry = yield from self._sign_and_broadcast(
                 payload, label, payload_msgs=len(chunk)
@@ -317,8 +313,8 @@ class ChainEndpoint:
                     )
                     if self.tracer.enabled:
                         # Stamped at the same instant as the confirmation
-                        # log record so trace- and journal-derived metrics
-                        # agree exactly (see metrics.collect_fault_metrics).
+                        # log record, so the trace's per-packet marks line
+                        # up with the journal.
                         for key in entry.packet_keys:
                             self.tracer.event(
                                 f"{label}_confirmed",
@@ -333,7 +329,7 @@ class ChainEndpoint:
                     still_pending.append(entry)
             pending = still_pending
             if pending:
-                yield self.env.timeout(self.config.confirm_poll_seconds)
+                yield self.env.timeout(self.cal.relayer_confirm_poll_seconds)
         for entry in pending:
             self.log.error(
                 "failed_tx_no_confirmation",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro import calibration as cal
+from repro.calibration import RELAYER_BATCH_HANDOFF_SECONDS
 from repro.errors import RpcError
 from repro.relayer.config import RelayerConfig
 from repro.relayer.events import WorkBatch, batches_from_notification
@@ -118,6 +118,8 @@ class Supervisor:
         gap_from: Optional[int] = None
         heights = self.heights
         log_error = self.log.error
+        calibration = self._nodes[chain_id].chain.cal
+        parse_seconds = calibration.relayer_event_parse_seconds
         while True:
             item = yield subscription.queue.get()
             if isinstance(item, SubscriptionClosed):
@@ -162,9 +164,7 @@ class Supervisor:
             if not notification.events:
                 continue
             # Parsing cost scales with the number of events in the frame.
-            yield self.env.timeout(
-                cal.RELAYER_EVENT_PARSE_SECONDS * len(notification.events)
-            )
+            yield self.env.timeout(parse_seconds * len(notification.events))
             batches = batches_from_notification(notification, SUBSCRIBED_KINDS)
             handed_off = False
             for batch in batches:
@@ -174,7 +174,7 @@ class Supervisor:
                     # events in one tx), the later workers wake strictly
                     # after the first, so their follow-up queries cannot
                     # tie for the node's serial RPC slot.
-                    yield self.env.timeout(cal.RELAYER_BATCH_HANDOFF_SECONDS)
+                    yield self.env.timeout(RELAYER_BATCH_HANDOFF_SECONDS)
                 handed_off = self._dispatch(chain_id, batch) or handed_off
 
     def _resubscribe(self, chain_id: str):

@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro import calibration as cal
 from repro.errors import RpcError
 from repro.ibc.msgs import MsgAcknowledgement, MsgRecvPacket, MsgTimeout, MsgUpdateClient
 from repro.ibc.packet import Packet
@@ -210,14 +209,16 @@ class DirectionWorker:
         the transactions back to back, which is why the paper's 5 000
         receives land in a single destination block.
         """
+        dst = self.dst
         build_started = self.env.now
         self.log.info("recv_build", count=len(packets))
-        yield self.env.timeout(cal.RELAYER_BUILD_SECONDS_PER_MSG * len(packets))
+        yield self.env.timeout(
+            dst.cal.relayer_build_seconds_per_msg * len(packets)
+        )
         self.tracer.record_span(
             "recv_build", self._track, start=build_started, count=len(packets)
         )
-        size = self.config.max_msgs_per_tx
-        dst = self.dst
+        size = dst.cal.max_msgs_per_tx
         signer = dst.factory.wallet.address
         for start in range(0, len(packets), size):
             chunk = packets[start : start + size]
@@ -414,14 +415,16 @@ class DirectionWorker:
         As with receives, the build stage covers the whole batch before the
         back-to-back broadcasts.
         """
+        src = self.src
         build_started = self.env.now
         self.log.info("ack_build", count=len(packets))
-        yield self.env.timeout(cal.RELAYER_BUILD_SECONDS_PER_MSG * len(packets))
+        yield self.env.timeout(
+            src.cal.relayer_build_seconds_per_msg * len(packets)
+        )
         self.tracer.record_span(
             "ack_build", self._track, start=build_started, count=len(packets)
         )
-        size = self.config.max_msgs_per_tx
-        src = self.src
+        size = src.cal.max_msgs_per_tx
         signer = src.factory.wallet.address
         for start in range(0, len(packets), size):
             chunk = packets[start : start + size]
@@ -473,7 +476,7 @@ class DirectionWorker:
 
     def _timeout_loop(self):
         while True:
-            yield self.env.timeout(self.config.confirm_poll_seconds * 2)
+            yield self.env.timeout(self.src.cal.relayer_confirm_poll_seconds * 2)
             if not self.pending:
                 continue
             dst_height = self.heights.get(self.dst_end.chain_id, 0)
@@ -533,7 +536,7 @@ class DirectionWorker:
             submitted = yield from src.submit_msgs(
                 msgs,
                 label="timeout",
-                build_seconds_per_msg=cal.RELAYER_BUILD_SECONDS_PER_MSG,
+                build_seconds_per_msg=src.cal.relayer_build_seconds_per_msg,
                 prepend_msg=update,
             )
             for msg in msgs:
@@ -547,7 +550,7 @@ class DirectionWorker:
     # ------------------------------------------------------------------
 
     def _clear_loop(self):
-        interval = self.config.clear_interval * cal.MIN_BLOCK_INTERVAL
+        interval = self.config.clear_interval * self.src.cal.min_block_interval
         while True:
             yield self.env.timeout(interval)
             yield from self.clear_once()
@@ -657,7 +660,7 @@ class DirectionWorker:
             submitted = yield from self.dst.submit_msgs(
                 msgs,
                 label="recv",
-                build_seconds_per_msg=cal.RELAYER_BUILD_SECONDS_PER_MSG,
+                build_seconds_per_msg=self.dst.cal.relayer_build_seconds_per_msg,
                 prepend_msg=update,
                 packet_src_chain=self.src.chain_id,
             )

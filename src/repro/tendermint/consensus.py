@@ -8,11 +8,13 @@ Delays are sampled per message from the network model, so the 200 ms RTT of
 the paper's testbed shows up as ~3 one-way delays of consensus latency per
 block — matching the ~25 ms (LAN) figure the paper cites for 5 validators.
 
-Timing model per height (see calibration.py for the fitted constants):
+Timing model per height (the run's :class:`~repro.calibration.Calibration`
+holds the fitted values):
 
-* the proposer proposes ``timeout_commit`` (the paper's 5 s minimum
-  interval) after the previous block's proposal time, but never before the
-  previous block finished executing;
+* the proposer proposes ``min_block_interval`` (Tendermint's
+  ``timeout_commit``, the paper's 5 s minimum interval) after the previous
+  block's proposal time, but never before the previous block finished
+  executing;
 * after commit, the block executes for
   ``overhead + per_msg * B + per_msg_sq * B**2`` simulated seconds — the
   superlinear term reproduces the paper's Fig. 7 interval growth;
@@ -60,30 +62,6 @@ VALIDATE_BASE_SECONDS = 0.005
 VALIDATE_SECONDS_PER_MSG = 2e-6
 
 
-@dataclass
-class ConsensusConfig:
-    timeout_commit: float = cal.MIN_BLOCK_INTERVAL
-    timeout_propose: float = TIMEOUT_PROPOSE
-    max_gas: int = cal.BLOCK_MAX_GAS
-    max_bytes: int = cal.BLOCK_MAX_BYTES
-    proposal_cutoff: float = cal.PROPOSAL_CUTOFF_SECONDS
-    deliver_tx_seconds_per_msg: float = cal.DELIVER_TX_SECONDS_PER_MSG
-    indexing_seconds_per_msg_sq: float = cal.INDEXING_SECONDS_PER_MSG_SQ
-    block_overhead_seconds: float = cal.BLOCK_OVERHEAD_SECONDS
-
-    @classmethod
-    def from_calibration(cls, c: cal.Calibration) -> "ConsensusConfig":
-        return cls(
-            timeout_commit=c.min_block_interval,
-            max_gas=c.block_max_gas,
-            max_bytes=c.block_max_bytes,
-            proposal_cutoff=c.proposal_cutoff_seconds,
-            deliver_tx_seconds_per_msg=c.deliver_tx_seconds_per_msg,
-            indexing_seconds_per_msg_sq=c.indexing_seconds_per_msg_sq,
-            block_overhead_seconds=c.block_overhead_seconds,
-        )
-
-
 @dataclass(slots=True)
 class CommittedBlockInfo:
     """What the engine hands to subscribers after a block executes."""
@@ -109,7 +87,7 @@ class ConsensusEngine:
         block_store: BlockStore,
         indexer: TxIndexer,
         rng: RngRegistry,
-        config: Optional[ConsensusConfig] = None,
+        calibration: cal.Calibration,
         primary_host: Optional[str] = None,
     ):
         self.env = env
@@ -124,7 +102,7 @@ class ConsensusEngine:
         self.mempool = mempool
         self.block_store = block_store
         self.indexer = indexer
-        self.config = config or ConsensusConfig()
+        self.cal = calibration
         self._rng = rng.stream(f"consensus/{chain_id}")
         self.primary_host = primary_host or next(iter(self.validator_hosts.values()))
 
@@ -192,7 +170,7 @@ class ConsensusEngine:
             # timeout_commit: the configured >=5 s gap before the next
             # proposal, counted from the end of the previous block's
             # execution (Tendermint waits *after* commit).
-            yield self.env.timeout(self.config.timeout_commit)
+            yield self.env.timeout(self.cal.min_block_interval)
 
     def _run_height(self, height: int):
         """Run rounds until a block commits; returns the block info."""
@@ -217,7 +195,7 @@ class ConsensusEngine:
         t_propose = self.env.now
         if proposer.name in self.silent:
             # No proposal arrives; every validator times out.
-            yield self.env.timeout(self.config.timeout_propose)
+            yield self.env.timeout(TIMEOUT_PROPOSE)
             return None
 
         quorum = self.validators.quorum_power()
@@ -225,14 +203,14 @@ class ConsensusEngine:
         live_power = sum(v.power for v in live)
         if live_power < quorum:
             # Not enough live validators to ever reach quorum this round.
-            yield self.env.timeout(self.config.timeout_propose)
+            yield self.env.timeout(TIMEOUT_PROPOSE)
             return None
 
         # Proposer reaps the mempool (txs must have gossiped in time).
         txs = self.mempool.reap(
-            now=t_propose - self.config.proposal_cutoff,
-            max_gas=self.config.max_gas,
-            max_bytes=self.config.max_bytes,
+            now=t_propose - self.cal.proposal_cutoff_seconds,
+            max_gas=self.cal.block_max_gas,
+            max_bytes=self.cal.block_max_bytes,
         )
         data = Data(txs=list(txs))
         message_count = sum(getattr(tx, "msg_count", 1) for tx in txs)
@@ -251,11 +229,11 @@ class ConsensusEngine:
 
         prevote_quorum_at = self._vote_stage(proposal_at, live, quorum)
         if prevote_quorum_at is None:
-            yield self.env.timeout(self.config.timeout_propose)
+            yield self.env.timeout(TIMEOUT_PROPOSE)
             return None
         precommit_quorum_at = self._vote_stage(prevote_quorum_at, live, quorum)
         if precommit_quorum_at is None:
-            yield self.env.timeout(self.config.timeout_propose)
+            yield self.env.timeout(TIMEOUT_PROPOSE)
             return None
 
         # The chain's primary full node assembles the commit when it holds
@@ -283,9 +261,9 @@ class ConsensusEngine:
                 commit_time = arrival
                 break
         if commit_time is None:
-            yield self.env.timeout(self.config.timeout_propose)
+            yield self.env.timeout(TIMEOUT_PROPOSE)
             return None
-        commit_time += cal.CONSENSUS_BASE_LATENCY * self._rng.uniform(0.8, 1.2)
+        commit_time += self.cal.consensus_base_latency * self._rng.uniform(0.8, 1.2)
 
         if commit_time > self.env.now:
             yield self.env.timeout(commit_time - self.env.now)
@@ -307,9 +285,9 @@ class ConsensusEngine:
         )
 
         execution_seconds = (
-            self.config.block_overhead_seconds
-            + self.config.deliver_tx_seconds_per_msg * message_count
-            + self.config.indexing_seconds_per_msg_sq * message_count**2
+            self.cal.block_overhead_seconds
+            + self.cal.deliver_tx_seconds_per_msg * message_count
+            + self.cal.indexing_seconds_per_msg_sq * message_count**2
         )
         yield self.env.timeout(execution_seconds)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from repro import calibration as cal
+
 from repro.errors import MempoolFullError, TxInMempoolError
 from repro.tendermint.abci import Application, ResponseCheckTx
 from repro.tendermint.types import TxLike
@@ -47,7 +47,7 @@ class Mempool:
     def __init__(
         self,
         app: Application,
-        max_txs: int = cal.MEMPOOL_MAX_TXS,
+        max_txs: int,
         tracer=NULL_TRACER,
         chain_id: str = "",
     ):
@@ -131,12 +131,7 @@ class Mempool:
 
     # -- reaping ---------------------------------------------------------------
 
-    def reap(
-        self,
-        now: float,
-        max_gas: int = cal.BLOCK_MAX_GAS,
-        max_bytes: int = cal.BLOCK_MAX_BYTES,
-    ) -> list[TxLike]:
+    def reap(self, now: float, max_gas: int, max_bytes: int) -> list[TxLike]:
         """Transactions for a proposal: FIFO, gossiped, within block limits.
 
         FIFO is by *arrival time*, not raw insertion order: transactions

@@ -22,11 +22,7 @@ from repro.ibc.module import CounterpartyChainInfo
 from repro.sim.core import SHUTDOWN, Environment
 from repro.sim.network import Network
 from repro.sim.rng import RngRegistry
-from repro.tendermint.consensus import (
-    CommittedBlockInfo,
-    ConsensusConfig,
-    ConsensusEngine,
-)
+from repro.tendermint.consensus import CommittedBlockInfo, ConsensusEngine
 from repro.tendermint.mempool import Mempool
 from repro.tendermint.rpc import RpcServer
 from repro.tendermint.store import BlockStore, TxIndexer
@@ -39,17 +35,7 @@ from repro.trace import NULL_TRACER, packet_key
 _SCAN_COST_ATTR = {
     "send_packet": "rpc_scan_seconds_per_transfer_event",
     "write_acknowledgement": "rpc_scan_seconds_per_recv_event",
-    "acknowledge_packet": "rpc_scan_seconds_per_ack_event",
 }
-
-#: Committed events that mark a packet lifecycle boundary on-chain.
-_PACKET_COMMIT_EVENTS = (
-    "send_packet",
-    "recv_packet",
-    "write_acknowledgement",
-    "acknowledge_packet",
-    "timeout_packet",
-)
 
 
 @dataclass
@@ -128,7 +114,7 @@ class Chain:
             block_store=self.block_store,
             indexer=self.indexer,
             rng=rng,
-            config=ConsensusConfig.from_calibration(self.cal),
+            calibration=self.cal,
             primary_host=validator_hosts[0],
         )
         self.nodes: dict[str, ChainNode] = {}
@@ -198,7 +184,7 @@ class Chain:
             if not item.ok:
                 continue
             for event in item.result.events:
-                if event.type not in _PACKET_COMMIT_EVENTS:
+                if event.type not in cal.PACKET_EVENT_KINDS:
                     continue
                 sequence = event.attr("packet_sequence")
                 channel = event.attr("packet_src_channel")

@@ -111,7 +111,7 @@ class RpcServer:
         self.stats = RpcStats()
         self._outstanding = 0
         # Connection-pressure tracking: distinct clients seen recently.
-        # See calibration.RPC_OVERLOAD_* for the Table I derivation.
+        # See Calibration.rpc_overload_* for the Table I derivation.
         self._client_last_seen: dict[str, float] = {}
         # Shed decisions are keyed draws (pure function of time + client):
         # submit() runs in callback context, so a sequential stream would

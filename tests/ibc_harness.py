@@ -57,7 +57,7 @@ class DirectChain:
         self.app.genesis_account(
             wallet, {FEE_DENOM: 10**15, TRANSFER_DENOM: tokens}
         )
-        return TxFactory(wallet)
+        return TxFactory(wallet, self.app.cal)
 
     def make_block(self, txs: list[Tx]) -> list[ResponseDeliverTx]:
         """Execute one block containing ``txs``; returns DeliverTx results."""
@@ -321,7 +321,7 @@ class IbcPair:
             view.client_on_a, view.client_on_b = self.client_on_b, self.client_on_a
             view.conn_a, view.conn_b = self.conn_b, self.conn_a
             view.chan_a, view.chan_b = self.chan_b, self.chan_a
-            view.user = TxFactory(self.receiver)
+            view.user = TxFactory(self.receiver, self.b.app.cal)
             view.receiver = self.user.wallet
             view._reverse_view = self
             self._reverse_view = view

@@ -73,7 +73,7 @@ def test_gossip_fifo_per_sender(env):
     chain = make_chain(env, "fifo-chain")
     wallet = Wallet.named("fifo-user")
     chain.app.genesis_account(wallet, {FEE_DENOM: 10**12})
-    factory = TxFactory(wallet)
+    factory = TxFactory(wallet, chain.cal)
     msg = MsgSend(sender=wallet.address, recipient="r", denom=FEE_DENOM, amount=1)
     for i in range(20):
         tx = factory.build([msg], gas_limit=10**6)

@@ -101,5 +101,6 @@ def test_calibration_anchors_match_paper_derivations():
 
 def test_event_bytes_ratio_matches_paper():
     """Recv event data is ~1.75x transfer event data (§V line counts)."""
-    ratio = cal.EVENT_BYTES_RECV / cal.EVENT_BYTES_TRANSFER
+    sizes = cal.DEFAULT_CALIBRATION.event_bytes
+    ratio = sizes["recv_packet"] / sizes["send_packet"]
     assert ratio == pytest.approx(579_919 / 331_706, rel=0.05)

@@ -55,7 +55,7 @@ def test_transactions_execute_and_commit(env):
     chain = build_chain(env)
     wallet = Wallet.named("cons-user")
     chain.app.genesis_account(wallet, {FEE_DENOM: 10**12})
-    factory = TxFactory(wallet)
+    factory = TxFactory(wallet, chain.cal)
     tx = factory.build(
         [MsgSend(sender=wallet.address, recipient="r", denom=FEE_DENOM, amount=5)],
         gas_limit=200_000,
@@ -83,7 +83,7 @@ def test_app_hash_advances_with_state(env):
     chain = build_chain(env)
     wallet = Wallet.named("cons-user2")
     chain.app.genesis_account(wallet, {FEE_DENOM: 10**12})
-    factory = TxFactory(wallet)
+    factory = TxFactory(wallet, chain.cal)
     tx = factory.build(
         [MsgSend(sender=wallet.address, recipient="x", denom=FEE_DENOM, amount=1)],
         gas_limit=200_000,
@@ -173,7 +173,7 @@ def test_execution_time_extends_interval(env):
     factories = []
     for wallet in wallets:
         chain.app.genesis_account(wallet, {FEE_DENOM: 10**12})
-        factories.append(TxFactory(wallet))
+        factories.append(TxFactory(wallet, chain.cal))
     chain.start()
 
     def flood():

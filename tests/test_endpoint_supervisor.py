@@ -10,9 +10,14 @@ from repro.relayer.endpoint import ChainEndpoint
 from repro.relayer.logging import RelayerLog
 
 
-def make_endpoint(harness, name="ep-test", **config_kwargs) -> ChainEndpoint:
+def make_endpoint(
+    harness, name="ep-test", calibration=None, **config_kwargs
+) -> ChainEndpoint:
+    """An endpoint on chain A; ``calibration`` overrides chain A's."""
     wallet = Wallet.named(name)
     harness.chain_a.app.genesis_account(wallet, {FEE_DENOM: 10**15})
+    if calibration:
+        harness.chain_a.cal = harness.chain_a.cal.with_overrides(**calibration)
     log = RelayerLog(harness.env, name)
     return ChainEndpoint(
         harness.env,
@@ -50,7 +55,7 @@ def bank_msgs(endpoint, n):
 
 def test_submit_chunks_into_transactions(harness):
     h = harness
-    endpoint = make_endpoint(h, "ep-chunk", max_msgs_per_tx=10)
+    endpoint = make_endpoint(h, "ep-chunk", {"max_msgs_per_tx": 10})
 
     def flow():
         submitted = yield from endpoint.submit_msgs(
@@ -65,7 +70,7 @@ def test_submit_chunks_into_transactions(harness):
 
 def test_prepend_msg_added_to_each_chunk(harness):
     h = harness
-    endpoint = make_endpoint(h, "ep-prepend", max_msgs_per_tx=10)
+    endpoint = make_endpoint(h, "ep-prepend", {"max_msgs_per_tx": 10})
 
     def flow():
         # Use a bank message as a stand-in prepend (routing-wise valid).
@@ -142,7 +147,7 @@ def test_confirmation_polling_finds_committed_tx(bootstrapped):
 def test_confirmation_gives_up_after_window(harness):
     h = harness
     # Chains NOT started: nothing will ever commit.
-    endpoint = make_endpoint(h, "ep-never", confirm_poll_seconds=1.0)
+    endpoint = make_endpoint(h, "ep-never")
     endpoint.config.confirm_timeout_seconds = 5.0
 
     def flow():
@@ -162,9 +167,7 @@ def test_unconfirmed_tx_logged_exactly_once(bootstrapped):
     ``failed_tx_no_confirmation`` must be recorded once per unconfirmed tx
     in the terminal sweep — not once per failed poll attempt."""
     h = bootstrapped
-    endpoint = make_endpoint(
-        h, "ep-once", max_msgs_per_tx=10, confirm_poll_seconds=1.0
-    )
+    endpoint = make_endpoint(h, "ep-once", {"max_msgs_per_tx": 10})
     endpoint.config.confirm_timeout_seconds = 5.0
 
     def flow():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import calibration as cal
+from repro.calibration import DEFAULT_CALIBRATION
 from repro.cosmos.accounts import AccountKeeper, Wallet
 from repro.cosmos.ante import AnteHandler
 from repro.cosmos.gas import GasMeter, GasSchedule
@@ -53,20 +54,16 @@ def test_estimate_is_deterministic():
     kinds = ["transfer"] * 100
     assert schedule.estimate_tx_gas(kinds) == schedule.estimate_tx_gas(kinds)
     assert schedule.estimate_tx_gas(kinds) == pytest.approx(
-        cal.GAS_TX_OVERHEAD + 100 * cal.GAS_PER_TRANSFER_MSG
+        DEFAULT_CALIBRATION.gas_tx_overhead
+        + 100 * DEFAULT_CALIBRATION.gas_per_transfer_msg
     )
-
-
-def test_fee_for_gas():
-    schedule = GasSchedule()
-    assert schedule.fee_for_gas(1000) == pytest.approx(1000 * cal.GAS_PRICE)
 
 
 # -- tx -------------------------------------------------------------------------
 
 
 def _factory(name="tx-user") -> TxFactory:
-    return TxFactory(Wallet.named(name))
+    return TxFactory(Wallet.named(name), DEFAULT_CALIBRATION)
 
 
 def test_tx_hash_unique_per_build():
@@ -130,7 +127,7 @@ def accounts_and_ante():
 
 def test_ante_accepts_correct_sequence(accounts_and_ante):
     keeper, ante, wallet = accounts_and_ante
-    factory = TxFactory(wallet)
+    factory = TxFactory(wallet, DEFAULT_CALIBRATION)
     msg = MsgSend(sender=wallet.address, recipient="r", denom="d", amount=1)
     tx = factory.build([msg], gas_limit=10)
     ante.validate(tx)
@@ -139,7 +136,7 @@ def test_ante_accepts_correct_sequence(accounts_and_ante):
 
 def test_ante_check_only_does_not_increment(accounts_and_ante):
     keeper, ante, wallet = accounts_and_ante
-    factory = TxFactory(wallet)
+    factory = TxFactory(wallet, DEFAULT_CALIBRATION)
     msg = MsgSend(sender=wallet.address, recipient="r", denom="d", amount=1)
     tx = factory.build([msg], gas_limit=10)
     ante.validate(tx, check_only=True)
@@ -149,7 +146,7 @@ def test_ante_check_only_does_not_increment(accounts_and_ante):
 def test_ante_rejects_wrong_sequence(accounts_and_ante):
     """The paper's §V 'account sequence mismatch' deployment challenge."""
     _keeper, ante, wallet = accounts_and_ante
-    factory = TxFactory(wallet)
+    factory = TxFactory(wallet, DEFAULT_CALIBRATION)
     msg = MsgSend(sender=wallet.address, recipient="r", denom="d", amount=1)
     factory.local_sequence = 5  # stale local view
     tx = factory.build([msg], gas_limit=10)
@@ -163,7 +160,7 @@ def test_second_tx_same_block_sequence_rule(accounts_and_ante):
     """Only one tx per account per block: the second identical-sequence tx
     fails after the first executes."""
     _keeper, ante, wallet = accounts_and_ante
-    factory = TxFactory(wallet)
+    factory = TxFactory(wallet, DEFAULT_CALIBRATION)
     msg = MsgSend(sender=wallet.address, recipient="r", denom="d", amount=1)
     tx1 = factory.build([msg], gas_limit=10, sequence=0)
     tx2 = factory.build([msg], gas_limit=10, sequence=0)
@@ -174,7 +171,7 @@ def test_second_tx_same_block_sequence_rule(accounts_and_ante):
 
 def test_ante_mempool_path_uses_expected_sequence(accounts_and_ante):
     _keeper, ante, wallet = accounts_and_ante
-    factory = TxFactory(wallet)
+    factory = TxFactory(wallet, DEFAULT_CALIBRATION)
     msg = MsgSend(sender=wallet.address, recipient="r", denom="d", amount=1)
     tx_next = factory.build([msg], gas_limit=10, sequence=3)
     # Mempool check-state says 3 is next: passes even though chain is at 0.
@@ -185,7 +182,7 @@ def test_ante_mempool_path_uses_expected_sequence(accounts_and_ante):
 
 def test_ante_unknown_account(accounts_and_ante):
     _keeper, ante, _wallet = accounts_and_ante
-    stranger = TxFactory(Wallet.named("stranger-ante"))
+    stranger = TxFactory(Wallet.named("stranger-ante"), DEFAULT_CALIBRATION)
     msg = MsgSend(sender=stranger.wallet.address, recipient="r", denom="d", amount=1)
     tx = stranger.build([msg], gas_limit=10)
     with pytest.raises(ChainError):
@@ -194,7 +191,7 @@ def test_ante_unknown_account(accounts_and_ante):
 
 def test_ante_rejects_forged_signature(accounts_and_ante):
     _keeper, ante, wallet = accounts_and_ante
-    factory = TxFactory(wallet)
+    factory = TxFactory(wallet, DEFAULT_CALIBRATION)
     msg = MsgSend(sender=wallet.address, recipient="r", denom="d", amount=1)
     tx = factory.build([msg], gas_limit=10)
     tx.signature = b"forged"

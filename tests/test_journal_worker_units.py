@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.calibration import DEFAULT_CALIBRATION
 from repro.cosmos.journal import Journal, Journaled
 
 
@@ -75,7 +76,9 @@ def test_nested_state_rollback_composition():
 # -- worker ownership/batching helpers -------------------------------------------
 
 
-def make_worker(member=None):
+def make_worker(
+    member=None, calibration=DEFAULT_CALIBRATION, clear_interval=100
+):
     """A DirectionWorker with inert dependencies, for pure-logic tests."""
     from repro.relayer.config import RelayerConfig
     from repro.relayer.logging import RelayerLog
@@ -85,6 +88,8 @@ def make_worker(member=None):
     env = Environment()
 
     class _Endpoint:
+        cal = calibration
+
         class factory:
             class wallet:
                 address = "addr"
@@ -95,7 +100,7 @@ def make_worker(member=None):
         dst=_Endpoint(),
         src_end=PathEnd("a", "c", "conn", "transfer", "channel-0"),
         dst_end=PathEnd("b", "c", "conn", "transfer", "channel-0"),
-        config=RelayerConfig(),
+        config=RelayerConfig(clear_interval=clear_interval),
         log=RelayerLog(env, "unit"),
         heights={},
         member=member,
@@ -155,3 +160,24 @@ def test_work_batch_tx_hash_order_preserved():
     batch = _batch(hashes)
     assert batch.tx_hashes == [b"\x03" * 32, b"\x01" * 32, b"\x02" * 32]
     assert len(batch.events_for_tx(b"\x03" * 32)) == 2
+
+
+def test_clear_cadence_follows_the_block_interval():
+    """``clear_interval`` counts blocks of the run's own interval: with 1 s
+    blocks and ``clear_interval=2`` the worker scans every 2 s — not every
+    10 s, as when a module constant fixed the block at 5 s."""
+    worker = make_worker(
+        calibration=DEFAULT_CALIBRATION.with_overrides(min_block_interval=1.0),
+        clear_interval=2,
+    )
+    scans = []
+
+    def query(method, **params):
+        scans.append((worker.env.now, method))
+        return []
+        yield  # a generator, like the endpoint's RPC query
+
+    worker.src.query = query
+    worker.processes.spawn(worker._clear_loop(), name="clear")
+    worker.env.run(until=9)
+    assert scans == [(t, "commitments") for t in (2.0, 4.0, 6.0, 8.0)]

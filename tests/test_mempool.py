@@ -21,7 +21,17 @@ def mempool(app) -> Mempool:
 def funded_factory(app, name) -> TxFactory:
     wallet = Wallet.named(name)
     app.genesis_account(wallet, {FEE_DENOM: 10**12})
-    return TxFactory(wallet)
+    return TxFactory(wallet, app.cal)
+
+
+def reap(mempool, now, **limits):
+    """Reap under the app's block limits, unless ``limits`` overrides."""
+    limits = {
+        "max_gas": mempool.app.cal.block_max_gas,
+        "max_bytes": mempool.app.cal.block_max_bytes,
+        **limits,
+    }
+    return mempool.reap(now=now, **limits)
 
 
 def send_msg(factory) -> MsgSend:
@@ -35,15 +45,15 @@ def test_admission_and_reap(app, mempool):
     tx = factory.build([send_msg(factory)], gas_limit=100_000)
     response = mempool.add(tx, now=0.0)
     assert response.ok
-    assert mempool.reap(now=1.0) == [tx]
+    assert reap(mempool, now=1.0) == [tx]
 
 
 def test_gossip_delay_gates_reaping(app, mempool):
     factory = funded_factory(app, "mp-b")
     tx = factory.build([send_msg(factory)], gas_limit=100_000)
     mempool.add(tx, now=0.0, gossip_delay=2.0)
-    assert mempool.reap(now=1.0) == []  # not yet gossiped to the proposer
-    assert mempool.reap(now=2.5) == [tx]
+    assert reap(mempool, now=1.0) == []  # not yet gossiped to the proposer
+    assert reap(mempool, now=2.5) == [tx]
 
 
 def test_duplicate_tx_rejected(app, mempool):
@@ -104,7 +114,7 @@ def test_reap_respects_gas_limit(app, mempool):
     tx_b = factory_b.build([send_msg(factory_b)], gas_limit=100_000)
     mempool.add(tx_a, now=0.0)
     mempool.add(tx_b, now=0.5)  # strictly later: FIFO is by arrival time
-    reaped = mempool.reap(now=1.0, max_gas=150_000)
+    reaped = reap(mempool, now=1.0, max_gas=150_000)
     assert reaped == [tx_a]  # second tx would exceed the block gas cap
 
 
@@ -113,7 +123,7 @@ def test_reap_respects_byte_limit(app, mempool):
     txs = [f.build([send_msg(f)], gas_limit=100_000) for f in factories]
     for i, tx in enumerate(txs):
         mempool.add(tx, now=float(i))
-    reaped = mempool.reap(now=2.0, max_bytes=txs[0].size_bytes)
+    reaped = reap(mempool, now=2.0, max_bytes=txs[0].size_bytes)
     assert reaped == [txs[0]]
 
 
@@ -129,7 +139,7 @@ def test_reap_same_instant_ties_break_by_sender(app, mempool):
     mempool.add(tx_b, now=0.0)
     mempool.add(tx_a, now=0.0)
     expected = sorted([tx_a, tx_b], key=lambda tx: tx.signer_address)
-    assert mempool.reap(now=1.0) == expected
+    assert reap(mempool, now=1.0) == expected
 
 
 def test_update_removes_committed_and_rechecks(app, mempool):

@@ -43,7 +43,7 @@ def test_broadcast_and_lookup_roundtrip(bootstrapped):
         count=2, amount=1, timeout_blocks=100,
         current_dst_height=h.chain_b.engine.height,
     )
-    factory = TxFactory(h.user)
+    factory = TxFactory(h.user, h.chain_a.cal)
     factory.resync_sequence(h.chain_a.app.account_sequence(h.user.address))
     tx = factory.build(msgs, gas_limit=10**7)
     result = call(h, client, "broadcast_tx_sync", tx=tx)

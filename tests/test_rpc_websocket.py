@@ -242,7 +242,7 @@ def test_oversized_frame_fails_subscription(env, net):
     env.run()
     notification = sub.queue.try_get()
     assert not notification.ok
-    assert notification.error.size > cal.WEBSOCKET_MAX_FRAME_BYTES
+    assert notification.error.size > server.cal.websocket_max_frame_bytes
     assert sub.failed
 
 

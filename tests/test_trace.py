@@ -26,7 +26,6 @@ from repro.framework.metrics import (
     assemble_packet_traces,
     assemble_route_traces,
     collect_trace_metrics,
-    trace_ack_offsets,
 )
 from repro.sim import Environment
 from repro.trace import (
@@ -216,12 +215,6 @@ def test_multi_hop_routes_chain_through_forward_links():
         )
 
 
-def test_ack_offsets_sorted_and_match_completions(traced_report):
-    offsets = trace_ack_offsets(traced_report.tracer, 0.0)
-    assert offsets == sorted(offsets)
-    assert len(offsets) >= traced_report.trace.completed
-
-
 def test_collect_trace_metrics_disabled_tracer_is_none():
     assert collect_trace_metrics(NULL_TRACER) is None
 
@@ -339,24 +332,3 @@ def test_main_tracing_flag_enables_section(capsys):
     assert main(argv) == 0
     assert "trace " in capsys.readouterr().out
 
-
-# -- fault recovery parity (trace- vs journal-derived) -----------------------
-
-
-def test_fault_recovery_latency_trace_matches_journal():
-    """``collect_fault_metrics`` derives post-fault recovery latency from
-    trace spans when tracing is on, and from the journal's cumulative
-    completion curve otherwise.  On the fault-recovery benchmark's
-    scenario the two derivations must agree exactly."""
-    from dataclasses import replace
-
-    from benchmarks.bench_fault_recovery import fault_config
-
-    config = fault_config(recovery=True)
-    journal_derived = run_experiment(config).faults.recovery_latency
-    trace_derived = run_experiment(
-        replace(config, tracing=True)
-    ).faults.recovery_latency
-    assert trace_derived is not None
-    assert trace_derived.count > 0
-    assert trace_derived == journal_derived

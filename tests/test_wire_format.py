@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import Calibration, DEFAULT_CALIBRATION, SchemaError
+from repro.errors import WorkloadError
 from repro.faults import (
     FaultSchedule,
     LinkDegradation,
@@ -134,6 +135,28 @@ def test_calibration_rejects_unknown_keys():
     wire["rcp_workers"] = 4
     with pytest.raises(SchemaError, match="rcp_workers"):
         Calibration.from_dict(wire)
+
+
+@pytest.mark.parametrize(
+    "key, value, parameter",
+    [
+        ("min_block_interval", 2.0, "block_interval"),
+        ("max_msgs_per_tx", 50, "msgs_per_tx"),
+    ],
+)
+def test_calibration_never_takes_a_paper_parameter(key, value, parameter):
+    """The run's block interval and message limit are the tool's
+    ``block_interval``/``msgs_per_tx`` parameters.  Setting them under
+    ``calibration`` instead — in a document or in code — is refused, not
+    silently overwritten by the parameter's value."""
+    with pytest.raises(SchemaError, match=key):
+        ExperimentConfig.from_dict({"calibration": {key: value}})
+    with pytest.raises(WorkloadError, match=parameter):
+        ExperimentConfig(
+            calibration=DEFAULT_CALIBRATION.with_overrides(**{key: value})
+        )
+    config = ExperimentConfig(**{parameter: value})
+    assert getattr(config.resolved_calibration, key) == value
 
 
 # -- ExperimentReport -------------------------------------------------------
@@ -256,14 +279,14 @@ def test_untraced_report_serializes_null_trace(fault_report):
     assert ExperimentReport.from_dict(document).trace is None
 
 
-@pytest.mark.parametrize("version", [2, 3, 4])
+@pytest.mark.parametrize("version", [2, 3, 4, 5])
 def test_report_rejects_older_schema_versions(fault_report, version):
-    """Only the current schema and the one before it load; documents from
-    the pre-trace (2), pre-topology (3) and pre-fleet (4) eras are refused
-    with an error naming what this library reads."""
+    """Only the current schema loads; documents from the pre-trace (2),
+    pre-topology (3), pre-fleet (4) and pre-workload-engine (5) eras are
+    refused with an error naming what this library reads."""
     document = fault_report.to_dict()
     document["schema_version"] = version
-    with pytest.raises(SchemaError, match="reads versions 5 and 6"):
+    with pytest.raises(SchemaError, match="reads version 6"):
         ExperimentReport.from_dict(document)
 
 
@@ -310,36 +333,7 @@ def test_relayer_section_rejects_unknown_keys():
         ExperimentConfig.from_dict({"relayer": {"polciy": "shard"}})
 
 
-# -- v5 -> v6 migration (workload engine: population/frames sections) ---------
-
-
-def test_v5_report_document_still_loads(fault_report):
-    """Reports written before the workload engine (schema 5) load with the
-    population/frames sections absent, the submission split defaulted to
-    zero, and re-serialize as the current schema."""
-    document = fault_report.to_dict()
-    document["schema_version"] = 5
-    del document["population"]
-    del document["frames"]
-    for key in ("failed", "unconfirmed", "deferred"):
-        del document["submission"][key]
-    clone = ExperimentReport.from_dict(document)
-    assert clone.population is None
-    assert clone.frames is None
-    assert clone.workload.failed_transfers == 0
-    assert clone.workload.unconfirmed_transfers == 0
-    assert clone.workload.deferred_transfers == 0
-    assert clone.window == fault_report.window
-    assert clone.to_dict()["schema_version"] == 6
-
-
-def test_v5_document_rejects_population_key(fault_report):
-    """A document claiming schema 5 must not smuggle in the v6 sections."""
-    document = fault_report.to_dict()
-    document["schema_version"] = 5
-    del document["frames"]
-    with pytest.raises(SchemaError, match="population"):
-        ExperimentReport.from_dict(document)
+# -- the workload engine's population/frames sections -----------------------
 
 
 def test_population_and_frames_sections_round_trip():
@@ -585,6 +579,50 @@ BAD_DOCUMENTS = [
         "config.calibration.rpc_workers",
     ),
     ("config", ("topology", "nmae"), "line", "nmae in config.topology"),
+    # Calibration ranges: each once crashed mid-run or ran nonsense.
+    (
+        "config",
+        (),
+        {"calibration": {"rpc_overload_client_threshold": 0}},
+        "config.calibration: rpc_overload_client_threshold must be >= 1",
+    ),
+    (
+        "calibration",
+        (),
+        {"rpc_overload_scale": 0},
+        "calibration: rpc_overload_scale must be > 0",
+    ),
+    ("calibration", (), {"rpc_workers": 0}, "calibration: rpc_workers must be >= 1"),
+    (
+        "calibration",
+        (),
+        {"mempool_max_txs": 0},
+        "calibration: mempool_max_txs must be >= 1",
+    ),
+    (
+        "calibration",
+        (),
+        {"rpc_overload_max_shed": 1.5},
+        "calibration: rpc_overload_max_shed must be <= 1",
+    ),
+    (
+        "calibration",
+        (),
+        {"rpc_overload_max_shed": -0.5},
+        "calibration: rpc_overload_max_shed must be >= 0",
+    ),
+    (
+        "calibration",
+        (),
+        {"relayer_build_seconds_per_msg": -1.0},
+        "calibration: relayer_build_seconds_per_msg must be >= 0",
+    ),
+    (
+        "calibration",
+        (),
+        {"event_bytes": {"send_packet": 400}},
+        "calibration: event_bytes lacks recv_packet",
+    ),
     ("report", ("config", "seed"), "7", "config.seed"),
     ("report", ("fleet",), [{"junk": 1}], "fleet section[0]"),
 ]
