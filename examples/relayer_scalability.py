@@ -59,8 +59,9 @@ def main() -> None:
         "\nTakeaway (paper §IV-A): uncoordinated relayers duplicate work; the\n"
         "loser's transactions still pay fees and still get indexed, slowing\n"
         "every subsequent query of those blocks.  ICS-18 says nothing about\n"
-        "relayer coordination — see examples in benchmarks/ for the\n"
-        "multi-channel and coordinated-relayer alternatives."
+        "relayer coordination — the `ext-scaling` row of\n"
+        "`python -m repro check paper` measures the multi-channel and\n"
+        "coordinated-relayer alternatives."
     )
 
 

@@ -1,4 +1,4 @@
-"""Analysis helpers shared by the benchmark harness."""
+"""Analysis helpers: distribution summaries, errors and text renderers."""
 
 from repro.analysis.stats import (
     format_table,

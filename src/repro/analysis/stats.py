@@ -1,8 +1,8 @@
-"""Distribution summaries and table rendering for benchmark output.
+"""Distribution summaries and table rendering for text reports.
 
 The paper presents Fig. 6 as violins (median + quartiles over 20 runs);
 :func:`summarize` produces the same summary numbers from repeated runs, and
-:func:`format_table` renders aligned text tables for the bench reports.
+:func:`format_table` renders aligned text tables.
 """
 
 from __future__ import annotations

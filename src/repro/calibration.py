@@ -3,7 +3,8 @@
 Every tunable is one field of :class:`Calibration`, and its derivation from
 a number the paper reports sits on the field, so that the simulation
 reproduces the *shapes* of the paper's tables and figures;
-`benchmarks/` verifies the resulting behaviour against the paper's values.
+``python -m repro check paper`` verifies the resulting behaviour against
+the paper's values.
 Each component reads the run's instance (``chain.cal``), never a copy, so
 an ablation overrides a field once and every consumer sees it.  The few
 module constants below are values no experiment varies; none restates a

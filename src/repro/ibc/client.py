@@ -185,9 +185,6 @@ class TendermintLightClient:
     def root_at(self, height: int) -> bytes:
         return self.consensus_state(height).root
 
-    def timestamp_at(self, height: int) -> float:
-        return self.consensus_state(height).timestamp
-
 
 def make_signed_header(
     chain_id: str,

@@ -31,6 +31,11 @@ The checks:
 A scenario or pin key the registry does not know, or a gated check with
 no pin, is an error — never a silent pass.
 
+``paper`` runs on its own and only when named (``check paper
+[--scenario ROW ...]``): the rows of :mod:`repro.lint.paper`, each held
+to its declared expectation and to its line in EXPERIMENTS.md's
+generated block, which ``--write-pins`` re-renders.
+
 Exit status: 0 when every cell is clean, 1 when any cell reports a
 violation, 2 on usage errors, an unusable pin file *and* crashes — so CI
 can tell "the tree regressed" (1) from "the gate itself broke" (2).
@@ -47,8 +52,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.lint import alloccheck, schedcheck, stallcheck
-from repro.lint.scenarios import CHECKS, SCENARIOS, SelectionError, lookup, matrix
+from repro.lint import alloccheck, paper, schedcheck, stallcheck
+from repro.lint.scenarios import (
+    CHECKS,
+    SCENARIOS,
+    PinError,
+    SelectionError,
+    lookup,
+    matrix,
+)
 
 #: The pin file (src-layout: this file is ``<root>/src/repro/lint/check.py``).
 DEFAULT_PINS_PATH = Path(__file__).resolve().parents[3] / "SCENARIO_PINS.json"
@@ -76,10 +88,6 @@ _PIN_KEYS = {
     "alloc": "alloc",
     "stall": "stall",
 }
-
-
-class PinError(Exception):
-    """The pin file is unusable or disagrees with the scenario registry."""
 
 
 def _well_formed(key: str, value: object) -> bool:
@@ -283,8 +291,15 @@ def run(
     With ``write_pins`` the selected cells are re-pinned from this run's
     measurements instead of diffed; every other pin is left as it was.
     The checks to re-pin must be named, so the ``alloc`` measurement is
-    never re-pinned in passing.
+    never re-pinned in passing.  ``paper`` runs alone, its ``names``
+    being paper rows and ``pins_path`` the document of its block.
     """
+    if "paper" in checks:
+        if len(set(checks)) > 1:
+            raise SelectionError(
+                "`paper` runs on its own: `check paper [--scenario ROW ...]`"
+            )
+        return paper.run(names, path=pins_path, write=write_pins)
     if write_pins and not checks:
         raise SelectionError(
             "--write-pins needs the checks to re-pin named, e.g. "
@@ -328,14 +343,19 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro check",
         description=(
             "Run the dynamic gates (replay, sched, alloc, stall) over the "
-            "named scenarios and diff them against SCENARIO_PINS.json."
+            "named scenarios and diff them against SCENARIO_PINS.json; or, "
+            "on its own, `paper`: every paper claim against its declared "
+            "expectation and its line in EXPERIMENTS.md."
         ),
     )
     parser.add_argument(
         "checks",
         nargs="*",
         metavar="CHECK",
-        help=f"checks to run: {', '.join(CHECKS)} (default: all)",
+        help=(
+            f"checks to run: {', '.join(CHECKS)} (default: all of them), "
+            "or paper alone"
+        ),
     )
     parser.add_argument(
         "--scenario",
@@ -343,15 +363,18 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         default=[],
         metavar="NAME",
-        help=f"scenarios to run: {', '.join(SCENARIOS)} (default: all)",
+        help=(
+            f"scenarios to run: {', '.join(SCENARIOS)} (default: all); "
+            f"with paper, rows: {', '.join(paper.PAPER_TARGETS)}"
+        ),
     )
     parser.add_argument(
         "--write-pins",
         action="store_true",
         help=(
-            "re-pin the selected cells in SCENARIO_PINS.json from this "
-            "run's measurements instead of diffing against them (the "
-            "checks to re-pin must be named)"
+            "re-pin the selected cells in SCENARIO_PINS.json (paper: their "
+            "lines in EXPERIMENTS.md) from this run's measurements instead "
+            "of diffing against them (the checks to re-pin must be named)"
         ),
     )
     return parser
@@ -374,7 +397,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     for result in results:
         print(result.summary())
     if args.write_pins:
-        print(f"pinned {len(results)} cell(s) to {DEFAULT_PINS_PATH}")
+        path = paper.DEFAULT_PATH if "paper" in args.checks else DEFAULT_PINS_PATH
+        print(f"pinned {len(results)} cell(s) to {path}")
     return 0 if all(result.clean for result in results) else 1
 
 

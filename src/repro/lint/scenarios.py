@@ -36,6 +36,10 @@ class SelectionError(ValueError):
     """An unknown check or scenario name, or a selection of no cell."""
 
 
+class PinError(Exception):
+    """A pin document is unusable or disagrees with the registry."""
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One named configuration and the checks that gate it."""

@@ -365,8 +365,11 @@ def _collect_cyclic_garbage(result: StallcheckResult) -> None:
 @contextlib.contextmanager
 def _collector_off() -> Iterator[None]:
     """A collected heap, then no collector pass until the block exits — so
-    the next ``gc.collect()`` counts only what the block made unreachable."""
-    gc.collect()
+    the next ``gc.collect()`` counts only what the block made unreachable.
+    Collected until a pass finds nothing: freeing one cycle can leave
+    another for the next pass, which would be miscounted as the block's."""
+    while gc.collect():
+        pass
     collecting = gc.isenabled()
     gc.disable()
     try:

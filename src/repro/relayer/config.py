@@ -14,31 +14,24 @@ class RelayerConfig:
     leaves 81.8 % of packets stuck after a frame-size failure.  Calibrated
     timings, the per-transaction message limit and the gas price are not
     settings here: the relayer reads them from its chains' calibration.
+    Nor are the fixed Hermes behaviours no experiment varies (gas
+    multiplier, confirmation window, retry and resubscribe backoffs):
+    they are constants of :mod:`repro.relayer.endpoint` and
+    :mod:`repro.relayer.supervisor`.
     """
 
     name: str = "hermes"
-    #: Multiplier applied to estimated gas when setting tx gas limits
-    #: (Hermes's default_gas/max_gas behaviour, simplified).
-    gas_multiplier: float = 1.3
     #: Packet clear interval in blocks (0 disables clearing).
     clear_interval: int = 100
     #: Concurrent in-flight packet-data pulls.  Hermes is effectively 1
     #: (and Tendermint's serial RPC would serialise more anyway); the
     #: parallel-RPC ablation raises both sides.
     pull_concurrency: int = 1
-    #: Give up confirming a tx after this many seconds.
-    confirm_timeout_seconds: float = 120.0
     #: Retries (on top of the first attempt) for transient RPC failures
     #: (timeout / overload / node-down), with capped exponential backoff.
     #: 0 disables retries — Hermes 1.0.0's effective behaviour for queries,
     #: and the default so baseline experiments are unchanged.
     rpc_retry_attempts: int = 0
-    #: First retry backoff; doubles per attempt up to the cap below.
-    rpc_retry_base_seconds: float = 0.5
-    rpc_retry_max_seconds: float = 8.0
     #: Re-open a WebSocket subscription when the connection drops (the
     #: fault-injection disconnect, *not* the §V frame-limit latch).
     resubscribe_on_disconnect: bool = True
-    #: First resubscribe backoff; doubles per attempt up to the cap.
-    resubscribe_backoff_seconds: float = 1.0
-    resubscribe_max_backoff_seconds: float = 30.0

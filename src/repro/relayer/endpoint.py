@@ -39,6 +39,17 @@ SEQUENCE_MISMATCH_CODE = 32
 #: briefly-unavailable node.  Application-level RpcErrors are not retried.
 TRANSIENT_RPC_ERRORS = (RpcTimeoutError, RpcOverloadedError, NodeUnavailableError)
 
+#: Multiplier applied to estimated gas when setting tx gas limits
+#: (Hermes's default_gas/max_gas behaviour, simplified).
+GAS_MULTIPLIER = 1.3
+
+#: Give up confirming a tx after this many seconds.
+CONFIRM_TIMEOUT_SECONDS = 120.0
+
+#: First query-retry backoff; doubles per attempt up to the cap.
+RPC_RETRY_BASE_SECONDS = 0.5
+RPC_RETRY_MAX_SECONDS = 8.0
+
 
 @dataclass
 class SubmittedTx:
@@ -127,7 +138,7 @@ class ChainEndpoint:
         have been accepted even when the response was lost.
         """
         budget = self.config.rpc_retry_attempts
-        backoff = self.config.rpc_retry_base_seconds
+        backoff = RPC_RETRY_BASE_SECONDS
         attempt = 0
         while True:
             try:
@@ -153,7 +164,7 @@ class ChainEndpoint:
                     backoff=backoff,
                 )
                 yield self.env.timeout(backoff)
-                backoff = min(backoff * 2.0, self.config.rpc_retry_max_seconds)
+                backoff = min(backoff * 2.0, RPC_RETRY_MAX_SECONDS)
 
     def sync_sequence(self) -> Generator[Event, Any, int]:
         """Re-sync the local signing sequence from committed chain state."""
@@ -225,7 +236,7 @@ class ChainEndpoint:
         payload_msgs: Optional[int] = None,
     ) -> Generator[Event, Any, SubmittedTx]:
         kinds = [getattr(m, "kind", "unknown") for m in chunk]
-        gas_limit = int(self._gas.estimate_tx_gas(kinds) * self.config.gas_multiplier)
+        gas_limit = int(self._gas.estimate_tx_gas(kinds) * GAS_MULTIPLIER)
         tx = self.factory.build(chunk, gas_limit=gas_limit)
         count = payload_msgs if payload_msgs is not None else len(chunk)
         entry = SubmittedTx(tx=tx, broadcast_time=self.env.now, payload_msgs=count)
@@ -285,7 +296,7 @@ class ChainEndpoint:
         window lapses.  Failures surface as ``failed tx: no confirmation``.
         """
         pending = [s for s in submitted if s.accepted]
-        deadline = self.env.now + self.config.confirm_timeout_seconds
+        deadline = self.env.now + CONFIRM_TIMEOUT_SECONDS
         while pending and self.env.now < deadline:
             still_pending: list[SubmittedTx] = []
             for entry in pending:

@@ -144,6 +144,3 @@ class Relayer:
     @property
     def worker_ba(self) -> DirectionWorker:
         return self.workers[1]
-
-    def redundant_error_count(self) -> int:
-        return self.log.count("packet_messages_redundant")

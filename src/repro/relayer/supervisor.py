@@ -33,6 +33,10 @@ SUBSCRIBED_KINDS = frozenset(
     {"send_packet", "write_acknowledgement", "acknowledge_packet"}
 )
 
+#: First resubscribe backoff; doubles per attempt up to the cap.
+RESUBSCRIBE_BACKOFF_SECONDS = 1.0
+RESUBSCRIBE_MAX_BACKOFF_SECONDS = 30.0
+
 #: Event kinds whose batches are handed to a direction worker's queue
 #: (``acknowledge_packet`` batches are logged only).
 _WORKER_KINDS = frozenset({"send_packet", "write_acknowledgement"})
@@ -181,7 +185,7 @@ class Supervisor:
         """Re-open the WebSocket subscription with capped exponential
         backoff; keeps trying while the node is down."""
         node = self._nodes[chain_id]
-        backoff = self.config.resubscribe_backoff_seconds
+        backoff = RESUBSCRIBE_BACKOFF_SECONDS
         attempt = 0
         while True:
             yield self.env.timeout(backoff)
@@ -197,9 +201,7 @@ class Supervisor:
                     attempt=attempt,
                     reason=str(exc),
                 )
-                backoff = min(
-                    backoff * 2.0, self.config.resubscribe_max_backoff_seconds
-                )
+                backoff = min(backoff * 2.0, RESUBSCRIBE_MAX_BACKOFF_SECONDS)
                 continue
             self.subscriptions[chain_id] = subscription
             self.log.info("resubscribed", chain=chain_id, attempt=attempt)

@@ -65,10 +65,6 @@ class ResponseDeliverTx:
     def ok(self) -> bool:
         return self.code == 0
 
-    @property
-    def events_size_bytes(self) -> int:
-        return sum(e.size_bytes for e in self.events)
-
 
 @dataclass
 class ResponseEndBlock:
@@ -132,22 +128,3 @@ class ExecutedBlock:
     @property
     def message_count(self) -> int:
         return sum(getattr(t.tx, "msg_count", 1) for t in self.txs)
-
-    def events_size_bytes(self) -> int:
-        total = sum(t.result.events_size_bytes for t in self.txs)
-        total += sum(e.size_bytes for e in self.end_block_events)
-        return total
-
-    def events_of_type(self, event_type: str) -> list[AbciEvent]:
-        found: list[AbciEvent] = []
-        for executed in self.txs:
-            if not executed.ok:
-                continue
-            found.extend(
-                e for e in executed.result.events if e.type == event_type
-            )
-        found.extend(e for e in self.end_block_events if e.type == event_type)
-        return found
-
-    def count_events_of_type(self, event_type: str) -> int:
-        return len(self.events_of_type(event_type))

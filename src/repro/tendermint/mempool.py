@@ -184,7 +184,3 @@ class Mempool:
         for tx_hash in stale:
             del self._txs[tx_hash]
         self.evicted += len(stale)
-
-    def flush(self) -> None:
-        self._txs.clear()
-        self._check_sequences.clear()

@@ -209,9 +209,6 @@ class ProvableStore:
     def has(self, key: bytes) -> bool:
         return key in self._data
 
-    def keys_with_prefix(self, prefix: bytes) -> list[bytes]:
-        return sorted(k for k in self._data if k.startswith(prefix))
-
     def __len__(self) -> int:
         return len(self._data)
 

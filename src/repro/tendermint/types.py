@@ -81,11 +81,6 @@ class Commit:
     block_id: BlockID
     signatures: tuple[CommitSig, ...]
 
-    def committed_count(self) -> int:
-        return sum(
-            1 for s in self.signatures if s.block_id_flag == BlockIDFlag.COMMIT
-        )
-
     @classmethod
     def genesis(cls) -> "Commit":
         return cls(height=0, round=0, block_id=BlockID.nil(), signatures=())

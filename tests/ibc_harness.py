@@ -330,12 +330,20 @@ class IbcPair:
     def transfer(
         self,
         amount: int = 10,
-        timeout_blocks: int = 100,
+        timeout_blocks: Optional[int] = 100,
         denom: str = TRANSFER_DENOM,
         sender: Optional[TxFactory] = None,
         receiver: Optional[str] = None,
+        timeout_timestamp: float = 0.0,
     ) -> Packet:
+        """Send ``amount`` from A; ``timeout_blocks=None`` sets no timeout
+        height, leaving ``timeout_timestamp`` the only expiry."""
         sender = sender or self.user
+        timeout_height = (
+            Height.zero()
+            if timeout_blocks is None
+            else Height(0, self.b.height + timeout_blocks)
+        )
         msg = MsgTransfer(
             source_port="transfer",
             source_channel=self.chan_a,
@@ -343,7 +351,8 @@ class IbcPair:
             amount=amount,
             sender=sender.wallet.address,
             receiver=receiver or self.receiver.address,
-            timeout_height=Height(0, self.b.height + timeout_blocks),
+            timeout_height=timeout_height,
+            timeout_timestamp=timeout_timestamp,
             signer=sender.wallet.address,
         )
         result = self.exec_ok(self.a, sender, [msg])

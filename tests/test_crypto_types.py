@@ -13,9 +13,7 @@ from repro.tendermint.crypto import (
 from repro.tendermint.types import (
     Block,
     BlockID,
-    BlockIDFlag,
     Commit,
-    CommitSig,
     Data,
     Evidence,
     Header,
@@ -129,17 +127,6 @@ def test_block_part_set_scales_with_size():
         evidence=[], last_commit=Commit.genesis(),
     )
     assert big.block_id().part_set_header.total > small.block_id().part_set_header.total
-
-
-def test_commit_counts_only_commit_flags():
-    sigs = (
-        CommitSig(BlockIDFlag.COMMIT, "v1", 0.0, b"s"),
-        CommitSig(BlockIDFlag.NIL, "v2", 0.0, b"s"),
-        CommitSig(BlockIDFlag.ABSENT, "v3", 0.0, b""),
-        CommitSig(BlockIDFlag.COMMIT, "v4", 0.0, b"s"),
-    )
-    commit = Commit(height=1, round=0, block_id=BlockID.nil(), signatures=sigs)
-    assert commit.committed_count() == 2
 
 
 def test_evidence_hash_distinct():

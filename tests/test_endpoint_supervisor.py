@@ -6,6 +6,7 @@ from repro.cosmos.accounts import Wallet
 from repro.cosmos.app import FEE_DENOM
 from repro.ibc.msgs import MsgUpdateClient
 from repro.relayer import RelayerConfig
+from repro.relayer import endpoint as endpoint_module
 from repro.relayer.endpoint import ChainEndpoint
 from repro.relayer.logging import RelayerLog
 
@@ -144,11 +145,11 @@ def test_confirmation_polling_finds_committed_tx(bootstrapped):
     assert endpoint.log.count("recv_confirmation") == 1
 
 
-def test_confirmation_gives_up_after_window(harness):
+def test_confirmation_gives_up_after_window(harness, monkeypatch):
     h = harness
     # Chains NOT started: nothing will ever commit.
     endpoint = make_endpoint(h, "ep-never")
-    endpoint.config.confirm_timeout_seconds = 5.0
+    monkeypatch.setattr(endpoint_module, "CONFIRM_TIMEOUT_SECONDS", 5.0)
 
     def flow():
         submitted = yield from endpoint.submit_msgs(
@@ -162,13 +163,13 @@ def test_confirmation_gives_up_after_window(harness):
     assert endpoint.log.count("failed_tx_no_confirmation") >= 1
 
 
-def test_unconfirmed_tx_logged_exactly_once(bootstrapped):
+def test_unconfirmed_tx_logged_exactly_once(bootstrapped, monkeypatch):
     """Regression: when confirmation polls themselves fail with RPC errors,
     ``failed_tx_no_confirmation`` must be recorded once per unconfirmed tx
     in the terminal sweep — not once per failed poll attempt."""
     h = bootstrapped
     endpoint = make_endpoint(h, "ep-once", {"max_msgs_per_tx": 10})
-    endpoint.config.confirm_timeout_seconds = 5.0
+    monkeypatch.setattr(endpoint_module, "CONFIRM_TIMEOUT_SECONDS", 5.0)
 
     def flow():
         submitted = yield from endpoint.submit_msgs(

@@ -101,6 +101,7 @@ def test_timed_out_by_timestamp():
     p = packet(timeout_h=Height.zero(), timeout_ts=50.0)
     assert not p.timed_out(Height(0, 10**9), 49.9)
     assert p.timed_out(Height(0, 0), 50.0)
+    assert p.timed_out(Height(0, 0), 50.0 + 1e-6)  # and stays expired
 
 
 def test_zero_timeouts_never_expire():

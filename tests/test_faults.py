@@ -225,14 +225,14 @@ def test_retry_budget_exhaustion_is_logged_not_crashed(bootstrapped, rng):
     assert h.env.crashed_processes == []
 
 
-def test_retry_succeeds_once_node_returns(bootstrapped, rng):
+def test_retry_succeeds_once_node_returns(bootstrapped, rng, monkeypatch):
+    from repro.relayer import endpoint as endpoint_module
     from tests.test_endpoint_supervisor import make_endpoint
 
     h = bootstrapped
     # Backoffs 2 + 4 + 8 = 14 s ride out a 10 s crash window.
-    endpoint = make_endpoint(
-        h, "ep-retry-ok", rpc_retry_attempts=4, rpc_retry_base_seconds=2.0
-    )
+    monkeypatch.setattr(endpoint_module, "RPC_RETRY_BASE_SECONDS", 2.0)
+    endpoint = make_endpoint(h, "ep-retry-ok", rpc_retry_attempts=4)
     injector = make_injector(h, rng, NodeCrash("m0", at=0.0, duration=10.0))
     injector.start()
 

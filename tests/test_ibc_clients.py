@@ -138,4 +138,4 @@ def test_missing_consensus_state_raises(client, valset):
 
 def test_timestamp_exposed(client, valset):
     client.update(header(valset, time=42.5), now=50.0)
-    assert client.timestamp_at(1) == 42.5
+    assert abs(client.consensus_state(1).timestamp - 42.5) < 1e-9

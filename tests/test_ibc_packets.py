@@ -3,12 +3,13 @@
 import pytest
 
 from repro.cosmos.app import TRANSFER_DENOM
+from repro.errors import PacketTimeoutError
 from repro.ibc.channel import ChannelOrder
 from repro.ibc.msgs import MsgRecvPacket, MsgTransfer, MsgUpdateClient
 from repro.ibc.packet import Height
 from repro.ibc.transfer import escrow_address
 
-from tests.ibc_harness import IbcPair
+from tests.ibc_harness import BLOCK_INTERVAL, IbcPair
 
 
 @pytest.fixture(scope="module")
@@ -260,6 +261,26 @@ def test_timeout_refunds_sender():
     pair.b.make_block([])
     pair.exec_ok(pair.a, pair.relayer_a, pair.timeout_msgs([packet]))
     # OnPacketTimeout unlocked the escrowed tokens (Fig. 3).
+    assert pair.a.bank.balance(pair.user.wallet.address, TRANSFER_DENOM) == before
+    assert not pair.a.ibc.has_commitment("transfer", pair.chan_a, packet.sequence)
+
+
+def test_timestamp_timeout_rejects_receive_and_refunds_sender():
+    """Only ``timeout_timestamp`` set: the destination's block time, not
+    its height, expires the packet."""
+    pair = fresh_pair()
+    before = pair.a.bank.balance(pair.user.wallet.address, TRANSFER_DENOM)
+    deadline = pair.b.time + 2 * BLOCK_INTERVAL
+    packet = pair.transfer(amount=33, timeout_blocks=None, timeout_timestamp=deadline)
+    assert packet.timeout_height.is_zero
+    assert not packet.timed_out(Height(0, 10**9), pair.b.time)
+    while pair.b.time <= deadline:  # strictly past it, not merely at it
+        pair.b.make_block([])
+    _update, recv = pair.recv_msgs([packet])
+    with pytest.raises(PacketTimeoutError):
+        pair.b.ibc.recv_packet(recv, pair.b.ctx())
+    # MsgTimeout with the absence proof unlocks the escrow (Fig. 3).
+    pair.exec_ok(pair.a, pair.relayer_a, pair.timeout_msgs([packet]))
     assert pair.a.bank.balance(pair.user.wallet.address, TRANSFER_DENOM) == before
     assert not pair.a.ibc.has_commitment("transfer", pair.chan_a, packet.sequence)
 

@@ -4,7 +4,7 @@ Running this inside the normal pytest run makes ``repro.lint`` a standing
 determinism gate with no extra CI plumbing: any future wall-clock read,
 rogue RNG, set-order dependence, timestamp equality, swallowed RPC error,
 transitive entropy path or dropped process/timeout handle — in the source
-tree, the test suite or the benchmarks — fails the suite.
+tree, the test suite or the examples — fails the suite.
 """
 
 from pathlib import Path
@@ -31,20 +31,19 @@ def test_lint_clean_over_src_repro():
 
 
 def test_lint_clean_over_whole_repo():
-    """src/, tests/, benchmarks/ and examples/ analyzed together, all rules.
+    """src/, tests/ and examples/ analyzed together, all rules.
 
-    One combined run (not four) so the whole-program rules see stream
+    One combined run (not three) so the whole-program rules see stream
     names and call graphs across the tree boundaries too.  The deliberate
     violations under ``tests/lint_fixtures/`` are pruned by the default
     ``exclude_dirs``; the lint tests pass them explicitly.
     """
-    for sub in ("tests", "benchmarks", "examples"):
+    for sub in ("tests", "examples"):
         assert (REPO_ROOT / sub).is_dir(), f"missing {sub}/ directory"
     _assert_clean(
         [
             SRC_ROOT,
             REPO_ROOT / "tests",
-            REPO_ROOT / "benchmarks",
             REPO_ROOT / "examples",
         ]
     )

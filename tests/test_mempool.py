@@ -188,10 +188,3 @@ def test_eviction_counter_tracks_recheck_drops(app, mempool):
     assert len(mempool) == 0
     assert mempool.evicted == 2
     assert mempool.admitted == 2
-
-
-def test_flush(app, mempool):
-    factory = funded_factory(app, "mp-k")
-    mempool.add(factory.build([send_msg(factory)], gas_limit=100_000), now=0.0)
-    mempool.flush()
-    assert len(mempool) == 0

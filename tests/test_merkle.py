@@ -139,11 +139,6 @@ def test_absence_in_empty_store():
     assert verify_non_membership(EMPTY_HASH, proof)
 
 
-def test_keys_with_prefix():
-    store = make_store({b"ab/1": b"x", b"ab/2": b"y", b"cd/1": b"z"})
-    assert store.keys_with_prefix(b"ab/") == [b"ab/1", b"ab/2"]
-
-
 @settings(max_examples=50, deadline=None)
 @given(
     entries=st.dictionaries(

@@ -130,11 +130,6 @@ def test_indexer_missing_height_defaults():
 
 def test_executed_block_event_helpers():
     tx = FakeTx("c", msgs=2)
-    e1 = AbciEvent(type="send_packet", attributes=(("k", 1),), size_bytes=400)
-    e2 = AbciEvent(type="recv_packet", attributes=(), size_bytes=700)
     block = make_block(1, 5.0, [tx])
-    executed = executed_for(block, events_per_tx={0: [e1, e2]})
-    assert executed.count_events_of_type("send_packet") == 1
-    assert executed.events_of_type("recv_packet") == [e2]
-    assert executed.events_size_bytes() == 1100
+    executed = executed_for(block)
     assert executed.message_count == 2

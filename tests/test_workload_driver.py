@@ -6,7 +6,8 @@ was built to produce organically:
 
 * a mixed-payload workload whose event volume trips the §V WebSocket
   frame limit (calibrated down so a fast test can reach it — the staged
-  16 MB case lives in ``benchmarks/bench_sec5_websocket_limit.py``);
+  16 MB case is the ``sec5-websocket`` row of ``python -m repro check
+  paper``);
 * gas-griefing transactions that *commit with a failure code*, counted
   in the report as ``failed`` — distinct from ``unconfirmed`` (never
   seen again) and from CheckTx rejections;
