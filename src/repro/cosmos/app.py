@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro import calibration as cal
 from repro.cosmos.accounts import AccountKeeper, AddressIndex, Wallet
@@ -67,6 +67,13 @@ class FeePool:
     collected: float = 0.0
 
 
+def _events_only(
+    handler: Callable[[Any, ExecContext], tuple[Any, list[AbciEvent]]],
+) -> Callable[[Any, ExecContext], list[AbciEvent]]:
+    """Route to a handler that returns ``(new id or packet, events)``."""
+    return lambda msg, ctx: handler(msg, ctx)[1]
+
+
 class GaiaApp:
     """One chain's application state and ABCI handlers."""
 
@@ -106,6 +113,27 @@ class GaiaApp:
         self._ctx = ExecContext(height=0, time=0.0)
         self._block_events: list[AbciEvent] = []
         self._commit_counter = 0
+
+        # The router: one handler per message type, each returning the
+        # message's events.
+        ibc = self.ibc
+        self._routes: dict[type, Callable[[Any, ExecContext], list[AbciEvent]]] = {
+            MsgTransfer: _events_only(self.transfer.msg_transfer),
+            MsgRecvPacket: ibc.recv_packet,
+            MsgAcknowledgement: ibc.acknowledge_packet,
+            MsgTimeout: ibc.timeout_packet,
+            MsgUpdateClient: ibc.update_client,
+            MsgCreateClient: self._create_client,
+            MsgConnectionOpenInit: _events_only(ibc.connection_open_init),
+            MsgConnectionOpenTry: _events_only(ibc.connection_open_try),
+            MsgConnectionOpenAck: ibc.connection_open_ack,
+            MsgConnectionOpenConfirm: ibc.connection_open_confirm,
+            MsgChannelOpenInit: _events_only(ibc.channel_open_init),
+            MsgChannelOpenTry: _events_only(ibc.channel_open_try),
+            MsgChannelOpenAck: ibc.channel_open_ack,
+            MsgChannelOpenConfirm: ibc.channel_open_confirm,
+            MsgSend: self._bank_send,
+        }
 
     # ------------------------------------------------------------------
     # Genesis helpers
@@ -217,6 +245,7 @@ class GaiaApp:
         journal = Journal()
         self._attach_journal(journal)
         events: list[AbciEvent] = []
+        routes = self._routes
         try:
             ctx = ExecContext(
                 height=self._ctx.height, time=self._ctx.time, signer=tx.signer_address
@@ -224,7 +253,12 @@ class GaiaApp:
             for msg in tx.msgs:
                 kind = getattr(msg, "kind", "unknown")
                 meter.consume(self.gas_schedule.gas_for_msg(kind), kind)
-                events.extend(self._dispatch(msg, ctx))
+                handler = routes.get(type(msg))
+                if handler is None:
+                    raise ChainError(
+                        f"unroutable message kind {getattr(msg, 'kind', '?')!r}"
+                    )
+                events.extend(handler(msg, ctx))
         except (ChainError, OutOfGasError) as exc:
             journal.rollback()
             code = exc.code if isinstance(exc, ChainError) else 11
@@ -259,60 +293,29 @@ class GaiaApp:
         self.ibc.journal = journal
         self.store.journal = journal
 
-    def _dispatch(self, msg: Any, ctx: ExecContext) -> list[AbciEvent]:
-        """Route one message to its module handler."""
-        if isinstance(msg, MsgTransfer):
-            _packet, events = self.transfer.msg_transfer(msg, ctx)
-            return events
-        if isinstance(msg, MsgRecvPacket):
-            return self.ibc.recv_packet(msg, ctx)
-        if isinstance(msg, MsgAcknowledgement):
-            return self.ibc.acknowledge_packet(msg, ctx)
-        if isinstance(msg, MsgTimeout):
-            return self.ibc.timeout_packet(msg, ctx)
-        if isinstance(msg, MsgUpdateClient):
-            return self.ibc.update_client(msg, ctx)
-        if isinstance(msg, MsgCreateClient):
-            info = self._counterparties.get(msg.chain_id)
-            if info is None:
-                raise ChainError(f"unknown counterparty chain {msg.chain_id!r}")
-            return self.ibc.handle_create_client(msg, ctx, info)
-        if isinstance(msg, MsgConnectionOpenInit):
-            _cid, events = self.ibc.connection_open_init(msg, ctx)
-            return events
-        if isinstance(msg, MsgConnectionOpenTry):
-            _cid, events = self.ibc.connection_open_try(msg, ctx)
-            return events
-        if isinstance(msg, MsgConnectionOpenAck):
-            return self.ibc.connection_open_ack(msg, ctx)
-        if isinstance(msg, MsgConnectionOpenConfirm):
-            return self.ibc.connection_open_confirm(msg, ctx)
-        if isinstance(msg, MsgChannelOpenInit):
-            _cid, events = self.ibc.channel_open_init(msg, ctx)
-            return events
-        if isinstance(msg, MsgChannelOpenTry):
-            _cid, events = self.ibc.channel_open_try(msg, ctx)
-            return events
-        if isinstance(msg, MsgChannelOpenAck):
-            return self.ibc.channel_open_ack(msg, ctx)
-        if isinstance(msg, MsgChannelOpenConfirm):
-            return self.ibc.channel_open_confirm(msg, ctx)
-        if isinstance(msg, MsgSend):
-            if msg.sender != ctx.signer:
-                raise ChainError("bank send sender must be the tx signer", code=4)
-            self.bank.send(msg.sender, msg.recipient, msg.denom, msg.amount)
-            return [
-                AbciEvent(
-                    type="transfer_bank",
-                    attributes=(
-                        ("sender", msg.sender),
-                        ("recipient", msg.recipient),
-                        ("amount", f"{msg.amount}{msg.denom}"),
-                    ),
-                    size_bytes=150,
-                )
-            ]
-        raise ChainError(f"unroutable message kind {getattr(msg, 'kind', '?')!r}")
+    def _create_client(
+        self, msg: MsgCreateClient, ctx: ExecContext
+    ) -> list[AbciEvent]:
+        info = self._counterparties.get(msg.chain_id)
+        if info is None:
+            raise ChainError(f"unknown counterparty chain {msg.chain_id!r}")
+        return self.ibc.handle_create_client(msg, ctx, info)
+
+    def _bank_send(self, msg: MsgSend, ctx: ExecContext) -> list[AbciEvent]:
+        if msg.sender != ctx.signer:
+            raise ChainError("bank send sender must be the tx signer", code=4)
+        self.bank.send(msg.sender, msg.recipient, msg.denom, msg.amount)
+        return [
+            AbciEvent(
+                type="transfer_bank",
+                attributes=(
+                    ("sender", msg.sender),
+                    ("recipient", msg.recipient),
+                    ("amount", f"{msg.amount}{msg.denom}"),
+                ),
+                size_bytes=150,
+            )
+        ]
 
     def end_block(self, height: int) -> ResponseEndBlock:
         return ResponseEndBlock(events=list(self._block_events))

@@ -59,12 +59,13 @@ class BankKeeper(Journaled):
             column.frombytes(bytes(8 * short))
         return column
 
-    def _set_balance(self, address: str, denom: str, value: int) -> None:
-        idx = self.index.intern(address)
-        column = self._column(denom, idx)
+    def _write(
+        self, column: array, idx: int, address: str, denom: str, value: int
+    ) -> None:
+        """Set ``address``'s balance, already resolved to ``column[idx]``."""
         if self.journal is not None:
             # Balances default to 0, so the undo value is never None and
-            # the closure-free journal entry restores it exactly.
+            # the journal entry restores it exactly.
             self.journal.record_kv(column, idx, column[idx])
         column[idx] = value
         if self._store is not None:
@@ -111,7 +112,7 @@ class BankKeeper(Journaled):
 
     def mint(self, address: str, denom: str, amount: int) -> None:
         self._require_positive(amount)
-        self._set_balance(address, denom, self.balance(address, denom) + amount)
+        self._credit(address, denom, amount)
         self._set_supply(denom, self._supply[denom] + amount)
 
     def burn(self, address: str, denom: str, amount: int) -> None:
@@ -122,15 +123,27 @@ class BankKeeper(Journaled):
     def send(self, sender: str, recipient: str, denom: str, amount: int) -> None:
         self._require_positive(amount)
         self._debit(sender, denom, amount)
-        self._set_balance(recipient, denom, self.balance(recipient, denom) + amount)
+        self._credit(recipient, denom, amount)
 
     def _debit(self, address: str, denom: str, amount: int) -> None:
-        balance = self.balance(address, denom)
+        # ``lookup``, never ``intern``: a failed debit must leave the
+        # address index untouched (see ``AddressIndex.bind``).
+        idx = self.index.lookup(address)
+        column = self._columns.get(denom)
+        if idx is None or column is None or idx >= len(column):
+            balance = 0
+        else:
+            balance = column[idx]
         if balance < amount:
             raise InsufficientFundsError(
                 f"{address} has {balance}{denom}, needs {amount}{denom}"
             )
-        self._set_balance(address, denom, balance - amount)
+        self._write(column, idx, address, denom, balance - amount)
+
+    def _credit(self, address: str, denom: str, amount: int) -> None:
+        idx = self.index.intern(address)
+        column = self._column(denom, idx)
+        self._write(column, idx, address, denom, column[idx] + amount)
 
     @staticmethod
     def _require_positive(amount: int) -> None:

@@ -29,8 +29,10 @@ class DenomTrace:
         return not self.path
 
     def full_path(self) -> str:
+        if not self.path:
+            return self.base_denom
         hops = "/".join(f"{port}/{channel}" for port, channel in self.path)
-        return f"{hops}/{self.base_denom}" if hops else self.base_denom
+        return f"{hops}/{self.base_denom}"
 
     def ibc_denom(self) -> str:
         """The on-chain voucher denomination."""
@@ -78,6 +80,9 @@ class DenomRegistry:
 
     def __init__(self) -> None:
         self._traces: dict[str, DenomTrace] = {}
+        # Native denoms resolve to one shared trace each, not a fresh
+        # DenomTrace per send.
+        self._native: dict[str, DenomTrace] = {}
 
     def register(self, trace: DenomTrace) -> str:
         denom = trace.ibc_denom()
@@ -90,7 +95,10 @@ class DenomRegistry:
     def resolve(self, denom: str) -> DenomTrace:
         """Trace for an on-chain denom (native denoms resolve trivially)."""
         if not denom.startswith("ibc/"):
-            return DenomTrace.native(denom)
+            trace = self._native.get(denom)
+            if trace is None:
+                trace = self._native[denom] = DenomTrace.native(denom)
+            return trace
         trace = self._traces.get(denom)
         if trace is None:
             raise KeyError(f"unknown voucher denom {denom}")

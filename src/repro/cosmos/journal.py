@@ -3,8 +3,17 @@
 The Cosmos SDK executes each transaction against a cached store and discards
 the cache if any message fails, making transactions atomic.  We get the same
 guarantee with an undo journal: while a transaction executes, every state
-mutation registers an inverse operation; on failure the journal rolls back
-in reverse order.
+mutation records what it overwrote; on failure the journal restores those
+values in reverse order.
+
+There is one undo form, ``(mapping, key, previous)``: before writing
+``mapping[key]``, a keeper records the value it replaces, or ``None`` when
+the key was absent.  Every journaled piece of state — bank balance columns
+(an ``array`` indexes like a dict) and supply, the provable store, the IBC
+module's sequence, commitment, receipt, acknowledgement and handshake
+tables — is such a mapping, so rollback is a loop over tuples with no
+per-write closure.  A value that is itself ``None`` cannot be journaled;
+no keeper stores one.
 
 This matters for fidelity: when two relayers race (paper §IV-A), the loser's
 *entire* transaction of 100 ``MsgRecvPacket`` fails with ``packet messages
@@ -13,40 +22,32 @@ are redundant`` — none of its messages may leave partial state behind.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 
 class Journal:
-    """Collects undo operations for one transaction execution."""
+    """Collects undo entries for one transaction execution."""
 
     __slots__ = ("_undo",)
 
     def __init__(self) -> None:
         self._undo: list = []
 
-    def record(self, undo: Callable[[], None]) -> None:
-        self._undo.append(undo)
+    def record_kv(self, mapping, key, previous) -> None:
+        """Record that ``mapping[key]`` held ``previous`` before a write.
 
-    def record_kv(self, mapping: dict, key, previous) -> None:
-        """Closure-free undo for a plain dict write.
-
-        ``previous is None`` means the key was absent.  Hot stores record
-        thousands of writes per block; a tuple here replaces the lambda
-        allocation that :meth:`record` would need.
+        ``previous is None`` means the key was absent, so rollback removes
+        it instead of restoring a value.
         """
         self._undo.append((mapping, key, previous))
 
     def rollback(self) -> None:
         """Revert all recorded mutations, most recent first."""
-        for undo in reversed(self._undo):
-            if type(undo) is tuple:
-                mapping, key, previous = undo
-                if previous is None:
-                    mapping.pop(key, None)
-                else:
-                    mapping[key] = previous
+        for mapping, key, previous in reversed(self._undo):
+            if previous is None:
+                mapping.pop(key, None)
             else:
-                undo()
+                mapping[key] = previous
         self._undo.clear()
 
     def commit(self) -> None:
@@ -61,12 +62,9 @@ class Journaled:
     """Mixin for keepers that support transaction-scoped rollback.
 
     The application sets ``journal`` before executing a transaction's
-    messages and clears it afterwards; mutating methods call
-    :meth:`_journal_undo` with their inverse.
+    messages and clears it afterwards; while it is set, each mutating
+    method calls ``journal.record_kv(mapping, key, previous)`` before it
+    writes.  With no journal attached nothing is recorded.
     """
 
     journal: Optional[Journal] = None
-
-    def _journal_undo(self, undo: Callable[[], None]) -> None:
-        if self.journal is not None:
-            self.journal.record(undo)

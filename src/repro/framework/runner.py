@@ -40,16 +40,19 @@ _POLL = 0.5
 def _reset_run_caches() -> None:
     """Drop process-global memo caches before a run.
 
-    The payload-codec and signature caches are keyed by content and bounded,
-    but a pool worker that executes many sweep points back to back would
-    still carry entries (and their memory) from one experiment into the
-    next, skewing allocation measurements.  Runs stay deterministic either
-    way — the caches only memoize pure functions — so clearing them is
-    purely a memory-hygiene hook.
+    Every process-global memo (acknowledgement codec, transfer payload
+    codec, escrow addresses, keys and signatures) is keyed by content and
+    bounded; none is keyed by packet.  A pool worker that executes many
+    sweep points back to back would still carry entries (and their memory)
+    from one experiment into the next, skewing allocation measurements, so
+    this hook clears them all.  Runs stay deterministic either way — the
+    caches only memoize pure functions — so clearing them is purely a
+    memory-hygiene hook.
     """
-    from repro.ibc import transfer
+    from repro.ibc import packet, transfer
     from repro.tendermint import crypto
 
+    packet.reset_caches()
     transfer.reset_caches()
     crypto.reset_caches()
 

@@ -13,7 +13,7 @@ paper's bottleneck findings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Optional, Protocol
 
 from repro.cosmos.journal import Journaled
@@ -92,6 +92,11 @@ class ExecContext:
     height: int
     time: float
     signer: str = ""
+    #: ``height`` as an IBC height, for destination-side timeout checks.
+    here: Height = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.here = Height(0, self.height)
 
 
 class IbcApplication(Protocol):
@@ -106,6 +111,11 @@ class IbcApplication(Protocol):
     ) -> None: ...
 
     def on_timeout(self, packet: Packet, ctx: ExecContext) -> None: ...
+
+    def drain_forward_events(self) -> list[AbciEvent]:
+        """Events of onward sends the last ``on_recv_packet`` made
+        (empty for an application that never forwards)."""
+        ...
 
 
 @dataclass
@@ -145,7 +155,7 @@ class IbcModule(Journaled):
 
         # Fast-path mirrors of provable-store entries.
         self._commitments: dict[tuple[str, str, int], bytes] = {}
-        self._receipts: set[tuple[str, str, int]] = set()
+        self._receipts: dict[tuple[str, str, int], bool] = {}
         self._acks: dict[tuple[str, str, int], Acknowledgement] = {}
         # Archive of sent packets (what packet-clearing queries reconstruct
         # from the chain's tx history in the real system).
@@ -350,10 +360,9 @@ class IbcModule(Journaled):
         return end
 
     def _store_connection(self, end: ConnectionEnd) -> None:
-        if end.connection_id not in self.connections:
-            self._journal_undo(
-                lambda cid=end.connection_id: self.connections.pop(cid, None)
-            )
+        journal = self.journal
+        if journal is not None and end.connection_id not in self.connections:
+            journal.record_kv(self.connections, end.connection_id, None)
         self.connections[end.connection_id] = end
         self.store.set(keys.connection_path(end.connection_id), end.encode())
 
@@ -520,19 +529,20 @@ class IbcModule(Journaled):
 
     def _store_channel(self, end: ChannelEnd) -> None:
         key = (end.port_id, end.channel_id)
-        if key not in self.channels:
-            self._journal_undo(lambda k=key: self.channels.pop(k, None))
+        journal = self.journal
+        if journal is not None and key not in self.channels:
+            journal.record_kv(self.channels, key, None)
         self.channels[key] = end
         self.store.set(keys.channel_path(end.port_id, end.channel_id), end.encode())
 
     def _init_sequences(self, port_id: str, channel_id: str) -> None:
         key = (port_id, channel_id)
-        self._journal_undo(lambda k=key: self.next_sequence_send.pop(k, None))
-        self._journal_undo(lambda k=key: self.next_sequence_recv.pop(k, None))
-        self._journal_undo(lambda k=key: self.next_sequence_ack.pop(k, None))
-        self.next_sequence_send[key] = 1
-        self.next_sequence_recv[key] = 1
-        self.next_sequence_ack[key] = 1
+        for sequences in (
+            self.next_sequence_send, self.next_sequence_recv, self.next_sequence_ack
+        ):
+            if self.journal is not None:
+                self.journal.record_kv(sequences, key, sequences.get(key))
+            sequences[key] = 1
 
     # ------------------------------------------------------------------
     # ICS-04: packet life cycle
@@ -554,9 +564,9 @@ class IbcModule(Journaled):
             raise PacketError("packet must have a timeout height or timestamp")
         key = (port_id, channel_id)
         sequence = self.next_sequence_send[key]
-        self._journal_undo(
-            lambda k=key, s=sequence: self.next_sequence_send.__setitem__(k, s)
-        )
+        journal = self.journal
+        if journal is not None:
+            journal.record_kv(self.next_sequence_send, key, sequence)
         self.next_sequence_send[key] = sequence + 1
         packet = Packet(
             sequence=sequence,
@@ -570,19 +580,15 @@ class IbcModule(Journaled):
         )
         commitment = packet.commitment()
         commit_key = (port_id, channel_id, sequence)
-        self._journal_undo(
-            lambda k=commit_key: self._commitments.pop(k, None)
-        )
+        if journal is not None:
+            journal.record_kv(self._commitments, commit_key, None)
+            journal.record_kv(self._sent_packets, commit_key, None)
         self._commitments[commit_key] = commitment
-        self._journal_undo(lambda k=commit_key: self._sent_packets.pop(k, None))
         self._sent_packets[commit_key] = packet
         self.store.set(
             keys.packet_commitment_path(port_id, channel_id, sequence), commitment
         )
-        event = self._packet_event(
-            "send_packet", packet, packet_src_chain=self.chain_id
-        )
-        return packet, [event]
+        return packet, [self._packet_event("send_packet", packet, self.chain_id)]
 
     def recv_packet(self, msg: MsgRecvPacket, ctx: ExecContext) -> list[AbciEvent]:
         """RecvPacket (Fig. 2 steps 3-5): verify, route, acknowledge."""
@@ -598,8 +604,7 @@ class IbcModule(Journaled):
                 f"not match channel counterparty {end.counterparty}"
             )
         # Timeout check from the destination's point of view.
-        here = Height(0, ctx.height)
-        if packet.timed_out(here, ctx.time):
+        if packet.timed_out(ctx.here, ctx.time):
             raise PacketTimeoutError(
                 f"packet {packet.sequence} timed out at receive "
                 f"(height {ctx.height}, time {ctx.time:.2f})"
@@ -628,9 +633,8 @@ class IbcModule(Journaled):
                     f"ordered channel expects sequence {expected}, "
                     f"got {packet.sequence}"
                 )
-            self._journal_undo(
-                lambda k=dest_key, s=expected: self.next_sequence_recv.__setitem__(k, s)
-            )
+            if self.journal is not None:
+                self.journal.record_kv(self.next_sequence_recv, dest_key, expected)
             self.next_sequence_recv[dest_key] = expected + 1
         else:
             receipt_key = (
@@ -642,10 +646,9 @@ class IbcModule(Journaled):
                 raise RedundantPacketError(
                     f"unordered packet {packet.sequence} already received"
                 )
-            self._journal_undo(
-                lambda k=receipt_key: self._receipts.discard(k)
-            )
-            self._receipts.add(receipt_key)
+            if self.journal is not None:
+                self.journal.record_kv(self._receipts, receipt_key, None)
+            self._receipts[receipt_key] = True
             self.store.set(
                 keys.packet_receipt_path(
                     packet.destination_port,
@@ -659,15 +662,13 @@ class IbcModule(Journaled):
         src_chain = self._client(connection.client_id).state.chain_id
         ack = app.on_recv_packet(packet, ctx)
         events = [
-            self._packet_event("recv_packet", packet, packet_src_chain=src_chain)
+            self._packet_event("recv_packet", packet, src_chain)
         ]
         # Applications that forward packets onward (packet-forward
         # middleware) queue the onward send events during the callback;
         # drain them here so they land after this hop's recv_packet and
         # before its write_acknowledgement, in the same transaction.
-        drain = getattr(app, "drain_forward_events", None)
-        if drain is not None:
-            events.extend(drain())
+        events.extend(app.drain_forward_events())
         events.extend(self._write_acknowledgement(packet, ack, src_chain))
         return events
 
@@ -679,18 +680,13 @@ class IbcModule(Journaled):
             raise RedundantPacketError(
                 f"acknowledgement for packet {packet.sequence} already written"
             )
-        self._journal_undo(lambda k=key: self._acks.pop(k, None))
+        if self.journal is not None:
+            self.journal.record_kv(self._acks, key, None)
         self._acks[key] = ack
         self.store.set(
             keys.packet_acknowledgement_path(*key), ack.commitment()
         )
-        event = self._packet_event(
-            "write_acknowledgement",
-            packet,
-            packet_src_chain=src_chain,
-            packet_ack=ack,
-        )
-        return [event]
+        return [self._packet_event("write_acknowledgement", packet, src_chain, ack)]
 
     def acknowledge_packet(
         self, msg: MsgAcknowledgement, ctx: ExecContext
@@ -729,21 +725,17 @@ class IbcModule(Journaled):
                     f"ordered channel expects ack sequence {expected}, "
                     f"got {packet.sequence}"
                 )
-            self._journal_undo(
-                lambda k=ack_key, s=expected: self.next_sequence_ack.__setitem__(k, s)
-            )
+            if self.journal is not None:
+                self.journal.record_kv(self.next_sequence_ack, ack_key, expected)
             self.next_sequence_ack[ack_key] = expected + 1
-        self._journal_undo(
-            lambda k=src_key, v=commitment: self._commitments.__setitem__(k, v)
-        )
+        if self.journal is not None:
+            self.journal.record_kv(self._commitments, src_key, commitment)
         del self._commitments[src_key]
         self.store.delete(keys.packet_commitment_path(*src_key))
         app = self.app_for_port(packet.source_port)
         app.on_acknowledgement(packet, msg.acknowledgement, ctx)
         return [
-            self._packet_event(
-                "acknowledge_packet", packet, packet_src_chain=self.chain_id
-            )
+            self._packet_event("acknowledge_packet", packet, self.chain_id)
         ]
 
     def timeout_packet(self, msg: MsgTimeout, ctx: ExecContext) -> list[AbciEvent]:
@@ -787,17 +779,14 @@ class IbcModule(Journaled):
                 ),
                 proof=msg.proof_unreceived,
             )
-        self._journal_undo(
-            lambda k=src_key, v=commitment: self._commitments.__setitem__(k, v)
-        )
+        if self.journal is not None:
+            self.journal.record_kv(self._commitments, src_key, commitment)
         del self._commitments[src_key]
         self.store.delete(keys.packet_commitment_path(*src_key))
         app = self.app_for_port(packet.source_port)
         app.on_timeout(packet, ctx)
         return [
-            self._packet_event(
-                "timeout_packet", packet, packet_src_chain=self.chain_id
-            )
+            self._packet_event("timeout_packet", packet, self.chain_id)
         ]
 
     # ------------------------------------------------------------------
@@ -909,7 +898,11 @@ class IbcModule(Journaled):
         )
 
     def _packet_event(
-        self, event_type: str, packet: Packet, **extra: Any
+        self,
+        event_type: str,
+        packet: Packet,
+        src_chain: str,
+        ack: Optional[Acknowledgement] = None,
     ) -> AbciEvent:
         attrs: tuple[tuple[str, Any], ...] = (
             ("packet_sequence", packet.sequence),
@@ -920,9 +913,10 @@ class IbcModule(Journaled):
             ("packet_timeout_height", packet.timeout_height),
             ("packet_timeout_timestamp", packet.timeout_timestamp),
             ("packet_data", packet.data),
+            ("packet_src_chain", src_chain),
         )
-        if extra:
-            attrs += tuple(extra.items())
+        if ack is not None:
+            attrs += (("packet_ack", ack),)
         return AbciEvent(
             type=event_type,
             attributes=attrs,

@@ -62,10 +62,14 @@ class Packet:
 
         Commits to the timeout and the data hash — not the full packet —
         exactly as ibc-go does, so the packet itself travels off-chain.
-        A packet is frozen (hashable), so the digest is computed once per
-        distinct packet; send/recv/ack/timeout all re-derive it.
+        Each handler derives it once per packet, so it is not memoised:
+        a memo keyed by the packet would hash all eight fields to save
+        two SHA-256 calls, and keep every packet of a run alive.
         """
-        return _packet_commitment(self)
+        return sha256(
+            f"{self.timeout_timestamp}/{self.timeout_height}".encode()
+            + sha256(self.data)
+        )
 
     def timed_out(self, height: "Height", timestamp: float) -> bool:
         """Would this packet be rejected at the given destination state?"""
@@ -103,23 +107,26 @@ class Acknowledgement:
         return _ack_commitment(self)
 
 
-@lru_cache(maxsize=None)
-def _packet_commitment(packet: Packet) -> bytes:
-    return sha256(
-        f"{packet.timeout_timestamp}/{packet.timeout_height}".encode()
-        + sha256(packet.data)
-    )
+#: Upper bound on the acknowledgement memos.  Almost every ack in a run is
+#: the identical success ack; error acks carry per-packet text, and the
+#: bound stops those from accumulating in a long-lived pool worker.
+_ACK_CACHE_SIZE = 1 << 10
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ACK_CACHE_SIZE)
 def _ack_encode(ack: Acknowledgement) -> bytes:
-    # Almost every ack in a run is the identical success ack, so the
-    # json.dumps collapses to one call per distinct payload.
+    # The success ack's json.dumps collapses to one call per run.
     if ack.success:
         return json.dumps({"result": ack.result or "AQ=="}).encode()
     return json.dumps({"error": ack.error}).encode()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ACK_CACHE_SIZE)
 def _ack_commitment(ack: Acknowledgement) -> bytes:
     return sha256(_ack_encode(ack))
+
+
+def reset_caches() -> None:
+    """Drop the acknowledgement memos (per-run hygiene for pool workers)."""
+    _ack_encode.cache_clear()
+    _ack_commitment.cache_clear()

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Protocol
 
+from repro.cosmos.bank import module_address
 from repro.cosmos.denom import DenomRegistry, DenomTrace
 from repro.errors import IbcError, PacketError
 from repro.ibc import keys
@@ -95,14 +96,16 @@ def _ftpd_decode(raw: bytes) -> FungibleTokenPacketData:
 
 
 def reset_caches() -> None:
-    """Drop the payload memo caches (per-run hygiene for pool workers)."""
+    """Drop the payload and escrow memo caches (per-run hygiene for pool
+    workers)."""
     _ftpd_encode.cache_clear()
     _ftpd_decode.cache_clear()
+    escrow_address.cache_clear()
 
 
+@lru_cache(maxsize=1 << 10)
 def escrow_address(port_id: str, channel_id: str) -> str:
-    from repro.cosmos.bank import module_address
-
+    """The per-channel ICS-20 escrow account; one hash per (port, channel)."""
     return module_address(f"transfer/{port_id}/{channel_id}/escrow")
 
 

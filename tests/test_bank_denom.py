@@ -36,6 +36,33 @@ def test_send_insufficient_funds():
         bank.send("alice", "bob", "uatom", 11)
 
 
+@pytest.mark.parametrize("op", ["send", "burn"])
+def test_failed_debit_never_interns(op):
+    """A debit from a never-seen address fails without interning it, so a
+    reserved genesis slot can still bind that address afterwards."""
+    bank = BankKeeper()
+    block = bank.index.reserve(2)
+    bank.mint("alice", "uatom", 10)
+    before = len(bank.index)
+    with pytest.raises(InsufficientFundsError):
+        if op == "send":
+            bank.send("ghost", "alice", "uatom", 1)
+        else:
+            bank.burn("ghost", "uatom", 1)
+    assert len(bank.index) == before
+    assert bank.index.lookup("ghost") is None
+    bank.index.bind(block[0], "ghost")  # would raise had the debit interned
+    assert bank.balance("alice", "uatom") == 10
+
+
+def test_send_to_self_keeps_balance():
+    bank = BankKeeper()
+    bank.mint("alice", "uatom", 10)
+    bank.send("alice", "alice", "uatom", 4)
+    assert bank.balance("alice", "uatom") == 10
+    assert bank.supply("uatom") == 10
+
+
 def test_burn_reduces_supply():
     bank = BankKeeper()
     bank.mint("alice", "uatom", 100)
@@ -169,6 +196,7 @@ def test_registry_resolves_voucher():
 def test_registry_resolves_native_without_registration():
     registry = DenomRegistry()
     assert registry.resolve("uatom") == DenomTrace.native("uatom")
+    assert registry.resolve("uatom") is registry.resolve("uatom")
 
 
 def test_registry_unknown_voucher_raises():

@@ -7,45 +7,60 @@ from repro.cosmos.journal import Journal, Journaled
 
 
 def test_journal_rollback_order_is_reverse():
+    """Two writes to one key roll back to the oldest value, and a key that
+    was absent before its first write is removed."""
     journal = Journal()
-    log = []
-    journal.record(lambda: log.append("first-undo"))
-    journal.record(lambda: log.append("second-undo"))
+    state = {"a": 1}
+    journal.record_kv(state, "a", state["a"])
+    state["a"] = 2
+    journal.record_kv(state, "a", state["a"])
+    state["a"] = 3
+    journal.record_kv(state, "b", None)
+    state["b"] = 9
     journal.rollback()
-    assert log == ["second-undo", "first-undo"]
+    assert state == {"a": 1}
     assert len(journal) == 0
 
 
 def test_journal_commit_discards_undos():
     journal = Journal()
-    log = []
-    journal.record(lambda: log.append("undo"))
+    state = {"a": 1}
+    journal.record_kv(state, "a", state["a"])
+    state["a"] = 2
+    journal.record_kv(state, "b", None)
+    state["b"] = 5
     journal.commit()
     journal.rollback()  # nothing left to undo
-    assert log == []
+    assert state == {"a": 2, "b": 5}
 
 
 def test_journaled_mixin_noop_without_journal():
-    class Keeper(Journaled):
-        pass
+    """A keeper with no journal attached records nothing: its writes
+    stand, and a journal attached afterwards has nothing to undo."""
+    from repro.cosmos.bank import BankKeeper
 
-    keeper = Keeper()
-    keeper._journal_undo(lambda: (_ for _ in ()).throw(RuntimeError))
-    # No journal attached: the undo is dropped, nothing raised.
+    bank = BankKeeper()
+    assert isinstance(bank, Journaled) and bank.journal is None
+    bank.mint("alice", "x", 10)
+    bank.send("alice", "bob", "x", 4)
+    journal = Journal()
+    bank.journal = journal
+    assert len(journal) == 0
+    journal.rollback()
+    assert (bank.balance("alice", "x"), bank.balance("bob", "x")) == (6, 4)
 
 
 def test_journaled_mixin_records_when_attached():
-    class Keeper(Journaled):
-        pass
+    from repro.cosmos.bank import BankKeeper
 
-    keeper = Keeper()
+    bank = BankKeeper()
+    bank.mint("alice", "x", 10)
     journal = Journal()
-    keeper.journal = journal
-    calls = []
-    keeper._journal_undo(lambda: calls.append(1))
-    assert len(journal) == 1
+    bank.journal = journal
+    bank.send("alice", "bob", "x", 4)
+    assert len(journal) == 2  # one (column, index, previous) per balance
     journal.rollback()
-    assert calls == [1]
+    assert (bank.balance("alice", "x"), bank.balance("bob", "x")) == (10, 0)
 
 
 def test_nested_state_rollback_composition():

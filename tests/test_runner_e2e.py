@@ -117,3 +117,53 @@ def test_timeout_error_when_experiment_cannot_finish():
     )
     with pytest.raises(TimeoutError):
         run_experiment(config)
+
+
+def _process_memos() -> dict:
+    """Every ``functools.lru_cache`` memo defined by a loaded repro module."""
+    import sys
+
+    return {
+        f"{name}.{attr}": value
+        for name, module in list(sys.modules.items())
+        if name.startswith("repro.")
+        for attr, value in vars(module).items()
+        if callable(value) and hasattr(value, "cache_info")
+    }
+
+
+def _memo_sizes() -> dict:
+    return {name: memo.cache_info().currsize for name, memo in _process_memos().items()}
+
+
+def test_back_to_back_runs_share_no_memo_entries(monkeypatch):
+    """A pool worker runs experiments back to back in one process.  Every
+    process-global memo is bounded, and the reset hook ``run_experiment``
+    calls first leaves none of them holding an entry from the previous
+    run — in particular no packet-level memo (ack codec, payload codec)."""
+    from repro.framework import runner
+
+    sizes_after_reset = []
+    reset = runner._reset_run_caches
+    monkeypatch.setattr(
+        runner,
+        "_reset_run_caches",
+        lambda: (reset(), sizes_after_reset.append(_memo_sizes())),
+    )
+    config = dict(input_rate=20, measurement_blocks=2)
+    first = run_experiment(ExperimentConfig(seed=41, **config))
+    assert first.window.receives > 0  # each receive writes an ack
+
+    memos = _process_memos()
+    assert all(memo.cache_info().maxsize is not None for memo in memos.values())
+    sizes = _memo_sizes()
+    for name in (
+        "repro.ibc.packet._ack_encode",
+        "repro.ibc.packet._ack_commitment",
+        "repro.ibc.transfer._ftpd_encode",
+        "repro.ibc.transfer._ftpd_decode",
+    ):
+        assert sizes[name] > 0, name
+
+    run_experiment(ExperimentConfig(seed=42, **config))
+    assert sizes_after_reset[1] == dict.fromkeys(memos, 0)
