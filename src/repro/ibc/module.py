@@ -904,21 +904,10 @@ class IbcModule(Journaled):
         src_chain: str,
         ack: Optional[Acknowledgement] = None,
     ) -> AbciEvent:
-        attrs: tuple[tuple[str, Any], ...] = (
-            ("packet_sequence", packet.sequence),
-            ("packet_src_port", packet.source_port),
-            ("packet_src_channel", packet.source_channel),
-            ("packet_dst_port", packet.destination_port),
-            ("packet_dst_channel", packet.destination_channel),
-            ("packet_timeout_height", packet.timeout_height),
-            ("packet_timeout_timestamp", packet.timeout_timestamp),
-            ("packet_data", packet.data),
-            ("packet_src_chain", src_chain),
-        )
-        if ack is not None:
-            attrs += (("packet_ack", ack),)
         return AbciEvent(
             type=event_type,
-            attributes=attrs,
             size_bytes=self.event_bytes[event_type],
+            packet=packet,
+            src_chain=src_chain,
+            ack=ack,
         )

@@ -3,18 +3,18 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Collection, Optional
+from typing import Collection
 
-from repro.ibc.packet import Height, Packet
-from repro.tendermint.websocket import BlockNotification, EventDescriptor
+from repro.ibc.packet import Packet
+from repro.tendermint.websocket import BlockNotification
 
 
 @dataclass(slots=True)
 class PacketEvent:
     """One IBC packet event the relayer must act on.
 
-    ``src_chain`` is the chain the packet *originated* on (the
-    ``packet_src_chain`` event attribute), which together with the source
+    ``packet`` is the chain event's own object, not a copy.  ``src_chain``
+    is the chain the packet *originated* on, which together with the source
     channel and sequence forms the globally unique trace key in
     multi-chain topologies.
     """
@@ -58,25 +58,6 @@ class WorkBatch:
         return len(self.events)
 
 
-def packet_from_descriptor(descriptor: EventDescriptor) -> Optional[Packet]:
-    attrs = descriptor.attributes
-    if "packet_sequence" not in attrs:
-        return None
-    timeout_height = attrs["packet_timeout_height"]
-    if not isinstance(timeout_height, Height):
-        timeout_height = Height.zero()
-    return Packet(
-        sequence=attrs["packet_sequence"],
-        source_port=attrs["packet_src_port"],
-        source_channel=attrs["packet_src_channel"],
-        destination_port=attrs["packet_dst_port"],
-        destination_channel=attrs["packet_dst_channel"],
-        data=attrs["packet_data"],
-        timeout_height=timeout_height,
-        timeout_timestamp=float(attrs["packet_timeout_timestamp"]),
-    )
-
-
 def routing_channel_for(kind: str, packet: Packet) -> str:
     """The channel end that identifies the responsible direction worker."""
     if kind == "send_packet":
@@ -97,7 +78,7 @@ def batches_from_notification(
     for descriptor in notification.events:
         if descriptor.type not in kinds:
             continue
-        packet = packet_from_descriptor(descriptor)
+        packet = descriptor.packet
         if packet is None or descriptor.tx_hash is None:
             continue
         channel = routing_channel_for(descriptor.type, packet)
@@ -117,7 +98,7 @@ def batches_from_notification(
                 height=notification.height,
                 tx_hash=descriptor.tx_hash,
                 packet=packet,
-                src_chain=descriptor.attributes.get("packet_src_chain", ""),
+                src_chain=descriptor.src_chain,
             )
         )
     return list(batches.values())

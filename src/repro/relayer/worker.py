@@ -28,6 +28,7 @@ concurrency.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Any
 
 from repro.errors import RpcError
@@ -63,6 +64,42 @@ class RelayPath:
 
 def _by_sequence(packet: Packet) -> int:
     return packet.sequence
+
+
+class TimeoutIndex:
+    """Pending packets ordered by timeout height, so a poll costs O(expired).
+
+    Each packet is pushed once as it enters ``pending``.  A poll moves every
+    entry due at the (monotonic) destination height into the overdue set,
+    drops the overdue sequences no longer pending, and returns the rest
+    minus those in flight.  That is exactly the packets of ``pending`` with
+    a non-zero timeout height at or below the destination height and not
+    in flight.  They come sorted by sequence, so timeout submission order
+    does not depend on pending-dict insertion history.  An overdue packet
+    that stays pending (it was in flight, or turned out to be received) is
+    returned again next poll.
+    """
+
+    def __init__(self) -> None:
+        self._heap: list[tuple[int, int]] = []
+        self._overdue: set[int] = set()
+
+    def add(self, packet: Packet) -> None:
+        if not packet.timeout_height.is_zero:
+            heappush(
+                self._heap, (packet.timeout_height.revision_height, packet.sequence)
+            )
+
+    def expired(
+        self, pending: dict[int, Packet], in_flight: set[int], dst_height: int
+    ) -> list[Packet]:
+        heap, overdue = self._heap, self._overdue
+        while heap and heap[0][0] <= dst_height:
+            overdue.add(heappop(heap)[1])
+        if not overdue:
+            return []
+        overdue.intersection_update(pending)
+        return [pending[s] for s in sorted(overdue) if s not in in_flight]
 
 
 class DirectionWorker:
@@ -103,6 +140,7 @@ class DirectionWorker:
         self.ack_queue: Store = Store(env)
         #: Packets sent on src whose acks we have not yet relayed.
         self.pending: dict[int, Packet] = {}
+        self._timeouts = TimeoutIndex()
         #: Sequences currently being relayed (avoid double work in clearing).
         self._in_flight: set[int] = set()
         self._started = False
@@ -138,6 +176,11 @@ class DirectionWorker:
             batch: WorkBatch = yield self.recv_queue.get()
             yield from self._relay_recv_batch(batch)
 
+    def _add_pending(self, packet: Packet) -> None:
+        if packet.sequence not in self.pending:
+            self.pending[packet.sequence] = packet
+            self._timeouts.add(packet)
+
     def _owned(self, batch: WorkBatch) -> WorkBatch:
         """Keep only the work this relayer instance owns: the fleet
         member's policy filter (sequence ownership); a standalone relayer
@@ -152,7 +195,7 @@ class DirectionWorker:
             return
         # Track for timeout handling regardless of relay success.
         for event in batch.events:
-            self.pending.setdefault(event.packet.sequence, event.packet)
+            self._add_pending(event.packet)
 
         packets = yield from self._pull_send_data(batch)
         if not packets:
@@ -299,16 +342,13 @@ class DirectionWorker:
                     tx_hash=tx_hash,
                 )
                 for entry in response["entries"]:
-                    attrs = entry["attrs"]
-                    channel = attrs.get("packet_src_channel")
-                    sequence = attrs.get("packet_sequence")
-                    src_chain = attrs.get("packet_src_chain")
-                    if channel is None or sequence is None or src_chain is None:
-                        continue
+                    packet = entry["packet"]
                     self.tracer.event(
                         f"{step}_done",
                         self._track,
-                        key=packet_key(src_chain, channel, sequence),
+                        key=packet_key(
+                            entry["src_chain"], packet.source_channel, packet.sequence
+                        ),
                         height=batch.height,
                         tx_hash=tx_hash,
                     )
@@ -328,13 +368,10 @@ class DirectionWorker:
                 response, started = proc.value
                 if response is None:
                     continue
-                count = sum(
-                    1 for e in response["entries"] if e["attrs"].get("packet_data")
-                )
                 self.log.info(
                     step,
                     height=batch.height,
-                    count=count,
+                    count=sum(1 for e in response["entries"] if e["packet"].data),
                     duration=env.now - started,
                 )
                 responses.append((tx_hash, response))
@@ -349,10 +386,8 @@ class DirectionWorker:
         for tx_hash, response in responses:
             expected = {e.packet.sequence for e in batch.events_for_tx(tx_hash)}
             for entry in response["entries"]:
-                attrs = entry["attrs"]
-                if attrs["packet_sequence"] not in expected:
-                    continue
-                packets.append(self._packet_from_attrs(attrs))
+                if entry["packet"].sequence in expected:
+                    packets.append(entry["packet"])
         return packets
 
     # ------------------------------------------------------------------
@@ -373,10 +408,9 @@ class DirectionWorker:
         responses = yield from self._pull_batch(self.dst, batch, "recv_data_pull")
         for _tx_hash, response in responses:
             for entry in response["entries"]:
-                attrs = entry["attrs"]
-                if entry.get("ack") is None:
+                if entry["ack"] is None:
                     continue
-                packet = self._packet_from_attrs(attrs)
+                packet = entry["packet"]
                 # Only handle packets belonging to our channel direction.
                 if (
                     packet.source_port != self.src_end.port_id
@@ -479,22 +513,13 @@ class DirectionWorker:
             yield self.env.timeout(self.src.cal.relayer_confirm_poll_seconds * 2)
             if not self.pending:
                 continue
-            dst_height = self.heights.get(self.dst_end.chain_id, 0)
-            # Filter on the unsorted dict first — most polls expire nothing,
-            # so sorting the full pending set every tick is wasted work.
-            expired = [
-                p
-                for p in self.pending.values()
-                if not p.timeout_height.is_zero
-                and p.timeout_height.revision_height <= dst_height
-                and p.sequence not in self._in_flight
-            ]
-            if not expired:
-                continue
-            # Sorted by sequence: timeout submission order must not depend
-            # on pending-dict insertion history.
-            expired.sort(key=_by_sequence)
-            yield from self._relay_timeouts(expired)
+            expired = self._timeouts.expired(
+                self.pending,
+                self._in_flight,
+                self.heights.get(self.dst_end.chain_id, 0),
+            )
+            if expired:
+                yield from self._relay_timeouts(expired)
 
     def _relay_timeouts(self, expired: list[Packet]):
         # Group messages by the header they were proven against so each
@@ -626,9 +651,9 @@ class DirectionWorker:
         entries = response["entries"]
         if not entries:
             return
-        packets = [self._packet_from_attrs(e["attrs"]) for e in entries]
+        packets = [e["packet"] for e in entries]
         for packet in packets:
-            self.pending.setdefault(packet.sequence, packet)
+            self._add_pending(packet)
         try:
             unreceived = yield from self.dst.query(
                 "unreceived_packets",
@@ -709,16 +734,3 @@ class DirectionWorker:
                         code=entry.confirmed.code,
                         log=entry.confirmed.log,
                     )
-
-    @staticmethod
-    def _packet_from_attrs(attrs: dict[str, Any]) -> Packet:
-        return Packet(
-            sequence=attrs["packet_sequence"],
-            source_port=attrs["packet_src_port"],
-            source_channel=attrs["packet_src_channel"],
-            destination_port=attrs["packet_dst_port"],
-            destination_channel=attrs["packet_dst_channel"],
-            data=attrs["packet_data"],
-            timeout_height=attrs["packet_timeout_height"],
-            timeout_timestamp=float(attrs["packet_timeout_timestamp"]),
-        )

@@ -10,24 +10,36 @@ ABCI codes, gas figures and events.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Protocol, Sequence
+from typing import TYPE_CHECKING, Any, Optional, Protocol, Sequence
 
 from repro.tendermint.types import Evidence, Header, TxLike
 
+if TYPE_CHECKING:
+    from repro.ibc.packet import Acknowledgement, Packet
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class AbciEvent:
     """A typed event emitted during transaction execution.
 
     ``type`` follows the Cosmos convention (``send_packet``,
-    ``write_acknowledgement``, ...); attributes are flat key/values; and
-    ``size_bytes`` is the indexed footprint used by the RPC/WebSocket cost
-    model (the paper's bottleneck is serialising exactly this data).
+    ``write_acknowledgement``, ...) and ``size_bytes`` is the indexed
+    footprint used by the RPC/WebSocket cost model (the paper's bottleneck
+    is serialising exactly this data).
+
+    A packet event carries the frozen ``packet`` it describes, the chain
+    the packet originated on (``src_chain``) and, for
+    ``write_acknowledgement``, the ``ack``; every later hop (indexer,
+    WebSocket, RPC, relayer) passes that object by reference.  Handshake,
+    client and bank events carry flat key/value ``attributes`` instead.
     """
 
     type: str
-    attributes: tuple[tuple[str, Any], ...]
+    attributes: tuple[tuple[str, Any], ...] = ()
     size_bytes: int = 0
+    packet: Optional["Packet"] = None
+    src_chain: str = ""
+    ack: Optional["Acknowledgement"] = None
 
     def attr(self, key: str, default: Any = None) -> Any:
         for k, v in self.attributes:

@@ -184,17 +184,15 @@ class Chain:
             if not item.ok:
                 continue
             for event in item.result.events:
-                if event.type not in cal.PACKET_EVENT_KINDS:
-                    continue
-                sequence = event.attr("packet_sequence")
-                channel = event.attr("packet_src_channel")
-                src_chain = event.attr("packet_src_chain")
-                if sequence is None or channel is None or src_chain is None:
+                packet = event.packet
+                if packet is None or event.type not in cal.PACKET_EVENT_KINDS:
                     continue
                 self.tracer.event(
                     f"commit/{event.type}",
                     track,
-                    key=packet_key(src_chain, channel, sequence),
+                    key=packet_key(
+                        event.src_chain, packet.source_channel, packet.sequence
+                    ),
                     chain=self.chain_id,
                     height=executed.height,
                     tx_hash=item.hash,
@@ -363,22 +361,13 @@ class ChainNode:
         executed = self.chain.indexer.get_tx(tx_hash)
         if executed is None:
             return {"entries": []}
-        ibc = self.chain.app.ibc
-        entries: list[dict[str, Any]] = []
-        for event in executed.result.events:
-            if event.type != kind:
-                continue
-            attrs = dict(event.attributes)
-            if attrs.get("packet_data") is None:
-                continue
-            entry: dict[str, Any] = {"attrs": attrs}
-            if kind == "write_acknowledgement":
-                port = attrs["packet_dst_port"]
-                channel = attrs["packet_dst_channel"]
-                seq = attrs["packet_sequence"]
-                entry["ack"] = ibc.acknowledgement_for(port, channel, seq)
-            entries.append(entry)
-        return {"entries": entries}
+        return {
+            "entries": [
+                {"packet": event.packet, "src_chain": event.src_chain, "ack": event.ack}
+                for event in executed.result.events
+                if event.type == kind and event.packet is not None
+            ]
+        }
 
     def _h_prove_packets(self, params: dict[str, Any]):
         """Per-transaction proof fetch, served at one consistent height.
@@ -498,16 +487,9 @@ class ChainNode:
                     continue
                 entries.append(
                     {
-                        "attrs": {
-                            "packet_sequence": packet.sequence,
-                            "packet_src_port": packet.source_port,
-                            "packet_src_channel": packet.source_channel,
-                            "packet_dst_port": packet.destination_port,
-                            "packet_dst_channel": packet.destination_channel,
-                            "packet_data": packet.data,
-                            "packet_timeout_height": packet.timeout_height,
-                            "packet_timeout_timestamp": packet.timeout_timestamp,
-                        },
+                        "packet": packet,
+                        "src_chain": self.chain.chain_id,
+                        "ack": None,
                         "proof": ibc.prove_commitment(port, channel, sequence),
                     }
                 )

@@ -96,15 +96,14 @@ _DEST_END_EVENTS = frozenset({"recv_packet", "write_acknowledgement"})
 
 
 def _local_channel(event) -> Optional[tuple[str, str]]:
+    packet = event.packet
+    if packet is None:
+        return None
     if event.type in _SOURCE_END_EVENTS:
-        port, channel = event.attr("packet_src_port"), event.attr("packet_src_channel")
-    elif event.type in _DEST_END_EVENTS:
-        port, channel = event.attr("packet_dst_port"), event.attr("packet_dst_channel")
-    else:
-        return None
-    if port is None or channel is None:
-        return None
-    return (port, channel)
+        return (packet.source_port, packet.source_channel)
+    if event.type in _DEST_END_EVENTS:
+        return (packet.destination_port, packet.destination_channel)
+    return None
 
 
 class TxIndexer:

@@ -1,19 +1,24 @@
 """Tendermint WebSocket event subscriptions, with the 16 MB frame limit.
 
-Subscribers (relayer supervisors) receive a notification per committed
-block, carrying lightweight descriptors of that block's IBC events.  The
-*frame size* is computed from the full indexed event payload; when it
-exceeds ``websocket_max_frame_bytes`` the server fails the delivery and the
-subscription latches into an error state — Hermes logs this as ``Failed to
-collect events`` and, as the paper's §V experiment shows, never recovers
-for that subscription: the events of the oversized block are lost and (with
-``clear_interval=0``) so are all later packets.
+Every node publishes each committed block; each subscriber (a relayer
+supervisor) receives one notification per block, carrying a descriptor
+per event of the kinds it subscribed to.  A packet event's descriptor
+references the event's frozen :class:`~repro.ibc.packet.Packet` rather
+than a copy of it, and descriptors are built only when the node has a
+subscription.  The *frame size* — the simulated payload — is the sum of
+the events' indexed ``size_bytes`` plus an envelope, computed for every
+block whether or not anyone listens; when it exceeds
+``websocket_max_frame_bytes`` the server fails the delivery and the
+subscription latches into an error state.  Hermes logs this as ``Failed
+to collect events`` and, as the paper's §V experiment shows, never
+recovers for that subscription: the events of the oversized block are lost
+and (with ``clear_interval=0``) so are all later packets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Collection, Optional
+from typing import TYPE_CHECKING, Collection, Optional
 
 from repro import calibration as cal
 from repro.errors import NodeUnavailableError, WebSocketFrameTooLargeError
@@ -23,15 +28,23 @@ from repro.sim.resources import Store
 from repro.tendermint.abci import ExecutedBlock
 from repro.trace import NULL_TRACER
 
+if TYPE_CHECKING:
+    from repro.ibc.packet import Packet
+
 
 @dataclass(slots=True)
 class EventDescriptor:
-    """What a subscriber learns about one event from the notification."""
+    """What a subscriber learns about one event from the notification.
+
+    ``packet`` and ``src_chain`` are the event's own (None and "" for a
+    non-packet event).
+    """
 
     type: str
     height: int
     tx_hash: Optional[bytes]
-    attributes: dict[str, Any]
+    packet: Optional["Packet"] = None
+    src_chain: str = ""
 
 
 @dataclass(slots=True)
@@ -169,23 +182,24 @@ class WebSocketServer:
 
     def publish_block(self, executed: ExecutedBlock) -> None:
         """Called by the node for each committed block."""
-        descriptors: list[EventDescriptor] = []
         frame_bytes = 200  # envelope
         for item in executed.txs:
-            if not item.result.ok:
-                continue
-            for event in item.result.events:
-                frame_bytes += event.size_bytes
-                descriptors.append(
-                    EventDescriptor(
-                        type=event.type,
-                        height=executed.height,
-                        tx_hash=item.hash,
-                        attributes=dict(event.attributes),
-                    )
-                )
+            if item.result.ok:
+                for event in item.result.events:
+                    frame_bytes += event.size_bytes
         if frame_bytes > self.max_frame_bytes:
             self.max_frame_bytes = frame_bytes
+        if not self.subscriptions:
+            return
+        height = executed.height
+        descriptors = [
+            EventDescriptor(
+                event.type, height, item.hash, event.packet, event.src_chain
+            )
+            for item in executed.txs
+            if item.result.ok
+            for event in item.result.events
+        ]
         # The server writes frames to its subscribers serially: subscriber
         # k's frame goes on the wire only after the first k frames.  The
         # stagger also keeps two same-node subscribers from observing a

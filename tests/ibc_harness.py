@@ -356,17 +356,7 @@ class IbcPair:
             signer=sender.wallet.address,
         )
         result = self.exec_ok(self.a, sender, [msg])
-        event = next(e for e in result.events if e.type == "send_packet")
-        return Packet(
-            sequence=event.attr("packet_sequence"),
-            source_port="transfer",
-            source_channel=self.chan_a,
-            destination_port="transfer",
-            destination_channel=self.chan_b,
-            data=event.attr("packet_data"),
-            timeout_height=event.attr("packet_timeout_height"),
-            timeout_timestamp=event.attr("packet_timeout_timestamp"),
-        )
+        return next(e.packet for e in result.events if e.type == "send_packet")
 
     def recv_msgs(self, packets: list[Packet]) -> list:
         """Build UpdateClient + MsgRecvPacket msgs for delivery on B."""

@@ -88,17 +88,12 @@ def transfer_on(pair, channel_a, channel_b, amount) -> Packet:
         timeout_height=Height(0, pair.b.height + 100),
     )
     result = pair.exec_ok(pair.a, pair.user, [msg])
-    event = next(e for e in result.events if e.type == "send_packet")
-    return Packet(
-        sequence=event.attr("packet_sequence"),
-        source_port="transfer",
-        source_channel=channel_a,
-        destination_port="transfer",
-        destination_channel=channel_b,
-        data=event.attr("packet_data"),
-        timeout_height=event.attr("packet_timeout_height"),
-        timeout_timestamp=event.attr("packet_timeout_timestamp"),
+    packet = next(e.packet for e in result.events if e.type == "send_packet")
+    assert (packet.source_channel, packet.destination_channel) == (
+        channel_a,
+        channel_b,
     )
+    return packet
 
 
 def test_same_token_via_two_channels_is_not_fungible():
@@ -161,17 +156,8 @@ def test_voucher_returning_on_wrong_channel_does_not_unescrow():
         timeout_height=Height(0, pair.a.height + 100),
     )
     result = pair.exec_ok(pair.b, receiver_factory, [msg])
-    event = next(e for e in result.events if e.type == "send_packet")
-    back = Packet(
-        sequence=event.attr("packet_sequence"),
-        source_port="transfer",
-        source_channel=chan_b2,
-        destination_port="transfer",
-        destination_channel=chan_a2,
-        data=event.attr("packet_data"),
-        timeout_height=event.attr("packet_timeout_height"),
-        timeout_timestamp=event.attr("packet_timeout_timestamp"),
-    )
+    back = next(e.packet for e in result.events if e.type == "send_packet")
+    assert (back.source_channel, back.destination_channel) == (chan_b2, chan_a2)
     header_b = pair.b.signed_header()
     from repro.ibc.transfer import escrow_address
 

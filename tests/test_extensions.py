@@ -120,38 +120,43 @@ def test_ownership_partition_is_exhaustive_and_disjoint():
 
 def test_batches_split_per_channel():
     """The supervisor routes per (kind, channel), so one block's events on
-    two channels become two batches."""
-    from repro.ibc.packet import Height
+    two channels become two batches of the events' own packet objects."""
+    from repro.ibc.packet import Height, Packet
     from repro.tendermint.websocket import BlockNotification, EventDescriptor
 
     def descriptor(channel, seq):
+        packet = Packet(
+            sequence=seq,
+            source_port="transfer",
+            source_channel=channel,
+            destination_port="transfer",
+            destination_channel=channel,
+            data=b"{}",
+            timeout_height=Height(0, 100),
+            timeout_timestamp=0.0,
+        )
         return EventDescriptor(
             type="send_packet",
             height=5,
             tx_hash=bytes([seq]) * 32,
-            attributes={
-                "packet_sequence": seq,
-                "packet_src_port": "transfer",
-                "packet_src_channel": channel,
-                "packet_dst_port": "transfer",
-                "packet_dst_channel": channel,
-                "packet_data": b"{}",
-                "packet_timeout_height": Height(0, 100),
-                "packet_timeout_timestamp": 0.0,
-            },
+            packet=packet,
+            src_chain="x",
         )
 
+    events = [
+        descriptor("channel-0", 1),
+        descriptor("channel-1", 2),
+        # A packet-less event of a subscribed kind yields no work.
+        EventDescriptor(type="send_packet", height=5, tx_hash=b"\x09" * 32),
+        descriptor("channel-0", 3),
+    ]
     notification = BlockNotification(
-        chain_id="x",
-        height=5,
-        time=1.0,
-        frame_bytes=100,
-        events=[
-            descriptor("channel-0", 1),
-            descriptor("channel-1", 2),
-            descriptor("channel-0", 3),
-        ],
+        chain_id="x", height=5, time=1.0, frame_bytes=100, events=events
     )
     batches = batches_from_notification(notification, {"send_packet"})
     by_channel = {b.routing_channel: len(b) for b in batches}
     assert by_channel == {"channel-0": 2, "channel-1": 1}
+    relayed = [e for b in batches for e in b.events]
+    expected = [events[0], events[3], events[1]]
+    assert all(e.packet is d.packet for e, d in zip(relayed, expected, strict=True))
+    assert {e.src_chain for e in relayed} == {"x"}

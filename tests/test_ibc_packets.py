@@ -1,11 +1,18 @@
 """IBC packet life-cycle tests over a direct two-chain pair (Fig. 2 / Fig. 3)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cosmos.app import TRANSFER_DENOM
 from repro.errors import PacketTimeoutError
 from repro.ibc.channel import ChannelOrder
-from repro.ibc.msgs import MsgRecvPacket, MsgTransfer, MsgUpdateClient
+from repro.ibc.msgs import (
+    MsgAcknowledgement,
+    MsgRecvPacket,
+    MsgTransfer,
+    MsgUpdateClient,
+)
 from repro.ibc.packet import Height
 from repro.ibc.transfer import escrow_address
 
@@ -87,18 +94,10 @@ def test_round_trip_token_returns_home():
         timeout_height=Height(0, pair.a.height + 100),
     )
     result = pair.exec_ok(pair.b, receiver_factory, [msg])
-    event = next(e for e in result.events if e.type == "send_packet")
-    from repro.ibc.packet import Packet
-
-    back = Packet(
-        sequence=event.attr("packet_sequence"),
-        source_port="transfer",
-        source_channel=pair.chan_b,
-        destination_port="transfer",
-        destination_channel=pair.chan_a,
-        data=event.attr("packet_data"),
-        timeout_height=event.attr("packet_timeout_height"),
-        timeout_timestamp=event.attr("packet_timeout_timestamp"),
+    back = next(e.packet for e in result.events if e.type == "send_packet")
+    assert (back.source_channel, back.destination_channel) == (
+        pair.chan_b,
+        pair.chan_a,
     )
     # Voucher burned on B.
     assert pair.b.bank.balance(pair.receiver.address, voucher) == 0
@@ -217,8 +216,6 @@ def test_recv_without_client_update_rejected():
 
 def test_forged_packet_data_rejected():
     """Tampering with packet data invalidates the stored commitment proof."""
-    from dataclasses import replace
-
     pair = fresh_pair()
     packet = pair.transfer(amount=1)
     forged = replace(
@@ -238,6 +235,95 @@ def test_forged_packet_data_rejected():
     ]
     result = pair.exec_expect_fail(pair.b, pair.relayer_b, msgs)
     assert "proof" in result.log.lower()
+
+
+# -- the destination trusts the packet's fields, never its identity ---------------
+#
+# A relayer hands the destination chain the very object the source chain's
+# event carried.  These tests pin that only the fields count: an equal copy
+# goes through, and a copy with one field altered is rejected on both legs,
+# in both proof modes.
+
+PROOF_MODES = ("merkle", "stub")
+TAMPERED_FIELDS = ("data", "sequence", "timeout_height")
+
+
+def _tampered(packet, field):
+    if field == "data":
+        forged = replace(
+            packet, data=packet.data.replace(b'"amount": "1"', b'"amount": "9999"')
+        )
+    elif field == "sequence":
+        forged = replace(packet, sequence=packet.sequence + 1)
+    else:
+        forged = replace(packet, timeout_height=packet.timeout_height.add(50))
+    assert getattr(forged, field) != getattr(packet, field)
+    return forged
+
+
+@pytest.mark.parametrize("proof_mode", PROOF_MODES)
+def test_field_copy_of_packet_is_received_and_acknowledged(proof_mode):
+    pair = fresh_pair(proof_mode=proof_mode)
+    packet = pair.transfer(amount=1)
+    copy = replace(packet)
+    assert copy == packet and copy is not packet
+    pair.relay_recv([copy])
+    assert pair.b.ibc.has_receipt("transfer", pair.chan_b, packet.sequence)
+    pair.relay_ack([replace(packet)])
+    assert not pair.a.ibc.has_commitment("transfer", pair.chan_a, packet.sequence)
+
+
+@pytest.mark.parametrize("field", TAMPERED_FIELDS)
+@pytest.mark.parametrize("proof_mode", PROOF_MODES)
+def test_tampered_packet_rejected_by_recv(proof_mode, field):
+    pair = fresh_pair(proof_mode=proof_mode)
+    packet = pair.transfer(amount=1)
+    pair.transfer(amount=1)  # so a forged sequence names a live commitment
+    forged = _tampered(packet, field)
+    header = pair.a.signed_header()
+    msgs = [
+        MsgUpdateClient(client_id=pair.client_on_b, header=header),
+        MsgRecvPacket(
+            packet=forged,
+            proof_commitment=pair.a.ibc.prove_commitment(
+                "transfer", pair.chan_a, packet.sequence
+            ),
+            proof_height=header.height,
+        ),
+    ]
+    result = pair.exec_expect_fail(pair.b, pair.relayer_b, msgs)
+    assert "proof" in result.log.lower()
+    for sequence in (packet.sequence, forged.sequence):
+        assert not pair.b.ibc.has_receipt("transfer", pair.chan_b, sequence)
+    pair.relay_recv([packet])  # the genuine packet still goes through
+
+
+@pytest.mark.parametrize("field", TAMPERED_FIELDS)
+@pytest.mark.parametrize("proof_mode", PROOF_MODES)
+def test_tampered_packet_rejected_by_acknowledge(proof_mode, field):
+    pair = fresh_pair(proof_mode=proof_mode)
+    packet = pair.transfer(amount=1)
+    sibling = pair.transfer(amount=1)
+    pair.relay_recv([packet, sibling])
+    forged = _tampered(packet, field)
+    header = pair.b.signed_header()
+    msgs = [
+        MsgUpdateClient(client_id=pair.client_on_a, header=header),
+        MsgAcknowledgement(
+            packet=forged,
+            acknowledgement=pair.b.ibc.acknowledgement_for(
+                "transfer", pair.chan_b, packet.sequence
+            ),
+            proof_acked=pair.b.ibc.prove_acknowledgement(
+                "transfer", pair.chan_b, packet.sequence
+            ),
+            proof_height=header.height,
+        ),
+    ]
+    pair.exec_expect_fail(pair.a, pair.relayer_a, msgs)
+    for sent in (packet, sibling):
+        assert pair.a.ibc.has_commitment("transfer", pair.chan_a, sent.sequence)
+    pair.relay_ack([packet])  # the genuine packet still settles
 
 
 # -- timeouts (Fig. 3) -------------------------------------------------------------

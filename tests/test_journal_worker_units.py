@@ -196,3 +196,71 @@ def test_clear_cadence_follows_the_block_interval():
     worker.processes.spawn(worker._clear_loop(), name="clear")
     worker.env.run(until=9)
     assert scans == [(t, "commitments") for t in (2.0, 4.0, 6.0, 8.0)]
+
+
+# -- timeout index ---------------------------------------------------------------
+
+
+def _scan_expired(pending, in_flight, dst_height):
+    """The full pending scan the timeout index replaces, as a reference."""
+    return sorted(
+        (
+            p
+            for p in pending.values()
+            if not p.timeout_height.is_zero
+            and p.timeout_height.revision_height <= dst_height
+            and p.sequence not in in_flight
+        ),
+        key=lambda p: p.sequence,
+    )
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_timeout_index_matches_full_pending_scan(seed):
+    """Random arrivals, settlements, in-flight marks and a monotonic
+    destination height: every poll returns exactly the full scan's packets
+    in the same order, including overdue packets that stay pending (in
+    flight, or reported received) and sequences that leave and re-enter."""
+    import random
+
+    from repro.ibc.packet import Height, Packet
+
+    rng = random.Random(seed)
+    worker = make_worker()
+    timeouts = [Height.zero(), Height(1, 0)] + [Height(0, h) for h in range(1, 60)]
+    packets = {
+        seq: Packet(
+            sequence=seq,
+            source_port="transfer",
+            source_channel="channel-0",
+            destination_port="transfer",
+            destination_channel="channel-0",
+            data=b"{}",
+            timeout_height=rng.choice(timeouts),
+            timeout_timestamp=0.0,
+        )
+        for seq in range(1, 121)
+    }
+    dst_height = 0
+    polled = 0
+    for _step in range(400):
+        for seq in rng.sample(sorted(packets), rng.randint(0, 4)):
+            worker._add_pending(packets[seq])
+        if worker.pending and rng.random() < 0.5:
+            count = min(len(worker.pending), rng.randint(1, 3))
+            for seq in rng.sample(sorted(worker.pending), count):
+                del worker.pending[seq]
+        for seq in rng.sample(sorted(packets), 3):
+            if seq in worker._in_flight:
+                worker._in_flight.discard(seq)
+            elif rng.random() < 0.5:
+                worker._in_flight.add(seq)
+        dst_height += rng.choice((0, 0, 1, 2))
+        got = worker._timeouts.expired(
+            worker.pending, worker._in_flight, dst_height
+        )
+        want = _scan_expired(worker.pending, worker._in_flight, dst_height)
+        assert [p.sequence for p in got] == [p.sequence for p in want]
+        assert all(a is b for a, b in zip(got, want))
+        polled += bool(want)
+    assert polled > 50  # the comparison ran on non-empty expiries

@@ -102,18 +102,12 @@ class HubLine:
     @staticmethod
     def forwarded_packet(result, src_channel: str, dst_channel: str) -> Packet:
         """The onward packet emitted inside a hop's recv transaction."""
-        event = next(e for e in result.events if e.type == "send_packet")
-        assert event.attr("packet_src_channel") == src_channel
-        return Packet(
-            sequence=event.attr("packet_sequence"),
-            source_port="transfer",
-            source_channel=src_channel,
-            destination_port="transfer",
-            destination_channel=dst_channel,
-            data=event.attr("packet_data"),
-            timeout_height=event.attr("packet_timeout_height"),
-            timeout_timestamp=event.attr("packet_timeout_timestamp"),
+        packet = next(e.packet for e in result.events if e.type == "send_packet")
+        assert (packet.source_channel, packet.destination_channel) == (
+            src_channel,
+            dst_channel,
         )
+        return packet
 
     def stacked_voucher_on_b(self) -> str:
         """The denom B mints: both hops' channels stacked on the base."""

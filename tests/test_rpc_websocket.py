@@ -9,6 +9,7 @@ from repro.sim import EMPTY, Environment, Network, RngRegistry
 from repro.tendermint.rpc import RpcClient, RpcServer
 from repro.tendermint.websocket import WebSocketServer
 from repro.tendermint.abci import AbciEvent, ExecutedBlock, ExecutedTx, ResponseDeliverTx
+from repro.ibc.packet import Height, Packet
 
 
 @pytest.fixture
@@ -191,12 +192,28 @@ def test_no_shedding_below_threshold(env, net):
 # -- WebSocket ------------------------------------------------------------------
 
 
-def _block_with_events(height, n_events, bytes_per_event):
+def _packet(sequence):
+    return Packet(
+        sequence=sequence,
+        source_port="transfer",
+        source_channel="channel-0",
+        destination_port="transfer",
+        destination_channel="channel-0",
+        data=b"{}",
+        timeout_height=Height(0, 100),
+        timeout_timestamp=0.0,
+    )
+
+
+def _block_with_events(height, n_events, bytes_per_event, kinds=("send_packet",)):
+    """A one-tx block whose ``i``-th event has kind ``kinds[i % len(kinds)]``
+    and carries packet ``i``."""
     events = [
         AbciEvent(
-            type="send_packet",
-            attributes=(("packet_sequence", i),),
+            type=kinds[i % len(kinds)],
             size_bytes=bytes_per_event,
+            packet=_packet(i),
+            src_chain="ws-chain",
         )
         for i in range(n_events)
     ]
@@ -291,3 +308,67 @@ def test_failed_txs_events_not_delivered(env, net):
     env.run()
     notification = sub.queue.try_get()
     assert notification.events == []
+
+
+def test_frame_size_tracked_without_subscribers(env, net):
+    """``max_frame_bytes`` is the envelope plus the OK txs' event bytes,
+    whether or not the server has a subscription."""
+    bare = WebSocketServer(env, net, "server", "ws-chain")
+    watched = WebSocketServer(env, net, "server", "ws-chain")
+    watched.subscribe("client")
+    failed = _block_with_events(3, 50, 1000)
+    failed.txs[0].result.code = 1
+    for server in (bare, watched):
+        server.publish_block(_block_with_events(1, 4, 100))
+        assert server.max_frame_bytes == 200 + 4 * 100
+        server.publish_block(_block_with_events(2, 2, 100))
+        server.publish_block(failed)
+        assert server.max_frame_bytes == 200 + 4 * 100
+    assert bare.subscriptions == []
+
+
+def test_event_type_filter_selects_only_subscribed_kinds(env, net):
+    server = WebSocketServer(env, net, "server", "ws-chain")
+    wanted = {"send_packet", "write_acknowledgement"}
+    filtered = server.subscribe("client", event_types=wanted)
+    everything = server.subscribe("client")
+    kinds = ("send_packet", "recv_packet", "write_acknowledgement")
+    server.publish_block(_block_with_events(1, 6, 100, kinds=kinds))
+    env.run()
+    some = filtered.queue.try_get()
+    assert [d.type for d in some.events] == [
+        "send_packet", "write_acknowledgement"
+    ] * 2
+    assert [d.packet.sequence for d in some.events] == [0, 2, 3, 5]
+    assert [d.type for d in everything.queue.try_get().events] == list(kinds) * 2
+
+
+def test_latched_subscription_yields_nothing_while_others_receive(env, net):
+    server = WebSocketServer(env, net, "server", "ws-chain")
+    latched = server.subscribe("client")
+    healthy = server.subscribe("client")
+    server.publish_block(_block_with_events(1, 100_000, 400))
+    env.run()
+    latched.queue.try_get()
+    healthy.queue.try_get()
+    server.resubscribe(healthy)
+    server.publish_block(_block_with_events(2, 3, 100))
+    env.run()
+    assert latched.queue.try_get() is EMPTY
+    assert latched.failures == 2
+    assert len(healthy.queue.try_get().events) == 3
+
+
+def test_notification_events_reference_the_event_packets(env, net):
+    server = WebSocketServer(env, net, "server", "ws-chain")
+    sub = server.subscribe("client", event_types={"send_packet"})
+    block = _block_with_events(4, 3, 100)
+    server.publish_block(block)
+    env.run()
+    notification = sub.queue.try_get()
+    events = block.txs[0].result.events
+    assert len(notification.events) == len(events)
+    for descriptor, event in zip(notification.events, events):
+        assert descriptor.packet is event.packet
+        assert descriptor.src_chain == "ws-chain"
+        assert (descriptor.height, descriptor.tx_hash) == (4, block.txs[0].hash)
