@@ -64,7 +64,7 @@ def main() -> None:
               f"(clear_interval=0 means nothing ever re-scans)")
 
         print("== Recovery: packet clear scans (hermes clear packets) ...")
-        worker = relayer.worker_ab
+        worker = relayer.workers[0]  # the a->b direction
         for attempt in range(1, 6):
             clear = env.process(worker.clear_once(), name="manual-clear")
             yield clear

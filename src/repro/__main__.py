@@ -14,6 +14,9 @@ Examples::
     # Two uncoordinated relayers (Fig. 9)
     python -m repro --rate 160 --blocks 50 --relayers 2
 
+    # Two relayers, each on its own channel (§IV-A)
+    python -m repro --rate 160 --blocks 50 --relayers 2 --fleet-policy channel
+
     # Chain-only inclusion throughput (Fig. 6 / Table I)
     python -m repro --rate 3000 --blocks 15 --chain-only
 
@@ -39,6 +42,7 @@ import argparse
 import sys
 
 from repro.framework import ExperimentConfig, FleetConfig, run_experiment
+from repro.relayer.fleet import POLICY_NAMES
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,17 +104,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="relayer packet-clearing interval in blocks (0 = off)",
     )
     parser.add_argument(
-        "--fleet-policy", type=str, default="none",
-        choices=("none", "shard", "leader"),
+        "--fleet-policy", type=str, default="none", choices=POLICY_NAMES,
         help=(
-            "EXTENSION: fleet coordination policy — 'none' (paper "
-            "baseline), 'shard' (static sequence partition) or 'leader' "
-            "(leader election with failover)"
+            "EXTENSION: how the relayers coordinate — 'none' (paper "
+            "baseline), 'shard' (static sequence partition), 'leader' "
+            "(leader election with failover) or 'channel' (one channel "
+            "per relayer)"
         ),
-    )
-    parser.add_argument(
-        "--channels", type=int, default=1,
-        help="EXTENSION: one channel per relayer when > 1",
     )
     parser.add_argument(
         "--tracing", action="store_true",
@@ -142,7 +142,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         chain_only=args.chain_only,
         clear_interval=args.clear_interval,
         relayer=FleetConfig(policy=args.fleet_policy),
-        num_channels=args.channels,
         tracing=args.tracing,
         seed=args.seed,
     )

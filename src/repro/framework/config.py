@@ -19,6 +19,10 @@ from repro.framework.topology import TopologySpec
 from repro.relayer.fleet import FleetConfig
 from repro.workload.spec import WorkloadSpec
 
+#: Runs expecting more transfers than this use structural "stub" proofs
+#: instead of real merkle proofs.
+AUTO_STUB_THRESHOLD = 6_000
+
 
 @dataclass
 class ExperimentConfig:
@@ -32,7 +36,8 @@ class ExperimentConfig:
     measurement_blocks: int = 50
     #: Enforced round-trip network latency between machines (seconds).
     network_rtt: float = cal.DEFAULT_RTT
-    #: Number of concurrent (uncoordinated) relayer instances.
+    #: Relayer instances per topology edge (the fleet size); how they
+    #: coordinate is ``relayer.policy``.
     num_relayers: int = 1
     #: Transfer messages per workload transaction (Hermes max: 100); the
     #: run's ``calibration.max_msgs_per_tx``.
@@ -65,15 +70,6 @@ class ExperimentConfig:
     #: Concurrent in-flight relayer data pulls (the parallel-RPC ablation
     #: raises this together with ``calibration.rpc_workers``).
     pull_concurrency: int = 1
-    #: EXTENSION experiments (paper §IV-A discussion): number of parallel
-    #: channels.  With ``num_channels == num_relayers > 1`` each relayer
-    #: serves its own channel and the workload is spread across channels
-    #: round-robin (tokens become non-fungible across channels!).
-    num_channels: int = 1
-    #: Proof machinery: "merkle" (real proofs), "stub" (structural, for very
-    #: large sweeps), or "auto" (stub above ``AUTO_STUB_THRESHOLD`` expected
-    #: packets).
-    proof_mode: str = "auto"
     #: EXTENSION: the chain/connection graph (see
     #: :class:`repro.framework.topology.TopologySpec`).  None = the paper's
     #: two-chain pair; multi-hop routes run packet-forward style through
@@ -84,9 +80,10 @@ class ExperimentConfig:
     #: Deterministic fault schedule (see :mod:`repro.faults`); fault times
     #: are relative to the measurement-window start.  None = fault-free.
     faults: Optional[FaultSchedule] = None
-    #: The relayer fleet deployed per topology edge: size (defaulting to
-    #: ``num_relayers``), coordination policy and the per-instance
-    #: robustness knobs (see :class:`repro.relayer.fleet.FleetConfig`).
+    #: How the ``num_relayers`` instances of each topology edge coordinate
+    #: (policy ``channel`` gives each its own channel, and the workload is
+    #: spread across them round-robin), plus the per-instance robustness
+    #: knobs (see :class:`repro.relayer.fleet.FleetConfig`).
     relayer: FleetConfig = field(default_factory=FleetConfig)
     #: EXTENSION: the generated-workload engine (schema v6).  None = the
     #: paper's fixed account pool (§III-D); a spec switches the driver to
@@ -118,8 +115,6 @@ class ExperimentConfig:
     #: paper parameters come from ``msgs_per_tx`` and ``block_interval``.
     calibration: Optional[cal.Calibration] = None
 
-    AUTO_STUB_THRESHOLD: int = field(default=6_000, repr=False)
-
     # ------------------------------------------------------------------
 
     def __post_init__(self) -> None:
@@ -131,27 +126,6 @@ class ExperimentConfig:
             raise WorkloadError("total_transfers must be >= 1")
         if self.num_relayers < 0:
             raise WorkloadError("num_relayers must be >= 0")
-        if self.proof_mode not in ("merkle", "stub", "auto"):
-            raise WorkloadError(f"unknown proof mode {self.proof_mode!r}")
-        if self.num_channels < 1:
-            raise WorkloadError("num_channels must be >= 1")
-        if (
-            self.relayer.count is not None
-            and self.num_relayers != 1
-            and self.relayer.count != self.num_relayers
-        ):
-            raise WorkloadError(
-                "relayer.count conflicts with num_relayers: set one of them"
-            )
-        if self.num_channels > 1 and self.num_channels != max(1, self.fleet_count):
-            raise WorkloadError(
-                "multi-channel experiments assign one relayer per channel: "
-                "set num_channels == the fleet size"
-            )
-        if self.relayer.policy != "none" and self.num_channels > 1:
-            raise WorkloadError(
-                "coordination policies apply to relayers sharing ONE channel"
-            )
         if self.channel_ordering not in ("ordered", "unordered"):
             raise WorkloadError(
                 f"unknown channel ordering {self.channel_ordering!r}"
@@ -183,7 +157,7 @@ class ExperimentConfig:
                     "the workload engine drives the two-chain pair; custom "
                     "topologies use the fixed account pool"
                 )
-            if self.num_channels != 1:
+            if self.relayer.policy == "channel" and self.num_relayers > 1:
                 raise WorkloadError(
                     "the workload engine submits on a single channel"
                 )
@@ -214,7 +188,7 @@ class ExperimentConfig:
         """The configuration's lines of the report's text summary."""
         lines = [
             f"input rate        : {self.input_rate:.0f} transfers/s "
-            f"({self.fleet_count} relayer(s), "
+            f"({self.num_relayers} relayer(s), "
             f"{self.network_rtt * 1000:.0f} ms RTT)",
         ]
         if self.topology is not None:
@@ -227,18 +201,6 @@ class ExperimentConfig:
         return lines
 
     # ------------------------------------------------------------------
-
-    @property
-    def fleet(self) -> FleetConfig:
-        """The relayer section with ``count`` resolved (``num_relayers``
-        when the section leaves it None)."""
-        return self.relayer.resolved(self.num_relayers)
-
-    @property
-    def fleet_count(self) -> int:
-        """Relayer instances deployed per topology edge."""
-        count = self.relayer.count
-        return self.num_relayers if count is None else count
 
     @property
     def resolved_calibration(self) -> cal.Calibration:
@@ -269,9 +231,9 @@ class ExperimentConfig:
 
     @property
     def resolved_proof_mode(self) -> str:
-        if self.proof_mode != "auto":
-            return self.proof_mode
-        if self.expected_total_transfers > self.AUTO_STUB_THRESHOLD:
+        """Real "merkle" proofs, or structural "stub" proofs for runs
+        expecting more than :data:`AUTO_STUB_THRESHOLD` transfers."""
+        if self.expected_total_transfers > AUTO_STUB_THRESHOLD:
             return "stub"
         return "merkle"
 

@@ -99,7 +99,7 @@ class ExperimentReport:
     #: key is added, removed or changes meaning.  ``from_dict`` reads this
     #: version only (the parallel cache keys on it, so an older cached
     #: point is a miss, not a load).
-    SCHEMA_VERSION = 6
+    SCHEMA_VERSION = 7
 
     config: ExperimentConfig
     window: WindowMetrics

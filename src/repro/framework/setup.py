@@ -4,9 +4,10 @@ Builds the paper's private testnet in simulation — and its N-chain
 generalizations.  A :class:`~repro.framework.topology.TopologySpec`
 names the chain graph: each chain gets ``num_validators`` validators
 spread over ``num_machines`` machines (one validator of each chain per
-machine), each edge gets an IBC connection with ``num_channels``
-channels and ``num_relayers`` Hermes instances, and each route gets its
-own workload accounts.  The default topology is the paper's two-chain
+machine), each edge gets an IBC connection and a fleet of
+``num_relayers`` Hermes instances (one channel per instance under the
+``channel`` policy, one shared channel otherwise), and each route gets
+its own workload accounts.  The default topology is the paper's two-chain
 pair (``ibc-0`` ↔ ``ibc-1``), and for that preset this module deploys
 the *exact* legacy testbed: same names, same construction order, same
 RNG streams, byte-identical runs.
@@ -25,7 +26,14 @@ from repro.cosmos.accounts import Wallet
 from repro.cosmos.app import FEE_DENOM, TRANSFER_DENOM
 from repro.framework.config import ExperimentConfig
 from repro.framework.topology import TopologySpec
-from repro.relayer import Relayer, RelayerConfig, RelayPath
+from repro.relayer import (
+    ChainEndpoint,
+    HandshakeDriver,
+    Relayer,
+    RelayerConfig,
+    RelayerLog,
+    RelayPath,
+)
 from repro.relayer.fleet import Fleet
 from repro.relayer.worker import PathEnd
 from repro.sim.core import Environment, Event
@@ -70,8 +78,8 @@ class Testbed:
     spam_wallet: Optional[Wallet] = field(init=False, default=None)
     grief_wallet: Optional[Wallet] = field(init=False, default=None)
     path: Optional[RelayPath] = field(init=False, default=None)
-    #: Established channels per topology edge (len == config.num_channels
-    #: each); populated by :meth:`bootstrap`.
+    #: Established channels per topology edge (one per relayer under the
+    #: ``channel`` policy, else one); populated by :meth:`bootstrap`.
     edge_paths: list[list[RelayPath]] = field(init=False, default_factory=list)
 
     def __post_init__(self) -> None:
@@ -114,8 +122,8 @@ class Testbed:
             )
 
         # Full nodes on every machine hosting a relayer or the CLI.
-        fleet_config = config.fleet
-        fleet_count = fleet_config.count
+        fleet_config = config.relayer
+        fleet_count = config.num_relayers
         total_relayers = fleet_count * len(topology.edges)
         client_machines = machines[: max(1, total_relayers)]
         for machine in client_machines:
@@ -127,7 +135,7 @@ class Testbed:
         # edge's fleet under the configured coordination policy.
         for edge_pos, (i, j) in enumerate(topology.edges):
             chain_i, chain_j = self.chains[i], self.chains[j]
-            fleet = Fleet(self.env, edge_pos, fleet_config, self.rng)
+            fleet = Fleet(self.env, edge_pos, fleet_config, fleet_count, self.rng)
             edge_group: list[Relayer] = []
             for local in range(fleet_count):
                 k = edge_pos * fleet_count + local
@@ -144,6 +152,7 @@ class Testbed:
                     node_b=chain_j.node(machine),
                     wallet_a=wallet_a,
                     wallet_b=wallet_b,
+                    member=fleet.members[local],
                     config=RelayerConfig(
                         name=f"hermes-{k}",
                         clear_interval=config.clear_interval,
@@ -154,7 +163,6 @@ class Testbed:
                         ),
                     ),
                     tracer=self.tracer,
-                    member=fleet.members[local],
                 )
                 edge_group.append(relayer)
                 self.relayers.append(relayer)
@@ -239,7 +247,7 @@ class Testbed:
 
     @property
     def paths(self) -> list[RelayPath]:
-        """Edge 0's established channels (len == config.num_channels)."""
+        """Edge 0's established channels."""
         return self.edge_paths[0] if self.edge_paths else []
 
     # ------------------------------------------------------------------
@@ -275,57 +283,60 @@ class Testbed:
     def bootstrap(self) -> Generator[Event, Any, RelayPath]:
         """Start chains and establish every relay path (Setup module run).
 
-        With ``num_relayers == 0`` (chain-only experiments) a throwaway
-        bootstrap relayer performs each edge's handshake so the channels
-        exist, but no relaying processes are started.  Returns edge 0's
-        first path (the legacy return value).
+        Each edge's first relayer runs the handshake.  With
+        ``num_relayers == 0`` (chain-only experiments) a bootstrap key
+        pair on the CLI machine runs it instead, so the channels exist
+        but no relaying process is started.  Under the ``channel`` policy
+        the edge opens one channel per relayer on its connection and
+        relayer *i* relays channel *i*; otherwise they share one.
+        Returns edge 0's first path (the legacy return value).
         """
         self.start_chains()
         from repro.ibc.channel import ChannelOrder
-        from repro.relayer.handshake import HandshakeDriver
 
+        config = self.config
         ordering = (
             ChannelOrder.ORDERED
-            if self.config.channel_ordering == "ordered"
+            if config.channel_ordering == "ordered"
             else ChannelOrder.UNORDERED
         )
+        per_relayer = config.relayer.policy == "channel"
+        channels = config.num_relayers if per_relayer else 1
         for edge_pos, (i, j) in enumerate(self.topology.edges):
             relayers = self.edge_relayers[edge_pos]
             if relayers:
                 opener = relayers[0]
-            else:
-                suffix = "" if edge_pos == 0 else str(edge_pos)
-                wallet_a = Wallet.named(f"bootstrap{suffix}-{self.config.seed}-a")
-                wallet_b = Wallet.named(f"bootstrap{suffix}-{self.config.seed}-b")
-                chain_i, chain_j = self.chains[i], self.chains[j]
-                chain_i.app.genesis_account(wallet_a, {FEE_DENOM: GENESIS_FEE})
-                chain_j.app.genesis_account(wallet_b, {FEE_DENOM: GENESIS_FEE})
-                machine = self.cli_host
-                opener = Relayer(
-                    self.env, f"bootstrap{suffix}", machine,
-                    chain_i.node(machine), chain_j.node(machine),
-                    wallet_a, wallet_b,
-                )
-            path = yield from opener.establish_path(ordering=ordering)
-            paths = [path]
-            if self.config.num_channels > 1:
-                # EXTENSION: per-relayer channels over the shared connection.
                 driver = HandshakeDriver(opener.endpoint_a, opener.endpoint_b)
-                for _ in range(self.config.num_channels - 1):
-                    extra = yield from driver.open_extra_channel(path)
-                    paths.append(extra)
-                # Relayer i serves channel i exclusively.
-                opener.use_path(paths[0])
-                for local, relayer in enumerate(relayers):
-                    if relayer is not opener:
-                        relayer.use_path(paths[local % len(paths)])
             else:
-                for relayer in relayers:
-                    if relayer is not opener:
-                        relayer.use_path(path)
+                driver = self._bootstrap_driver(edge_pos, i, j)
+            path = yield from driver.establish(ordering=ordering)
+            paths = [path]
+            for _ in range(channels - 1):
+                paths.append((yield from driver.open_extra_channel(path)))
+            for local, relayer in enumerate(relayers):
+                relayer.use_path(paths[local % len(paths)])
             self.edge_paths.append(paths)
         self.path = self.edge_paths[0][0]
         return self.path
+
+    def _bootstrap_driver(self, edge_pos: int, i: int, j: int) -> HandshakeDriver:
+        """A handshake driver on fresh bootstrap keys for an edge with no
+        relayer: chain endpoints on the CLI machine, nothing else."""
+        suffix = "" if edge_pos == 0 else str(edge_pos)
+        name = f"bootstrap{suffix}"
+        config = RelayerConfig(name=name)
+        log = RelayerLog(self.env, name)
+        machine = self.cli_host
+        endpoints = []
+        for chain, side in ((self.chains[i], "a"), (self.chains[j], "b")):
+            wallet = Wallet.named(f"{name}-{self.config.seed}-{side}")
+            chain.app.genesis_account(wallet, {FEE_DENOM: GENESIS_FEE})
+            endpoints.append(
+                ChainEndpoint(
+                    self.env, chain.node(machine), wallet, machine, config, log
+                )
+            )
+        return HandshakeDriver(*endpoints)
 
     def start_relayers(self) -> None:
         for relayer in self.relayers:

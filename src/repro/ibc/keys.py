@@ -56,6 +56,12 @@ def channel_path(port: str, channel: str) -> bytes:
     return f"channelEnds/ports/{port}/channels/{channel}".encode()
 
 
+def next_sequence_recv_path(port: str, channel: str) -> bytes:
+    """The receive counter of an ORDERED channel, which proves (non-)receipt
+    there: ordered channels write no per-packet receipts."""
+    return f"nextSequenceRecv/ports/{port}/channels/{channel}".encode()
+
+
 def packet_commitment_path(port: str, channel: str, sequence: int) -> bytes:
     return (
         f"commitments/ports/{port}/channels/{channel}/sequences/{sequence}".encode()

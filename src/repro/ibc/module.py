@@ -388,7 +388,7 @@ class IbcModule(Journaled):
             version=msg.version,
         )
         self._store_channel(end)
-        self._init_sequences(msg.port_id, channel_id)
+        self._init_sequences(end)
         # The bound application validates the proposed channel (version
         # checks etc.) at INIT, as in ibc-go's OnChanOpenInit.
         self.app_for_port(msg.port_id).on_chan_open(end)
@@ -437,7 +437,7 @@ class IbcModule(Journaled):
             version=msg.version,
         )
         self._store_channel(end)
-        self._init_sequences(msg.port_id, channel_id)
+        self._init_sequences(end)
         self.app_for_port(msg.port_id).on_chan_open(end)
         return channel_id, [
             self._event(
@@ -535,14 +535,25 @@ class IbcModule(Journaled):
         self.channels[key] = end
         self.store.set(keys.channel_path(end.port_id, end.channel_id), end.encode())
 
-    def _init_sequences(self, port_id: str, channel_id: str) -> None:
-        key = (port_id, channel_id)
+    def _init_sequences(self, end: ChannelEnd) -> None:
+        key = (end.port_id, end.channel_id)
         for sequences in (
             self.next_sequence_send, self.next_sequence_recv, self.next_sequence_ack
         ):
             if self.journal is not None:
                 self.journal.record_kv(sequences, key, sequences.get(key))
             sequences[key] = 1
+        if end.ordering == ChannelOrder.ORDERED:
+            self._store_next_sequence_recv(key, 1)
+
+    def _store_next_sequence_recv(
+        self, key: tuple[str, str], sequence: int
+    ) -> None:
+        """Commit an ORDERED channel's receive counter (ICS-24
+        ``nextSequenceRecv``), the value a counterparty timeout proves."""
+        self.store.set(
+            keys.next_sequence_recv_path(*key), sequence.to_bytes(8, "big")
+        )
 
     # ------------------------------------------------------------------
     # ICS-04: packet life cycle
@@ -636,6 +647,7 @@ class IbcModule(Journaled):
             if self.journal is not None:
                 self.journal.record_kv(self.next_sequence_recv, dest_key, expected)
             self.next_sequence_recv[dest_key] = expected + 1
+            self._store_next_sequence_recv(dest_key, expected + 1)
         else:
             receipt_key = (
                 packet.destination_port,
@@ -763,11 +775,22 @@ class IbcModule(Journaled):
                 f"destination height {msg.proof_height}"
             )
         if end.ordering == ChannelOrder.ORDERED:
-            if msg.next_sequence_recv <= packet.sequence:
+            # The destination's proven receive counter must not have
+            # passed the packet: a counter beyond it means "received".
+            if msg.next_sequence_recv > packet.sequence:
                 raise PacketError(
-                    "ordered timeout requires next_sequence_recv proof beyond "
-                    "the packet sequence"
+                    f"ordered packet {packet.sequence} was received "
+                    f"(next_sequence_recv {msg.next_sequence_recv})"
                 )
+            self._verify_counterparty_commitment(
+                client_id=connection.client_id,
+                proof_height=msg.proof_height,
+                key=keys.next_sequence_recv_path(
+                    packet.destination_port, packet.destination_channel
+                ),
+                value=msg.next_sequence_recv.to_bytes(8, "big"),
+                proof=msg.proof_unreceived,
+            )
         else:
             self._verify_counterparty_absence(
                 client_id=connection.client_id,
@@ -842,6 +865,12 @@ class IbcModule(Journaled):
 
     def prove_connection(self, connection_id: str) -> CommitmentProof:
         return self._prove(keys.connection_path(connection_id))
+
+    def prove_next_sequence_recv(
+        self, port_id: str, channel_id: str
+    ) -> CommitmentProof:
+        """Proof of an ORDERED channel's receive counter (its timeout proof)."""
+        return self._prove(keys.next_sequence_recv_path(port_id, channel_id))
 
     def prove_unreceived(
         self, port_id: str, channel_id: str, sequence: int

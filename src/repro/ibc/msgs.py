@@ -179,7 +179,9 @@ class MsgAcknowledgement(IbcMsg):
 class MsgTimeout(IbcMsg):
     kind = "timeout"
     packet: Packet
-    proof_unreceived: Optional[AbsenceProof]
+    #: Unordered channels: absence of the packet's receipt.  Ordered
+    #: channels: membership of ``next_sequence_recv`` at the counterparty.
+    proof_unreceived: Optional[AbsenceProof | CommitmentProof]
     proof_height: int
     next_sequence_recv: int = 0
     signer: str = ""

@@ -532,7 +532,6 @@ def _sec5_extract(_reports: Reports) -> dict:
         timeout_blocks=SEC5_TIMEOUT_BLOCKS,
         clear_interval=0,
         seed=9,
-        proof_mode="stub",
     )
     testbed = Testbed(config)
     env = testbed.env
@@ -1096,7 +1095,9 @@ PAPER_TARGETS: dict[str, PaperTarget] = {
                 "coordinated": _scaling(
                     num_relayers=2, relayer=FleetConfig(policy="shard")
                 ),
-                "two_channels": _scaling(num_relayers=2, num_channels=2),
+                "two_channels": _scaling(
+                    num_relayers=2, relayer=FleetConfig(policy="channel")
+                ),
             },
             _scaling_extract,
             _ext_scaling,

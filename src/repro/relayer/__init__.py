@@ -4,13 +4,7 @@ from repro.relayer.cli import TransferSubmission, WorkloadCli
 from repro.relayer.config import RelayerConfig
 from repro.relayer.endpoint import ChainEndpoint, SubmittedTx
 from repro.relayer.events import PacketEvent, WorkBatch
-from repro.relayer.fleet import (
-    CoordinationPolicy,
-    Fleet,
-    FleetConfig,
-    FleetMember,
-    register_policy,
-)
+from repro.relayer.fleet import Fleet, FleetConfig, FleetMember
 from repro.relayer.handshake import HandshakeDriver
 from repro.relayer.logging import LogRecord, RelayerLog, render_journal
 from repro.relayer.relayer import Relayer
@@ -19,7 +13,6 @@ from repro.relayer.worker import DirectionWorker, PathEnd, RelayPath
 
 __all__ = [
     "ChainEndpoint",
-    "CoordinationPolicy",
     "DirectionWorker",
     "Fleet",
     "FleetConfig",
@@ -37,6 +30,5 @@ __all__ = [
     "TransferSubmission",
     "WorkBatch",
     "WorkloadCli",
-    "register_policy",
     "render_journal",
 ]

@@ -1,12 +1,13 @@
-"""K-relayer fleets with pluggable coordination policies.
+"""K-relayer fleets and the coordination policy that divides their work.
 
 The paper's Fig. 9 measures two *uncoordinated* Hermes instances on one
 channel: each relays every packet, one of the two submissions loses the
 race, and roughly half the work is redundant.  ICS-18 makes relaying
 permissionless and many-party but specifies no coordination, which the
 paper calls out as the gap behind that waste.  This module models the
-gap and two ways of closing it: a :class:`Fleet` deploys K relayer
-instances per topology edge under one :class:`CoordinationPolicy`:
+gap and three ways of closing it.  Every relayer of an experiment sits
+in a :class:`Fleet`: the K = ``num_relayers`` instances of one topology
+edge, under one policy named by ``FleetConfig.policy``:
 
 * ``none`` — the paper's baseline.  Every member relays everything;
   at K=2 the redundant-delivery ratio lands near 2x (Fig. 9).
@@ -19,13 +20,16 @@ instances per topology edge under one :class:`CoordinationPolicy`:
   and hands leadership to the next healthy member when the leader's
   host dies, so recovery latency under :mod:`repro.faults` crash
   schedules is measurable.
+* ``channel`` — per-relayer channels (the paper's §IV-A alternative).
+  The edge opens one channel per member on its connection and member
+  ``i`` relays channel ``i`` alone, so members never share a packet;
+  the price is one voucher denomination per channel.
 
 Every member is deterministic: the monitor's probe jitter comes from a
 :class:`~repro.sim.rng.KeyedStream` derived from the experiment seed and
 the edge index, so fleet runs are byte-identical under event tie-break
-reversal (the schedcheck gate).  Policies ``none`` and ``shard`` spawn
-no processes at all — a fleet with the default policy leaves the legacy
-single-relayer event accounting untouched.
+reversal (the schedcheck gate).  Only ``leader`` spawns a process; the
+other policies leave the single-relayer event accounting untouched.
 
 :class:`FleetConfig` is also the nested ``relayer`` section of the
 experiment-config wire format.
@@ -33,7 +37,7 @@ experiment-config wire format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.errors import WorkloadError, from_wire, to_wire
@@ -55,102 +59,19 @@ MONITOR_PERIOD_SECONDS = 1.0
 MONITOR_JITTER_SECONDS = 0.25
 
 
-class CoordinationPolicy:
-    """How K fleet members divide one edge's relay work.
-
-    Policies are stateless singletons (the :class:`Fleet` carries the
-    dynamic state such as the current leader), registered by name in
-    :data:`POLICIES` via :func:`register_policy`.  A policy answers
-    three questions for a member index: does it own a sequence, may it
-    run packet clearing, and does the fleet need the health monitor.
-    """
-
-    #: Wire name of the policy (``FleetConfig.policy``).
-    name: str = "abstract"
-
-    def owns(self, fleet: "Fleet", index: int, sequence: int) -> bool:
-        """Whether member ``index`` relays packets with ``sequence``."""
-        raise NotImplementedError
-
-    def may_clear(self, fleet: "Fleet", index: int) -> bool:
-        """Whether member ``index`` may run packet-clear scans."""
-        raise NotImplementedError
-
-    def needs_monitor(self) -> bool:
-        """Whether the fleet spawns the health-monitor process."""
-        return False
-
-
-class NonePolicy(CoordinationPolicy):
-    """Paper baseline: no coordination, every member relays everything."""
-
-    name = "none"
-
-    def owns(self, fleet: "Fleet", index: int, sequence: int) -> bool:
-        return True
-
-    def may_clear(self, fleet: "Fleet", index: int) -> bool:
-        return True
-
-
-class ShardPolicy(CoordinationPolicy):
-    """Static sequence-range partitioning (blocks of :data:`SHARD_BLOCK`)."""
-
-    name = "shard"
-
-    def owns(self, fleet: "Fleet", index: int, sequence: int) -> bool:
-        if fleet.count <= 1:
-            return True
-        return (sequence // SHARD_BLOCK) % fleet.count == index
-
-    def may_clear(self, fleet: "Fleet", index: int) -> bool:
-        # Every member clears, but only its own sequence blocks: a gap
-        # on a shared channel triggers K partitioned scans, not K full
-        # duplicates (the supervisor gap-recovery fix).
-        return True
-
-
-class LeaderPolicy(CoordinationPolicy):
-    """Lowest-indexed healthy member relays everything; others stand by."""
-
-    name = "leader"
-
-    def owns(self, fleet: "Fleet", index: int, sequence: int) -> bool:
-        return index == fleet.leader_index
-
-    def may_clear(self, fleet: "Fleet", index: int) -> bool:
-        return index == fleet.leader_index
-
-    def needs_monitor(self) -> bool:
-        return True
-
-
-#: Registered policies by wire name.
-POLICIES: dict[str, CoordinationPolicy] = {}
-
-
-def register_policy(policy: CoordinationPolicy) -> CoordinationPolicy:
-    """Register a coordination policy under ``policy.name``."""
-    POLICIES[policy.name] = policy
-    return policy
-
-
-register_policy(NonePolicy())
-register_policy(ShardPolicy())
-register_policy(LeaderPolicy())
+#: The coordination policies, by wire name (``FleetConfig.policy``).
+POLICY_NAMES = ("none", "shard", "leader", "channel")
 
 
 @dataclass(frozen=True)
 class FleetConfig:
-    """The ``relayer`` section of the experiment config (wire schema v5).
+    """The ``relayer`` section of the experiment config.
 
-    ``count=None`` inherits the experiment's ``num_relayers`` paper
-    parameter; setting it overrides the fleet size explicitly.
+    The fleet size is the experiment's ``num_relayers``; this section
+    says how the members coordinate and how each one rides out faults.
     """
 
-    #: Relayers per topology edge (None = inherit ``num_relayers``).
-    count: Optional[int] = None
-    #: Coordination policy name (see :data:`POLICIES`).
+    #: Coordination policy name (one of :data:`POLICY_NAMES`).
     policy: str = "none"
     #: Per-instance retry budget for transient RPC errors (0 = Hermes
     #: 1.0.0 behaviour: fail the query on the first timeout).
@@ -160,12 +81,10 @@ class FleetConfig:
     resubscribe_on_disconnect: bool = True
 
     def __post_init__(self) -> None:
-        if self.count is not None and self.count < 0:
-            raise WorkloadError("relayer count must be >= 0")
-        if self.policy not in POLICIES:
+        if self.policy not in POLICY_NAMES:
             raise WorkloadError(
                 f"unknown coordination policy {self.policy!r} "
-                f"(known: {', '.join(sorted(POLICIES))})"
+                f"(known: {', '.join(POLICY_NAMES)})"
             )
         if self.rpc_retry_attempts < 0:
             raise WorkloadError("rpc_retry_attempts must be >= 0")
@@ -178,14 +97,6 @@ class FleetConfig:
     @classmethod
     def from_dict(cls, data: Any) -> "FleetConfig":
         return from_wire(cls, data, "relayer section", defaults=True)
-
-    # ------------------------------------------------------------------
-
-    def resolved(self, num_relayers: int) -> "FleetConfig":
-        """This config with ``count`` made concrete."""
-        if self.count is not None:
-            return self
-        return replace(self, count=num_relayers)
 
 
 @dataclass(slots=True)
@@ -211,17 +122,18 @@ class FleetMember:
     def __init__(self, fleet: "Fleet", index: int):
         self.fleet = fleet
         self.index = index
+        #: The relayer sitting in this seat (it seats itself on creation).
         self.relayer: Optional["Relayer"] = None
 
     # -- worker hooks --------------------------------------------------
 
     def owns_sequence(self, sequence: int) -> bool:
-        return self.fleet.policy.owns(self.fleet, self.index, sequence)
+        return self.fleet.owns(self.index, sequence)
 
     def filter_batch(self, batch: "WorkBatch") -> "WorkBatch":
         """Keep only the events whose packet sequences this member owns."""
         fleet = self.fleet
-        if fleet.count <= 1 or isinstance(fleet.policy, NonePolicy):
+        if fleet.count <= 1 or fleet.policy in ("none", "channel"):
             return batch
         owned = [
             e for e in batch.events if self.owns_sequence(e.packet.sequence)
@@ -239,22 +151,19 @@ class FleetMember:
         )
 
     def may_clear(self) -> bool:
-        return self.fleet.policy.may_clear(self.fleet, self.index)
+        return self.fleet.may_clear(self.index)
 
     # -- monitor hooks -------------------------------------------------
 
     def probe_health(self) -> bool:
         """Out-of-band liveness check: are the member's local nodes up?"""
         relayer = self.relayer
-        if relayer is None:
-            return True
         return not (relayer.node_a.rpc.crashed or relayer.node_b.rpc.crashed)
 
     def on_became_leader(self) -> None:
         """Failover: sweep pending work the old leader left behind."""
-        if self.relayer is not None:
-            for worker in self.relayer.workers:
-                worker.request_clear()
+        for worker in self.relayer.workers:
+            worker.request_clear()
 
 
 class Fleet:
@@ -265,19 +174,19 @@ class Fleet:
         env: Environment,
         edge_index: int,
         config: FleetConfig,
+        count: int,
         rng: "RngRegistry",
     ):
-        if config.count is None:
-            raise WorkloadError("Fleet requires a resolved FleetConfig")
         self.env = env
         self.edge_index = edge_index
         self.config = config
-        self.count = config.count
-        self.policy = POLICIES[config.policy]
-        self.members = [FleetMember(self, i) for i in range(self.count)]
+        self.count = count
+        #: The coordination policy's name (one of :data:`POLICY_NAMES`).
+        self.policy = config.policy
+        self.members = [FleetMember(self, i) for i in range(count)]
         #: Index of the current leader (leader policy; fixed at 0 otherwise).
         self.leader_index = 0
-        self.healthy = [True] * self.count
+        self.healthy = [True] * count
         #: Leadership transitions, oldest first.
         self.handoffs: list[Handoff] = []
         self.processes = ProcessGroup(env)
@@ -287,14 +196,28 @@ class Fleet:
         # draws randomness — and only the leader policy creates the stream.
         self._jitter = (
             rng.keyed(f"fleet/edge{edge_index}/monitor")
-            if self.policy.needs_monitor()
+            if self.policy == "leader"
             else None
         )
 
-    def attach(self, index: int, relayer: "Relayer") -> FleetMember:
-        member = self.members[index]
-        member.relayer = relayer
-        return member
+    # -- the policy ----------------------------------------------------
+
+    def owns(self, index: int, sequence: int) -> bool:
+        """Whether member ``index`` relays packets with ``sequence``."""
+        if self.policy == "shard":
+            count = self.count
+            return count <= 1 or (sequence // SHARD_BLOCK) % count == index
+        if self.policy == "leader":
+            return index == self.leader_index
+        # ``none`` relays everything; under ``channel`` the member's own
+        # channel already holds only its packets.
+        return True
+
+    def may_clear(self, index: int) -> bool:
+        """Whether member ``index`` may run packet-clear scans.  Shard
+        members clear too, but only their own sequence blocks: a gap on a
+        shared channel triggers K partitioned scans, not K full duplicates."""
+        return self.policy != "leader" or index == self.leader_index
 
     # ------------------------------------------------------------------
 
@@ -303,7 +226,7 @@ class Fleet:
         if self._started:
             return
         self._started = True
-        if self.policy.needs_monitor() and self.count > 1:
+        if self.policy == "leader" and self.count > 1:
             self.processes.spawn(
                 self._monitor_loop(),
                 name=f"fleet/edge{self.edge_index}/monitor",
@@ -338,11 +261,10 @@ class Fleet:
         self.leader_index = new_leader
         self.handoffs.append(Handoff(self.env.now, old_leader, new_leader))
         leader = self.members[new_leader]
-        if leader.relayer is not None:
-            leader.relayer.log.info(
-                "fleet_leader_handoff",
-                edge=self.edge_index,
-                from_index=old_leader,
-                to_index=new_leader,
-            )
+        leader.relayer.log.info(
+            "fleet_leader_handoff",
+            edge=self.edge_index,
+            from_index=old_leader,
+            to_index=new_leader,
+        )
         leader.on_became_leader()

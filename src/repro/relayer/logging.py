@@ -57,19 +57,16 @@ class LogRecord:
 class RelayerLog:
     """Append-only log for one relayer instance."""
 
-    __slots__ = ("env", "relayer", "clock_skew", "records")
+    __slots__ = ("env", "relayer", "records")
 
-    def __init__(self, env: Environment, relayer: str, clock_skew: float = 0.0):
+    def __init__(self, env: Environment, relayer: str):
         self.env = env
         self.relayer = relayer
-        #: Models the paper's "timestamp mismatch" challenge: the relayer's
-        #: clock can be offset from the chains' simulated time.
-        self.clock_skew = clock_skew
         self.records: list[LogRecord] = []
 
     def _emit(self, level: str, event: str, **fields: Any) -> LogRecord:
         record = LogRecord(
-            time=self.env.now + self.clock_skew,
+            time=self.env.now,
             relayer=self.relayer,
             level=level,
             event=event,

@@ -7,6 +7,7 @@ from typing import Any, Generator, Optional
 from repro.cosmos.accounts import Wallet
 from repro.relayer.config import RelayerConfig
 from repro.relayer.endpoint import ChainEndpoint
+from repro.relayer.fleet import FleetMember
 from repro.relayer.handshake import HandshakeDriver
 from repro.relayer.logging import RelayerLog
 from repro.relayer.supervisor import Supervisor
@@ -21,10 +22,10 @@ class Relayer:
 
     The relayer talks to machine-local full nodes of both chains (the
     paper's production-style deployment) and relays both directions of one
-    channel.  Multiple instances may be created for the same path — by
-    default they do not coordinate, reproducing the paper's multi-relayer
-    redundancy; a :class:`repro.relayer.fleet.FleetMember` seat opts the
-    instance into its fleet's coordination policy.
+    channel.  Every instance sits in a :class:`~repro.relayer.fleet.Fleet`
+    seat, whose coordination policy decides which packets it relays; in a
+    ``none`` fleet of two or more, instances on one path race each other,
+    reproducing the paper's multi-relayer redundancy.
     """
 
     def __init__(
@@ -36,17 +37,16 @@ class Relayer:
         node_b: ChainNode,
         wallet_a: Wallet,
         wallet_b: Wallet,
+        member: FleetMember,
         config: Optional[RelayerConfig] = None,
         tracer=NULL_TRACER,
-        member=None,
     ):
         self.env = env
         self.name = name
         self.host = host
         self.config = config or RelayerConfig(name=name)
         self.member = member
-        if member is not None:
-            member.relayer = self
+        member.relayer = self
         self.log = RelayerLog(env, name)
         self.tracer = tracer
         self.heights: dict[str, int] = {}
@@ -80,42 +80,29 @@ class Relayer:
         return path
 
     def use_path(self, path: RelayPath) -> None:
-        """Adopt an already-established path (second relayer on a channel)."""
+        """Relay ``path``'s channel in both directions (a path another
+        instance established, or this instance's own)."""
         self.path = path
-        self.workers = []
-        self.add_path(path)
-
-    def add_path(self, path: RelayPath) -> None:
-        """Relay an additional channel (multi-channel deployments)."""
-        if self.path is None:
-            self.path = path
-        worker_ab = DirectionWorker(
-            env=self.env,
-            src=self.endpoint_a,
-            dst=self.endpoint_b,
-            src_end=path.a,
-            dst_end=path.b,
-            config=self.config,
-            log=self.log,
-            heights=self.heights,
-            tracer=self.tracer,
-            member=self.member,
-        )
-        worker_ba = DirectionWorker(
-            env=self.env,
-            src=self.endpoint_b,
-            dst=self.endpoint_a,
-            src_end=path.b,
-            dst_end=path.a,
-            config=self.config,
-            log=self.log,
-            heights=self.heights,
-            tracer=self.tracer,
-            member=self.member,
-        )
-        self.workers.extend([worker_ab, worker_ba])
-        self.supervisor.route(worker_ab)
-        self.supervisor.route(worker_ba)
+        self.workers = [
+            DirectionWorker(
+                env=self.env,
+                src=src,
+                dst=dst,
+                src_end=src_end,
+                dst_end=dst_end,
+                config=self.config,
+                log=self.log,
+                heights=self.heights,
+                member=self.member,
+                tracer=self.tracer,
+            )
+            for src, dst, src_end, dst_end in (
+                (self.endpoint_a, self.endpoint_b, path.a, path.b),
+                (self.endpoint_b, self.endpoint_a, path.b, path.a),
+            )
+        ]
+        for worker in self.workers:
+            self.supervisor.route(worker)
 
     def start(self) -> None:
         """Subscribe to both chains and start the worker pipelines."""
@@ -132,15 +119,3 @@ class Relayer:
         self.supervisor.stop()
         for worker in self.workers:
             worker.stop()
-
-    # ------------------------------------------------------------------
-    # Introspection for the analysis pipeline
-    # ------------------------------------------------------------------
-
-    @property
-    def worker_ab(self) -> DirectionWorker:
-        return self.workers[0]
-
-    @property
-    def worker_ba(self) -> DirectionWorker:
-        return self.workers[1]

@@ -37,6 +37,7 @@ from repro.ibc.packet import Packet
 from repro.relayer.config import RelayerConfig
 from repro.relayer.endpoint import ChainEndpoint, SubmittedTx
 from repro.relayer.events import WorkBatch
+from repro.relayer.fleet import FleetMember
 from repro.relayer.logging import RelayerLog
 from repro.sim.core import SHUTDOWN, Environment, ProcessGroup
 from repro.sim.resources import Store
@@ -115,8 +116,8 @@ class DirectionWorker:
         config: RelayerConfig,
         log: RelayerLog,
         heights: dict[str, int],
+        member: FleetMember,
         tracer=NULL_TRACER,
-        member=None,
     ):
         self.env = env
         self.src = src
@@ -126,9 +127,8 @@ class DirectionWorker:
         self.config = config
         self.log = log
         self.tracer = tracer
-        #: The relayer's seat in its fleet
-        #: (:class:`repro.relayer.fleet.FleetMember`), consulted for batch
-        #: ownership and clear permission; None = a standalone relayer.
+        #: The relayer's seat in its fleet, consulted for batch ownership
+        #: and clear permission.
         self.member = member
         self._track = (
             f"{log.relayer}/worker/{src_end.chain_id}->{dst_end.chain_id}"
@@ -183,10 +183,7 @@ class DirectionWorker:
 
     def _owned(self, batch: WorkBatch) -> WorkBatch:
         """Keep only the work this relayer instance owns: the fleet
-        member's policy filter (sequence ownership); a standalone relayer
-        (Hermes behaviour) owns everything."""
-        if self.member is None:
-            return batch
+        member's policy filter (sequence ownership)."""
         return self.member.filter_batch(batch)
 
     def _relay_recv_batch(self, batch: WorkBatch):
@@ -591,7 +588,7 @@ class DirectionWorker:
         standby) declines — one gap on a shared channel must not fan out
         into K duplicate clear scans.
         """
-        if self.member is not None and not self.member.may_clear():
+        if not self.member.may_clear():
             return
         if self._clear_pending:
             return
@@ -614,7 +611,7 @@ class DirectionWorker:
         leader-policy standby clears nothing.
         """
         member = self.member
-        if member is not None and not member.may_clear():
+        if not member.may_clear():
             return
         try:
             sequences = yield from self.src.query(
@@ -628,8 +625,7 @@ class DirectionWorker:
         stale = sorted(
             s
             for s in sequences
-            if s not in self._in_flight
-            and (member is None or member.owns_sequence(s))
+            if s not in self._in_flight and member.owns_sequence(s)
         )
         if not stale:
             return

@@ -12,9 +12,15 @@ settings.load_profile("repro")
 
 from repro.cosmos.accounts import Wallet
 from repro.cosmos.app import FEE_DENOM, TRANSFER_DENOM
-from repro.relayer import Relayer, WorkloadCli
+from repro.relayer import Fleet, FleetConfig, FleetMember, Relayer, WorkloadCli
 from repro.sim import Environment, Network, RngRegistry
 from repro.tendermint.node import Chain
+
+
+def solo_seat(env: Environment) -> FleetMember:
+    """The one seat of a one-member ``none`` fleet: a relayer that
+    coordinates with nobody (plain Hermes behaviour)."""
+    return Fleet(env, 0, FleetConfig(), 1, RngRegistry(0)).members[0]
 
 
 @pytest.fixture
@@ -64,7 +70,7 @@ class TwoChainHarness:
         self.chain_b.app.genesis_account(self.receiver, {FEE_DENOM: 10**12})
         self.relayer = Relayer(
             env, "hermes-test", "m0", self.node_a, self.node_b,
-            self.wallet_a, self.wallet_b,
+            self.wallet_a, self.wallet_b, solo_seat(env),
         )
         self.path = None
 

@@ -400,16 +400,26 @@ class IbcPair:
         return self.exec_ok(self.a, self.relayer_a, self.ack_msgs(packets))
 
     def timeout_msgs(self, packets: list[Packet]) -> list:
+        """UpdateClient + MsgTimeout msgs for A, proving non-receipt on B:
+        the receipt's absence (unordered) or B's receive counter (ordered)."""
         header = self.b.signed_header()
         msgs = [MsgUpdateClient(client_id=self.client_on_a, header=header)]
+        ibc_b = self.b.ibc
+        key = ("transfer", self.chan_b)
+        ordered = ibc_b.channels[key].ordering == ChannelOrder.ORDERED
         for packet in packets:
+            if ordered:
+                proof = ibc_b.prove_next_sequence_recv(*key)
+                next_recv = ibc_b.next_sequence_recv[key]
+            else:
+                proof = ibc_b.prove_unreceived(*key, packet.sequence)
+                next_recv = 0
             msgs.append(
                 MsgTimeout(
                     packet=packet,
-                    proof_unreceived=self.b.ibc.prove_unreceived(
-                        "transfer", self.chan_b, packet.sequence
-                    ),
+                    proof_unreceived=proof,
                     proof_height=header.height,
+                    next_sequence_recv=next_recv,
                 )
             )
         return msgs

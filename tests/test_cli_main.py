@@ -45,12 +45,16 @@ def test_extension_flags():
         parse(["--relayers", "2", "--fleet-policy", "leader"])
     )
     assert config.relayer.policy == "leader"
-    config = config_from_args(parse(["--relayers", "2", "--channels", "2"]))
-    assert config.num_channels == 2
-    # One spelling per option: the old shard shorthand is a usage error.
-    with pytest.raises(SystemExit) as usage:
-        parse(["--relayers", "2", "--coordinate"])
-    assert usage.value.code == 2
+    config = config_from_args(
+        parse(["--relayers", "2", "--fleet-policy", "channel"])
+    )
+    assert config.relayer.policy == "channel"
+    # One spelling per option: the old shard shorthand and the old
+    # per-relayer channel count are usage errors.
+    for removed in (["--coordinate"], ["--channels", "2"]):
+        with pytest.raises(SystemExit) as usage:
+            parse(["--relayers", "2", *removed])
+        assert usage.value.code == 2
 
 
 def test_main_runs_and_prints_summary(capsys):
@@ -97,7 +101,7 @@ def test_bench_subcommand_dispatches(tmp_path, capsys):
     )
     document = json.loads(out_path.read_text())
     assert len(document) == 1
-    assert document[0]["schema_version"] == 6
+    assert document[0]["schema_version"] == 7
 
 
 def test_bench_smoke_two_points_two_workers(tmp_path):

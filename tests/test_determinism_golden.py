@@ -57,12 +57,12 @@ def test_different_seed_diverges(golden_runs):
 
 def test_golden_report_wire_round_trip(golden_runs):
     """Golden schema stability: the report document declares schema
-    version 6 and survives a load/dump cycle byte-for-byte — so cached
+    version 7 and survives a load/dump cycle byte-for-byte — so cached
     sweep points replay exactly what the simulation produced."""
     import json
 
     (report_json, _), _, _ = golden_runs
-    assert json.loads(report_json)["schema_version"] == 6
+    assert json.loads(report_json)["schema_version"] == 7
     assert ExperimentReport.from_json(report_json).to_json() == report_json
 
 

@@ -1,8 +1,8 @@
-"""Tests for the scaling extensions (multi-channel, coordinated relayers)."""
+"""Tests for the scaling extensions (per-relayer channels, coordinated relayers)."""
 
 import pytest
 
-from repro.errors import WorkloadError
+from repro.errors import SchemaError, WorkloadError
 from repro.framework import ExperimentConfig, FleetConfig
 # These tests introspect post-run testbed state, so they drive the
 # engine directly; the public entrypoint is repro.run_experiment.
@@ -12,16 +12,12 @@ from repro.relayer.worker import DirectionWorker
 
 
 def test_multichannel_config_validation():
-    with pytest.raises(WorkloadError):
-        ExperimentConfig(num_channels=0)
-    with pytest.raises(WorkloadError):
-        ExperimentConfig(num_channels=3, num_relayers=2)
-    with pytest.raises(WorkloadError):
-        ExperimentConfig(
-            num_channels=2, num_relayers=2,
-            relayer=FleetConfig(policy="shard"),
-        )
-    ExperimentConfig(num_channels=2, num_relayers=2)  # valid
+    """Per-relayer channels are the ``channel`` policy, not a channel
+    count: the old knob is an unknown key, and any fleet size is valid."""
+    with pytest.raises(SchemaError, match="num_channels"):
+        ExperimentConfig.from_dict({"num_relayers": 2, "num_channels": 2})
+    for k in (0, 1, 3):
+        ExperimentConfig(num_relayers=k, relayer=FleetConfig(policy="channel"))
 
 
 def test_ordered_channel_experiment_end_to_end():
@@ -48,31 +44,42 @@ def test_ordered_channel_experiment_end_to_end():
         ExperimentConfig(channel_ordering="sideways")
 
 
-def test_two_channels_open_and_relay():
+def test_channel_policy_opens_one_channel_per_seat():
+    """Policy ``channel`` at K=3: three channels on the edge's one
+    connection, relayer *i* relays channel *i* alone, and every channel
+    carries completed transfers."""
     config = ExperimentConfig(
-        input_rate=40,
+        input_rate=45,
         measurement_blocks=8,
-        num_relayers=2,
-        num_channels=2,
+        num_relayers=3,
+        relayer=FleetConfig(policy="channel"),
         seed=15,
         drain_seconds=60.0,
     )
     runner = _ExperimentEngine(config)
     report = runner.run()
     testbed = runner.testbed
-    assert len(testbed.paths) == 2
-    channels = {p.a.channel_id for p in testbed.paths}
-    assert channels == {"channel-0", "channel-1"}
-    # Both channels carried packets and they completed.
+    channels = [p.a.channel_id for p in testbed.paths]
+    assert channels == ["channel-0", "channel-1", "channel-2"]
+    assert len({p.a.connection_id for p in testbed.paths}) == 1
+    assert len({p.b.connection_id for p in testbed.paths}) == 1
+    for i, relayer in enumerate(testbed.relayers):
+        assert relayer.member.index == i
+        assert relayer.path is testbed.paths[i]
+        assert {w.src_end.channel_id for w in relayer.workers} == {
+            testbed.paths[i].a.channel_id, testbed.paths[i].b.channel_id
+        }
+    # Every channel carried packets and they completed, without races.
     ibc_a = testbed.chain_a.app.ibc
     for path in testbed.paths:
         assert ibc_a.next_sequence_send[("transfer", path.a.channel_id)] > 1
     assert report.window.acks > 0
-    # The receiver holds TWO distinct voucher denominations (§IV-A caveat:
-    # per-channel tokens are not fungible with each other).
+    assert report.errors.get("packet_messages_redundant", 0) == 0
+    # The receiver holds THREE distinct voucher denominations (§IV-A
+    # caveat: per-channel tokens are not fungible with each other).
     balances = testbed.chain_b.app.bank.balances(testbed.receiver.address)
     vouchers = [d for d in balances if d.startswith("ibc/")]
-    assert len(vouchers) == 2
+    assert len(vouchers) == 3
 
 
 def test_coordinated_relayers_do_not_duplicate():

@@ -2,9 +2,10 @@
 
 The paper's Fig. 9 finding is that two *uncoordinated* relayers on one
 channel do roughly double work — one submission per packet loses the
-race.  :mod:`repro.relayer.fleet` models that baseline plus the two
-coordination policies ICS-18 leaves unspecified (static sharding and
-leader election with failover); these tests pin the partitioning math,
+race.  :mod:`repro.relayer.fleet` models that baseline plus the
+coordination ICS-18 leaves unspecified (static sharding, leader
+election with failover, per-relayer channels); these tests pin the
+partitioning math,
 the redundancy accounting, the crash-failover path, and the property
 everything else rests on: same seed, same bytes — for every policy.
 """
@@ -15,30 +16,59 @@ from repro.errors import SchemaError, WorkloadError
 from repro.faults import FaultSchedule, NodeCrash
 from repro.framework import ExperimentConfig, FleetConfig, run_experiment
 from repro.framework.runner import _ExperimentEngine
-from repro.relayer.fleet import (
-    POLICIES,
-    SHARD_BLOCK,
-    Fleet,
-    LeaderPolicy,
-    NonePolicy,
-    ShardPolicy,
-)
+from repro.framework.setup import Testbed as _Testbed
+from repro.relayer.fleet import POLICY_NAMES, SHARD_BLOCK, Fleet
 from repro.sim.core import Environment
 from repro.sim.rng import RngRegistry
 
 
 def make_fleet(count: int, policy: str) -> Fleet:
     env = Environment()
-    return Fleet(env, 0, FleetConfig(count=count, policy=policy), RngRegistry(7))
+    return Fleet(env, 0, FleetConfig(policy=policy), count, RngRegistry(7))
 
 
 # -- policy unit tests -------------------------------------------------------
 
 
 def test_builtin_policies_registered():
-    assert isinstance(POLICIES["none"], NonePolicy)
-    assert isinstance(POLICIES["shard"], ShardPolicy)
-    assert isinstance(POLICIES["leader"], LeaderPolicy)
+    """The policy set is one tuple of names, and each is a valid config."""
+    assert POLICY_NAMES == ("none", "shard", "leader", "channel")
+    for name in POLICY_NAMES:
+        assert FleetConfig(policy=name).policy == name
+
+
+def _expected_owns(policy, k, leader, index, sequence):
+    """Each policy's ownership rule, restated independently of Fleet."""
+    if policy == "shard":
+        return k <= 1 or (sequence // SHARD_BLOCK) % k == index
+    if policy == "leader":
+        return index == leader
+    return True  # none, channel
+
+
+def _expected_may_clear(policy, leader, index):
+    return policy != "leader" or index == leader
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+@pytest.mark.parametrize("k", (1, 2, 4))
+def test_owns_and_may_clear_truth_table(policy, k):
+    """``Fleet.owns`` / ``Fleet.may_clear`` over every member index,
+    every leader seat and sequences 0..40, for each policy and K."""
+    fleet = make_fleet(k, policy)
+    for leader in range(k):
+        fleet.leader_index = leader
+        for index in range(k):
+            member = fleet.members[index]
+            expected = _expected_may_clear(policy, leader, index)
+            assert fleet.may_clear(index) is expected
+            assert member.may_clear() is expected
+            for sequence in range(41):
+                expected = _expected_owns(policy, k, leader, index, sequence)
+                assert fleet.owns(index, sequence) is expected, (
+                    policy, k, leader, index, sequence
+                )
+                assert member.owns_sequence(sequence) is expected
 
 
 def test_shard_partition_is_exhaustive_and_disjoint():
@@ -84,8 +114,6 @@ def test_single_member_shard_owns_everything():
 
 
 def test_fleet_config_rejects_bad_values():
-    with pytest.raises(WorkloadError, match="count"):
-        FleetConfig(count=-1)
     with pytest.raises(WorkloadError, match="sideways"):
         FleetConfig(policy="sideways")
     with pytest.raises(WorkloadError, match="rpc_retry_attempts"):
@@ -93,8 +121,13 @@ def test_fleet_config_rejects_bad_values():
 
 
 def test_fleet_config_count_resolution():
-    assert FleetConfig().resolved(3).count == 3
-    assert FleetConfig(count=2).resolved(3).count == 2
+    """The fleet size is always ``num_relayers``: one fleet per edge, one
+    seat per relayer, every relayer seated."""
+    testbed = _Testbed(ExperimentConfig(num_relayers=3, seed=3))
+    (fleet,) = testbed.fleets
+    assert fleet.count == 3
+    assert [m.relayer for m in fleet.members] == testbed.relayers
+    assert [r.member for r in testbed.relayers] == fleet.members
 
 
 def test_fleet_config_wire_rejects_unknown_keys():
@@ -103,19 +136,11 @@ def test_fleet_config_wire_rejects_unknown_keys():
 
 
 def test_experiment_config_count_conflict_rejected():
-    with pytest.raises(WorkloadError, match="num_relayers"):
-        ExperimentConfig(num_relayers=2, relayer=FleetConfig(count=3))
-    # Agreeing spellings are fine.
-    ExperimentConfig(num_relayers=2, relayer=FleetConfig(count=2))
-    assert ExperimentConfig(relayer=FleetConfig(count=2)).fleet_count == 2
-
-
-def test_policies_require_a_shared_channel():
-    with pytest.raises(WorkloadError, match="ONE channel"):
-        ExperimentConfig(
-            num_relayers=2,
-            num_channels=2,
-            relayer=FleetConfig(policy="leader"),
+    """A second fleet-size spelling cannot conflict with num_relayers:
+    the relayer section has no count."""
+    with pytest.raises(SchemaError, match="count"):
+        ExperimentConfig.from_dict(
+            {"num_relayers": 2, "relayer": {"count": 3}}
         )
 
 
@@ -221,7 +246,7 @@ def test_leader_standby_never_runs_duplicate_clears():
 # -- determinism: same seed, same bytes, for every policy --------------------
 
 
-@pytest.mark.parametrize("policy", sorted(POLICIES))
+@pytest.mark.parametrize("policy", sorted(POLICY_NAMES))
 def test_fleet_runs_are_deterministic(policy):
     """Same seed twice => byte-identical report and journals at K=4."""
     def run():

@@ -10,6 +10,7 @@ from repro.ibc.channel import ChannelOrder
 from repro.ibc.msgs import (
     MsgAcknowledgement,
     MsgRecvPacket,
+    MsgTimeout,
     MsgTransfer,
     MsgUpdateClient,
 )
@@ -423,6 +424,72 @@ def test_ordered_channel_enforces_sequence_order():
     assert "expects sequence" in result.log
     pair.relay_recv([p1])
     pair.relay_recv([p2])
+
+
+def _sender_balance(pair):
+    return pair.a.bank.balance(pair.user.wallet.address, TRANSFER_DENOM)
+
+
+def _received_then_expired(pair, amount=10):
+    """A packet received on B (voucher minted), after which B passes the
+    packet's timeout height."""
+    packet = pair.transfer(amount=amount, timeout_blocks=3)
+    pair.relay_recv([packet])
+    voucher = pair.b.bank.balance(pair.receiver.address, pair.voucher_denom())
+    assert voucher == amount
+    for _ in range(4):
+        pair.b.make_block([])
+    return packet
+
+
+@pytest.mark.parametrize("proof_mode", PROOF_MODES)
+def test_ordered_timeout_forged_receive_claim_rejected(proof_mode):
+    """An unproven ``next_sequence_recv`` cannot time out a packet B has
+    received: the refund would create value B's voucher already holds."""
+    pair = fresh_pair(proof_mode=proof_mode, ordering=ChannelOrder.ORDERED)
+    before = _sender_balance(pair)
+    packet = _received_then_expired(pair)
+    update, _honest = pair.timeout_msgs([packet])
+    for claimed in (packet.sequence + 1, packet.sequence):
+        forged = MsgTimeout(
+            packet=packet,
+            proof_unreceived=None,
+            proof_height=update.header.height,
+            next_sequence_recv=claimed,
+        )
+        pair.exec_expect_fail(pair.a, pair.relayer_a, [update, forged])
+    assert _sender_balance(pair) == before - 10  # no refund
+    assert pair.a.ibc.has_commitment("transfer", pair.chan_a, packet.sequence)
+
+
+@pytest.mark.parametrize("proof_mode", PROOF_MODES)
+def test_ordered_timeout_of_unreceived_packet_refunds(proof_mode):
+    """A proven receive counter that has not reached the packet times it
+    out and unlocks the escrow (ICS-04 ordered timeout)."""
+    pair = fresh_pair(proof_mode=proof_mode, ordering=ChannelOrder.ORDERED)
+    before = _sender_balance(pair)
+    packet = pair.transfer(amount=10, timeout_blocks=1)
+    pair.b.make_block([])
+    pair.b.make_block([])
+    pair.exec_ok(pair.a, pair.relayer_a, pair.timeout_msgs([packet]))
+    assert _sender_balance(pair) == before
+    assert not pair.a.ibc.has_commitment("transfer", pair.chan_a, packet.sequence)
+
+
+@pytest.mark.parametrize("proof_mode", PROOF_MODES)
+def test_ordered_received_packet_cannot_time_out(proof_mode):
+    """B's proven counter has passed a received packet; understating the
+    counter does not match the proof."""
+    pair = fresh_pair(proof_mode=proof_mode, ordering=ChannelOrder.ORDERED)
+    packet = _received_then_expired(pair)
+    result = pair.exec_expect_fail(
+        pair.a, pair.relayer_a, pair.timeout_msgs([packet])
+    )
+    assert "was received" in result.log
+    update, honest = pair.timeout_msgs([packet])
+    understated = replace(honest, next_sequence_recv=packet.sequence)
+    pair.exec_expect_fail(pair.a, pair.relayer_a, [update, understated])
+    assert pair.a.ibc.has_commitment("transfer", pair.chan_a, packet.sequence)
 
 
 def test_unordered_channel_allows_any_order():

@@ -99,6 +99,7 @@ def make_worker(
     from repro.relayer.logging import RelayerLog
     from repro.relayer.worker import DirectionWorker, PathEnd
     from repro.sim import Environment
+    from tests.conftest import solo_seat
 
     env = Environment()
 
@@ -118,7 +119,7 @@ def make_worker(
         config=RelayerConfig(clear_interval=clear_interval),
         log=RelayerLog(env, "unit"),
         heights={},
-        member=member,
+        member=member or solo_seat(env),
     )
 
 

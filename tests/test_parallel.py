@@ -53,7 +53,7 @@ def test_results_ordered_by_point_index():
 def test_merged_document_reports_carry_schema_version():
     run = run_points(six_points()[:2], workers=1)
     for point in run.merged_document():
-        assert point["schema_version"] == 6
+        assert point["schema_version"] == 7
 
 
 # -- the result cache --------------------------------------------------------

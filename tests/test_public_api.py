@@ -48,7 +48,7 @@ def test_public_classes_have_docstrings():
         rl.ChainEndpoint,
         rl.Fleet,
         rl.FleetConfig,
-        rl.CoordinationPolicy,
+        rl.FleetMember,
         ibc.IbcModule,
         ibc.TransferApp,
         ibc.TendermintLightClient,

@@ -7,6 +7,7 @@ from repro.cosmos.app import TRANSFER_DENOM
 from repro.cosmos.accounts import Wallet
 from repro.cosmos.app import FEE_DENOM
 from repro.relayer import Relayer, RelayerConfig
+from tests.conftest import solo_seat
 
 
 def drive(harness, generator, limit=2000.0):
@@ -84,7 +85,7 @@ def test_all_thirteen_steps_logged(bootstrapped):
 
 
 def test_relayer_relays_reverse_direction(bootstrapped):
-    """Tokens can go B -> A over the same channel (worker_ba)."""
+    """Tokens can go B -> A over the same channel (the b->a worker)."""
     h = bootstrapped
     sender_b = Wallet.named("rev-sender")
     h.chain_b.app.genesis_account(
@@ -187,7 +188,7 @@ def test_two_relayers_race_produces_redundant_errors(harness):
     second = Relayer(
         h.env, "hermes-2", "m1",
         h.chain_a.node("m1"), h.chain_b.node("m1"),
-        wallet_a2, wallet_b2,
+        wallet_a2, wallet_b2, solo_seat(h.env),
     )
 
     def flow():

@@ -170,7 +170,7 @@ def fault_report() -> ExperimentReport:
 
 def test_report_schema_version_in_document(fault_report):
     document = fault_report.to_dict()
-    assert document["schema_version"] == ExperimentReport.SCHEMA_VERSION == 6
+    assert document["schema_version"] == ExperimentReport.SCHEMA_VERSION == 7
     # schema_version leads the dump so humans see it first.
     assert next(iter(document)) == "schema_version"
 
@@ -279,14 +279,15 @@ def test_untraced_report_serializes_null_trace(fault_report):
     assert ExperimentReport.from_dict(document).trace is None
 
 
-@pytest.mark.parametrize("version", [2, 3, 4, 5])
+@pytest.mark.parametrize("version", [2, 3, 4, 5, 6])
 def test_report_rejects_older_schema_versions(fault_report, version):
     """Only the current schema loads; documents from the pre-trace (2),
-    pre-topology (3), pre-fleet (4) and pre-workload-engine (5) eras are
-    refused with an error naming what this library reads."""
+    pre-topology (3), pre-fleet (4), pre-workload-engine (5) and
+    pre-channel-policy (6) eras are refused with an error naming what
+    this library reads."""
     document = fault_report.to_dict()
     document["schema_version"] = version
-    with pytest.raises(SchemaError, match="reads version 6"):
+    with pytest.raises(SchemaError, match="reads version 7"):
         ExperimentReport.from_dict(document)
 
 
@@ -300,7 +301,6 @@ def test_nested_relayer_section_round_trips():
     )
     wire = config.to_dict()
     assert wire["relayer"] == {
-        "count": None,
         "policy": "leader",
         "rpc_retry_attempts": 2,
         "resubscribe_on_disconnect": True,
@@ -326,6 +326,32 @@ def test_mixing_flat_and_nested_relayer_keys_rejected():
                 "relayer": {"policy": "shard"},
             }
         )
+
+
+@pytest.mark.parametrize(
+    "document, key",
+    [
+        ({"num_relayers": 2, "num_channels": 2}, "num_channels"),
+        ({"proof_mode": "stub"}, "proof_mode"),
+        ({"AUTO_STUB_THRESHOLD": 0}, "AUTO_STUB_THRESHOLD"),
+        ({"num_relayers": 2, "relayer": {"count": 2}}, "count"),
+    ],
+    ids=["num_channels", "proof_mode", "AUTO_STUB_THRESHOLD", "relayer.count"],
+)
+def test_removed_config_knobs_rejected(document, key):
+    """Knobs the config no longer has are unknown keys: the fleet size is
+    ``num_relayers``, per-relayer channels are the ``channel`` policy and
+    the proof mode follows from the input size alone."""
+    with pytest.raises(SchemaError, match=key):
+        ExperimentConfig.from_dict(document)
+
+
+def test_config_surface_size():
+    wire = ExperimentConfig().to_dict()
+    assert len(wire) == 26
+    assert list(wire["relayer"]) == [
+        "policy", "rpc_retry_attempts", "resubscribe_on_disconnect"
+    ]
 
 
 def test_relayer_section_rejects_unknown_keys():
@@ -561,7 +587,12 @@ def _load_mutated(loader, path, junk):
 #: the path their SchemaError must name.
 BAD_DOCUMENTS = [
     ("config", (), {"input_rate": "fast"}, "config.input_rate"),
-    ("config", (), {"relayer": {"count": "2"}}, "config.relayer.count"),
+    (
+        "config",
+        (),
+        {"relayer": {"rpc_retry_attempts": "2"}},
+        "config.relayer.rpc_retry_attempts",
+    ),
     ("config", (), {"workload": {"payload_mix": 5}}, "config.workload.payload_mix"),
     (
         "config",

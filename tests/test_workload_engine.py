@@ -349,12 +349,12 @@ def test_workload_rejects_custom_topology():
 
 
 def test_workload_rejects_multiple_channels():
-    from repro.framework import ExperimentConfig
+    from repro.framework import ExperimentConfig, FleetConfig
 
     with pytest.raises(WorkloadError, match="single channel"):
         ExperimentConfig(
-            num_channels=2,
             num_relayers=2,
+            relayer=FleetConfig(policy="channel"),
             workload=WorkloadSpec(population=10),
         )
 
