@@ -80,16 +80,23 @@ class DenomRegistry:
 
     def __init__(self) -> None:
         self._traces: dict[str, DenomTrace] = {}
+        # Each trace's voucher denom, so a trace is hashed once per chain
+        # rather than once per receive.
+        self._denoms: dict[DenomTrace, str] = {}
         # Native denoms resolve to one shared trace each, not a fresh
         # DenomTrace per send.
         self._native: dict[str, DenomTrace] = {}
 
     def register(self, trace: DenomTrace) -> str:
+        denom = self._denoms.get(trace)
+        if denom is not None:
+            return denom
         denom = trace.ibc_denom()
         existing = self._traces.get(denom)
         if existing is not None and existing != trace:
             raise ValueError(f"hash collision for denom {denom}")
         self._traces[denom] = trace
+        self._denoms[trace] = denom
         return denom
 
     def resolve(self, denom: str) -> DenomTrace:

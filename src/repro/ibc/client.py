@@ -67,6 +67,10 @@ class ClientState:
     frozen: bool = False
 
 
+#: Roots whose fold memos a light client keeps (see ``fold_memo``).
+FOLD_MEMO_ROOTS = 2
+
+
 class TendermintLightClient:
     """A light client instance living inside one chain's IBC module."""
 
@@ -83,6 +87,8 @@ class TendermintLightClient:
         self.validator_set = validator_set
         self.consensus_states: dict[int, ConsensusState] = {}
         self._latest_time: Optional[float] = None
+        # root -> fold memo, oldest first; see ``fold_memo``.
+        self._fold_memos: dict[bytes, dict[bytes, tuple]] = {}
 
     @property
     def client_id(self) -> str:
@@ -184,6 +190,22 @@ class TendermintLightClient:
 
     def root_at(self, height: int) -> bytes:
         return self.consensus_state(height).root
+
+    def fold_memo(self, root: bytes) -> dict[bytes, tuple]:
+        """The membership-fold memo of ``root``
+        (:meth:`~repro.tendermint.merkle.MembershipProof.folds_to`).
+
+        A batch of packets is proven against one header, so consecutive
+        proofs share their upper paths.  Only the ``FOLD_MEMO_ROOTS`` most
+        recently opened roots keep a memo.
+        """
+        memos = self._fold_memos
+        memo = memos.get(root)
+        if memo is None:
+            if len(memos) >= FOLD_MEMO_ROOTS:
+                del memos[next(iter(memos))]
+            memo = memos[root] = {}
+        return memo
 
 
 def make_signed_header(

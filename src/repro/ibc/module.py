@@ -902,7 +902,7 @@ class IbcModule(Journaled):
     ) -> None:
         client = self._client(client_id)
         root = client.root_at(proof_height)
-        verify_membership(root, key, value, proof)
+        verify_membership(root, key, value, proof, client.fold_memo(root))
 
     def _verify_counterparty_absence(
         self,

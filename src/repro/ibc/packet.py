@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Optional
 
 from repro.tendermint.crypto import sha256
 
@@ -56,20 +57,46 @@ class Packet:
     data: bytes
     timeout_height: Height
     timeout_timestamp: float  # 0.0 disables the timestamp timeout
+    #: ``(data, timeout_height, timeout_timestamp, commitment)`` of the
+    #: last ``commitment()`` call; not part of the packet's value.  One
+    #: slot rather than four, because the frozen constructor sets every
+    #: slot of every packet, sent or not.
+    _commitment: Optional[tuple] = field(
+        default=None, init=False, compare=False, repr=False,
+        metadata={"wire": None},
+    )
 
     def commitment(self) -> bytes:
         """The commitment stored on the sending chain (ICS-04).
 
         Commits to the timeout and the data hash — not the full packet —
         exactly as ibc-go does, so the packet itself travels off-chain.
-        Each handler derives it once per packet, so it is not memoised:
-        a memo keyed by the packet would hash all eight fields to save
-        two SHA-256 calls, and keep every packet of a run alive.
+        One packet object carries it from ``send_packet`` through
+        ``recv_packet`` to ``acknowledge_packet``, so it is computed once
+        and kept on the object.  The kept value is reused only while the
+        three committed fields are the very objects it was computed from:
+        ``dataclasses.replace`` starts a copy without it, and a
+        ``copy.copy`` whose fields are then rewritten with
+        ``object.__setattr__`` recomputes instead of inheriting it.
         """
-        return sha256(
+        memo = self._commitment
+        if (
+            memo is not None
+            and memo[0] is self.data
+            and memo[1] is self.timeout_height
+            and memo[2] is self.timeout_timestamp
+        ):
+            return memo[3]
+        commitment = sha256(
             f"{self.timeout_timestamp}/{self.timeout_height}".encode()
             + sha256(self.data)
         )
+        object.__setattr__(
+            self,
+            "_commitment",
+            (self.data, self.timeout_height, self.timeout_timestamp, commitment),
+        )
+        return commitment
 
     def timed_out(self, height: "Height", timestamp: float) -> bool:
         """Would this packet be rejected at the given destination state?"""

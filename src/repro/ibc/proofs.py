@@ -7,15 +7,19 @@ Two proof modes are supported:
   by hash against the app hash stored in the verifying chain's light
   client.  This is the default and what all protocol tests use.
 * ``stub`` — structural stand-ins that skip hashing, for the largest
-  sweeps.  A proof itself is cheap (about 3 us to generate and 10 us to
-  verify at 10 k keys, most of it the ~15 SHA-256 calls); what real mode
-  still costs is rebuilding the positional tree of every dirty store each
-  block.  Measured as ``run_experiment`` wall time, median of 5, on a
-  2-core x86-64 host with CPython 3.11.7: the ``relay_steady`` benchmark
-  workload (140 tx/s, a store that grows to ~20 k keys, every dirty commit
-  structural) takes 0.72 s with stubs and 1.26 s with real proofs
-  (+74 %); the send-only ``chain_saturated`` takes 0.93 s and 1.06 s
-  (+14 %).  No *simulated* quantity is affected.
+  sweeps.  A proof itself is cheap.  At 10 k keys it takes about 3.5 us
+  to generate and 11.5 us to verify by the plain fold (~15 SHA-256
+  calls).  Against a warm light-client fold memo, as when a batch is
+  checked against one header, verifying takes 5.3 us: the leaf and the
+  four bottom levels are hashed, the rest is looked up.  What real mode
+  still costs is rebuilding the positional tree of every dirty store
+  each block.  Measured as ``run_experiment`` CPU time, median of 3, on
+  a 2-core x86-64 host with CPython 3.11.7 shared with other work: the
+  ``relay_steady`` benchmark workload (140 tx/s, a store that grows to
+  ~20 k keys, every dirty commit structural) takes 0.83 s with stubs and
+  1.52 s with real proofs (+83 %); the send-only ``chain_saturated``
+  takes 1.08 s and 1.31-1.46 s (+21-35 %).  No *simulated* quantity is
+  affected.
   Stub proofs still carry the claimed key/value and the state generation
   they were produced at, so gross protocol errors (proving against the
   wrong chain or path) are caught.
@@ -59,9 +63,17 @@ AbsenceProof = Union[NonMembershipProof, StubNonMembershipProof]
 
 
 def verify_membership(
-    root: bytes, key: bytes, value: bytes, proof: Optional[CommitmentProof]
+    root: bytes,
+    key: bytes,
+    value: bytes,
+    proof: Optional[CommitmentProof],
+    memo: Optional[dict[bytes, tuple]] = None,
 ) -> None:
-    """Verify ``key -> value`` against ``root``; raises on failure."""
+    """Verify ``key -> value`` against ``root``; raises on failure.
+
+    ``memo`` is the verifying light client's fold memo of ``root``
+    (:meth:`~repro.ibc.client.TendermintLightClient.fold_memo`).
+    """
     if proof is None:
         raise ProofVerificationError(f"missing membership proof for {key!r}")
     if isinstance(proof, StubMembershipProof):
@@ -76,7 +88,7 @@ def verify_membership(
         raise ProofVerificationError(
             f"proof is for key {proof.key!r}, expected {key!r}"
         )
-    if not merkle.verify_membership(root, proof, value):
+    if not merkle.verify_membership(root, proof, value, memo):
         raise ProofVerificationError(f"membership proof failed for {key!r}")
 
 

@@ -545,6 +545,7 @@ class DirectionWorker:
                 packet=packet,
                 proof_unreceived=response["proof"],
                 proof_height=header.height,
+                next_sequence_recv=response["next_sequence_recv"],
                 signer=signer,
             )
             by_header.setdefault(header.height, (header, []))[1].append(msg)

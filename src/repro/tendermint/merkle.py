@@ -63,6 +63,12 @@ def simple_hash_from_byte_slices(items: Sequence[bytes]) -> bytes:
     return _tree_levels([_leaf_hash(item) for item in items])[-1][0]
 
 
+#: Fold states are memoised only from this tree level up.  A level-``l``
+#: node covers ``2**l`` leaves, so the levels below are where proofs share
+#: least and where most of a memo's entries would be.
+FOLD_MEMO_MIN_LEVEL = 4
+
+
 def _aunt_sides(index: int, total: int) -> Optional[str]:
     """Leaf-upward side of leaf ``index`` of ``total`` at each level where it
     has a sibling: ``L`` it is the left child (aunt on the right), ``R`` the
@@ -109,6 +115,54 @@ class MembershipProof:
             else:
                 node = sha(_INNER_PREFIX + node + aunt).digest()
         return node
+
+    def folds_to(self, root: bytes, memo: dict[bytes, tuple]) -> bool:
+        """``compute_root() == root``, stopping early at a known fold state.
+
+        ``memo`` maps each node that an accepted fold passed at level
+        ``FOLD_MEMO_MIN_LEVEL`` or above to that fold's state there: the
+        node's position ``index`` on its level, the level's ``last`` index,
+        the aunts still to fold, and the root they folded to.  The rest of
+        a fold is a function of exactly the first three, so a proof that
+        reaches a recorded state with the same ``root`` would fold on to
+        ``root``, and is accepted without the remaining hashes.  Any other
+        proof folds in full, so the answer is always the plain fold's; an
+        accepted fold records its new upper states.
+        """
+        index = self.index
+        last = self.total - 1
+        if not 0 <= index <= last:
+            return False
+        aunts = self.aunts
+        sha = _hashlib_sha256
+        node = sha(_LEAF_PREFIX + self.key + b"=" + self.value_hash).digest()
+        used = 0
+        level = 0
+        fresh = []
+        try:
+            while last:
+                if index & 1:
+                    node = sha(_INNER_PREFIX + aunts[used] + node).digest()
+                    used += 1
+                elif index < last:
+                    node = sha(_INNER_PREFIX + node + aunts[used]).digest()
+                    used += 1
+                index >>= 1
+                last >>= 1
+                level += 1
+                if level >= FOLD_MEMO_MIN_LEVEL:
+                    state = (index, last, aunts[used:], root)
+                    if memo.get(node) == state:
+                        break
+                    fresh.append((node, state))
+            else:
+                if used != len(aunts) or node != root:
+                    return False
+        except IndexError:  # fewer aunts than the position implies
+            return False
+        for node, state in fresh:
+            memo[node] = state
+        return True
 
 
 @dataclass(frozen=True, slots=True)
@@ -302,11 +356,22 @@ class ProvableStore:
         )
 
 
-def verify_membership(root: bytes, proof: MembershipProof, value: bytes) -> bool:
-    """Check a membership proof against a root and an expected value."""
+def verify_membership(
+    root: bytes,
+    proof: MembershipProof,
+    value: bytes,
+    memo: Optional[dict[bytes, tuple]] = None,
+) -> bool:
+    """Check a membership proof against a root and an expected value.
+
+    ``memo`` is a fold memo of ``root`` (see :meth:`MembershipProof.folds_to`);
+    it changes how many hashes the check costs, never its answer.
+    """
     if proof.value_hash != sha256(value):
         return False
-    return proof.compute_root() == root
+    if memo is None:
+        return proof.compute_root() == root
+    return proof.folds_to(root, memo)
 
 
 def verify_non_membership(root: bytes, proof: NonMembershipProof) -> bool:

@@ -18,6 +18,7 @@ from typing import Any, Optional
 from repro import calibration as cal
 from repro.cosmos.app import GaiaApp
 from repro.errors import RpcError, SimulationError
+from repro.ibc.channel import ChannelOrder
 from repro.ibc.module import CounterpartyChainInfo
 from repro.sim.core import SHUTDOWN, Environment
 from repro.sim.network import Network
@@ -453,12 +454,24 @@ class ChainNode:
         service = self.chain.cal.rpc_base_seconds + 0.002
 
         def result():
+            # Unordered channels answer from the packet's receipt; ordered
+            # channels write none, so their receive counter answers: the
+            # packet is received iff the counter has passed its sequence.
             ibc = self.chain.app.ibc
-            if ibc.has_receipt(port, channel, sequence):
-                return {"received": True, "proof": None, "signed_header": None}
+            if ibc.channels[(port, channel)].ordering == ChannelOrder.ORDERED:
+                next_recv = ibc.next_sequence_recv[(port, channel)]
+                if next_recv > sequence:
+                    return {"received": True, "proof": None, "signed_header": None}
+                proof = ibc.prove_next_sequence_recv(port, channel)
+            else:
+                if ibc.has_receipt(port, channel, sequence):
+                    return {"received": True, "proof": None, "signed_header": None}
+                next_recv = 0
+                proof = ibc.prove_unreceived(port, channel, sequence)
             return {
                 "received": False,
-                "proof": ibc.prove_unreceived(port, channel, sequence),
+                "proof": proof,
+                "next_sequence_recv": next_recv,
                 "signed_header": self.chain.engine.latest_signed_header,
             }
 

@@ -139,3 +139,14 @@ def test_missing_consensus_state_raises(client, valset):
 def test_timestamp_exposed(client, valset):
     client.update(header(valset, time=42.5), now=50.0)
     assert abs(client.consensus_state(1).timestamp - 42.5) < 1e-9
+
+
+def test_fold_memos_are_kept_for_the_two_latest_roots(client):
+    first = client.fold_memo(b"root-1")
+    assert client.fold_memo(b"root-1") is first
+    second = client.fold_memo(b"root-2")
+    third = client.fold_memo(b"root-3")
+    assert len({id(first), id(second), id(third)}) == 3
+    assert client.fold_memo(b"root-2") is second
+    assert client.fold_memo(b"root-3") is third
+    assert client.fold_memo(b"root-1") is not first  # the oldest was dropped

@@ -1,11 +1,13 @@
 """IBC packet life-cycle tests over a direct two-chain pair (Fig. 2 / Fig. 3)."""
 
+import copy
+import pickle
 from dataclasses import replace
 
 import pytest
 
 from repro.cosmos.app import TRANSFER_DENOM
-from repro.errors import PacketTimeoutError
+from repro.errors import PacketTimeoutError, from_wire, to_wire
 from repro.ibc.channel import ChannelOrder
 from repro.ibc.msgs import (
     MsgAcknowledgement,
@@ -14,7 +16,7 @@ from repro.ibc.msgs import (
     MsgTransfer,
     MsgUpdateClient,
 )
-from repro.ibc.packet import Height
+from repro.ibc.packet import Height, Packet
 from repro.ibc.transfer import escrow_address
 
 from tests.ibc_harness import BLOCK_INTERVAL, IbcPair
@@ -325,6 +327,110 @@ def test_tampered_packet_rejected_by_acknowledge(proof_mode, field):
     for sent in (packet, sibling):
         assert pair.a.ibc.has_commitment("transfer", pair.chan_a, sent.sequence)
     pair.relay_ack([packet])  # the genuine packet still settles
+
+
+# -- the commitment kept on a packet never vouches for a forged copy ----------------
+#
+# ``Packet.commitment()`` is computed once per packet object and kept on it.
+# ``copy.copy`` carries the kept value over, and ``object.__setattr__`` can
+# then rewrite a frozen field under it: the copy must still be judged by its
+# own fields, on every leg and in both proof modes.
+
+FORGED_FIELDS = ("data", "sequence", "timeout_height", "timeout_timestamp")
+
+
+def _forged_copy(packet, field):
+    packet.commitment()
+    forged = copy.copy(packet)
+    assert forged._commitment is packet._commitment  # the inherited value
+    if field == "data":
+        value = packet.data.replace(b'"amount": "1"', b'"amount": "9999"')
+    elif field == "sequence":
+        value = packet.sequence + 1
+    elif field == "timeout_height":
+        value = packet.timeout_height.add(50)
+    else:
+        value = packet.timeout_timestamp + 10**6
+    object.__setattr__(forged, field, value)
+    assert getattr(forged, field) != getattr(packet, field)
+    return forged
+
+
+@pytest.mark.parametrize("field", FORGED_FIELDS)
+@pytest.mark.parametrize("proof_mode", PROOF_MODES)
+def test_forged_copy_rejected_by_recv(proof_mode, field):
+    pair = fresh_pair(proof_mode=proof_mode)
+    packet = pair.transfer(amount=1)
+    pair.transfer(amount=1)  # so a forged sequence names a live commitment
+    forged = _forged_copy(packet, field)
+    update, recv = pair.recv_msgs([packet])
+    result = pair.exec_expect_fail(
+        pair.b, pair.relayer_b, [update, replace(recv, packet=forged)]
+    )
+    assert "proof" in result.log.lower()
+    for sequence in (packet.sequence, forged.sequence):
+        assert not pair.b.ibc.has_receipt("transfer", pair.chan_b, sequence)
+    pair.relay_recv([packet])  # the genuine packet still goes through
+
+
+@pytest.mark.parametrize("field", FORGED_FIELDS)
+@pytest.mark.parametrize("proof_mode", PROOF_MODES)
+def test_forged_copy_rejected_by_acknowledge(proof_mode, field):
+    pair = fresh_pair(proof_mode=proof_mode)
+    packet = pair.transfer(amount=1)
+    sibling = pair.transfer(amount=1)
+    pair.relay_recv([packet, sibling])
+    forged = _forged_copy(packet, field)
+    update, ack = pair.ack_msgs([packet])
+    pair.exec_expect_fail(pair.a, pair.relayer_a, [update, replace(ack, packet=forged)])
+    for sent in (packet, sibling):
+        assert pair.a.ibc.has_commitment("transfer", pair.chan_a, sent.sequence)
+    pair.relay_ack([packet])  # the genuine packet still settles
+
+
+@pytest.mark.parametrize("field", FORGED_FIELDS)
+@pytest.mark.parametrize("proof_mode", PROOF_MODES)
+def test_forged_copy_rejected_by_timeout(proof_mode, field):
+    pair = fresh_pair(proof_mode=proof_mode)
+    before = _sender_balance(pair)
+    packet = pair.transfer(amount=1, timeout_blocks=1)
+    sibling = pair.transfer(amount=1, timeout_blocks=1)
+    pair.b.make_block([])
+    pair.b.make_block([])
+    forged = _forged_copy(packet, field)
+    update, timeout = pair.timeout_msgs([packet])
+    pair.exec_expect_fail(
+        pair.a, pair.relayer_a, [update, replace(timeout, packet=forged)]
+    )
+    assert _sender_balance(pair) == before - 2  # nothing refunded
+    for sent in (packet, sibling):
+        assert pair.a.ibc.has_commitment("transfer", pair.chan_a, sent.sequence)
+    pair.exec_ok(pair.a, pair.relayer_a, pair.timeout_msgs([packet]))
+    assert _sender_balance(pair) == before - 1
+
+
+def test_kept_commitment_is_not_part_of_the_packet():
+    packet = Packet(
+        sequence=7,
+        source_port="transfer",
+        source_channel="channel-0",
+        destination_port="transfer",
+        destination_channel="channel-1",
+        data=b'{"amount": "1"}',
+        timeout_height=Height(0, 40),
+        timeout_timestamp=0.0,
+    )
+    fresh = replace(packet)
+    commitment = packet.commitment()
+    assert packet._commitment is not None and fresh._commitment is None
+    assert packet == fresh and hash(packet) == hash(fresh)
+    assert repr(packet) == repr(fresh) and "commitment" not in repr(packet)
+    wire = to_wire(packet)
+    assert wire == to_wire(fresh) and "_commitment" not in wire
+    assert from_wire(Packet, wire, "packet") == packet
+    assert replace(packet, data=b"other").commitment() != commitment
+    assert fresh.commitment() == commitment
+    assert pickle.loads(pickle.dumps(packet)).commitment() == commitment
 
 
 # -- timeouts (Fig. 3) -------------------------------------------------------------

@@ -272,6 +272,30 @@ def _rejected(root: bytes, key: bytes, value: bytes, proof) -> bool:
     return not verify_membership(root, proof, value)
 
 
+def _single_mutations(proof, n):
+    """Every single-field mutation of an honest proof over ``n`` leaves, as
+    ``(mutant, accepted)``: only a ``total`` implying the same path stays
+    true.  ``total`` is bound only through the path it implies: a claim that
+    changes the side sequence or the aunt count must fail, one that changes
+    neither is the same statement about the same root."""
+    sides = _reference_sides(proof.index, n)
+    aunts = proof.aunts
+    mutants = [(replace(proof, index=i), False) for i in range(-2, n + 3) if i != proof.index]
+    for total in range(-2, 2 * n + 4):
+        same_path = proof.index < total and _reference_sides(proof.index, total) == sides
+        mutants.append((replace(proof, total=total), same_path))
+    for i, aunt in enumerate(aunts):
+        mutants.append((replace(proof, aunts=aunts[:i] + (_flip(aunt),) + aunts[i + 1 :]), False))
+        mutants.append((replace(proof, aunts=aunts[:i] + aunts[i + 1 :]), False))
+        if i and aunts[i - 1] != aunt:
+            swapped = aunts[: i - 1] + (aunt, aunts[i - 1]) + aunts[i + 1 :]
+            mutants.append((replace(proof, aunts=swapped), False))
+    mutants.append((replace(proof, aunts=aunts + (sha256(b"extra"),)), False))
+    mutants.append((replace(proof, aunts=(sha256(b"extra"),) + aunts), False))
+    mutants.append((replace(proof, value_hash=_flip(proof.value_hash)), False))
+    return mutants
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 16, 21, 33])
 def test_any_single_mutation_of_a_proof_is_rejected(n):
     entries = _numbered(n)
@@ -279,33 +303,87 @@ def test_any_single_mutation_of_a_proof_is_rejected(n):
     root = store.root
     for key, value in entries.items():
         proof = store.prove(key)
-        sides = _reference_sides(proof.index, n)
-        aunts = proof.aunts
-        mutants = [replace(proof, index=i) for i in range(-2, n + 3) if i != proof.index]
-        # ``total`` is bound only through the path it implies: a claim that
-        # changes the side sequence or the aunt count must fail, one that
-        # changes neither is the same statement about the same root.
-        for total in range(-2, 2 * n + 4):
-            claim = replace(proof, total=total)
-            if proof.index < total and _reference_sides(proof.index, total) == sides:
-                assert verify_membership(root, claim, value)
+        for mutant, accepted in _single_mutations(proof, n):
+            if accepted:
+                assert verify_membership(root, mutant, value)
             else:
-                mutants.append(claim)
-        for i, aunt in enumerate(aunts):
-            mutants.append(replace(proof, aunts=aunts[:i] + (_flip(aunt),) + aunts[i + 1 :]))
-            mutants.append(replace(proof, aunts=aunts[:i] + aunts[i + 1 :]))
-            if i and aunts[i - 1] != aunt:
-                swapped = aunts[: i - 1] + (aunt, aunts[i - 1]) + aunts[i + 1 :]
-                mutants.append(replace(proof, aunts=swapped))
-        mutants.append(replace(proof, aunts=aunts + (sha256(b"extra"),)))
-        mutants.append(replace(proof, aunts=(sha256(b"extra"),) + aunts))
-        mutants.append(replace(proof, value_hash=_flip(proof.value_hash)))
-        for mutant in mutants:
-            assert _rejected(root, key, value, mutant), mutant
+                assert _rejected(root, key, value, mutant), mutant
         assert not verify_membership(root, replace(proof, key=key + b"x"), value)
         with pytest.raises(ProofVerificationError):
             ibc_proofs.verify_membership(root, key, value, replace(proof, key=key + b"x"))
         assert not verify_membership(root, proof, value + b"x")
+
+
+# -- the fold memo is exact: a warm memo answers as the plain fold does ---------
+
+
+def _warm_memo(store, entries) -> dict:
+    """A fold memo of ``store.root`` after every honest proof verified."""
+    memo: dict = {}
+    for key, value in entries.items():
+        assert verify_membership(store.root, store.prove(key), value, memo)
+    return memo
+
+
+@pytest.mark.parametrize("n", [16, 17, 21, 33, 64, 100])
+def test_warm_memo_rejects_every_single_mutation(n):
+    entries = _numbered(n)
+    store = make_store(entries)
+    root = store.root
+    memo = _warm_memo(store, entries)
+    # Every node from level FOLD_MEMO_MIN_LEVEL up is recorded, and nothing
+    # below it: the memo holds exactly the upper part of the tree.
+    upper_levels = merkle._tree_levels(
+        [_store_leaf(k, v) for k, v in sorted(entries.items())]
+    )[merkle.FOLD_MEMO_MIN_LEVEL :]
+    assert set(memo) == {node for level in upper_levels for node in level}
+    for key, value in entries.items():
+        proof = store.prove(key)
+        for mutant, accepted in _single_mutations(proof, n):
+            # The plain fold's answer, before and after asking the memo.
+            assert verify_membership(root, mutant, value) is accepted
+            assert verify_membership(root, mutant, value, memo) is accepted, mutant
+            if not accepted:
+                with pytest.raises(ProofVerificationError):
+                    ibc_proofs.verify_membership(root, key, value, mutant, memo)
+        assert not verify_membership(root, proof, value + b"x", memo)
+        assert not verify_membership(root, replace(proof, key=key + b"x"), value, memo)
+
+
+def test_warm_memo_rejects_grafts_onto_recorded_upper_paths():
+    """A forged leaf under an honest upper path: the proof ends in aunts
+    (and the position) of a recorded fold state, but its bottom levels
+    fold a different node, so it never reaches that state."""
+    entries = _numbered(64)
+    store = make_store(entries)
+    root = store.root
+    memo = _warm_memo(store, entries)
+    honest = store.prove(b"k005")
+    forged_leaf = replace(honest, key=b"k005x")
+    for low in range(len(honest.aunts) + 1):
+        for fake in (sha256(b"fake"), honest.aunts[0]):
+            grafted = replace(
+                forged_leaf, aunts=(fake,) * low + honest.aunts[low:]
+            )
+            assert not verify_membership(root, grafted, b"v5", memo)
+    # A different tree's memo must not vouch for this root either: memos
+    # are per root, and a proof of the other tree fails against this one.
+    other = make_store({**entries, b"k064": b"v64"})
+    other_memo = _warm_memo(other, {**entries, b"k064": b"v64"})
+    assert not verify_membership(root, other.prove(b"k005"), b"v5", other_memo)
+    assert not verify_membership(root, other.prove(b"k005"), b"v5", memo)
+
+
+def test_absence_proofs_keep_the_full_fold(monkeypatch):
+    entries = _numbered(64)
+    store = make_store(entries)
+    memo = _warm_memo(store, entries)
+    assert memo  # warm, yet absence proofs never consult it
+    counter = _HashCounter(monkeypatch)
+    proof = store.prove_absence(b"k010x")
+    assert verify_non_membership(store.root, proof)
+    inner, leaf, _value = counter.take()
+    assert (inner, leaf) == (len(proof.left.aunts) + len(proof.right.aunts), 2)
 
 
 def test_same_sides_but_other_aunt_count_is_rejected():
@@ -453,6 +531,60 @@ def test_commit_hash_counts(monkeypatch, n):
     store.prove_absence(b"k")
     store.prove_absence(b"zzz")
     assert counter.take() == (0, 0, 0)
+
+
+def _reference_memo_inner_hashes(total: int, order) -> int:
+    """Inner hashes of verifying leaves ``order`` one after another with one
+    fold memo: each fold stops at the first node at or above
+    ``FOLD_MEMO_MIN_LEVEL`` that an earlier fold reached."""
+    seen = set()
+    hashes = 0
+    for index in order:
+        last, level = total - 1, 0
+        while last:
+            hashes += bool(index & 1 or index < last)
+            index, last, level = index >> 1, last >> 1, level + 1
+            if level >= merkle.FOLD_MEMO_MIN_LEVEL:
+                if (level, index) in seen:
+                    break
+                seen.add((level, index))
+    return hashes
+
+
+@pytest.mark.parametrize(
+    ("n", "step", "plain", "memoised"),
+    [
+        (1024, 1, 10240, 4222),
+        (1000, 3, 3334, 1457),
+        # The shape of the 5000-transfer burst: about every other leaf of
+        # the two stores its 10 006 proofs are checked against.
+        (5107, 2, 32185, 10849),
+        (10013, 2, 68229, 21276),
+    ],
+)
+def test_batch_verification_hash_counts(monkeypatch, n, step, plain, memoised):
+    entries = _numbered(n) if n <= 1000 else {b"k%05d" % i: b"v%d" % i for i in range(n)}
+    store = make_store(entries)
+    keys = sorted(entries)[::step]
+    proofs = [(store.prove(key), entries[key]) for key in keys]
+    counter = _HashCounter(monkeypatch)
+    for proof, value in proofs:
+        assert verify_membership(store.root, proof, value)
+    assert counter.take() == (plain, len(keys), len(keys))
+    memo: dict = {}
+    for proof, value in proofs:
+        assert verify_membership(store.root, proof, value, memo)
+    assert counter.take() == (memoised, len(keys), len(keys))
+    order = [store._key_index[key] for key in keys]
+    assert memoised == _reference_memo_inner_hashes(n, order)
+    assert plain == sum(len(_reference_sides(i, n)) for i in order)
+    # The batch re-verified against the warm memo: every fold stops at its
+    # first upper level, so only the leaf and the bottom levels are hashed.
+    for proof, value in proofs:
+        assert verify_membership(store.root, proof, value, memo)
+    rehashed = counter.take()[0]
+    assert rehashed == _reference_memo_inner_hashes(n, order + order) - memoised
+    assert rehashed <= merkle.FOLD_MEMO_MIN_LEVEL * len(keys)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 50])

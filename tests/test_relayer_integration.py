@@ -6,6 +6,7 @@ from repro import calibration as cal
 from repro.cosmos.app import TRANSFER_DENOM
 from repro.cosmos.accounts import Wallet
 from repro.cosmos.app import FEE_DENOM
+from repro.ibc.channel import ChannelOrder
 from repro.relayer import Relayer, RelayerConfig
 from tests.conftest import solo_seat
 
@@ -147,6 +148,75 @@ def test_expired_packets_are_timed_out_by_relayer(harness):
 
     h.run_process(flow(), limit=3000.0)
     assert h.relayer.log.count("timeout_build") >= 1
+
+
+def test_ordered_expired_packets_are_timed_out_by_relayer(harness):
+    """On an ORDERED channel the relayer proves non-receipt with the
+    destination's receive counter, and the expired packets are refunded."""
+    h = harness
+
+    def flow():
+        path = yield from h.relayer.establish_path(ordering=ChannelOrder.ORDERED)
+        h.path = path
+        cli = h.cli()
+        before = h.chain_a.app.bank.balance(h.user.address, TRANSFER_DENOM)
+        submission = yield from cli.ft_transfer(count=2, amount=5, timeout_blocks=2)
+        assert (yield from cli.wait_confirmation(submission))
+        yield h.env.timeout(30.0)
+        h.relayer.config.clear_interval = 2
+        h.relayer.start()
+        deadline = h.env.now + 300.0
+        while h.chain_a.app.ibc.pending_commitments("transfer", path.a.channel_id):
+            assert h.env.now < deadline, "packets never settled"
+            yield h.env.timeout(2.0)
+        after = h.chain_a.app.bank.balance(h.user.address, TRANSFER_DENOM)
+        assert after == before  # refunded
+        return path
+
+    path = h.run_process(flow(), limit=3000.0)
+    assert h.relayer.log.count("timeout_build") >= 1
+    assert h.relayer.log.count("query_failed") == 0
+    # Nothing reached B: its counter still expects the first sequence.
+    assert h.chain_b.app.ibc.next_sequence_recv[("transfer", path.b.channel_id)] == 1
+    assert not any(
+        d.startswith("ibc/") for d in h.chain_b.app.bank.balances(h.receiver.address)
+    )
+
+
+def test_ordered_received_packet_is_never_timed_out_by_relayer(harness):
+    """A packet B's receive counter has passed is received, so the relayer's
+    timeout stage leaves it alone even once its timeout height is behind B."""
+    h = harness
+
+    def flow():
+        path = yield from h.relayer.establish_path(ordering=ChannelOrder.ORDERED)
+        h.path = path
+        h.relayer.start()
+        cli = h.cli()
+        before = h.chain_a.app.bank.balance(h.user.address, TRANSFER_DENOM)
+        submission = yield from cli.ft_transfer(count=1, amount=5, timeout_blocks=20)
+        assert (yield from cli.wait_confirmation(submission))
+        packet = h.chain_a.app.ibc.sent_packet("transfer", path.a.channel_id, 1)
+        while h.chain_a.app.ibc.pending_commitments("transfer", path.a.channel_id):
+            yield h.env.timeout(2.0)
+        while h.chain_b.height <= packet.timeout_height.revision_height:
+            yield h.env.timeout(2.0)
+        answer = yield from h.relayer.workers[0].dst.query(
+            "prove_unreceived",
+            port="transfer",
+            channel=path.b.channel_id,
+            sequence=packet.sequence,
+        )
+        assert answer["received"]
+        yield from h.relayer.workers[0]._relay_timeouts([packet])
+        yield h.env.timeout(30.0)
+        after = h.chain_a.app.bank.balance(h.user.address, TRANSFER_DENOM)
+        assert after == before - 5  # delivered, never refunded
+
+    h.run_process(flow(), limit=3000.0)
+    assert h.relayer.log.count("timeout_build") == 0
+    voucher_balances = h.chain_b.app.bank.balances(h.receiver.address)
+    assert voucher_balances[next(d for d in voucher_balances if d.startswith("ibc/"))] == 5
 
 
 def test_packet_clearing_recovers_missed_packets(harness):
