@@ -13,12 +13,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ClientError
+from repro.sim.records import record
 from repro.tendermint.crypto import GLOBAL_SIGNATURES, hash_value
 from repro.tendermint.types import BlockIDFlag, Commit
 from repro.tendermint.validator import ValidatorSet
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ConsensusState:
     """Verified snapshot of the counterparty at one height."""
 
@@ -28,7 +29,7 @@ class ConsensusState:
     next_validators_hash: bytes
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SignedHeader:
     """What a relayer submits in MsgUpdateClient.
 

@@ -9,13 +9,14 @@ handshake messages used during channel setup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Optional
 
 from repro.ibc.channel import ChannelOrder
 from repro.ibc.client import SignedHeader
 from repro.ibc.packet import Acknowledgement, Height, Packet
 from repro.ibc.proofs import AbsenceProof, CommitmentProof
+from repro.sim.records import record
 
 
 class IbcMsg:
@@ -30,7 +31,7 @@ class IbcMsg:
 # -- client messages ----------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class MsgCreateClient(IbcMsg):
     kind = "create_client"
     chain_id: str
@@ -39,7 +40,7 @@ class MsgCreateClient(IbcMsg):
     signer: str = ""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class MsgUpdateClient(IbcMsg):
     kind = "update_client"
     client_id: str
@@ -50,7 +51,7 @@ class MsgUpdateClient(IbcMsg):
 # -- connection handshake ------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class MsgConnectionOpenInit(IbcMsg):
     kind = "connection_open_init"
     client_id: str
@@ -58,7 +59,7 @@ class MsgConnectionOpenInit(IbcMsg):
     signer: str = ""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class MsgConnectionOpenTry(IbcMsg):
     kind = "connection_open_try"
     client_id: str
@@ -69,7 +70,7 @@ class MsgConnectionOpenTry(IbcMsg):
     signer: str = ""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class MsgConnectionOpenAck(IbcMsg):
     kind = "connection_open_ack"
     connection_id: str
@@ -79,7 +80,7 @@ class MsgConnectionOpenAck(IbcMsg):
     signer: str = ""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class MsgConnectionOpenConfirm(IbcMsg):
     kind = "connection_open_confirm"
     connection_id: str
@@ -91,7 +92,7 @@ class MsgConnectionOpenConfirm(IbcMsg):
 # -- channel handshake ----------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class MsgChannelOpenInit(IbcMsg):
     kind = "channel_open_init"
     port_id: str
@@ -102,7 +103,7 @@ class MsgChannelOpenInit(IbcMsg):
     signer: str = ""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class MsgChannelOpenTry(IbcMsg):
     kind = "channel_open_try"
     port_id: str
@@ -116,7 +117,7 @@ class MsgChannelOpenTry(IbcMsg):
     signer: str = ""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class MsgChannelOpenAck(IbcMsg):
     kind = "channel_open_ack"
     port_id: str
@@ -127,7 +128,7 @@ class MsgChannelOpenAck(IbcMsg):
     signer: str = ""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class MsgChannelOpenConfirm(IbcMsg):
     kind = "channel_open_confirm"
     port_id: str
@@ -140,7 +141,7 @@ class MsgChannelOpenConfirm(IbcMsg):
 # -- packet life cycle -----------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class MsgTransfer(IbcMsg):
     """ICS-20 fungible token transfer request (the paper's workload unit)."""
 
@@ -156,7 +157,7 @@ class MsgTransfer(IbcMsg):
     signer: str = ""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class MsgRecvPacket(IbcMsg):
     kind = "recv_packet"
     packet: Packet
@@ -165,7 +166,7 @@ class MsgRecvPacket(IbcMsg):
     signer: str = ""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class MsgAcknowledgement(IbcMsg):
     kind = "acknowledgement"
     packet: Packet
@@ -175,7 +176,7 @@ class MsgAcknowledgement(IbcMsg):
     signer: str = ""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class MsgTimeout(IbcMsg):
     kind = "timeout"
     packet: Packet

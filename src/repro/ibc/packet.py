@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import field
 from functools import lru_cache
 from typing import Optional
 
+from repro.sim.records import record
 from repro.tendermint.crypto import sha256
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Height:
     """An IBC height: revision number + revision height.
 
@@ -45,7 +46,7 @@ class Height:
         return f"{self.revision_number}-{self.revision_height}"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Packet:
     """An IBC packet: opaque data plus routing and timeout metadata."""
 
@@ -111,7 +112,7 @@ class Packet:
         return (self.source_port, self.source_channel, self.sequence)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Acknowledgement:
     """Result written by the receiving application (ICS-20 style)."""
 

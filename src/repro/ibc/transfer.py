@@ -18,7 +18,6 @@ Semantics (ibc-go's transfer module):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Protocol
 
@@ -30,6 +29,7 @@ from repro.ibc.channel import ChannelEnd, ChannelState
 from repro.ibc.module import ExecContext, IbcModule
 from repro.ibc.msgs import MsgTransfer
 from repro.ibc.packet import Acknowledgement, Height, Packet
+from repro.sim.records import record
 from repro.tendermint.abci import AbciEvent
 
 
@@ -45,7 +45,7 @@ class BankLike(Protocol):
     def balance(self, address: str, denom: str) -> int: ...
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FungibleTokenPacketData:
     """The ICS-20 packet payload."""
 
@@ -55,7 +55,7 @@ class FungibleTokenPacketData:
     receiver: str
 
     def encode(self) -> bytes:
-        return _ftpd_encode(self)
+        return _ftpd_encode(self.denom, self.amount, self.sender, self.receiver)
 
     @classmethod
     def decode(cls, raw: bytes) -> "FungibleTokenPacketData":
@@ -70,15 +70,17 @@ _PAYLOAD_CACHE_SIZE = 1 << 15
 
 
 @lru_cache(maxsize=_PAYLOAD_CACHE_SIZE)
-def _ftpd_encode(data: FungibleTokenPacketData) -> bytes:
+def _ftpd_encode(denom: str, amount: int, sender: str, receiver: str) -> bytes:
     # Payloads repeat heavily (same sender/receiver/amount across a run),
-    # so each distinct payload is serialised once.
+    # so each distinct payload is serialised once.  Keyed by the four
+    # fields, so ``msg_transfer`` encodes straight from the message without
+    # building a FungibleTokenPacketData first (DESIGN.md, "Frozen records").
     return json.dumps(
         {
-            "denom": data.denom,
-            "amount": str(data.amount),
-            "sender": data.sender,
-            "receiver": data.receiver,
+            "denom": denom,
+            "amount": str(amount),
+            "sender": sender,
+            "receiver": receiver,
         },
         sort_keys=True,
     ).encode()
@@ -145,7 +147,7 @@ def sender_chain_is_source(
 FORWARD_MARKER = "|"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ForwardRoute:
     """One parsed forward instruction from a packet's receiver field."""
 
@@ -223,16 +225,12 @@ class TransferApp:
         else:
             # Voucher going back where it came from: burn it here.
             self.bank.burn(msg.sender, msg.denom, msg.amount)
-        data = FungibleTokenPacketData(
-            denom=trace.full_path(),
-            amount=msg.amount,
-            sender=msg.sender,
-            receiver=msg.receiver,
-        )
         packet, events = self.ibc.send_packet(
             port_id=msg.source_port,
             channel_id=msg.source_channel,
-            data=data.encode(),
+            data=_ftpd_encode(
+                trace.full_path(), msg.amount, msg.sender, msg.receiver
+            ),
             timeout_height=msg.timeout_height,
             timeout_timestamp=msg.timeout_timestamp,
             ctx=ctx,

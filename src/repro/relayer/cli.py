@@ -104,20 +104,22 @@ class WorkloadCli:
     def build_transfer_msgs(
         self, count: int, amount: int, timeout_blocks: int, current_dst_height: int
     ) -> list[MsgTransfer]:
-        timeout = Height(0, current_dst_height + timeout_blocks)
-        return [
-            MsgTransfer(
-                source_port="transfer",
-                source_channel=self.source_channel,
-                denom=self.denom,
-                amount=amount,
-                sender=self.wallet.address,
-                receiver=self.receiver,
-                timeout_height=timeout,
-                signer=self.wallet.address,
-            )
-            for _ in range(count)
-        ]
+        """``count`` references to one message, the way Hermes repeats one.
+
+        The messages are equal and immutable, so one object serves them
+        all; each still executes on its own, with its own sequence.
+        """
+        msg = MsgTransfer(
+            source_port="transfer",
+            source_channel=self.source_channel,
+            denom=self.denom,
+            amount=amount,
+            sender=self.wallet.address,
+            receiver=self.receiver,
+            timeout_height=Height(0, current_dst_height + timeout_blocks),
+            signer=self.wallet.address,
+        )
+        return [msg] * count
 
     def ft_transfer(
         self,

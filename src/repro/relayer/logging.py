@@ -15,10 +15,10 @@ Step names follow the paper's breakdown, per message kind::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from repro.sim.core import Environment
+from repro.sim.records import record
 
 
 def render_journal(logs: "Iterable[RelayerLog]") -> str:
@@ -39,7 +39,7 @@ def render_journal(logs: "Iterable[RelayerLog]") -> str:
     )
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class LogRecord:
     time: float
     relayer: str

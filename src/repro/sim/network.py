@@ -15,17 +15,22 @@ from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
 from repro.sim.core import Environment
+from repro.sim.records import record
 from repro.sim.resources import Store
 from repro.sim.rng import KeyedStream, RngRegistry
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class LinkSpec:
     """One-way delivery characteristics between a pair of hosts."""
 
     latency: float  # seconds, one-way
     jitter: float = 0.0  # uniform +/- seconds added to each delivery
     loss: float = 0.0  # probability a message is silently dropped
+
+
+#: What a host sees when it talks to itself: local endpoints, no delay.
+LOCAL_LINK = LinkSpec(latency=0.0)
 
 
 @dataclass(slots=True)
@@ -109,7 +114,7 @@ class Network:
 
     def link(self, src: str, dst: str) -> LinkSpec:
         if src == dst:
-            return LinkSpec(latency=0.0)
+            return LOCAL_LINK
         return self._links.get((src, dst), self.default)
 
     def link_override(self, a: str, b: str) -> Optional[LinkSpec]:

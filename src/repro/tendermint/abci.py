@@ -12,13 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Optional, Protocol, Sequence
 
+from repro.sim.records import record
 from repro.tendermint.types import Evidence, Header, TxLike
 
 if TYPE_CHECKING:
     from repro.ibc.packet import Acknowledgement, Packet
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class AbciEvent:
     """A typed event emitted during transaction execution.
 

@@ -14,10 +14,10 @@ Two structures back the chain's commitments:
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
 from hashlib import sha256 as _hashlib_sha256
 from typing import Iterable, Optional, Sequence
 
+from repro.sim.records import record
 from repro.tendermint.crypto import sha256
 
 _LEAF_PREFIX = b"\x00"
@@ -89,7 +89,7 @@ def _aunt_sides(index: int, total: int) -> Optional[str]:
     return sides
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class MembershipProof:
     """Tendermint-shaped proof that ``key -> value`` is leaf ``index`` of
     ``total``: the sibling hashes (``aunts``) from the leaf up to the root."""
@@ -165,7 +165,7 @@ class MembershipProof:
         return True
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class NonMembershipProof:
     """Proof that ``key`` is absent: membership proofs of its neighbours.
 

@@ -13,6 +13,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional, Protocol, Sequence
 
+from repro.sim.records import record
 from repro.tendermint.crypto import hash_value, sha256, short_hex
 from repro.tendermint.merkle import merkle_root_of_hashes
 
@@ -35,7 +36,7 @@ class BlockIDFlag(enum.IntEnum):
     NIL = 3  # voted for a different block / nil
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class PartSetHeader:
     """Header of the proposal part set (block gossip chunking)."""
 
@@ -43,7 +44,7 @@ class PartSetHeader:
     hash: bytes
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class BlockID:
     """Content address of a block: header hash + part-set header."""
 
@@ -62,7 +63,7 @@ class BlockID:
         return not self.hash
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class CommitSig:
     """One validator's vote in a LastCommit (Fig. 1's signature array)."""
 
@@ -72,7 +73,7 @@ class CommitSig:
     signature: bytes
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Commit:
     """The LastCommit field: +2/3 precommits for the previous block."""
 
@@ -86,7 +87,7 @@ class Commit:
         return cls(height=0, round=0, block_id=BlockID.nil(), signatures=())
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Header:
     """Block header: chain position, consensus metadata, app metadata."""
 
@@ -122,7 +123,7 @@ class Header:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Evidence:
     """Proof of validator misbehaviour (duplicate vote)."""
 
