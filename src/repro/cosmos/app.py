@@ -7,7 +7,8 @@ implements the ABCI protocol for the consensus engine:
   against the mempool's view are driven by the mempool itself).
 * ``DeliverTx`` — ante (sequence increment + fee deduction, persisted even
   when message execution later fails, exactly like the SDK), then atomic
-  message execution under a rollback journal.
+  message execution: keepers roll back through a journal, and the provable
+  store buffers the transaction's writes in an overlay it merges or drops.
 * ``Commit`` — commits the provable store; the resulting app hash is what
   counterparty light clients verify proofs against.
 """
@@ -242,10 +243,15 @@ class GaiaApp:
 
         meter = GasMeter(limit=tx.gas_limit)
         meter.consume(self.cal.gas_tx_overhead, "tx overhead")
+        # The keepers' typed state rolls back through the journal; the
+        # provable store buffers the transaction's writes in its overlay.
         journal = Journal()
         self._attach_journal(journal)
+        store = self.store
+        store.open_overlay()
         events: list[AbciEvent] = []
         routes = self._routes
+        failure: Optional[ResponseDeliverTx] = None
         try:
             ctx = ExecContext(
                 height=self._ctx.height, time=self._ctx.time, signer=tx.signer_address
@@ -260,9 +266,8 @@ class GaiaApp:
                     )
                 events.extend(handler(msg, ctx))
         except (ChainError, OutOfGasError) as exc:
-            journal.rollback()
             code = exc.code if isinstance(exc, ChainError) else 11
-            return ResponseDeliverTx(
+            failure = ResponseDeliverTx(
                 code=code,
                 log=str(exc),
                 gas_wanted=tx.gas_limit,
@@ -270,8 +275,7 @@ class GaiaApp:
                 codespace=getattr(exc, "codespace", "sdk"),
             )
         except Exception as exc:  # noqa: BLE001 - IBC and app errors
-            journal.rollback()
-            return ResponseDeliverTx(
+            failure = ResponseDeliverTx(
                 code=1,
                 log=f"{type(exc).__name__}: {exc}",
                 gas_wanted=tx.gas_limit,
@@ -280,7 +284,14 @@ class GaiaApp:
             )
         finally:
             self._attach_journal(None)
+        if failure is not None:
+            journal.rollback()
+            self.bank.discard_writes()
+            store.drop_overlay()
+            return failure
         journal.commit()
+        self.bank.write_back()
+        store.merge_overlay()
         return ResponseDeliverTx(
             code=0,
             gas_wanted=tx.gas_limit,
@@ -291,7 +302,6 @@ class GaiaApp:
     def _attach_journal(self, journal: Optional[Journal]) -> None:
         self.bank.journal = journal
         self.ibc.journal = journal
-        self.store.journal = journal
 
     def _create_client(
         self, msg: MsgCreateClient, ctx: ExecContext

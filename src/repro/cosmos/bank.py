@@ -13,6 +13,11 @@ rollback journal records ``(column, index, previous)`` triples — an array
 indexes exactly like the dicts :meth:`Journal.record_kv` was built for,
 and a balance's previous value is never ``None``, so the journal's
 restore branch applies unchanged.
+
+Inside a transaction (a journal is attached) a balance write only notes
+its ``(address, denom)``; :meth:`BankKeeper.write_back` then mirrors each
+noted balance into the provable store once, at its final value, however
+many messages moved it.
 """
 
 from __future__ import annotations
@@ -36,8 +41,10 @@ class BankKeeper(Journaled):
     """Balances per (address, denom), with supply tracking.
 
     When bound to a provable ``store`` (the application does this), every
-    balance write is mirrored under ``balances/<address>/<denom>`` so the
-    chain's app hash commits to bank state, as on a real chain.
+    balance is mirrored under ``balances/<address>/<denom>`` so the chain's
+    app hash commits to bank state, as on a real chain: written through
+    outside a transaction (genesis, the fee), and by :meth:`write_back` at
+    the end of one.
     """
 
     def __init__(
@@ -47,6 +54,9 @@ class BankKeeper(Journaled):
         self._columns: dict[str, array] = {}
         self._supply: dict[str, int] = defaultdict(int)
         self._store = store
+        # (address, denom) -> column index of each balance written since
+        # the last write_back; filled only while a journal is attached.
+        self._touched: dict[tuple[str, str], int] = {}
 
     def _column(self, denom: str, idx: int) -> array:
         """The denom's balance column, grown (zero-filled) to cover ``idx``."""
@@ -63,16 +73,40 @@ class BankKeeper(Journaled):
         self, column: array, idx: int, address: str, denom: str, value: int
     ) -> None:
         """Set ``address``'s balance, already resolved to ``column[idx]``."""
-        if self.journal is not None:
+        journal = self.journal
+        if journal is not None:
             # Balances default to 0, so the undo value is never None and
             # the journal entry restores it exactly.
-            self.journal.record_kv(column, idx, column[idx])
+            journal.record_kv(column, idx, column[idx])
         column[idx] = value
-        if self._store is not None:
-            # The store keeps its own journal; no double bookkeeping here.
-            self._store.set(
-                f"balances/{address}/{denom}".encode(), str(value).encode()
+        store = self._store
+        if store is None:
+            return
+        if journal is not None:
+            self._touched[address, denom] = idx
+        else:
+            store.set(f"balances/{address}/{denom}".encode(), str(value).encode())
+
+    def write_back(self) -> None:
+        """Mirror each balance written in the transaction into the store,
+        once, at its final value (the application calls this after the
+        messages succeed, before it merges the store's overlay)."""
+        touched = self._touched
+        if not touched:
+            return
+        store = self._store
+        columns = self._columns
+        for (address, denom), idx in touched.items():
+            store.set(
+                f"balances/{address}/{denom}".encode(),
+                str(columns[denom][idx]).encode(),
             )
+        touched.clear()
+
+    def discard_writes(self) -> None:
+        """Forget the transaction's balance writes (it failed and rolled
+        back, so the store keeps the balances it already holds)."""
+        self._touched.clear()
 
     def _set_supply(self, denom: str, value: int) -> None:
         if self.journal is not None:

@@ -1,19 +1,20 @@
 """Transaction-scoped state journaling.
 
 The Cosmos SDK executes each transaction against a cached store and discards
-the cache if any message fails, making transactions atomic.  We get the same
-guarantee with an undo journal: while a transaction executes, every state
-mutation records what it overwrote; on failure the journal restores those
-values in reverse order.
+the cache if any message fails, making transactions atomic.  The provable
+store does exactly that (``ProvableStore.open_overlay``).  The keepers'
+typed state gets the same guarantee from an undo journal: while a
+transaction executes, every mutation records what it overwrote; on failure
+the journal restores those values in reverse order.
 
 There is one undo form, ``(mapping, key, previous)``: before writing
 ``mapping[key]``, a keeper records the value it replaces, or ``None`` when
 the key was absent.  Every journaled piece of state — bank balance columns
-(an ``array`` indexes like a dict) and supply, the provable store, the IBC
-module's sequence, commitment, receipt, acknowledgement and handshake
-tables — is such a mapping, so rollback is a loop over tuples with no
-per-write closure.  A value that is itself ``None`` cannot be journaled;
-no keeper stores one.
+(an ``array`` indexes like a dict) and supply, and the IBC module's
+sequence, commitment, receipt, acknowledgement and handshake tables — is
+such a mapping, so rollback is a loop over tuples with no per-write
+closure.  A value that is itself ``None`` cannot be journaled; no keeper
+stores one.
 
 This matters for fidelity: when two relayers race (paper §IV-A), the loser's
 *entire* transaction of 100 ``MsgRecvPacket`` fails with ``packet messages

@@ -46,6 +46,12 @@ class Height:
         return f"{self.revision_number}-{self.revision_height}"
 
 
+#: ``(data, timeout_height, timeout_timestamp, commitment)`` of the last
+#: commitment computed in this process (see ``Packet.commitment``).  One
+#: entry: it keeps one payload alive, never a packet.
+_last_commitment: Optional[tuple] = None
+
+
 @record
 class Packet:
     """An IBC packet: opaque data plus routing and timeout metadata."""
@@ -79,25 +85,42 @@ class Packet:
         ``dataclasses.replace`` starts a copy without it, and a
         ``copy.copy`` whose fields are then rewritten with
         ``object.__setattr__`` recomputes instead of inheriting it.
+
+        A packet without a kept value first tries the last commitment
+        computed in the process, under the same identity rule: the packets
+        of one ``--number-msgs`` transaction share their payload and
+        timeout objects, so the transaction hashes one commitment, not one
+        per message.  Identity, not equality, because ``0``, ``0.0`` and
+        ``-0.0`` are equal timestamps that format differently here.
         """
+        global _last_commitment
+        data = self.data
+        height = self.timeout_height
+        stamp = self.timeout_timestamp
         memo = self._commitment
         if (
             memo is not None
-            and memo[0] is self.data
-            and memo[1] is self.timeout_height
-            and memo[2] is self.timeout_timestamp
+            and memo[0] is data
+            and memo[1] is height
+            and memo[2] is stamp
         ):
             return memo[3]
-        commitment = sha256(
-            f"{self.timeout_timestamp}/{self.timeout_height}".encode()
-            + sha256(self.data)
-        )
-        object.__setattr__(
-            self,
-            "_commitment",
-            (self.data, self.timeout_height, self.timeout_timestamp, commitment),
-        )
-        return commitment
+        memo = _last_commitment
+        if not (
+            memo is not None
+            and memo[0] is data
+            and memo[1] is height
+            and memo[2] is stamp
+        ):
+            memo = (
+                data,
+                height,
+                stamp,
+                sha256(f"{stamp}/{height}".encode() + sha256(data)),
+            )
+            _last_commitment = memo
+        object.__setattr__(self, "_commitment", memo)
+        return memo[3]
 
     def timed_out(self, height: "Height", timestamp: float) -> bool:
         """Would this packet be rejected at the given destination state?"""
@@ -155,6 +178,9 @@ def _ack_commitment(ack: Acknowledgement) -> bytes:
 
 
 def reset_caches() -> None:
-    """Drop the acknowledgement memos (per-run hygiene for pool workers)."""
+    """Drop the acknowledgement memos and the last packet commitment
+    (per-run hygiene for pool workers)."""
+    global _last_commitment
+    _last_commitment = None
     _ack_encode.cache_clear()
     _ack_commitment.cache_clear()

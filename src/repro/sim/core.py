@@ -543,40 +543,42 @@ class ProcessGroup:
 
     Fire-and-forget ``env.process(...)`` calls discard the returned handle,
     so the process can never be awaited, interrupted or cancelled — and the
-    analyzer's R003 rule flags them.  A group keeps the handles (pruning
-    finished ones on each spawn) and offers bulk interruption for teardown.
+    analyzer's R003 rule flags them.  A group keeps the handles in spawn
+    order, drops each one when its process completes, and offers bulk
+    interruption for teardown.
     """
 
     __slots__ = ("env", "_procs", "__weakref__")
 
     def __init__(self, env: Environment):
         self.env = env
-        self._procs: list[Process] = []
+        # Keys only: a dict is an insertion-ordered set with O(1) removal.
+        self._procs: dict[Process, None] = {}
         monitor = _STALL_MONITOR
         if monitor is not None:
             monitor.on_group(self)
 
     def spawn(self, generator: ProcessGenerator, name: str = "") -> Process:
         """Start and retain a process; returns its handle."""
-        self._prune()
-        process = self.env.process(generator, name=name)
-        self._procs.append(process)
-        return process
+        return self.add(self.env.process(generator, name=name))
 
     def add(self, process: Process) -> Process:
         """Retain an externally created process handle."""
-        self._prune()
-        self._procs.append(process)
+        if process not in self._procs:
+            self._procs[process] = None
+            # Runs when the process's completion is processed, or at once
+            # if it already was.
+            process._add_callback(self._procs.pop)
         return process
-
-    def _prune(self) -> None:
-        self._procs = [p for p in self._procs if p.is_alive]
 
     @property
     def live(self) -> list[Process]:
-        """The still-running processes, in spawn order."""
-        self._prune()
-        return list(self._procs)
+        """The still-running processes, in spawn order.
+
+        A process that has returned but whose completion the kernel has not
+        yet processed is already left out.
+        """
+        return [p for p in self._procs if p.is_alive]
 
     def interrupt_all(self, cause: Any = None) -> None:
         """Interrupt every live process (teardown / fault recovery)."""

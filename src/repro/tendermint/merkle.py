@@ -236,35 +236,79 @@ class ProvableStore:
         # between commits (relayers re-proving the same commitment) share
         # one object.  Cleared whenever the snapshot changes.
         self._proof_cache: dict[bytes, MembershipProof] = {}
-        #: Optional transaction journal (see :mod:`repro.cosmos.journal`).
-        self.journal = None
+        # The open transaction's writes, key -> value (``None`` deletes the
+        # key), or ``None`` when no transaction is open.
+        self._overlay: Optional[dict[bytes, Optional[bytes]]] = None
 
     # -- mutation (pending state) -------------------------------------------
 
     def set(self, key: bytes, value: bytes) -> None:
-        journal = self.journal
-        if journal is not None:
-            previous = self._data.get(key)
-            if previous is None or previous != value:
-                journal.record_kv(self._data, key, previous)
-        self._data[key] = value
-        self._dirty = True
+        overlay = self._overlay
+        if overlay is not None:
+            overlay[key] = value
+        else:
+            self._data[key] = value
+            self._dirty = True
 
     def get(self, key: bytes) -> Optional[bytes]:
+        overlay = self._overlay
+        if overlay is not None and key in overlay:
+            return overlay[key]
         return self._data.get(key)
 
     def delete(self, key: bytes) -> None:
-        if key in self._data:
-            if self.journal is not None:
-                self.journal.record_kv(self._data, key, self._data[key])
+        overlay = self._overlay
+        if overlay is not None:
+            overlay[key] = None
+        elif key in self._data:
             del self._data[key]
             self._dirty = True
 
     def has(self, key: bytes) -> bool:
-        return key in self._data
+        return self.get(key) is not None
 
     def __len__(self) -> int:
+        """Keys in the pending state; an open overlay is not yet part of it."""
         return len(self._data)
+
+    # -- transaction overlay --------------------------------------------------
+
+    def open_overlay(self) -> None:
+        """Buffer writes for one transaction, as the Cosmos SDK cache-wraps
+        its multistore for each DeliverTx.
+
+        Until :meth:`merge_overlay` or :meth:`drop_overlay`, ``set`` and
+        ``delete`` write to the overlay and ``get`` reads through it, so
+        the pending state sees the transaction all at once or not at all.
+        """
+        if self._overlay is not None:
+            raise RuntimeError("a transaction overlay is already open")
+        self._overlay = {}
+
+    def merge_overlay(self) -> None:
+        """Apply the open transaction's writes to the pending state.
+
+        Unlike a write-through ``set``, a merge turns the store dirty only
+        if some key's value actually changed: a transaction that rewrites
+        what is there leaves the next commit as cheap as an empty block's.
+        """
+        overlay = self._overlay
+        self._overlay = None
+        data = self._data
+        dirty = self._dirty
+        for key, value in overlay.items():
+            if value is None:
+                if key in data:
+                    del data[key]
+                    dirty = True
+            elif data.get(key) != value:
+                data[key] = value
+                dirty = True
+        self._dirty = dirty
+
+    def drop_overlay(self) -> None:
+        """Discard the open transaction's writes."""
+        self._overlay = None
 
     # -- commitment ----------------------------------------------------------
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import zlib
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Optional
 
@@ -111,8 +112,10 @@ class RpcServer:
         self.stats = RpcStats()
         self._outstanding = 0
         # Connection-pressure tracking: distinct clients seen recently.
-        # See Calibration.rpc_overload_* for the Table I derivation.
-        self._client_last_seen: dict[str, float] = {}
+        # See Calibration.rpc_overload_* for the Table I derivation.  Kept
+        # in last-seen order (``env.now`` never decreases), so the stale
+        # entries are always at the front.
+        self._client_last_seen: OrderedDict[str, float] = OrderedDict()
         # Shed decisions are keyed draws (pure function of time + client):
         # submit() runs in callback context, so a sequential stream would
         # hand out draws in event-heap tie order when two clients hit the
@@ -163,10 +166,13 @@ class RpcServer:
 
     def active_clients(self) -> int:
         cutoff = self.env.now - self.cal.rpc_client_activity_window
-        stale = [c for c, t in self._client_last_seen.items() if t < cutoff]
-        for client in stale:
-            del self._client_last_seen[client]
-        return len(self._client_last_seen)
+        seen = self._client_last_seen
+        while seen:
+            client = next(iter(seen))
+            if seen[client] >= cutoff:
+                break
+            del seen[client]
+        return len(seen)
 
     def _shed_probability(self) -> float:
         threshold = self.cal.rpc_overload_client_threshold
@@ -198,7 +204,9 @@ class RpcServer:
             self.stats.dropped += 1
             return
         if request.client_id:
-            self._client_last_seen[request.client_id] = self.env.now
+            seen = self._client_last_seen
+            seen[request.client_id] = self.env.now
+            seen.move_to_end(request.client_id)
         if self._outstanding >= self.cal.rpc_max_queue:
             self.stats.shed += 1
             self._respond(request, error=RpcOverloadedError(

@@ -5,6 +5,8 @@ import pickle
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cosmos.app import TRANSFER_DENOM
 from repro.errors import PacketTimeoutError, from_wire, to_wire
@@ -16,8 +18,10 @@ from repro.ibc.msgs import (
     MsgTransfer,
     MsgUpdateClient,
 )
+from repro.ibc import packet as packet_module
 from repro.ibc.packet import Height, Packet
 from repro.ibc.transfer import escrow_address
+from repro.tendermint.crypto import sha256
 
 from tests.ibc_harness import BLOCK_INTERVAL, IbcPair
 
@@ -431,6 +435,116 @@ def test_kept_commitment_is_not_part_of_the_packet():
     assert replace(packet, data=b"other").commitment() != commitment
     assert fresh.commitment() == commitment
     assert pickle.loads(pickle.dumps(packet)).commitment() == commitment
+
+
+# -- the last commitment, shared by the packets of one transaction ---------------
+#
+# A packet without a kept commitment reuses the last one computed in the
+# process when its data and both timeouts are the very objects it was
+# computed from.  Each case below checks the memo against the formula.
+
+
+def _direct_commitment(packet) -> bytes:
+    return sha256(
+        f"{packet.timeout_timestamp}/{packet.timeout_height}".encode()
+        + sha256(packet.data)
+    )
+
+
+def _packet(data, height, stamp, sequence=1) -> Packet:
+    return Packet(
+        sequence=sequence,
+        source_port="transfer",
+        source_channel="channel-0",
+        destination_port="transfer",
+        destination_channel="channel-1",
+        data=data,
+        timeout_height=height,
+        timeout_timestamp=stamp,
+    )
+
+
+def test_shared_memo_tells_equal_timestamps_apart():
+    """``0``, ``0.0`` and ``-0.0`` are equal but format differently in the
+    preimage, so each gets its own commitment, in any order."""
+    data, height = b'{"amount": "1"}', Height(0, 40)
+    packet_module.reset_caches()
+    seen = {}
+    for stamp in (0, 0.0, -0.0, 0, -0.0, 0.0, 0):
+        packet = _packet(data, height, stamp)
+        assert packet.commitment() == _direct_commitment(packet)
+        seen[repr(stamp)] = packet.commitment()
+    assert len(set(seen.values())) == 3
+
+
+def test_shared_memo_hashes_once_per_shared_payload(monkeypatch):
+    data, height, stamp = b'{"amount": "1"}', Height(0, 40), 0.0
+    packet_module.reset_caches()
+    calls = []
+    real = packet_module.sha256
+    monkeypatch.setattr(packet_module, "sha256", lambda b: calls.append(b) or real(b))
+    packets = [_packet(data, height, stamp, sequence) for sequence in range(5)]
+    assert len({p.commitment() for p in packets}) == 1
+    assert len(calls) == 2
+    # Equal but distinct data is a different object: hashed again, same value.
+    twin = _packet(b"".join([b'{"amount": ', b'"1"}']), height, stamp)
+    assert twin.data == data and twin.data is not data
+    assert twin.commitment() == packets[0].commitment()
+    assert len(calls) == 4
+    packet_module.reset_caches()
+    assert packet_module._last_commitment is None
+
+
+def test_shared_memo_never_vouches_for_a_copy_with_other_fields():
+    """``dataclasses.replace`` copies and the forged ``copy.copy`` cases
+    above all get their own fields' commitment, memo warm or cold."""
+    packet = _packet(b'{"amount": "1"}', Height(0, 40), 0.0)
+    for warm in (True, False):
+        if not warm:
+            packet_module.reset_caches()
+        base = packet.commitment()
+        assert replace(packet).commitment() == base
+        for changed in (
+            replace(packet, data=b'{"amount": "9999"}'),
+            replace(packet, timeout_height=Height(0, 41)),
+            replace(packet, timeout_timestamp=-0.0),
+            replace(packet, timeout_timestamp=0),
+        ):
+            assert changed.commitment() == _direct_commitment(changed) != base
+        for field in FORGED_FIELDS:
+            forged = _forged_copy(packet, field)
+            assert forged.commitment() == _direct_commitment(forged)
+            if field != "sequence":
+                assert forged.commitment() != base
+
+
+# Pools whose entries repeat by value but not always by identity.
+_DATA_POOL = (b'{"a": 1}', b"".join([b'{"a": ', b"1}"]), b"other")
+_HEIGHT_POOL = (Height(0, 40), Height(0, 40), Height(1, 40), Height.zero())
+_STAMP_POOL = (0, 0.0, -0.0, float("0"), 7.5, float("7.5"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    picks=st.lists(
+        st.tuples(
+            st.integers(0, len(_DATA_POOL) - 1),
+            st.integers(0, len(_HEIGHT_POOL) - 1),
+            st.integers(0, len(_STAMP_POOL) - 1),
+            st.booleans(),
+        ),
+        max_size=20,
+    )
+)
+def test_shared_memo_matches_the_formula_on_repeating_inputs(picks):
+    packet_module.reset_caches()
+    previous = None
+    for data, height, stamp, reuse in picks:
+        packet = _packet(_DATA_POOL[data], _HEIGHT_POOL[height], _STAMP_POOL[stamp])
+        if reuse and previous is not None:
+            packet = previous  # a packet asked twice keeps its own value
+        assert packet.commitment() == _direct_commitment(packet)
+        previous = packet
 
 
 # -- timeouts (Fig. 3) -------------------------------------------------------------

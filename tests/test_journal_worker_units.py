@@ -64,28 +64,67 @@ def test_journaled_mixin_records_when_attached():
 
 
 def test_nested_state_rollback_composition():
-    """Bank + store + ibc mirrors roll back together through one journal."""
-    from repro.cosmos.bank import BankKeeper
-    from repro.tendermint.merkle import ProvableStore
+    """Bank, store and IBC state roll back together: a deliver_tx whose
+    last message fails leaves the bank's balances and supply, the IBC
+    module's sequence and commitment tables and the store's pending data
+    (and dirty flag) exactly as they were."""
+    from repro.cosmos.app import TRANSFER_DENOM
+    from repro.cosmos.tx import MsgSend
+    from repro.ibc.msgs import MsgTransfer
+    from repro.ibc.packet import Height
+    from repro.ibc.transfer import escrow_address
+    from tests.ibc_harness import IbcPair
 
-    store = ProvableStore()
-    bank = BankKeeper(store=store)
-    bank.mint("alice", "x", 100)
-    store.commit()
+    pair = IbcPair()
+    app, user = pair.a.app, pair.user
+    user.gas_price = 0  # no fee: a failed tx must then leave no trace at all
+    sender = user.wallet.address
+    escrow = escrow_address("transfer", pair.chan_a)
 
-    journal = Journal()
-    bank.journal = journal
-    store.journal = journal
-    bank.send("alice", "bob", "x", 30)
-    store.set(b"extra", b"1")
-    journal.rollback()
-    bank.journal = None
-    store.journal = None
-    assert bank.balance("alice", "x") == 100
-    assert bank.balance("bob", "x") == 0
-    assert store.get(b"extra") is None
-    # The balance mirror in the store also rolled back.
-    assert store.get(b"balances/alice/x") == b"100"
+    def transfer(amount):
+        return MsgTransfer(
+            source_port="transfer",
+            source_channel=pair.chan_a,
+            denom=TRANSFER_DENOM,
+            amount=amount,
+            sender=sender,
+            receiver=pair.receiver.address,
+            timeout_height=Height(0, pair.b.height + 100),
+            signer=sender,
+        )
+
+    msgs = [transfer(30), MsgSend(sender, "bob", TRANSFER_DENOM, 5), transfer(7)]
+
+    def state():
+        return (
+            {
+                who: app.bank.balance(who, TRANSFER_DENOM)
+                for who in (sender, escrow, "bob")
+            },
+            app.bank.supply(TRANSFER_DENOM),
+            dict(app.ibc.next_sequence_send),
+            dict(app.ibc._commitments),
+            dict(app.store._data),
+            app.store._dirty,
+        )
+
+    before = state()
+    assert before[-1] is False  # committed: a failed tx must not dirty it
+    result = app.deliver_tx(user.build([*msgs, transfer(10**30)], gas_limit=10**9))
+    assert not result.ok
+    assert state() == before
+    # Alone, the same messages commit: the rollback above undid real writes.
+    assert app.deliver_tx(user.build(msgs, gas_limit=10**9)).ok
+    balances, _, _, commitments, data, dirty = state()
+    assert balances == {
+        sender: before[0][sender] - 42,
+        escrow: before[0][escrow] + 37,
+        "bob": 5,
+    }
+    assert len(commitments) == len(before[3]) + 2 and dirty
+    for who, amount in balances.items():
+        key = f"balances/{who}/{TRANSFER_DENOM}".encode()
+        assert data[key] == str(amount).encode()
 
 
 # -- worker ownership/batching helpers -------------------------------------------

@@ -594,29 +594,109 @@ def test_simple_hash_hash_counts(monkeypatch, n):
     assert counter.take() == (max(n - 1, 0), n, 0)
 
 
-def test_journal_rollback_restores_values():
-    from repro.cosmos.journal import Journal
-
+def test_overlay_drop_restores_values():
+    """A dropped transaction overlay leaves the pending state, and with it
+    the dirty flag, as it was; while open, reads go through it."""
     store = make_store({b"a": b"1", b"b": b"2"})
-    journal = Journal()
-    store.journal = journal
+    store.open_overlay()
     store.set(b"a", b"CHANGED")
     store.set(b"new", b"x")
     store.delete(b"b")
-    journal.rollback()
-    store.journal = None
+    assert (store.get(b"a"), store.get(b"new"), store.get(b"b")) == (
+        b"CHANGED",
+        b"x",
+        None,
+    )
+    assert store.has(b"new") and not store.has(b"b")
+    assert store._data == {b"a": b"1", b"b": b"2"}  # nothing reached it yet
+    store.drop_overlay()
     assert store.get(b"a") == b"1"
     assert store.get(b"new") is None
     assert store.get(b"b") == b"2"
+    assert not store._dirty
 
 
-def test_journal_commit_keeps_values():
-    from repro.cosmos.journal import Journal
-
-    store = make_store({b"a": b"1"})
-    journal = Journal()
-    store.journal = journal
+def test_overlay_merge_keeps_values():
+    store = make_store({b"a": b"1", b"b": b"2"})
+    store.open_overlay()
     store.set(b"a", b"2")
-    journal.commit()
-    store.journal = None
-    assert store.get(b"a") == b"2"
+    store.set(b"a", b"3")  # the last write to a key wins
+    store.delete(b"b")
+    store.set(b"new", b"x")
+    store.delete(b"new")  # created and deleted in one transaction
+    store.merge_overlay()
+    assert store._data == {b"a": b"3"}
+    assert store.get(b"a") == b"3" and store.get(b"b") is None
+    assert store.commit() == make_store({b"a": b"3"}).root
+
+
+def test_merging_unchanged_values_leaves_the_store_clean():
+    """A merge marks the store dirty only for a value that actually
+    changed (a write-through ``set`` always does; see the hash counts)."""
+    store = make_store({b"a": b"1"})
+    store.open_overlay()
+    store.set(b"a", b"2")
+    store.set(b"a", b"1")  # back where it started
+    store.set(b"gone", b"x")
+    store.delete(b"gone")
+    store.delete(b"absent")
+    store.merge_overlay()
+    assert not store._dirty
+    store.open_overlay()
+    store.set(b"a", b"2")
+    store.merge_overlay()
+    assert store._dirty
+
+
+def test_one_overlay_at_a_time():
+    store = make_store({})
+    store.open_overlay()
+    with pytest.raises(RuntimeError, match="already open"):
+        store.open_overlay()
+    store.drop_overlay()
+    store.open_overlay()  # a closed overlay may be reopened
+    store.merge_overlay()
+
+
+_OVERLAY_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["set", "delete"]),
+        st.sampled_from([b"a", b"b", b"c", b"d"]),
+        st.sampled_from([b"0", b"1", b"2"]),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    initial=st.dictionaries(
+        st.sampled_from([b"a", b"b", b"c"]), st.sampled_from([b"0", b"1"])
+    ),
+    ops=_OVERLAY_OPS,
+    merge=st.booleans(),
+)
+def test_overlay_matches_a_plain_dict(initial, ops, merge):
+    """An overlay reads like the dict the writes would have made; merged,
+    it is that dict, dirty iff it differs; dropped, nothing moved."""
+    store = make_store(initial)
+    model = dict(initial)
+    store.open_overlay()
+    for op, key, value in ops:
+        if op == "set":
+            store.set(key, value)
+            model[key] = value
+        else:
+            store.delete(key)
+            model.pop(key, None)
+        assert store.get(key) == model.get(key)
+    for key in (b"a", b"b", b"c", b"d"):
+        assert store.get(key) == model.get(key)
+    if merge:
+        store.merge_overlay()
+        assert store._data == model
+        assert store._dirty == (model != initial)
+        assert store.commit() == make_store(model).root
+    else:
+        store.drop_overlay()
+        assert store._data == initial and not store._dirty

@@ -1,12 +1,14 @@
 """RPC server/client tests (the serial bottleneck) and WebSocket limits."""
 # repro-lint: disable-file=R003 -- tests drive env.run() directly; handles unused
 
+import random
+
 import pytest
 
 from repro import calibration as cal
 from repro.errors import RpcError, RpcOverloadedError, RpcTimeoutError
 from repro.sim import EMPTY, Environment, Network, RngRegistry
-from repro.tendermint.rpc import RpcClient, RpcServer
+from repro.tendermint.rpc import RpcClient, RpcRequest, RpcServer
 from repro.tendermint.websocket import WebSocketServer
 from repro.tendermint.abci import AbciEvent, ExecutedBlock, ExecutedTx, ResponseDeliverTx
 from repro.ibc.packet import Height, Packet
@@ -187,6 +189,39 @@ def test_no_shedding_below_threshold(env, net):
         env.process(caller(client), name=client.client_id)
     env.run()
     assert server.stats.shed == 0
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_active_clients_matches_a_brute_force_scan(env, net, seed):
+    """Last-seen order with expiry from the front counts exactly the
+    clients a scan over every client ever seen would."""
+    window = 1.0
+    server = make_server(env, net, rpc_client_activity_window=window)
+    rng = random.Random(seed)
+    last_seen: dict[str, float] = {}
+
+    def arrivals():
+        for _ in range(300):
+            yield env.timeout(rng.choice([0.0, 0.05, 0.3, 1.0, 2.5]))
+            if rng.random() < 0.8:
+                client = f"c{rng.randrange(15)}"
+                server.submit(
+                    RpcRequest(
+                        request_id=0,
+                        method="echo",
+                        params={"service": 0.001},
+                        reply_host="client",
+                        response=env.event(),
+                        enqueued_at=env.now,
+                        client_id=client,
+                    )
+                )
+                last_seen[client] = env.now
+            cutoff = env.now - window
+            expected = sum(1 for seen in last_seen.values() if seen >= cutoff)
+            assert server.active_clients() == expected
+
+    env.run_until_complete(env.process(arrivals(), name="arrivals"))
 
 
 # -- WebSocket ------------------------------------------------------------------

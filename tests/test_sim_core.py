@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import AllOf, AnyOf, Environment, Interrupt
+from repro.sim.core import ProcessGroup
 
 
 def test_clock_starts_at_zero(env):
@@ -324,3 +325,75 @@ def test_cancelled_event_does_not_resume(env):
     env.process(canceller())
     env.run()
     assert resumed == []
+
+
+# -- ProcessGroup -----------------------------------------------------------------
+
+
+def _sleeper(env, delay, log=None):
+    try:
+        yield env.timeout(delay)
+    except Interrupt as interrupt:
+        if log is not None:
+            log.append(interrupt.cause)
+
+
+def test_group_live_keeps_spawn_order_and_lets_finished_processes_go(env):
+    group = ProcessGroup(env)
+    procs = [
+        group.spawn(_sleeper(env, delay), name=f"p{delay}") for delay in (3, 1, 2, 5)
+    ]
+    assert group.live == procs
+    env.run(until=2.5)
+    assert [p.name for p in group.live] == ["p3", "p5"]
+    # A finished process is dropped from the group, not only filtered out.
+    assert list(group._procs) == [procs[0], procs[3]]
+    env.run()
+    assert group.live == [] and not group._procs
+
+
+def test_group_leaves_out_a_process_that_returned_but_is_unprocessed(env):
+    group = ProcessGroup(env)
+    process = group.spawn(_sleeper(env, 1.0), name="returns-at-1")
+    seen = []
+
+    def observer():
+        # Resumes at t=1 after ``process`` returned, before the kernel
+        # processes its completion event (scheduled later at the same instant).
+        yield env.timeout(1.0)
+        seen.append((process.is_alive, process.processed, group.live))
+
+    env.process(observer())
+    env.run()
+    assert seen == [(False, False, [])]
+    assert not group._procs
+
+
+def test_group_add_of_an_already_processed_process(env):
+    group = ProcessGroup(env)
+    done = env.process(_sleeper(env, 1.0))
+    env.run()
+    assert done.processed
+    assert group.add(done) is done
+    assert group.live == [] and not group._procs
+    # Adding a live process twice retains it once.
+    live = env.process(_sleeper(env, 1.0))
+    group.add(live)
+    group.add(live)
+    assert group.live == [live]
+    env.run()
+    assert not group._procs
+
+
+def test_group_interrupt_all_reaches_every_live_process(env):
+    group = ProcessGroup(env)
+    log = []
+    for delay in (5, 1, 7):
+        group.spawn(_sleeper(env, delay, log), name=f"p{delay}")
+    env.run(until=2)
+    group.interrupt_all("stop")
+    env.run()
+    assert log == ["stop", "stop"] and group.live == []
+    group.interrupt_all("again")  # nothing left: a no-op
+    env.run()
+    assert log == ["stop", "stop"]

@@ -120,6 +120,32 @@ def test_toy_shutdown_interrupt_drains_a_group():
     assert result.clean, result.summary()
 
 
+def test_toy_group_left_owning_a_live_process_is_residue():
+    """A group whose process still waits at teardown is reported by name;
+    its finished siblings have left the group and are not."""
+    owners = []  # the component that owns the group outlives the build
+
+    def build(env):
+        group = ProcessGroup(env)
+        owners.append(group)
+        never = env.event()
+
+        def stuck():
+            yield never
+
+        def quick():
+            yield env.timeout(1.0)
+
+        group.spawn(quick(), name="quick")
+        group.spawn(stuck(), name="stuck")
+        group.spawn(quick(), name="quick-too")
+
+    result = check_toy("group-residue", build)
+    assert not result.clean
+    (residue,) = [v for v in result.violations if "ProcessGroup@" in v]
+    assert residue.endswith("still owns 1 live process(es): stuck")
+
+
 def test_monitor_tracks_store_high_water():
     monitor = StallMonitor()
     with monitor.activate():
