@@ -21,9 +21,14 @@ Quickstart::
     report = repro.run_experiment(config)
     print(report.summary())
 
-Or, from a shell (see ``python -m repro bench --help``)::
+A parameter grid, fanned across two worker processes::
 
-    python -m repro bench --points 4 --workers 2
+    points = repro.sweep(config, "input_rate", [20, 40, 60, 80],
+                         "transfer_tfps", workers=2)
+
+Or, from a shell (see ``python -m repro --help``)::
+
+    python -m repro --rate 100 --blocks 20
 """
 
 # calibration must load before framework: repro.framework.config imports

@@ -26,9 +26,6 @@ Examples::
     # Static determinism analysis (see repro.lint)
     python -m repro lint src/repro --format json
 
-    # Parallel sweep execution (see repro.parallel)
-    python -m repro bench --points 8 --workers 4 --cache-dir .bench-cache
-
     # Per-packet lifecycle tracing (see repro.trace)
     python -m repro trace --total 200 --perfetto trace.json
 
@@ -160,11 +157,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.lint.check import main as check_main
 
         return check_main(argv[1:])
-    if argv and argv[0] == "bench":
-        # Subcommand: the parallel sweep executor.
-        from repro.parallel.cli import main as bench_main
-
-        return bench_main(argv[1:])
     if argv and argv[0] == "trace":
         # Subcommand: per-packet lifecycle tracing (see repro.trace).
         from repro.trace.cli import main as trace_main

@@ -21,7 +21,7 @@ Fault kinds:
 * :class:`WsDisconnect` — WebSocket connections reset mid-stream
   (distinct from the §V frame-limit latch, which stays connected).
 * :class:`LinkDegradation` — a temporary
-  :class:`~repro.sim.network.LinkSpec` override (latency/jitter/loss)
+  :class:`~repro.sim.network.LinkSpec` override (latency/jitter)
   between two hosts.
 """
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.errors import SimulationError
 from repro.faults.schedule import (
     Fault,
     FaultSchedule,
@@ -43,7 +44,11 @@ class FaultWindow:
 
 
 class FaultInjector:
-    """Applies a schedule to a set of chains sharing one network."""
+    """Applies a schedule to a set of chains sharing one network.
+
+    A fault naming a host the network does not have is rejected here,
+    before any fault is armed.
+    """
 
     def __init__(
         self,
@@ -53,6 +58,18 @@ class FaultInjector:
         rng: RngRegistry,
         schedule: FaultSchedule,
     ):
+        for fault in schedule.faults:
+            targets = (
+                (fault.a, fault.b)
+                if isinstance(fault, LinkDegradation)
+                else (fault.host,)
+            )
+            unknown = [host for host in targets if host not in network.hosts]
+            if unknown:
+                raise SimulationError(
+                    f"fault {fault!r} names unknown host(s) {unknown} "
+                    f"(known: {sorted(network.hosts)})"
+                )
         self.env = env
         self.network = network
         self.chains = chains
@@ -138,9 +155,7 @@ class FaultInjector:
         self.windows.append(window)
         previous = self.network.link_override(fault.a, fault.b)
         self.network.set_link(
-            fault.a,
-            fault.b,
-            LinkSpec(latency=fault.latency, jitter=fault.jitter, loss=fault.loss),
+            fault.a, fault.b, LinkSpec(latency=fault.latency, jitter=fault.jitter)
         )
         yield self.env.timeout(fault.duration)
         if previous is None:

@@ -76,7 +76,6 @@ class LinkDegradation:
     duration: float
     latency: float
     jitter: float = 0.0
-    loss: float = 0.0
 
 
 Fault = Union[NodeCrash, RpcBrownout, WsDisconnect, LinkDegradation]
@@ -123,12 +122,6 @@ class FaultSchedule:
                 raise SimulationError(
                     "brownout drop_probability must be in [0, 1], got "
                     f"{fault.drop_probability!r}"
-                )
-            if isinstance(fault, LinkDegradation) and not (
-                0.0 <= fault.loss <= 1.0
-            ):
-                raise SimulationError(
-                    f"link loss must be in [0, 1], got {fault.loss!r}"
                 )
 
     def __bool__(self) -> bool:

@@ -99,7 +99,7 @@ class Testbed:
             default_jitter=config.network_rtt * 0.05,
         )
         machines = [
-            self.network.add_host(f"machine-{i}").name
+            self.network.add_host(f"machine-{i}")
             for i in range(config.num_machines)
         ]
         # One validator of each chain per machine (paper §III-C).
@@ -312,7 +312,8 @@ class Testbed:
             path = yield from driver.establish(ordering=ordering)
             paths = [path]
             for _ in range(channels - 1):
-                paths.append((yield from driver.open_extra_channel(path)))
+                extra = yield from driver.open_extra_channel(path, ordering)
+                paths.append(extra)
             for local, relayer in enumerate(relayers):
                 relayer.use_path(paths[local % len(paths)])
             self.edge_paths.append(paths)

@@ -66,7 +66,7 @@ def _golden_faults(seed: int) -> ExperimentConfig:
         (
             LinkDegradation(
                 "machine-0", "machine-1",
-                at=2.0, duration=15.0, latency=0.3, jitter=0.05, loss=0.05,
+                at=2.0, duration=15.0, latency=0.3, jitter=0.05,
             ),
             RpcBrownout("machine-0", at=4.0, duration=10.0, drop_probability=0.3),
             NodeCrash("machine-1", at=6.0, duration=12.0),

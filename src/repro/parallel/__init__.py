@@ -13,21 +13,19 @@ process boundary as :meth:`~repro.framework.ExperimentConfig.to_dict`
 wire JSON and reports come back as
 :meth:`~repro.framework.ExperimentReport.to_json` documents.
 
-The sweep front-ends sit one level up: ``repro.sweep(...,
-workers=N, cache_dir=...)`` for the library API and ``python -m repro
-bench`` for the shell.
+The sweep front end sits one level up: ``repro.sweep(...,
+workers=N, cache_dir=...)`` (and :func:`repro.framework.sweep.run_seeded`)
+fans a parameter grid out through :func:`run_points`.
 """
 
 from repro.parallel.cache import ResultCache, cache_key
 from repro.parallel.executor import PointResult, SweepRun, run_points
-from repro.parallel.scenarios import bench_configs
 from repro.parallel.worker import execute_payload
 
 __all__ = [
     "PointResult",
     "ResultCache",
     "SweepRun",
-    "bench_configs",
     "cache_key",
     "execute_payload",
     "run_points",

@@ -25,7 +25,7 @@ import json
 import multiprocessing
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.errors import ReproError
 from repro.framework.config import ExperimentConfig
@@ -33,7 +33,7 @@ from repro.framework.report import ExperimentReport
 from repro.parallel import hostclock
 from repro.parallel.cache import ResultCache
 from repro.parallel.worker import execute_payload
-from repro.sim.monitor import Counter, DurationHistogram, SummaryStats
+from repro.sim.monitor import Counter
 
 
 @dataclass(frozen=True)
@@ -51,18 +51,13 @@ class PointResult:
         return ExperimentReport.from_json(self.report_json)
 
 
-#: Progress callback: (finished count, total count, just-finished point).
-ProgressFn = Callable[[int, int, PointResult], None]
-
-
 @dataclass
 class SweepRun:
     """A completed sweep: per-point results plus execution accounting.
 
     ``results`` is ordered by point index regardless of which worker
-    finished first; the accounting probes follow the monitor conventions
-    (:class:`~repro.sim.monitor.Counter` /
-    :class:`~repro.sim.monitor.DurationHistogram`).
+    finished first; ``points_run`` and ``cache_hits`` count how each
+    point was served (:class:`~repro.sim.monitor.Counter`).
     """
 
     results: list[PointResult]
@@ -74,13 +69,6 @@ class SweepRun:
     cache_hits: Counter = field(
         default_factory=lambda: Counter("parallel.cache_hits")
     )
-    point_seconds: DurationHistogram = field(
-        default_factory=lambda: DurationHistogram("parallel.point_seconds")
-    )
-
-    def point_summary(self) -> SummaryStats:
-        """Distribution of per-point host seconds (computed points only)."""
-        return self.point_seconds.summary()
 
     def reports(self) -> list[ExperimentReport]:
         return [result.report() for result in self.results]
@@ -121,7 +109,6 @@ def run_points(
     *,
     workers: int = 1,
     cache_dir: Optional[str] = None,
-    progress: Optional[ProgressFn] = None,
 ) -> SweepRun:
     """Execute every config, possibly in parallel; merge deterministically.
 
@@ -135,24 +122,17 @@ def run_points(
         raise ReproError(f"workers must be >= 0, got {workers}")
     started = hostclock.now()
     cache = ResultCache(cache_dir) if cache_dir else None
-    total = len(configs)
     run = SweepRun(results=[], workers=max(1, workers), wall_seconds=0.0)
     by_index: dict[int, PointResult] = {}
-    finished = 0
 
     def finish(result: PointResult) -> None:
-        nonlocal finished
         by_index[result.index] = result
-        finished += 1
         if result.cached:
             run.cache_hits.inc()
         else:
             run.points_run.inc()
-            run.point_seconds.observe(result.wall_seconds)
             if cache is not None:
                 cache.store(result.config, result.report_json)
-        if progress is not None:
-            progress(finished, total, result)
 
     payloads: list[tuple[int, str]] = []
     for index, config in enumerate(configs):

@@ -5,7 +5,7 @@ Public surface:
 * :class:`Environment`, :class:`Event`, :class:`Timeout`, :class:`Process`,
   :class:`Interrupt`, :class:`AllOf`, :class:`AnyOf` — the kernel.
 * :class:`Resource`, :class:`Store` — queued servers and buffers.
-* :class:`Network`, :class:`Host`, :class:`LinkSpec` — latency simulation.
+* :class:`Network`, :class:`LinkSpec` — latency simulation.
 * :class:`RngRegistry` — deterministic named random streams.
 * probes in :mod:`repro.sim.monitor`.
 """
@@ -24,11 +24,10 @@ from repro.sim.core import (
 )
 from repro.sim.monitor import (
     Counter,
-    DurationHistogram,
     SummaryStats,
     percentile,
 )
-from repro.sim.network import Host, LinkSpec, Network
+from repro.sim.network import LinkSpec, Network
 from repro.sim.resources import EMPTY, Request, Resource, Store
 from repro.sim.rng import KeyedStream, RngRegistry, derive_seed
 
@@ -36,11 +35,9 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Counter",
-    "DurationHistogram",
     "EMPTY",
     "Environment",
     "Event",
-    "Host",
     "Interrupt",
     "KeyedStream",
     "LinkSpec",

@@ -1,9 +1,9 @@
 """Lightweight measurement probes for simulation components.
 
 The paper's analysis pipeline is built on event logs; these probes are the
-in-simulation complement: counters and duration histogram summaries that
-components update as they run and that the framework's analysis module
-reads afterwards.
+in-simulation complement: counters that components update as they run,
+and the distribution summary the framework's analysis module reads
+afterwards.
 """
 
 from __future__ import annotations
@@ -88,18 +88,3 @@ def percentile(sorted_values: list[float], pct: float) -> float:
     frac = rank - low
     return sorted_values[low] * (1 - frac) + sorted_values[high] * frac
 
-
-class DurationHistogram:
-    """Collects durations and summarises them."""
-
-    __slots__ = ("name", "durations")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.durations: list[float] = []
-
-    def observe(self, duration: float) -> None:
-        self.durations.append(duration)
-
-    def summary(self) -> SummaryStats:
-        return SummaryStats.from_values(self.durations)

@@ -1,4 +1,4 @@
-"""Simulated network: hosts, links and latency-delayed message delivery.
+"""Simulated network: named hosts and the one-way delay between them.
 
 The paper's testbed is five machines on a LAN with an *enforced* 200 ms
 round-trip latency between any pair (``tc netem``-style).  We model that as a
@@ -10,13 +10,11 @@ validators through local endpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Optional
 
 from repro.errors import SimulationError
 from repro.sim.core import Environment
 from repro.sim.records import record
-from repro.sim.resources import Store
 from repro.sim.rng import KeyedStream, RngRegistry
 
 
@@ -26,31 +24,14 @@ class LinkSpec:
 
     latency: float  # seconds, one-way
     jitter: float = 0.0  # uniform +/- seconds added to each delivery
-    loss: float = 0.0  # probability a message is silently dropped
 
 
 #: What a host sees when it talks to itself: local endpoints, no delay.
 LOCAL_LINK = LinkSpec(latency=0.0)
 
 
-@dataclass(slots=True)
-class Host:
-    """A machine in the testbed.  Components attach mailboxes to it."""
-
-    name: str
-    mailboxes: dict[str, Store] = field(default_factory=dict)
-
-    def mailbox(self, env: Environment, service: str) -> Store:
-        """Return (creating on demand) the inbound queue for ``service``."""
-        box = self.mailboxes.get(service)
-        if box is None:
-            box = Store(env)
-            self.mailboxes[service] = box
-        return box
-
-
 class Network:
-    """A mesh of hosts with per-pair one-way delays.
+    """A mesh of named hosts with per-pair one-way delays.
 
     ``default_rtt`` applies to any pair without an explicit link; hosts
     deliver to themselves with zero delay (local endpoints).
@@ -59,13 +40,10 @@ class Network:
     __slots__ = (
         "env",
         "_jitter_rng",
-        "_loss_rng",
         "_pair_rngs",
         "default",
         "hosts",
         "_links",
-        "delivered",
-        "dropped",
     )
 
     def __init__(
@@ -76,36 +54,25 @@ class Network:
         default_jitter: float = 0.0,
     ):
         self.env = env
-        # Jitter and loss are keyed (order-independent) draws: delivery is a
-        # shared facility sampled by whichever process happens to send, so a
+        # Jitter is a keyed (order-independent) draw: delay is a shared
+        # facility sampled by whichever process happens to send, so a
         # sequential stream would hand out draws in event-heap tie order — a
         # scheduling race.  Keying by (link direction, send time) makes each
-        # sample a pure function of simulation state.  Loss keeps its own
-        # stream so a loss decision never correlates with the jitter value.
+        # sample a pure function of simulation state.
         self._jitter_rng = rng.keyed("network/jitter")
-        self._loss_rng = rng.keyed("network/loss")
-        self._pair_rngs: dict[tuple[str, str], tuple[KeyedStream, KeyedStream]] = {}
+        self._pair_rngs: dict[tuple[str, str], KeyedStream] = {}
         self.default = LinkSpec(latency=default_rtt / 2.0, jitter=default_jitter)
-        self.hosts: dict[str, Host] = {}
+        #: Every machine's name.
+        self.hosts: set[str] = set()
         self._links: dict[tuple[str, str], LinkSpec] = {}
-        #: Total messages delivered / dropped, for probes.
-        self.delivered = 0
-        self.dropped = 0
 
     # -- topology -----------------------------------------------------------
 
-    def add_host(self, name: str) -> Host:
+    def add_host(self, name: str) -> str:
         if name in self.hosts:
             raise SimulationError(f"duplicate host {name!r}")
-        host = Host(name)
-        self.hosts[name] = host
-        return host
-
-    def host(self, name: str) -> Host:
-        try:
-            return self.hosts[name]
-        except KeyError:
-            raise SimulationError(f"unknown host {name!r}") from None
+        self.hosts.add(name)
+        return name
 
     def set_link(self, a: str, b: str, spec: LinkSpec) -> None:
         """Override the link between ``a`` and ``b`` (both directions)."""
@@ -128,18 +95,15 @@ class Network:
         self._links.pop((a, b), None)
         self._links.pop((b, a), None)
 
-    # -- delivery -----------------------------------------------------------
+    # -- delay ------------------------------------------------------------
 
-    def _pair(self, src: str, dst: str) -> tuple[KeyedStream, KeyedStream]:
-        """(jitter, loss) keyed streams for the directed link src -> dst."""
-        entry = self._pair_rngs.get((src, dst))
-        if entry is None:
-            entry = (
-                self._jitter_rng.derive(f"{src}->{dst}"),
-                self._loss_rng.derive(f"{src}->{dst}"),
-            )
-            self._pair_rngs[(src, dst)] = entry
-        return entry
+    def _pair(self, src: str, dst: str) -> KeyedStream:
+        """The keyed jitter stream for the directed link src -> dst."""
+        stream = self._pair_rngs.get((src, dst))
+        if stream is None:
+            stream = self._jitter_rng.derive(f"{src}->{dst}")
+            self._pair_rngs[(src, dst)] = stream
+        return stream
 
     def delay(self, src: str, dst: str) -> float:
         """Sample the one-way delay for a message from ``src`` to ``dst``.
@@ -150,41 +114,8 @@ class Network:
         """
         spec = self.link(src, dst)
         if spec.jitter:
-            jitter = self._pair(src, dst)[0].uniform(
+            jitter = self._pair(src, dst).uniform(
                 self.env.now, -spec.jitter, spec.jitter
             )
             return max(0.0, spec.latency + jitter)
         return spec.latency
-
-    def send(
-        self,
-        src: str,
-        dst: str,
-        service: str,
-        payload: Any,
-        on_delivery: Optional[Callable[[Any], None]] = None,
-    ) -> None:
-        """Deliver ``payload`` into ``dst``'s ``service`` mailbox after the
-        link delay.  ``on_delivery`` (if given) runs instead of the mailbox.
-        """
-        spec = self.link(src, dst)
-        if spec.jitter:
-            jitter = self._pair(src, dst)[0].uniform(
-                self.env.now, -spec.jitter, spec.jitter
-            )
-            delay = max(0.0, spec.latency + jitter)
-        else:
-            delay = spec.latency
-        if spec.loss and self._pair(src, dst)[1].u01(self.env.now) < spec.loss:
-            self.dropped += 1
-            return
-        dst_host = self.host(dst)
-
-        def deliver() -> None:
-            self.delivered += 1
-            if on_delivery is not None:
-                on_delivery(payload)
-            else:
-                dst_host.mailbox(self.env, service).put(payload)
-
-        self.env.schedule_callback(delay, deliver)

@@ -5,7 +5,7 @@ this is exactly how we model Tendermint's *serial* RPC endpoint (capacity 1),
 the mechanism behind the paper's main bottleneck finding.
 
 :class:`Store` models an unbounded or bounded FIFO of items — used for
-mailboxes, mempools and worker task queues.
+WebSocket subscription queues and the relayer workers' task queues.
 """
 
 from __future__ import annotations

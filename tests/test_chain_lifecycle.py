@@ -10,7 +10,7 @@ from repro.tendermint.node import Chain
 def make_chain(env, chain_id="lc-chain", seed=3):
     rng = RngRegistry(seed)
     net = Network(env, rng, default_rtt=0.2, default_jitter=0.01)
-    hosts = [net.add_host(f"{chain_id}-m{i}").name for i in range(3)]
+    hosts = [net.add_host(f"{chain_id}-m{i}") for i in range(3)]
     chain = Chain(env, net, chain_id, hosts, rng)
     chain.add_node(hosts[0])
     return chain
@@ -46,7 +46,7 @@ def test_add_node_idempotent(env):
 def test_two_chains_are_isolated(env):
     rng = RngRegistry(5)
     net = Network(env, rng, default_rtt=0.2)
-    hosts = [net.add_host(f"iso-m{i}").name for i in range(3)]
+    hosts = [net.add_host(f"iso-m{i}") for i in range(3)]
     a = Chain(env, net, "iso-a", hosts, rng)
     b = Chain(env, net, "iso-b", hosts, rng)
     a.start()

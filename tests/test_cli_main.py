@@ -82,56 +82,3 @@ def test_main_writes_report_files(tmp_path, capsys):
     assert (tmp_path / "experiment.json").exists()
     assert (tmp_path / "experiment.txt").exists()
 
-
-# -- the bench subcommand ---------------------------------------------------
-
-
-def test_bench_subcommand_dispatches(tmp_path, capsys):
-    """``python -m repro bench`` routes to the parallel executor CLI
-    (in-process, serial, so this stays fast)."""
-    out_path = tmp_path / "merged.json"
-    assert (
-        main(
-            [
-                "bench", "--points", "1", "--blocks", "2",
-                "--out", str(out_path),
-            ]
-        )
-        == 0
-    )
-    document = json.loads(out_path.read_text())
-    assert len(document) == 1
-    assert document[0]["schema_version"] == 7
-
-
-def test_bench_smoke_two_points_two_workers(tmp_path):
-    """End-to-end smoke of the documented quickstart: two points fanned
-    across two real worker processes via the module entrypoint."""
-    import os
-    import subprocess
-    import sys
-
-    import repro
-
-    out_path = tmp_path / "merged.json"
-    env = dict(os.environ)
-    src_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = (
-        src_root if not existing else os.pathsep.join([src_root, existing])
-    )
-    proc = subprocess.run(
-        [
-            sys.executable, "-m", "repro", "bench",
-            "--points", "2", "--workers", "2", "--blocks", "2",
-            "--out", str(out_path),
-        ],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "2 point(s) merged" in proc.stderr
-    document = json.loads(out_path.read_text())
-    assert [point["config"]["input_rate"] for point in document] == [20.0, 40.0]

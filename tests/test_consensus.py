@@ -13,7 +13,7 @@ from repro.tendermint.types import BlockIDFlag, Evidence
 def build_chain(env, rtt=0.2, n_validators=5, seed=11):
     rng = RngRegistry(seed)
     net = Network(env, rng, default_rtt=rtt, default_jitter=rtt * 0.05)
-    hosts = [net.add_host(f"c{i}").name for i in range(n_validators)]
+    hosts = [net.add_host(f"c{i}") for i in range(n_validators)]
     chain = Chain(env, net, "cons-chain", hosts, rng)
     chain.add_node(hosts[0])
     return chain

@@ -17,7 +17,7 @@ import repro.__main__ as cli
 ROOT = Path(__file__).resolve().parents[1]
 
 #: An experiment invocation: ``python -m repro`` followed by a flag (the
-#: subcommands ``lint``/``check``/``bench``/``trace`` have their own CLIs).
+#: subcommands ``lint``/``check``/``trace`` have their own CLIs).
 _COMMAND = re.compile(r"python -m repro (--.*)$")
 
 

@@ -44,6 +44,29 @@ def test_ordered_channel_experiment_end_to_end():
         ExperimentConfig(channel_ordering="sideways")
 
 
+def test_channel_policy_opens_every_channel_with_the_configured_ordering():
+    """Each relayer's extra channel is opened with ``channel_ordering``,
+    not the handshake's UNORDERED default, on both chains."""
+    from repro.ibc.channel import ChannelOrder
+
+    config = ExperimentConfig(
+        input_rate=10,
+        measurement_blocks=2,
+        num_relayers=2,
+        relayer=FleetConfig(policy="channel"),
+        channel_ordering="ordered",
+        seed=5,
+    )
+    runner = _ExperimentEngine(config)
+    runner.run()
+    for chain in (runner.testbed.chain_a, runner.testbed.chain_b):
+        ends = chain.app.ibc.channels
+        assert sorted(channel for _, channel in ends) == [
+            "channel-0", "channel-1"
+        ]
+        assert {end.ordering for end in ends.values()} == {ChannelOrder.ORDERED}
+
+
 def test_channel_policy_opens_one_channel_per_seat():
     """Policy ``channel`` at K=3: three channels on the edge's one
     connection, relayer *i* relays channel *i* alone, and every channel

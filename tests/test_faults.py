@@ -76,6 +76,42 @@ def test_schedule_accepts_list_and_freezes_it():
     assert isinstance(schedule.faults, tuple)
 
 
+@pytest.mark.parametrize(
+    "fault",
+    [
+        NodeCrash("m9", at=1.0, duration=5.0),
+        RpcBrownout("m9", at=1.0, duration=5.0),
+        WsDisconnect("m9", at=1.0),
+        LinkDegradation("m9", "m1", at=1.0, duration=5.0, latency=0.3),
+        LinkDegradation("m0", "m9", at=1.0, duration=5.0, latency=0.3),
+    ],
+    ids=["crash", "brownout", "disconnect", "link-a", "link-b"],
+)
+def test_injector_rejects_a_fault_on_an_unknown_host(harness, rng, fault):
+    """A fault on a machine the testbed lacks would touch nothing yet be
+    reported as applied; the injector refuses it before arming any fault,
+    naming the fault and the hosts it knows."""
+    valid = WsDisconnect("m0", at=0.5)
+    with pytest.raises(SimulationError) as raised:
+        make_injector(harness, rng, valid, fault)
+    message = str(raised.value)
+    assert repr(fault) in message
+    assert "'m9'" in message
+    assert "['m0', 'm1', 'm2', 'm3', 'm4']" in message
+
+
+def test_unknown_fault_host_fails_the_experiment():
+    from repro.framework import ExperimentConfig, run_experiment
+
+    config = ExperimentConfig(
+        input_rate=10,
+        measurement_blocks=2,
+        faults=FaultSchedule((NodeCrash("machine-9", at=1.0, duration=5.0),)),
+    )
+    with pytest.raises(SimulationError, match="machine-9"):
+        run_experiment(config)
+
+
 # ----------------------------------------------------------------------
 # Crash / brownout / link mechanics
 # ----------------------------------------------------------------------

@@ -7,12 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import format_table, relative_error, summarize
-from repro.sim.monitor import (
-    Counter,
-    DurationHistogram,
-    SummaryStats,
-    percentile,
-)
+from repro.sim.monitor import Counter, SummaryStats, percentile
 
 
 def test_counter():
@@ -56,14 +51,6 @@ def test_summary_orderings_hold(values):
     assert stats.minimum <= stats.p25 <= stats.median <= stats.p75 <= stats.maximum
     assert stats.minimum <= stats.mean <= stats.maximum
     assert stats.stdev >= 0
-
-
-def test_duration_histogram():
-    histogram = DurationHistogram("lat")
-    for d in (0.1, 0.2, 0.3):
-        histogram.observe(d)
-    assert histogram.summary().count == 3
-    assert histogram.summary().mean == pytest.approx(0.2)
 
 
 # -- analysis helpers -------------------------------------------------------------

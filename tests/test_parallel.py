@@ -17,7 +17,6 @@ from repro.framework import ExperimentConfig
 from repro.parallel import (
     PointResult,
     ResultCache,
-    bench_configs,
     cache_key,
     execute_payload,
     run_points,
@@ -25,7 +24,16 @@ from repro.parallel import (
 
 
 def six_points():
-    return bench_configs(6, measurement_blocks=2)
+    """Six short runs along Fig. 8's input-rate axis, 20..120 tfps."""
+    return [
+        ExperimentConfig(
+            input_rate=20.0 * (index + 1),
+            measurement_blocks=2,
+            drain_seconds=10.0,
+            seed=1,
+        )
+        for index in range(6)
+    ]
 
 
 # -- serial / parallel equivalence ------------------------------------------
@@ -137,28 +145,6 @@ def test_point_result_report_accessor():
     assert not result.cached and result.wall_seconds > 0.0
 
 
-def test_progress_callback_sees_every_point():
-    seen = []
-    run_points(
-        six_points()[:3],
-        workers=1,
-        progress=lambda done, total, result: seen.append((done, total)),
-    )
-    assert seen == [(1, 3), (2, 3), (3, 3)]
-
-
-def test_point_summary_covers_computed_points():
-    run = run_points(six_points()[:3], workers=1)
-    summary = run.point_summary()
-    assert summary.count == 3
-    assert summary.minimum > 0.0
-
-
 def test_negative_workers_rejected():
     with pytest.raises(ReproError, match="workers"):
         run_points(six_points()[:1], workers=-1)
-
-
-def test_bench_configs_validates_points():
-    with pytest.raises(ReproError, match="points"):
-        bench_configs(0)

@@ -149,7 +149,7 @@ SAMPLES = {
         ),
         FungibleTokenPacketData("transfer/channel-0/uatom", 5, "alice", "bob"),
         ForwardRoute("hub-fallback", "transfer", "channel-3", "carol"),
-        LinkSpec(latency=0.1, jitter=0.01, loss=0.05),
+        LinkSpec(latency=0.1, jitter=0.01),
         LogRecord(3.5, "relayer-0", "info", "recv_batch", (("count", 2),)),
         AbciEvent(
             "send_packet", (("packet_sequence", 7),), 412, _PACKET, "chain-a",

@@ -29,21 +29,6 @@ def test_link_override(quiet_network):
     assert quiet_network.delay("b", "a") == pytest.approx(0.5)
 
 
-def test_send_delivers_into_mailbox(env, quiet_network):
-    quiet_network.send("a", "b", "svc", payload={"x": 1})
-    env.run()
-    box = quiet_network.host("b").mailbox(env, "svc")
-    assert env.now == pytest.approx(0.1)  # repro-lint: disable=D004
-    assert box.try_get() == {"x": 1}
-
-
-def test_send_with_callback(env, quiet_network):
-    got = []
-    quiet_network.send("a", "b", "svc", "ping", on_delivery=got.append)
-    env.run()
-    assert got == ["ping"]
-
-
 def test_jitter_stays_within_bounds(env):
     rng = RngRegistry(3)
     net = Network(env, rng, default_rtt=0.2, default_jitter=0.02)
@@ -73,56 +58,6 @@ def test_jitter_is_keyed_not_sequential(env):
     assert len(seen) == 2
 
 
-def test_lossy_link_drops(env):
-    rng = RngRegistry(5)
-    net = Network(env, rng, default_rtt=0.0)
-    net.add_host("a")
-    net.add_host("b")
-    net.set_link("a", "b", LinkSpec(latency=0.0, loss=1.0))
-    net.send("a", "b", "svc", "gone")
-    env.run()
-    assert net.dropped == 1
-    assert net.delivered == 0
-
-
-def test_partial_loss_accounts_every_message(env):
-    rng = RngRegistry(11)
-    net = Network(env, rng, default_rtt=0.0)
-    net.add_host("a")
-    net.add_host("b")
-    net.set_link("a", "b", LinkSpec(latency=0.0, loss=0.3))
-    for i in range(200):
-        # Loss decisions are keyed by send time: spread the sends out so
-        # each one is an independent draw.
-        env.schedule_callback(i * 0.01, lambda: net.send("a", "b", "svc", "maybe"))
-    env.run()
-    assert net.dropped > 0
-    assert net.delivered > 0
-    assert net.delivered + net.dropped == 200
-
-
-def test_loss_draws_do_not_shift_jitter_stream():
-    """Regression: loss decisions draw from ``network/loss``, not the
-    shared ``network`` jitter stream.  After the same number of sends, a
-    lossy and a loss-free network with the same seed must sample
-    identical next delays."""
-
-    def build(loss):
-        env = Environment()
-        net = Network(env, RngRegistry(77), default_rtt=0.2, default_jitter=0.05)
-        net.add_host("a")
-        net.add_host("b")
-        net.set_link("a", "b", LinkSpec(latency=0.1, jitter=0.05, loss=loss))
-        return net
-
-    clean, lossy = build(0.0), build(0.5)
-    for _ in range(20):
-        clean.send("a", "b", "svc", "x")
-        lossy.send("a", "b", "svc", "x")
-    assert lossy.dropped > 0  # the lossy link really dropped messages
-    assert clean.delay("a", "b") == lossy.delay("a", "b")
-
-
 def test_link_override_lookup_and_clear(quiet_network):
     assert quiet_network.link_override("a", "b") is None
     spec = LinkSpec(latency=0.5)
@@ -137,11 +72,6 @@ def test_link_override_lookup_and_clear(quiet_network):
 def test_duplicate_host_rejected(env, quiet_network):
     with pytest.raises(SimulationError):
         quiet_network.add_host("a")
-
-
-def test_unknown_host_rejected(quiet_network):
-    with pytest.raises(SimulationError):
-        quiet_network.host("zzz")
 
 
 # -- RNG streams ------------------------------------------------------------

@@ -37,6 +37,7 @@ from repro.framework import (
     WorkloadSpec,
     run_experiment,
 )
+from repro.sim.network import LinkSpec
 
 FAULTS = FaultSchedule(
     (
@@ -45,7 +46,7 @@ FAULTS = FaultSchedule(
         WsDisconnect("machine-0", at=18.0),
         LinkDegradation(
             "machine-0", "machine-1",
-            at=2.0, duration=15.0, latency=0.3, jitter=0.05, loss=0.05,
+            at=2.0, duration=15.0, latency=0.3, jitter=0.05,
         ),
     )
 )
@@ -120,6 +121,18 @@ def test_fault_unknown_key_rejected():
     spec["durration"] = 3.0
     with pytest.raises(SchemaError, match="durration"):
         fault_from_dict(spec)
+
+
+def test_link_degradation_loss_is_not_a_field():
+    """A link drops nothing, so a schedule that asks for loss is refused at
+    the boundary rather than run as if it had been applied."""
+    wire = FAULTS.to_dict()
+    link = next(f for f in wire["faults"] if f["kind"] == "link_degradation")
+    link["loss"] = 0.05
+    with pytest.raises(SchemaError, match="loss"):
+        FaultSchedule.from_dict(wire)
+    with pytest.raises(TypeError):
+        LinkSpec(latency=0.1, loss=0.05)
 
 
 # -- calibration ------------------------------------------------------------
