@@ -183,27 +183,23 @@ class ChainEndpoint:
         self,
         msgs: list[Any],
         label: str,
-        build_seconds_per_msg: float = 0.0,
         prepend_msg: Optional[Any] = None,
         packet_src_chain: Optional[str] = None,
     ) -> Generator[Event, Any, list[SubmittedTx]]:
         """Chunk, sign and broadcast messages; returns per-tx outcomes.
 
-        ``build_seconds_per_msg`` charges per-message construction CPU time
-        (proof encoding etc.) before each chunk is signed.  ``prepend_msg``
-        (a ``MsgUpdateClient`` in practice) is prepended to every chunk, the
-        way Hermes precedes each packet transaction with a client update.
+        ``prepend_msg`` (a ``MsgUpdateClient`` in practice) is prepended to
+        every chunk, the way Hermes precedes each packet transaction with a
+        client update.
         ``packet_src_chain`` names the chain the chunk's packets originated
-        on, for trace keys; it defaults to this endpoint's own chain, which
-        is correct for ack/timeout submissions (the packet's source chain is
-        the one being submitted to) but not for recv submissions.
+        on, for trace keys; every packet submission names it, and the
+        handshake's, which carry no packets, leave it to default to this
+        endpoint's own chain.
         """
         src_chain = packet_src_chain if packet_src_chain is not None else self.chain_id
         submitted: list[SubmittedTx] = []
         for chunk in chunk_msgs(msgs, self.cal.max_msgs_per_tx):
             started = self.env.now
-            if build_seconds_per_msg > 0:
-                yield self.env.timeout(build_seconds_per_msg * len(chunk))
             yield self.env.timeout(self.cal.relayer_sign_seconds_per_tx)
             payload = [prepend_msg] + chunk if prepend_msg is not None else chunk
             entry = yield from self._sign_and_broadcast(

@@ -210,8 +210,10 @@ class Supervisor:
     def _recover_gap(self, chain_id: str) -> None:
         """Hand the missed heights to the clear machinery: every worker that
         consumes this chain's events re-scans pending commitments now.
-        ``clear_once`` covers both the recv leg (missed send_packet events)
-        and the ack leg (missed write_acknowledgement events).
+        ``clear_once`` passes the unreceived packets (missed send_packet
+        events) through the event path's recv filter and relay leg, and
+        relays the acks of the received ones (missed
+        write_acknowledgement events) through the ack leg.
 
         The supervisor is *not* the channel's only observer: in a K-relayer
         fleet every member sees the same gap.  ``request_clear`` is

@@ -6,23 +6,29 @@ per-block batches from the supervisor and moves through the stages the
 paper's Fig. 12 names:
 
 * **recv stage** — *transfer data pull* (one serial RPC query per source
-  transaction, cost scaling with the height's event count), filter against
-  already-received sequences, *build* ``MsgRecvPacket`` messages, *broadcast*
-  to the destination, and confirm.
+  transaction, cost scaling with the height's event count), then the recv
+  filter: drop already-received sequences, packets another pass has in
+  flight and packets past their timeout height on the destination.
 * **ack stage** — triggered by ``write_acknowledgement`` events from the
   destination: *recv data pull* (the single largest cost in the paper's
-  breakdown), *build* ``MsgAcknowledgement``, *broadcast* to the source,
-  confirm.
+  breakdown), then drop packets whose acks the source already holds.
 * **timeout stage** — packets whose timeout height passed on the
-  destination before receipt are settled with ``MsgTimeout``.
+  destination before receipt are settled with ``MsgTimeout``; one
+  ``unreceived_packets`` query per poll leaves the ones the destination
+  received after all to the ack stage.
 * **clear loop** — when ``clear_interval > 0``, periodically re-scans the
   source chain's pending commitments to recover packets whose events were
-  lost (e.g. to the WebSocket frame limit).
+  lost (e.g. to the WebSocket frame limit).  Unreceived packets pass the
+  same recv filter as the event path; received ones have their acks
+  relayed.
 
-The two stages run as separate processes connected by queues, so batches
-pipeline: while block ``h``'s acks are being pulled, block ``h+1``'s
-packets can already be in their transfer pull — matching Hermes's worker
-concurrency.
+Every stage ends in the same *leg* (:meth:`DirectionWorker._relay_leg`):
+*build* the batch's messages, prove each transaction's packets with one
+``prove_packets`` query, prepend a ``MsgUpdateClient`` to the proof
+height, *broadcast* and confirm.  The recv and ack stages run as
+separate processes connected by queues, so batches pipeline: while block
+``h``'s acks are being pulled, block ``h+1``'s packets can already be in
+their transfer pull — matching Hermes's worker concurrency.
 """
 
 from __future__ import annotations
@@ -65,6 +71,15 @@ class RelayPath:
 
 def _by_sequence(packet: Packet) -> int:
     return packet.sequence
+
+
+#: Per leg: the ``prove_packets`` proof kind and the error stage logged
+#: when that query fails.
+_LEG_PROOFS = {
+    "recv": ("commitment", "prove_recv"),
+    "ack": ("ack", "prove_ack"),
+    "timeout": ("absence", "timeout_proof"),
+}
 
 
 class TimeoutIndex:
@@ -141,7 +156,8 @@ class DirectionWorker:
         #: Packets sent on src whose acks we have not yet relayed.
         self.pending: dict[int, Packet] = {}
         self._timeouts = TimeoutIndex()
-        #: Sequences currently being relayed (avoid double work in clearing).
+        #: Sequences the event path or a clear pass is relaying: each leaves
+        #: the other's alone, and the timeout stage skips them.
         self._in_flight: set[int] = set()
         self._started = False
         self._clear_pending = False
@@ -195,34 +211,35 @@ class DirectionWorker:
             self._add_pending(event.packet)
 
         packets = yield from self._pull_send_data(batch)
+        if packets:
+            yield from self._relay_unreceived(packets, stage="unreceived")
+
+    def _relay_unreceived(self, packets: list[Packet], stage: str):
+        """The recv filter the event path and clearing share, then the leg.
+
+        Packets another pass already has in flight are left to it; the
+        rest stay in flight until their transactions are submitted.  Of
+        those, the ones ``dst`` has already received are skipped, and the
+        ones already past their timeout height there are dropped: the
+        timeout stage settles them.  Returns the packets ``dst`` had
+        already received (none when the query fails).
+        """
+        packets = [p for p in packets if p.sequence not in self._in_flight]
         if not packets:
-            return
+            return []
         sequences = [p.sequence for p in packets]
         self._in_flight.update(sequences)
         try:
-            try:
-                unreceived = yield from self.dst.query(
-                    "unreceived_packets",
-                    port=self.dst_end.port_id,
-                    channel=self.dst_end.channel_id,
-                    sequences=sequences,
-                )
-            except RpcError as exc:
-                self.log.error("query_failed", stage="unreceived", reason=str(exc))
-                return
-            # Membership set only — never iterated: iteration order would
-            # depend on the hash seed, not the simulation (repro.lint D003).
-            wanted = set(unreceived)
+            wanted = yield from self._unreceived(sequences, stage)
+            if wanted is None:
+                return []
             to_relay = sorted(
-                (p for p in packets if p.sequence in wanted),
-                key=lambda p: p.sequence,
+                (p for p in packets if p.sequence in wanted), key=_by_sequence
             )
             skipped = len(packets) - len(to_relay)
             if skipped:
-                # Another relayer won the race before we even built the msgs.
+                # Another relayer (or an earlier pass) got there first.
                 self.log.info("skipped_already_received", count=skipped)
-            # Drop packets already past their timeout at the destination —
-            # those go through the timeout stage instead.
             dst_height = self.heights.get(self.dst_end.chain_id, 0)
             live = [
                 p
@@ -230,79 +247,27 @@ class DirectionWorker:
                 if p.timeout_height.is_zero
                 or dst_height < p.timeout_height.revision_height
             ]
-            if not live:
-                return
-            yield from self._submit_recv_chunks(live)
+            if live:
+                yield from self._relay_leg("recv", live)
+            return [p for p in packets if p.sequence not in wanted]
         finally:
             self._in_flight.difference_update(sequences)
 
-    def _submit_recv_chunks(self, packets: list[Packet]):
-        """Build and submit recv transactions, one proof fetch per chunk.
-
-        Each transaction's proofs and client-update header come from a
-        single ``prove_packets`` response (Hermes's abci_query pattern), so
-        they are mutually consistent even when the source chain advances
-        between chunks.
-
-        The *build* stage runs for the whole batch before any broadcast —
-        Hermes assembles all of a batch's messages first and then submits
-        the transactions back to back, which is why the paper's 5 000
-        receives land in a single destination block.
-        """
-        dst = self.dst
-        build_started = self.env.now
-        self.log.info("recv_build", count=len(packets))
-        yield self.env.timeout(
-            dst.cal.relayer_build_seconds_per_msg * len(packets)
-        )
-        self.tracer.record_span(
-            "recv_build", self._track, start=build_started, count=len(packets)
-        )
-        size = dst.cal.max_msgs_per_tx
-        signer = dst.factory.wallet.address
-        for start in range(0, len(packets), size):
-            chunk = packets[start : start + size]
-            try:
-                proven = yield from self.src.query(
-                    "prove_packets",
-                    port=self.src_end.port_id,
-                    channel=self.src_end.channel_id,
-                    sequences=[p.sequence for p in chunk],
-                    kind="commitment",
-                )
-            except RpcError as exc:
-                self.log.error("query_failed", stage="prove_recv", reason=str(exc))
-                continue
-            header = proven["signed_header"]
-            proofs = proven["proofs"]
-            if header is None:
-                continue
-            msgs = [
-                MsgRecvPacket(
-                    packet=packet,
-                    proof_commitment=proofs[packet.sequence],
-                    proof_height=proven["proof_height"],
-                    signer=signer,
-                )
-                for packet in chunk
-                if packet.sequence in proofs
-            ]
-            if not msgs:
-                continue
-            update = MsgUpdateClient(
-                client_id=self.dst_end.client_id,
-                header=header,
-                signer=signer,
+    def _unreceived(self, sequences: list[int], stage: str):
+        """The ``unreceived_packets`` query on ``dst``, as a membership set
+        (never iterated: its order would depend on the hash seed, not the
+        simulation — repro.lint D003); ``None`` when the query fails."""
+        try:
+            unreceived = yield from self.dst.query(
+                "unreceived_packets",
+                port=self.dst_end.port_id,
+                channel=self.dst_end.channel_id,
+                sequences=sequences,
             )
-            submitted = yield from dst.submit_msgs(
-                msgs,
-                label="recv",
-                prepend_msg=update,
-                packet_src_chain=self.src.chain_id,
-            )
-            self.processes.spawn(
-                self._confirm(dst, submitted, "recv"), name="confirm/recv"
-            )
+        except RpcError as exc:
+            self.log.error("query_failed", stage=stage, reason=str(exc))
+            return None
+        return set(unreceived)
 
     def _pull_batch(self, endpoint: ChainEndpoint, batch: WorkBatch, step: str):
         """Per-tx packet-data pulls, ``pull_concurrency`` at a time.
@@ -436,70 +401,8 @@ class DirectionWorker:
             (p for p in packets if p.sequence in wanted),
             key=_by_sequence,
         )
-        if not to_relay:
-            return
-        yield from self._submit_ack_chunks(to_relay, acks)
-
-    def _submit_ack_chunks(self, packets: list[Packet], acks: dict[int, Any]):
-        """Build and submit ack transactions with per-chunk proof fetches.
-
-        As with receives, the build stage covers the whole batch before the
-        back-to-back broadcasts.
-        """
-        src = self.src
-        build_started = self.env.now
-        self.log.info("ack_build", count=len(packets))
-        yield self.env.timeout(
-            src.cal.relayer_build_seconds_per_msg * len(packets)
-        )
-        self.tracer.record_span(
-            "ack_build", self._track, start=build_started, count=len(packets)
-        )
-        size = src.cal.max_msgs_per_tx
-        signer = src.factory.wallet.address
-        for start in range(0, len(packets), size):
-            chunk = packets[start : start + size]
-            try:
-                proven = yield from self.dst.query(
-                    "prove_packets",
-                    port=self.dst_end.port_id,
-                    channel=self.dst_end.channel_id,
-                    sequences=[p.sequence for p in chunk],
-                    kind="ack",
-                )
-            except RpcError as exc:
-                self.log.error("query_failed", stage="prove_ack", reason=str(exc))
-                continue
-            header = proven["signed_header"]
-            proofs = proven["proofs"]
-            if header is None:
-                continue
-            msgs = [
-                MsgAcknowledgement(
-                    packet=packet,
-                    acknowledgement=acks[packet.sequence],
-                    proof_acked=proofs[packet.sequence],
-                    proof_height=proven["proof_height"],
-                    signer=signer,
-                )
-                for packet in chunk
-                if packet.sequence in proofs
-            ]
-            if not msgs:
-                continue
-            update = MsgUpdateClient(
-                client_id=self.src_end.client_id,
-                header=header,
-                signer=signer,
-            )
-            submitted = yield from src.submit_msgs(
-                msgs, label="ack", prepend_msg=update
-            )
-            for msg in msgs:
-                self.pending.pop(msg.packet.sequence, None)
-            self.processes.spawn(
-                self._confirm(src, submitted, "ack"), name="confirm/ack"
-            )
+        if to_relay:
+            yield from self._relay_leg("ack", to_relay, acks)
 
     # ------------------------------------------------------------------
     # Timeout relaying
@@ -515,58 +418,15 @@ class DirectionWorker:
                 self._in_flight,
                 self.heights.get(self.dst_end.chain_id, 0),
             )
+            if not expired:
+                continue
+            # A packet dst received after all is left to the ack stage.
+            wanted = yield from self._unreceived(
+                [p.sequence for p in expired], "timeout_unreceived"
+            )
+            expired = [p for p in expired if wanted and p.sequence in wanted]
             if expired:
-                yield from self._relay_timeouts(expired)
-
-    def _relay_timeouts(self, expired: list[Packet]):
-        # Group messages by the header they were proven against so each
-        # transaction's client update matches its proofs.
-        src = self.src
-        signer = src.factory.wallet.address
-        by_header: dict[int, tuple[Any, list[MsgTimeout]]] = {}
-        for packet in expired:
-            try:
-                response = yield from self.dst.query(
-                    "prove_unreceived",
-                    port=self.dst_end.port_id,
-                    channel=self.dst_end.channel_id,
-                    sequence=packet.sequence,
-                )
-            except RpcError as exc:
-                self.log.error("query_failed", stage="timeout_proof", reason=str(exc))
-                continue
-            if response["received"]:
-                # It made it after all; the ack path will settle it.
-                continue
-            header = response["signed_header"]
-            if header is None:
-                continue
-            msg = MsgTimeout(
-                packet=packet,
-                proof_unreceived=response["proof"],
-                proof_height=header.height,
-                next_sequence_recv=response["next_sequence_recv"],
-                signer=signer,
-            )
-            by_header.setdefault(header.height, (header, []))[1].append(msg)
-        for _height, (header, msgs) in sorted(by_header.items()):
-            update = MsgUpdateClient(
-                client_id=self.src_end.client_id,
-                header=header,
-                signer=signer,
-            )
-            self.log.info("timeout_build", count=len(msgs))
-            submitted = yield from src.submit_msgs(
-                msgs,
-                label="timeout",
-                build_seconds_per_msg=src.cal.relayer_build_seconds_per_msg,
-                prepend_msg=update,
-            )
-            for msg in msgs:
-                self.pending.pop(msg.packet.sequence, None)
-            self.processes.spawn(
-                self._confirm(src, submitted, "timeout"), name="confirm/timeout"
-            )
+                yield from self._relay_leg("timeout", expired)
 
     # ------------------------------------------------------------------
     # Packet clearing
@@ -632,7 +492,7 @@ class DirectionWorker:
             return
         self.log.info("packet_clear", count=len(stale))
         try:
-            response = yield from self.src.query(
+            packets = yield from self.src.query(
                 "packets_by_sequence",
                 port=self.src_end.port_id,
                 channel=self.src_end.channel_id,
@@ -641,77 +501,138 @@ class DirectionWorker:
         except RpcError as exc:
             self.log.error("query_failed", stage="clear_fetch", reason=str(exc))
             return
-        header = response["signed_header"]
-        if header is None:
+        if not packets:
             return
-        proof_height = response["proof_height"]
-        entries = response["entries"]
-        if not entries:
-            return
-        packets = [e["packet"] for e in entries]
         for packet in packets:
             self._add_pending(packet)
-        try:
-            unreceived = yield from self.dst.query(
-                "unreceived_packets",
-                port=self.dst_end.port_id,
-                channel=self.dst_end.channel_id,
-                sequences=[p.sequence for p in packets],
-            )
-        except RpcError as exc:
-            self.log.error("query_failed", stage="clear_unreceived", reason=str(exc))
+        received = yield from self._relay_unreceived(packets, "clear_unreceived")
+        if not received:
             return
-        wanted = set(unreceived)
-        msgs = []
-        for packet, entry in zip(packets, entries):
-            if packet.sequence in wanted and entry["proof"] is not None:
-                msgs.append(
-                    MsgRecvPacket(
-                        packet=packet,
-                        proof_commitment=entry["proof"],
-                        proof_height=proof_height,
-                        signer=self.dst.factory.wallet.address,
-                    )
-                )
-        if msgs:
-            update = MsgUpdateClient(
-                client_id=self.dst_end.client_id,
-                header=header,
-                signer=self.dst.factory.wallet.address,
-            )
-            submitted = yield from self.dst.submit_msgs(
-                msgs,
-                label="recv",
-                build_seconds_per_msg=self.dst.cal.relayer_build_seconds_per_msg,
-                prepend_msg=update,
-                packet_src_chain=self.src.chain_id,
-            )
-            self.processes.spawn(
-                self._confirm(self.dst, submitted, "recv"), name="confirm/clear"
-            )
         # Ack-side clearing: packets already received on dst whose acks were
         # never relayed back (e.g. the ack events were lost to a WebSocket
         # failure).  Hermes's packet clearing covers this leg too.
-        received_pending = [p for p in packets if p.sequence not in wanted]
-        if received_pending:
-            try:
-                response = yield from self.dst.query(
-                    "acks_by_sequence",
-                    port=self.dst_end.port_id,
-                    channel=self.dst_end.channel_id,
-                    sequences=[p.sequence for p in received_pending],
-                )
-            except RpcError as exc:
-                self.log.error(
-                    "query_failed", stage="clear_acks", reason=str(exc)
-                )
-                return
-            acks = response["acks"]
-            stale_acked = [p for p in received_pending if p.sequence in acks]
-            if stale_acked:
-                yield from self._submit_ack_chunks(stale_acked, acks)
+        try:
+            response = yield from self.dst.query(
+                "acks_by_sequence",
+                port=self.dst_end.port_id,
+                channel=self.dst_end.channel_id,
+                sequences=[p.sequence for p in received],
+            )
+        except RpcError as exc:
+            self.log.error("query_failed", stage="clear_acks", reason=str(exc))
+            return
+        acks = response["acks"]
+        stale_acked = [p for p in received if p.sequence in acks]
+        if stale_acked:
+            yield from self._relay_leg("ack", stale_acked, acks)
 
     # ------------------------------------------------------------------
+    # The relay leg: build -> prove -> submit -> confirm
+    # ------------------------------------------------------------------
+
+    def _relay_leg(
+        self, leg: str, packets: list[Packet], acks: dict[int, Any] | None = None
+    ):
+        """Build, prove, submit and confirm one batch of packet messages.
+
+        The one path of every packet transaction.  A ``recv`` leg submits
+        ``MsgRecvPacket`` to ``dst`` with commitment proofs from ``src``;
+        an ``ack`` leg (``acks`` maps sequence to acknowledgement) or a
+        ``timeout`` leg submits ``MsgAcknowledgement`` / ``MsgTimeout`` to
+        ``src`` with ack or absence proofs from ``dst`` and settles the
+        packets in ``pending``.
+
+        The *build* stage runs for the whole batch before any broadcast —
+        Hermes assembles all of a batch's messages first and then submits
+        the transactions back to back, which is why the paper's 5 000
+        receives land in a single destination block.  Each transaction's
+        proofs and client-update header then come from a single
+        ``prove_packets`` response (Hermes's abci_query pattern), so they
+        are mutually consistent even when the proving chain advances
+        between chunks.  A packet the response leaves unproven (already
+        received, acked or settled) gets no message.
+        """
+        if leg == "recv":
+            target, prover, prover_end = self.dst, self.src, self.src_end
+            client_id = self.dst_end.client_id
+        else:
+            target, prover, prover_end = self.src, self.dst, self.dst_end
+            client_id = self.src_end.client_id
+        kind, stage = _LEG_PROOFS[leg]
+        build_started = self.env.now
+        self.log.info(f"{leg}_build", count=len(packets))
+        yield self.env.timeout(target.cal.relayer_build_seconds_per_msg * len(packets))
+        self.tracer.record_span(
+            f"{leg}_build", self._track, start=build_started, count=len(packets)
+        )
+        size = target.cal.max_msgs_per_tx
+        signer = target.factory.wallet.address
+        for start in range(0, len(packets), size):
+            chunk = packets[start : start + size]
+            try:
+                proven = yield from prover.query(
+                    "prove_packets",
+                    port=prover_end.port_id,
+                    channel=prover_end.channel_id,
+                    sequences=[p.sequence for p in chunk],
+                    kind=kind,
+                )
+            except RpcError as exc:
+                self.log.error("query_failed", stage=stage, reason=str(exc))
+                continue
+            header = proven["signed_header"]
+            proofs = proven["proofs"]
+            if header is None:
+                continue
+            height = proven["proof_height"]
+            proven_chunk = [p for p in chunk if p.sequence in proofs]
+            if not proven_chunk:
+                continue
+            if leg == "recv":
+                msgs = [
+                    MsgRecvPacket(
+                        packet=p,
+                        proof_commitment=proofs[p.sequence],
+                        proof_height=height,
+                        signer=signer,
+                    )
+                    for p in proven_chunk
+                ]
+            elif leg == "ack":
+                msgs = [
+                    MsgAcknowledgement(
+                        packet=p,
+                        acknowledgement=acks[p.sequence],
+                        proof_acked=proofs[p.sequence],
+                        proof_height=height,
+                        signer=signer,
+                    )
+                    for p in proven_chunk
+                ]
+            else:
+                msgs = [
+                    MsgTimeout(
+                        packet=p,
+                        proof_unreceived=proofs[p.sequence],
+                        proof_height=height,
+                        next_sequence_recv=proven["next_sequence_recv"],
+                        signer=signer,
+                    )
+                    for p in proven_chunk
+                ]
+            update = MsgUpdateClient(client_id=client_id, header=header, signer=signer)
+            submitted = yield from target.submit_msgs(
+                msgs,
+                label=leg,
+                prepend_msg=update,
+                packet_src_chain=self.src.chain_id,
+            )
+            if leg != "recv":
+                for packet in proven_chunk:
+                    self.pending.pop(packet.sequence, None)
+            self.processes.spawn(
+                self._confirm(target, submitted, leg), name=f"confirm/{leg}"
+            )
 
     def _confirm(self, endpoint: ChainEndpoint, submitted: list[SubmittedTx], label: str):
         confirmed = yield from endpoint.confirm_txs(submitted, label)

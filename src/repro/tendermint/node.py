@@ -39,6 +39,17 @@ _SCAN_COST_ATTR = {
 }
 
 
+
+def _unreceived(ibc, port: str, channel: str, sequences: list[int]):
+    """The sequences not yet received on a channel, and its receive counter
+    if ORDERED (0 if UNORDERED).  Ordered channels write no receipts: the
+    counter has passed every sequence they received."""
+    if ibc.channels[(port, channel)].ordering == ChannelOrder.ORDERED:
+        next_recv = ibc.next_sequence_recv[(port, channel)]
+        return [s for s in sequences if s >= next_recv], next_recv
+    return [s for s in sequences if not ibc.has_receipt(port, channel, s)], 0
+
+
 @dataclass
 class BroadcastResult:
     code: int
@@ -256,11 +267,9 @@ class ChainNode:
         register("tx", self._h_tx_lookup)
         register("pull_packet_data", self._h_pull_packet_data)
         register("prove_packets", self._h_prove_packets)
-        register("signed_header", self._h_signed_header)
         register("unreceived_packets", self._h_unreceived_packets)
         register("unreceived_acks", self._h_unreceived_acks)
         register("commitments", self._h_commitments)
-        register("prove_unreceived", self._h_prove_unreceived)
         register("packets_by_sequence", self._h_packets_by_sequence)
         register("acks_by_sequence", self._h_acks_by_sequence)
         register("block_info", self._h_block_info)
@@ -376,42 +385,55 @@ class ChainNode:
         Mirrors Hermes's ``abci_query(prove=true)`` calls: the returned
         proofs and the signed header come from the same committed state,
         so a client update built from this response always verifies them.
+        ``kind`` names what each sequence's proof shows: its ``commitment``
+        (recv), its ``ack`` (acknowledgement), or its ``absence`` at the
+        receiving end (timeout).  A sequence with nothing to prove (no
+        commitment, no ack, or already received) gets no proof.
         """
         port, channel = params["port"], params["channel"]
         sequences = params["sequences"]
-        kind = params["kind"]  # "commitment" | "ack"
+        kind = params["kind"]
+        if kind not in ("commitment", "ack", "absence"):
+            raise RpcError(f"unknown proof kind {kind!r}")
         service = self.chain.cal.rpc_base_seconds + 2e-4 * len(sequences)
 
         def result():
             ibc = self.chain.app.ibc
             header = self.chain.engine.latest_signed_header
             proofs: dict[int, Any] = {}
-            for sequence in sequences:
-                if kind == "commitment":
+            next_recv = 0
+            if kind == "commitment":
+                for sequence in sequences:
                     if ibc.has_commitment(port, channel, sequence):
                         proofs[sequence] = ibc.prove_commitment(
                             port, channel, sequence
                         )
-                elif kind == "ack":
+            elif kind == "ack":
+                for sequence in sequences:
                     if ibc.acknowledgement_for(port, channel, sequence) is not None:
                         proofs[sequence] = ibc.prove_acknowledgement(
                             port, channel, sequence
                         )
-                else:
-                    raise RpcError(f"unknown proof kind {kind!r}")
+            else:
+                unreceived, next_recv = _unreceived(ibc, port, channel, sequences)
+                if not next_recv:
+                    proofs = {
+                        s: ibc.prove_unreceived(port, channel, s) for s in unreceived
+                    }
+                elif unreceived:
+                    # One proof of the receive counter serves every
+                    # sequence it has not passed.
+                    proofs = dict.fromkeys(
+                        unreceived, ibc.prove_next_sequence_recv(port, channel)
+                    )
             return {
                 "proofs": proofs,
                 "signed_header": header,
                 "proof_height": header.height if header else 0,
+                "next_sequence_recv": next_recv,
             }
 
         return service, result
-
-    def _h_signed_header(self, params: dict[str, Any]):
-        def result():
-            return self.chain.engine.latest_signed_header
-
-        return self.chain.cal.rpc_base_seconds, result
 
     def _h_unreceived_packets(self, params: dict[str, Any]):
         port, channel = params["port"], params["channel"]
@@ -419,10 +441,7 @@ class ChainNode:
         service = self.chain.cal.rpc_base_seconds + 2e-5 * len(sequences)
 
         def result():
-            ibc = self.chain.app.ibc
-            return [
-                s for s in sequences if not ibc.has_receipt(port, channel, s)
-            ]
+            return _unreceived(self.chain.app.ibc, port, channel, sequences)[0]
 
         return service, result
 
@@ -448,40 +467,13 @@ class ChainNode:
         service = self.chain.cal.rpc_base_seconds + 1e-5 * pending
         return service, result
 
-    def _h_prove_unreceived(self, params: dict[str, Any]):
-        port, channel = params["port"], params["channel"]
-        sequence = params["sequence"]
-        service = self.chain.cal.rpc_base_seconds + 0.002
-
-        def result():
-            # Unordered channels answer from the packet's receipt; ordered
-            # channels write none, so their receive counter answers: the
-            # packet is received iff the counter has passed its sequence.
-            ibc = self.chain.app.ibc
-            if ibc.channels[(port, channel)].ordering == ChannelOrder.ORDERED:
-                next_recv = ibc.next_sequence_recv[(port, channel)]
-                if next_recv > sequence:
-                    return {"received": True, "proof": None, "signed_header": None}
-                proof = ibc.prove_next_sequence_recv(port, channel)
-            else:
-                if ibc.has_receipt(port, channel, sequence):
-                    return {"received": True, "proof": None, "signed_header": None}
-                next_recv = 0
-                proof = ibc.prove_unreceived(port, channel, sequence)
-            return {
-                "received": False,
-                "proof": proof,
-                "next_sequence_recv": next_recv,
-                "signed_header": self.chain.engine.latest_signed_header,
-            }
-
-        return service, result
-
     def _h_packets_by_sequence(self, params: dict[str, Any]):
         """Packet-clearing fetch: reconstruct pending packets by sequence.
 
         In the real system this is a tx_search over history, so the service
-        time uses the transfer-event scan cost per requested sequence.
+        time uses the transfer-event scan cost per requested sequence.  It
+        returns the packets only; the relayer proves the ones it relays
+        per transaction with ``prove_packets``.
         """
         port, channel = params["port"], params["channel"]
         sequences = params["sequences"]
@@ -492,25 +484,12 @@ class ChainNode:
 
         def result():
             ibc = self.chain.app.ibc
-            header = self.chain.engine.latest_signed_header
-            entries = []
+            packets = []
             for sequence in sequences:
                 packet = ibc.sent_packet(port, channel, sequence)
-                if packet is None or not ibc.has_commitment(port, channel, sequence):
-                    continue
-                entries.append(
-                    {
-                        "packet": packet,
-                        "src_chain": self.chain.chain_id,
-                        "ack": None,
-                        "proof": ibc.prove_commitment(port, channel, sequence),
-                    }
-                )
-            return {
-                "entries": entries,
-                "signed_header": header,
-                "proof_height": header.height if header else 0,
-            }
+                if packet is not None and ibc.has_commitment(port, channel, sequence):
+                    packets.append(packet)
+            return packets
 
         return service, result
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cosmos.tx import TxFactory
 from repro.errors import RpcError
+from repro.ibc.channel import ChannelOrder
 from repro.tendermint.rpc import RpcClient
 
 
@@ -136,6 +137,84 @@ def test_prove_packets_header_matches_proofs(bootstrapped):
             value,
             proof,
         )
+
+
+def test_prove_packets_absence_on_unordered_channel(bootstrapped):
+    """Every sequence without a receipt gets an absence proof that verifies
+    against the response header; received sequences get none."""
+    h = bootstrapped
+    cli = h.cli()
+
+    def flow():
+        submission = yield from cli.ft_transfer(count=2, amount=1)
+        yield from cli.wait_confirmation(submission)
+        yield h.env.timeout(40.0)
+
+    h.run_process(flow())
+    path = h.path
+    proven = call(
+        h, client_for(h, h.node_b), "prove_packets",
+        port="transfer", channel=path.b.channel_id,
+        sequences=[1, 2, 999], kind="absence",
+    )
+    assert set(proven["proofs"]) == {999}
+    assert proven["next_sequence_recv"] == 0
+    header = proven["signed_header"]
+    assert proven["proof_height"] == header.height
+    from repro.ibc import keys
+    from repro.ibc.proofs import verify_non_membership
+
+    verify_non_membership(
+        header.root,
+        keys.packet_receipt_path("transfer", path.b.channel_id, 999),
+        proven["proofs"][999],
+    )
+
+
+def test_prove_packets_absence_on_ordered_channel(harness):
+    """An ordered channel answers with its receive counter: one proof of it
+    for every sequence the counter has not passed, and the counter itself in
+    the response.  ``unreceived_packets`` reads the same counter."""
+    h = harness
+
+    def flow():
+        h.path = yield from h.relayer.establish_path(ordering=ChannelOrder.ORDERED)
+        h.relayer.start()
+        cli = h.cli()
+        submission = yield from cli.ft_transfer(count=2, amount=1)
+        yield from cli.wait_confirmation(submission)
+        yield h.env.timeout(40.0)
+
+    h.run_process(flow())
+    path = h.path
+    assert h.chain_b.app.ibc.next_sequence_recv[("transfer", path.b.channel_id)] == 3
+    client_b = client_for(h, h.node_b)
+    proven = call(
+        h, client_b, "prove_packets",
+        port="transfer", channel=path.b.channel_id,
+        sequences=[1, 2, 3, 4], kind="absence",
+    )
+    assert set(proven["proofs"]) == {3, 4}
+    assert proven["proofs"][3] is proven["proofs"][4]
+    assert proven["next_sequence_recv"] == 3
+    unreceived = call(
+        h, client_b, "unreceived_packets",
+        port="transfer", channel=path.b.channel_id, sequences=[1, 2, 3, 4],
+    )
+    assert unreceived == [3, 4]
+
+
+def test_prove_packets_unknown_kind_errors_before_service(bootstrapped):
+    h = bootstrapped
+    client = client_for(h, h.node_a)
+    with pytest.raises(RpcError, match="kind"):
+        call(
+            h, client, "prove_packets",
+            port="transfer", channel=h.path.a.channel_id,
+            sequences=[1], kind="weird_kind",
+        )
+    # Rejected before any service time was charged.
+    assert "prove_packets" not in h.node_a.rpc.stats.by_method
 
 
 def test_unreceived_packets_filters(bootstrapped):

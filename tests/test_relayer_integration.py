@@ -148,6 +148,10 @@ def test_expired_packets_are_timed_out_by_relayer(harness):
 
     h.run_process(flow(), limit=3000.0)
     assert h.relayer.log.count("timeout_build") >= 1
+    # Clearing found the expired packets but left them to the timeout
+    # stage: none was sent to B, where it could only fail.
+    assert h.relayer.log.count("recv_broadcast") == 0
+    assert h.relayer.log.count("tx_execution_failed") == 0
 
 
 def test_ordered_expired_packets_are_timed_out_by_relayer(harness):
@@ -176,6 +180,8 @@ def test_ordered_expired_packets_are_timed_out_by_relayer(harness):
     path = h.run_process(flow(), limit=3000.0)
     assert h.relayer.log.count("timeout_build") >= 1
     assert h.relayer.log.count("query_failed") == 0
+    assert h.relayer.log.count("recv_broadcast") == 0
+    assert h.relayer.log.count("tx_execution_failed") == 0
     # Nothing reached B: its counter still expects the first sequence.
     assert h.chain_b.app.ibc.next_sequence_recv[("transfer", path.b.channel_id)] == 1
     assert not any(
@@ -201,15 +207,22 @@ def test_ordered_received_packet_is_never_timed_out_by_relayer(harness):
             yield h.env.timeout(2.0)
         while h.chain_b.height <= packet.timeout_height.revision_height:
             yield h.env.timeout(2.0)
-        answer = yield from h.relayer.workers[0].dst.query(
-            "prove_unreceived",
+        worker = h.relayer.workers[0]
+        answer = yield from worker.dst.query(
+            "unreceived_packets",
             port="transfer",
             channel=path.b.channel_id,
-            sequence=packet.sequence,
+            sequences=[packet.sequence],
         )
-        assert answer["received"]
-        yield from h.relayer.workers[0]._relay_timeouts([packet])
+        assert answer == []  # received
+        # Its ack is relayed already; put it back in pending, as if the ack
+        # were still on its way, so the timeout stage finds it overdue.
+        polls = h.node_b.rpc.stats.by_method["unreceived_packets"]
+        worker._add_pending(packet)
         yield h.env.timeout(30.0)
+        # The stage asked B and left the packet to the ack stage.
+        assert h.node_b.rpc.stats.by_method["unreceived_packets"] > polls
+        assert packet.sequence in worker.pending
         after = h.chain_a.app.bank.balance(h.user.address, TRANSFER_DENOM)
         assert after == before - 5  # delivered, never refunded
 
