@@ -109,6 +109,20 @@ def _fleet(seed: int) -> ExperimentConfig:
     )
 
 
+def _timeouts(seed: int) -> ExperimentConfig:
+    """Packets that expire two blocks after they are sent: the relayer's
+    timeout stage proves their absence on the destination and refunds
+    them on the source, the one scenario that runs that path."""
+    return ExperimentConfig(
+        input_rate=60,
+        measurement_blocks=4,
+        timeout_blocks=2,
+        drain_seconds=60,
+        clear_interval=2,
+        seed=seed,
+    )
+
+
 def _topology(topology: TopologySpec) -> Callable[[int], ExperimentConfig]:
     """A small traced run on a multi-chain ``topology``."""
 
@@ -167,6 +181,7 @@ SCENARIOS: dict[str, Scenario] = {
     "golden": Scenario(_golden, _DYNAMIC + ("alloc",)),
     "golden-faults": Scenario(_golden_faults, _DYNAMIC),
     "fleet": Scenario(_fleet, _DYNAMIC),
+    "timeouts": Scenario(_timeouts, _DYNAMIC),
     "line3": Scenario(_topology(TopologySpec.line(3)), _DYNAMIC),
     "hub4": Scenario(_topology(TopologySpec.hub_and_spoke(4)), _DYNAMIC),
     "skewed": Scenario(_skewed, _DYNAMIC),

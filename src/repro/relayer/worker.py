@@ -7,15 +7,16 @@ paper's Fig. 12 names:
 
 * **recv stage** — *transfer data pull* (one serial RPC query per source
   transaction, cost scaling with the height's event count), then the recv
-  filter: drop already-received sequences, packets another pass has in
-  flight and packets past their timeout height on the destination.
+  filter: drop packets already on a recv or timeout leg, already-received
+  sequences and packets that could land no earlier than their timeout
+  height on the destination.
 * **ack stage** — triggered by ``write_acknowledgement`` events from the
   destination: *recv data pull* (the single largest cost in the paper's
   breakdown), then drop packets whose acks the source already holds.
 * **timeout stage** — packets whose timeout height passed on the
-  destination before receipt are settled with ``MsgTimeout``; one
-  ``unreceived_packets`` query per poll leaves the ones the destination
-  received after all to the ack stage.
+  destination, with nothing in flight, are settled with ``MsgTimeout``;
+  one ``unreceived_packets`` query per poll leaves the ones the
+  destination received after all to the ack stage, and out of later polls.
 * **clear loop** — when ``clear_interval > 0``, periodically re-scans the
   source chain's pending commitments to recover packets whose events were
   lost (e.g. to the WebSocket frame limit).  Unreceived packets pass the
@@ -28,7 +29,9 @@ Every stage ends in the same *leg* (:meth:`DirectionWorker._relay_leg`):
 height, *broadcast* and confirm.  The recv and ack stages run as
 separate processes connected by queues, so batches pipeline: while block
 ``h``'s acks are being pulled, block ``h+1``'s packets can already be in
-their transfer pull — matching Hermes's worker concurrency.
+their transfer pull — matching Hermes's worker concurrency.  Every stage
+asks one :class:`PacketLedger` what each packet has in flight, so none
+relays a packet on a leg this worker's unconfirmed transactions carry.
 """
 
 from __future__ import annotations
@@ -73,6 +76,12 @@ def _by_sequence(packet: Packet) -> int:
     return packet.sequence
 
 
+def _expired(packet: Packet, dst_height: int) -> bool:
+    """Whether ``packet`` times out in a destination block at ``dst_height``."""
+    timeout = packet.timeout_height
+    return not timeout.is_zero and timeout.revision_height <= dst_height
+
+
 #: Per leg: the ``prove_packets`` proof kind and the error stage logged
 #: when that query fails.
 _LEG_PROOFS = {
@@ -81,41 +90,87 @@ _LEG_PROOFS = {
     "timeout": ("absence", "timeout_proof"),
 }
 
+#: Ledger state bits: in flight on a leg, or reported received by ``dst``.
+_RECV, _ACK, _TIMEOUT, _RECEIVED = 1, 2, 4, 8
+#: Per leg: its bit, and the bits that refuse its claim.  An ack event
+#: proves the recv executed, so only an ack in flight refuses an ack
+#: claim; a timeout needs the packet idle.
+_LEG_BITS = {
+    "recv": (_RECV, _RECV | _TIMEOUT),
+    "ack": (_ACK, _ACK),
+    "timeout": (_TIMEOUT, _RECV | _ACK | _TIMEOUT),
+}
 
-class TimeoutIndex:
-    """Pending packets ordered by timeout height, so a poll costs O(expired).
 
-    Each packet is pushed once as it enters ``pending``.  A poll moves every
-    entry due at the (monotonic) destination height into the overdue set,
-    drops the overdue sequences no longer pending, and returns the rest
-    minus those in flight.  That is exactly the packets of ``pending`` with
-    a non-zero timeout height at or below the destination height and not
-    in flight.  They come sorted by sequence, so timeout submission order
-    does not depend on pending-dict insertion history.  An overdue packet
-    that stays pending (it was in flight, or turned out to be received) is
-    returned again next poll.
+class PacketLedger:
+    """One direction's packets, each with its state bits.
+
+    A packet is *tracked* from its send event (or a clear pass) until an
+    ack or timeout for it settles.  A leg *claims* its packets before it
+    builds and holds them until its transaction confirms or fails, or
+    releases them at once if no transaction carries them.  A heap by
+    timeout height makes a timeout poll O(expired); a packet the
+    destination reports received leaves it.
     """
 
     def __init__(self) -> None:
+        #: Tracked packets by sequence.
+        self.packets: dict[int, Packet] = {}
+        #: Sequence -> its leg bits and ``_RECEIVED`` (absent: none set).
+        self._state: dict[int, int] = {}
         self._heap: list[tuple[int, int]] = []
         self._overdue: set[int] = set()
 
-    def add(self, packet: Packet) -> None:
-        if not packet.timeout_height.is_zero:
-            heappush(
-                self._heap, (packet.timeout_height.revision_height, packet.sequence)
-            )
+    def track(self, packet: Packet) -> None:
+        if packet.sequence not in self.packets:
+            self.packets[packet.sequence] = packet
+            height = packet.timeout_height
+            if not height.is_zero:
+                heappush(self._heap, (height.revision_height, packet.sequence))
 
-    def expired(
-        self, pending: dict[int, Packet], in_flight: set[int], dst_height: int
-    ) -> list[Packet]:
-        heap, overdue = self._heap, self._overdue
+    def busy(self, leg: str, sequence: int) -> bool:
+        """Whether a claim of ``sequence`` on ``leg`` is refused."""
+        return bool(self._state.get(sequence, 0) & _LEG_BITS[leg][1])
+
+    def claim(self, leg: str, packets: list[Packet]) -> list[Packet]:
+        """Put ``packets`` in flight on ``leg``; returns the ones not refused."""
+        state, (bit, refused) = self._state, _LEG_BITS[leg]
+        claimed = [p for p in packets if not state.get(p.sequence, 0) & refused]
+        for packet in claimed:
+            state[packet.sequence] = state.get(packet.sequence, 0) | bit
+        return claimed
+
+    def release(self, leg: str, sequences: list[int], settled: bool = False) -> None:
+        """Take ``sequences`` off ``leg``; untrack them if ``settled``."""
+        state = self._state
+        mask = ~(_LEG_BITS[leg][0] | (_RECEIVED if settled else 0))
+        for sequence in sequences:
+            bits = state.pop(sequence, 0) & mask
+            if bits:
+                state[sequence] = bits
+            if settled:
+                self.packets.pop(sequence, None)
+
+    def received(self, sequences: list[int]) -> None:
+        """The destination reported ``sequences`` received: no timeout."""
+        state = self._state
+        for sequence in sequences:
+            if sequence in self.packets:
+                state[sequence] = state.get(sequence, 0) | _RECEIVED
+                self._overdue.discard(sequence)
+
+    def overdue(self, dst_height: int) -> list[Packet]:
+        """Tracked packets due at ``dst_height``, idle and not reported
+        received, by sequence; one that stays so returns next poll."""
+        heap, overdue, state = self._heap, self._overdue, self._state
         while heap and heap[0][0] <= dst_height:
-            overdue.add(heappop(heap)[1])
+            sequence = heappop(heap)[1]
+            if not state.get(sequence, 0) & _RECEIVED:
+                overdue.add(sequence)
         if not overdue:
             return []
-        overdue.intersection_update(pending)
-        return [pending[s] for s in sorted(overdue) if s not in in_flight]
+        overdue.intersection_update(self.packets)
+        return [self.packets[s] for s in sorted(overdue) if s not in state]
 
 
 class DirectionWorker:
@@ -145,27 +200,18 @@ class DirectionWorker:
         #: The relayer's seat in its fleet, consulted for batch ownership
         #: and clear permission.
         self.member = member
-        self._track = (
-            f"{log.relayer}/worker/{src_end.chain_id}->{dst_end.chain_id}"
-        )
+        self._track = f"{log.relayer}/worker/{src_end.chain_id}->{dst_end.chain_id}"
         #: Latest known height per chain (maintained by the supervisor).
         self.heights = heights
 
         self.recv_queue: Store = Store(env)
         self.ack_queue: Store = Store(env)
-        #: Packets sent on src whose acks we have not yet relayed.
-        self.pending: dict[int, Packet] = {}
-        self._timeouts = TimeoutIndex()
-        #: Sequences the event path or a clear pass is relaying: each leaves
-        #: the other's alone, and the timeout stage skips them.
-        self._in_flight: set[int] = set()
+        self.ledger = PacketLedger()
         self._started = False
         self._clear_pending = False
         #: Every process this worker spawns (stage loops, confirmations,
         #: one-shot clears), so teardown/faults can interrupt them.
         self.processes = ProcessGroup(env)
-
-    # ------------------------------------------------------------------
 
     def start(self) -> None:
         if self._started:
@@ -183,75 +229,65 @@ class DirectionWorker:
         self._started = False
         self.processes.interrupt_all(SHUTDOWN)
 
-    # ------------------------------------------------------------------
-    # Stage 1: receive relaying (src events -> dst transactions)
-    # ------------------------------------------------------------------
+    # -- Stage 1: receive relaying (src events -> dst transactions) --------------
 
     def _recv_loop(self):
         while True:
             batch: WorkBatch = yield self.recv_queue.get()
             yield from self._relay_recv_batch(batch)
 
-    def _add_pending(self, packet: Packet) -> None:
-        if packet.sequence not in self.pending:
-            self.pending[packet.sequence] = packet
-            self._timeouts.add(packet)
-
-    def _owned(self, batch: WorkBatch) -> WorkBatch:
-        """Keep only the work this relayer instance owns: the fleet
-        member's policy filter (sequence ownership)."""
-        return self.member.filter_batch(batch)
-
     def _relay_recv_batch(self, batch: WorkBatch):
-        batch = self._owned(batch)
+        batch = self.member.filter_batch(batch)
         if not batch.events:
             return
         # Track for timeout handling regardless of relay success.
         for event in batch.events:
-            self._add_pending(event.packet)
+            self.ledger.track(event.packet)
 
-        packets = yield from self._pull_send_data(batch)
+        # The *transfer data pull* (Fig. 12 step 4).
+        packets: list[Packet] = []
+        responses = yield from self._pull_batch(self.src, batch, "transfer_data_pull")
+        for tx_hash, response in responses:
+            expected = {e.packet.sequence for e in batch.events_for_tx(tx_hash)}
+            for entry in response["entries"]:
+                if entry["packet"].sequence in expected:
+                    packets.append(entry["packet"])
         if packets:
             yield from self._relay_unreceived(packets, stage="unreceived")
 
     def _relay_unreceived(self, packets: list[Packet], stage: str):
         """The recv filter the event path and clearing share, then the leg.
 
-        Packets another pass already has in flight are left to it; the
-        rest stay in flight until their transactions are submitted.  Of
-        those, the ones ``dst`` has already received are skipped, and the
-        ones already past their timeout height there are dropped: the
-        timeout stage settles them.  Returns the packets ``dst`` had
-        already received (none when the query fails).
+        Packets already on a recv or timeout leg are left alone; the rest
+        are claimed while ``dst`` is asked which it has received.  Those
+        are skipped, and the ones that could land no earlier than their
+        timeout height there are dropped: the timeout stage settles them.
+        Returns the packets ``dst`` had already received (none when the
+        query fails).
         """
-        packets = [p for p in packets if p.sequence not in self._in_flight]
+        packets = self.ledger.claim("recv", packets)
         if not packets:
             return []
         sequences = [p.sequence for p in packets]
-        self._in_flight.update(sequences)
-        try:
-            wanted = yield from self._unreceived(sequences, stage)
-            if wanted is None:
-                return []
-            to_relay = sorted(
-                (p for p in packets if p.sequence in wanted), key=_by_sequence
-            )
-            skipped = len(packets) - len(to_relay)
-            if skipped:
-                # Another relayer (or an earlier pass) got there first.
-                self.log.info("skipped_already_received", count=skipped)
-            dst_height = self.heights.get(self.dst_end.chain_id, 0)
-            live = [
-                p
-                for p in to_relay
-                if p.timeout_height.is_zero
-                or dst_height < p.timeout_height.revision_height
-            ]
-            if live:
-                yield from self._relay_leg("recv", live)
-            return [p for p in packets if p.sequence not in wanted]
-        finally:
-            self._in_flight.difference_update(sequences)
+        wanted = yield from self._unreceived(sequences, stage)
+        self.ledger.release("recv", sequences)  # the leg claims what it relays
+        if wanted is None:
+            return []
+        received = [p for p in packets if p.sequence not in wanted]
+        wanted_packets = [p for p in packets if p.sequence in wanted]
+        if received:
+            # Another relayer (or an earlier pass) got there first.
+            self.log.info("skipped_already_received", count=len(received))
+            self.ledger.received([p.sequence for p in received])
+        # A transaction built now lands in the next block at the earliest.
+        next_height = self.heights.get(self.dst_end.chain_id, 0) + 1
+        live = sorted(
+            (p for p in wanted_packets if not _expired(p, next_height)),
+            key=_by_sequence,
+        )
+        if live:
+            yield from self._relay_leg("recv", live)
+        return received
 
     def _unreceived(self, sequences: list[int], stage: str):
         """The ``unreceived_packets`` query on ``dst``, as a membership set
@@ -339,22 +375,7 @@ class DirectionWorker:
                 responses.append((tx_hash, response))
         return responses
 
-    def _pull_send_data(self, batch: WorkBatch):
-        """The *transfer data pull* (Fig. 12 step 4)."""
-        packets: list[Packet] = []
-        responses = yield from self._pull_batch(
-            self.src, batch, "transfer_data_pull"
-        )
-        for tx_hash, response in responses:
-            expected = {e.packet.sequence for e in batch.events_for_tx(tx_hash)}
-            for entry in response["entries"]:
-                if entry["packet"].sequence in expected:
-                    packets.append(entry["packet"])
-        return packets
-
-    # ------------------------------------------------------------------
-    # Stage 2: acknowledgement relaying (dst events -> src transactions)
-    # ------------------------------------------------------------------
+    # -- Stage 2: acknowledgement relaying (dst events -> src transactions) ------
 
     def _ack_loop(self):
         while True:
@@ -362,7 +383,7 @@ class DirectionWorker:
             yield from self._relay_ack_batch(batch)
 
     def _relay_ack_batch(self, batch: WorkBatch):
-        batch = self._owned(batch)
+        batch = self.member.filter_batch(batch)
         if not batch.events:
             return
         packets: list[Packet] = []
@@ -383,13 +404,12 @@ class DirectionWorker:
                 acks[packet.sequence] = entry["ack"]
         if not packets:
             return
-        sequences = [p.sequence for p in packets]
         try:
             unacked = yield from self.src.query(
                 "unreceived_acks",
                 port=self.src_end.port_id,
                 channel=self.src_end.channel_id,
-                sequences=sequences,
+                sequences=[p.sequence for p in packets],
             )
         except RpcError as exc:
             self.log.error("query_failed", stage="unreceived_acks", reason=str(exc))
@@ -404,33 +424,25 @@ class DirectionWorker:
         if to_relay:
             yield from self._relay_leg("ack", to_relay, acks)
 
-    # ------------------------------------------------------------------
-    # Timeout relaying
-    # ------------------------------------------------------------------
+    # -- Timeout relaying --------------------------------------------------------
 
     def _timeout_loop(self):
         while True:
             yield self.env.timeout(self.src.cal.relayer_confirm_poll_seconds * 2)
-            if not self.pending:
-                continue
-            expired = self._timeouts.expired(
-                self.pending,
-                self._in_flight,
-                self.heights.get(self.dst_end.chain_id, 0),
-            )
+            expired = self.ledger.overdue(self.heights.get(self.dst_end.chain_id, 0))
             if not expired:
                 continue
             # A packet dst received after all is left to the ack stage.
-            wanted = yield from self._unreceived(
-                [p.sequence for p in expired], "timeout_unreceived"
-            )
-            expired = [p for p in expired if wanted and p.sequence in wanted]
+            sequences = [p.sequence for p in expired]
+            wanted = yield from self._unreceived(sequences, "timeout_unreceived")
+            if wanted is None:
+                continue
+            self.ledger.received([s for s in sequences if s not in wanted])
+            expired = [p for p in expired if p.sequence in wanted]
             if expired:
                 yield from self._relay_leg("timeout", expired)
 
-    # ------------------------------------------------------------------
-    # Packet clearing
-    # ------------------------------------------------------------------
+    # -- Packet clearing ---------------------------------------------------------
 
     def _clear_loop(self):
         interval = self.config.clear_interval * self.src.cal.min_block_interval
@@ -439,19 +451,13 @@ class DirectionWorker:
             yield from self.clear_once()
 
     def request_clear(self) -> None:
-        """Run one out-of-band clear pass now (supervisor gap recovery).
-
-        Used when a resubscribed WebSocket stream reveals a height gap:
-        events committed during the outage never arrived, so the pending
-        commitments are re-scanned immediately instead of waiting for the
-        next ``clear_interval`` tick.  Concurrent requests coalesce, and
-        a fleet member whose policy forbids clearing (a leader-policy
-        standby) declines — one gap on a shared channel must not fan out
-        into K duplicate clear scans.
+        """Run one out-of-band clear pass now (supervisor gap recovery):
+        a resubscribed WebSocket stream revealed a height gap, whose
+        events never arrived.  Concurrent requests coalesce, and a fleet
+        member whose policy forbids clearing (a leader-policy standby)
+        declines, so one gap never fans out into K duplicate scans.
         """
-        if not self.member.may_clear():
-            return
-        if self._clear_pending:
+        if self._clear_pending or not self.member.may_clear():
             return
         self._clear_pending = True
 
@@ -486,7 +492,7 @@ class DirectionWorker:
         stale = sorted(
             s
             for s in sequences
-            if s not in self._in_flight and member.owns_sequence(s)
+            if not self.ledger.busy("recv", s) and member.owns_sequence(s)
         )
         if not stale:
             return
@@ -504,7 +510,7 @@ class DirectionWorker:
         if not packets:
             return
         for packet in packets:
-            self._add_pending(packet)
+            self.ledger.track(packet)
         received = yield from self._relay_unreceived(packets, "clear_unreceived")
         if not received:
             return
@@ -526,21 +532,19 @@ class DirectionWorker:
         if stale_acked:
             yield from self._relay_leg("ack", stale_acked, acks)
 
-    # ------------------------------------------------------------------
-    # The relay leg: build -> prove -> submit -> confirm
-    # ------------------------------------------------------------------
+    # -- The relay leg: build -> prove -> submit -> confirm ----------------------
 
     def _relay_leg(
         self, leg: str, packets: list[Packet], acks: dict[int, Any] | None = None
     ):
         """Build, prove, submit and confirm one batch of packet messages.
 
-        The one path of every packet transaction.  A ``recv`` leg submits
+        The one path of every packet transaction, for the ``packets`` the
+        ledger lets it claim on ``leg``.  A ``recv`` leg submits
         ``MsgRecvPacket`` to ``dst`` with commitment proofs from ``src``;
         an ``ack`` leg (``acks`` maps sequence to acknowledgement) or a
         ``timeout`` leg submits ``MsgAcknowledgement`` / ``MsgTimeout`` to
-        ``src`` with ack or absence proofs from ``dst`` and settles the
-        packets in ``pending``.
+        ``src`` with ack or absence proofs from ``dst``.
 
         The *build* stage runs for the whole batch before any broadcast —
         Hermes assembles all of a batch's messages first and then submits
@@ -558,6 +562,9 @@ class DirectionWorker:
         else:
             target, prover, prover_end = self.src, self.dst, self.dst_end
             client_id = self.src_end.client_id
+        packets = self.ledger.claim(leg, packets)
+        if not packets:
+            return
         kind, stage = _LEG_PROOFS[leg]
         build_started = self.env.now
         self.log.info(f"{leg}_build", count=len(packets))
@@ -579,45 +586,32 @@ class DirectionWorker:
                 )
             except RpcError as exc:
                 self.log.error("query_failed", stage=stage, reason=str(exc))
-                continue
-            header = proven["signed_header"]
-            proofs = proven["proofs"]
-            if header is None:
-                continue
-            height = proven["proof_height"]
+                proven = None
+            header = proven["signed_header"] if proven else None
+            proofs = proven["proofs"] if header is not None else {}
+            self.ledger.release(
+                leg, [p.sequence for p in chunk if p.sequence not in proofs]
+            )
             proven_chunk = [p for p in chunk if p.sequence in proofs]
             if not proven_chunk:
                 continue
+            height = proven["proof_height"]
             if leg == "recv":
                 msgs = [
-                    MsgRecvPacket(
-                        packet=p,
-                        proof_commitment=proofs[p.sequence],
-                        proof_height=height,
-                        signer=signer,
-                    )
+                    MsgRecvPacket(p, proofs[p.sequence], height, signer)
                     for p in proven_chunk
                 ]
             elif leg == "ack":
                 msgs = [
                     MsgAcknowledgement(
-                        packet=p,
-                        acknowledgement=acks[p.sequence],
-                        proof_acked=proofs[p.sequence],
-                        proof_height=height,
-                        signer=signer,
+                        p, acks[p.sequence], proofs[p.sequence], height, signer
                     )
                     for p in proven_chunk
                 ]
             else:
+                next_recv = proven["next_sequence_recv"]
                 msgs = [
-                    MsgTimeout(
-                        packet=p,
-                        proof_unreceived=proofs[p.sequence],
-                        proof_height=height,
-                        next_sequence_recv=proven["next_sequence_recv"],
-                        signer=signer,
-                    )
+                    MsgTimeout(p, proofs[p.sequence], height, next_recv, signer)
                     for p in proven_chunk
                 ]
             update = MsgUpdateClient(client_id=client_id, header=header, signer=signer)
@@ -627,18 +621,20 @@ class DirectionWorker:
                 prepend_msg=update,
                 packet_src_chain=self.src.chain_id,
             )
-            if leg != "recv":
-                for packet in proven_chunk:
-                    self.pending.pop(packet.sequence, None)
             self.processes.spawn(
                 self._confirm(target, submitted, leg), name=f"confirm/{leg}"
             )
 
-    def _confirm(self, endpoint: ChainEndpoint, submitted: list[SubmittedTx], label: str):
-        confirmed = yield from endpoint.confirm_txs(submitted, label)
+    def _confirm(self, endpoint: ChainEndpoint, submitted: list[SubmittedTx], leg: str):
+        """Confirm one leg's transactions and release their claims.  An ack
+        or timeout that executed, or was rejected as redundant, settles
+        its packets; anything else leaves them tracked."""
+        confirmed = yield from endpoint.confirm_txs(submitted, leg)
         for entry in confirmed:
+            settled = entry.executed_ok
             if entry.confirmed is not None and entry.confirmed.code != 0:
-                if "redundant" in entry.confirmed.log:
+                settled = "redundant" in entry.confirmed.log
+                if settled:
                     self.log.error(
                         "packet_messages_redundant",
                         chain=endpoint.chain_id,
@@ -652,3 +648,5 @@ class DirectionWorker:
                         code=entry.confirmed.code,
                         log=entry.confirmed.log,
                     )
+            sequences = [key[2] for key in entry.packet_keys]
+            self.ledger.release(leg, sequences, settled=settled and leg != "recv")

@@ -37,7 +37,7 @@ def test_matrix_shape():
         name: sum(1 for check_name, _ in cells if check_name == name)
         for name in scenarios.CHECKS
     }
-    assert per_check == {"replay": 7, "sched": 6, "alloc": 1, "stall": 6}
+    assert per_check == {"replay": 8, "sched": 7, "alloc": 1, "stall": 7}
     assert set(scenarios.CHECKS) == set(check._RUN)
     assert scenarios.matrix(["stall"], ["hub4"]) == [("stall", "hub4")]
     # A selection narrows the matrix; it never adds an ungated cell.

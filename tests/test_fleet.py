@@ -10,6 +10,8 @@ the redundancy accounting, the crash-failover path, and the property
 everything else rests on: same seed, same bytes — for every policy.
 """
 
+import collections
+
 import pytest
 
 from repro.errors import SchemaError, WorkloadError
@@ -17,6 +19,8 @@ from repro.faults import FaultSchedule, NodeCrash
 from repro.framework import ExperimentConfig, FleetConfig, run_experiment
 from repro.framework.runner import _ExperimentEngine
 from repro.framework.setup import Testbed as _Testbed
+from repro.lint import paper, scenarios
+from repro.relayer.endpoint import ChainEndpoint
 from repro.relayer.fleet import POLICY_NAMES, SHARD_BLOCK, Fleet
 from repro.sim.core import Environment
 from repro.sim.rng import RngRegistry
@@ -241,6 +245,65 @@ def test_leader_standby_never_runs_duplicate_clears():
     # Any clear-vs-in-flight race is the leader's own (it exists at K=1
     # too); the standby contributes zero redundant submissions.
     assert standby_relayer.log.count("packet_messages_redundant") == 0
+
+
+# -- no relayer re-relays what its own transactions carry --------------------
+
+
+def _self_rebroadcasts(monkeypatch, config):
+    """Run ``config``, counting per leg the packet messages broadcast and
+    those a relayer broadcast while its own earlier transaction carrying
+    that packet on that leg was unconfirmed, or after it had executed."""
+    carried = collections.defaultdict(set)  # (relayer, leg) -> packet keys
+    executed = collections.defaultdict(set)
+    broadcasts, rebroadcasts = collections.Counter(), collections.Counter()
+    submit, confirm = ChainEndpoint.submit_msgs, ChainEndpoint.confirm_txs
+
+    def watched_submit(self, msgs, label, *args, **kwargs):
+        submitted = yield from submit(self, msgs, label, *args, **kwargs)
+        seat = (self.log.relayer, label)
+        for entry in submitted:
+            for key in entry.packet_keys:
+                broadcasts[label] += 1
+                if key in carried[seat] or key in executed[seat]:
+                    rebroadcasts[label] += 1
+                carried[seat].add(key)
+        return submitted
+
+    def watched_confirm(self, submitted, label):
+        confirmed = yield from confirm(self, submitted, label)
+        seat = (self.log.relayer, label)
+        for entry in submitted:
+            carried[seat].difference_update(entry.packet_keys)
+            if entry.executed_ok:
+                executed[seat].update(entry.packet_keys)
+        return confirmed
+
+    monkeypatch.setattr(ChainEndpoint, "submit_msgs", watched_submit)
+    monkeypatch.setattr(ChainEndpoint, "confirm_txs", watched_confirm)
+    return run_experiment(config), broadcasts, rebroadcasts
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        # The registry's leader fleet: its clear pass re-acked 40 packets
+        # while their first acks were unconfirmed.
+        scenarios.lookup("fleet").build(7),
+        # Fig. 9's leader crash: the successor's clear pass took all 600
+        # packets while its own recvs were unconfirmed, and sent them again
+        # once those had executed.
+        paper.PAPER_TARGETS["fig9-fleet"].configs["leader_crash"],
+    ],
+    ids=["fleet", "fig9-fleet-leader-crash"],
+)
+def test_no_relayer_rebroadcasts_a_packet_its_own_transaction_carries(
+    monkeypatch, config
+):
+    report, broadcasts, rebroadcasts = _self_rebroadcasts(monkeypatch, config)
+    assert report.window.completion.as_fractions()["completed"] == 1.0
+    assert broadcasts["recv"] > 0 and broadcasts["ack"] > 0
+    assert rebroadcasts == {}
 
 
 # -- determinism: same seed, same bytes, for every policy --------------------

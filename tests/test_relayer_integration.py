@@ -154,6 +154,24 @@ def test_expired_packets_are_timed_out_by_relayer(harness):
     assert h.relayer.log.count("tx_execution_failed") == 0
 
 
+def test_recv_filter_leaves_packets_that_would_land_expired_to_timeouts():
+    """The registry's ``timeouts`` scenario: packets expire two blocks after
+    they are sent.  A recv transaction lands one block after the relayer
+    sees the destination's height at the earliest, so a packet whose
+    timeout height is that next block is never sent there (where it could
+    only fail) but timed out and refunded on the source."""
+    from repro.framework.runner import _ExperimentEngine
+    from repro.lint import scenarios
+
+    engine = _ExperimentEngine(scenarios.lookup("timeouts").build(7))
+    report = engine.run()
+    (relayer,) = engine.testbed.relayers
+    assert relayer.log.count("recv_build") == 0
+    assert relayer.log.count("tx_execution_failed") == 0
+    assert relayer.log.count("timeout_build") > 0
+    assert report.window.completion.as_fractions()["timed_out"] == 0.5
+
+
 def test_ordered_expired_packets_are_timed_out_by_relayer(harness):
     """On an ORDERED channel the relayer proves non-receipt with the
     destination's receive counter, and the expired packets are refunded."""
@@ -215,14 +233,17 @@ def test_ordered_received_packet_is_never_timed_out_by_relayer(harness):
             sequences=[packet.sequence],
         )
         assert answer == []  # received
-        # Its ack is relayed already; put it back in pending, as if the ack
-        # were still on its way, so the timeout stage finds it overdue.
+        # Its ack is relayed already; track it again, as if the ack were
+        # still on its way, so the timeout stage finds it overdue.
         polls = h.node_b.rpc.stats.by_method["unreceived_packets"]
-        worker._add_pending(packet)
+        worker.ledger.track(packet)
         yield h.env.timeout(30.0)
-        # The stage asked B and left the packet to the ack stage.
-        assert h.node_b.rpc.stats.by_method["unreceived_packets"] > polls
-        assert packet.sequence in worker.pending
+        # The stage asked B once and left the packet to the ack stage: it
+        # stays tracked, but out of the timeout heap, so the later polls
+        # of these 30 s never ask about it again.
+        assert h.node_b.rpc.stats.by_method["unreceived_packets"] == polls + 1
+        assert packet.sequence in worker.ledger.packets
+        assert worker.ledger.overdue(h.chain_b.height) == []
         after = h.chain_a.app.bank.balance(h.user.address, TRANSFER_DENOM)
         assert after == before - 5  # delivered, never refunded
 

@@ -152,5 +152,5 @@ def test_golden_scenario_has_no_scheduling_race():
 
 def test_scenario_registry_names():
     assert {name for _check, name in scenarios.matrix(["sched"])} == {
-        "golden", "golden-faults", "fleet", "line3", "hub4", "skewed"
+        "golden", "golden-faults", "fleet", "timeouts", "line3", "hub4", "skewed"
     }

@@ -245,7 +245,7 @@ def test_unknown_scenario_raises():
 
 def test_scenario_registry_names():
     assert {name for _check, name in scenarios.matrix(["stall"])} == {
-        "golden", "golden-faults", "fleet", "line3", "hub4", "skewed"
+        "golden", "golden-faults", "fleet", "timeouts", "line3", "hub4", "skewed"
     }
 
 
