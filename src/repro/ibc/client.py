@@ -89,7 +89,7 @@ class TendermintLightClient:
         self.consensus_states: dict[int, ConsensusState] = {}
         self._latest_time: Optional[float] = None
         # root -> fold memo, oldest first; see ``fold_memo``.
-        self._fold_memos: dict[bytes, dict[bytes, tuple]] = {}
+        self._fold_memos: dict[bytes, dict] = {}
 
     @property
     def client_id(self) -> str:
@@ -192,13 +192,15 @@ class TendermintLightClient:
     def root_at(self, height: int) -> bytes:
         return self.consensus_state(height).root
 
-    def fold_memo(self, root: bytes) -> dict[bytes, tuple]:
+    def fold_memo(self, root: bytes) -> dict:
         """The membership-fold memo of ``root``
-        (:meth:`~repro.tendermint.merkle.MembershipProof.folds_to`).
+        (:func:`~repro.tendermint.merkle.verify_membership`).
 
         A batch of packets is proven against one header, so consecutive
-        proofs share their upper paths.  Only the ``FOLD_MEMO_ROOTS`` most
-        recently opened roots keep a memo.
+        proofs share their substore's top-layer proof, which the memo folds
+        once, and their upper paths in the substore
+        (:meth:`~repro.tendermint.merkle.MembershipProof.folds_to`).  Only
+        the ``FOLD_MEMO_ROOTS`` most recently opened roots keep a memo.
         """
         memos = self._fold_memos
         memo = memos.get(root)

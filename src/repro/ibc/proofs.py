@@ -2,24 +2,27 @@
 
 Two proof modes are supported:
 
-* ``merkle`` — real ``(index, total, aunts)`` proofs generated by the host
-  chain's :class:`~repro.tendermint.merkle.ProvableStore` and verified hash
-  by hash against the app hash stored in the verifying chain's light
-  client.  This is the default and what all protocol tests use.
+* ``merkle`` — real two-layer proofs generated by the host chain's
+  :class:`~repro.tendermint.merkle.ProvableStore` (the key's leaf to its
+  substore's root, that root to the app hash) and verified hash by hash
+  against the app hash stored in the verifying chain's light client.
+  This is the default and what all protocol tests use.
 * ``stub`` — structural stand-ins that skip hashing, for the largest
-  sweeps.  A proof itself is cheap.  At 10 k keys it takes about 3.5 us
-  to generate and 11.5 us to verify by the plain fold (~15 SHA-256
-  calls).  Against a warm light-client fold memo, as when a batch is
-  checked against one header, verifying takes 5.3 us: the leaf and the
-  four bottom levels are hashed, the rest is looked up.  What real mode
-  still costs is rebuilding the positional tree of every dirty store
-  each block.  Measured as ``run_experiment`` CPU time, median of 3, on
-  a 2-core x86-64 host with CPython 3.11.7 shared with other work: the
-  ``relay_steady`` benchmark workload (140 tx/s, a store that grows to
-  ~20 k keys, every dirty commit structural) takes 0.83 s with stubs and
-  1.52 s with real proofs (+83 %); the send-only ``chain_saturated``
-  takes 1.08 s and 1.31-1.46 s (+21-35 %).  No *simulated* quantity is
-  affected.
+  sweeps.  A proof itself is cheap.  In a substore of 10 k keys it takes
+  about 3 us to generate and 15 us to verify by the plain fold of both
+  layers.  Against a warm light-client fold memo, as when a batch is
+  checked against one header, verifying takes about 6 us: the substore's
+  top layer is folded once, the leaf and the four bottom levels are
+  hashed, the rest is looked up.  What real mode still costs is the
+  commit, a value and a leaf hash per changed key plus their ancestors,
+  and the verification.  Measured as the CPU time of one benchmark rep
+  (``perf.measure.run_rep``), median of 8 reps alternated between the
+  modes, on a 2-core x86-64 host with CPython 3.11.7 shared with other
+  work: the ``relay_steady`` benchmark workload takes 1.21 s with stubs
+  and 1.73 s with real proofs (+42 %: commit +0.22 s, verification
+  +0.21 s, proof generation +0.05 s); the send-only ``chain_saturated``
+  takes 1.13 s and 1.39 s (+25 %, all of it commit).  No *simulated*
+  quantity is affected.
   Stub proofs still carry the claimed key/value and the state generation
   they were produced at, so gross protocol errors (proving against the
   wrong chain or path) are caught.
@@ -35,7 +38,7 @@ from typing import Optional, Union
 
 from repro.errors import ProofVerificationError
 from repro.tendermint import merkle
-from repro.tendermint.merkle import MembershipProof, NonMembershipProof
+from repro.tendermint.merkle import StoreAbsenceProof, StoreProof
 
 PROOF_MODE_MERKLE = "merkle"
 PROOF_MODE_STUB = "stub"
@@ -58,8 +61,8 @@ class StubNonMembershipProof:
     root_tag: bytes
 
 
-CommitmentProof = Union[MembershipProof, StubMembershipProof]
-AbsenceProof = Union[NonMembershipProof, StubNonMembershipProof]
+CommitmentProof = Union[StoreProof, StubMembershipProof]
+AbsenceProof = Union[StoreAbsenceProof, StubNonMembershipProof]
 
 
 def verify_membership(
@@ -67,7 +70,7 @@ def verify_membership(
     key: bytes,
     value: bytes,
     proof: Optional[CommitmentProof],
-    memo: Optional[dict[bytes, tuple]] = None,
+    memo: Optional[dict] = None,
 ) -> None:
     """Verify ``key -> value`` against ``root``; raises on failure.
 

@@ -3,7 +3,7 @@
 from repro.relayer.cli import TransferSubmission, WorkloadCli
 from repro.relayer.config import RelayerConfig
 from repro.relayer.endpoint import ChainEndpoint, SubmittedTx
-from repro.relayer.events import PacketEvent, WorkBatch
+from repro.relayer.events import WorkBatch
 from repro.relayer.fleet import Fleet, FleetConfig, FleetMember
 from repro.relayer.handshake import HandshakeDriver
 from repro.relayer.logging import LogRecord, RelayerLog, render_journal
@@ -19,7 +19,6 @@ __all__ = [
     "FleetMember",
     "HandshakeDriver",
     "LogRecord",
-    "PacketEvent",
     "PathEnd",
     "Relayer",
     "RelayerConfig",

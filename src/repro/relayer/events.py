@@ -3,27 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Collection
+from typing import Optional
 
 from repro.ibc.packet import Packet
-from repro.tendermint.websocket import BlockNotification
-
-
-@dataclass(slots=True)
-class PacketEvent:
-    """One IBC packet event the relayer must act on.
-
-    ``packet`` is the chain event's own object, not a copy.  ``src_chain``
-    is the chain the packet *originated* on, which together with the source
-    channel and sequence forms the globally unique trace key in
-    multi-chain topologies.
-    """
-
-    kind: str  # send_packet | write_acknowledgement | ...
-    height: int
-    tx_hash: bytes
-    packet: Packet
-    src_chain: str = ""
+from repro.tendermint.websocket import BlockNotification, EventDescriptor
 
 
 @dataclass(slots=True)
@@ -32,27 +15,45 @@ class WorkBatch:
 
     ``routing_channel`` is the channel end used to pick the direction
     worker: the *source* channel for ``send_packet`` events, the
-    *destination* channel for acknowledgement-side events.
+    *destination* channel for acknowledgement-side events.  Each event's
+    ``packet`` is the chain event's own object, and ``src_chain`` is the
+    chain the packet *originated* on, which together with the source
+    channel and sequence forms the globally unique trace key in
+    multi-chain topologies.
+
+    A batch parsed from a block is shared by every subscriber of that
+    block, so ``events`` is not changed once the batch has been read.
     """
 
     chain_id: str
     height: int
     kind: str
     routing_channel: str = ""
-    events: list[PacketEvent] = field(default_factory=list)
+    events: list[EventDescriptor] = field(default_factory=list)
+    #: ``events`` grouped by transaction, in first-seen order; made on
+    #: first read.
+    _by_tx: Optional[dict[bytes, list[EventDescriptor]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def _grouped(self) -> dict[bytes, list[EventDescriptor]]:
+        by_tx = self._by_tx
+        if by_tx is None:
+            by_tx = self._by_tx = {}
+            for event in self.events:
+                group = by_tx.get(event.tx_hash)
+                if group is None:
+                    by_tx[event.tx_hash] = [event]
+                else:
+                    group.append(event)
+        return by_tx
 
     @property
     def tx_hashes(self) -> list[bytes]:
-        seen: list[bytes] = []
-        known: set[bytes] = set()
-        for event in self.events:
-            if event.tx_hash not in known:
-                known.add(event.tx_hash)
-                seen.append(event.tx_hash)
-        return seen
+        return list(self._grouped())
 
-    def events_for_tx(self, tx_hash: bytes) -> list[PacketEvent]:
-        return [e for e in self.events if e.tx_hash == tx_hash]
+    def events_for_tx(self, tx_hash: bytes) -> list[EventDescriptor]:
+        return self._grouped().get(tx_hash, [])
 
     def __len__(self) -> int:
         return len(self.events)
@@ -65,40 +66,35 @@ def routing_channel_for(kind: str, packet: Packet) -> str:
     return packet.destination_channel
 
 
-def batches_from_notification(
-    notification: BlockNotification, kinds: Collection[str]
-) -> list[WorkBatch]:
-    """Split a block notification into per-(kind, channel) work batches.
+def batches_from_notification(notification: BlockNotification) -> list[WorkBatch]:
+    """Split a block notification's packet events into per-(kind, channel)
+    work batches, in the order each pair first occurs in the block.
 
-    ``kinds`` is a membership filter only — it is never iterated, so the
-    produced batch order depends exclusively on the (deterministic) event
-    order inside the notification.
+    The batches of a selection are made once per block and kept on its
+    shared :class:`~repro.tendermint.websocket.BlockView`: every
+    subscriber with the same filter, on any node, receives the same
+    objects.
     """
-    batches: dict[tuple[str, str], WorkBatch] = {}
+    if not notification.ok:
+        return []
+    cache = notification.view.batches
+    event_types = notification.event_types
+    batches = cache.get(event_types)
+    if batches is not None:
+        return batches
+    chain_id, height = notification.chain_id, notification.height
+    by_route: dict[tuple[str, str], WorkBatch] = {}
     for descriptor in notification.events:
-        if descriptor.type not in kinds:
-            continue
         packet = descriptor.packet
         if packet is None or descriptor.tx_hash is None:
             continue
-        channel = routing_channel_for(descriptor.type, packet)
-        key = (descriptor.type, channel)
-        batch = batches.get(key)
+        kind = descriptor.type
+        channel = routing_channel_for(kind, packet)
+        batch = by_route.get((kind, channel))
         if batch is None:
-            batch = WorkBatch(
-                chain_id=notification.chain_id,
-                height=notification.height,
-                kind=descriptor.type,
-                routing_channel=channel,
+            batch = by_route[(kind, channel)] = WorkBatch(
+                chain_id=chain_id, height=height, kind=kind, routing_channel=channel
             )
-            batches[key] = batch
-        batch.events.append(
-            PacketEvent(
-                kind=descriptor.type,
-                height=notification.height,
-                tx_hash=descriptor.tx_hash,
-                packet=packet,
-                src_chain=descriptor.src_chain,
-            )
-        )
-    return list(batches.values())
+        batch.events.append(descriptor)
+    batches = cache[event_types] = list(by_route.values())
+    return batches

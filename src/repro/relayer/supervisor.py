@@ -2,7 +2,12 @@
 
 One listener process per chain consumes that chain's WebSocket stream,
 parses events into per-block :class:`WorkBatch` items (the paper's
-*extraction* steps) and routes them to the direction workers.  A failed
+*extraction* steps) and routes them to the direction workers.  The
+simulated parse is charged to every supervisor, but the host parses each
+block once: every notification of a block refers to the chain's one
+:class:`~repro.tendermint.websocket.BlockView`, which keeps the batches
+of its first parse for every other relayer subscribed with the same
+filter.  A failed
 frame (>16 MB) surfaces here as ``Failed to collect events``; the
 subscription stays latched server-side, so — exactly as the paper's §V
 experiment shows — no further events arrive for it.
@@ -169,7 +174,7 @@ class Supervisor:
                 continue
             # Parsing cost scales with the number of events in the frame.
             yield self.env.timeout(parse_seconds * len(notification.events))
-            batches = batches_from_notification(notification, SUBSCRIBED_KINDS)
+            batches = batches_from_notification(notification)
             handed_off = False
             for batch in batches:
                 if handed_off and batch.kind in _WORKER_KINDS:

@@ -13,6 +13,8 @@ from repro.tendermint.merkle import (
     MembershipProof,
     NonMembershipProof,
     ProvableStore,
+    StoreAbsenceProof,
+    StoreProof,
     simple_hash_from_byte_slices,
     verify_membership,
     verify_non_membership,
@@ -49,6 +51,8 @@ __all__ = [
     "PublicKey",
     "ResponseCheckTx",
     "ResponseDeliverTx",
+    "StoreAbsenceProof",
+    "StoreProof",
     "Validator",
     "ValidatorSet",
     "new_keypair",

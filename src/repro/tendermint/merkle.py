@@ -5,17 +5,20 @@ Two structures back the chain's commitments:
 * :func:`simple_hash_from_byte_slices` — the tree Tendermint uses for the
   transaction hash in the block header (leaf/inner domain separation as in
   RFC 6962).
-* :class:`ProvableStore` — a sorted key/value map with membership and
-  non-membership proofs, standing in for the IAVL tree that Cosmos chains
-  commit to via ``app_hash``.  IBC light clients verify packet commitments
-  against this root (ICS-23 semantics).
+* :class:`ProvableStore` — a key/value map with membership and
+  non-membership proofs, standing in for the Cosmos SDK multistore that
+  chains commit to via ``app_hash``: one tree per substore (an ICS-24
+  prefix, or one packet channel under it) and a tree over the substores'
+  roots.  IBC light clients verify packet commitments against this root
+  through both layers (ICS-23 semantics).
 """
 
 from __future__ import annotations
 
 import bisect
 from hashlib import sha256 as _hashlib_sha256
-from typing import Iterable, Optional, Sequence
+from itertools import chain, compress
+from typing import Iterable, Optional, Sequence, Union
 
 from repro.sim.records import record
 from repro.tendermint.crypto import sha256
@@ -89,10 +92,47 @@ def _aunt_sides(index: int, total: int) -> Optional[str]:
     return sides
 
 
+# -- substores ------------------------------------------------------------------
+
+#: ICS-24 prefixes whose paths end in ``/sequences/<n>``.
+_PACKET_PREFIXES = (b"commitments/", b"receipts/", b"acks/")
+_SEQUENCES = b"/sequences/"
+
+
+def substore_of(key: bytes) -> bytes:
+    """The substore ``key`` lives in: its first path segment (the ICS-24
+    prefix), except that a packet path's substore is everything before its
+    ``/sequences/`` — one tree per (prefix, port, channel)."""
+    if key.startswith(_PACKET_PREFIXES):
+        cut = key.rfind(_SEQUENCES)
+        if cut >= 0:
+            return key[:cut]
+    cut = key.find(b"/")
+    return key if cut < 0 else key[:cut]
+
+
+def _shortlex(key: bytes) -> tuple[int, bytes]:
+    """Leaf order in every tree: by length, then by bytes.  In a packet
+    substore every key is ``<substore>/sequences/<n>``, so this is sequence
+    order, and each new packet lands at the right edge."""
+    return len(key), key
+
+
+def _sort_shortlex(keys: list[bytes]) -> None:
+    """Sort ``keys`` in place by :func:`_shortlex`: by bytes, then stably
+    by length, with no Python-level key call per element."""
+    keys.sort()
+    keys.sort(key=len)
+
+
 @record
 class MembershipProof:
     """Tendermint-shaped proof that ``key -> value`` is leaf ``index`` of
-    ``total``: the sibling hashes (``aunts``) from the leaf up to the root."""
+    ``total``: the sibling hashes (``aunts``) from the leaf up to the root.
+
+    One layer of a :class:`StoreProof`.  In the app-hash layer ``key`` is a
+    substore's name and ``value_hash`` that substore's root.
+    """
 
     key: bytes
     value_hash: bytes
@@ -116,7 +156,7 @@ class MembershipProof:
                 node = sha(_INNER_PREFIX + node + aunt).digest()
         return node
 
-    def folds_to(self, root: bytes, memo: dict[bytes, tuple]) -> bool:
+    def folds_to(self, root: bytes, memo: dict) -> bool:
         """``compute_root() == root``, stopping early at a known fold state.
 
         ``memo`` maps each node that an accepted fold passed at level
@@ -167,10 +207,11 @@ class MembershipProof:
 
 @record
 class NonMembershipProof:
-    """Proof that ``key`` is absent: membership proofs of its neighbours.
+    """Proof that ``key`` is absent from one tree: membership proofs of its
+    neighbours.
 
-    With leaves sorted by key, a key is absent iff its would-be left and
-    right neighbours are adjacent in the tree.  Edge positions carry a
+    With leaves in shortlex order, a key is absent iff its would-be left
+    and right neighbours are adjacent in the tree.  Edge positions carry a
     single neighbour, which must then be the first or last leaf.
     """
 
@@ -188,9 +229,10 @@ class NonMembershipProof:
         the first leaf is all ``L`` and the last all ``R``.
         """
         left, right = self.left, self.right
-        if left is not None and left.key >= self.key:
+        order = _shortlex(self.key)
+        if left is not None and _shortlex(left.key) >= order:
             return False
-        if right is not None and right.key <= self.key:
+        if right is not None and _shortlex(right.key) <= order:
             return False
         left_up = "" if left is None else _aunt_sides(left.index, left.total)
         right_up = "" if right is None else _aunt_sides(right.index, right.total)
@@ -207,35 +249,270 @@ class NonMembershipProof:
             left_up[:1] == "L" and right_up[:1] == "R" and left_up[1:] == right_up[1:]
         )
 
+    def holds_under(self, root: bytes) -> bool:
+        """``key`` is absent from the tree of ``root``.
+
+        :meth:`consistent` reads bracketing and adjacency from the
+        neighbours' paths; both neighbour proofs folding to ``root`` is what
+        authenticates those paths.
+        """
+        if not self.consistent():
+            return False
+        if self.left is None and self.right is None:
+            return root == EMPTY_HASH
+        for neighbour in (self.left, self.right):
+            if neighbour is not None and neighbour.compute_root() != root:
+                return False
+        return True
+
+
+@record
+class StoreProof:
+    """Proof that ``key -> value`` is committed under an app hash.
+
+    ``leaf`` folds the key's leaf to its substore's root; ``top`` proves
+    that root is the substore's leaf in the app-hash tree.  That is the
+    two-proof ICS-23 shape against the Cosmos SDK multistore.
+    """
+
+    leaf: MembershipProof
+    top: MembershipProof
+
+    @property
+    def key(self) -> bytes:
+        return self.leaf.key
+
+
+@record
+class StoreAbsenceProof:
+    """Proof that ``key`` is absent under an app hash.
+
+    If the key's substore is committed, ``leaf`` shows the key absent from
+    it and ``top`` proves the substore's root.  If not, ``leaf`` is
+    ``None`` and ``top`` shows the substore's name absent from the app-hash
+    tree.
+    """
+
+    key: bytes
+    leaf: Optional[NonMembershipProof]
+    top: Union[MembershipProof, NonMembershipProof]
+
+
+class _Tree:
+    """One level-array tree (see ``_tree_levels``) over keys in shortlex
+    order, kept current by :meth:`apply`."""
+
+    __slots__ = ("keys", "index", "levels", "_upper_aunts")
+
+    def __init__(self) -> None:
+        self.keys: list[bytes] = []
+        self.index: dict[bytes, int] = {}
+        self.levels: list[list[bytes]] = []
+        # Node of level FOLD_MEMO_MIN_LEVEL -> the aunts above it, which
+        # every leaf under it shares; valid until the tree next changes.
+        self._upper_aunts: dict[int, tuple[bytes, ...]] = {}
+
+    @property
+    def root(self) -> bytes:
+        return self.levels[-1][0] if self.levels else EMPTY_HASH
+
+    def apply(self, writes: dict[bytes, Optional[bytes]]) -> None:
+        """Set each written key's leaf hash; ``None`` removes the key.
+
+        A changed leaf or a key past the last one rehashes only its
+        ancestors.  Removing the ``cut`` first keys, as acknowledged
+        packets leave, moves every position down by ``cut``: the levels
+        whose node width divides ``cut`` keep their nodes, and only the
+        levels above are recomputed.  Any other removal, or a key inserted
+        before the last one, rebuilds the tree.
+        """
+        self._upper_aunts = {}
+        keys = self.keys
+        index = self.index
+        leaves = self.levels[0] if keys else []
+        moved: list[int] = []
+        added: list[bytes] = []
+        removed: list[int] = []
+        for key, leaf in writes.items():
+            at = index.get(key)
+            if at is None:
+                added.append(key)
+            elif leaf is None:
+                removed.append(at)
+            else:
+                leaves[at] = leaf
+                moved.append(at)
+        if added:
+            _sort_shortlex(added)
+        cut = len(removed)
+        if (
+            cut == len(keys)
+            or cut and max(removed) != cut - 1
+            or added and _shortlex(added[0]) < _shortlex(keys[-1])
+        ):
+            return self._rebuild(leaves, removed, added, writes)
+        whole_from = None
+        if cut:
+            # 2**whole_from is the widest node width that divides cut.
+            whole_from = (cut & -cut).bit_length() - 1
+            levels = self.levels
+            del levels[whole_from + 1 :]
+            for depth, level in enumerate(levels):
+                del level[: cut >> depth]
+            keys = self.keys = keys[cut:]
+            index = self.index = dict(zip(keys, range(len(keys))))
+            moved = [at - cut for at in moved]
+        tail = len(leaves)
+        for key in added:
+            index[key] = len(keys)
+            keys.append(key)
+            leaves.append(writes[key])
+        moved.sort()
+        self._rehash(moved, tail, whole_from)
+
+    def _rebuild(
+        self,
+        leaves: list[bytes],
+        removed: list[int],
+        added: list[bytes],
+        writes: dict[bytes, Optional[bytes]],
+    ) -> None:
+        """Rebuild the whole tree without the leaves at ``removed`` and with
+        the ``added`` keys (shortlex-sorted) in place."""
+        keys = self.keys
+        if removed:
+            kept = [True] * len(keys)
+            for at in removed:
+                kept[at] = False
+            keys = list(compress(keys, kept))
+            leaves = list(compress(leaves, kept))
+        if keys and added and _shortlex(added[0]) < _shortlex(keys[-1]):
+            for key in added:
+                at = bisect.bisect_left(keys, _shortlex(key), key=_shortlex)
+                keys.insert(at, key)
+                leaves.insert(at, writes[key])
+        else:
+            keys += added
+            leaves += [writes[key] for key in added]
+        self.keys = keys
+        self.index = dict(zip(keys, range(len(keys))))
+        self.levels = _tree_levels(leaves) if keys else []
+
+    def _rehash(
+        self, moved: list[int], tail: int, whole_from: Optional[int] = None
+    ) -> None:
+        """Recompute the ancestors of the leaves at ``moved`` (sorted, each
+        below ``tail``) and of every leaf from ``tail`` on (the appended
+        ones), and every level above depth ``whole_from``; the levels then
+        match the leaf count.  Each level's dirty tail is recomputed in one
+        pass, as ``_tree_levels`` does."""
+        sha = _hashlib_sha256
+        levels = self.levels
+        depth = 0
+        while len(levels[depth]) > 1:
+            child = levels[depth]
+            size = len(child)
+            if depth + 1 == len(levels):
+                levels.append([])
+            parent = levels[depth + 1]
+            if whole_from is not None and depth >= whole_from:
+                tail = 0
+            tail = tail >> 1 if tail < size else (size + 1) >> 1
+            parents: list[int] = []
+            for position in moved:
+                position >>= 1
+                if position >= tail:
+                    break
+                if not parents or parents[-1] != position:
+                    parents.append(position)
+            for position in parents:
+                first = position << 1
+                if first + 1 < size:
+                    parent[position] = sha(
+                        _INNER_PREFIX + child[first] + child[first + 1]
+                    ).digest()
+                else:
+                    parent[position] = child[first]
+            del parent[tail:]
+            parent += [
+                sha(_INNER_PREFIX + child[i] + child[i + 1]).digest()
+                for i in range(tail << 1, size - 1, 2)
+            ]
+            if size & 1 and tail <= size >> 1:
+                parent.append(child[-1])
+            moved = parents
+            depth += 1
+        del levels[depth + 1 :]
+
+    def aunts(self, at: int) -> tuple[bytes, ...]:
+        """The sibling hashes of leaf ``at``, leaf-upward (the root's level
+        has no sibling).  A batch of proofs shares its upper aunts, so
+        those are looked up once per node of level FOLD_MEMO_MIN_LEVEL."""
+        levels = self.levels
+        aunts = []
+        for level in levels[:FOLD_MEMO_MIN_LEVEL]:
+            sibling = at ^ 1
+            if sibling < len(level):
+                aunts.append(level[sibling])
+            at >>= 1
+        upper = self._upper_aunts.get(at)
+        if upper is None:
+            upper = []
+            node = at
+            for level in levels[FOLD_MEMO_MIN_LEVEL:]:
+                sibling = node ^ 1
+                if sibling < len(level):
+                    upper.append(level[sibling])
+                node >>= 1
+            upper = self._upper_aunts[at] = tuple(upper)
+        aunts += upper
+        return tuple(aunts)
+
+    def neighbours(self, key: bytes) -> tuple[Optional[bytes], Optional[bytes]]:
+        """The keys either side of an absent ``key`` (``None`` at an edge)."""
+        keys = self.keys
+        at = bisect.bisect_left(keys, _shortlex(key), key=_shortlex)
+        return (
+            keys[at - 1] if at > 0 else None,
+            keys[at] if at < len(keys) else None,
+        )
+
 
 class ProvableStore:
-    """A sorted key/value map committed to by a merkle root.
+    """A key/value map committed to by a two-layer merkle root.
 
-    The root is recomputed lazily per block (``commit()``); proofs are
+    Writes go to a flat pending dict.  ``commit()`` routes the keys
+    written since the last commit to their substores
+    (:func:`substore_of`), updates each touched substore's tree, then the
+    app-hash tree over the ``(substore, root)`` pairs.  Proofs are
     generated against the last committed snapshot, matching how a chain
     serves proofs for height ``h`` from the state committed at ``h``.
     """
 
     def __init__(self) -> None:
         self._data: dict[bytes, bytes] = {}
+        # What was written since the last commit, the only keys a commit
+        # looks at: the keys written through, and each merged transaction
+        # overlay that changed a value.
+        self._changed: dict[bytes, None] = {}
+        self._merged: list[dict[bytes, Optional[bytes]]] = []
+        # Exactly the committed keys, each -> (value, value_hash,
+        # leaf_hash, substore), so that an unchanged rewrite costs no hash
+        # and a committed key is routed once.  Entries change only in
+        # ``commit``, so they always describe the snapshot, never the
+        # pending state.
+        self._leaf_cache: dict[bytes, tuple[bytes, bytes, bytes, bytes]] = {}
+        self._substores: dict[bytes, _Tree] = {}
+        # The app-hash tree: one leaf per committed substore, over
+        # ``name + "=" + root``.
+        self._top = _Tree()
         self._root: bytes = EMPTY_HASH
-        self._dirty = False
-        # The committed snapshot: sorted keys, each key's leaf index, and
-        # the tree as bottom-up level arrays (see ``_tree_levels``), built
-        # once per commit so that each proof is O(log n) list lookups.
-        self._committed_keys: list[bytes] = []
-        self._key_index: dict[bytes, int] = {}
-        self._levels: list[list[bytes]] = []
-        # Leaf hashes survive across commits: most keys are unchanged from
-        # block to block, so each entry maps key -> (value, value_hash,
-        # leaf_hash) and is recomputed only when the value actually moved.
-        # Entries change only in ``commit``, so a committed key's entry
-        # always describes the snapshot, never the pending state.
-        self._leaf_cache: dict[bytes, tuple[bytes, bytes, bytes]] = {}
         # Proofs are immutable and snapshot-scoped, so identical requests
         # between commits (relayers re-proving the same commitment) share
-        # one object.  Cleared whenever the snapshot changes.
-        self._proof_cache: dict[bytes, MembershipProof] = {}
+        # one object, and every key of a substore shares one top-layer
+        # proof.  Both are cleared whenever the snapshot changes.
+        self._proof_cache: dict[bytes, StoreProof] = {}
+        self._top_proofs: dict[bytes, MembershipProof] = {}
         # The open transaction's writes, key -> value (``None`` deletes the
         # key), or ``None`` when no transaction is open.
         self._overlay: Optional[dict[bytes, Optional[bytes]]] = None
@@ -248,7 +525,7 @@ class ProvableStore:
             overlay[key] = value
         else:
             self._data[key] = value
-            self._dirty = True
+            self._changed[key] = None
 
     def get(self, key: bytes) -> Optional[bytes]:
         overlay = self._overlay
@@ -262,7 +539,7 @@ class ProvableStore:
             overlay[key] = None
         elif key in self._data:
             del self._data[key]
-            self._dirty = True
+            self._changed[key] = None
 
     def has(self, key: bytes) -> bool:
         return self.get(key) is not None
@@ -288,23 +565,24 @@ class ProvableStore:
     def merge_overlay(self) -> None:
         """Apply the open transaction's writes to the pending state.
 
-        Unlike a write-through ``set``, a merge turns the store dirty only
-        if some key's value actually changed: a transaction that rewrites
-        what is there leaves the next commit as cheap as an empty block's.
+        The overlay is kept for the next commit only if some value
+        actually moved: a transaction that rewrites what is there leaves
+        the next commit as cheap as an empty block's.
         """
         overlay = self._overlay
         self._overlay = None
         data = self._data
-        dirty = self._dirty
+        moved = False
         for key, value in overlay.items():
             if value is None:
                 if key in data:
                     del data[key]
-                    dirty = True
+                    moved = True
             elif data.get(key) != value:
                 data[key] = value
-                dirty = True
-        self._dirty = dirty
+                moved = True
+        if moved:
+            self._merged.append(overlay)
 
     def drop_overlay(self) -> None:
         """Discard the open transaction's writes."""
@@ -313,46 +591,83 @@ class ProvableStore:
     # -- commitment ----------------------------------------------------------
 
     def commit(self) -> bytes:
-        """Snapshot the pending state and return the new root."""
-        if not self._dirty:
-            # Nothing changed since the last snapshot (an empty block):
-            # the committed tree is already current.
+        """Snapshot the pending state and return the new root.
+
+        Only the keys written since the last commit are looked at.  The
+        cost follows what changed: a value hash and a leaf hash per changed
+        key, the ancestors of changed or
+        appended leaves (a whole-tree rebuild only for a substore with a
+        removal or a key inserted mid-order), and the same for the
+        app-hash tree over the touched substores.  Clean substores cost
+        nothing.
+        """
+        if not self._changed and not self._merged:
+            # Nothing written since the last snapshot (an empty block).
             return self._root
+        written = (self._changed, *self._merged)
+        self._changed = {}
+        self._merged = []
         data = self._data
-        keys = sorted(data)
         leaf_cache = self._leaf_cache
-        leaf_hashes = []
-        for key in keys:
-            value = data[key]
+        sha = _hashlib_sha256
+        writes: dict[bytes, dict[bytes, Optional[bytes]]] = {}
+        for key in chain.from_iterable(written):
+            value = data.get(key)
             cached = leaf_cache.get(key)
-            if cached is None or cached[0] != value:
+            if cached is not None:
+                name = cached[3]
+                if value is None:
+                    del leaf_cache[key]
+                    leaf = None
+                elif cached[0] == value:
+                    continue  # rewritten with its committed value
+                else:
+                    value_hash = sha256(value)
+                    leaf = sha(_LEAF_PREFIX + key + b"=" + value_hash).digest()
+                    leaf_cache[key] = (value, value_hash, leaf, name)
+            elif value is None:
+                continue  # written and removed within the block
+            else:
+                name = substore_of(key)
                 value_hash = sha256(value)
-                cached = (value, value_hash, _leaf_hash(key + b"=" + value_hash))
-                leaf_cache[key] = cached
-            leaf_hashes.append(cached[2])
-        self._committed_keys = keys
-        self._key_index = dict(zip(keys, range(len(keys))))
-        if leaf_hashes:
-            self._levels = _tree_levels(leaf_hashes)
-            self._root = self._levels[-1][0]
-        else:
-            self._levels = []
-            self._root = EMPTY_HASH
+                leaf = sha(_LEAF_PREFIX + key + b"=" + value_hash).digest()
+                leaf_cache[key] = (value, value_hash, leaf, name)
+            substore_writes = writes.get(name)
+            if substore_writes is None:
+                substore_writes = writes[name] = {}
+            substore_writes[key] = leaf
+        if not writes:
+            return self._root
+        substores = self._substores
+        top_writes: dict[bytes, Optional[bytes]] = {}
+        for name, substore_writes in writes.items():
+            tree = substores.get(name)
+            if tree is None:
+                tree = substores[name] = _Tree()
+            tree.apply(substore_writes)
+            if tree.keys:
+                top_writes[name] = _leaf_hash(name + b"=" + tree.root)
+            else:
+                del substores[name]
+                top_writes[name] = None
+        self._top.apply(top_writes)
+        self._root = self._top.root
         self._proof_cache = {}
-        self._dirty = False
+        self._top_proofs = {}
         return self._root
 
     def commit_cheap(self, root: bytes) -> bytes:
-        """Commit without rebuilding the merkle tree (stub-proof mode).
+        """Commit without touching any tree (stub-proof mode).
 
-        Used by very large benchmark sweeps to skip the per-block tree
-        rebuild (cost quoted in :mod:`repro.ibc.proofs`).  ``prove`` and
-        ``prove_absence`` must not be called afterwards (stub proofs are
-        used instead); the provided ``root`` becomes the app hash that stub
-        proofs tag themselves with.
+        Used by very large benchmark sweeps to skip the per-block commit
+        (cost quoted in :mod:`repro.ibc.proofs`): no key is routed or
+        hashed.  ``prove`` and ``prove_absence`` must not be called
+        afterwards (stub proofs are used instead); the provided ``root``
+        becomes the app hash that stub proofs tag themselves with.
         """
         self._root = root
-        self._dirty = False
+        self._changed = {}
+        self._merged = []
         return self._root
 
     @property
@@ -362,77 +677,119 @@ class ProvableStore:
 
     # -- proofs (against the committed snapshot) ------------------------------
 
-    def prove(self, key: bytes) -> MembershipProof:
+    def prove(self, key: bytes) -> StoreProof:
         """Membership proof for ``key`` in the committed snapshot."""
         proof = self._proof_cache.get(key)
         if proof is not None:
             return proof
-        index = self._key_index.get(key)
-        if index is None:
+        cached = self._leaf_cache.get(key)
+        if cached is None:
             raise KeyError(f"key {key!r} not in committed state")
-        aunts = []
-        position = index
-        for level in self._levels[:-1]:
-            sibling = position ^ 1
-            if sibling < len(level):
-                aunts.append(level[sibling])
-            position >>= 1
-        proof = MembershipProof(
-            key=key,
-            value_hash=self._leaf_cache[key][1],
-            index=index,
-            total=len(self._committed_keys),
-            aunts=tuple(aunts),
+        name = cached[3]
+        tree = self._substores[name]
+        at = tree.index[key]
+        proof = StoreProof(
+            MembershipProof(key, cached[1], at, len(tree.keys), tree.aunts(at)),
+            self._top_proofs.get(name) or self._prove_substore(name),
         )
         self._proof_cache[key] = proof
         return proof
 
-    def prove_absence(self, key: bytes) -> NonMembershipProof:
+    def prove_absence(self, key: bytes) -> StoreAbsenceProof:
         """Non-membership proof for ``key`` in the committed snapshot."""
-        if key in self._key_index:
+        if key in self._leaf_cache:
             raise KeyError(f"key {key!r} IS in committed state")
-        keys = self._committed_keys
-        idx = bisect.bisect_left(keys, key)
-        return NonMembershipProof(
+        name = substore_of(key)
+        tree = self._substores.get(name)
+        if tree is None:
+            left, right = self._top.neighbours(name)
+            return StoreAbsenceProof(
+                key=key,
+                leaf=None,
+                top=NonMembershipProof(
+                    key=name,
+                    left=None if left is None else self._prove_substore(left),
+                    right=None if right is None else self._prove_substore(right),
+                ),
+            )
+        left, right = tree.neighbours(key)
+        return StoreAbsenceProof(
             key=key,
-            left=self.prove(keys[idx - 1]) if idx > 0 else None,
-            right=self.prove(keys[idx]) if idx < len(keys) else None,
+            leaf=NonMembershipProof(
+                key=key,
+                left=None if left is None else self.prove(left).leaf,
+                right=None if right is None else self.prove(right).leaf,
+            ),
+            top=self._prove_substore(name),
         )
+
+    def _prove_substore(self, name: bytes) -> MembershipProof:
+        """The app-hash-tree proof of substore ``name``'s root, made once
+        per snapshot."""
+        proof = self._top_proofs.get(name)
+        if proof is None:
+            top = self._top
+            at = top.index[name]
+            proof = MembershipProof(
+                key=name,
+                value_hash=self._substores[name].root,
+                index=at,
+                total=len(top.keys),
+                aunts=top.aunts(at),
+            )
+            self._top_proofs[name] = proof
+        return proof
 
 
 def verify_membership(
     root: bytes,
-    proof: MembershipProof,
+    proof: StoreProof,
     value: bytes,
-    memo: Optional[dict[bytes, tuple]] = None,
+    memo: Optional[dict] = None,
 ) -> bool:
-    """Check a membership proof against a root and an expected value.
+    """Check a two-layer membership proof against an app hash and an
+    expected value.
 
-    ``memo`` is a fold memo of ``root`` (see :meth:`MembershipProof.folds_to`);
-    it changes how many hashes the check costs, never its answer.
+    ``memo`` is a fold memo of ``root``: it holds the leaf layer's fold
+    states (see :meth:`MembershipProof.folds_to`) and, under
+    ``(substore name, root)``, the last top-layer proof of that substore
+    that folded to ``root``; a field-equal proof folds identically.  It
+    changes how many hashes the check costs, never its answer.
     """
-    if proof.value_hash != sha256(value):
+    leaf, top = proof.leaf, proof.top
+    if leaf.value_hash != sha256(value) or top.key != substore_of(leaf.key):
         return False
     if memo is None:
-        return proof.compute_root() == root
-    return proof.folds_to(root, memo)
-
-
-def verify_non_membership(root: bytes, proof: NonMembershipProof) -> bool:
-    """Check a non-membership proof against a root.
-
-    :meth:`NonMembershipProof.consistent` reads bracketing and adjacency
-    from the neighbours' paths; both neighbour proofs folding to ``root`` is
-    what authenticates those paths.
-    """
-    if not proof.consistent():
-        return False
-    if proof.left is None and proof.right is None:
-        return root == EMPTY_HASH
-    for neighbour in (proof.left, proof.right):
-        if neighbour is not None and neighbour.compute_root() != root:
+        return top.compute_root() == root and leaf.compute_root() == top.value_hash
+    slot = (top.key, root)
+    known = memo.get(slot)
+    if known is not top and known != top:
+        if top.compute_root() != root:
             return False
-    return True
+        memo[slot] = top
+    return leaf.folds_to(top.value_hash, memo)
+
+
+def verify_non_membership(root: bytes, proof: StoreAbsenceProof) -> bool:
+    """Check a two-layer non-membership proof against an app hash.
+
+    The top layer must speak for the key's own substore: its committed
+    root when the leaf layer shows the key absent from it, and otherwise
+    the substore's absence from the app-hash tree.  (A committed
+    substore's root is never the empty tree's, so a leaf layer with no
+    neighbours fails.)
+    """
+    top, leaf = proof.top, proof.leaf
+    if top.key != substore_of(proof.key):
+        return False
+    if leaf is None:
+        return isinstance(top, NonMembershipProof) and top.holds_under(root)
+    return (
+        isinstance(top, MembershipProof)
+        and leaf.key == proof.key
+        and top.compute_root() == root
+        and leaf.holds_under(top.value_hash)
+    )
 
 
 def merkle_root_of_hashes(hashes: Iterable[bytes]) -> bytes:

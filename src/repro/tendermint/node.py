@@ -28,7 +28,7 @@ from repro.tendermint.mempool import Mempool
 from repro.tendermint.rpc import RpcServer
 from repro.tendermint.store import BlockStore, TxIndexer
 from repro.tendermint.validator import ValidatorSet
-from repro.tendermint.websocket import WebSocketServer
+from repro.tendermint.websocket import BlockView, WebSocketServer
 from repro.trace import NULL_TRACER, packet_key
 
 #: Event kinds whose indexed entries a packet-data pull must scan, and the
@@ -212,8 +212,11 @@ class Chain:
                 )
 
     def _fanout_block(self, info: CommittedBlockInfo) -> None:
+        """Publish the block on every node's WebSocket server, all sharing
+        one :class:`BlockView`."""
+        view = BlockView(self.chain_id, info.executed)
         for node in self.nodes.values():
-            node.websocket.publish_block(info.executed)
+            node.websocket.publish_block(view)
 
     def gossip_delay(self, from_host: str) -> float:
         """Delay until a tx submitted at ``from_host`` reaches proposers."""

@@ -2,12 +2,19 @@
 
 Every node publishes each committed block; each subscriber (a relayer
 supervisor) receives one notification per block, carrying a descriptor
-per event of the kinds it subscribed to.  A packet event's descriptor
-references the event's frozen :class:`~repro.ibc.packet.Packet` rather
-than a copy of it, and descriptors are built only when the node has a
-subscription.  The *frame size* — the simulated payload — is the sum of
-the events' indexed ``size_bytes`` plus an envelope, computed for every
-block whether or not anyone listens; when it exceeds
+per event of the kinds it subscribed to.  The chain builds one
+:class:`BlockView` per committed block and every node's server publishes
+that same view, so the host work of a block is paid once, not once per
+node or per subscriber: the frame is counted once, each subscription
+filter's descriptors are built once (and only if some server has a
+subscription with that filter), and the relayer's work batches of a
+selection are parsed once (``BlockView.batches``).  A packet
+event's descriptor references the event's frozen
+:class:`~repro.ibc.packet.Packet` rather than a copy of it.
+
+The *frame size* — the simulated payload — is the sum of the events'
+indexed ``size_bytes`` plus an envelope, computed for every block
+whether or not anyone listens; when it exceeds
 ``websocket_max_frame_bytes`` the server fails the delivery and the
 subscription latches into an error state.  Hermes logs this as ``Failed
 to collect events`` and, as the paper's §V experiment shows, never
@@ -18,7 +25,7 @@ and (with ``clear_interval=0``) so are all later packets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Collection, Optional
+from typing import TYPE_CHECKING, Any, Collection, Optional
 
 from repro import calibration as cal
 from repro.errors import NodeUnavailableError, WebSocketFrameTooLargeError
@@ -47,20 +54,95 @@ class EventDescriptor:
     src_chain: str = ""
 
 
+class BlockView:
+    """One committed block as its event readers see it, built once per
+    chain (``Chain._fanout_block``) and shared by every node's server and
+    every subscriber.
+
+    ``frame_bytes`` is the envelope plus the OK transactions' event bytes.
+    :meth:`select` builds the descriptors a subscription filter passes, on
+    the first request per filter.  ``batches`` holds each filter's
+    relayer work batches, keyed by the filter and filled by
+    :func:`repro.relayer.events.batches_from_notification`.
+    """
+
+    __slots__ = (
+        "chain_id",
+        "height",
+        "time",
+        "frame_bytes",
+        "batches",
+        "_executed",
+        "_selections",
+    )
+
+    def __init__(self, chain_id: str, executed: ExecutedBlock):
+        self.chain_id = chain_id
+        self.height = executed.height
+        self.time = executed.time
+        frame_bytes = 200  # envelope
+        for item in executed.txs:
+            if item.result.ok:
+                for event in item.result.events:
+                    frame_bytes += event.size_bytes
+        self.frame_bytes = frame_bytes
+        self.batches: dict[Optional[frozenset[str]], list[Any]] = {}
+        self._executed = executed
+        self._selections: dict[Optional[frozenset[str]], list[EventDescriptor]] = {}
+
+    def select(self, event_types: Optional[frozenset[str]]) -> list[EventDescriptor]:
+        """The descriptors of the events whose type ``event_types`` admits
+        (all of them for ``None``), in block order."""
+        selection = self._selections.get(event_types)
+        if selection is None:
+            height = self.height
+            selection = self._selections[event_types] = [
+                EventDescriptor(
+                    event.type, height, item.hash, event.packet, event.src_chain
+                )
+                for item in self._executed.txs
+                if item.result.ok
+                for event in item.result.events
+                if event_types is None or event.type in event_types
+            ]
+        return selection
+
+
 @dataclass(slots=True)
 class BlockNotification:
-    """One WebSocket frame: NewBlock plus the block's events."""
+    """One WebSocket frame: a block's view through one subscription's
+    filter (``event_types``), or the frame-limit ``error``."""
 
-    chain_id: str
-    height: int
-    time: float
-    frame_bytes: int
-    events: list[EventDescriptor]
+    view: BlockView
+    event_types: Optional[frozenset[str]] = None
     error: Optional[WebSocketFrameTooLargeError] = None
 
     @property
     def ok(self) -> bool:
         return self.error is None
+
+    @property
+    def chain_id(self) -> str:
+        return self.view.chain_id
+
+    @property
+    def height(self) -> int:
+        return self.view.height
+
+    @property
+    def time(self) -> float:
+        return self.view.time
+
+    @property
+    def frame_bytes(self) -> int:
+        return self.view.frame_bytes
+
+    @property
+    def events(self) -> list[EventDescriptor]:
+        """The block's events this subscription receives (none on error)."""
+        if self.error is not None:
+            return []
+        return self.view.select(self.event_types)
 
 
 @dataclass(slots=True)
@@ -180,26 +262,13 @@ class WebSocketServer:
 
     # ------------------------------------------------------------------
 
-    def publish_block(self, executed: ExecutedBlock) -> None:
+    def publish_block(self, view: BlockView) -> None:
         """Called by the node for each committed block."""
-        frame_bytes = 200  # envelope
-        for item in executed.txs:
-            if item.result.ok:
-                for event in item.result.events:
-                    frame_bytes += event.size_bytes
+        frame_bytes = view.frame_bytes
         if frame_bytes > self.max_frame_bytes:
             self.max_frame_bytes = frame_bytes
         if not self.subscriptions:
             return
-        height = executed.height
-        descriptors = [
-            EventDescriptor(
-                event.type, height, item.hash, event.packet, event.src_chain
-            )
-            for item in executed.txs
-            if item.result.ok
-            for event in item.result.events
-        ]
         # The server writes frames to its subscribers serially: subscriber
         # k's frame goes on the wire only after the first k frames.  The
         # stagger also keeps two same-node subscribers from observing a
@@ -207,17 +276,13 @@ class WebSocketServer:
         # otherwise race for the serial RPC slot in event-heap tie order.
         offset = 0.0
         for subscription in self.subscriptions:
-            if self._deliver(
-                subscription, executed, descriptors, frame_bytes, offset
-            ):
+            if self._deliver(subscription, view, offset):
                 offset += frame_bytes * 8e-9
 
     def _deliver(
         self,
         subscription: Subscription,
-        executed: ExecutedBlock,
-        descriptors: list[EventDescriptor],
-        frame_bytes: int,
+        view: BlockView,
         send_offset: float = 0.0,
     ) -> bool:
         if subscription.disconnected:
@@ -228,32 +293,17 @@ class WebSocketServer:
             # subscription stops yielding events entirely.
             subscription.failures += 1
             return False
-        selected = [
-            d
-            for d in descriptors
-            if subscription.event_types is None or d.type in subscription.event_types
-        ]
-        if frame_bytes > self.cal.websocket_max_frame_bytes:
+        frame_bytes = view.frame_bytes
+        limit = self.cal.websocket_max_frame_bytes
+        if frame_bytes > limit:
             subscription.failed = True
             subscription.failures += 1
             notification = BlockNotification(
-                chain_id=self.chain_id,
-                height=executed.height,
-                time=executed.time,
-                frame_bytes=frame_bytes,
-                events=[],
-                error=WebSocketFrameTooLargeError(
-                    size=frame_bytes, limit=self.cal.websocket_max_frame_bytes
-                ),
+                view,
+                error=WebSocketFrameTooLargeError(size=frame_bytes, limit=limit),
             )
         else:
-            notification = BlockNotification(
-                chain_id=self.chain_id,
-                height=executed.height,
-                time=executed.time,
-                frame_bytes=frame_bytes,
-                events=selected,
-            )
+            notification = BlockNotification(view, subscription.event_types)
         delay = self.network.delay(self.host, subscription.subscriber_host)
         # Large frames also take wire time (frame bytes / ~1 Gbps), behind
         # whatever the server already has on the wire (``send_offset``).
@@ -261,15 +311,16 @@ class WebSocketServer:
 
         def push() -> None:
             subscription.delivered += 1
-            self.tracer.event(
-                "ws_frame",
-                f"{self.chain_id}/{self.host}/ws",
-                subscriber=subscription.subscriber_host,
-                height=executed.height,
-                events=len(notification.events),
-                frame_bytes=frame_bytes,
-                ok=notification.ok,
-            )
+            if self.tracer.enabled:
+                self.tracer.event(
+                    "ws_frame",
+                    f"{self.chain_id}/{self.host}/ws",
+                    subscriber=subscription.subscriber_host,
+                    height=view.height,
+                    events=len(notification.events),
+                    frame_bytes=frame_bytes,
+                    ok=notification.ok,
+                )
             subscription.queue.put(notification)
 
         self.env.schedule_callback(delay, push)

@@ -152,9 +152,15 @@ def test_batches_split_per_channel():
     """The supervisor routes per (kind, channel), so one block's events on
     two channels become two batches of the events' own packet objects."""
     from repro.ibc.packet import Height, Packet
-    from repro.tendermint.websocket import BlockNotification, EventDescriptor
+    from repro.tendermint.abci import (
+        AbciEvent,
+        ExecutedBlock,
+        ExecutedTx,
+        ResponseDeliverTx,
+    )
+    from repro.tendermint.websocket import BlockNotification, BlockView
 
-    def descriptor(channel, seq):
+    def event(channel, seq):
         packet = Packet(
             sequence=seq,
             source_port="transfer",
@@ -165,25 +171,36 @@ def test_batches_split_per_channel():
             timeout_height=Height(0, 100),
             timeout_timestamp=0.0,
         )
-        return EventDescriptor(
-            type="send_packet",
-            height=5,
-            tx_hash=bytes([seq]) * 32,
-            packet=packet,
-            src_chain="x",
+        return AbciEvent(
+            type="send_packet", size_bytes=100, packet=packet, src_chain="x"
         )
 
+    class _Tx:
+        def __init__(self, hash):
+            self.hash = hash
+
     events = [
-        descriptor("channel-0", 1),
-        descriptor("channel-1", 2),
+        event("channel-0", 1),
+        event("channel-1", 2),
         # A packet-less event of a subscribed kind yields no work.
-        EventDescriptor(type="send_packet", height=5, tx_hash=b"\x09" * 32),
-        descriptor("channel-0", 3),
+        AbciEvent(type="send_packet", size_bytes=100),
+        event("channel-0", 3),
     ]
-    notification = BlockNotification(
-        chain_id="x", height=5, time=1.0, frame_bytes=100, events=events
+    txs = [
+        ExecutedTx(
+            tx=_Tx(bytes([i + 1]) * 32),
+            height=5,
+            index=i,
+            result=ResponseDeliverTx(events=[e]),
+        )
+        for i, e in enumerate(events)
+    ]
+    block = ExecutedBlock(
+        height=5, time=1.0, txs=txs, end_block_events=[], app_hash=b"",
+        execution_seconds=0.0,
     )
-    batches = batches_from_notification(notification, {"send_packet"})
+    notification = BlockNotification(BlockView("x", block), frozenset({"send_packet"}))
+    batches = batches_from_notification(notification)
     by_channel = {b.routing_channel: len(b) for b in batches}
     assert by_channel == {"channel-0": 2, "channel-1": 1}
     relayed = [e for b in batches for e in b.events]

@@ -105,7 +105,7 @@ def test_nested_state_rollback_composition():
             dict(app.ibc.next_sequence_send),
             dict(app.ibc._commitments),
             dict(app.store._data),
-            app.store._dirty,
+            bool(app.store._changed or app.store._merged),
         )
 
     before = state()
@@ -164,14 +164,15 @@ def make_worker(
 
 def _batch(hashes):
     from repro.ibc.packet import Height, Packet
-    from repro.relayer.events import PacketEvent, WorkBatch
+    from repro.relayer.events import WorkBatch
+    from repro.tendermint.websocket import EventDescriptor
 
     batch = WorkBatch(chain_id="a", height=5, kind="send_packet",
                       routing_channel="channel-0")
     for i, tx_hash in enumerate(hashes):
         batch.events.append(
-            PacketEvent(
-                kind="send_packet",
+            EventDescriptor(
+                type="send_packet",
                 height=5,
                 tx_hash=tx_hash,
                 packet=Packet(

@@ -15,6 +15,8 @@ from repro.tendermint.merkle import (
     EMPTY_HASH,
     NonMembershipProof,
     ProvableStore,
+    StoreAbsenceProof,
+    StoreProof,
     simple_hash_from_byte_slices,
     verify_membership,
     verify_non_membership,
@@ -113,8 +115,8 @@ def test_proofs_against_snapshot_not_pending_state():
 
 
 def test_non_membership_proof_verifies():
-    store = make_store({b"a": b"1", b"c": b"3", b"e": b"5"})
-    for absent in (b"0", b"b", b"d", b"f"):
+    store = make_store({b"s/a": b"1", b"s/c": b"3", b"s/e": b"5", b"t": b"7"})
+    for absent in (b"s/0", b"s/b", b"s/d", b"s/f", b"s/ab", b"s", b"r/b", b"u"):
         proof = store.prove_absence(absent)
         assert verify_non_membership(store.root, proof), absent
 
@@ -126,9 +128,9 @@ def test_non_membership_rejects_present_key():
 
 
 def test_non_membership_wrong_root_rejected():
-    store = make_store({b"a": b"1", b"c": b"3"})
-    proof = store.prove_absence(b"b")
-    other = make_store({b"a": b"1", b"c": b"3", b"x": b"7"})
+    store = make_store({b"s/a": b"1", b"s/c": b"3"})
+    proof = store.prove_absence(b"s/b")
+    other = make_store({b"s/a": b"1", b"s/c": b"3", b"s/x": b"7"})
     assert not verify_non_membership(other.root, proof)
 
 
@@ -192,7 +194,26 @@ def test_root_independent_of_insertion_order(entries):
     assert store1.root == store2.root
 
 
-# -- the level-array tree against a recursive RFC-6962 reference ---------------
+# -- substore routing --------------------------------------------------------------
+
+
+def test_keys_route_to_their_ics24_substore():
+    channel = b"ports/transfer/channels/channel-0"
+    for prefix in (b"commitments", b"receipts", b"acks"):
+        key = prefix + b"/" + channel + b"/sequences/17"
+        assert merkle.substore_of(key) == prefix + b"/" + channel
+    assert merkle.substore_of(b"clients/07-tendermint-0/consensusStates/9") == b"clients"
+    assert merkle.substore_of(b"nextSequenceRecv/" + channel) == b"nextSequenceRecv"
+    assert merkle.substore_of(b"balances/alice/uatom") == b"balances"
+    assert merkle.substore_of(b"channelEnds/" + channel) == b"channelEnds"
+    assert merkle.substore_of(b"k001") == b"k001"
+    # Sequence order is shortlex order, so a new packet is a right-edge
+    # append however many digits its sequence has.
+    keys = [b"acks/" + channel + b"/sequences/%d" % n for n in (1, 9, 10, 99, 100)]
+    assert sorted(keys, key=merkle._shortlex) == keys
+
+
+# -- each layer against a recursive RFC-6962 reference -----------------------------
 
 
 def _split(n: int) -> int:
@@ -220,12 +241,50 @@ def _reference_sides(index: int, total: int) -> str:
     return _reference_sides(index - _split(total), total - _split(total)) + "R"
 
 
+def _reference_dirty_inner(total: int, dirty: set[int], lo: int = 0) -> int:
+    """Inner nodes of a ``total``-leaf tree (leaves ``lo`` on) whose leaf
+    range holds a ``dirty`` position: what an incremental commit rehashes."""
+    if total == 1:
+        return 0
+    half = _split(total)
+    return (
+        any(lo <= at < lo + total for at in dirty)
+        + _reference_dirty_inner(half, dirty, lo)
+        + _reference_dirty_inner(total - half, dirty, lo + half)
+    )
+
+
+def _reference_inner_above(total: int, level: int) -> int:
+    """Inner nodes of a ``total``-leaf tree higher than ``level``: what a
+    commit recomputes after the first ``2**level`` keys (or a multiple)
+    leave."""
+    if total == 1:
+        return 0
+    half = _split(total)
+    return (
+        ((total - 1).bit_length() > level)
+        + _reference_inner_above(half, level)
+        + _reference_inner_above(total - half, level)
+    )
+
+
 def _store_leaf(key: bytes, value: bytes) -> bytes:
     return hashlib.sha256(b"\x00" + key + b"=" + sha256(value)).digest()
 
 
+def _top_leaf(name: bytes, root: bytes) -> bytes:
+    return hashlib.sha256(b"\x00" + name + b"=" + root).digest()
+
+
 def _numbered(n: int) -> dict[bytes, bytes]:
+    """``n`` keys of one path segment each: ``n`` one-leaf substores, so the
+    app-hash layer has ``n`` leaves."""
     return {b"k%03d" % i: b"v%d" % i for i in range(n)}
+
+
+def _in_substore(n: int, width: int = 3) -> dict[bytes, bytes]:
+    """``n`` keys of one substore ``s``, whose tree has ``n`` leaves."""
+    return {b"s/k%0*d" % (width, i): b"v%d" % i for i in range(n)}
 
 
 @pytest.mark.parametrize("n", range(131))
@@ -235,19 +294,35 @@ def test_level_array_tree_matches_recursive_reference(n):
     assert simple_hash_from_byte_slices(items) == _reference_root(
         [hashlib.sha256(b"\x00" + item).digest() for item in items]
     )
+    # The leaf layer: one substore of n keys under a one-leaf app-hash tree.
+    store = make_store(_in_substore(n))
+    substore_root = _reference_root(
+        [_store_leaf(k, v) for k, v in sorted(_in_substore(n).items())]
+    )
+    assert store.root == _reference_root([_top_leaf(b"s", substore_root)] if n else [])
+    for index, (key, value) in enumerate(sorted(_in_substore(n).items())):
+        proof = store.prove(key)
+        assert (proof.leaf.index, proof.leaf.total) == (index, n)
+        assert len(proof.leaf.aunts) == len(_reference_sides(index, n))
+        assert merkle._aunt_sides(index, n) == _reference_sides(index, n)
+        assert (proof.top.key, proof.top.value_hash) == (b"s", substore_root)
+        assert (proof.top.index, proof.top.total, proof.top.aunts) == (0, 1, ())
+        assert verify_membership(store.root, proof, value)
+    for absent in (b"s/k", b"s/k05x", b"s/l", b"s/k050x", b"t/k000"):
+        assert verify_non_membership(store.root, store.prove_absence(absent))
+    # The app-hash layer: n one-leaf substores.
     store = make_store(entries)
     assert store.root == _reference_root(
-        [_store_leaf(k, v) for k, v in sorted(entries.items())]
+        [_top_leaf(k, _store_leaf(k, v)) for k, v in sorted(entries.items())]
     )
     for index, (key, value) in enumerate(sorted(entries.items())):
         proof = store.prove(key)
-        assert (proof.index, proof.total) == (index, n)
-        assert len(proof.aunts) == len(_reference_sides(index, n))
-        assert merkle._aunt_sides(index, n) == _reference_sides(index, n)
+        assert (proof.leaf.index, proof.leaf.total, proof.leaf.aunts) == (0, 1, ())
+        assert (proof.top.index, proof.top.total) == (index, n)
+        assert len(proof.top.aunts) == len(_reference_sides(index, n))
         assert verify_membership(store.root, proof, value)
-    assert verify_non_membership(store.root, store.prove_absence(b"k"))
-    assert verify_non_membership(store.root, store.prove_absence(b"k050x"))
-    assert verify_non_membership(store.root, store.prove_absence(b"l"))
+    for absent in (b"k", b"k050x", b"l"):
+        assert verify_non_membership(store.root, store.prove_absence(absent))
 
 
 @settings(max_examples=50, deadline=None)
@@ -256,6 +331,103 @@ def test_simple_hash_matches_recursive_reference(items):
     assert simple_hash_from_byte_slices(items) == _reference_root(
         [hashlib.sha256(b"\x00" + item).digest() for item in items]
     )
+
+
+# -- the incremental commit against a rebuild from scratch ---------------------------
+
+#: Three packet substores (appended, oldest-first deleted) ...
+_CHANNELS = [
+    b"commitments/ports/transfer/channels/channel-0",
+    b"acks/ports/transfer/channels/channel-1",
+    b"receipts/ports/transfer/channels/channel-0",
+]
+
+
+def _other_key(kind: int, n: int) -> bytes:
+    """... and keys of prefix substores, whose inserts land mid-order."""
+    return (
+        b"balances/acct%d/uatom" % n,
+        b"clients/07-tendermint-%d/consensusStates/%d" % (n % 3, n),
+        b"k%d" % n,
+    )[kind]
+
+
+_BLOCK_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["append", "drop_oldest", "insert", "revalue", "delete"]),
+        st.integers(0, 2),
+        st.integers(0, 40),
+    ),
+    max_size=24,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    blocks=st.lists(
+        st.tuples(_BLOCK_OPS, st.sampled_from([None, "merge", "drop"])),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_incremental_commit_matches_a_rebuild(blocks):
+    """Block after block of appends, oldest-first deletes, mid-order
+    inserts and value-only changes — written through or in a merged or
+    dropped transaction overlay — the updated trees give the root, the
+    membership proofs and the absence proofs of a store built from scratch
+    over the same contents."""
+    store = ProvableStore()
+    model: dict[bytes, bytes] = {}
+    next_sequence = [1, 1, 1]
+    for ops, overlay in blocks:
+        staged = dict(model)
+        if overlay is not None:
+            store.open_overlay()
+        for op, which, n in ops:
+            channel = _CHANNELS[which]
+            if op == "append":
+                key = channel + b"/sequences/%d" % next_sequence[which]
+                next_sequence[which] += 1 + n % 3
+                store.set(key, b"c%d" % n)
+                staged[key] = b"c%d" % n
+            elif op == "drop_oldest":
+                live = [k for k in staged if merkle.substore_of(k) == channel]
+                if live:
+                    oldest = min(live, key=merkle._shortlex)
+                    store.delete(oldest)
+                    del staged[oldest]
+            elif op == "insert":
+                key = _other_key(which, n)
+                store.set(key, b"v%d" % n)
+                staged[key] = b"v%d" % n
+            elif staged:
+                key = sorted(staged)[n % len(staged)]
+                if op == "revalue":
+                    store.set(key, b"r%d" % n)
+                    staged[key] = b"r%d" % n
+                else:
+                    store.delete(key)
+                    del staged[key]
+        if overlay == "drop":
+            store.drop_overlay()
+        else:
+            if overlay == "merge":
+                store.merge_overlay()
+            model = staged
+        root = store.commit()
+        rebuilt = make_store(model)
+        assert root == rebuilt.root
+        for key, value in model.items():
+            proof = store.prove(key)
+            assert proof == rebuilt.prove(key)
+            assert verify_membership(root, proof, value)
+        probes = [channel + b"/sequences/%d" % s for channel in _CHANNELS for s in (0, 2, 7, 99)]
+        probes += [_other_key(kind, 41) for kind in range(3)] + [b"zzz", b"a"]
+        for key in probes:
+            if key not in model:
+                proof = store.prove_absence(key)
+                assert proof == rebuilt.prove_absence(key)
+                assert verify_non_membership(root, proof)
 
 
 # -- mutated and malformed proofs fail closed -----------------------------------
@@ -273,11 +445,11 @@ def _rejected(root: bytes, key: bytes, value: bytes, proof) -> bool:
 
 
 def _single_mutations(proof, n):
-    """Every single-field mutation of an honest proof over ``n`` leaves, as
-    ``(mutant, accepted)``: only a ``total`` implying the same path stays
-    true.  ``total`` is bound only through the path it implies: a claim that
-    changes the side sequence or the aunt count must fail, one that changes
-    neither is the same statement about the same root."""
+    """Every single-field mutation of an honest one-layer proof over ``n``
+    leaves, as ``(mutant, accepted)``: only a ``total`` implying the same
+    path stays true.  ``total`` is bound only through the path it implies:
+    a claim that changes the side sequence or the aunt count must fail, one
+    that changes neither is the same statement about the same root."""
     sides = _reference_sides(proof.index, n)
     aunts = proof.aunts
     mutants = [(replace(proof, index=i), False) for i in range(-2, n + 3) if i != proof.index]
@@ -296,22 +468,41 @@ def _single_mutations(proof, n):
     return mutants
 
 
+def _two_layer_mutations(proof):
+    """The single mutations of either layer of a :class:`StoreProof`, plus
+    a top layer that names another substore."""
+    mutants = [
+        (replace(proof, leaf=leaf), accepted)
+        for leaf, accepted in _single_mutations(proof.leaf, proof.leaf.total)
+    ]
+    for top, accepted in _single_mutations(proof.top, proof.top.total):
+        mutants.append((replace(proof, top=top), accepted))
+    mutants.append((replace(proof, top=replace(proof.top, key=proof.top.key + b"x")), False))
+    return mutants
+
+
+def _rekeyed(proof, key: bytes):
+    """``proof`` with its leaf claiming ``key``."""
+    return replace(proof, leaf=replace(proof.leaf, key=key))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 16, 21, 33])
 def test_any_single_mutation_of_a_proof_is_rejected(n):
-    entries = _numbered(n)
-    store = make_store(entries)
-    root = store.root
-    for key, value in entries.items():
-        proof = store.prove(key)
-        for mutant, accepted in _single_mutations(proof, n):
-            if accepted:
-                assert verify_membership(root, mutant, value)
-            else:
-                assert _rejected(root, key, value, mutant), mutant
-        assert not verify_membership(root, replace(proof, key=key + b"x"), value)
-        with pytest.raises(ProofVerificationError):
-            ibc_proofs.verify_membership(root, key, value, replace(proof, key=key + b"x"))
-        assert not verify_membership(root, proof, value + b"x")
+    """Per layer: a substore of ``n`` keys, then ``n`` substores."""
+    for entries in (_in_substore(n), _numbered(n)):
+        store = make_store(entries)
+        root = store.root
+        for key, value in entries.items():
+            proof = store.prove(key)
+            for mutant, accepted in _two_layer_mutations(proof):
+                if accepted:
+                    assert verify_membership(root, mutant, value)
+                else:
+                    assert _rejected(root, key, value, mutant), mutant
+            assert not verify_membership(root, _rekeyed(proof, key + b"x"), value)
+            with pytest.raises(ProofVerificationError):
+                ibc_proofs.verify_membership(root, key, value, _rekeyed(proof, key + b"x"))
+            assert not verify_membership(root, proof, value + b"x")
 
 
 # -- the fold memo is exact: a warm memo answers as the plain fold does ---------
@@ -327,142 +518,284 @@ def _warm_memo(store, entries) -> dict:
 
 @pytest.mark.parametrize("n", [16, 17, 21, 33, 64, 100])
 def test_warm_memo_rejects_every_single_mutation(n):
-    entries = _numbered(n)
-    store = make_store(entries)
-    root = store.root
-    memo = _warm_memo(store, entries)
-    # Every node from level FOLD_MEMO_MIN_LEVEL up is recorded, and nothing
-    # below it: the memo holds exactly the upper part of the tree.
-    upper_levels = merkle._tree_levels(
-        [_store_leaf(k, v) for k, v in sorted(entries.items())]
-    )[merkle.FOLD_MEMO_MIN_LEVEL :]
-    assert set(memo) == {node for level in upper_levels for node in level}
-    for key, value in entries.items():
-        proof = store.prove(key)
-        for mutant, accepted in _single_mutations(proof, n):
-            # The plain fold's answer, before and after asking the memo.
-            assert verify_membership(root, mutant, value) is accepted
-            assert verify_membership(root, mutant, value, memo) is accepted, mutant
-            if not accepted:
-                with pytest.raises(ProofVerificationError):
-                    ibc_proofs.verify_membership(root, key, value, mutant, memo)
-        assert not verify_membership(root, proof, value + b"x", memo)
-        assert not verify_membership(root, replace(proof, key=key + b"x"), value, memo)
+    """Per layer: a substore of ``n`` keys, then ``n`` substores."""
+    for entries in (_in_substore(n), _numbered(n)):
+        store = make_store(entries)
+        root = store.root
+        memo = _warm_memo(store, entries)
+        # Every substore node from level FOLD_MEMO_MIN_LEVEL up is recorded,
+        # and nothing below it, plus each substore's top-layer proof once:
+        # the memo holds exactly the upper part of each tree.
+        tops = {store.prove(key).top for key in entries}
+        leaf_levels = merkle._tree_levels(
+            [_store_leaf(k, v) for k, v in sorted(entries.items())]
+        )
+        upper = {
+            node
+            for level in leaf_levels[merkle.FOLD_MEMO_MIN_LEVEL :]
+            for node in level
+        }
+        assert len(tops) == len(store._substores)
+        slots = {(top.key, root) for top in tops}
+        assert set(memo) == (upper if len(tops) == 1 else set()) | slots
+        assert {memo[slot] for slot in slots} == tops
+        for key, value in entries.items():
+            proof = store.prove(key)
+            for mutant, accepted in _two_layer_mutations(proof):
+                # The plain fold's answer, before and after asking the memo.
+                assert verify_membership(root, mutant, value) is accepted
+                assert verify_membership(root, mutant, value, memo) is accepted, mutant
+                if not accepted:
+                    with pytest.raises(ProofVerificationError):
+                        ibc_proofs.verify_membership(root, key, value, mutant, memo)
+            assert not verify_membership(root, proof, value + b"x", memo)
+            assert not verify_membership(root, _rekeyed(proof, key + b"x"), value, memo)
 
 
 def test_warm_memo_rejects_grafts_onto_recorded_upper_paths():
     """A forged leaf under an honest upper path: the proof ends in aunts
     (and the position) of a recorded fold state, but its bottom levels
     fold a different node, so it never reaches that state."""
-    entries = _numbered(64)
+    entries = _in_substore(64)
     store = make_store(entries)
     root = store.root
     memo = _warm_memo(store, entries)
-    honest = store.prove(b"k005")
-    forged_leaf = replace(honest, key=b"k005x")
-    for low in range(len(honest.aunts) + 1):
-        for fake in (sha256(b"fake"), honest.aunts[0]):
-            grafted = replace(
-                forged_leaf, aunts=(fake,) * low + honest.aunts[low:]
+    honest = store.prove(b"s/k005")
+    aunts = honest.leaf.aunts
+    forged_leaf = replace(honest.leaf, key=b"s/k005x")
+    for low in range(len(aunts) + 1):
+        for fake in (sha256(b"fake"), aunts[0]):
+            grafted = replace(forged_leaf, aunts=(fake,) * low + aunts[low:])
+            assert not verify_membership(
+                root, replace(honest, leaf=grafted), b"v5", memo
             )
-            assert not verify_membership(root, grafted, b"v5", memo)
     # A different tree's memo must not vouch for this root either: memos
     # are per root, and a proof of the other tree fails against this one.
-    other = make_store({**entries, b"k064": b"v64"})
-    other_memo = _warm_memo(other, {**entries, b"k064": b"v64"})
-    assert not verify_membership(root, other.prove(b"k005"), b"v5", other_memo)
-    assert not verify_membership(root, other.prove(b"k005"), b"v5", memo)
+    other = make_store({**entries, b"s/k064": b"v64"})
+    other_memo = _warm_memo(other, {**entries, b"s/k064": b"v64"})
+    assert not verify_membership(root, other.prove(b"s/k005"), b"v5", other_memo)
+    assert not verify_membership(root, other.prove(b"s/k005"), b"v5", memo)
+    # A recorded top-layer proof vouches for its own substore only: the
+    # same leaf proof under another key's substore name is refused.
+    assert not verify_membership(root, _rekeyed(honest, b"t/k005"), b"v5", memo)
 
 
 def test_absence_proofs_keep_the_full_fold(monkeypatch):
-    entries = _numbered(64)
+    entries = _in_substore(64)
     store = make_store(entries)
     memo = _warm_memo(store, entries)
     assert memo  # warm, yet absence proofs never consult it
     counter = _HashCounter(monkeypatch)
-    proof = store.prove_absence(b"k010x")
+    proof = store.prove_absence(b"s/k01x")  # between s/k019 and s/k020
     assert verify_non_membership(store.root, proof)
     inner, leaf, _value = counter.take()
-    assert (inner, leaf) == (len(proof.left.aunts) + len(proof.right.aunts), 2)
+    layer = proof.leaf
+    assert (inner, leaf) == (
+        len(layer.left.aunts) + len(layer.right.aunts) + len(proof.top.aunts),
+        3,
+    )
 
 
 def test_same_sides_but_other_aunt_count_is_rejected():
     # Leaf 0 is a left child all the way up in both trees, but the 5-leaf
     # tree is one level deeper than the 4-leaf one.
+    assert set(_reference_sides(0, 4)) == set(_reference_sides(0, 5)) == {"L"}
+    store = make_store(_in_substore(4))
+    proof = store.prove(b"s/k000")
+    forged = replace(proof, leaf=replace(proof.leaf, total=5))
+    assert _rejected(store.root, b"s/k000", b"v0", forged)
     store = make_store(_numbered(4))
     proof = store.prove(b"k000")
-    assert set(_reference_sides(0, 4)) == set(_reference_sides(0, 5)) == {"L"}
-    assert _rejected(store.root, b"k000", b"v0", replace(proof, total=5))
+    forged = replace(proof, top=replace(proof.top, total=5))
+    assert _rejected(store.root, b"k000", b"v0", forged)
 
 
 # -- absence proofs: adjacency comes from the paths, not from claims ------------
 
 
-def _absence_rejected(root: bytes, proof: NonMembershipProof) -> bool:
+def _absence_rejected(root: bytes, proof: StoreAbsenceProof) -> bool:
     with pytest.raises(ProofVerificationError):
         ibc_proofs.verify_non_membership(root, proof.key, proof)
     return not verify_non_membership(root, proof)
 
 
+def _absence_layers(count: int):
+    """Per layer, a store whose layer holds ``k00``..``k<count-1>``, a
+    one-layer prover and the wrapper that makes a one-layer absence claim
+    a store proof: inside substore ``s``, then among one-key substores."""
+    inside = make_store({b"s/k%02d" % i: b"v" for i in range(count)})
+    top = inside.prove(b"s/k00").top
+    among = make_store({b"k%02d" % i: b"v" for i in range(count)})
+    return [
+        (
+            inside,
+            lambda i: b"s/k%02d" % i,
+            lambda key: inside.prove(key).leaf,
+            lambda key, claim: StoreAbsenceProof(key=key, leaf=claim, top=top),
+        ),
+        (
+            among,
+            lambda i: b"k%02d" % i,
+            lambda key: among.prove(key).top,
+            lambda key, claim: StoreAbsenceProof(key=key, leaf=None, top=claim),
+        ),
+    ]
+
+
 def test_forged_absence_of_a_present_key_is_rejected():
-    store = make_store({b"k%02d" % i: b"v" for i in range(10)})
-    root = store.root
-    assert store.has(b"k05")
-    two_sided = NonMembershipProof(
-        key=b"k05", left=store.prove(b"k02"), right=store.prove(b"k08")
-    )
-    one_sided = NonMembershipProof(key=b"k05", left=None, right=store.prove(b"k08"))
-    assert _absence_rejected(root, two_sided)
-    assert _absence_rejected(root, one_sided)
-    assert _absence_rejected(
-        root, NonMembershipProof(key=b"k05", left=store.prove(b"k02"), right=None)
-    )
-    assert _absence_rejected(root, NonMembershipProof(key=b"k05", left=None, right=None))
+    for store, name, prove, wrap in _absence_layers(10):
+        root = store.root
+        present = name(5)
+        assert store.has(present)
+        for left, right in (
+            (prove(name(2)), prove(name(8))),
+            (None, prove(name(8))),
+            (prove(name(2)), None),
+            (None, None),
+        ):
+            claim = NonMembershipProof(key=present, left=left, right=right)
+            assert _absence_rejected(root, wrap(present, claim))
 
 
 def test_non_adjacent_neighbours_are_rejected_for_every_claimed_position():
-    keys = [b"k%02d" % i for i in range(10)]
-    store = make_store({key: b"v" for key in keys})
-    root = store.root
-    for i in range(10):
-        for j in range(i + 2, 10):
-            present = keys[i + 1]
-            left, right = store.prove(keys[i]), store.prove(keys[j])
+    for store, name, prove, wrap in _absence_layers(10):
+        root = store.root
+        keys = [name(i) for i in range(10)]
+        for i in range(10):
+            for j in range(i + 2, 10):
+                present = keys[i + 1]
+                left, right = prove(keys[i]), prove(keys[j])
+                for total in range(1, 33):
+                    claims = [(left.index, right.index)]
+                    claims += [(at, at + 1) for at in range(total - 1)]
+                    for left_at, right_at in claims:
+                        forged = NonMembershipProof(
+                            key=present,
+                            left=replace(left, index=left_at, total=total),
+                            right=replace(right, index=right_at, total=total),
+                        )
+                        assert not verify_non_membership(root, wrap(present, forged))
+        # One-sided: only the first leaf may stand alone on the right, only
+        # the last alone on the left, whatever position the proof claims.
+        for i in range(1, 10):
             for total in range(1, 33):
-                claims = [(left.index, right.index)]
-                claims += [(at, at + 1) for at in range(total - 1)]
-                for left_at, right_at in claims:
-                    forged = NonMembershipProof(
-                        key=present,
-                        left=replace(left, index=left_at, total=total),
-                        right=replace(right, index=right_at, total=total),
-                    )
-                    assert not verify_non_membership(root, forged), forged
-    # One-sided: only the first leaf may stand alone on the right, only the
-    # last alone on the left, whatever position the proof claims.
-    for i in range(1, 10):
-        for total in range(1, 33):
-            forged = NonMembershipProof(
-                key=keys[i - 1],
-                left=None,
-                right=replace(store.prove(keys[i]), index=0, total=total),
-            )
-            assert not verify_non_membership(root, forged), forged
-            forged = NonMembershipProof(
-                key=keys[i],
-                left=replace(store.prove(keys[i - 1]), index=total - 1, total=total),
-                right=None,
-            )
-            assert not verify_non_membership(root, forged), forged
+                forged = NonMembershipProof(
+                    key=keys[i - 1],
+                    left=None,
+                    right=replace(prove(keys[i]), index=0, total=total),
+                )
+                assert not verify_non_membership(root, wrap(keys[i - 1], forged))
+                forged = NonMembershipProof(
+                    key=keys[i],
+                    left=replace(prove(keys[i - 1]), index=total - 1, total=total),
+                    right=None,
+                )
+                assert not verify_non_membership(root, wrap(keys[i], forged))
 
 
 def test_neighbour_proofs_must_agree_on_total():
-    store = make_store(_numbered(3))
-    proof = store.prove_absence(b"k001x")  # between leaf 1 and the promoted leaf 2
+    # s/k3 falls between leaf 1 (s/k2) and the promoted leaf 2 (s/k4).
+    store = make_store({b"s/k0": b"v0", b"s/k2": b"v2", b"s/k4": b"v4"})
+    proof = store.prove_absence(b"s/k3")
     assert verify_non_membership(store.root, proof)
-    widened = replace(proof, left=replace(proof.left, total=4))
-    assert verify_membership(store.root, widened.left, b"v1")  # same path shape
-    assert not verify_non_membership(store.root, widened)
+    widened = replace(proof.leaf.left, total=4)
+    # The same path shape, so a membership proof as good as the honest one.
+    assert verify_membership(store.root, StoreProof(widened, proof.top), b"v2")
+    forged = replace(proof, leaf=replace(proof.leaf, left=widened))
+    assert not verify_non_membership(store.root, forged)
+
+
+def test_forged_two_layer_proofs_are_rejected():
+    """The top layer must be the key's own substore's, and honest."""
+    channel = b"ports/transfer/channels/channel-0"
+    commitment = b"commitments/" + channel + b"/sequences/%d"
+    ack = b"acks/" + channel + b"/sequences/%d"
+    entries = {commitment % i: b"c%d" % i for i in range(1, 9)}
+    entries.update({ack % i: b"a%d" % i for i in range(1, 5)})
+    entries.update({b"balances/alice/uatom": b"5", b"clients/07-tendermint-0/clientState": b"b"})
+    store = make_store(entries)
+    root = store.root
+    proof = store.prove(commitment % 3)
+    ack_proof = store.prove(ack % 3)
+    # Wrong substore: an honest top layer, but of another substore.
+    assert _rejected(root, commitment % 3, b"c3", replace(proof, top=ack_proof.top))
+    # The ack's two honest layers do not prove the commitment's key.
+    assert _rejected(root, commitment % 3, b"a3", _rekeyed(ack_proof, commitment % 3))
+    # Forged top aunts, and a top layer from an older snapshot.
+    for at in range(len(proof.top.aunts)):
+        aunts = list(proof.top.aunts)
+        aunts[at] = sha256(b"forged")
+        forged = replace(proof, top=replace(proof.top, aunts=tuple(aunts)))
+        assert _rejected(root, commitment % 3, b"c3", forged)
+    older = make_store({k: v for k, v in entries.items() if k != commitment % 8})
+    assert _rejected(root, commitment % 3, b"c3", replace(proof, top=older.prove(commitment % 3).top))
+
+    # Absence of a key whose substore is missing: a top-layer absence proof.
+    receipt = b"receipts/" + channel + b"/sequences/4"
+    absent = store.prove_absence(receipt)
+    assert absent.leaf is None and absent.top.key == b"receipts/" + channel
+    assert verify_non_membership(root, absent)
+    # Claiming a present substore missing, or proving absence in another
+    # substore's tree, or mixing the two proof shapes, is refused.
+    present = commitment % 20
+    honest = store.prove_absence(present)
+    assert verify_non_membership(root, honest)
+    names = store._top.keys
+    name = merkle.substore_of(present)
+    at = names.index(name)
+    left = store._prove_substore(names[at - 1])
+    right = store._prove_substore(names[at + 1]) if at + 1 < len(names) else None
+    missing = NonMembershipProof(key=name, left=left, right=right)
+    assert _absence_rejected(root, StoreAbsenceProof(present, None, missing))
+    assert _absence_rejected(root, replace(absent, key=present))
+    in_acks = store.prove_absence(ack % 20)
+    assert _absence_rejected(root, replace(in_acks, key=present, leaf=replace(in_acks.leaf, key=present)))
+    assert _absence_rejected(root, replace(honest, top=absent.top))
+    assert _absence_rejected(root, replace(absent, top=honest.top))
+    assert _absence_rejected(root, replace(honest, leaf=replace(honest.leaf, left=None, right=None)))
+    assert _absence_rejected(root, replace(honest, leaf=replace(honest.leaf, key=receipt)))
+
+
+def test_a_key_filed_under_another_substore_is_refused(monkeypatch):
+    """Both layers of a misfiled key's proof fold, but the verifier routes
+    the key itself and refuses a top layer naming another substore."""
+    key = b"commitments/ports/transfer/channels/channel-0/sequences/1"
+    monkeypatch.setattr(merkle, "substore_of", lambda _key: b"balances")
+    store = make_store({key: b"c1", b"balances/alice/uatom": b"5"})
+    proof = store.prove(key)
+    monkeypatch.undo()
+    assert proof.top.key == b"balances"
+    assert proof.leaf.compute_root() == proof.top.value_hash
+    assert proof.top.compute_root() == store.root
+    assert _rejected(store.root, key, b"c1", proof)
+    assert not verify_membership(store.root, proof, b"c1", {})
+
+
+def test_stub_commits_do_no_substore_work(monkeypatch):
+    """Stub mode commits no tree: a stub app's writes are never routed to
+    a substore, and nothing is hashed."""
+    from repro.cosmos.app import GaiaApp
+
+    app = GaiaApp("stub-chain", proof_mode="stub")
+
+    def forbidden(*_args):
+        raise AssertionError("substore work in stub mode")
+
+    monkeypatch.setattr(merkle, "substore_of", forbidden)
+    monkeypatch.setattr(merkle._Tree, "apply", forbidden)
+    counter = _HashCounter(monkeypatch)
+    store = app.store
+    roots = set()
+    for block in range(3):
+        store.set(b"commitments/ports/transfer/channels/channel-0/sequences/%d" % block, b"c")
+        store.open_overlay()
+        store.set(b"balances/alice/uatom", b"%d" % block)
+        store.merge_overlay()
+        roots.add(app.commit())
+    assert counter.take() == (0, 0, 0)
+    assert len(roots) == 3 and store.root in roots
+    assert store._substores == {} and store._leaf_cache == {}
+    assert not store._changed and not store._merged
 
 
 # -- hash accounting: the host-independent cost guard ---------------------------
@@ -496,41 +829,95 @@ class _HashCounter:
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 8, 13, 64, 100])
 def test_commit_hash_counts(monkeypatch, n):
+    """A commit hashes what the block changed: the changed leaves, their
+    ancestors, and the app-hash tree's leaf of each touched substore.  A
+    removal of the oldest keys recomputes the levels above the widest node
+    the count of removed keys divides; any other removal or a mid-order
+    insert rebuilds the substore whole."""
     counter = _HashCounter(monkeypatch)
     store = ProvableStore()
-    entries = _numbered(n)
+    entries = _in_substore(n)
+    top = 1 if n else 0  # the app-hash tree's leaf for substore ``s``
     for key, value in entries.items():
         store.set(key, value)
     store.commit()
-    assert counter.take() == (max(n - 1, 0), n, n)
+    assert counter.take() == (max(n - 1, 0), n + top, n)
 
     store.commit()  # clean: nothing changed
     assert counter.take() == (0, 0, 0)
 
     for key, value in entries.items():
-        store.set(key, value)  # dirty, but no value moved
+        store.set(key, value)  # written, but no value moved
     store.commit()
-    assert counter.take() == (max(n - 1, 0), 0, 0)
+    assert counter.take() == (0, 0, 0)
 
     changed = list(entries)[::3]
     for key in changed:
         store.set(key, b"moved")
     store.commit()
+    dirty = {int(key[3:]) for key in changed}
     assert counter.take() == (
-        max(n - 1, 0) if changed else 0,
-        len(changed),
+        _reference_dirty_inner(n, dirty) if n else 0,
+        len(changed) + top,
         len(changed),
     )
 
-    store.set(b"a-new-first-key", b"x")  # structural: shifts every index
+    store.set(b"s/a000", b"x")  # mid-order (first): shifts every index
     store.commit()
-    assert counter.take() == (n, 1, 1)
+    assert counter.take() == (n, 2, 1)
 
-    for key in entries:
+    store.set(b"s/z000", b"x")  # right-edge append: its ancestors only
+    store.commit()
+    assert counter.take() == (_reference_dirty_inner(n + 2, {n + 1}), 2, 1)
+
+    store.delete(b"s/a000")  # the oldest key: one is odd, so a rebuild
+    store.commit()
+    assert counter.take() == (n, 1, 0)
+
+    if n >= 4:  # the four oldest keys: the bottom two levels are kept
+        for key in list(entries)[:4]:
+            store.delete(key)
+        store.commit()
+        assert counter.take() == (_reference_inner_above(n - 3, 2), 1, 0)
+
+    store.set(b"t/x", b"x")  # a new substore, appended to the app-hash tree
+    store.commit()
+    assert counter.take() == (1, 2, 1)
+
+    for key in list(entries)[4 if n >= 4 else 0 :]:
         store.prove(key)
-    store.prove_absence(b"k")
-    store.prove_absence(b"zzz")
+    store.prove_absence(b"s/k")
+    store.prove_absence(b"s/zzzz")
+    store.prove_absence(b"u/missing")
     assert counter.take() == (0, 0, 0)
+
+
+@pytest.mark.parametrize(
+    ("workload", "inner"), [("hub_fleet_faults", 16_979), ("burst_5000", 16_606)]
+)
+def test_workload_commit_hash_counts(monkeypatch, workload, inner):
+    """Inner hashes all of a benchmark workload's commits make, at seed 0:
+    the whole-tree rebuild per dirty block made 63 955 on
+    ``hub_fleet_faults`` and 30 105 on ``burst_5000``."""
+    from perf.workloads import WORKLOADS
+
+    import repro
+
+    config = next(w for w in WORKLOADS if w.name == workload).config(0)
+    counts = {"commit": 0}
+    commit = ProvableStore.commit
+
+    def counted_commit(self):
+        before = counter.inner
+        try:
+            return commit(self)
+        finally:
+            counts["commit"] += counter.inner - before
+
+    counter = _HashCounter(monkeypatch)
+    monkeypatch.setattr(ProvableStore, "commit", counted_commit)
+    repro.run_experiment(config)
+    assert counts["commit"] == inner
 
 
 def _reference_memo_inner_hashes(total: int, order) -> int:
@@ -563,19 +950,22 @@ def _reference_memo_inner_hashes(total: int, order) -> int:
     ],
 )
 def test_batch_verification_hash_counts(monkeypatch, n, step, plain, memoised):
-    entries = _numbered(n) if n <= 1000 else {b"k%05d" % i: b"v%d" % i for i in range(n)}
+    """A batch in one substore of ``n`` keys: the plain check folds both
+    layers per proof; with a memo the top layer is folded once."""
+    entries = _in_substore(n, width=3 if n <= 1000 else 5)
     store = make_store(entries)
     keys = sorted(entries)[::step]
     proofs = [(store.prove(key), entries[key]) for key in keys]
+    assert all(proof.top.total == 1 for proof, _ in proofs)  # no top aunts
     counter = _HashCounter(monkeypatch)
     for proof, value in proofs:
         assert verify_membership(store.root, proof, value)
-    assert counter.take() == (plain, len(keys), len(keys))
+    assert counter.take() == (plain, 2 * len(keys), len(keys))
     memo: dict = {}
     for proof, value in proofs:
         assert verify_membership(store.root, proof, value, memo)
-    assert counter.take() == (memoised, len(keys), len(keys))
-    order = [store._key_index[key] for key in keys]
+    assert counter.take() == (memoised, len(keys) + 1, len(keys))
+    order = [proof.leaf.index for proof, _ in proofs]
     assert memoised == _reference_memo_inner_hashes(n, order)
     assert plain == sum(len(_reference_sides(i, n)) for i in order)
     # The batch re-verified against the warm memo: every fold stops at its
@@ -613,7 +1003,7 @@ def test_overlay_drop_restores_values():
     assert store.get(b"a") == b"1"
     assert store.get(b"new") is None
     assert store.get(b"b") == b"2"
-    assert not store._dirty
+    assert not store._merged
 
 
 def test_overlay_merge_keeps_values():
@@ -631,8 +1021,9 @@ def test_overlay_merge_keeps_values():
 
 
 def test_merging_unchanged_values_leaves_the_store_clean():
-    """A merge marks the store dirty only for a value that actually
-    changed (a write-through ``set`` always does; see the hash counts)."""
+    """A merge keeps the overlay for the commit only if a value actually
+    moved (a write-through ``set`` always notes its key; the commit then
+    finds the value unmoved and hashes nothing, see the hash counts)."""
     store = make_store({b"a": b"1"})
     store.open_overlay()
     store.set(b"a", b"2")
@@ -641,11 +1032,11 @@ def test_merging_unchanged_values_leaves_the_store_clean():
     store.delete(b"gone")
     store.delete(b"absent")
     store.merge_overlay()
-    assert not store._dirty
+    assert not store._merged
     store.open_overlay()
     store.set(b"a", b"2")
     store.merge_overlay()
-    assert store._dirty
+    assert store._merged == [{b"a": b"2"}]
 
 
 def test_one_overlay_at_a_time():
@@ -695,8 +1086,8 @@ def test_overlay_matches_a_plain_dict(initial, ops, merge):
     if merge:
         store.merge_overlay()
         assert store._data == model
-        assert store._dirty == (model != initial)
+        assert bool(store._merged) == (model != initial)
         assert store.commit() == make_store(model).root
     else:
         store.drop_overlay()
-        assert store._data == initial and not store._dirty
+        assert store._data == initial and not store._merged

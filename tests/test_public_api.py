@@ -100,3 +100,18 @@ def test_quickstart_snippet_from_readme_runs():
         repro.ExperimentConfig(input_rate=20, measurement_blocks=3, seed=47)
     )
     assert "Cross-chain experiment report" in report.summary()
+
+
+def test_project_scripts_resolve():
+    """Every ``[project.scripts]`` entry point imports and names a callable,
+    so no installed command fails at import."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    from pathlib import Path
+
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts
+    for name, target in scripts.items():
+        module_name, _, attribute = target.partition(":")
+        module = importlib.import_module(module_name)
+        assert callable(getattr(module, attribute)), f"{name} = {target}"

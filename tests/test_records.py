@@ -47,7 +47,12 @@ from repro.relayer.logging import LogRecord
 from repro.sim.network import LinkSpec
 from repro.sim.records import record
 from repro.tendermint.abci import AbciEvent
-from repro.tendermint.merkle import MembershipProof, NonMembershipProof
+from repro.tendermint.merkle import (
+    MembershipProof,
+    NonMembershipProof,
+    StoreAbsenceProof,
+    StoreProof,
+)
 from repro.tendermint.types import (
     BlockID,
     BlockIDFlag,
@@ -101,6 +106,11 @@ _PROOF = MembershipProof(
     key=b"commitments/7", value_hash=b"\x01" * 32, index=2, total=5,
     aunts=(b"\x02" * 32, b"\x03" * 32),
 )
+_TOP = MembershipProof(
+    key=b"commitments", value_hash=b"\x04" * 32, index=1, total=3,
+    aunts=(b"\x05" * 32,),
+)
+_STORE_PROOF = StoreProof(_PROOF, _TOP)
 _COMMIT = Commit(
     height=4,
     round=0,
@@ -122,30 +132,34 @@ SAMPLES = {
         MsgUpdateClient("07-tendermint-0", _HEADER, "relayer"),
         MsgConnectionOpenInit("07-tendermint-0", "07-tendermint-1", "relayer"),
         MsgConnectionOpenTry(
-            "07-tendermint-0", "07-tendermint-1", "connection-1", _PROOF, 4, "r"
+            "07-tendermint-0", "07-tendermint-1", "connection-1", _STORE_PROOF, 4, "r"
         ),
-        MsgConnectionOpenAck("connection-0", "connection-1", _PROOF, 4, "r"),
-        MsgConnectionOpenConfirm("connection-1", _PROOF, 4, "relayer"),
+        MsgConnectionOpenAck("connection-0", "connection-1", _STORE_PROOF, 4, "r"),
+        MsgConnectionOpenConfirm("connection-1", _STORE_PROOF, 4, "relayer"),
         MsgChannelOpenInit(
             "transfer", "connection-0", "transfer", ChannelOrder.ORDERED,
             "ics20-1", "relayer",
         ),
         MsgChannelOpenTry(
             "transfer", "connection-1", "transfer", "channel-0",
-            ChannelOrder.UNORDERED, "ics20-1", _PROOF, 4, "relayer",
+            ChannelOrder.UNORDERED, "ics20-1", _STORE_PROOF, 4, "relayer",
         ),
-        MsgChannelOpenAck("transfer", "channel-0", "channel-1", _PROOF, 4, "r"),
-        MsgChannelOpenConfirm("transfer", "channel-1", _PROOF, 4, "relayer"),
+        MsgChannelOpenAck("transfer", "channel-0", "channel-1", _STORE_PROOF, 4, "r"),
+        MsgChannelOpenConfirm("transfer", "channel-1", _STORE_PROOF, 4, "relayer"),
         MsgTransfer(
             "transfer", "channel-0", "uatom", 5, "alice", "bob",
             Height(0, 120), 90.0, "alice",
         ),
-        MsgRecvPacket(_PACKET, _PROOF, 4, "relayer"),
+        MsgRecvPacket(_PACKET, _STORE_PROOF, 4, "relayer"),
         MsgAcknowledgement(
-            _PACKET, Acknowledgement(True, "AQ=="), _PROOF, 4, "relayer"
+            _PACKET, Acknowledgement(True, "AQ=="), _STORE_PROOF, 4, "relayer"
         ),
         MsgTimeout(
-            _PACKET, NonMembershipProof(b"receipts/7", _PROOF, None), 4, 3, "r"
+            _PACKET,
+            StoreAbsenceProof(
+                b"receipts/7", NonMembershipProof(b"receipts/7", _PROOF, None), _TOP
+            ),
+            4, 3, "r",
         ),
         FungibleTokenPacketData("transfer/channel-0/uatom", 5, "alice", "bob"),
         ForwardRoute("hub-fallback", "transfer", "channel-3", "carol"),
@@ -157,6 +171,10 @@ SAMPLES = {
         ),
         _PROOF,
         NonMembershipProof(b"receipts/8", _PROOF, None),
+        _STORE_PROOF,
+        StoreAbsenceProof(
+            b"receipts/8", NonMembershipProof(b"receipts/8", _PROOF, None), _TOP
+        ),
         PartSetHeader(1, b"p"),
         _COMMIT.block_id,
         _COMMIT.signatures[0],

@@ -9,7 +9,7 @@ from repro import calibration as cal
 from repro.errors import RpcError, RpcOverloadedError, RpcTimeoutError
 from repro.sim import EMPTY, Environment, Network, RngRegistry
 from repro.tendermint.rpc import RpcClient, RpcRequest, RpcServer
-from repro.tendermint.websocket import WebSocketServer
+from repro.tendermint.websocket import BlockView, WebSocketServer
 from repro.tendermint.abci import AbciEvent, ExecutedBlock, ExecutedTx, ResponseDeliverTx
 from repro.ibc.packet import Height, Packet
 
@@ -274,10 +274,14 @@ def _block_with_events(height, n_events, bytes_per_event, kinds=("send_packet",)
     )
 
 
+def _publish(server, block):
+    server.publish_block(BlockView(server.chain_id, block))
+
+
 def test_subscription_receives_events(env, net):
     server = WebSocketServer(env, net, "server", "ws-chain")
     sub = server.subscribe("client", event_types={"send_packet"})
-    server.publish_block(_block_with_events(1, 3, 100))
+    _publish(server, _block_with_events(1, 3, 100))
     env.run()
     notification = sub.queue.try_get()
     assert notification.ok
@@ -290,7 +294,7 @@ def test_oversized_frame_fails_subscription(env, net):
     server = WebSocketServer(env, net, "server", "ws-chain")
     sub = server.subscribe("client")
     big = _block_with_events(1, 100_000, 400)  # 40 MB of event data
-    server.publish_block(big)
+    _publish(server, big)
     env.run()
     notification = sub.queue.try_get()
     assert not notification.ok
@@ -303,8 +307,8 @@ def test_failed_subscription_stays_silent(env, net):
     observation that subsequent transfers also get stuck."""
     server = WebSocketServer(env, net, "server", "ws-chain")
     sub = server.subscribe("client")
-    server.publish_block(_block_with_events(1, 100_000, 400))
-    server.publish_block(_block_with_events(2, 1, 100))
+    _publish(server, _block_with_events(1, 100_000, 400))
+    _publish(server, _block_with_events(2, 1, 100))
     env.run()
     first = sub.queue.try_get()
     assert not first.ok
@@ -315,11 +319,11 @@ def test_failed_subscription_stays_silent(env, net):
 def test_resubscribe_recovers(env, net):
     server = WebSocketServer(env, net, "server", "ws-chain")
     sub = server.subscribe("client")
-    server.publish_block(_block_with_events(1, 100_000, 400))
+    _publish(server, _block_with_events(1, 100_000, 400))
     env.run()
     sub.queue.try_get()
     server.resubscribe(sub)
-    server.publish_block(_block_with_events(2, 2, 100))
+    _publish(server, _block_with_events(2, 2, 100))
     env.run()
     notification = sub.queue.try_get()
     assert notification.ok and notification.height == 2
@@ -328,7 +332,7 @@ def test_resubscribe_recovers(env, net):
 def test_event_type_filter(env, net):
     server = WebSocketServer(env, net, "server", "ws-chain")
     sub = server.subscribe("client", event_types={"other_type"})
-    server.publish_block(_block_with_events(1, 3, 100))
+    _publish(server, _block_with_events(1, 3, 100))
     env.run()
     notification = sub.queue.try_get()
     assert notification.ok and notification.events == []
@@ -339,7 +343,7 @@ def test_failed_txs_events_not_delivered(env, net):
     sub = server.subscribe("client")
     block = _block_with_events(1, 3, 100)
     block.txs[0].result.code = 1  # failed tx
-    server.publish_block(block)
+    _publish(server, block)
     env.run()
     notification = sub.queue.try_get()
     assert notification.events == []
@@ -354,10 +358,10 @@ def test_frame_size_tracked_without_subscribers(env, net):
     failed = _block_with_events(3, 50, 1000)
     failed.txs[0].result.code = 1
     for server in (bare, watched):
-        server.publish_block(_block_with_events(1, 4, 100))
+        _publish(server, _block_with_events(1, 4, 100))
         assert server.max_frame_bytes == 200 + 4 * 100
-        server.publish_block(_block_with_events(2, 2, 100))
-        server.publish_block(failed)
+        _publish(server, _block_with_events(2, 2, 100))
+        _publish(server, failed)
         assert server.max_frame_bytes == 200 + 4 * 100
     assert bare.subscriptions == []
 
@@ -368,7 +372,7 @@ def test_event_type_filter_selects_only_subscribed_kinds(env, net):
     filtered = server.subscribe("client", event_types=wanted)
     everything = server.subscribe("client")
     kinds = ("send_packet", "recv_packet", "write_acknowledgement")
-    server.publish_block(_block_with_events(1, 6, 100, kinds=kinds))
+    _publish(server, _block_with_events(1, 6, 100, kinds=kinds))
     env.run()
     some = filtered.queue.try_get()
     assert [d.type for d in some.events] == [
@@ -382,12 +386,12 @@ def test_latched_subscription_yields_nothing_while_others_receive(env, net):
     server = WebSocketServer(env, net, "server", "ws-chain")
     latched = server.subscribe("client")
     healthy = server.subscribe("client")
-    server.publish_block(_block_with_events(1, 100_000, 400))
+    _publish(server, _block_with_events(1, 100_000, 400))
     env.run()
     latched.queue.try_get()
     healthy.queue.try_get()
     server.resubscribe(healthy)
-    server.publish_block(_block_with_events(2, 3, 100))
+    _publish(server, _block_with_events(2, 3, 100))
     env.run()
     assert latched.queue.try_get() is EMPTY
     assert latched.failures == 2
@@ -398,7 +402,7 @@ def test_notification_events_reference_the_event_packets(env, net):
     server = WebSocketServer(env, net, "server", "ws-chain")
     sub = server.subscribe("client", event_types={"send_packet"})
     block = _block_with_events(4, 3, 100)
-    server.publish_block(block)
+    _publish(server, block)
     env.run()
     notification = sub.queue.try_get()
     events = block.txs[0].result.events
@@ -407,3 +411,82 @@ def test_notification_events_reference_the_event_packets(env, net):
         assert descriptor.packet is event.packet
         assert descriptor.src_chain == "ws-chain"
         assert (descriptor.height, descriptor.tx_hash) == (4, block.txs[0].hash)
+
+
+def _per_subscriber_parse(notification, kinds):
+    """The relayer's parse as each subscriber once made it from its own
+    notification: its events of ``kinds`` that carry a packet, grouped per
+    (kind, routing channel) in block order."""
+    batches = {}
+    for d in notification.events:
+        if d.type not in kinds or d.packet is None or d.tx_hash is None:
+            continue
+        if d.type == "send_packet":
+            channel = d.packet.source_channel
+        else:
+            channel = d.packet.destination_channel
+        batches.setdefault((d.type, channel), []).append(
+            (d.type, d.height, d.tx_hash, id(d.packet), d.src_chain)
+        )
+    return [(kind, channel, events) for (kind, channel), events in batches.items()]
+
+
+def test_each_block_has_one_view_shared_by_every_subscriber(monkeypatch):
+    """Hub and spokes, two relayers per edge: each chain builds one view per
+    committed block, and every supervisor receives from it the batches a
+    per-subscriber parse of its own notification gives, in the same order
+    — the very same objects for every subscriber of the block."""
+    import repro
+    from repro.framework.config import ExperimentConfig
+    from repro.framework.topology import TopologySpec
+    from repro.relayer import supervisor as supervisor_module
+    from repro.tendermint import node as node_module
+
+    views = []
+
+    def counted_view(chain_id, executed):
+        view = BlockView(chain_id, executed)
+        views.append(view)
+        return view
+
+    received = []
+    parse = supervisor_module.batches_from_notification
+
+    def recorded_parse(notification):
+        batches = parse(notification)
+        received.append((notification, batches))
+        return batches
+
+    monkeypatch.setattr(node_module, "BlockView", counted_view)
+    monkeypatch.setattr(supervisor_module, "batches_from_notification", recorded_parse)
+    repro.run_experiment(
+        ExperimentConfig(
+            topology=TopologySpec.hub_and_spoke(3),
+            num_relayers=2,
+            input_rate=10,
+            measurement_blocks=3,
+            seed=7,
+        )
+    )
+    heights: dict[str, list[int]] = {}
+    for view in views:
+        heights.setdefault(view.chain_id, []).append(view.height)
+    assert len(heights) == 4
+    assert all(h == list(range(1, len(h) + 1)) for h in heights.values())
+
+    by_view: dict[int, list] = {}
+    for notification, batches in received:
+        assert notification.view in views
+        assert [
+            (b.kind, b.routing_channel, [
+                (e.type, e.height, e.tx_hash, id(e.packet), e.src_chain)
+                for e in b.events
+            ])
+            for b in batches
+        ] == _per_subscriber_parse(
+            notification, supervisor_module.SUBSCRIBED_KINDS
+        )
+        by_view.setdefault(id(notification.view), []).append(batches)
+    shared = [lists for lists in by_view.values() if len(lists) > 1]
+    assert shared and any(lists[0] for lists in shared)
+    assert all(batches is lists[0] for lists in shared for batches in lists)
