@@ -9,20 +9,21 @@ Two proof modes are supported:
   This is the default and what all protocol tests use.
 * ``stub`` — structural stand-ins that skip hashing, for the largest
   sweeps.  A proof itself is cheap.  In a substore of 10 k keys it takes
-  about 3 us to generate and 15 us to verify by the plain fold of both
+  about 3.5 us to generate and 17 us to verify by the plain fold of both
   layers.  Against a warm light-client fold memo, as when a batch is
   checked against one header, verifying takes about 6 us: the substore's
   top layer is folded once, the leaf and the four bottom levels are
   hashed, the rest is looked up.  What real mode still costs is the
-  commit, a value and a leaf hash per changed key plus their ancestors,
-  and the verification.  Measured as the CPU time of one benchmark rep
-  (``perf.measure.run_rep``), median of 8 reps alternated between the
-  modes, on a 2-core x86-64 host with CPython 3.11.7 shared with other
-  work: the ``relay_steady`` benchmark workload takes 1.21 s with stubs
-  and 1.73 s with real proofs (+42 %: commit +0.22 s, verification
-  +0.21 s, proof generation +0.05 s); the send-only ``chain_saturated``
-  takes 1.13 s and 1.39 s (+25 %, all of it commit).  No *simulated*
-  quantity is affected.
+  commit, a leaf hash per changed key plus its ancestors (a substore
+  that loses keys is rebuilt), and the verification.  Measured as the
+  CPU time of one benchmark rep (``perf.measure.run_rep``), median of 8
+  reps alternated between the modes, two such runs, on a 2-core x86-64
+  host with CPython 3.11.7 shared with other work: real proofs make the
+  ``relay_steady`` benchmark workload 32-55 % slower than stubs (commit
+  +0.20-0.25 s, verification +0.18-0.23 s, proof generation
+  +0.05-0.08 s over 1.0-1.3 s), and the send-only ``chain_saturated``
+  13-18 % slower (all of it commit, +0.19-0.21 s over 1.17 s).  No
+  *simulated* quantity is affected.
   Stub proofs still carry the claimed key/value and the state generation
   they were produced at, so gross protocol errors (proving against the
   wrong chain or path) are caught.

@@ -16,6 +16,7 @@ Two structures back the chain's commitments:
 from __future__ import annotations
 
 import bisect
+from collections import defaultdict
 from hashlib import sha256 as _hashlib_sha256
 from itertools import chain, compress
 from typing import Iterable, Optional, Sequence, Union
@@ -302,80 +303,67 @@ class _Tree:
     """One level-array tree (see ``_tree_levels``) over keys in shortlex
     order, kept current by :meth:`apply`."""
 
-    __slots__ = ("keys", "index", "levels", "_upper_aunts")
+    __slots__ = ("keys", "index", "levels")
 
     def __init__(self) -> None:
         self.keys: list[bytes] = []
         self.index: dict[bytes, int] = {}
         self.levels: list[list[bytes]] = []
-        # Node of level FOLD_MEMO_MIN_LEVEL -> the aunts above it, which
-        # every leaf under it shares; valid until the tree next changes.
-        self._upper_aunts: dict[int, tuple[bytes, ...]] = {}
 
     @property
     def root(self) -> bytes:
         return self.levels[-1][0] if self.levels else EMPTY_HASH
 
-    def apply(self, writes: dict[bytes, Optional[bytes]]) -> None:
-        """Set each written key's leaf hash; ``None`` removes the key.
+    def apply(
+        self,
+        added: list[bytes],
+        added_leaves: list[bytes],
+        changed: dict[bytes, Optional[bytes]],
+    ) -> None:
+        """Add the new keys ``added`` with their leaf hashes, and set each
+        ``changed`` key (one in the tree) to its new leaf hash; ``None``
+        removes the key.
 
         A changed leaf or a key past the last one rehashes only its
-        ancestors.  Removing the ``cut`` first keys, as acknowledged
-        packets leave, moves every position down by ``cut``: the levels
-        whose node width divides ``cut`` keep their nodes, and only the
-        levels above are recomputed.  Any other removal, or a key inserted
-        before the last one, rebuilds the tree.
+        ancestors.  Any removal, or a key inserted before the last one,
+        rebuilds the tree.
         """
-        self._upper_aunts = {}
         keys = self.keys
         index = self.index
         leaves = self.levels[0] if keys else []
         moved: list[int] = []
-        added: list[bytes] = []
         removed: list[int] = []
-        for key, leaf in writes.items():
-            at = index.get(key)
-            if at is None:
-                added.append(key)
-            elif leaf is None:
+        for key, leaf in changed.items():
+            at = index[key]
+            if leaf is None:
                 removed.append(at)
             else:
                 leaves[at] = leaf
                 moved.append(at)
         if added:
-            _sort_shortlex(added)
-        cut = len(removed)
-        if (
-            cut == len(keys)
-            or cut and max(removed) != cut - 1
-            or added and _shortlex(added[0]) < _shortlex(keys[-1])
+            ordered = list(added)
+            _sort_shortlex(ordered)
+            if ordered != added:
+                leaf_of = dict(zip(added, added_leaves))
+                added = ordered
+                added_leaves = list(map(leaf_of.__getitem__, added))
+        if removed or added and (
+            not keys or _shortlex(added[0]) < _shortlex(keys[-1])
         ):
-            return self._rebuild(leaves, removed, added, writes)
-        whole_from = None
-        if cut:
-            # 2**whole_from is the widest node width that divides cut.
-            whole_from = (cut & -cut).bit_length() - 1
-            levels = self.levels
-            del levels[whole_from + 1 :]
-            for depth, level in enumerate(levels):
-                del level[: cut >> depth]
-            keys = self.keys = keys[cut:]
-            index = self.index = dict(zip(keys, range(len(keys))))
-            moved = [at - cut for at in moved]
+            return self._rebuild(leaves, removed, added, added_leaves)
         tail = len(leaves)
-        for key in added:
-            index[key] = len(keys)
-            keys.append(key)
-            leaves.append(writes[key])
+        index.update(zip(added, range(tail, tail + len(added))))
+        keys += added
+        leaves += added_leaves
         moved.sort()
-        self._rehash(moved, tail, whole_from)
+        self._rehash(moved, tail)
 
     def _rebuild(
         self,
         leaves: list[bytes],
         removed: list[int],
         added: list[bytes],
-        writes: dict[bytes, Optional[bytes]],
+        added_leaves: list[bytes],
     ) -> None:
         """Rebuild the whole tree without the leaves at ``removed`` and with
         the ``added`` keys (shortlex-sorted) in place."""
@@ -387,25 +375,22 @@ class _Tree:
             keys = list(compress(keys, kept))
             leaves = list(compress(leaves, kept))
         if keys and added and _shortlex(added[0]) < _shortlex(keys[-1]):
-            for key in added:
+            for key, leaf in zip(added, added_leaves):
                 at = bisect.bisect_left(keys, _shortlex(key), key=_shortlex)
                 keys.insert(at, key)
-                leaves.insert(at, writes[key])
+                leaves.insert(at, leaf)
         else:
             keys += added
-            leaves += [writes[key] for key in added]
+            leaves += added_leaves
         self.keys = keys
         self.index = dict(zip(keys, range(len(keys))))
         self.levels = _tree_levels(leaves) if keys else []
 
-    def _rehash(
-        self, moved: list[int], tail: int, whole_from: Optional[int] = None
-    ) -> None:
+    def _rehash(self, moved: list[int], tail: int) -> None:
         """Recompute the ancestors of the leaves at ``moved`` (sorted, each
         below ``tail``) and of every leaf from ``tail`` on (the appended
-        ones), and every level above depth ``whole_from``; the levels then
-        match the leaf count.  Each level's dirty tail is recomputed in one
-        pass, as ``_tree_levels`` does."""
+        ones); the levels then match the leaf count.  Each level's dirty
+        tail is recomputed in one pass, as ``_tree_levels`` does."""
         sha = _hashlib_sha256
         levels = self.levels
         depth = 0
@@ -415,8 +400,6 @@ class _Tree:
             if depth + 1 == len(levels):
                 levels.append([])
             parent = levels[depth + 1]
-            if whole_from is not None and depth >= whole_from:
-                tail = 0
             tail = tail >> 1 if tail < size else (size + 1) >> 1
             parents: list[int] = []
             for position in moved:
@@ -446,26 +429,13 @@ class _Tree:
 
     def aunts(self, at: int) -> tuple[bytes, ...]:
         """The sibling hashes of leaf ``at``, leaf-upward (the root's level
-        has no sibling).  A batch of proofs shares its upper aunts, so
-        those are looked up once per node of level FOLD_MEMO_MIN_LEVEL."""
-        levels = self.levels
+        has no sibling)."""
         aunts = []
-        for level in levels[:FOLD_MEMO_MIN_LEVEL]:
+        for level in self.levels[:-1]:
             sibling = at ^ 1
             if sibling < len(level):
                 aunts.append(level[sibling])
             at >>= 1
-        upper = self._upper_aunts.get(at)
-        if upper is None:
-            upper = []
-            node = at
-            for level in levels[FOLD_MEMO_MIN_LEVEL:]:
-                sibling = node ^ 1
-                if sibling < len(level):
-                    upper.append(level[sibling])
-                node >>= 1
-            upper = self._upper_aunts[at] = tuple(upper)
-        aunts += upper
         return tuple(aunts)
 
     def neighbours(self, key: bytes) -> tuple[Optional[bytes], Optional[bytes]]:
@@ -497,12 +467,15 @@ class ProvableStore:
         self._changed: dict[bytes, None] = {}
         self._merged: list[dict[bytes, Optional[bytes]]] = []
         # Exactly the committed keys, each -> (value, value_hash,
-        # leaf_hash, substore), so that an unchanged rewrite costs no hash
-        # and a committed key is routed once.  Entries change only in
+        # substore), so that an unchanged rewrite costs no hash and a
+        # committed key is routed once.  Entries change only in
         # ``commit``, so they always describe the snapshot, never the
         # pending state.
-        self._leaf_cache: dict[bytes, tuple[bytes, bytes, bytes, bytes]] = {}
+        self._committed: dict[bytes, tuple[bytes, bytes, bytes]] = {}
         self._substores: dict[bytes, _Tree] = {}
+        # A new key's parent path (up to its last "/"; the key itself if
+        # it has none) -> the key's substore.
+        self._routes: dict[bytes, bytes] = {}
         # The app-hash tree: one leaf per committed substore, over
         # ``name + "=" + root``.
         self._top = _Tree()
@@ -594,12 +567,11 @@ class ProvableStore:
         """Snapshot the pending state and return the new root.
 
         Only the keys written since the last commit are looked at.  The
-        cost follows what changed: a value hash and a leaf hash per changed
-        key, the ancestors of changed or
-        appended leaves (a whole-tree rebuild only for a substore with a
-        removal or a key inserted mid-order), and the same for the
-        app-hash tree over the touched substores.  Clean substores cost
-        nothing.
+        cost follows what changed: a leaf hash per changed key, a value
+        hash per distinct new value, the ancestors of changed or appended
+        leaves (a whole-tree rebuild only for a substore with a removal or
+        a key inserted mid-order), and the same for the app-hash tree over
+        the touched substores.  Clean substores cost nothing.
         """
         if not self._changed and not self._merged:
             # Nothing written since the last snapshot (an empty block).
@@ -608,50 +580,70 @@ class ProvableStore:
         self._changed = {}
         self._merged = []
         data = self._data
-        leaf_cache = self._leaf_cache
+        committed = self._committed
+        routes = self._routes
         sha = _hashlib_sha256
-        writes: dict[bytes, dict[bytes, Optional[bytes]]] = {}
+        # Packets of one kind often carry one value (a receipt, a success
+        # ack, the commitment of a repeated transfer): hash each once.
+        value_hashes: dict[bytes, bytes] = {}
+        # Substore -> its new keys, their leaf hashes, and its committed
+        # keys whose value moved, each -> its new leaf hash (``None``
+        # removes the key).
+        added: defaultdict[bytes, list[bytes]] = defaultdict(list)
+        added_leaves: defaultdict[bytes, list[bytes]] = defaultdict(list)
+        changed: defaultdict[bytes, dict[bytes, Optional[bytes]]] = defaultdict(dict)
         for key in chain.from_iterable(written):
             value = data.get(key)
-            cached = leaf_cache.get(key)
-            if cached is not None:
-                name = cached[3]
-                if value is None:
-                    del leaf_cache[key]
-                    leaf = None
-                elif cached[0] == value:
+            entry = committed.get(key)
+            if entry is not None:
+                if entry[0] == value:
                     continue  # rewritten with its committed value
-                else:
-                    value_hash = sha256(value)
-                    leaf = sha(_LEAF_PREFIX + key + b"=" + value_hash).digest()
-                    leaf_cache[key] = (value, value_hash, leaf, name)
+                name = entry[2]
+                if value is None:
+                    del committed[key]
+                    changed[name][key] = None
+                    continue
             elif value is None:
                 continue  # written and removed within the block
             else:
-                name = substore_of(key)
-                value_hash = sha256(value)
-                leaf = sha(_LEAF_PREFIX + key + b"=" + value_hash).digest()
-                leaf_cache[key] = (value, value_hash, leaf, name)
-            substore_writes = writes.get(name)
-            if substore_writes is None:
-                substore_writes = writes[name] = {}
-            substore_writes[key] = leaf
-        if not writes:
+                # A key's substore is a function of its path up to the
+                # last "/", so each such path is routed once.
+                route = key.rpartition(b"/")[0] or key
+                name = routes.get(route)
+                if name is None:
+                    name = routes[route] = substore_of(key)
+            value_hash = value_hashes.get(value)
+            if value_hash is None:
+                value_hash = value_hashes[value] = sha256(value)
+            committed[key] = (value, value_hash, name)
+            leaf = sha(_LEAF_PREFIX + key + b"=" + value_hash).digest()
+            if entry is None:
+                added[name].append(key)
+                added_leaves[name].append(leaf)
+            else:
+                changed[name][key] = leaf
+        if not added and not changed:
             return self._root
         substores = self._substores
-        top_writes: dict[bytes, Optional[bytes]] = {}
-        for name, substore_writes in writes.items():
+        top = self._top
+        top_added: list[bytes] = []
+        top_added_leaves: list[bytes] = []
+        top_changed: dict[bytes, Optional[bytes]] = {}
+        for name in dict.fromkeys(chain(added, changed)):
             tree = substores.get(name)
             if tree is None:
                 tree = substores[name] = _Tree()
-            tree.apply(substore_writes)
-            if tree.keys:
-                top_writes[name] = _leaf_hash(name + b"=" + tree.root)
-            else:
+            tree.apply(added[name], added_leaves[name], changed[name])
+            if not tree.keys:
                 del substores[name]
-                top_writes[name] = None
-        self._top.apply(top_writes)
-        self._root = self._top.root
+                top_changed[name] = None
+            elif name in top.index:
+                top_changed[name] = _leaf_hash(name + b"=" + tree.root)
+            else:
+                top_added.append(name)
+                top_added_leaves.append(_leaf_hash(name + b"=" + tree.root))
+        top.apply(top_added, top_added_leaves, top_changed)
+        self._root = top.root
         self._proof_cache = {}
         self._top_proofs = {}
         return self._root
@@ -682,14 +674,14 @@ class ProvableStore:
         proof = self._proof_cache.get(key)
         if proof is not None:
             return proof
-        cached = self._leaf_cache.get(key)
-        if cached is None:
+        entry = self._committed.get(key)
+        if entry is None:
             raise KeyError(f"key {key!r} not in committed state")
-        name = cached[3]
+        name = entry[2]
         tree = self._substores[name]
         at = tree.index[key]
         proof = StoreProof(
-            MembershipProof(key, cached[1], at, len(tree.keys), tree.aunts(at)),
+            MembershipProof(key, entry[1], at, len(tree.keys), tree.aunts(at)),
             self._top_proofs.get(name) or self._prove_substore(name),
         )
         self._proof_cache[key] = proof
@@ -697,7 +689,7 @@ class ProvableStore:
 
     def prove_absence(self, key: bytes) -> StoreAbsenceProof:
         """Non-membership proof for ``key`` in the committed snapshot."""
-        if key in self._leaf_cache:
+        if key in self._committed:
             raise KeyError(f"key {key!r} IS in committed state")
         name = substore_of(key)
         tree = self._substores.get(name)

@@ -213,6 +213,24 @@ def test_keys_route_to_their_ics24_substore():
     assert sorted(keys, key=merkle._shortlex) == keys
 
 
+_SEGMENTS = st.sampled_from(
+    [b"", b"commitments", b"receipts", b"acks", b"sequences", b"ports", b"7", b"x"]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_SEGMENTS, min_size=1, max_size=6), min_size=1, max_size=30))
+def test_commit_routes_each_key_to_its_substore(paths):
+    """A commit routes each new key by its parent path; that is the
+    substore ``substore_of`` names, whatever the key's shape (no "/", a
+    leading "/", ``sequences`` in any segment)."""
+    keys = sorted({b"/".join(segments) for segments in paths})
+    store = make_store({key: b"v" for key in keys})
+    for key in keys:
+        assert store._committed[key][2] == merkle.substore_of(key)
+        assert verify_membership(store.root, store.prove(key), b"v")
+
+
 # -- each layer against a recursive RFC-6962 reference -----------------------------
 
 
@@ -251,20 +269,6 @@ def _reference_dirty_inner(total: int, dirty: set[int], lo: int = 0) -> int:
         any(lo <= at < lo + total for at in dirty)
         + _reference_dirty_inner(half, dirty, lo)
         + _reference_dirty_inner(total - half, dirty, lo + half)
-    )
-
-
-def _reference_inner_above(total: int, level: int) -> int:
-    """Inner nodes of a ``total``-leaf tree higher than ``level``: what a
-    commit recomputes after the first ``2**level`` keys (or a multiple)
-    leave."""
-    if total == 1:
-        return 0
-    half = _split(total)
-    return (
-        ((total - 1).bit_length() > level)
-        + _reference_inner_above(half, level)
-        + _reference_inner_above(total - half, level)
     )
 
 
@@ -794,7 +798,7 @@ def test_stub_commits_do_no_substore_work(monkeypatch):
         roots.add(app.commit())
     assert counter.take() == (0, 0, 0)
     assert len(roots) == 3 and store.root in roots
-    assert store._substores == {} and store._leaf_cache == {}
+    assert store._substores == {} and store._committed == {}
     assert not store._changed and not store._merged
 
 
@@ -829,11 +833,10 @@ class _HashCounter:
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 8, 13, 64, 100])
 def test_commit_hash_counts(monkeypatch, n):
-    """A commit hashes what the block changed: the changed leaves, their
-    ancestors, and the app-hash tree's leaf of each touched substore.  A
-    removal of the oldest keys recomputes the levels above the widest node
-    the count of removed keys divides; any other removal or a mid-order
-    insert rebuilds the substore whole."""
+    """A commit hashes what the block changed: each distinct new value, the
+    changed leaves, their ancestors, and the app-hash tree's leaf of each
+    touched substore.  A removal or a mid-order insert rebuilds the
+    substore whole."""
     counter = _HashCounter(monkeypatch)
     store = ProvableStore()
     entries = _in_substore(n)
@@ -853,13 +856,13 @@ def test_commit_hash_counts(monkeypatch, n):
 
     changed = list(entries)[::3]
     for key in changed:
-        store.set(key, b"moved")
+        store.set(key, b"moved")  # one value: hashed once
     store.commit()
     dirty = {int(key[3:]) for key in changed}
     assert counter.take() == (
         _reference_dirty_inner(n, dirty) if n else 0,
         len(changed) + top,
-        len(changed),
+        1 if changed else 0,
     )
 
     store.set(b"s/a000", b"x")  # mid-order (first): shifts every index
@@ -870,15 +873,15 @@ def test_commit_hash_counts(monkeypatch, n):
     store.commit()
     assert counter.take() == (_reference_dirty_inner(n + 2, {n + 1}), 2, 1)
 
-    store.delete(b"s/a000")  # the oldest key: one is odd, so a rebuild
+    store.delete(b"s/a000")  # the oldest key: a rebuild
     store.commit()
     assert counter.take() == (n, 1, 0)
 
-    if n >= 4:  # the four oldest keys: the bottom two levels are kept
+    if n >= 4:  # the four oldest keys: a rebuild
         for key in list(entries)[:4]:
             store.delete(key)
         store.commit()
-        assert counter.take() == (_reference_inner_above(n - 3, 2), 1, 0)
+        assert counter.take() == (n - 4, 1, 0)
 
     store.set(b"t/x", b"x")  # a new substore, appended to the app-hash tree
     store.commit()
@@ -893,31 +896,38 @@ def test_commit_hash_counts(monkeypatch, n):
 
 
 @pytest.mark.parametrize(
-    ("workload", "inner"), [("hub_fleet_faults", 16_979), ("burst_5000", 16_606)]
+    ("workload", "hashes"),
+    [
+        ("hub_fleet_faults", (18_800, 16_162, 361)),
+        ("burst_5000", (21_343, 15_295, 103)),
+    ],
 )
-def test_workload_commit_hash_counts(monkeypatch, workload, inner):
-    """Inner hashes all of a benchmark workload's commits make, at seed 0:
-    the whole-tree rebuild per dirty block made 63 955 on
-    ``hub_fleet_faults`` and 30 105 on ``burst_5000``."""
+def test_workload_commit_hash_counts(monkeypatch, workload, hashes):
+    """Inner, leaf and value hashes all of a benchmark workload's commits
+    make, at seed 0.  The whole-tree rebuild per dirty block, which hashed
+    every changed value, made (63 955, 15 918, 15 918) on
+    ``hub_fleet_faults`` and (30 105, 15 245, 15 245) on ``burst_5000``."""
     from perf.workloads import WORKLOADS
 
     import repro
 
     config = next(w for w in WORKLOADS if w.name == workload).config(0)
-    counts = {"commit": 0}
+    counted = [0, 0, 0]
     commit = ProvableStore.commit
 
     def counted_commit(self):
-        before = counter.inner
+        before = (counter.inner, counter.leaf, counter.value)
         try:
             return commit(self)
         finally:
-            counts["commit"] += counter.inner - before
+            after = (counter.inner, counter.leaf, counter.value)
+            for kind, (was, now) in enumerate(zip(before, after)):
+                counted[kind] += now - was
 
     counter = _HashCounter(monkeypatch)
     monkeypatch.setattr(ProvableStore, "commit", counted_commit)
     repro.run_experiment(config)
-    assert counts["commit"] == inner
+    assert tuple(counted) == hashes
 
 
 def _reference_memo_inner_hashes(total: int, order) -> int:
