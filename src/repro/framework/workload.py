@@ -27,11 +27,11 @@ from typing import Any, Optional
 
 from repro.cosmos.accounts import Wallet
 from repro.cosmos.bank import module_address
-from repro.cosmos.gas import GasSchedule
 from repro.errors import RpcError, WorkloadError
 from repro.framework.setup import Testbed
 from repro.ibc.transfer import encode_forward_receiver
-from repro.relayer.cli import TransferSubmission, WorkloadCli
+from repro.relayer.cli import WorkloadCli
+from repro.relayer.endpoint import GAS_MULTIPLIER, SubmittedTx
 from repro.relayer.logging import RelayerLog
 from repro.sim.core import Environment, ProcessGroup
 from repro.tendermint.node import Chain
@@ -75,7 +75,7 @@ class WorkloadStats:
     #: Broadcast RPC failures (never reached the node).
     lost_transfers: int = _count("lost")
     # Run bookkeeping (``wire: None``): never enters the report.
-    submissions: list[TransferSubmission] = field(
+    submissions: list[SubmittedTx] = field(
         default_factory=list, metadata={"wire": None}
     )
     start_time: float = field(default=0.0, metadata={"wire": None})
@@ -86,9 +86,9 @@ class WorkloadStats:
     def summary_lines(self) -> list[str]:
         return [f"requested         : {self.requested_transfers}"]
 
-    def record(self, submission: TransferSubmission) -> None:
+    def record(self, submission: SubmittedTx) -> None:
         self.submissions.append(submission)
-        count = submission.transfer_count
+        count = submission.payload_msgs
         self.requested_transfers += count
         if submission.broadcast is None:
             self.lost_transfers += count
@@ -106,12 +106,12 @@ class WorkloadStats:
         """
         committed = failed = unconfirmed = 0
         for s in self.submissions:
-            if s.committed_ok:
-                committed += s.transfer_count
+            if s.executed_ok:
+                committed += s.payload_msgs
             elif s.confirmed is not None and s.confirmed.found:
-                failed += s.transfer_count
+                failed += s.payload_msgs
             elif s.accepted:
-                unconfirmed += s.transfer_count
+                unconfirmed += s.payload_msgs
         self.committed_transfers = committed
         self.failed_transfers = failed
         self.unconfirmed_transfers = unconfirmed
@@ -223,7 +223,12 @@ class WorkloadDriver:
                 self._routes.append(r)
 
     def _cli(
-        self, source: Chain, wallet: Wallet, channel_id: str, receiver: str
+        self,
+        source: Chain,
+        wallet: Wallet,
+        channel_id: str,
+        receiver: str,
+        gas_factor: float = GAS_MULTIPLIER,
     ) -> WorkloadCli:
         """A submitter's Hermes CLI against ``source``'s CLI-side node."""
         return WorkloadCli(
@@ -234,6 +239,7 @@ class WorkloadDriver:
             log=self.log,
             source_channel=channel_id,
             receiver=receiver,
+            gas_factor=gas_factor,
         )
 
     def _exit(self) -> None:
@@ -353,7 +359,6 @@ class WorkloadDriver:
         r: int,
         hint_chain: Chain,
         count: int,
-        gas_factor: float = 1.3,
     ):
         # The packet sequence is assigned on chain, so the span carries the
         # tx hash instead of a packet key; the trace aggregator joins it to
@@ -366,25 +371,21 @@ class WorkloadDriver:
             amount=self.config.transfer_amount,
             timeout_blocks=self.config.timeout_blocks,
             dst_height_hint=hint_chain.engine.height,
-            gas_factor=gas_factor,
         )
         self.stats.record(submission)
-        self.route_requested[r] += submission.transfer_count
+        self.route_requested[r] += count
         if submission.accepted:
-            self.route_accepted[r] += submission.transfer_count
+            self.route_accepted[r] += count
             yield from cli.wait_confirmation(submission)
-            self.testbed.tracer.close_span(
-                span,
-                tx_hash=submission.tx.hash,
-                accepted=True,
-                committed=submission.committed_ok,
-            )
-        else:
-            self.testbed.tracer.close_span(
-                span, tx_hash=submission.tx.hash, accepted=False, committed=False
-            )
+        self.testbed.tracer.close_span(
+            span,
+            tx_hash=submission.tx.hash,
+            accepted=submission.accepted,
+            committed=submission.executed_ok,
+        )
+        if not submission.accepted:
             # Back off one poll interval before retrying from this account.
-            yield self.env.timeout(cli.confirm_poll_seconds)
+            yield self.env.timeout(cli.endpoint.confirm_poll_seconds)
         return submission
 
     # -- generated-workload engine (config.workload) -------------------
@@ -406,12 +407,15 @@ class WorkloadDriver:
             self._lazy_clis[rank] = cli
         return cli
 
-    def _engine_cli(self, wallet: Wallet) -> WorkloadCli:
+    def _engine_cli(
+        self, wallet: Wallet, gas_factor: float = GAS_MULTIPLIER
+    ) -> WorkloadCli:
         return self._cli(
             self._engine_source,
             wallet,
             self._engine_channel,
             self._engine_receiver,
+            gas_factor,
         )
 
     def _engine_loop(self):
@@ -456,7 +460,6 @@ class WorkloadDriver:
         engine = self.engine
         spec = engine.spec
         cli = self._engine_cli(self.testbed.spam_wallet)
-        gas_schedule = GasSchedule(self._engine_source.cal)
         start = self.env.now
         spam_tx = None
         try:
@@ -476,16 +479,12 @@ class WorkloadDriver:
                         self.config.timeout_blocks,
                         self._engine_hint.engine.height,
                     )
-                    gas = int(
-                        gas_schedule.estimate_tx_gas([m.kind for m in msgs])
-                        * 1.3
-                    )
-                    spam_tx = cli.factory.build(msgs, gas_limit=gas, sequence=0)
+                    spam_tx = cli.endpoint.sign(msgs, sequence=0)
                 rejected = 0
                 for _ in range(spec.spam_burst):
                     engine.spam_submitted += 1
                     try:
-                        result = yield from cli.client.call(
+                        result = yield from cli.endpoint.client.call(
                             "broadcast_tx_sync", tx=spam_tx
                         )
                     except RpcError as exc:
@@ -505,7 +504,9 @@ class WorkloadDriver:
     def _griefing_loop(self):
         """§IV-A gas griefing: under-gassed 100-message transactions."""
         engine = self.engine
-        cli = self._engine_cli(self.testbed.grief_wallet)
+        cli = self._engine_cli(
+            self.testbed.grief_wallet, gas_factor=GRIEFING_GAS_FACTOR
+        )
         start = self.env.now
         try:
             for tick in griefing_ticks(engine.spec, engine.griefing_stream):
@@ -516,11 +517,7 @@ class WorkloadDriver:
                     break
                 engine.griefing_submitted += 1
                 submission = yield from self._one_submission(
-                    cli,
-                    0,
-                    self._engine_hint,
-                    GRIEFING_MSGS,
-                    gas_factor=GRIEFING_GAS_FACTOR,
+                    cli, 0, self._engine_hint, GRIEFING_MSGS
                 )
                 confirmed = submission.confirmed
                 if confirmed is not None and confirmed.found and confirmed.code:

@@ -153,8 +153,9 @@ class IbcModule(Journaled):
         self.next_sequence_recv: dict[tuple[str, str], int] = {}
         self.next_sequence_ack: dict[tuple[str, str], int] = {}
 
-        # Fast-path mirrors of provable-store entries.
-        self._commitments: dict[tuple[str, str, int], bytes] = {}
+        # Fast-path mirrors of provable-store entries.  Commitments are keyed
+        # by (port, channel), then sequence: one channel's read scans no other.
+        self._commitments: dict[tuple[str, str], dict[int, bytes]] = {}
         self._receipts: dict[tuple[str, str, int], bool] = {}
         self._acks: dict[tuple[str, str, int], Acknowledgement] = {}
         # Archive of sent packets (what packet-clearing queries reconstruct
@@ -543,6 +544,9 @@ class IbcModule(Journaled):
             if self.journal is not None:
                 self.journal.record_kv(sequences, key, sequences.get(key))
             sequences[key] = 1
+        if self.journal is not None:
+            self.journal.record_kv(self._commitments, key, self._commitments.get(key))
+        self._commitments[key] = {}
         if end.ordering == ChannelOrder.ORDERED:
             self._store_next_sequence_recv(key, 1)
 
@@ -591,10 +595,11 @@ class IbcModule(Journaled):
         )
         commitment = packet.commitment()
         commit_key = (port_id, channel_id, sequence)
+        commitments = self._commitments[key]
         if journal is not None:
-            journal.record_kv(self._commitments, commit_key, None)
+            journal.record_kv(commitments, sequence, None)
             journal.record_kv(self._sent_packets, commit_key, None)
-        self._commitments[commit_key] = commitment
+        commitments[sequence] = commitment
         self._sent_packets[commit_key] = packet
         self.store.set(
             keys.packet_commitment_path(port_id, channel_id, sequence), commitment
@@ -706,7 +711,8 @@ class IbcModule(Journaled):
         """AcknowledgePacket (Fig. 2 step 6): verify ack, clear commitment."""
         packet = msg.packet
         src_key = (packet.source_port, packet.source_channel, packet.sequence)
-        commitment = self._commitments.get(src_key)
+        commitments = self._commitments.get(src_key[:2], {})
+        commitment = commitments.get(packet.sequence)
         if commitment is None:
             raise RedundantPacketError(
                 f"no commitment for packet {packet.sequence}; already acknowledged"
@@ -741,8 +747,8 @@ class IbcModule(Journaled):
                 self.journal.record_kv(self.next_sequence_ack, ack_key, expected)
             self.next_sequence_ack[ack_key] = expected + 1
         if self.journal is not None:
-            self.journal.record_kv(self._commitments, src_key, commitment)
-        del self._commitments[src_key]
+            self.journal.record_kv(commitments, packet.sequence, commitment)
+        del commitments[packet.sequence]
         self.store.delete(keys.packet_commitment_path(*src_key))
         app = self.app_for_port(packet.source_port)
         app.on_acknowledgement(packet, msg.acknowledgement, ctx)
@@ -754,7 +760,8 @@ class IbcModule(Journaled):
         """OnPacketTimeout (Fig. 3): prove non-receipt, undo, clear."""
         packet = msg.packet
         src_key = (packet.source_port, packet.source_channel, packet.sequence)
-        commitment = self._commitments.get(src_key)
+        commitments = self._commitments.get(src_key[:2], {})
+        commitment = commitments.get(packet.sequence)
         if commitment is None:
             raise RedundantPacketError(
                 f"no commitment for packet {packet.sequence}; already settled"
@@ -803,8 +810,8 @@ class IbcModule(Journaled):
                 proof=msg.proof_unreceived,
             )
         if self.journal is not None:
-            self.journal.record_kv(self._commitments, src_key, commitment)
-        del self._commitments[src_key]
+            self.journal.record_kv(commitments, packet.sequence, commitment)
+        del commitments[packet.sequence]
         self.store.delete(keys.packet_commitment_path(*src_key))
         app = self.app_for_port(packet.source_port)
         app.on_timeout(packet, ctx)
@@ -817,7 +824,7 @@ class IbcModule(Journaled):
     # ------------------------------------------------------------------
 
     def has_commitment(self, port_id: str, channel_id: str, sequence: int) -> bool:
-        return (port_id, channel_id, sequence) in self._commitments
+        return sequence in self._commitments.get((port_id, channel_id), ())
 
     def has_receipt(self, port_id: str, channel_id: str, sequence: int) -> bool:
         return (port_id, channel_id, sequence) in self._receipts
@@ -836,17 +843,11 @@ class IbcModule(Journaled):
         self, port_id: str, channel_id: str
     ) -> list[int]:
         """Sequences with live (unacknowledged, un-timed-out) commitments."""
-        return sorted(
-            seq
-            for (p, c, seq) in self._commitments
-            if p == port_id and c == channel_id
-        )
+        return sorted(self._commitments.get((port_id, channel_id), ()))
 
     def has_pending_commitments(self, port_id: str, channel_id: str) -> bool:
         """Whether any commitment on the channel is still live."""
-        return any(
-            p == port_id and c == channel_id for (p, c, _seq) in self._commitments
-        )
+        return bool(self._commitments.get((port_id, channel_id)))
 
     def prove_commitment(
         self, port_id: str, channel_id: str, sequence: int

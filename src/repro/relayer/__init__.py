@@ -1,6 +1,6 @@
 """Hermes-style IBC relayer: supervisor, workers, chain endpoints, CLI."""
 
-from repro.relayer.cli import TransferSubmission, WorkloadCli
+from repro.relayer.cli import WorkloadCli
 from repro.relayer.config import RelayerConfig
 from repro.relayer.endpoint import ChainEndpoint, SubmittedTx
 from repro.relayer.events import WorkBatch
@@ -26,7 +26,6 @@ __all__ = [
     "RelayPath",
     "SubmittedTx",
     "Supervisor",
-    "TransferSubmission",
     "WorkBatch",
     "WorkloadCli",
     "render_journal",

@@ -3,68 +3,38 @@
 The paper's Benchmark module "binds the workload submission to the Hermes
 Relayer CLI": user accounts submit transactions of up to 100 ``MsgTransfer``
 messages through the machine-local full node, then poll for confirmation
-before the next submission (the account-sequence constraint of §V).
+before the next submission (the account-sequence constraint of §V).  The
+CLI shares the relayer's Chain Endpoint (Fig. 4), so this is only the
+ICS-20 front: it builds the transfer batch and its timeout height.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
 from repro import calibration as cal
 from repro.cosmos.accounts import Wallet
-from repro.cosmos.gas import GasSchedule
-from repro.cosmos.tx import Tx, TxFactory
-from repro.errors import RpcError, RpcTimeoutError
+from repro.cosmos.app import TRANSFER_DENOM
+from repro.errors import ChainError
 from repro.ibc.msgs import MsgTransfer
 from repro.ibc.packet import Height
+from repro.relayer.config import RelayerConfig
+from repro.relayer.endpoint import GAS_MULTIPLIER, ChainEndpoint, SubmittedTx
 from repro.relayer.logging import RelayerLog
 from repro.sim.core import Environment, Event
-from repro.tendermint.node import BroadcastResult, ChainNode, TxLookupResult
-from repro.tendermint.rpc import RpcClient
+from repro.tendermint.node import ChainNode
 
+#: The CLI waits longer for a confirmation than a relayer does.
+CLI_CONFIRM_TIMEOUT_SECONDS = 300.0
 
-@dataclass
-class TransferSubmission:
-    """Outcome of one CLI ft-transfer invocation (one transaction)."""
-
-    tx: Tx
-    transfer_count: int
-    broadcast_time: float
-    broadcast: Optional[BroadcastResult] = None
-    confirmed: Optional[TxLookupResult] = None
-    confirm_time: Optional[float] = None
-
-    @property
-    def accepted(self) -> bool:
-        return self.broadcast is not None and self.broadcast.ok
-
-    @property
-    def committed_ok(self) -> bool:
-        return (
-            self.confirmed is not None
-            and self.confirmed.found
-            and self.confirmed.code == 0
-        )
+#: Read only for the query retry budget, which the CLI leaves at Hermes's.
+_CLI_CONFIG = RelayerConfig(name="cli")
 
 
 class WorkloadCli:
     """Submits cross-chain transfers on behalf of one user account."""
 
-    __slots__ = (
-        "env",
-        "node",
-        "log",
-        "source_channel",
-        "receiver",
-        "denom",
-        "confirm_poll_seconds",
-        "confirm_timeout_seconds",
-        "client",
-        "factory",
-        "_gas",
-        "wallet",
-    )
+    __slots__ = ("log", "source_channel", "receiver", "wallet", "endpoint", "factory")
 
     def __init__(
         self,
@@ -75,31 +45,31 @@ class WorkloadCli:
         log: RelayerLog,
         source_channel: str,
         receiver: str,
-        denom: str = "uatom",
         rpc_timeout: Optional[float] = None,
-        confirm_timeout_seconds: float = 300.0,
+        gas_factor: float = GAS_MULTIPLIER,
     ):
-        self.env = env
-        self.node = node
+        """``gas_factor`` below 1 is the gas-griefing adversary's: its
+        transactions admit but cannot execute."""
         self.log = log
         self.source_channel = source_channel
         self.receiver = receiver
-        self.denom = denom
-        self.confirm_poll_seconds = node.chain.cal.cli_confirm_poll_seconds
-        self.confirm_timeout_seconds = confirm_timeout_seconds
-        self.client = RpcClient(
-            env,
-            node.chain.network,
-            client_host,
-            node.rpc,
-            timeout=rpc_timeout,
-            client_id=f"cli/{wallet.name}",
-        )
-        self.factory = TxFactory(wallet, node.chain.cal)
-        self._gas = GasSchedule(node.chain.cal)
         self.wallet = wallet
-
-    # ------------------------------------------------------------------
+        self.endpoint = ChainEndpoint(
+            env,
+            node,
+            wallet,
+            client_host,
+            _CLI_CONFIG,
+            log,
+            client_id=f"cli/{wallet.name}",
+            sign_seconds=node.chain.cal.cli_prepare_seconds_per_tx,
+            confirm_poll_seconds=node.chain.cal.cli_confirm_poll_seconds,
+            confirm_timeout_seconds=CLI_CONFIRM_TIMEOUT_SECONDS,
+            gas_factor=gas_factor,
+        )
+        self.factory = self.endpoint.factory
+        if rpc_timeout is not None:
+            self.endpoint.client.timeout = rpc_timeout
 
     def build_transfer_msgs(
         self, count: int, amount: int, timeout_blocks: int, current_dst_height: int
@@ -112,7 +82,7 @@ class WorkloadCli:
         msg = MsgTransfer(
             source_port="transfer",
             source_channel=self.source_channel,
-            denom=self.denom,
+            denom=TRANSFER_DENOM,
             amount=amount,
             sender=self.wallet.address,
             receiver=self.receiver,
@@ -127,98 +97,29 @@ class WorkloadCli:
         amount: int = 1,
         timeout_blocks: int = cal.DEFAULT_TIMEOUT_BLOCKS,
         dst_height_hint: Optional[int] = None,
-        gas_factor: float = 1.3,
-    ) -> Generator[Event, Any, TransferSubmission]:
-        """Submit one transaction with ``count`` transfer messages.
-
-        ``gas_factor`` scales the honest gas estimate — the default is the
-        CLI's 1.3x headroom; the gas-griefing adversary passes a factor
-        below 1 to submit transactions that admit but cannot execute.
-        """
-        dst_height = (
-            dst_height_hint
-            if dst_height_hint is not None
-            else self.node.chain.engine.height
-        )
-        msgs = self.build_transfer_msgs(count, amount, timeout_blocks, dst_height)
-        # CLI-side preparation (encode + sign).
-        yield self.env.timeout(self.node.chain.cal.cli_prepare_seconds_per_tx)
-        gas = int(self._gas.estimate_tx_gas([m.kind for m in msgs]) * gas_factor)
-        tx = self.factory.build(msgs, gas_limit=gas)
-        submission = TransferSubmission(
-            tx=tx, transfer_count=count, broadcast_time=self.env.now
-        )
-        self.log.info(
-            "transfer_broadcast",
-            chain=self.node.chain.chain_id,
-            tx_hash=tx.hash,
-            count=count,
-        )
-        try:
-            result = yield from self.client.call("broadcast_tx_sync", tx=tx)
-        except RpcError as exc:
-            self.log.error("transfer_broadcast_failed", reason=str(exc))
-            # The tx never reached the node; roll the local sequence back so
-            # the next attempt reuses it.
-            self.factory.resync_sequence(tx.sequence)
-            return submission
-        submission.broadcast = result
-        if not result.ok:
-            self.log.error(
-                "transfer_broadcast_rejected", code=result.code, log=result.log
-            )
-            if "sequence" in result.log:
-                # Stale local sequence: re-sync from committed chain state.
-                try:
-                    info = yield from self.client.call(
-                        "account", address=self.wallet.address
-                    )
-                    self.factory.resync_sequence(info["sequence"])
-                except RpcError as exc:
-                    self.log.error(
-                        "sequence_resync_failed", reason=str(exc)
-                    )
+    ) -> Generator[Event, Any, SubmittedTx]:
+        """Submit one transaction of ``count`` transfer messages."""
+        if count > self.endpoint.cal.max_msgs_per_tx:
+            raise ChainError(f"{count} transfers exceed one transaction")
+        if dst_height_hint is None:
+            dst_height_hint = self.endpoint.chain.engine.height
+        msgs = self.build_transfer_msgs(count, amount, timeout_blocks, dst_height_hint)
+        (submission,) = yield from self.endpoint.submit_msgs(msgs, "transfer")
         return submission
 
     def wait_confirmation(
-        self, submission: TransferSubmission
+        self, submission: SubmittedTx
     ) -> Generator[Event, Any, bool]:
         """Poll ``/tx`` until the submission confirms; True on success."""
-        if not submission.accepted:
-            return False
-        deadline = self.env.now + self.confirm_timeout_seconds
-        while self.env.now < deadline:
-            try:
-                lookup = yield from self.client.call("tx", tx_hash=submission.tx.hash)
-            except RpcTimeoutError:
-                self.log.error(
-                    "failed_tx_no_confirmation", tx_hash=submission.tx.hash
-                )
-                yield self.env.timeout(self.confirm_poll_seconds)
-                continue
-            except RpcError:
-                yield self.env.timeout(self.confirm_poll_seconds)
-                continue
-            if lookup.found:
-                submission.confirmed = lookup
-                submission.confirm_time = self.env.now
-                self.log.info(
-                    "transfer_confirmation",
-                    tx_hash=submission.tx.hash,
-                    code=lookup.code,
-                    height=lookup.height,
-                    count=submission.transfer_count,
-                )
-                if lookup.code != 0:
-                    # Committed but failed in execution (out of gas,
-                    # failed ante) — distinct from the no-confirmation
-                    # timeout bucket below, which never saw the tx land.
-                    self.log.error(
-                        "failed_tx_execution",
-                        tx_hash=submission.tx.hash,
-                        code=lookup.code,
-                    )
-                return lookup.code == 0
-            yield self.env.timeout(self.confirm_poll_seconds)
-        self.log.error("failed_tx_no_confirmation", tx_hash=submission.tx.hash)
-        return False
+        yield from self.endpoint.confirm_txs([submission], "transfer")
+        confirmed = submission.confirmed
+        if confirmed is not None and confirmed.code != 0:
+            # Committed but failed in execution (out of gas, failed ante).
+            self.log.error(
+                "tx_execution_failed",
+                chain=self.endpoint.chain_id,
+                tx_hash=submission.tx.hash,
+                code=confirmed.code,
+                log=confirmed.log,
+            )
+        return submission.executed_ok

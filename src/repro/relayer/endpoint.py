@@ -1,14 +1,12 @@
-"""The relayer's Chain Endpoint (Fig. 4): transaction submission per chain.
+"""The Chain Endpoint (Fig. 4): the one submit-and-confirm path per chain.
 
-Responsibilities, mirroring Hermes:
-
-* sign transactions with the relayer's key, tracking the account sequence
-  *optimistically* (incremented locally per signed tx) so several
-  transactions can be queued into one block;
-* on ``account sequence mismatch`` errors, re-sync the sequence from the
-  chain (an RPC query that sees only committed state — the root of the
-  paper's mismatch cascades under load) and retry;
-* poll ``/tx`` for confirmation of broadcast transactions.
+Relay legs, the handshake and the Hermes CLI all go through it, as in
+Hermes 1.0.  It signs with an *optimistic* account sequence (bumped
+locally per signed tx, so several txs can queue into one block), gives a
+sequence back when the node did not accept its broadcast and nothing was
+signed since, re-syncs from committed chain state and retries once on
+``account sequence mismatch`` (the paper's mismatch cascades under load),
+and polls ``/tx`` for confirmation.
 """
 
 from __future__ import annotations
@@ -43,7 +41,7 @@ TRANSIENT_RPC_ERRORS = (RpcTimeoutError, RpcOverloadedError, NodeUnavailableErro
 #: (Hermes's default_gas/max_gas behaviour, simplified).
 GAS_MULTIPLIER = 1.3
 
-#: Give up confirming a tx after this many seconds.
+#: A relayer gives up confirming a tx after this many seconds.
 CONFIRM_TIMEOUT_SECONDS = 120.0
 
 #: First query-retry backoff; doubles per attempt up to the cap.
@@ -57,7 +55,6 @@ class SubmittedTx:
 
     tx: Tx
     broadcast: Optional[BroadcastResult] = None
-    broadcast_time: float = 0.0
     confirmed: Optional[TxLookupResult] = None
     confirm_time: Optional[float] = None
     #: Packet messages in the tx (excludes the prepended client update).
@@ -81,7 +78,9 @@ class SubmittedTx:
 
 
 class ChainEndpoint:
-    """One relayer's interface to one chain, via a machine-local full node."""
+    """One signer's interface to one chain, via a machine-local full node.
+    The keyword-only arguments default to a relayer's; the CLI passes its
+    own."""
 
     def __init__(
         self,
@@ -92,12 +91,17 @@ class ChainEndpoint:
         config: RelayerConfig,
         log: RelayerLog,
         tracer=NULL_TRACER,
+        *,
+        client_id: Optional[str] = None,
+        sign_seconds: Optional[float] = None,
+        confirm_poll_seconds: Optional[float] = None,
+        confirm_timeout_seconds: float = CONFIRM_TIMEOUT_SECONDS,
+        gas_factor: float = GAS_MULTIPLIER,
     ):
         self.env = env
-        self.node = node
         self.chain = node.chain
         #: The chain's calibration: the relayer's timings and limits.
-        self.cal = node.chain.cal
+        self.cal = cal = node.chain.cal
         self.config = config
         self.log = log
         self.tracer = tracer
@@ -110,16 +114,21 @@ class ChainEndpoint:
             # Stable id (relayer names are unique per testbed): the default
             # falls back to a process-global counter, which is replay-safe
             # but drifts across runs in one process.
-            client_id=f"{config.name}/{node.chain.chain_id}",
+            client_id=client_id or f"{config.name}/{node.chain.chain_id}",
         )
         # Each packet transaction carries a prepended MsgUpdateClient on
         # top of the (paper-reported) 100 packet messages.
-        self.factory = TxFactory(wallet, self.cal, prepended_msgs=1)
-        self._gas = GasSchedule(self.cal)
-        #: Accounting for analysis.
-        self.broadcast_failures = 0
-        self.sequence_resyncs = 0
-        self.rpc_retries = 0
+        self.factory = TxFactory(wallet, cal, prepended_msgs=1)
+        self._gas = GasSchedule(cal)
+        self.gas_factor = gas_factor
+        if sign_seconds is None:
+            sign_seconds = cal.relayer_sign_seconds_per_tx
+        self.sign_seconds = sign_seconds
+        if confirm_poll_seconds is None:
+            confirm_poll_seconds = cal.relayer_confirm_poll_seconds
+        self.confirm_poll_seconds = confirm_poll_seconds
+        self.confirm_timeout_seconds = confirm_timeout_seconds
+        self._last_signed: Optional[Tx] = None
 
     @property
     def chain_id(self) -> str:
@@ -155,7 +164,6 @@ class ChainEndpoint:
                         )
                     raise
                 attempt += 1
-                self.rpc_retries += 1
                 self.log.info(
                     "rpc_retry",
                     chain=self.chain_id,
@@ -165,15 +173,6 @@ class ChainEndpoint:
                 )
                 yield self.env.timeout(backoff)
                 backoff = min(backoff * 2.0, RPC_RETRY_MAX_SECONDS)
-
-    def sync_sequence(self) -> Generator[Event, Any, int]:
-        """Re-sync the local signing sequence from committed chain state."""
-        info = yield from self.client.call(
-            "account", address=self.factory.wallet.address
-        )
-        self.sequence_resyncs += 1
-        self.factory.resync_sequence(info["sequence"])
-        return info["sequence"]
 
     # ------------------------------------------------------------------
     # Transaction submission
@@ -192,24 +191,23 @@ class ChainEndpoint:
         every chunk, the way Hermes precedes each packet transaction with a
         client update.
         ``packet_src_chain`` names the chain the chunk's packets originated
-        on, for trace keys; every packet submission names it, and the
-        handshake's, which carry no packets, leave it to default to this
-        endpoint's own chain.
+        on: a relay leg's messages each carry a packet, and their trace keys
+        are built only when it is given.  The handshake's and the CLI's
+        messages carry none.
         """
-        src_chain = packet_src_chain if packet_src_chain is not None else self.chain_id
         submitted: list[SubmittedTx] = []
         for chunk in chunk_msgs(msgs, self.cal.max_msgs_per_tx):
             started = self.env.now
-            yield self.env.timeout(self.cal.relayer_sign_seconds_per_tx)
+            yield self.env.timeout(self.sign_seconds)
             payload = [prepend_msg] + chunk if prepend_msg is not None else chunk
-            entry = yield from self._sign_and_broadcast(
-                payload, label, payload_msgs=len(chunk)
-            )
-            entry.packet_keys = tuple(
-                packet_key(src_chain, m.packet.source_channel, m.packet.sequence)
-                for m in chunk
-                if hasattr(m, "packet")
-            )
+            entry = yield from self._sign_and_broadcast(payload, label, len(chunk))
+            if packet_src_chain is not None:
+                entry.packet_keys = tuple(
+                    packet_key(
+                        packet_src_chain, m.packet.source_channel, m.packet.sequence
+                    )
+                    for m in chunk
+                )
             submitted.append(entry)
             if self.tracer.enabled:
                 # Sign + broadcast for one chunk (Fig. 12's submit leg).
@@ -224,34 +222,43 @@ class ChainEndpoint:
                 )
         return submitted
 
+    def sign(self, msgs: list[Any], sequence: Optional[int] = None) -> Tx:
+        """One transaction over ``msgs``, its gas estimate scaled by the
+        gas factor; at the next local sequence unless one is given."""
+        kinds = [getattr(m, "kind", "unknown") for m in msgs]
+        gas_limit = int(self._gas.estimate_tx_gas(kinds) * self.gas_factor)
+        return self.factory.build(msgs, gas_limit=gas_limit, sequence=sequence)
+
     def _sign_and_broadcast(
         self,
         chunk: list[Any],
         label: str,
+        payload_msgs: int,
         retried: bool = False,
-        payload_msgs: Optional[int] = None,
     ) -> Generator[Event, Any, SubmittedTx]:
-        kinds = [getattr(m, "kind", "unknown") for m in chunk]
-        gas_limit = int(self._gas.estimate_tx_gas(kinds) * GAS_MULTIPLIER)
-        tx = self.factory.build(chunk, gas_limit=gas_limit)
-        count = payload_msgs if payload_msgs is not None else len(chunk)
-        entry = SubmittedTx(tx=tx, broadcast_time=self.env.now, payload_msgs=count)
+        factory = self.factory
+        tx = self._last_signed = self.sign(chunk)
+        entry = SubmittedTx(tx=tx, payload_msgs=payload_msgs)
         self.log.info(
             f"{label}_broadcast",
             chain=self.chain_id,
             tx_hash=tx.hash,
-            count=count,
+            count=payload_msgs,
         )
         try:
             result = yield from self.client.call("broadcast_tx_sync", tx=tx)
         except RpcError as exc:
-            self.broadcast_failures += 1
-            self.log.error(
-                "broadcast_failed", chain=self.chain_id, reason=str(exc)
-            )
-            return entry
+            result = None
+            self.log.error("broadcast_failed", chain=self.chain_id, reason=str(exc))
         entry.broadcast = result
-        if result.ok:
+        if result is not None and result.ok:
+            return entry
+        if self._last_signed is tx:
+            # The node did not take the tx and nothing was signed since:
+            # its sequence is still the account's next (Hermes 1.0 bumps
+            # its sequence only on an accepted broadcast).
+            factory.resync_sequence(tx.sequence)
+        if result is None:
             return entry
         if result.code == SEQUENCE_MISMATCH_CODE and not retried:
             # Re-sync from chain and retry once with a fresh sequence.
@@ -261,18 +268,20 @@ class ChainEndpoint:
                 log=result.log,
             )
             try:
-                yield from self.sync_sequence()
+                info = yield from self.client.call(
+                    "account", address=factory.wallet.address
+                )
             except RpcError as exc:
                 self.log.error(
                     "sequence_resync_failed", chain=self.chain_id, reason=str(exc)
                 )
                 return entry
+            factory.resync_sequence(info["sequence"])
             return (
                 yield from self._sign_and_broadcast(
-                    chunk, label, retried=True, payload_msgs=payload_msgs
+                    chunk, label, payload_msgs, retried=True
                 )
             )
-        self.broadcast_failures += 1
         self.log.error(
             "broadcast_rejected",
             chain=self.chain_id,
@@ -292,7 +301,7 @@ class ChainEndpoint:
         window lapses.  Failures surface as ``failed tx: no confirmation``.
         """
         pending = [s for s in submitted if s.accepted]
-        deadline = self.env.now + CONFIRM_TIMEOUT_SECONDS
+        deadline = self.env.now + self.confirm_timeout_seconds
         while pending and self.env.now < deadline:
             still_pending: list[SubmittedTx] = []
             for entry in pending:
@@ -336,7 +345,7 @@ class ChainEndpoint:
                     still_pending.append(entry)
             pending = still_pending
             if pending:
-                yield self.env.timeout(self.cal.relayer_confirm_poll_seconds)
+                yield self.env.timeout(self.confirm_poll_seconds)
         for entry in pending:
             self.log.error(
                 "failed_tx_no_confirmation",

@@ -461,14 +461,11 @@ class ChainNode:
         return service, result
 
     def _h_commitments(self, params: dict[str, Any]):
-        port, channel = params["port"], params["channel"]
-
-        def result():
-            return self.chain.app.ibc.pending_commitments(port, channel)
-
-        pending = len(self.chain.app.ibc.pending_commitments(port, channel))
-        service = self.chain.cal.rpc_base_seconds + 1e-5 * pending
-        return service, result
+        pending = self.chain.app.ibc.pending_commitments(
+            params["port"], params["channel"]
+        )
+        service = self.chain.cal.rpc_base_seconds + 1e-5 * len(pending)
+        return service, lambda: pending
 
     def _h_packets_by_sequence(self, params: dict[str, Any]):
         """Packet-clearing fetch: reconstruct pending packets by sequence.

@@ -255,7 +255,6 @@ def test_retry_budget_exhaustion_is_logged_not_crashed(bootstrapped, rng):
 
     outcome = h.run_process(flow(), limit=400.0)
     assert outcome == "raised"
-    assert endpoint.rpc_retries == 2
     assert endpoint.log.count("rpc_retry") == 2
     assert endpoint.log.count("rpc_retry_exhausted") == 1
     assert h.env.crashed_processes == []
@@ -279,7 +278,7 @@ def test_retry_succeeds_once_node_returns(bootstrapped, rng, monkeypatch):
 
     result = h.run_process(flow(), limit=100.0)
     assert result["chain_id"] == "chain-a"
-    assert endpoint.rpc_retries >= 1
+    assert endpoint.log.count("rpc_retry") >= 1
     assert endpoint.log.count("rpc_retry_exhausted") == 0
 
 

@@ -37,7 +37,7 @@ def snapshot(chain) -> dict:
         "next_sequence_send": dict(ibc.next_sequence_send),
         "next_sequence_recv": dict(ibc.next_sequence_recv),
         "next_sequence_ack": dict(ibc.next_sequence_ack),
-        "commitments": dict(ibc._commitments),
+        "commitments": {key: dict(seqs) for key, seqs in ibc._commitments.items()},
         "sent_packets": dict(ibc._sent_packets),
         "receipts": dict(ibc._receipts),
         "acks": dict(ibc._acks),

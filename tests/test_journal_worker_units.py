@@ -103,7 +103,11 @@ def test_nested_state_rollback_composition():
             },
             app.bank.supply(TRANSFER_DENOM),
             dict(app.ibc.next_sequence_send),
-            dict(app.ibc._commitments),
+            {
+                (*channel, sequence): commitment
+                for channel, seqs in app.ibc._commitments.items()
+                for sequence, commitment in seqs.items()
+            },
             dict(app.store._data),
             bool(app.store._changed or app.store._merged),
         )

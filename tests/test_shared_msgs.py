@@ -76,7 +76,7 @@ def test_shared_message_sends_one_packet_per_reference():
     assert len(paths) == COUNT
     for packet in packets:
         key = ("transfer", pair.chan_a, packet.sequence)
-        assert pair.a.ibc._commitments[key] == packet.commitment()
+        assert pair.a.ibc._commitments[key[:2]][packet.sequence] == packet.commitment()
         assert pair.a.ibc._sent_packets[key] is packet
         path = keys.packet_commitment_path("transfer", pair.chan_a, packet.sequence)
         assert store.get(path) == packet.commitment()

@@ -121,7 +121,7 @@ def test_griefing_failures_counted_distinct_from_unconfirmed():
     assert stats.failed_transfers % 100 == 0
     # The failure is visible in the error journal under its own event,
     # not as a confirmation timeout.
-    assert report.errors.get("failed_tx_execution", 0) > 0
+    assert report.errors.get("tx_execution_failed", 0) > 0
     # The split is additive within accepted submissions.
     assert (
         stats.committed_transfers
