@@ -26,8 +26,8 @@ Examples::
     # Static determinism analysis (see repro.lint)
     python -m repro lint src/repro --format json
 
-    # Per-packet lifecycle tracing (see repro.trace)
-    python -m repro trace --total 200 --perfetto trace.json
+    # Per-packet latency decomposition, also for ui.perfetto.dev (see repro.trace)
+    python -m repro --total 200 --msgs-per-tx 1 --to-completion --perfetto trace.json
 
     # Dynamic gates over the named scenarios (see repro.lint.check)
     python -m repro check stall --scenario hub4
@@ -36,10 +36,27 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
+from repro.analysis import render_packet_waterfall, render_trace_table
 from repro.framework import ExperimentConfig, FleetConfig, run_experiment
 from repro.relayer.fleet import POLICY_NAMES
+from repro.trace import write_perfetto
+
+#: Every ExperimentConfig field and its default: a config-backed flag
+#: stores into its field and leaves the default to it.
+FIELD_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+
+
+class _FieldDefaultsFormatter(argparse.HelpFormatter):
+    """Help quotes a config-backed flag's numeric default from its field."""
+
+    def _get_help_string(self, action):
+        default = FIELD_DEFAULTS.get(action.dest)
+        if type(default) not in (int, float):
+            return action.help
+        return f"{action.help} (default {default:g})"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,47 +66,49 @@ def build_parser() -> argparse.ArgumentParser:
             "Run a simulated IBC cross-chain performance experiment "
             "(reproduction of the DSN 2023 IBC performance study)."
         ),
+        formatter_class=_FieldDefaultsFormatter,
+        argument_default=argparse.SUPPRESS,  # a flag not given stays unset
     )
     # The tool's seven parameters.
     parser.add_argument(
-        "--rate", type=float, default=100.0,
-        help="input rate in transfers per second (default 100)",
+        "--rate", dest="input_rate", type=float,
+        help="input rate in transfers per second",
     )
     parser.add_argument(
-        "--blocks", type=int, default=50,
-        help="measurement window in source-chain blocks (default 50)",
+        "--blocks", dest="measurement_blocks", type=int,
+        help="measurement window in source-chain blocks",
     )
     parser.add_argument(
-        "--rtt", type=float, default=0.2,
-        help="inter-machine round-trip latency in seconds (default 0.2)",
+        "--rtt", dest="network_rtt", type=float,
+        help="inter-machine round-trip latency in seconds",
     )
     parser.add_argument(
-        "--relayers", type=int, default=1,
-        help="number of uncoordinated relayer instances (default 1)",
+        "--relayers", dest="num_relayers", type=int,
+        help="relayer instances per edge, coordinated by --fleet-policy",
     )
     parser.add_argument(
-        "--msgs-per-tx", type=int, default=100,
-        help="transfer messages per transaction (default 100, Hermes max)",
+        "--msgs-per-tx", type=int,
+        help="transfer messages per transaction, up to the Hermes maximum",
     )
     parser.add_argument(
-        "--validators", type=int, default=5,
-        help="validators per chain (default 5)",
+        "--validators", dest="num_validators", type=int,
+        help="validators per chain",
     )
     parser.add_argument(
-        "--block-interval", type=float, default=5.0,
-        help="minimum block interval in seconds (default 5)",
+        "--block-interval", type=float,
+        help="minimum block interval in seconds",
     )
     # Workload shaping.
     parser.add_argument(
-        "--total", type=int, default=None,
+        "--total", dest="total_transfers", type=int,
         help="fixed-total mode: submit exactly this many transfers",
     )
     parser.add_argument(
-        "--spread", type=int, default=1,
-        help="spread a fixed total over this many blocks (default 1)",
+        "--spread", dest="submission_blocks", type=int,
+        help="spread a fixed total over this many blocks",
     )
     parser.add_argument(
-        "--to-completion", action="store_true",
+        "--to-completion", dest="run_to_completion", action="store_true",
         help="run until every transfer settles (latency experiments)",
     )
     parser.add_argument(
@@ -97,11 +116,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="measure inclusion only; do not relay (Fig. 6 / Table I)",
     )
     parser.add_argument(
-        "--clear-interval", type=int, default=0,
-        help="relayer packet-clearing interval in blocks (0 = off)",
+        "--clear-interval", type=int,
+        help="relayer packet-clearing interval in blocks, 0 = off",
     )
     parser.add_argument(
-        "--fleet-policy", type=str, default="none", choices=POLICY_NAMES,
+        "--fleet-policy", dest="relayer", type=str, choices=POLICY_NAMES,
         help=(
             "EXTENSION: how the relayers coordinate — 'none' (paper "
             "baseline), 'shard' (static sequence partition), 'leader' "
@@ -111,37 +130,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--tracing", action="store_true",
-        help="record per-packet lifecycle traces (adds a 'trace' report section)",
+        help="record per-packet lifecycle traces and print their latency table",
     )
-    parser.add_argument("--seed", type=int, default=1, help="random seed")
+    parser.add_argument("--seed", type=int, help="random seed")
+    parser.add_argument(
+        "--waterfall", type=int, default=24, metavar="N",
+        help="packet rows in the traced waterfall (0 disables, default 24)",
+    )
+    parser.add_argument(
+        "--perfetto", type=str, default=None, metavar="PATH",
+        help="write a Chrome/Perfetto trace_event JSON file (implies --tracing)",
+    )
     parser.add_argument(
         "--out", type=str, default=None,
         help="directory to write the report files into",
     )
     parser.add_argument(
-        "--json", action="store_true", help="print the JSON report to stdout"
+        "--json", action="store_true", default=False,
+        help="print the JSON report to stdout",
     )
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    return ExperimentConfig(
-        input_rate=args.rate,
-        measurement_blocks=args.blocks,
-        network_rtt=args.rtt,
-        num_relayers=0 if args.chain_only else args.relayers,
-        msgs_per_tx=args.msgs_per_tx,
-        num_validators=args.validators,
-        block_interval=args.block_interval,
-        total_transfers=args.total,
-        submission_blocks=args.spread,
-        run_to_completion=args.to_completion,
-        chain_only=args.chain_only,
-        clear_interval=args.clear_interval,
-        relayer=FleetConfig(policy=args.fleet_policy),
-        tracing=args.tracing,
-        seed=args.seed,
-    )
+    given = {name: v for name, v in vars(args).items() if name in FIELD_DEFAULTS}
+    if "relayer" in given:
+        given["relayer"] = FleetConfig(policy=given["relayer"])
+    if given.get("chain_only"):
+        given["num_relayers"] = 0
+    if args.perfetto:
+        given["tracing"] = True
+    return ExperimentConfig(**given)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -157,11 +176,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.lint.check import main as check_main
 
         return check_main(argv[1:])
-    if argv and argv[0] == "trace":
-        # Subcommand: per-packet lifecycle tracing (see repro.trace).
-        from repro.trace.cli import main as trace_main
-
-        return trace_main(argv[1:])
     args = build_parser().parse_args(argv)
     config = config_from_args(args)
     report = run_experiment(config)
@@ -169,6 +183,18 @@ def main(argv: list[str] | None = None) -> int:
         print(report.to_json())
     else:
         print(report.summary())
+        if report.trace is not None:
+            print("\n" + render_trace_table(report.trace))
+            if args.waterfall > 0:
+                waterfall = render_packet_waterfall(report.trace, limit=args.waterfall)
+                print("\n" + waterfall)
+    if args.perfetto:
+        count = write_perfetto(report.tracer, args.perfetto)
+        print(
+            f"\n{count} trace events written to {args.perfetto} "
+            "(load at ui.perfetto.dev)",
+            file=sys.stderr,
+        )
     if args.out:
         json_path, text_path = report.write(args.out)
         print(f"\nreport written to {json_path} and {text_path}", file=sys.stderr)

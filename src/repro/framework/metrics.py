@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.faults import FaultWindow
+from repro.framework.processor import in_flight_seconds
 from repro.relayer.fleet import Handoff
 from repro.sim.monitor import SummaryStats
 from repro.tendermint.node import Chain
@@ -698,9 +699,10 @@ class TraceReport:
     ``stage_seconds`` sums each stage over every *complete* packet
     lifecycle; because the stages partition each packet's latency, the
     per-stage sums partition the summed end-to-end latency the same way.
-    ``data_pull_share`` is the paper's headline ratio: seconds spent in
-    serial data-pull queries (both legs) over the batch's wall time —
-    317 s / 455 s ≈ 69 % for the 5 000-transfer megabatch.
+    ``data_pull_share`` is the paper's headline ratio: seconds with a
+    data-pull query in flight (either leg, any relayer) over the batch's
+    wall time — 317 s / 455 s ≈ 69 % for the 5 000-transfer megabatch.
+    The per-leg ``*_pull_seconds`` sum every pull, overlapping or not.
 
     The per-packet lifecycles ride along in ``packets`` for rendering
     (waterfalls) but are host-side only — like the journal, they never
@@ -724,7 +726,8 @@ class TraceReport:
 
     @property
     def pull_seconds(self) -> float:
-        return self.transfer_pull_seconds + self.recv_pull_seconds
+        """Seconds with a pull in flight: the share's numerator."""
+        return self.data_pull_share * self.wall_seconds
 
     def summary_lines(self) -> list[str]:
         if not self.completed:
@@ -907,19 +910,18 @@ def collect_trace_metrics(tracer, window_start: float = 0.0) -> Optional[TraceRe
         for stage, seconds in packet.stage_seconds().items():
             stage_seconds[stage] += seconds
 
-    def span_seconds(name: str) -> float:
-        durations = [s.duration for s in tracer.spans_named(name) if s.closed]
-        return sum(sorted(durations))
-
-    transfer_pull = span_seconds("transfer_data_pull")
-    recv_pull = span_seconds("recv_data_pull")
+    transfer_spans = [s for s in tracer.spans_named("transfer_data_pull") if s.closed]
+    recv_spans = [s for s in tracer.spans_named("recv_data_pull") if s.closed]
+    transfer_pull = sum(sorted(s.duration for s in transfer_spans))
+    recv_pull = sum(sorted(s.duration for s in recv_spans))
     if complete:
         origin = min(p.submit_at for p in complete)
         wall = max(p.ack_commit_at for p in complete) - origin
     else:
         origin = window_start
         wall = 0.0
-    share = (transfer_pull + recv_pull) / wall if wall > 0 else 0.0
+    pulls = [(s.end, s.duration) for s in transfer_spans + recv_spans]
+    share = in_flight_seconds(pulls) / wall if wall > 0 else 0.0
     return TraceReport(
         traced=len(packets),
         completed=len(complete),

@@ -30,7 +30,7 @@ plots.  Only relayer-side timestamps are used, mirroring the paper's choice
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.framework.connectors import CrossChainEventConnector
 from repro.relayer.logging import LogRecord
@@ -87,6 +87,22 @@ class StepTimeline:
                 break
             done = cumulative
         return done
+
+
+def in_flight_seconds(pulls: Iterable[tuple[float, float]]) -> float:
+    """Seconds with at least one of the ``(end, duration)`` pulls in
+    flight: overlapping pulls (a fleet's relayers, the two legs) count
+    once, and a pull that overlaps none adds exactly its ``duration``."""
+    total = 0.0
+    reach = float("-inf")
+    for end, duration in sorted(pulls, key=lambda pull: pull[0] - pull[1]):
+        start = end - duration
+        if start >= reach:
+            total += duration
+        elif end > reach:
+            total += end - reach
+        reach = max(reach, end)
+    return total
 
 
 @dataclass
@@ -202,14 +218,13 @@ class CrossChainEventProcessor:
             previous_end = end
             total_end = max(total_end, end)
 
-        pull_seconds = 0.0
-        for record in self.connector.merged_records():
-            if record.event in ("transfer_data_pull", "recv_data_pull"):
-                if record.time < start_time:
-                    continue
-                if end_time is not None and record.time > end_time:
-                    continue
-                pull_seconds += record.field("duration", 0.0) or 0.0
+        pull_seconds = in_flight_seconds(
+            (record.time, record.field("duration", 0.0) or 0.0)
+            for record in self.connector.merged_records()
+            if record.event in ("transfer_data_pull", "recv_data_pull")
+            and record.time >= start_time
+            and (end_time is None or record.time <= end_time)
+        )
 
         return TransferTimelineReport(
             total_seconds=total_end - origin,

@@ -327,10 +327,16 @@ class DirectionWorker:
                 )
             except RpcError as exc:
                 self.log.error("query_failed", stage=step, reason=str(exc))
-                return None, started
+                return None
+            # Stamped here (not after the concurrency barrier) so the record
+            # and the span cover exactly this pull's wall time.
+            self.log.info(
+                step,
+                height=batch.height,
+                count=sum(1 for e in response["entries"] if e["packet"].data),
+                duration=self.env.now - started,
+            )
             if self.tracer.enabled:
-                # Stamped here (not after the concurrency barrier) so the
-                # span covers exactly this pull's wall time.
                 self.tracer.record_span(
                     step,
                     self._track,
@@ -350,9 +356,8 @@ class DirectionWorker:
                         height=batch.height,
                         tx_hash=tx_hash,
                     )
-            return response, started
+            return response
 
-        env = self.env
         for start in range(0, len(tx_hashes), concurrency):
             group = tx_hashes[start : start + concurrency]
             # Spawned through the worker's group (not bare env.process) so
@@ -361,18 +366,12 @@ class DirectionWorker:
                 self.processes.spawn(one(tx_hash), name=f"pull/{step}")
                 for tx_hash in group
             ]
-            yield env.all_of(procs)
-            for tx_hash, proc in zip(group, procs):
-                response, started = proc.value
-                if response is None:
-                    continue
-                self.log.info(
-                    step,
-                    height=batch.height,
-                    count=sum(1 for e in response["entries"] if e["packet"].data),
-                    duration=env.now - started,
-                )
-                responses.append((tx_hash, response))
+            yield self.env.all_of(procs)
+            responses += [
+                (tx_hash, proc.value)
+                for tx_hash, proc in zip(group, procs)
+                if proc.value is not None
+            ]
         return responses
 
     # -- Stage 2: acknowledgement relaying (dst events -> src transactions) ------

@@ -9,11 +9,7 @@ identity.  :mod:`repro.trace.export` renders a run as Chrome/Perfetto
 waterfall in :func:`repro.analysis.render_packet_waterfall`.
 """
 
-from repro.trace.export import (
-    to_perfetto_json,
-    trace_event_document,
-    write_perfetto,
-)
+from repro.trace.export import trace_event_document, write_perfetto
 from repro.trace.tracer import (
     NULL_TRACER,
     NullTracer,
@@ -34,7 +30,6 @@ __all__ = [
     "format_key",
     "json_safe",
     "packet_key",
-    "to_perfetto_json",
     "trace_event_document",
     "write_perfetto",
 ]

@@ -91,13 +91,6 @@ def trace_event_document(tracer: Tracer) -> dict[str, Any]:
     return {"traceEvents": trace_events, "displayTimeUnit": "ms"}
 
 
-def to_perfetto_json(tracer: Tracer, indent: int = 0) -> str:
-    """The document as JSON text, ready to load in the Perfetto UI."""
-    return json.dumps(
-        trace_event_document(tracer), indent=indent if indent else None
-    )
-
-
 def write_perfetto(tracer: Tracer, path: str) -> int:
     """Write the export to ``path``; returns the event count."""
     document = trace_event_document(tracer)

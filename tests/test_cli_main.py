@@ -1,14 +1,45 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import argparse
 import json
 
 import pytest
 
-from repro.__main__ import build_parser, config_from_args, main
+from repro.__main__ import FIELD_DEFAULTS, build_parser, config_from_args, main
+from repro.framework import ExperimentConfig
 
 
 def parse(argv):
     return build_parser().parse_args(argv)
+
+
+def test_no_flags_is_the_default_config():
+    assert config_from_args(parse([])) == ExperimentConfig()
+
+
+def test_config_flags_carry_no_default_of_their_own():
+    """Each config-backed flag stores into its field and leaves the default
+    to it: a literal default here would be a second definition."""
+    config_actions = [
+        action for action in build_parser()._actions
+        if action.dest in FIELD_DEFAULTS
+    ]
+    assert len(config_actions) == 15
+    for action in config_actions:
+        assert action.default is argparse.SUPPRESS, action.option_strings
+
+
+def test_trace_subcommand_is_gone(capsys):
+    with pytest.raises(SystemExit) as usage:
+        main(["trace", "--total", "20"])
+    assert usage.value.code == 2
+    assert "unrecognized arguments: trace" in capsys.readouterr().err
+
+
+def test_perfetto_turns_tracing_on(tmp_path):
+    assert not config_from_args(parse([])).tracing
+    path = str(tmp_path / "trace.json")
+    assert config_from_args(parse(["--perfetto", path])).tracing
 
 
 def test_defaults_map_to_paper_deployment():

@@ -15,11 +15,12 @@ Three layers of guarantees, mirroring the module's contract:
   Chrome trace_event document.
 """
 
+import ast
 import json
 
 import pytest
 
-from repro.framework import ExperimentConfig, run_experiment
+from repro.framework import ExperimentConfig, TopologySpec, run_experiment
 from repro.framework.metrics import (
     TRACE_BOUNDARIES,
     TRACE_STAGES,
@@ -27,6 +28,7 @@ from repro.framework.metrics import (
     assemble_route_traces,
     collect_trace_metrics,
 )
+from repro.framework.processor import in_flight_seconds
 from repro.sim import Environment
 from repro.trace import (
     NULL_TRACER,
@@ -248,11 +250,74 @@ def test_data_pull_share_in_paper_band(conformance_report):
 
 
 def test_pull_share_definition(conformance_report):
+    """The share's numerator is the time with a pull in flight; the
+    conformance batch's pulls never overlap, so it is every pull's sum."""
     trace = conformance_report.trace
-    assert trace.pull_seconds == (
+    tracer = conformance_report.tracer
+    spans = tracer.spans_named("transfer_data_pull")
+    spans += tracer.spans_named("recv_data_pull")
+    in_flight = in_flight_seconds((s.end, s.duration) for s in spans)
+    assert trace.data_pull_share == in_flight / trace.wall_seconds
+    assert trace.pull_seconds == pytest.approx(
         trace.transfer_pull_seconds + trace.recv_pull_seconds
     )
-    assert trace.data_pull_share == trace.pull_seconds / trace.wall_seconds
+
+
+def test_in_flight_seconds_counts_overlap_once():
+    # (end, duration): [0, 2] and [1, 3] overlap, [5, 6] stands alone and
+    # [2.5, 2.75] lies inside [1, 3].
+    assert in_flight_seconds([(3.0, 2.0), (2.0, 2.0), (6.0, 1.0), (2.75, 0.25)]) == 4.0
+    assert in_flight_seconds([(1.0, 0.5), (2.0, 0.25)]) == 0.75
+    assert in_flight_seconds([]) == 0.0
+
+
+def test_multi_relayer_pull_share_stays_a_share():
+    """Two uncoordinated relayers per edge of a three-spoke hub pull the
+    same blocks at the same time.  Summing their pulls read 1.12 here;
+    the time with a pull in flight is a share of the wall."""
+    report = run_experiment(
+        ExperimentConfig(
+            topology=TopologySpec.hub_and_spoke(3),
+            num_relayers=2,
+            input_rate=20,
+            measurement_blocks=3,
+            drain_seconds=30,
+            tracing=True,
+            seed=7,
+        )
+    )
+    trace, timeline = report.trace, report.timeline
+    assert 0.0 < trace.data_pull_share <= 1.0
+    assert trace.pull_seconds < trace.transfer_pull_seconds + trace.recv_pull_seconds
+    assert 0.0 < timeline.data_pull_fraction <= 1.0
+    assert timeline.data_pull_seconds <= timeline.total_seconds
+
+
+def test_each_pull_has_one_clock():
+    """With parallel pulls, each pull's journal record and its trace span
+    cover the same interval: the record is written when the pull
+    completes, not when its whole group does."""
+    report = run_experiment(
+        ExperimentConfig(
+            total_transfers=40,
+            msgs_per_tx=2,
+            run_to_completion=True,
+            pull_concurrency=4,
+            tracing=True,
+            seed=1,
+        ),
+        capture_journal=True,
+    )
+    for step in ("transfer_data_pull", "recv_data_pull"):
+        records = []
+        for line in report.journal.splitlines():
+            time, _relayer, _level, event, fields = line.split("|", 4)
+            if event == step:
+                duration = dict(ast.literal_eval(fields))["duration"]
+                records.append((float(time) - duration, float(time)))
+        spans = sorted((s.start, s.end) for s in report.tracer.spans_named(step))
+        assert len(records) == len(spans) == 20
+        assert sorted(records) == pytest.approx(spans, abs=1e-9)
 
 
 # -- Perfetto export ---------------------------------------------------------
@@ -297,14 +362,16 @@ def test_perfetto_write_round_trips(conformance_report, tmp_path):
     assert count == len(document["traceEvents"]) > 0
 
 
-# -- the trace CLI -----------------------------------------------------------
+# -- tracing from the CLI ----------------------------------------------------
+
+_TRACED_ARGV = ["--total", "20", "--msgs-per-tx", "4", "--to-completion"]
 
 
 def test_cli_trace_json_output(capsys):
     from repro.__main__ import main
 
-    assert main(["trace", "--total", "20", "--msgs-per-tx", "4", "--json"]) == 0
-    trace = json.loads(capsys.readouterr().out)
+    assert main([*_TRACED_ARGV, "--tracing", "--json"]) == 0
+    trace = json.loads(capsys.readouterr().out)["trace"]
     assert trace["completed"] == 20
     assert tuple(trace["stage_seconds"]) == TRACE_STAGES
 
@@ -313,16 +380,24 @@ def test_cli_trace_table_and_perfetto(capsys, tmp_path):
     from repro.__main__ import main
 
     out = tmp_path / "perfetto.json"
-    code = main(
-        ["trace", "--total", "20", "--msgs-per-tx", "4",
-         "--waterfall", "4", "--perfetto", str(out)]
-    )
+    # --perfetto turns tracing on by itself.
+    code = main([*_TRACED_ARGV, "--waterfall", "4", "--perfetto", str(out)])
     assert code == 0
     captured = capsys.readouterr()
     assert "data pulls" in captured.out
     assert "=submit" in captured.out  # the waterfall legend
+    assert "... and 16 more packet(s)" in captured.out
     assert "ui.perfetto.dev" in captured.err
     assert json.loads(out.read_text())["traceEvents"]
+
+
+def test_cli_waterfall_zero_prints_only_the_table(capsys):
+    from repro.__main__ import main
+
+    assert main([*_TRACED_ARGV, "--tracing", "--waterfall", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "data pulls" in out
+    assert "=submit" not in out
 
 
 def test_main_tracing_flag_enables_section(capsys):
