@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--chain-only", action="store_true",
-        help="measure inclusion only; do not relay (Fig. 6 / Table I)",
+        help="measure inclusion only; deploy no relayer (Fig. 6 / Table I)",
     )
     parser.add_argument(
         "--clear-interval", type=int,
@@ -156,8 +156,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     given = {name: v for name, v in vars(args).items() if name in FIELD_DEFAULTS}
     if "relayer" in given:
         given["relayer"] = FleetConfig(policy=given["relayer"])
-    if given.get("chain_only"):
-        given["num_relayers"] = 0
     if args.perfetto:
         given["tracing"] = True
     return ExperimentConfig(**given)

@@ -1,10 +1,6 @@
-"""Analysis helpers: distribution summaries, errors and text renderers."""
+"""Analysis helpers: the accuracy measure and text renderers."""
 
-from repro.analysis.stats import (
-    format_table,
-    relative_error,
-    summarize,
-)
+from repro.analysis.stats import relative_error
 from repro.analysis.timeline import (
     render_packet_waterfall,
     render_step_table,
@@ -12,10 +8,8 @@ from repro.analysis.timeline import (
 )
 
 __all__ = [
-    "format_table",
     "relative_error",
     "render_packet_waterfall",
     "render_step_table",
     "render_trace_table",
-    "summarize",
 ]

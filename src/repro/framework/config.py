@@ -62,7 +62,8 @@ class ExperimentConfig:
     transfer_amount: int = 1
 
     # -- component behaviour -------------------------------------------------
-    #: Skip relaying entirely: Table I / Figs. 6-7 measure only inclusion.
+    #: Deploy no relayer (``num_relayers`` reads 0): Table I / Figs. 6-7
+    #: measure only inclusion.
     chain_only: bool = False
     #: Relayer packet-clearing interval in blocks (0 = disabled, as in the
     #: paper's §V experiment).
@@ -118,6 +119,8 @@ class ExperimentConfig:
     # ------------------------------------------------------------------
 
     def __post_init__(self) -> None:
+        if self.chain_only:
+            self.num_relayers = 0
         if self.input_rate <= 0 and self.total_transfers is None:
             raise WorkloadError("input_rate must be positive")
         if self.submission_blocks < 1:

@@ -9,8 +9,10 @@
   event logs, which the Event Processor turns into step timelines.
 
 The metrics module reads simulation state directly (a zero-cost "god view")
-for its ground truth; the connectors exist for framework fidelity and are
-exercised by examples and the §V data-collection benchmark.
+for its ground truth; the connectors exist for framework fidelity.  The
+Event Connector feeds every run's Event Processor; the Data Connector's
+caller is ``examples/analysis_tool_costs.py``, which measures the §V
+per-block query costs.
 """
 
 from __future__ import annotations

@@ -159,7 +159,7 @@ class ExperimentReport:
 
     @classmethod
     def from_dict(cls, data: Any) -> "ExperimentReport":
-        """Load a schema-6 report document.
+        """Load a report document of the current ``SCHEMA_VERSION``.
 
         A loaded report re-serializes byte-identically: the raw sections
         (``config``, ``window``, ``timeline.steps``, ...) are restored and

@@ -144,10 +144,9 @@ class _ExperimentEngine:
         testbed = self.testbed
         env = testbed.env
 
-        # Setup phase: chains + relay path (+ relayers unless chain-only).
+        # Setup phase: chains + relay path + relayers (none if chain-only).
         yield from testbed.bootstrap()
-        if not config.chain_only:
-            testbed.start_relayers()
+        testbed.start_relayers()
 
         # Align the workload start to a block boundary.
         yield from self._wait_blocks(1)

@@ -30,7 +30,6 @@ from repro.relayer import (
     ChainEndpoint,
     HandshakeDriver,
     Relayer,
-    RelayerConfig,
     RelayerLog,
     RelayPath,
 )
@@ -153,15 +152,8 @@ class Testbed:
                     wallet_a=wallet_a,
                     wallet_b=wallet_b,
                     member=fleet.members[local],
-                    config=RelayerConfig(
-                        name=f"hermes-{k}",
-                        clear_interval=config.clear_interval,
-                        pull_concurrency=config.pull_concurrency,
-                        rpc_retry_attempts=fleet_config.rpc_retry_attempts,
-                        resubscribe_on_disconnect=(
-                            fleet_config.resubscribe_on_disconnect
-                        ),
-                    ),
+                    clear_interval=config.clear_interval,
+                    pull_concurrency=config.pull_concurrency,
                     tracer=self.tracer,
                 )
                 edge_group.append(relayer)
@@ -325,8 +317,8 @@ class Testbed:
         relayer: chain endpoints on the CLI machine, nothing else."""
         suffix = "" if edge_pos == 0 else str(edge_pos)
         name = f"bootstrap{suffix}"
-        config = RelayerConfig(name=name)
         log = RelayerLog(self.env, name)
+        retries = self.config.relayer.rpc_retry_attempts
         machine = self.cli_host
         endpoints = []
         for chain, side in ((self.chains[i], "a"), (self.chains[j], "b")):
@@ -334,7 +326,8 @@ class Testbed:
             chain.app.genesis_account(wallet, {FEE_DENOM: GENESIS_FEE})
             endpoints.append(
                 ChainEndpoint(
-                    self.env, chain.node(machine), wallet, machine, config, log
+                    self.env, chain.node(machine), wallet, machine, log,
+                    rpc_retry_attempts=retries,
                 )
             )
         return HandshakeDriver(*endpoints)

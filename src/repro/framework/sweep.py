@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional, Sequence
 
-from repro.analysis import summarize
 from repro.framework.config import ExperimentConfig
 from repro.framework.report import ExperimentReport
 from repro.sim.monitor import SummaryStats
@@ -75,7 +74,9 @@ def run_seeded(
     )
     values = [extract(report) for report in reports]
     return SweepPoint(
-        config=config, values=tuple(values), summary=summarize(values)
+        config=config,
+        values=tuple(values),
+        summary=SummaryStats.from_values(values),
     )
 
 
@@ -115,6 +116,6 @@ def sweep(
         points[value] = SweepPoint(
             config=config,
             values=tuple(metric_values),
-            summary=summarize(metric_values),
+            summary=SummaryStats.from_values(metric_values),
         )
     return points

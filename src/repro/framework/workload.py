@@ -100,9 +100,10 @@ class WorkloadStats:
     def finalize_commits(self) -> None:
         """Count committed transfers from confirmations (call at the end).
 
-        Accepted submissions split three ways: committed OK, confirmed
-        with a failure code (``failed_transfers`` — the bucket that used
-        to fold into "no confirmation"), and never confirmed.
+        Accepted submissions split three ways: committed OK
+        (``committed_transfers``), confirmed with a failure code
+        (``failed_transfers``), and never confirmed
+        (``unconfirmed_transfers``).
         """
         committed = failed = unconfirmed = 0
         for s in self.submissions:

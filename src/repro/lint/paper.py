@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Any, Callable, Hashable, Iterator, Optional, Sequence
 
 from repro import calibration as cal
-from repro.analysis import relative_error, summarize
+from repro.analysis import relative_error
 from repro.cosmos.accounts import Wallet
 from repro.cosmos.app import FEE_DENOM, TRANSFER_DENOM
 from repro.cosmos.denom import DenomTrace
@@ -52,6 +52,7 @@ from repro.ibc.packet import Height
 from repro.lint.scenarios import SCENARIOS, PinError, SelectionError
 from repro.parallel import run_points
 from repro.relayer.cli import WorkloadCli
+from repro.sim.monitor import SummaryStats
 
 #: The document holding the generated block (src-layout: this file is
 #: ``<root>/src/repro/lint/paper.py``).
@@ -134,7 +135,6 @@ def _chain_only(rate: float, seed: int) -> ExperimentConfig:
         input_rate=rate,
         measurement_blocks=15,
         chain_only=True,
-        num_relayers=0,
         seed=seed,
     )
 
@@ -190,7 +190,7 @@ def _fig6_extract(reports: Reports) -> dict:
             reports[rate, seed].window.chain_throughput_tfps
             for seed in CHAIN_SEEDS
         ]
-        results[rate] = summarize(samples)
+        results[rate] = SummaryStats.from_values(samples)
     return {"results": results}
 
 
@@ -267,7 +267,7 @@ def _fig8_extract(reports: Reports) -> dict:
             reports[rate, seed].window.transfer_throughput_tfps
             for seed in RELAY_SEEDS
         ]
-        out[rate] = summarize(samples)
+        out[rate] = SummaryStats.from_values(samples)
     # One 0 ms point near the peak for the latency comparison.
     zero_ms_peak = reports["0ms"].window.transfer_throughput_tfps
     return {"out": out, "zero_ms_peak": zero_ms_peak}

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.errors import ReproError
@@ -33,7 +33,6 @@ from repro.framework.report import ExperimentReport
 from repro.parallel import hostclock
 from repro.parallel.cache import ResultCache
 from repro.parallel.worker import execute_payload
-from repro.sim.monitor import Counter
 
 
 @dataclass(frozen=True)
@@ -57,18 +56,14 @@ class SweepRun:
 
     ``results`` is ordered by point index regardless of which worker
     finished first; ``points_run`` and ``cache_hits`` count how each
-    point was served (:class:`~repro.sim.monitor.Counter`).
+    point was served.
     """
 
     results: list[PointResult]
     workers: int
     wall_seconds: float
-    points_run: Counter = field(
-        default_factory=lambda: Counter("parallel.points_run")
-    )
-    cache_hits: Counter = field(
-        default_factory=lambda: Counter("parallel.cache_hits")
-    )
+    points_run: int = 0
+    cache_hits: int = 0
 
     def reports(self) -> list[ExperimentReport]:
         return [result.report() for result in self.results]
@@ -128,9 +123,9 @@ def run_points(
     def finish(result: PointResult) -> None:
         by_index[result.index] = result
         if result.cached:
-            run.cache_hits.inc()
+            run.cache_hits += 1
         else:
-            run.points_run.inc()
+            run.points_run += 1
             if cache is not None:
                 cache.store(result.config, result.report_json)
 

@@ -1,7 +1,6 @@
 """Hermes-style IBC relayer: supervisor, workers, chain endpoints, CLI."""
 
 from repro.relayer.cli import WorkloadCli
-from repro.relayer.config import RelayerConfig
 from repro.relayer.endpoint import ChainEndpoint, SubmittedTx
 from repro.relayer.events import WorkBatch
 from repro.relayer.fleet import Fleet, FleetConfig, FleetMember
@@ -21,7 +20,6 @@ __all__ = [
     "LogRecord",
     "PathEnd",
     "Relayer",
-    "RelayerConfig",
     "RelayerLog",
     "RelayPath",
     "SubmittedTx",

@@ -18,7 +18,6 @@ from repro.cosmos.app import TRANSFER_DENOM
 from repro.errors import ChainError
 from repro.ibc.msgs import MsgTransfer
 from repro.ibc.packet import Height
-from repro.relayer.config import RelayerConfig
 from repro.relayer.endpoint import GAS_MULTIPLIER, ChainEndpoint, SubmittedTx
 from repro.relayer.logging import RelayerLog
 from repro.sim.core import Environment, Event
@@ -26,9 +25,6 @@ from repro.tendermint.node import ChainNode
 
 #: The CLI waits longer for a confirmation than a relayer does.
 CLI_CONFIRM_TIMEOUT_SECONDS = 300.0
-
-#: Read only for the query retry budget, which the CLI leaves at Hermes's.
-_CLI_CONFIG = RelayerConfig(name="cli")
 
 
 class WorkloadCli:
@@ -59,8 +55,9 @@ class WorkloadCli:
             node,
             wallet,
             client_host,
-            _CLI_CONFIG,
             log,
+            # The CLI only submits and confirms: it never queries.
+            rpc_retry_attempts=0,
             client_id=f"cli/{wallet.name}",
             sign_seconds=node.chain.cal.cli_prepare_seconds_per_tx,
             confirm_poll_seconds=node.chain.cal.cli_confirm_poll_seconds,

@@ -23,7 +23,6 @@ from repro.errors import (
     RpcOverloadedError,
     RpcTimeoutError,
 )
-from repro.relayer.config import RelayerConfig
 from repro.relayer.logging import RelayerLog
 from repro.sim.core import Environment, Event
 from repro.tendermint.node import BroadcastResult, ChainNode, TxLookupResult
@@ -79,8 +78,10 @@ class SubmittedTx:
 
 class ChainEndpoint:
     """One signer's interface to one chain, via a machine-local full node.
-    The keyword-only arguments default to a relayer's; the CLI passes its
-    own."""
+    ``rpc_retry_attempts`` is the query retry budget (the seat's
+    :class:`~repro.relayer.fleet.FleetConfig` value for a relayer).  The
+    other keyword-only arguments default to a relayer's; the CLI passes
+    its own."""
 
     def __init__(
         self,
@@ -88,10 +89,10 @@ class ChainEndpoint:
         node: ChainNode,
         wallet: Wallet,
         client_host: str,
-        config: RelayerConfig,
         log: RelayerLog,
         tracer=NULL_TRACER,
         *,
+        rpc_retry_attempts: int,
         client_id: Optional[str] = None,
         sign_seconds: Optional[float] = None,
         confirm_poll_seconds: Optional[float] = None,
@@ -102,7 +103,7 @@ class ChainEndpoint:
         self.chain = node.chain
         #: The chain's calibration: the relayer's timings and limits.
         self.cal = cal = node.chain.cal
-        self.config = config
+        self.rpc_retry_attempts = rpc_retry_attempts
         self.log = log
         self.tracer = tracer
         self._track = f"{log.relayer}/endpoint/{node.chain.chain_id}"
@@ -111,10 +112,10 @@ class ChainEndpoint:
             node.chain.network,
             client_host,
             node.rpc,
-            # Stable id (relayer names are unique per testbed): the default
+            # Stable id (log names are unique per testbed): the default
             # falls back to a process-global counter, which is replay-safe
             # but drifts across runs in one process.
-            client_id=client_id or f"{config.name}/{node.chain.chain_id}",
+            client_id=client_id or f"{log.relayer}/{node.chain.chain_id}",
         )
         # Each packet transaction carries a prepended MsgUpdateClient on
         # top of the (paper-reported) 100 packet messages.
@@ -141,12 +142,12 @@ class ChainEndpoint:
     def query(self, method: str, **params: Any) -> Generator[Event, Any, Any]:
         """RPC query with capped exponential backoff on transient failures.
 
-        With ``rpc_retry_attempts = 0`` (the default, matching Hermes
-        1.0.0's query behaviour) this is a plain call.  Retries apply only
-        to queries — broadcasts are never auto-retried, since the tx may
-        have been accepted even when the response was lost.
+        With ``rpc_retry_attempts = 0`` (Hermes 1.0.0's query behaviour)
+        this is a plain call.  Retries apply only to queries — broadcasts
+        are never auto-retried, since the tx may have been accepted even
+        when the response was lost.
         """
-        budget = self.config.rpc_retry_attempts
+        budget = self.rpc_retry_attempts
         backoff = RPC_RETRY_BASE_SECONDS
         attempt = 0
         while True:

@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Any, Generator, Optional
 
 from repro.cosmos.accounts import Wallet
-from repro.relayer.config import RelayerConfig
 from repro.relayer.endpoint import ChainEndpoint
 from repro.relayer.fleet import FleetMember
 from repro.relayer.handshake import HandshakeDriver
@@ -26,6 +25,11 @@ class Relayer:
     seat, whose coordination policy decides which packets it relays; in a
     ``none`` fleet of two or more, instances on one path race each other,
     reproducing the paper's multi-relayer redundancy.
+
+    Its fault-riding settings (query retries, resubscription) are the
+    seat's :class:`~repro.relayer.fleet.FleetConfig`; the experiment
+    gives the clear interval (Hermes's packet-clearing cadence in blocks;
+    0 disables clearing, as in the paper's §V) and the pull concurrency.
     """
 
     def __init__(
@@ -38,28 +42,36 @@ class Relayer:
         wallet_a: Wallet,
         wallet_b: Wallet,
         member: FleetMember,
-        config: Optional[RelayerConfig] = None,
+        *,
+        clear_interval: int,
+        pull_concurrency: int,
         tracer=NULL_TRACER,
     ):
         self.env = env
         self.name = name
         self.host = host
-        self.config = config or RelayerConfig(name=name)
+        self.clear_interval = clear_interval
+        self.pull_concurrency = pull_concurrency
         self.member = member
         member.relayer = self
         self.log = RelayerLog(env, name)
         self.tracer = tracer
         self.heights: dict[str, int] = {}
+        fleet_config = member.fleet.config
+        retries = fleet_config.rpc_retry_attempts
         self.endpoint_a = ChainEndpoint(
-            env, node_a, wallet_a, host, self.config, self.log, tracer=tracer
+            env, node_a, wallet_a, host, self.log, tracer=tracer,
+            rpc_retry_attempts=retries,
         )
         self.endpoint_b = ChainEndpoint(
-            env, node_b, wallet_b, host, self.config, self.log, tracer=tracer
+            env, node_b, wallet_b, host, self.log, tracer=tracer,
+            rpc_retry_attempts=retries,
         )
         self.node_a = node_a
         self.node_b = node_b
         self.supervisor = Supervisor(
-            env, self.log, self.heights, host, config, tracer=tracer
+            env, self.log, self.heights, host,
+            fleet_config.resubscribe_on_disconnect, tracer=tracer,
         )
         self.workers: list[DirectionWorker] = []
         self.path: Optional[RelayPath] = None
@@ -90,7 +102,8 @@ class Relayer:
                 dst=dst,
                 src_end=src_end,
                 dst_end=dst_end,
-                config=self.config,
+                clear_interval=self.clear_interval,
+                pull_concurrency=self.pull_concurrency,
                 log=self.log,
                 heights=self.heights,
                 member=self.member,

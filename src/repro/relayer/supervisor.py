@@ -19,7 +19,6 @@ from typing import Optional
 
 from repro.calibration import RELAYER_BATCH_HANDOFF_SECONDS
 from repro.errors import RpcError
-from repro.relayer.config import RelayerConfig
 from repro.relayer.events import WorkBatch, batches_from_notification
 from repro.relayer.logging import RelayerLog
 from repro.relayer.worker import DirectionWorker
@@ -55,7 +54,12 @@ _EXTRACTION_STEP = {
 
 
 class Supervisor:
-    """Subscribes to both chains and feeds the direction workers."""
+    """Subscribes to both chains and feeds the direction workers.
+
+    ``resubscribe_on_disconnect`` re-opens a dropped subscription (the
+    fault-injection disconnect, *not* the §V frame-limit latch); off, the
+    stream is gone for good, as in Hermes 1.0.0.
+    """
 
     def __init__(
         self,
@@ -63,14 +67,14 @@ class Supervisor:
         log: RelayerLog,
         heights: dict[str, int],
         client_host: str,
-        config: Optional[RelayerConfig] = None,
+        resubscribe_on_disconnect: bool,
         tracer=NULL_TRACER,
     ):
         self.env = env
         self.log = log
         self.heights = heights
         self.client_host = client_host
-        self.config = config or RelayerConfig()
+        self.resubscribe_on_disconnect = resubscribe_on_disconnect
         self.tracer = tracer
         #: (chain_id, channel) -> worker whose recv stage consumes that
         #: chain's send_packet events for that channel.
@@ -140,7 +144,7 @@ class Supervisor:
                 # behind leaks one queue per disconnect (stallcheck
                 # residue finding).
                 self._nodes[chain_id].websocket.unsubscribe(subscription)
-                if not self.config.resubscribe_on_disconnect:
+                if not self.resubscribe_on_disconnect:
                     del self.subscriptions[chain_id]
                     return  # the stream is gone for good (Hermes 1.0.0-like)
                 gap_from = heights.get(chain_id, 0)

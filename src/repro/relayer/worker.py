@@ -43,7 +43,6 @@ from typing import Any
 from repro.errors import RpcError
 from repro.ibc.msgs import MsgAcknowledgement, MsgRecvPacket, MsgTimeout, MsgUpdateClient
 from repro.ibc.packet import Packet
-from repro.relayer.config import RelayerConfig
 from repro.relayer.endpoint import ChainEndpoint, SubmittedTx
 from repro.relayer.events import WorkBatch
 from repro.relayer.fleet import FleetMember
@@ -183,7 +182,8 @@ class DirectionWorker:
         dst: ChainEndpoint,
         src_end: PathEnd,
         dst_end: PathEnd,
-        config: RelayerConfig,
+        clear_interval: int,
+        pull_concurrency: int,
         log: RelayerLog,
         heights: dict[str, int],
         member: FleetMember,
@@ -194,7 +194,10 @@ class DirectionWorker:
         self.dst = dst
         self.src_end = src_end
         self.dst_end = dst_end
-        self.config = config
+        #: Packet-clear cadence in source blocks (0 disables the loop).
+        self.clear_interval = clear_interval
+        #: Concurrent in-flight packet-data pulls.
+        self.pull_concurrency = pull_concurrency
         self.log = log
         self.tracer = tracer
         #: The relayer's seat in its fleet, consulted for batch ownership
@@ -221,7 +224,7 @@ class DirectionWorker:
         self.processes.spawn(self._recv_loop(), name=f"{name}/recv")
         self.processes.spawn(self._ack_loop(), name=f"{name}/ack")
         self.processes.spawn(self._timeout_loop(), name=f"{name}/timeout")
-        if self.config.clear_interval > 0:
+        if self.clear_interval > 0:
             self.processes.spawn(self._clear_loop(), name=f"{name}/clear")
 
     def stop(self) -> None:
@@ -313,7 +316,7 @@ class DirectionWorker:
         worker count.
         """
         responses: list[tuple[bytes, Any]] = []
-        concurrency = max(1, self.config.pull_concurrency)
+        concurrency = max(1, self.pull_concurrency)
         tx_hashes = batch.tx_hashes
 
         def one(tx_hash):
@@ -444,7 +447,7 @@ class DirectionWorker:
     # -- Packet clearing ---------------------------------------------------------
 
     def _clear_loop(self):
-        interval = self.config.clear_interval * self.src.cal.min_block_interval
+        interval = self.clear_interval * self.src.cal.min_block_interval
         while True:
             yield self.env.timeout(interval)
             yield from self.clear_once()

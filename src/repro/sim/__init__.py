@@ -7,7 +7,7 @@ Public surface:
 * :class:`Resource`, :class:`Store` — queued servers and buffers.
 * :class:`Network`, :class:`LinkSpec` — latency simulation.
 * :class:`RngRegistry` — deterministic named random streams.
-* probes in :mod:`repro.sim.monitor`.
+* :class:`SummaryStats` in :mod:`repro.sim.monitor` — distribution summaries.
 """
 
 from repro.sim.core import (
@@ -23,7 +23,6 @@ from repro.sim.core import (
     Timeout,
 )
 from repro.sim.monitor import (
-    Counter,
     SummaryStats,
     percentile,
 )
@@ -34,7 +33,6 @@ from repro.sim.rng import KeyedStream, RngRegistry, derive_seed
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Counter",
     "EMPTY",
     "Environment",
     "Event",

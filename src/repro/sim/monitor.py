@@ -1,9 +1,8 @@
-"""Lightweight measurement probes for simulation components.
+"""Distribution summaries of repeated measurements.
 
-The paper's analysis pipeline is built on event logs; these probes are the
-in-simulation complement: counters that components update as they run,
-and the distribution summary the framework's analysis module reads
-afterwards.
+The paper presents Fig. 6 as violins (median + quartiles over 20 runs):
+:class:`SummaryStats` holds those numbers for one violin, and report
+sections embed it.
 """
 
 from __future__ import annotations
@@ -11,22 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Iterable
-
-
-class Counter:
-    """A monotonically increasing named counter."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        self.value += amount
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"Counter({self.name}={self.value})"
 
 
 @dataclass(slots=True)

@@ -17,10 +17,10 @@ from repro.sim import Environment, Network, RngRegistry
 from repro.tendermint.node import Chain
 
 
-def solo_seat(env: Environment) -> FleetMember:
+def solo_seat(env: Environment, config: FleetConfig = FleetConfig()) -> FleetMember:
     """The one seat of a one-member ``none`` fleet: a relayer that
     coordinates with nobody (plain Hermes behaviour)."""
-    return Fleet(env, 0, FleetConfig(), 1, RngRegistry(0)).members[0]
+    return Fleet(env, 0, config, 1, RngRegistry(0)).members[0]
 
 
 @pytest.fixture
@@ -42,9 +42,21 @@ def network(env, rng) -> Network:
 
 
 class TwoChainHarness:
-    """A deployed pair of chains with one relayer, for integration tests."""
+    """A deployed pair of chains with one relayer, for integration tests.
 
-    def __init__(self, env, network, rng, proof_mode: str = "merkle"):
+    The relayer clears every ``clear_interval`` blocks (0: never, the
+    paper's §V setup) and takes its fault-riding settings from ``fleet``.
+    """
+
+    def __init__(
+        self,
+        env,
+        network,
+        rng,
+        proof_mode: str = "merkle",
+        clear_interval: int = 0,
+        fleet: FleetConfig = FleetConfig(),
+    ):
         self.env = env
         self.network = network
         hosts = [f"m{i}" for i in range(5)]
@@ -70,7 +82,8 @@ class TwoChainHarness:
         self.chain_b.app.genesis_account(self.receiver, {FEE_DENOM: 10**12})
         self.relayer = Relayer(
             env, "hermes-test", "m0", self.node_a, self.node_b,
-            self.wallet_a, self.wallet_b, solo_seat(env),
+            self.wallet_a, self.wallet_b, solo_seat(env, fleet),
+            clear_interval=clear_interval, pull_concurrency=1,
         )
         self.path = None
 
@@ -104,10 +117,21 @@ class TwoChainHarness:
 
 
 @pytest.fixture
-def harness(env, network, rng) -> TwoChainHarness:
-    h = TwoChainHarness(env, network, rng)
-    h.start()
-    return h
+def make_harness(env, network, rng):
+    """A factory of started harnesses; keyword arguments go to
+    :class:`TwoChainHarness`."""
+
+    def make(**kwargs) -> TwoChainHarness:
+        h = TwoChainHarness(env, network, rng, **kwargs)
+        h.start()
+        return h
+
+    return make
+
+
+@pytest.fixture
+def harness(make_harness) -> TwoChainHarness:
+    return make_harness()
 
 
 @pytest.fixture

@@ -58,6 +58,16 @@ def test_chain_only_disables_relayers():
     assert config.chain_only and config.num_relayers == 0
 
 
+def test_chain_only_flag_is_the_chain_only_config(capsys):
+    """The CLI adds nothing to ``--chain-only``: the config's own rule
+    deploys no relayer, so the report has no fleet."""
+    assert config_from_args(parse(["--chain-only"])) == ExperimentConfig(
+        chain_only=True
+    )
+    assert main(["--chain-only", "--rate", "250", "--blocks", "3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["fleet"] is None
+
+
 def test_fixed_total_flags():
     config = config_from_args(
         parse(["--total", "5000", "--spread", "16", "--to-completion"])

@@ -5,13 +5,12 @@ import pytest
 from repro.cosmos.accounts import Wallet
 from repro.cosmos.app import FEE_DENOM
 from repro.ibc.msgs import MsgUpdateClient
-from repro.relayer import RelayerConfig
 from repro.relayer.endpoint import ChainEndpoint
 from repro.relayer.logging import RelayerLog
 
 
 def make_endpoint(
-    harness, name="ep-test", calibration=None, **config_kwargs
+    harness, name="ep-test", calibration=None, rpc_retry_attempts=0
 ) -> ChainEndpoint:
     """An endpoint on chain A; ``calibration`` overrides chain A's."""
     wallet = Wallet.named(name)
@@ -24,8 +23,8 @@ def make_endpoint(
         harness.node_a,
         wallet,
         "m0",
-        RelayerConfig(name=name, **config_kwargs),
         log,
+        rpc_retry_attempts=rpc_retry_attempts,
     )
 
 

@@ -22,6 +22,7 @@ from repro.faults import (
     RpcBrownout,
     WsDisconnect,
 )
+from repro.relayer import FleetConfig
 from repro.tendermint.rpc import RpcClient
 from repro.tendermint.websocket import SubscriptionClosed
 
@@ -310,9 +311,11 @@ def test_crash_recovery_resubscribes_and_clears_missed_packets(bootstrapped, rng
     assert h.env.crashed_processes == []
 
 
-def test_resubscribe_disabled_listener_stops(bootstrapped):
-    h = bootstrapped
-    h.relayer.supervisor.config.resubscribe_on_disconnect = False
+def test_resubscribe_disabled_listener_stops(make_harness):
+    """The switch is set once, on the relayer's seat, and the supervisor
+    obeys it: a dropped stream stays dropped."""
+    h = make_harness(fleet=FleetConfig(resubscribe_on_disconnect=False))
+    h.run_process(h.bootstrap(), limit=500.0)
     h.node_a.websocket.disconnect_all("operator reset")
 
     def flow():

@@ -134,6 +134,35 @@ def test_fleet_config_count_resolution():
     assert [r.member for r in testbed.relayers] == fleet.members
 
 
+def test_chain_only_run_deploys_no_relayer():
+    """Chain-only means no relayer: no seat, no fleet report."""
+    config = ExperimentConfig(input_rate=250, measurement_blocks=3, chain_only=True)
+    assert run_experiment(config).fleet is None
+    testbed = _Testbed(config)
+    assert testbed.relayers == []
+    assert [fleet.members for fleet in testbed.fleets] == [[]]
+
+
+def test_relayer_settings_have_one_source_each():
+    """A relayer's fault-riding settings are its seat's FleetConfig; the
+    clear interval and pull concurrency come from the experiment."""
+    config = ExperimentConfig(
+        num_relayers=2,
+        clear_interval=3,
+        pull_concurrency=2,
+        relayer=FleetConfig(rpc_retry_attempts=4, resubscribe_on_disconnect=False),
+        seed=3,
+    )
+    testbed = _Testbed(config)
+    assert len(testbed.relayers) == 2
+    for relayer in testbed.relayers:
+        assert relayer.member.fleet.config is config.relayer
+        assert relayer.endpoint_a.rpc_retry_attempts == 4
+        assert relayer.endpoint_b.rpc_retry_attempts == 4
+        assert relayer.supervisor.resubscribe_on_disconnect is False
+        assert (relayer.clear_interval, relayer.pull_concurrency) == (3, 2)
+
+
 def test_fleet_config_wire_rejects_unknown_keys():
     with pytest.raises(SchemaError, match="cuont"):
         FleetConfig.from_dict({"cuont": 2})

@@ -135,10 +135,9 @@ def test_nested_state_rollback_composition():
 
 
 def make_worker(
-    member=None, calibration=DEFAULT_CALIBRATION, clear_interval=100
+    member=None, calibration=DEFAULT_CALIBRATION, clear_interval=0
 ):
     """A DirectionWorker with inert dependencies, for pure-logic tests."""
-    from repro.relayer.config import RelayerConfig
     from repro.relayer.logging import RelayerLog
     from repro.relayer.worker import DirectionWorker, PathEnd
     from repro.sim import Environment
@@ -159,7 +158,8 @@ def make_worker(
         dst=_Endpoint(),
         src_end=PathEnd("a", "c", "conn", "transfer", "channel-0"),
         dst_end=PathEnd("b", "c", "conn", "transfer", "channel-0"),
-        config=RelayerConfig(clear_interval=clear_interval),
+        clear_interval=clear_interval,
+        pull_concurrency=1,
         log=RelayerLog(env, "unit"),
         heights={},
         member=member or solo_seat(env),

@@ -1,4 +1,4 @@
-"""Tests for measurement probes and the analysis helpers."""
+"""Tests for distribution summaries and the analysis helpers."""
 
 import math
 
@@ -6,15 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import format_table, relative_error, summarize
-from repro.sim.monitor import Counter, SummaryStats, percentile
-
-
-def test_counter():
-    counter = Counter("x")
-    counter.inc()
-    counter.inc(5)
-    assert counter.value == 6
+from repro.analysis import relative_error
+from repro.sim.monitor import SummaryStats, percentile
 
 
 def test_percentile_interpolation():
@@ -57,7 +50,7 @@ def test_summary_orderings_hold(values):
 
 
 def test_summarize_distribution():
-    dist = summarize([10, 20, 30, 40])
+    dist = SummaryStats.from_values([10, 20, 30, 40])
     assert dist.count == 4
     assert dist.median == 25
     assert dist.spread() == pytest.approx(dist.p75 - dist.p25)
@@ -68,23 +61,3 @@ def test_relative_error():
     assert relative_error(0, 0) == 0.0
     assert relative_error(1, 0) == float("inf")
     assert relative_error(90, 100) == pytest.approx(0.1)
-
-
-def test_format_table_alignment():
-    table = format_table(["rate", "tfps"], [(250, 200.5), (13000, 51.0)])
-    lines = table.splitlines()
-    assert len(lines) == 4
-    assert lines[0].startswith("rate")
-    assert "13000" in lines[3]
-    # Columns aligned: every line equally indented at the second column.
-    first_col_width = lines[0].index("tfps")
-    assert all(len(line) >= first_col_width for line in lines)
-
-
-def test_format_table_rejects_ragged_rows():
-    """Regression: a row with the wrong arity used to be silently truncated
-    (or padded) instead of surfacing the caller's bug."""
-    with pytest.raises(ValueError, match="row 1 has 3 cells, expected 2"):
-        format_table(["rate", "tfps"], [(250, 200.5), (13000, 51.0, "extra")])
-    with pytest.raises(ValueError, match="row 0 has 1 cells, expected 2"):
-        format_table(["rate", "tfps"], [(250,)])

@@ -46,8 +46,8 @@ def test_six_point_sweep_workers_1_vs_4_byte_identical():
     parallel = run_points(six_points(), workers=4)
     assert serial.merged_json() == parallel.merged_json()
     # Both actually simulated every point.
-    assert serial.points_run.value == parallel.points_run.value == 6
-    assert serial.cache_hits.value == parallel.cache_hits.value == 0
+    assert serial.points_run == parallel.points_run == 6
+    assert serial.cache_hits == parallel.cache_hits == 0
 
 
 def test_results_ordered_by_point_index():
@@ -73,8 +73,8 @@ def test_cache_hit_returns_identical_result_without_resimulating(tmp_path):
     configs = six_points()
     cold = run_points(configs, workers=1, cache_dir=str(tmp_path))
     warm = run_points(configs, workers=1, cache_dir=str(tmp_path))
-    assert cold.points_run.value == 6 and cold.cache_hits.value == 0
-    assert warm.points_run.value == 0 and warm.cache_hits.value == 6
+    assert cold.points_run == 6 and cold.cache_hits == 0
+    assert warm.points_run == 0 and warm.cache_hits == 6
     assert all(result.cached for result in warm.results)
     assert warm.merged_json() == cold.merged_json()
 
@@ -83,7 +83,7 @@ def test_cache_serves_parallel_runs_too(tmp_path):
     configs = six_points()[:3]
     cold = run_points(configs, workers=1, cache_dir=str(tmp_path))
     warm = run_points(configs, workers=4, cache_dir=str(tmp_path))
-    assert warm.points_run.value == 0 and warm.cache_hits.value == 3
+    assert warm.points_run == 0 and warm.cache_hits == 3
     assert warm.merged_json() == cold.merged_json()
 
 
@@ -121,7 +121,7 @@ def test_corrupt_cache_entry_is_a_miss(tmp_path):
         assert cache.load(config) is None
     # And the executor recomputes rather than failing.
     run = run_points([config], workers=1, cache_dir=str(tmp_path))
-    assert run.points_run.value == 1 and run.cache_hits.value == 0
+    assert run.points_run == 1 and run.cache_hits == 0
 
 
 # -- executor plumbing -------------------------------------------------------

@@ -7,7 +7,7 @@ from repro.cosmos.app import TRANSFER_DENOM
 from repro.cosmos.accounts import Wallet
 from repro.cosmos.app import FEE_DENOM
 from repro.ibc.channel import ChannelOrder
-from repro.relayer import Relayer, RelayerConfig
+from repro.relayer import Relayer
 from tests.conftest import solo_seat
 
 
@@ -116,10 +116,10 @@ def test_relayer_relays_reverse_direction(bootstrapped):
     assert balances[voucher] == 18
 
 
-def test_expired_packets_are_timed_out_by_relayer(harness):
+def test_expired_packets_are_timed_out_by_relayer(make_harness):
     """A packet whose timeout passes before relaying triggers MsgTimeout
     and refunds the sender (Fig. 3)."""
-    h = harness
+    h = make_harness(clear_interval=2)
 
     def flow():
         path = yield from h.relayer.establish_path()
@@ -137,7 +137,6 @@ def test_expired_packets_are_timed_out_by_relayer(harness):
         # its event log replay is gone, but packet clearing will find the
         # pending commitments and the timeout stage settles them.
         yield h.env.timeout(30.0)
-        h.relayer.config.clear_interval = 2
         h.relayer.start()
         deadline = h.env.now + 300.0
         while h.chain_a.app.ibc.pending_commitments("transfer", path.a.channel_id):
@@ -172,10 +171,10 @@ def test_recv_filter_leaves_packets_that_would_land_expired_to_timeouts():
     assert report.window.completion.as_fractions()["timed_out"] == 0.5
 
 
-def test_ordered_expired_packets_are_timed_out_by_relayer(harness):
+def test_ordered_expired_packets_are_timed_out_by_relayer(make_harness):
     """On an ORDERED channel the relayer proves non-receipt with the
     destination's receive counter, and the expired packets are refunded."""
-    h = harness
+    h = make_harness(clear_interval=2)
 
     def flow():
         path = yield from h.relayer.establish_path(ordering=ChannelOrder.ORDERED)
@@ -185,7 +184,6 @@ def test_ordered_expired_packets_are_timed_out_by_relayer(harness):
         submission = yield from cli.ft_transfer(count=2, amount=5, timeout_blocks=2)
         assert (yield from cli.wait_confirmation(submission))
         yield h.env.timeout(30.0)
-        h.relayer.config.clear_interval = 2
         h.relayer.start()
         deadline = h.env.now + 300.0
         while h.chain_a.app.ibc.pending_commitments("transfer", path.a.channel_id):
@@ -253,10 +251,10 @@ def test_ordered_received_packet_is_never_timed_out_by_relayer(harness):
     assert voucher_balances[next(d for d in voucher_balances if d.startswith("ibc/"))] == 5
 
 
-def test_packet_clearing_recovers_missed_packets(harness):
+def test_packet_clearing_recovers_missed_packets(make_harness):
     """With clear_interval > 0, packets submitted while the relayer was
     down still complete."""
-    h = harness
+    h = make_harness(clear_interval=2)
 
     def flow():
         path = yield from h.relayer.establish_path()
@@ -266,7 +264,6 @@ def test_packet_clearing_recovers_missed_packets(harness):
         ok = yield from cli.wait_confirmation(submission)
         assert ok
         yield h.env.timeout(20.0)  # events long gone, relayer not running
-        h.relayer.config.clear_interval = 2
         h.relayer.start()
         deadline = h.env.now + 300.0
         while h.chain_a.app.ibc.pending_commitments("transfer", path.a.channel_id):
@@ -293,6 +290,7 @@ def test_two_relayers_race_produces_redundant_errors(harness):
         h.env, "hermes-2", "m1",
         h.chain_a.node("m1"), h.chain_b.node("m1"),
         wallet_a2, wallet_b2, solo_seat(h.env),
+        clear_interval=0, pull_concurrency=1,
     )
 
     def flow():
