@@ -129,6 +129,10 @@ class ExperimentConfig:
             raise WorkloadError("total_transfers must be >= 1")
         if self.num_relayers < 0:
             raise WorkloadError("num_relayers must be >= 0")
+        if self.pull_concurrency < 1:
+            raise WorkloadError("pull_concurrency must be >= 1")
+        if self.clear_interval < 0:
+            raise WorkloadError("clear_interval must be >= 0 (0 = disabled)")
         if self.channel_ordering not in ("ordered", "unordered"):
             raise WorkloadError(
                 f"unknown channel ordering {self.channel_ordering!r}"

@@ -192,6 +192,15 @@ class TendermintLightClient:
     def root_at(self, height: int) -> bytes:
         return self.consensus_state(height).root
 
+    def fold_memo_at(self, height: int) -> tuple[bytes, dict]:
+        """The root at ``height`` and its fold memo (``fold_memo``): what
+        each membership check against that height needs, in one call."""
+        state = self.consensus_states.get(height)
+        if state is None:
+            state = self.consensus_state(height)  # raises ClientError
+        root = state.root
+        return root, self._fold_memos.get(root) or self.fold_memo(root)
+
     def fold_memo(self, root: bytes) -> dict:
         """The membership-fold memo of ``root``
         (:func:`~repro.tendermint.merkle.verify_membership`).

@@ -901,9 +901,8 @@ class IbcModule(Journaled):
         value: bytes,
         proof: Optional[CommitmentProof],
     ) -> None:
-        client = self._client(client_id)
-        root = client.root_at(proof_height)
-        verify_membership(root, key, value, proof, client.fold_memo(root))
+        root, memo = self._client(client_id).fold_memo_at(proof_height)
+        verify_membership(root, key, value, proof, memo)
 
     def _verify_counterparty_absence(
         self,

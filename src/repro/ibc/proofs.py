@@ -8,22 +8,15 @@ Two proof modes are supported:
   against the app hash stored in the verifying chain's light client.
   This is the default and what all protocol tests use.
 * ``stub`` — structural stand-ins that skip hashing, for the largest
-  sweeps.  A proof itself is cheap.  In a substore of 10 k keys it takes
-  about 3.5 us to generate and 17 us to verify by the plain fold of both
-  layers.  Against a warm light-client fold memo, as when a batch is
-  checked against one header, verifying takes about 6 us: the substore's
-  top layer is folded once, the leaf and the four bottom levels are
-  hashed, the rest is looked up.  What real mode still costs is the
-  commit, a leaf hash per changed key plus its ancestors (a substore
-  that loses keys is rebuilt), and the verification.  Measured as the
-  CPU time of one benchmark rep (``perf.measure.run_rep``), median of 8
-  reps alternated between the modes, two such runs, on a 2-core x86-64
-  host with CPython 3.11.7 shared with other work: real proofs make the
-  ``relay_steady`` benchmark workload 32-55 % slower than stubs (commit
-  +0.20-0.25 s, verification +0.18-0.23 s, proof generation
-  +0.05-0.08 s over 1.0-1.3 s), and the send-only ``chain_saturated``
-  13-18 % slower (all of it commit, +0.19-0.21 s over 1.17 s).  No
-  *simulated* quantity is affected.
+  sweeps.  A proof itself is cheap: generating one reads its aunts below
+  level 4 and looks the rest up once per level-4 subtree, and against a
+  warm light-client fold memo, as when a batch is checked against one
+  header, verifying one hashes its leaf and its levels below
+  ``FOLD_MEMO_MIN_LEVEL`` (2) and looks the rest up (about 4 us on the
+  ``burst_5000`` benchmark workload).  What real mode still costs is the
+  commit, a leaf hash per changed key plus the nodes the block moved,
+  and the verification; ROADMAP item 2 gives the measured gap to stub
+  mode per part.  No *simulated* quantity is affected.
   Stub proofs still carry the claimed key/value and the state generation
   they were produced at, so gross protocol errors (proving against the
   wrong chain or path) are caught.
@@ -88,7 +81,7 @@ def verify_membership(
         if proof.root_tag != root:
             raise ProofVerificationError("stub proof root mismatch")
         return
-    if proof.key != key:
+    if proof.leaf.key != key:
         raise ProofVerificationError(
             f"proof is for key {proof.key!r}, expected {key!r}"
         )

@@ -316,7 +316,7 @@ class DirectionWorker:
         worker count.
         """
         responses: list[tuple[bytes, Any]] = []
-        concurrency = max(1, self.pull_concurrency)
+        concurrency = self.pull_concurrency
         tx_hashes = batch.tx_hashes
 
         def one(tx_hash):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import bisect
 from collections import defaultdict
 from hashlib import sha256 as _hashlib_sha256
-from itertools import chain, compress
+from itertools import chain
 from typing import Iterable, Optional, Sequence, Union
 
 from repro.sim.records import record
@@ -69,8 +69,10 @@ def simple_hash_from_byte_slices(items: Sequence[bytes]) -> bytes:
 
 #: Fold states are memoised only from this tree level up.  A level-``l``
 #: node covers ``2**l`` leaves, so the levels below are where proofs share
-#: least and where most of a memo's entries would be.
-FOLD_MEMO_MIN_LEVEL = 4
+#: least and where most of a memo's entries would be: measured on the
+#: benchmark's batches, level 1 doubles a memo to save at most 4 % of a
+#: check, and level 3 checks 6-9 % slower (DESIGN.md "Merkle layout").
+FOLD_MEMO_MIN_LEVEL = 2
 
 
 def _aunt_sides(index: int, total: int) -> Optional[str]:
@@ -103,7 +105,13 @@ _SEQUENCES = b"/sequences/"
 def substore_of(key: bytes) -> bytes:
     """The substore ``key`` lives in: its first path segment (the ICS-24
     prefix), except that a packet path's substore is everything before its
-    ``/sequences/`` — one tree per (prefix, port, channel)."""
+    ``/sequences/`` — one tree per (prefix, port, channel).
+
+    Either way it is a function of the key's route, its parent path
+    ``key.rpartition(b"/")[0] or key``: ``/sequences/`` and the packet
+    prefixes end in "/", so they lie within it.  The commit and the fold
+    memo each derive a route's substore once.
+    """
     if key.startswith(_PACKET_PREFIXES):
         cut = key.rfind(_SEQUENCES)
         if cut >= 0:
@@ -163,12 +171,14 @@ class MembershipProof:
         ``memo`` maps each node that an accepted fold passed at level
         ``FOLD_MEMO_MIN_LEVEL`` or above to that fold's state there: the
         node's position ``index`` on its level, the level's ``last`` index,
-        the aunts still to fold, and the root they folded to.  The rest of
-        a fold is a function of exactly the first three, so a proof that
-        reaches a recorded state with the same ``root`` would fold on to
-        ``root``, and is accepted without the remaining hashes.  Any other
-        proof folds in full, so the answer is always the plain fold's; an
-        accepted fold records its new upper states.
+        the aunts still to fold (kept as the fold's whole aunts tuple and
+        the count already used), and the root they folded to.  The rest of
+        a fold is a function of exactly the node, its position and the
+        remaining aunts, so a proof that reaches a recorded state with the
+        same ``root`` would fold on to ``root``, and is accepted without
+        the remaining hashes.  Any other proof folds in full, so the
+        answer is always the plain fold's; an accepted fold records its
+        new upper states.
         """
         index = self.index
         last = self.total - 1
@@ -178,7 +188,7 @@ class MembershipProof:
         sha = _hashlib_sha256
         node = sha(_LEAF_PREFIX + self.key + b"=" + self.value_hash).digest()
         used = 0
-        level = 0
+        below = FOLD_MEMO_MIN_LEVEL - 1  # levels passed before the memo's
         fresh = []
         try:
             while last:
@@ -190,19 +200,26 @@ class MembershipProof:
                     used += 1
                 index >>= 1
                 last >>= 1
-                level += 1
-                if level >= FOLD_MEMO_MIN_LEVEL:
-                    state = (index, last, aunts[used:], root)
-                    if memo.get(node) == state:
-                        break
-                    fresh.append((node, state))
+                if below:
+                    below -= 1
+                    continue
+                known = memo.get(node)
+                if (
+                    known is not None
+                    and known[0] == index
+                    and known[1] == last
+                    and known[4] == root
+                    and known[3][known[2] :] == aunts[used:]
+                ):
+                    break
+                fresh.append((node, index, last, used))
             else:
                 if used != len(aunts) or node != root:
                     return False
         except IndexError:  # fewer aunts than the position implies
             return False
-        for node, state in fresh:
-            memo[node] = state
+        for node, index, last, used in fresh:
+            memo[node] = (index, last, used, aunts, root)
         return True
 
 
@@ -299,16 +316,60 @@ class StoreAbsenceProof:
     top: Union[MembershipProof, NonMembershipProof]
 
 
+def _parents(child: list[bytes], start: int, stop: int) -> list[bytes]:
+    """Nodes ``start`` to ``stop - 1`` of the level above ``child``, as
+    ``_tree_levels`` makes them (an unpaired last child moves up)."""
+    sha = _hashlib_sha256
+    size = len(child)
+    nodes = [
+        sha(_INNER_PREFIX + child[i] + child[i + 1]).digest()
+        for i in range(start << 1, min(stop << 1, size - 1), 2)
+    ]
+    if size & 1 and start <= size >> 1 < stop:
+        nodes.append(child[-1])
+    return nodes
+
+
+def _siblings(
+    levels: list[list[bytes]], at: int, start: int, stop: int
+) -> tuple[bytes, ...]:
+    """The aunts of leaf ``at`` on levels ``start`` to ``stop - 1``: one
+    list read per level where its ancestor has a sibling (only a level's
+    unpaired last node has none)."""
+    aunts = []
+    at >>= start
+    for level in levels[start:stop]:
+        try:
+            aunts.append(level[at ^ 1])
+        except IndexError:
+            pass
+        at >>= 1
+    return tuple(aunts)
+
+
+#: Proofs of keys under one level-``PROOF_SHARED_LEVEL`` node of a tree
+#: share that node's aunts (``_Tree.aunts``).
+PROOF_SHARED_LEVEL = 4
+
+
 class _Tree:
     """One level-array tree (see ``_tree_levels``) over keys in shortlex
-    order, kept current by :meth:`apply`."""
+    order, kept current by :meth:`apply`.
 
-    __slots__ = ("keys", "index", "levels")
+    ``index`` maps each key to its ordinal; its leaf position is the
+    ordinal minus ``base``, so removing the oldest keys moves no entry.
+    """
+
+    __slots__ = ("keys", "index", "base", "levels", "_upper_aunts")
 
     def __init__(self) -> None:
         self.keys: list[bytes] = []
         self.index: dict[bytes, int] = {}
+        self.base = 0
         self.levels: list[list[bytes]] = []
+        # Leaf position >> PROOF_SHARED_LEVEL -> the aunts from that level
+        # up, for the current levels.
+        self._upper_aunts: dict[int, tuple[bytes, ...]] = {}
 
     @property
     def root(self) -> bytes:
@@ -324,17 +385,23 @@ class _Tree:
         ``changed`` key (one in the tree) to its new leaf hash; ``None``
         removes the key.
 
-        A changed leaf or a key past the last one rehashes only its
-        ancestors.  Any removal, or a key inserted before the last one,
-        rebuilds the tree.
+        Removals and keys inserted before the last one are one splice of
+        the leaves ``[lo, hi)``; keys past the last one are appended.  The
+        keys, leaves and index move only over the splice (and the shorter
+        side of it), and ``_rehash`` rehashes only what they changed.
         """
         keys = self.keys
         index = self.index
-        leaves = self.levels[0] if keys else []
+        base = self.base
+        size = len(keys)
+        if not size:
+            self.levels = [[]]
+        leaves = self.levels[0]
+        self._upper_aunts = {}
         moved: list[int] = []
         removed: list[int] = []
         for key, leaf in changed.items():
-            at = index[key]
+            at = index[key] - base
             if leaf is None:
                 removed.append(at)
             else:
@@ -347,50 +414,83 @@ class _Tree:
                 leaf_of = dict(zip(added, added_leaves))
                 added = ordered
                 added_leaves = list(map(leaf_of.__getitem__, added))
-        if removed or added and (
-            not keys or _shortlex(added[0]) < _shortlex(keys[-1])
-        ):
-            return self._rebuild(leaves, removed, added, added_leaves)
-        tail = len(leaves)
-        index.update(zip(added, range(tail, tail + len(added))))
-        keys += added
-        leaves += added_leaves
-        moved.sort()
-        self._rehash(moved, tail)
-
-    def _rebuild(
-        self,
-        leaves: list[bytes],
-        removed: list[int],
-        added: list[bytes],
-        added_leaves: list[bytes],
-    ) -> None:
-        """Rebuild the whole tree without the leaves at ``removed`` and with
-        the ``added`` keys (shortlex-sorted) in place."""
-        keys = self.keys
-        if removed:
-            kept = [True] * len(keys)
+        # The new keys before the last key are inserted, the rest appended.
+        cut = (
+            bisect.bisect_left(added, _shortlex(keys[-1]), key=_shortlex)
+            if size and added
+            else 0
+        )
+        lo = hi = size
+        if removed or cut:
+            spots = [
+                bisect.bisect_left(keys, _shortlex(key), key=_shortlex)
+                for key in added[:cut]
+            ]
+            removed.sort()
+            lo = min(removed[0] if removed else size, spots[0] if spots else size)
+            hi = max(removed[-1] + 1 if removed else 0, spots[-1] if spots else 0)
+            gone = set(removed)
+            kept = [at for at in range(lo, hi) if at not in gone]
+            middle = list(map(keys.__getitem__, kept))
+            middle_leaves = list(map(leaves.__getitem__, kept))
+            if cut:
+                middle += added[:cut]
+                middle_leaves += added_leaves[:cut]
+                if kept:
+                    leaf_of = dict(zip(middle, middle_leaves))
+                    _sort_shortlex(middle)
+                    middle_leaves = list(map(leaf_of.__getitem__, middle))
             for at in removed:
-                kept[at] = False
-            keys = list(compress(keys, kept))
-            leaves = list(compress(leaves, kept))
-        if keys and added and _shortlex(added[0]) < _shortlex(keys[-1]):
-            for key, leaf in zip(added, added_leaves):
-                at = bisect.bisect_left(keys, _shortlex(key), key=_shortlex)
-                keys.insert(at, key)
-                leaves.insert(at, leaf)
+                del index[keys[at]]
+            shift = len(middle) - (hi - lo)
+            # Positions right of the splice move by ``shift``: renumber
+            # those keys, or the ones left of it and ``base``.
+            if size - hi < lo:
+                for key in keys[hi:]:
+                    index[key] += shift
+            else:
+                base -= shift
+                for key in keys[:lo]:
+                    index[key] -= shift
+                self.base = base
+            index.update(zip(middle, range(base + lo, base + lo + len(middle))))
+            keys[lo:hi] = middle
+            leaves[lo:hi] = middle_leaves
+            moved = [
+                at if at < lo else at + shift for at in moved if not lo <= at < hi
+            ]
+            hi = lo + len(middle)
         else:
-            keys += added
-            leaves += added_leaves
-        self.keys = keys
-        self.index = dict(zip(keys, range(len(keys))))
-        self.levels = _tree_levels(leaves) if keys else []
+            shift = 0
+        tail = len(keys)
+        appended = added[cut:]
+        index.update(zip(appended, range(base + tail, base + tail + len(appended))))
+        keys += appended
+        leaves += added_leaves[cut:]
+        if not keys:
+            self.levels = []
+            self.base = 0
+            return
+        moved.sort()
+        self._rehash(moved, lo, hi, shift, tail, size)
 
-    def _rehash(self, moved: list[int], tail: int) -> None:
-        """Recompute the ancestors of the leaves at ``moved`` (sorted, each
-        below ``tail``) and of every leaf from ``tail`` on (the appended
-        ones); the levels then match the leaf count.  Each level's dirty
-        tail is recomputed in one pass, as ``_tree_levels`` does."""
+    def _rehash(
+        self, moved: list[int], lo: int, hi: int, shift: int, tail: int, old: int
+    ) -> None:
+        """Bring the levels above the leaves up to date with them.
+
+        Of the leaves, ``[0, lo)`` kept their place, ``[lo, hi)`` were
+        spliced in, ``[hi, tail)`` are old leaves moved by ``shift``, those
+        from ``tail`` on were appended, ``moved`` (sorted, outside the
+        splice) changed in place, and there were ``old`` before.  On each
+        level a node is kept if the old level had it: its children kept
+        their place, or all moved by a multiple of its width, and a lone
+        last child was the old level's last too.  The rest (the ancestors
+        of the splice, of the appended tail and of the moved leaves, and
+        once the shift no longer divides the width everything right of the
+        splice) is rehashed, each level's runs in one pass.  The levels
+        then match the leaf count.
+        """
         sha = _hashlib_sha256
         levels = self.levels
         depth = 0
@@ -400,15 +500,29 @@ class _Tree:
             if depth + 1 == len(levels):
                 levels.append([])
             parent = levels[depth + 1]
-            tail = tail >> 1 if tail < size else (size + 1) >> 1
+            if shift & 1 or not parent:
+                # The splice moved the pairing (or this level was the old
+                # root's): nothing right of it is kept.
+                hi = tail = lo
+                shift = 0
+            plo = (lo + (lo == size == old)) >> 1
+            ptail = tail >> 1 if tail < size else (size + 1) >> 1
+            phi = min((hi + 1) >> 1, ptail)
+            shift >>= 1
+            if phi < ptail:
+                parent[plo : phi - shift] = _parents(child, plo, phi)
+            else:
+                parent[plo:] = _parents(child, plo, phi)
+            del parent[ptail:]
+            parent += _parents(child, ptail, (size + 1) >> 1)
             parents: list[int] = []
             for position in moved:
                 position >>= 1
-                if position >= tail:
+                if position >= ptail:
                     break
-                if not parents or parents[-1] != position:
-                    parents.append(position)
-            for position in parents:
+                if plo <= position < phi or parents and parents[-1] == position:
+                    continue
+                parents.append(position)
                 first = position << 1
                 if first + 1 < size:
                     parent[position] = sha(
@@ -416,27 +530,24 @@ class _Tree:
                     ).digest()
                 else:
                     parent[position] = child[first]
-            del parent[tail:]
-            parent += [
-                sha(_INNER_PREFIX + child[i] + child[i + 1]).digest()
-                for i in range(tail << 1, size - 1, 2)
-            ]
-            if size & 1 and tail <= size >> 1:
-                parent.append(child[-1])
-            moved = parents
+            moved, lo, hi, tail, old = parents, plo, phi, ptail, (old + 1) >> 1
             depth += 1
         del levels[depth + 1 :]
 
     def aunts(self, at: int) -> tuple[bytes, ...]:
         """The sibling hashes of leaf ``at``, leaf-upward (the root's level
-        has no sibling)."""
-        aunts = []
-        for level in self.levels[:-1]:
-            sibling = at ^ 1
-            if sibling < len(level):
-                aunts.append(level[sibling])
-            at >>= 1
-        return tuple(aunts)
+        has no sibling): its own below ``PROOF_SHARED_LEVEL``, then the
+        ones every leaf under its ancestor there shares, read once."""
+        levels = self.levels
+        top = len(levels) - 1
+        if top <= PROOF_SHARED_LEVEL:
+            return _siblings(levels, at, 0, top)
+        upper = self._upper_aunts.get(at >> PROOF_SHARED_LEVEL)
+        if upper is None:
+            upper = self._upper_aunts[at >> PROOF_SHARED_LEVEL] = _siblings(
+                levels, at, PROOF_SHARED_LEVEL, top
+            )
+        return _siblings(levels, at, 0, PROOF_SHARED_LEVEL) + upper
 
     def neighbours(self, key: bytes) -> tuple[Optional[bytes], Optional[bytes]]:
         """The keys either side of an absent ``key`` (``None`` at an edge)."""
@@ -569,9 +680,9 @@ class ProvableStore:
         Only the keys written since the last commit are looked at.  The
         cost follows what changed: a leaf hash per changed key, a value
         hash per distinct new value, the ancestors of changed or appended
-        leaves (a whole-tree rebuild only for a substore with a removal or
-        a key inserted mid-order), and the same for the app-hash tree over
-        the touched substores.  Clean substores cost nothing.
+        leaves and the nodes a removal or a mid-order insert moved out of
+        alignment (``_Tree.apply``), and the same for the app-hash tree
+        over the touched substores.  Clean substores cost nothing.
         """
         if not self._changed and not self._merged:
             # Nothing written since the last snapshot (an empty block).
@@ -606,9 +717,7 @@ class ProvableStore:
             elif value is None:
                 continue  # written and removed within the block
             else:
-                # A key's substore is a function of its path up to the
-                # last "/", so each such path is routed once.
-                route = key.rpartition(b"/")[0] or key
+                route = key.rpartition(b"/")[0] or key  # see substore_of
                 name = routes.get(route)
                 if name is None:
                     name = routes[route] = substore_of(key)
@@ -679,7 +788,7 @@ class ProvableStore:
             raise KeyError(f"key {key!r} not in committed state")
         name = entry[2]
         tree = self._substores[name]
-        at = tree.index[key]
+        at = tree.index[key] - tree.base
         proof = StoreProof(
             MembershipProof(key, entry[1], at, len(tree.keys), tree.aunts(at)),
             self._top_proofs.get(name) or self._prove_substore(name),
@@ -721,7 +830,7 @@ class ProvableStore:
         proof = self._top_proofs.get(name)
         if proof is None:
             top = self._top
-            at = top.index[name]
+            at = top.index[name] - top.base
             proof = MembershipProof(
                 key=name,
                 value_hash=self._substores[name].root,
@@ -743,17 +852,30 @@ def verify_membership(
     expected value.
 
     ``memo`` is a fold memo of ``root``: it holds the leaf layer's fold
-    states (see :meth:`MembershipProof.folds_to`) and, under
-    ``(substore name, root)``, the last top-layer proof of that substore
-    that folded to ``root``; a field-equal proof folds identically.  It
-    changes how many hashes the check costs, never its answer.
+    states (see :meth:`MembershipProof.folds_to`); under ``(substore
+    name, root)``, the last top-layer proof of that substore that folded
+    to ``root``, as a field-equal proof folds identically; and under
+    ``None`` the last check's value and key route with the value's hash
+    and the route's substore, as a batch's packets share one channel and
+    often one value.  It changes how many hashes the check costs, never
+    its answer.
     """
     leaf, top = proof.leaf, proof.top
-    if leaf.value_hash != sha256(value) or top.key != substore_of(leaf.key):
-        return False
+    key, name = leaf.key, top.key
     if memo is None:
-        return top.compute_root() == root and leaf.compute_root() == top.value_hash
-    slot = (top.key, root)
+        return (
+            leaf.value_hash == sha256(value)
+            and substore_of(key) == name
+            and top.compute_root() == root
+            and leaf.compute_root() == top.value_hash
+        )
+    route = key.rpartition(b"/")[0] or key  # see substore_of
+    last = memo.get(None)
+    if last is None or last[0] != value or last[1] != route:
+        last = memo[None] = (value, route, sha256(value), substore_of(key))
+    if leaf.value_hash != last[2] or last[3] != name:
+        return False
+    slot = (name, root)
     known = memo.get(slot)
     if known is not top and known != top:
         if top.compute_root() != root:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import WorkloadError
+from repro.errors import SchemaError, WorkloadError
 from repro.framework import (
     CompletionStatus,
     CrossChainEventConnector,
@@ -43,6 +43,26 @@ def test_invalid_configs_rejected():
         ExperimentConfig(submission_blocks=0)
     with pytest.raises(WorkloadError):
         ExperimentConfig(total_transfers=0)
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        {"pull_concurrency": 0},
+        {"pull_concurrency": -2},
+        {"clear_interval": -3},
+        {"pull_concurrency": 0, "clear_interval": -3},
+    ],
+)
+def test_relayer_settings_out_of_range_are_refused(setting):
+    """No pull concurrency below 1 and no negative clear interval: the
+    relayer would run them as something else while the report said them."""
+    with pytest.raises(WorkloadError, match="|".join(setting)):
+        ExperimentConfig(**setting)
+    with pytest.raises(SchemaError, match="|".join(setting)):
+        ExperimentConfig.from_dict(setting)
+    edge = ExperimentConfig(pull_concurrency=1, clear_interval=0)
+    assert (edge.pull_concurrency, edge.clear_interval) == (1, 0)
 
 
 def test_auto_proof_mode_threshold():

@@ -150,3 +150,13 @@ def test_fold_memos_are_kept_for_the_two_latest_roots(client):
     assert client.fold_memo(b"root-2") is second
     assert client.fold_memo(b"root-3") is third
     assert client.fold_memo(b"root-1") is not first  # the oldest was dropped
+
+
+def test_fold_memo_at_a_height_is_its_roots_memo(client, valset):
+    client.update(header(valset, height=1, root=b"root-1"), now=1.0)
+    client.update(header(valset, height=2, root=b"root-1"), now=2.0)
+    root, memo = client.fold_memo_at(1)
+    assert root == b"root-1" and memo is client.fold_memo(b"root-1")
+    assert client.fold_memo_at(2)[1] is memo  # one memo per root
+    with pytest.raises(ClientError, match="no consensus state"):
+        client.fold_memo_at(3)

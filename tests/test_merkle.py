@@ -1,10 +1,11 @@
 """Tests for merkle trees, the provable store, and proofs."""
 
+import functools
 import hashlib
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ProofVerificationError
@@ -259,16 +260,34 @@ def _reference_sides(index: int, total: int) -> str:
     return _reference_sides(index - _split(total), total - _split(total)) + "R"
 
 
-def _reference_dirty_inner(total: int, dirty: set[int], lo: int = 0) -> int:
-    """Inner nodes of a ``total``-leaf tree (leaves ``lo`` on) whose leaf
-    range holds a ``dirty`` position: what an incremental commit rehashes."""
+def _reference_rehashed_inner(
+    total: int,
+    dirty: set[int] = frozenset(),
+    splice: tuple[int, int, int, int] = None,
+    start: int = 0,
+) -> int:
+    """Inner nodes of a ``total``-leaf tree (leaves ``start`` on) that an
+    incremental commit rehashes.  ``splice = (lo, hi, shift, tail)``: the
+    leaves before ``lo`` kept their place, those in ``[hi, tail)`` are old
+    leaves moved by ``shift``, the rest are new (no splice: every leaf kept
+    its place).  A node is kept when none of its leaves is ``dirty`` and
+    the old tree had it: all its leaves kept their place, and it is full
+    or the old tree ended where it ends; or all moved by a multiple of its
+    width."""
     if total == 1:
         return 0
+    lo, hi, shift, tail = splice or (start + total,) * 2 + (0, start + total)
+    end = start + total
+    width = 1 << (total - 1).bit_length()
+    kept = not any(start <= at < end for at in dirty) and (
+        end <= lo and (total == width or end == tail - shift)
+        or hi <= start and end <= tail and shift % width == 0
+    )
     half = _split(total)
     return (
-        any(lo <= at < lo + total for at in dirty)
-        + _reference_dirty_inner(half, dirty, lo)
-        + _reference_dirty_inner(total - half, dirty, lo + half)
+        (not kept)
+        + _reference_rehashed_inner(half, dirty, splice, start)
+        + _reference_rehashed_inner(total - half, dirty, splice, start + half)
     )
 
 
@@ -366,6 +385,15 @@ _BLOCK_OPS = st.lists(
 )
 
 
+def _after_fill(*ops):
+    """A block of 24 packets on channel-0 and 8 balances, then ``ops``."""
+    fill = [("append", 0, 0)] * 24 + [("insert", 0, n) for n in range(10, 26, 2)]
+    return [(fill, None), (list(ops), None)]
+
+
+_DROP = ("drop_oldest", 0, 0)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     blocks=st.lists(
@@ -374,6 +402,21 @@ _BLOCK_OPS = st.lists(
         max_size=8,
     )
 )
+# The splice's alignment cases: prefix removals whose count a level's node
+# width divides or not, every key, an interior removal (acct20), the two
+# newest keys (sequences 24 and 23), a mid-order insert (acct17 between
+# acct16 and acct18), and a removal with an append in one block.
+@example(blocks=_after_fill(*[_DROP] * 1))
+@example(blocks=_after_fill(*[_DROP] * 2))
+@example(blocks=_after_fill(*[_DROP] * 3))
+@example(blocks=_after_fill(*[_DROP] * 4))
+@example(blocks=_after_fill(*[_DROP] * 6))
+@example(blocks=_after_fill(*[_DROP] * 8))
+@example(blocks=_after_fill(*[_DROP] * 24))
+@example(blocks=_after_fill(("delete", 0, 5)))
+@example(blocks=_after_fill(("delete", 0, 24), ("delete", 0, 23)))
+@example(blocks=_after_fill(("insert", 0, 17)))
+@example(blocks=_after_fill(_DROP, _DROP, *[("append", 0, 0)] * 3))
 def test_incremental_commit_matches_a_rebuild(blocks):
     """Block after block of appends, oldest-first deletes, mid-order
     inserts and value-only changes — written through or in a merged or
@@ -528,8 +571,9 @@ def test_warm_memo_rejects_every_single_mutation(n):
         root = store.root
         memo = _warm_memo(store, entries)
         # Every substore node from level FOLD_MEMO_MIN_LEVEL up is recorded,
-        # and nothing below it, plus each substore's top-layer proof once:
-        # the memo holds exactly the upper part of each tree.
+        # and nothing below it, plus each substore's top-layer proof once
+        # and the last value checked: the memo holds exactly the upper part
+        # of each tree.
         tops = {store.prove(key).top for key in entries}
         leaf_levels = merkle._tree_levels(
             [_store_leaf(k, v) for k, v in sorted(entries.items())]
@@ -541,7 +585,7 @@ def test_warm_memo_rejects_every_single_mutation(n):
         }
         assert len(tops) == len(store._substores)
         slots = {(top.key, root) for top in tops}
-        assert set(memo) == (upper if len(tops) == 1 else set()) | slots
+        assert set(memo) == (upper if len(tops) == 1 else set()) | slots | {None}
         assert {memo[slot] for slot in slots} == tops
         for key, value in entries.items():
             proof = store.prove(key)
@@ -554,6 +598,92 @@ def test_warm_memo_rejects_every_single_mutation(n):
                         ibc_proofs.verify_membership(root, key, value, mutant, memo)
             assert not verify_membership(root, proof, value + b"x", memo)
             assert not verify_membership(root, _rekeyed(proof, key + b"x"), value, memo)
+
+
+@functools.cache
+def _two_snapshots():
+    """One store at two commits, each as ``(root, [(key, value, proof,
+    its single mutations)], {substore: its top-layer proof})``: the second
+    commit dropped the six oldest packets, appended three and moved two
+    values."""
+    packet = b"commitments/ports/transfer/channels/channel-0/sequences/%d"
+    entries = {packet % i: b"c%d" % (i % 3) for i in range(1, 41)}
+    entries.update(_in_substore(20))
+    entries.update(_numbered(5))
+    store = make_store(entries)
+
+    def snapshot():
+        proofs = [
+            (key, value, store.prove(key), _two_layer_mutations(store.prove(key)))
+            for key, value in entries.items()
+        ]
+        return store.root, proofs, {proof.top.key: proof.top for _, _, proof, _ in proofs}
+
+    before = snapshot()
+    for i in range(1, 7):
+        store.delete(packet % i)
+        del entries[packet % i]
+    for key in [packet % i for i in range(41, 44)] + [b"s/k003", b"k002"]:
+        store.set(key, b"moved")
+        entries[key] = b"moved"
+    store.commit()
+    return before, snapshot()
+
+
+_CHECKS = st.lists(
+    st.tuples(
+        st.integers(0, 1),  # the snapshot the proof is from
+        st.integers(0, 10**6),  # which of its proofs
+        # honest (-1), its leaf layer under the other snapshot's top layer
+        # (-2), or which of its single mutations
+        st.one_of(st.just(-1), st.just(-2), st.integers(0, 10**6)),
+        st.integers(0, 1),  # the snapshot whose root it is checked against
+        st.booleans(),  # with its own value, or the next key's
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(warm=st.sampled_from([None, 0, 1]), checks=_CHECKS, shared=st.booleans())
+# A memo warmed under one root, fed a proof of the other checked against
+# either root, and a leaf layer of one snapshot under the other's top.
+@example(warm=0, checks=[(1, 7, -1, 0, True)], shared=True)
+@example(warm=0, checks=[(1, 7, -1, 1, True)], shared=True)
+@example(warm=0, checks=[(1, 7, -1, 0, True)], shared=False)
+@example(warm=0, checks=[(0, 30, -2, 1, True)], shared=True)
+# Single mutations of a warm root's proof that reach a recorded node at
+# another index, with another level size, or with other aunts left.
+@example(warm=0, checks=[(0, 0, 5, 0, True), (0, 0, 49, 0, True)], shared=False)
+@example(warm=0, checks=[(0, 0, 144, 0, True)], shared=False)
+def test_a_memo_answers_as_the_plain_fold(warm, checks, shared):
+    """Property: ``verify_membership`` with a memo returns exactly the
+    memo-free answer, whatever honest, single-mutated and cross-snapshot
+    proofs it is fed, with one memo per root or both roots sharing one
+    dict (``shared``), and from empty or warmed by every honest proof of
+    one snapshot (``warm``), so a memo warmed under one root is fed
+    proofs checked against the other."""
+    snapshots = _two_snapshots()
+    memos = ({}, {})
+    if warm is not None:
+        root, proofs, _ = snapshots[warm]
+        for _, value, proof, _ in proofs:
+            assert verify_membership(root, proof, value, memos[0 if shared else warm])
+    for source, pick, mutation, against, own_value in checks:
+        proofs = snapshots[source][1]
+        key, value, proof, mutants = proofs[pick % len(proofs)]
+        if mutation == -2:
+            proof = replace(proof, top=snapshots[1 - source][2][proof.top.key])
+        elif mutation >= 0:
+            proof = mutants[mutation % len(mutants)][0]
+        if not own_value:
+            value = proofs[(pick + 1) % len(proofs)][1]
+        root = snapshots[against][0]
+        memo = memos[0 if shared else against]
+        assert verify_membership(root, proof, value, memo) is verify_membership(
+            root, proof, value
+        )
 
 
 def test_warm_memo_rejects_grafts_onto_recorded_upper_paths():
@@ -765,7 +895,7 @@ def test_a_key_filed_under_another_substore_is_refused(monkeypatch):
     the key itself and refuses a top layer naming another substore."""
     key = b"commitments/ports/transfer/channels/channel-0/sequences/1"
     monkeypatch.setattr(merkle, "substore_of", lambda _key: b"balances")
-    store = make_store({key: b"c1", b"balances/alice/uatom": b"5"})
+    store = make_store({key: b"c1", b"balances/alice/uatom": b"c1"})
     proof = store.prove(key)
     monkeypatch.undo()
     assert proof.top.key == b"balances"
@@ -773,6 +903,11 @@ def test_a_key_filed_under_another_substore_is_refused(monkeypatch):
     assert proof.top.compute_root() == store.root
     assert _rejected(store.root, key, b"c1", proof)
     assert not verify_membership(store.root, proof, b"c1", {})
+    # Nor does a memo whose last check routed a key of that substore, with
+    # the same value, vouch for it.
+    memo: dict = {}
+    assert verify_membership(store.root, store.prove(b"balances/alice/uatom"), b"c1", memo)
+    assert not verify_membership(store.root, proof, b"c1", memo)
 
 
 def test_stub_commits_do_no_substore_work(monkeypatch):
@@ -835,8 +970,9 @@ class _HashCounter:
 def test_commit_hash_counts(monkeypatch, n):
     """A commit hashes what the block changed: each distinct new value, the
     changed leaves, their ancestors, and the app-hash tree's leaf of each
-    touched substore.  A removal or a mid-order insert rebuilds the
-    substore whole."""
+    touched substore.  After a removal or a mid-order insert it keeps the
+    nodes the splice left in place or moved by a multiple of their width,
+    as ``_reference_rehashed_inner`` states."""
     counter = _HashCounter(monkeypatch)
     store = ProvableStore()
     entries = _in_substore(n)
@@ -860,7 +996,7 @@ def test_commit_hash_counts(monkeypatch, n):
     store.commit()
     dirty = {int(key[3:]) for key in changed}
     assert counter.take() == (
-        _reference_dirty_inner(n, dirty) if n else 0,
+        _reference_rehashed_inner(n, dirty) if n else 0,
         len(changed) + top,
         1 if changed else 0,
     )
@@ -868,26 +1004,57 @@ def test_commit_hash_counts(monkeypatch, n):
     store.set(b"s/a000", b"x")  # mid-order (first): shifts every index
     store.commit()
     assert counter.take() == (n, 2, 1)
+    assert n == _reference_rehashed_inner(n + 1, splice=(0, 1, 1, n + 1))
 
     store.set(b"s/z000", b"x")  # right-edge append: its ancestors only
     store.commit()
-    assert counter.take() == (_reference_dirty_inner(n + 2, {n + 1}), 2, 1)
+    assert counter.take() == (_reference_rehashed_inner(n + 2, {n + 1}), 2, 1)
 
-    store.delete(b"s/a000")  # the oldest key: a rebuild
+    store.delete(b"s/a000")  # the oldest key: an odd shift moves every pair
     store.commit()
     assert counter.take() == (n, 1, 0)
+    assert n == _reference_rehashed_inner(n + 1, splice=(0, 0, -1, n + 1))
 
-    if n >= 4:  # the four oldest keys: a rebuild
+    # s/k000 .. s/k<n-1>, s/z000 are left.
+    if n >= 4:  # the four oldest keys: two levels are sliced
         for key in list(entries)[:4]:
             store.delete(key)
         store.commit()
-        assert counter.take() == (n - 4, 1, 0)
+        assert counter.take() == (
+            _reference_rehashed_inner(n - 3, splice=(0, 0, -4, n - 3)),
+            1,
+            0,
+        )
+
+    # s/k004 .. s/k<n-1>, s/z000 are left (n - 3 keys, or n + 1).
+    left = n - 3 if n >= 4 else n + 1
+    if left >= 4:  # an interior key, with the second-oldest
+        third, second = sorted(store._substores[b"s"].keys)[2:0:-1]
+        store.delete(third)
+        store.delete(second)
+        store.commit()
+        assert counter.take() == (
+            _reference_rehashed_inner(left - 2, splice=(1, 1, -2, left - 2)),
+            1,
+            0,
+        )
+        left -= 2
+    if left >= 3:  # the two oldest keys and an append, in one block
+        for key in sorted(store._substores[b"s"].keys)[:2]:
+            store.delete(key)
+        store.set(b"s/z001", b"x")
+        store.commit()
+        assert counter.take() == (
+            _reference_rehashed_inner(left - 1, splice=(0, 0, -2, left - 2)),
+            2,
+            1,
+        )
 
     store.set(b"t/x", b"x")  # a new substore, appended to the app-hash tree
     store.commit()
     assert counter.take() == (1, 2, 1)
 
-    for key in list(entries)[4 if n >= 4 else 0 :]:
+    for key in store._committed:
         store.prove(key)
     store.prove_absence(b"s/k")
     store.prove_absence(b"s/zzzz")
@@ -898,36 +1065,54 @@ def test_commit_hash_counts(monkeypatch, n):
 @pytest.mark.parametrize(
     ("workload", "hashes"),
     [
-        ("hub_fleet_faults", (18_800, 16_162, 361)),
-        ("burst_5000", (21_343, 15_295, 103)),
+        ("hub_fleet_faults", ((16_900, 16_162, 361), (26_366, 10_534, 103), 53_651)),
+        ("burst_5000", ((16_605, 15_295, 103), (25_008, 10_014, 57), 45_396)),
     ],
 )
 def test_workload_commit_hash_counts(monkeypatch, workload, hashes):
-    """Inner, leaf and value hashes all of a benchmark workload's commits
-    make, at seed 0.  The whole-tree rebuild per dirty block, which hashed
-    every changed value, made (63 955, 15 918, 15 918) on
-    ``hub_fleet_faults`` and (30 105, 15 245, 15 245) on ``burst_5000``."""
+    """A benchmark workload's whole-run merkle work at seed 0, as
+    ``hashes``: the inner, leaf and value hashes of all its commits and of
+    all its membership checks, and the aunts its proofs read from the
+    trees.
+
+    History, ``hub_fleet_faults`` / ``burst_5000``.  Commits: a whole-tree
+    rebuild per dirty block, hashing every changed value, made
+    (63 955, 15 918, 15 918) / (30 105, 15 245, 15 245); rebuilding only a
+    substore that lost keys made (18 800, 16 162, 361) / (21 343, 15 295,
+    103).  Checks with the memo from level 4 and a value hash per proof
+    made (43 075, 10 534, 10 455) / (41 244, 10 014, 10 006).  Proofs that
+    read every level's aunt read 108 817 / 126 332."""
     from perf.workloads import WORKLOADS
 
     import repro
 
     config = next(w for w in WORKLOADS if w.name == workload).config(0)
-    counted = [0, 0, 0]
-    commit = ProvableStore.commit
+    counted = {"commit": [0, 0, 0], "verify": [0, 0, 0], "aunts": 0}
 
-    def counted_commit(self):
-        before = (counter.inner, counter.leaf, counter.value)
-        try:
-            return commit(self)
-        finally:
-            after = (counter.inner, counter.leaf, counter.value)
-            for kind, (was, now) in enumerate(zip(before, after)):
-                counted[kind] += now - was
+    def counting(function, kind):
+        def counted_call(*args):
+            before = counter.inner, counter.leaf, counter.value
+            try:
+                return function(*args)
+            finally:
+                after = counter.inner, counter.leaf, counter.value
+                for at, (was, now) in enumerate(zip(before, after)):
+                    counted[kind][at] += now - was
 
+        return counted_call
+
+    def counted_siblings(*args):
+        found = siblings(*args)
+        counted["aunts"] += len(found)
+        return found
+
+    siblings = merkle._siblings
     counter = _HashCounter(monkeypatch)
-    monkeypatch.setattr(ProvableStore, "commit", counted_commit)
+    monkeypatch.setattr(ProvableStore, "commit", counting(ProvableStore.commit, "commit"))
+    monkeypatch.setattr(merkle, "verify_membership", counting(verify_membership, "verify"))
+    monkeypatch.setattr(merkle, "_siblings", counted_siblings)
     repro.run_experiment(config)
-    assert tuple(counted) == hashes
+    assert (tuple(counted["commit"]), tuple(counted["verify"]), counted["aunts"]) == hashes
 
 
 def _reference_memo_inner_hashes(total: int, order) -> int:
@@ -951,12 +1136,12 @@ def _reference_memo_inner_hashes(total: int, order) -> int:
 @pytest.mark.parametrize(
     ("n", "step", "plain", "memoised"),
     [
-        (1024, 1, 10240, 4222),
-        (1000, 3, 3334, 1457),
+        (1024, 1, 10240, 2558),
+        (1000, 3, 3334, 1166),
         # The shape of the 5000-transfer burst: about every other leaf of
         # the two stores its 10 006 proofs are checked against.
-        (5107, 2, 32185, 10849),
-        (10013, 2, 68229, 21276),
+        (5107, 2, 32185, 7659),
+        (10013, 2, 68229, 15018),
     ],
 )
 def test_batch_verification_hash_counts(monkeypatch, n, step, plain, memoised):
