@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from repro.framework.metrics import TRACE_STAGES, TraceReport
 from repro.framework.processor import TransferTimelineReport
+from repro.sim.monitor import ordered_sum
 from repro.trace import format_key
 
 
@@ -44,7 +45,7 @@ def render_trace_table(trace: TraceReport) -> str:
     batch's wall time.
     """
     lines = [f"{'stage':<8}  {'seconds':>10}  {'share':>7}  {'per packet':>10}"]
-    total = sum(trace.stage_seconds[stage] for stage in TRACE_STAGES)
+    total = ordered_sum(trace.stage_seconds[stage] for stage in TRACE_STAGES)
     for stage in TRACE_STAGES:
         seconds = trace.stage_seconds[stage]
         share = seconds / total if total > 0 else 0.0

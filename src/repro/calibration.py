@@ -17,9 +17,10 @@ enforced RTT, two Gaia v7.0.3 chains with 5 validators each, Hermes 1.0.0,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import field, fields, replace
 
 from repro.errors import WorkloadError, from_wire, to_wire
+from repro.sim.records import dataclass
 
 #: Relative gas-variance bounds the paper reports (1 %, 4.1 %, 7.6 %) — the
 #: simulation draws per-message gas uniformly within these bands.

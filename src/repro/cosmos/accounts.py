@@ -18,10 +18,10 @@ owner's wallet is first materialised.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ChainError
+from repro.sim.records import dataclass
 from repro.tendermint.crypto import PrivateKey, PublicKey, new_keypair
 
 

@@ -11,11 +11,10 @@ workload uses many accounts with 100 messages per transaction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.cosmos.accounts import AccountKeeper
 from repro.cosmos.tx import Tx
 from repro.errors import ChainError, SequenceMismatchError
+from repro.sim.records import dataclass
 from repro.tendermint.crypto import GLOBAL_SIGNATURES
 
 

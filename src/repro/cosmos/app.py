@@ -16,7 +16,6 @@ implements the ABCI protocol for the consensus engine:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
 from repro import calibration as cal
@@ -46,6 +45,7 @@ from repro.ibc.msgs import (
 )
 from repro.ibc.proofs import PROOF_MODE_MERKLE
 from repro.ibc.transfer import TransferApp
+from repro.sim.records import dataclass
 from repro.sim.rng import RngRegistry
 from repro.tendermint.abci import (
     AbciEvent,

@@ -12,8 +12,7 @@ differ.  Tests pin that property.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro.sim.records import dataclass
 from repro.tendermint.crypto import sha256
 
 

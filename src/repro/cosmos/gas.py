@@ -10,11 +10,11 @@ and the variance bands.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Optional
 
 from repro import calibration as cal
 from repro.errors import OutOfGasError
+from repro.sim.records import dataclass
 from repro.sim.rng import RngRegistry
 
 

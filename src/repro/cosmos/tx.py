@@ -9,12 +9,12 @@ signer, sequence, gas, fee and the message list.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Any, Optional, Sequence
 
 from repro import calibration as cal
 from repro.cosmos.accounts import Wallet
 from repro.errors import ChainError
+from repro.sim.records import dataclass
 from repro.tendermint.crypto import PublicKey, hash_value
 
 

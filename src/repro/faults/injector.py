@@ -15,7 +15,6 @@ swap drop decisions under a different event-heap tie-break.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import SimulationError
@@ -29,6 +28,7 @@ from repro.faults.schedule import (
 )
 from repro.sim.core import Environment, ProcessGroup
 from repro.sim.network import LinkSpec, Network
+from repro.sim.records import dataclass
 from repro.sim.rng import RngRegistry
 from repro.tendermint.node import Chain
 

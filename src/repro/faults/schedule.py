@@ -10,10 +10,11 @@ report serialization both rely on that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Any, Union, get_args
 
 from repro.errors import SimulationError, from_wire, to_wire
+from repro.sim.records import dataclass
 
 
 @dataclass(frozen=True)

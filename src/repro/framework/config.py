@@ -9,7 +9,7 @@ simulation mechanics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Any, Optional
 
 from repro import calibration as cal
@@ -17,6 +17,7 @@ from repro.errors import WorkloadError, from_wire, to_wire
 from repro.faults import FaultSchedule
 from repro.framework.topology import TopologySpec
 from repro.relayer.fleet import FleetConfig
+from repro.sim.records import dataclass
 from repro.workload.spec import WorkloadSpec
 
 #: Runs expecting more transfers than this use structural "stub" proofs
@@ -123,16 +124,28 @@ class ExperimentConfig:
             self.num_relayers = 0
         if self.input_rate <= 0 and self.total_transfers is None:
             raise WorkloadError("input_rate must be positive")
-        if self.submission_blocks < 1:
-            raise WorkloadError("submission_blocks must be >= 1")
         if self.total_transfers is not None and self.total_transfers < 1:
             raise WorkloadError("total_transfers must be >= 1")
-        if self.num_relayers < 0:
-            raise WorkloadError("num_relayers must be >= 0")
-        if self.pull_concurrency < 1:
-            raise WorkloadError("pull_concurrency must be >= 1")
         if self.clear_interval < 0:
             raise WorkloadError("clear_interval must be >= 0 (0 = disabled)")
+        # Written ``not value >= floor`` so that NaN is refused, too.
+        for name, floor in (
+            ("submission_blocks", 1),
+            ("num_relayers", 0),
+            ("pull_concurrency", 1),
+            ("measurement_blocks", 1),
+            ("msgs_per_tx", 1),
+            ("num_validators", 1),
+            ("timeout_blocks", 1),
+            ("transfer_amount", 1),
+            ("network_rtt", 0.0),
+            ("drain_seconds", 0.0),
+        ):
+            if not getattr(self, name) >= floor:
+                raise WorkloadError(f"{name} must be >= {floor}")
+        for name in ("block_interval", "max_sim_seconds"):
+            if not getattr(self, name) > 0:
+                raise WorkloadError(f"{name} must be > 0")
         if self.channel_ordering not in ("ordered", "unordered"):
             raise WorkloadError(
                 f"unknown channel ordering {self.channel_ordering!r}"

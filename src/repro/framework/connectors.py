@@ -17,12 +17,12 @@ per-block query costs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Generator
 
 from repro.errors import RpcError
 from repro.relayer.logging import LogRecord, RelayerLog
 from repro.sim.core import Environment, Event
+from repro.sim.records import dataclass
 from repro.tendermint.node import ChainNode
 from repro.tendermint.rpc import RpcClient
 

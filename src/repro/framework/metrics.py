@@ -12,13 +12,14 @@ text summary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Any, Optional
 
 from repro.faults import FaultWindow
 from repro.framework.processor import in_flight_seconds
 from repro.relayer.fleet import Handoff
-from repro.sim.monitor import SummaryStats
+from repro.sim.monitor import SummaryStats, ordered_sum
+from repro.sim.records import dataclass
 from repro.tendermint.node import Chain
 
 #: Packet event kinds per life-cycle stage, from the source chain's and the
@@ -125,7 +126,7 @@ class WindowMetrics:
     @property
     def block_interval_mean(self) -> float:
         intervals = self.block_intervals_a
-        return sum(intervals) / len(intervals) if intervals else 0.0
+        return ordered_sum(intervals) / len(intervals) if intervals else 0.0
 
     def derived_sections(self) -> dict[str, Any]:
         """The report's top-level sections that restate this window.
@@ -912,8 +913,8 @@ def collect_trace_metrics(tracer, window_start: float = 0.0) -> Optional[TraceRe
 
     transfer_spans = [s for s in tracer.spans_named("transfer_data_pull") if s.closed]
     recv_spans = [s for s in tracer.spans_named("recv_data_pull") if s.closed]
-    transfer_pull = sum(sorted(s.duration for s in transfer_spans))
-    recv_pull = sum(sorted(s.duration for s in recv_spans))
+    transfer_pull = ordered_sum(sorted(s.duration for s in transfer_spans))
+    recv_pull = ordered_sum(sorted(s.duration for s in recv_spans))
     if complete:
         origin = min(p.submit_at for p in complete)
         wall = max(p.ack_commit_at for p in complete) - origin
@@ -944,7 +945,7 @@ def collect_rpc_metrics(chains: list[Chain]) -> RpcBusyMetrics:
         for node in chain.nodes.values():
             for method, busy in node.rpc.stats.busy_by_method.items():
                 by_method[method] = by_method.get(method, 0.0) + busy
-    total = sum(by_method.values())
+    total = ordered_sum(by_method.values())
     pulls = by_method.get("pull_packet_data", 0.0)
     return RpcBusyMetrics(
         total_busy_seconds=total, pull_busy_seconds=pulls, by_method=by_method

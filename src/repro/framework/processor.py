@@ -29,11 +29,12 @@ plots.  Only relayer-side timestamps are used, mirroring the paper's choice
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Iterable, Optional
 
 from repro.framework.connectors import CrossChainEventConnector
 from repro.relayer.logging import LogRecord
+from repro.sim.records import dataclass
 
 #: The 13 steps, in execution order.
 STEP_EVENTS: list[tuple[int, str, str]] = [

@@ -25,7 +25,7 @@ the load and the text summary walk.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Any, Optional, get_type_hints
 
 from repro.errors import SchemaError, from_wire, to_wire
@@ -42,6 +42,7 @@ from repro.framework.metrics import (
 )
 from repro.framework.processor import TransferTimelineReport
 from repro.framework.workload import WorkloadStats
+from repro.sim.records import dataclass
 
 
 def _latency_lines(latency: float) -> list[str]:

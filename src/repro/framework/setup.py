@@ -19,7 +19,7 @@ prescribes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Any, Generator, Optional
 
 from repro.cosmos.accounts import Wallet
@@ -37,6 +37,7 @@ from repro.relayer.fleet import Fleet
 from repro.relayer.worker import PathEnd
 from repro.sim.core import Environment, Event
 from repro.sim.network import Network
+from repro.sim.records import dataclass
 from repro.sim.rng import RngRegistry
 from repro.tendermint.node import Chain, ChainNode
 from repro.trace import NULL_TRACER, NullTracer, Tracer

@@ -15,12 +15,13 @@ outcomes are byte-for-byte independent of worker count and cache state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro.framework.config import ExperimentConfig
 from repro.framework.report import ExperimentReport
 from repro.sim.monitor import SummaryStats
+from repro.sim.records import dataclass
 
 #: A metric extractor: report -> value.
 Metric = Callable[[ExperimentReport], float]

@@ -21,10 +21,11 @@ built from equal specs deploy byte-identical testbeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Any
 
 from repro.errors import WorkloadError, from_wire, to_wire
+from repro.sim.records import dataclass
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ Multi-hop routes encode the remaining hops into the receiver field
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Any, Optional
 
 from repro.cosmos.accounts import Wallet
@@ -34,6 +34,7 @@ from repro.relayer.cli import WorkloadCli
 from repro.relayer.endpoint import GAS_MULTIPLIER, SubmittedTx
 from repro.relayer.logging import RelayerLog
 from repro.sim.core import Environment, ProcessGroup
+from repro.sim.records import dataclass
 from repro.tendermint.node import Chain
 from repro.workload import (
     GRIEFING_GAS_FACTOR,

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
 
 from repro.errors import ChannelError
+from repro.sim.records import dataclass
 
 
 class ChannelOrder(enum.Enum):

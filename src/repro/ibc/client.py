@@ -9,11 +9,10 @@ signed the commit — exactly the checks that make IBC trust-minimised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ClientError
-from repro.sim.records import record
+from repro.sim.records import dataclass, record
 from repro.tendermint.crypto import GLOBAL_SIGNATURES, hash_value
 from repro.tendermint.types import BlockIDFlag, Commit
 from repro.tendermint.validator import ValidatorSet

@@ -13,7 +13,7 @@ paper's bottleneck findings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Any, Optional, Protocol
 
 from repro.cosmos.journal import Journaled
@@ -65,6 +65,7 @@ from repro.ibc.proofs import (
     verify_membership,
     verify_non_membership,
 )
+from repro.sim.records import dataclass
 from repro.tendermint.abci import AbciEvent
 from repro.tendermint.merkle import ProvableStore
 from repro.tendermint.validator import ValidatorSet

@@ -27,10 +27,10 @@ identical in both modes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.errors import ProofVerificationError
+from repro.sim.records import dataclass
 from repro.tendermint import merkle
 from repro.tendermint.merkle import StoreAbsenceProof, StoreProof
 

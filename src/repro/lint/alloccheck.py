@@ -37,10 +37,11 @@ from __future__ import annotations
 
 import gc
 import tracemalloc
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Optional
 
 from repro.lint.reporters import short_path
+from repro.sim.records import dataclass
 
 #: How many call sites a report spells out.
 TOP_SITES = 10

@@ -48,7 +48,7 @@ import hashlib
 import json
 import sys
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -61,6 +61,7 @@ from repro.lint.scenarios import (
     lookup,
     matrix,
 )
+from repro.sim.records import dataclass
 
 #: The pin file (src-layout: this file is ``<root>/src/repro/lint/check.py``).
 DEFAULT_PINS_PATH = Path(__file__).resolve().parents[3] / "SCENARIO_PINS.json"

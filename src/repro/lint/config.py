@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from fnmatch import fnmatchcase
 from typing import Mapping, Optional
+
+from repro.sim.records import dataclass
 
 #: Files that are structurally allowed to violate a rule.  Matched as
 #: posix-path suffixes so the config is independent of the checkout root.

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
+
+from repro.sim.records import dataclass
 
 
 @dataclass(frozen=True, order=True)

@@ -28,7 +28,7 @@ import gc
 import json
 import re
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 from pathlib import Path
 from typing import Any, Callable, Hashable, Iterator, Optional, Sequence
 
@@ -52,7 +52,8 @@ from repro.ibc.packet import Height
 from repro.lint.scenarios import SCENARIOS, PinError, SelectionError
 from repro.parallel import run_points
 from repro.relayer.cli import WorkloadCli
-from repro.sim.monitor import SummaryStats
+from repro.sim.monitor import SummaryStats, ordered_sum
+from repro.sim.records import dataclass
 
 #: The document holding the generated block (src-layout: this file is
 #: ``<root>/src/repro/lint/paper.py``).
@@ -218,10 +219,8 @@ def _fig7_extract(reports: Reports) -> dict:
         for seed in CHAIN_SEEDS:
             window = reports[rate, seed].window
             if window.block_intervals_a:
-                samples.append(
-                    sum(window.block_intervals_a) / len(window.block_intervals_a)
-                )
-        intervals[rate] = sum(samples) / len(samples)
+                samples.append(window.block_interval_mean)
+        intervals[rate] = ordered_sum(samples) / len(samples)
     return {"intervals": intervals}
 
 

@@ -12,11 +12,12 @@ on the index must treat a missing edge as "unknown", never as proof.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import field
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 from repro.lint.rules.base import ModuleContext
+from repro.sim.records import dataclass
 
 #: Method names whose first argument is treated as a process generator
 #: (the spawned callee becomes a call-graph root for reachability).

@@ -10,7 +10,6 @@ scenario is held to live in ``SCENARIO_PINS.json`` at the repo root.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.faults import (
@@ -26,6 +25,7 @@ from repro.framework import (
     TopologySpec,
     WorkloadSpec,
 )
+from repro.sim.records import dataclass
 
 #: Every check a scenario can be gated by, in the order the harness runs
 #: them (see :data:`repro.lint.check.CHECKS` for what each one does).

@@ -32,8 +32,10 @@ an unordered container.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 from typing import Callable, Iterable
+
+from repro.sim.records import dataclass
 
 #: How many individual differences to spell out per artifact.
 MAX_DETAILS = 8

@@ -49,10 +49,11 @@ import gc
 import sys
 import weakref
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Callable, Iterator, Optional
 
 from repro.lint.reporters import short_path
+from repro.sim.records import dataclass
 
 #: Default number of same-instant events treated as a livelock.  The
 #: busiest pinned scenario (hub4) peaks well under 2k events at one

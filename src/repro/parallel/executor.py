@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.errors import ReproError
@@ -33,6 +32,7 @@ from repro.framework.report import ExperimentReport
 from repro.parallel import hostclock
 from repro.parallel.cache import ResultCache
 from repro.parallel.worker import execute_payload
+from repro.sim.records import dataclass
 
 
 @dataclass(frozen=True)

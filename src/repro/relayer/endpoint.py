@@ -11,7 +11,6 @@ and polls ``/tx`` for confirmation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
 from repro.cosmos.accounts import Wallet
@@ -25,6 +24,7 @@ from repro.errors import (
 )
 from repro.relayer.logging import RelayerLog
 from repro.sim.core import Environment, Event
+from repro.sim.records import dataclass
 from repro.tendermint.node import BroadcastResult, ChainNode, TxLookupResult
 from repro.tendermint.rpc import RpcClient
 from repro.trace import NULL_TRACER, packet_key

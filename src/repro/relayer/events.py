@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Optional
 
 from repro.ibc.packet import Packet
+from repro.sim.records import dataclass
 from repro.tendermint.websocket import BlockNotification, EventDescriptor
 
 

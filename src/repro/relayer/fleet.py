@@ -37,11 +37,12 @@ experiment-config wire format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro.errors import WorkloadError, from_wire, to_wire
 from repro.sim.core import SHUTDOWN, Environment, ProcessGroup
+from repro.sim.records import dataclass
 
 if TYPE_CHECKING:
     from repro.relayer.events import WorkBatch

@@ -36,7 +36,6 @@ relays a packet on a leg this worker's unconfirmed transactions carry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Any
 
@@ -48,6 +47,7 @@ from repro.relayer.events import WorkBatch
 from repro.relayer.fleet import FleetMember
 from repro.relayer.logging import RelayerLog
 from repro.sim.core import SHUTDOWN, Environment, ProcessGroup
+from repro.sim.records import dataclass
 from repro.sim.resources import Store
 from repro.trace import NULL_TRACER, packet_key
 

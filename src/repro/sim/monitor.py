@@ -8,8 +8,10 @@ sections embed it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Iterable
+
+from repro.sim.records import dataclass
 
 
 @dataclass(slots=True)
@@ -43,8 +45,8 @@ class SummaryStats:
         # Summation rounding can push the mean a few ulps outside the
         # observed range (e.g. three equal values); clamp it back so the
         # min <= mean <= max invariant holds exactly.
-        mean = min(max(sum(vals) / n, vals[0]), vals[-1])
-        var = sum((v - mean) ** 2 for v in vals) / n if n > 1 else 0.0
+        mean = min(max(ordered_sum(vals) / n, vals[0]), vals[-1])
+        var = ordered_sum((v - mean) ** 2 for v in vals) / n if n > 1 else 0.0
         return cls(
             count=n,
             mean=mean,
@@ -70,4 +72,18 @@ def percentile(sorted_values: list[float], pct: float) -> float:
         return sorted_values[low]
     frac = rank - low
     return sorted_values[low] * (1 - frac) + sorted_values[high] * frac
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """``sum(values)``, added strictly left to right.
+
+    From CPython 3.12, ``sum()`` compensates float rounding (Neumaier
+    summation), so the same floats can total a different last bit than
+    on 3.10 and 3.11.  Every float total a report carries is taken here,
+    so its bytes do not depend on the interpreter.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
 

@@ -9,10 +9,10 @@ ABCI codes, gas figures and events.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import TYPE_CHECKING, Any, Optional, Protocol, Sequence
 
-from repro.sim.records import record
+from repro.sim.records import dataclass, record
 from repro.tendermint.types import Evidence, Header, TxLike
 
 if TYPE_CHECKING:

@@ -24,7 +24,6 @@ holds the fitted values):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro import calibration as cal
@@ -32,6 +31,7 @@ from repro.errors import SimulationError
 from repro.ibc.client import SignedHeader, make_signed_header
 from repro.sim.core import SHUTDOWN, Environment
 from repro.sim.network import Network
+from repro.sim.records import dataclass
 from repro.sim.rng import RngRegistry
 from repro.tendermint.abci import (
     Application,

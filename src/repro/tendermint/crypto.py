@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any
+
+from repro.sim.records import dataclass
 
 
 def sha256(data: bytes) -> bytes:

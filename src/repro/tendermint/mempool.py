@@ -16,9 +16,9 @@ Two behaviours here shape the paper's results:
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 
 from repro.errors import MempoolFullError, TxInMempoolError
+from repro.sim.records import dataclass
 from repro.tendermint.abci import Application, ResponseCheckTx
 from repro.tendermint.types import TxLike
 from repro.trace import NULL_TRACER

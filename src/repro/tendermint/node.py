@@ -12,7 +12,6 @@ on the chain itself.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro import calibration as cal
@@ -22,6 +21,7 @@ from repro.ibc.channel import ChannelOrder
 from repro.ibc.module import CounterpartyChainInfo
 from repro.sim.core import SHUTDOWN, Environment
 from repro.sim.network import Network
+from repro.sim.records import dataclass
 from repro.sim.rng import RngRegistry
 from repro.tendermint.consensus import CommittedBlockInfo, ConsensusEngine
 from repro.tendermint.mempool import Mempool

@@ -21,7 +21,7 @@ import hashlib
 import itertools
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Any, Callable, Generator, Optional
 
 from repro import calibration as cal
@@ -34,6 +34,7 @@ from repro.errors import (
 )
 from repro.sim.core import Environment, Event, ProcessGroup
 from repro.sim.network import Network
+from repro.sim.records import dataclass
 from repro.sim.resources import Resource
 from repro.sim.rng import KeyedStream
 from repro.trace import NULL_TRACER

@@ -7,10 +7,11 @@ bottleneck: queries that scan/serialise a whole height's indexed events).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Iterator, Optional
 
 from repro.errors import SimulationError
+from repro.sim.records import dataclass
 from repro.tendermint.abci import ExecutedBlock, ExecutedTx
 from repro.tendermint.types import Block
 

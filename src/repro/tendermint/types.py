@@ -10,10 +10,10 @@ only ``hash`` and ``size_bytes``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Optional, Protocol, Sequence
 
-from repro.sim.records import record
+from repro.sim.records import dataclass, record
 from repro.tendermint.crypto import hash_value, sha256, short_hex
 from repro.tendermint.merkle import merkle_root_of_hashes
 

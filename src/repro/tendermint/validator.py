@@ -10,10 +10,10 @@ covered by tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.errors import SimulationError
+from repro.sim.records import dataclass
 from repro.tendermint.crypto import PrivateKey, PublicKey, hash_value, new_keypair
 
 

@@ -24,13 +24,13 @@ and (with ``clear_interval=0``) so are all later packets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Collection, Optional
 
 from repro import calibration as cal
 from repro.errors import NodeUnavailableError, WebSocketFrameTooLargeError
 from repro.sim.core import Environment
 from repro.sim.network import Network
+from repro.sim.records import dataclass
 from repro.sim.resources import Store
 from repro.tendermint.abci import ExecutedBlock
 from repro.trace import NULL_TRACER

@@ -34,8 +34,10 @@ are no-ops, so instrumentation sites need no conditionals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Any, Optional
+
+from repro.sim.records import dataclass
 
 
 def packet_key(

@@ -11,10 +11,11 @@ messages-per-transaction distribution, and optional adversarial traffic
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import WorkloadError, from_wire, to_wire
+from repro.sim.monitor import ordered_sum
+from repro.sim.records import dataclass
 
 #: Arrival-process names understood by :func:`repro.workload.arrivals.build_arrivals`.
 ARRIVAL_PROCESSES = ("uniform", "diurnal", "bursty")
@@ -92,8 +93,8 @@ class WorkloadSpec:
 
     def mean_payload(self) -> float:
         """Mean messages per transaction under the payload mix."""
-        total = sum(weight for _msgs, weight in self.payload_mix)
-        return sum(msgs * weight for msgs, weight in self.payload_mix) / total
+        total = ordered_sum(weight for _msgs, weight in self.payload_mix)
+        return ordered_sum(msgs * weight for msgs, weight in self.payload_mix) / total
 
     def tx_rate(self, input_rate: float) -> float:
         """Transaction arrivals per second for a *transfer*-per-second

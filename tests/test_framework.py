@@ -65,6 +65,36 @@ def test_relayer_settings_out_of_range_are_refused(setting):
     assert (edge.pull_concurrency, edge.clear_interval) == (1, 0)
 
 
+#: field -> (values it refuses, the least value it takes).
+OUT_OF_DOMAIN = {
+    "block_interval": ((0.0, -5.0, float("nan")), 0.5),
+    "measurement_blocks": ((0, -1), 1),
+    "msgs_per_tx": ((0, -3), 1),
+    "num_validators": ((0,), 1),
+    "transfer_amount": ((0, -1), 1),
+    "timeout_blocks": ((0, -2), 1),
+    "drain_seconds": ((-5.0, float("nan")), 0.0),
+    "network_rtt": ((-0.2, float("nan")), 0.0),
+    "max_sim_seconds": ((0.0, -1.0, float("nan")), 1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_DOMAIN))
+def test_out_of_domain_values_are_refused_when_built(name):
+    """A value the run would refuse, ignore or misreport fails where the
+    config is made, naming the field: from the constructor as a
+    ``WorkloadError``, and from the wire as a ``SchemaError`` caused by it."""
+    refused, least = OUT_OF_DOMAIN[name]
+    for value in refused:
+        with pytest.raises(WorkloadError, match=name):
+            ExperimentConfig(**{name: value})
+    with pytest.raises(SchemaError, match=name) as caught:
+        ExperimentConfig.from_dict({name: refused[0]})
+    assert isinstance(caught.value.__cause__, WorkloadError)
+    assert getattr(ExperimentConfig(**{name: least}), name) == least
+    assert getattr(ExperimentConfig.from_dict({name: least}), name) == least
+
+
 def test_auto_proof_mode_threshold():
     small = ExperimentConfig(total_transfers=500)
     big = ExperimentConfig(total_transfers=50_000)

@@ -1,11 +1,15 @@
-"""``@record`` against plain frozen dataclasses.
+"""The class builder against stock dataclasses.
 
 Every class decorated with :func:`repro.sim.records.record` is checked
 against a ``dataclass(frozen=True, slots=True)`` twin declared here from
 the same fields: construction, the errors of a bad call, equality,
 hashing, ``repr``, immutability, copying, pickling and the wire codec
-must all be the twin's.  A guard keeps ``@record`` the only way a frozen
-slotted record is declared under ``src/repro``.
+must all be the twin's.  Every other class the builder makes — mutable,
+frozen unslotted, ``order=True``, ``kw_only`` — is checked against a
+stock twin of its own options by :mod:`tests.twins`.  Guards keep
+``@record`` the only way a frozen slotted record is declared, keep
+``dataclasses.dataclass`` out of ``src/repro`` outside the builder, and
+count the compiles a fresh ``import repro.framework`` makes.
 """
 
 from __future__ import annotations
@@ -14,14 +18,18 @@ import ast
 import copy
 import dataclasses
 import importlib
-import inspect
+import json
+import os
 import pickle
+import subprocess
+import sys
 import typing
 from dataclasses import FrozenInstanceError, InitVar, field, fields
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.errors import from_wire, to_wire
 from repro.ibc.channel import ChannelOrder
 from repro.ibc.client import ConsensusState, SignedHeader
@@ -45,7 +53,7 @@ from repro.ibc.packet import Acknowledgement, Height, Packet
 from repro.ibc.transfer import ForwardRoute, FungibleTokenPacketData
 from repro.relayer.logging import LogRecord
 from repro.sim.network import LinkSpec
-from repro.sim.records import record
+from repro.sim.records import dataclass, record
 from repro.tendermint.abci import AbciEvent
 from repro.tendermint.merkle import (
     MembershipProof,
@@ -62,24 +70,17 @@ from repro.tendermint.types import (
     Header,
     PartSetHeader,
 )
-
-SRC = Path(__file__).resolve().parents[1] / "src"
-
-
-def _decorator_name(node: ast.expr) -> str:
-    target = node.func if isinstance(node, ast.Call) else node
-    if isinstance(target, ast.Attribute):
-        return target.attr
-    return target.id if isinstance(target, ast.Name) else ""
-
-
-def _source_classes():
-    """``(module, ClassDef)`` for every class under ``src/repro``."""
-    for path in sorted((SRC / "repro").rglob("*.py")):
-        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.ClassDef):
-                yield module, node
+from tests.twins import (
+    CHECKS,
+    RECORD_OPTIONS,
+    SRC,
+    built_classes,
+    class_id,
+    signature,
+    stock_twin,
+)
+from tests.twins import decorator_name as _decorator_name
+from tests.twins import source_classes as _source_classes
 
 
 def _record_classes() -> list[type]:
@@ -190,18 +191,7 @@ SAMPLES = {
 
 def _twin(cls: type) -> type:
     """A plain frozen, slotted dataclass with ``cls``'s name and fields."""
-    specs = []
-    for spec in fields(cls):
-        options = dict(
-            init=spec.init, repr=spec.repr, hash=spec.hash,
-            compare=spec.compare, metadata=spec.metadata,
-        )
-        if spec.default is not dataclasses.MISSING:
-            options["default"] = spec.default
-        if spec.default_factory is not dataclasses.MISSING:
-            options["default_factory"] = spec.default_factory
-        specs.append((spec.name, spec.type, field(**options)))
-    return dataclasses.make_dataclass(cls.__name__, specs, frozen=True, slots=True)
+    return stock_twin(cls, RECORD_OPTIONS, [])
 
 
 def _args(value) -> list:
@@ -249,7 +239,7 @@ def test_record_matches_its_plain_dataclass_twin(cls):
     assert [_spec(spec) for spec in fields(cls)] == [_spec(s) for s in fields(twin)]
     assert cls.__match_args__ == twin.__match_args__
     assert cls.__slots__ == twin.__slots__
-    assert inspect.signature(cls) == inspect.signature(twin)
+    assert signature(cls) == signature(twin)
     assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
 
 
@@ -480,3 +470,225 @@ def test_guard_recognises_the_forbidden_spellings():
         if any(_is_frozen_slotted_dataclass(d) for d in node.decorator_list)
     ]
     assert flagged == ["A", "B"]
+
+
+def test_guard_recognises_stock_dataclass_spellings():
+    tree = ast.parse(
+        "import dataclasses\n"
+        "from dataclasses import dataclass, field\n"
+        "from dataclasses import make_dataclass as md\n"
+        "from dataclasses import field, fields\n"
+        "from repro.sim.records import dataclass\n"
+        "dataclasses.dataclass(frozen=True)\n"
+        "dataclasses.field()\n"
+    )
+    assert [ast.unparse(node) for node in _stock_builders(tree)] == [
+        "from dataclasses import dataclass, field",
+        "from dataclasses import make_dataclass as md",
+        "dataclasses.dataclass",
+    ]
+
+
+# -- every class the builder makes ---------------------------------------------------
+
+BUILT = built_classes()
+
+
+def test_every_builder_class_is_checked():
+    classes = [cls for cls, _options, _body in BUILT]
+    assert len(classes) == len(set(classes)) >= 120
+    assert set(RECORDS) < set(classes)
+    options = [tuple(sorted(o.items())) for _cls, o, _body in BUILT]
+    # Every option combination the package declares is among them.
+    assert {
+        (("frozen", False), ("order", False), ("slots", False)),
+        (("frozen", False), ("order", False), ("slots", True)),
+        (("frozen", True), ("order", False), ("slots", False)),
+        (("frozen", True), ("order", False), ("slots", True)),
+        (("frozen", True), ("order", True), ("slots", False)),
+    } == set(options)
+    assert any(s.kw_only for cls in classes for s in fields(cls))
+
+
+@pytest.mark.parametrize("check", CHECKS, ids=lambda check: check.__name__)
+@pytest.mark.parametrize("built", BUILT, ids=lambda built: class_id(built[0]))
+def test_builder_class_matches_its_stock_twin(built, check):
+    check(*built)
+
+
+def _stock_builders(tree: ast.AST) -> list[ast.AST]:
+    """Every import or attribute that reaches ``dataclasses.dataclass`` or
+    ``dataclasses.make_dataclass``."""
+    stock = {"dataclass", "make_dataclass"}
+    return [
+        node
+        for node in ast.walk(tree)
+        if (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "dataclasses"
+            and any(alias.name in stock for alias in node.names)
+        )
+        or (
+            isinstance(node, ast.Attribute)
+            and node.attr in stock
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "dataclasses"
+        )
+    ]
+
+
+def test_dataclasses_dataclass_is_applied_only_by_the_builder():
+    """``repro.sim.records`` is the one place under ``src/repro`` that hands
+    a class to ``dataclasses.dataclass``; everywhere else declares with its
+    ``dataclass`` or ``record``.  At run time, every dataclass in a
+    ``repro`` module has the builder's ``__init__``."""
+    builder = SRC / "repro" / "sim" / "records.py"
+    offenders = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted((SRC / "repro").rglob("*.py"))
+        if path != builder
+        for node in _stock_builders(ast.parse(path.read_text(), str(path)))
+    ]
+    assert offenders == []
+    declared = {cls for cls, _options, _body in BUILT}
+    for name, module in sorted(sys.modules.items()):
+        if name == "repro" or name.startswith("repro."):
+            for value in vars(module).values():
+                if (
+                    isinstance(value, type)
+                    and dataclasses.is_dataclass(value)
+                    and value.__module__ == name
+                ):
+                    assert value in declared, class_id(value)
+                    code = value.__init__.__code__
+                    assert code.co_filename.startswith("<dataclass "), class_id(value)
+
+
+_COUNT_COMPILES = """
+import dataclasses, json, sys
+
+compiles = []
+
+
+def hook(event, args):
+    if event == "compile" and not str(args[1]).endswith(".py"):
+        caller = sys._getframe(1).f_code.co_filename
+        if caller.endswith(("records.py", "dataclasses.py")):
+            compiles.append(str(args[1]))
+
+
+sys.addaudithook(hook)
+import repro.framework
+
+classes = {
+    value
+    for name, module in list(sys.modules.items())
+    if name.startswith("repro")
+    for value in vars(module).values()
+    if isinstance(value, type)
+    and dataclasses.is_dataclass(value)
+    and value.__module__ == name
+}
+print(json.dumps({"compiles": len(compiles), "classes": len(classes)}))
+"""
+
+
+def test_import_compiles_one_function_per_dataclass():
+    """A fresh ``import repro.framework`` compiles at most one generated
+    function per dataclass: the builder's ``__init__``.  Stock
+    ``dataclasses.dataclass`` made 4–5 per class (535 for 114 classes)."""
+    completed = subprocess.run(
+        [sys.executable, "-c", _COUNT_COMPILES],
+        env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    counted = json.loads(completed.stdout)
+    assert counted["classes"] >= 100
+    assert 0 < counted["compiles"] <= counted["classes"]
+
+
+# -- dataclasses' rules, class by class ------------------------------------------------
+
+
+def _both(body, **options):
+    """A class declared twice from the same body (a callable making it
+    afresh, field specifiers included): by the builder, and stock."""
+    return (
+        dataclass(**options)(type("Built", (), body())),
+        dataclasses.dataclass(**options)(type("Built", (), body())),
+    )
+
+
+@pytest.mark.parametrize("frozen", [False, True])
+def test_hash_follows_dataclasses_rules(frozen):
+    def eq_only(self, other):
+        return NotImplemented
+
+    for extra in ({}, {"__hash__": lambda self: 7}, {"__eq__": eq_only, "__hash__": None}):
+        mine, theirs = _both(lambda: {"__annotations__": {"a": int}, **extra}, frozen=frozen)
+        assert (mine.__hash__ is None) is (theirs.__hash__ is None)
+        if theirs.__hash__ is not None:
+            assert hash(mine(1)) == hash(theirs(1))
+        assert (mine.__eq__ is eq_only) is (theirs.__eq__ is eq_only)
+
+
+def test_declaration_errors_match_dataclasses():
+    def lt(self, other):
+        return True
+
+    cases = [
+        ({"__annotations__": {"a": int}, "__lt__": lt}, {"order": True}),
+        ({"__annotations__": {"a": int}, "__setattr__": lt}, {"frozen": True}),
+        ({"__annotations__": {"a": int, "b": int}, "a": 0}, {}),
+    ]
+    for body, options in cases:
+        errors = []
+        for decorate in (dataclass(**options), dataclasses.dataclass(**options)):
+            with pytest.raises(TypeError) as caught:
+                decorate(type("Bad", (), {**body, "__annotations__": dict(body["__annotations__"])}))
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1]
+
+
+def test_field_named_self_and_keyword_only_fields():
+    def body():
+        return {
+            "__annotations__": {"self": int, "tag": str, "size": int},
+            "tag": field(default="t", kw_only=True),
+        }
+
+    mine, theirs = _both(body, frozen=True)
+    assert signature(mine) == signature(theirs)
+    assert mine(1, 2, tag="u") == mine(self=1, size=2, tag="u")
+    assert repr(mine(1, 2)) == repr(theirs(1, 2))
+    with pytest.raises(TypeError, match="positional"):
+        mine(1, 2, "u")
+
+
+@pytest.mark.parametrize(
+    "options",
+    [{}, {"slots": True}, {"frozen": True}, {"frozen": True, "slots": True}],
+    ids=lambda options: "-".join(options) or "mutable",
+)
+def test_init_writes_defaults_factories_and_post_init(options):
+    seen = []
+
+    def post_init(self):
+        seen.append(self.a)
+
+    def body():
+        return {
+            "__annotations__": {"a": int, "b": list, "c": int, "d": list},
+            "b": field(default_factory=list),
+            "c": field(default=5, init=False),
+            "d": field(default_factory=lambda: ["d"], init=False),
+            "__post_init__": post_init,
+        }
+
+    mine, theirs = _both(body, **options)
+    one, two = mine(1), theirs(1)
+    assert (one.a, one.b, one.c, one.d) == (two.a, two.b, two.c, two.d) == (1, [], 5, ["d"])
+    assert one.b is not mine(1).b and one.d is not mine(1).d
+    assert seen == [1, 1, 1, 1]
+    given = ["x"]
+    assert mine(2, given).b is given
