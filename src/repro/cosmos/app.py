@@ -7,8 +7,10 @@ implements the ABCI protocol for the consensus engine:
   against the mempool's view are driven by the mempool itself).
 * ``DeliverTx`` — ante (sequence increment + fee deduction, persisted even
   when message execution later fails, exactly like the SDK), then atomic
-  message execution: keepers roll back through a journal, and the provable
-  store buffers the transaction's writes in an overlay it merges or drops.
+  message execution, one route call per run of same-type messages
+  (DESIGN.md, "Message runs"): keepers roll back through a journal, and
+  the provable store buffers the transaction's writes in an overlay it
+  merges or drops.
 * ``Commit`` — commits the provable store; the resulting app hash is what
   counterparty light clients verify proofs against.
 """
@@ -16,7 +18,8 @@ implements the ABCI protocol for the consensus engine:
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Optional, Sequence
+from itertools import groupby
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro import calibration as cal
 from repro.cosmos.accounts import AccountKeeper, AddressIndex, Wallet
@@ -26,7 +29,7 @@ from repro.cosmos.gas import GasMeter, GasSchedule
 from repro.cosmos.journal import Journal
 from repro.cosmos.tx import MsgSend, Tx
 from repro.errors import ChainError, OutOfGasError
-from repro.ibc.module import CounterpartyChainInfo, ExecContext, IbcModule
+from repro.ibc.module import Charge, CounterpartyChainInfo, ExecContext, IbcModule
 from repro.ibc.msgs import (
     MsgAcknowledgement,
     MsgChannelOpenAck,
@@ -68,11 +71,27 @@ class FeePool:
     collected: float = 0.0
 
 
-def _events_only(
-    handler: Callable[[Any, ExecContext], tuple[Any, list[AbciEvent]]],
-) -> Callable[[Any, ExecContext], list[AbciEvent]]:
-    """Route to a handler that returns ``(new id or packet, events)``."""
-    return lambda msg, ctx: handler(msg, ctx)[1]
+#: A route executes one run of same-type messages: ``charge(msg)`` just
+#: before each message, its events appended to ``events``.
+Route = Callable[[Iterable[Any], ExecContext, Charge, list[AbciEvent]], None]
+
+
+def _each(handler: Callable[[Any, ExecContext], list[AbciEvent]]) -> Route:
+    """Route a run through a handler of one message that returns its events."""
+
+    def route(run, ctx, charge, events) -> None:
+        for msg in run:
+            charge(msg)
+            events.extend(handler(msg, ctx))
+
+    return route
+
+
+def _unroutable(run, ctx, charge, events) -> None:
+    """The route of a type nothing handles: its first message fails."""
+    msg = next(iter(run))
+    charge(msg)
+    raise ChainError(f"unroutable message kind {getattr(msg, 'kind', '?')!r}")
 
 
 class GaiaApp:
@@ -115,25 +134,25 @@ class GaiaApp:
         self._block_events: list[AbciEvent] = []
         self._commit_counter = 0
 
-        # The router: one handler per message type, each returning the
-        # message's events.
+        # The router: one route per message type.  Packet messages and
+        # transfers run as a whole; the rest go message by message.
         ibc = self.ibc
-        self._routes: dict[type, Callable[[Any, ExecContext], list[AbciEvent]]] = {
-            MsgTransfer: _events_only(self.transfer.msg_transfer),
-            MsgRecvPacket: ibc.recv_packet,
-            MsgAcknowledgement: ibc.acknowledge_packet,
-            MsgTimeout: ibc.timeout_packet,
-            MsgUpdateClient: ibc.update_client,
-            MsgCreateClient: self._create_client,
-            MsgConnectionOpenInit: _events_only(ibc.connection_open_init),
-            MsgConnectionOpenTry: _events_only(ibc.connection_open_try),
-            MsgConnectionOpenAck: ibc.connection_open_ack,
-            MsgConnectionOpenConfirm: ibc.connection_open_confirm,
-            MsgChannelOpenInit: _events_only(ibc.channel_open_init),
-            MsgChannelOpenTry: _events_only(ibc.channel_open_try),
-            MsgChannelOpenAck: ibc.channel_open_ack,
-            MsgChannelOpenConfirm: ibc.channel_open_confirm,
-            MsgSend: self._bank_send,
+        self._routes: dict[type, Route] = {
+            MsgTransfer: self.transfer.send_transfers,
+            MsgRecvPacket: ibc.recv_packets,
+            MsgAcknowledgement: ibc.acknowledge_packets,
+            MsgTimeout: _each(ibc.timeout_packet),
+            MsgUpdateClient: _each(ibc.update_client),
+            MsgCreateClient: _each(self._create_client),
+            MsgConnectionOpenInit: _each(ibc.connection_open_init),
+            MsgConnectionOpenTry: _each(ibc.connection_open_try),
+            MsgConnectionOpenAck: _each(ibc.connection_open_ack),
+            MsgConnectionOpenConfirm: _each(ibc.connection_open_confirm),
+            MsgChannelOpenInit: _each(ibc.channel_open_init),
+            MsgChannelOpenTry: _each(ibc.channel_open_try),
+            MsgChannelOpenAck: _each(ibc.channel_open_ack),
+            MsgChannelOpenConfirm: _each(ibc.channel_open_confirm),
+            MsgSend: _each(self._bank_send),
         }
 
     # ------------------------------------------------------------------
@@ -243,6 +262,13 @@ class GaiaApp:
 
         meter = GasMeter(limit=tx.gas_limit)
         meter.consume(self.cal.gas_tx_overhead, "tx overhead")
+        consume = meter.consume
+        gas_for_msg = self.gas_schedule.gas_for_msg
+
+        def charge(msg: Any) -> None:
+            kind = getattr(msg, "kind", "unknown")
+            consume(gas_for_msg(kind), kind)
+
         # The keepers' typed state rolls back through the journal; the
         # provable store buffers the transaction's writes in its overlay.
         journal = Journal()
@@ -256,15 +282,9 @@ class GaiaApp:
             ctx = ExecContext(
                 height=self._ctx.height, time=self._ctx.time, signer=tx.signer_address
             )
-            for msg in tx.msgs:
-                kind = getattr(msg, "kind", "unknown")
-                meter.consume(self.gas_schedule.gas_for_msg(kind), kind)
-                handler = routes.get(type(msg))
-                if handler is None:
-                    raise ChainError(
-                        f"unroutable message kind {getattr(msg, 'kind', '?')!r}"
-                    )
-                events.extend(handler(msg, ctx))
+            # One route call per maximal run of one message type.
+            for cls, run in groupby(tx.msgs, type):
+                routes.get(cls, _unroutable)(run, ctx, charge, events)
         except (ChainError, OutOfGasError) as exc:
             code = exc.code if isinstance(exc, ChainError) else 11
             failure = ResponseDeliverTx(

@@ -150,16 +150,18 @@ class BankKeeper(Journaled):
         self._set_supply(denom, self._supply[denom] + amount)
 
     def burn(self, address: str, denom: str, amount: int) -> None:
-        self._require_positive(amount)
         self._debit(address, denom, amount)
         self._set_supply(denom, self._supply[denom] - amount)
 
     def send(self, sender: str, recipient: str, denom: str, amount: int) -> None:
-        self._require_positive(amount)
         self._debit(sender, denom, amount)
         self._credit(recipient, denom, amount)
 
     def _debit(self, address: str, denom: str, amount: int) -> None:
+        """Take ``amount`` from ``address``: the first step, and the
+        amount check, of every burn and send."""
+        if amount <= 0:
+            raise InsufficientFundsError(f"amount must be positive, got {amount}")
         # ``lookup``, never ``intern``: a failed debit must leave the
         # address index untouched (see ``AddressIndex.bind``).
         idx = self.index.lookup(address)

@@ -35,10 +35,15 @@ class GasMeter:
         return max(0, self.limit - self.consumed)
 
 
+#: Base gas and jitter band of the kinds without a calibrated figure:
+#: handshake and administrative messages.
+_FLAT_GAS = (60_000, 0.0)
+
+
 class GasSchedule:
     """Per-message gas costs with calibrated jitter."""
 
-    __slots__ = ("cal", "_rng")
+    __slots__ = ("cal", "_rng", "_costs")
 
     def __init__(
         self,
@@ -52,37 +57,27 @@ class GasSchedule:
         if rng is None:
             rng = RngRegistry(0).stream("gas-schedule/default")
         self._rng = rng
+        c = self.cal
+        #: kind -> (base gas, jitter band); other kinds cost ``_FLAT_GAS``.
+        self._costs: dict[str, tuple[int, float]] = {
+            "transfer": (c.gas_per_transfer_msg, cal.GAS_JITTER_TRANSFER),
+            "recv_packet": (c.gas_per_recv_msg, cal.GAS_JITTER_RECV),
+            "acknowledgement": (c.gas_per_ack_msg, cal.GAS_JITTER_ACK),
+            "timeout": (c.gas_per_ack_msg, cal.GAS_JITTER_ACK),
+            "update_client": (80_000, 0.0),
+        }
 
-    def _jittered(self, base: int, band: float) -> int:
+    def gas_for_msg(self, kind: str) -> int:
+        """Sampled execution gas for one message of the given kind."""
+        base, band = self._costs.get(kind, _FLAT_GAS)
         if band <= 0:
             return base
         return int(base * (1.0 + self._rng.uniform(-band, band)))
 
-    def gas_for_msg(self, kind: str) -> int:
-        """Sampled execution gas for one message of the given kind."""
-        if kind == "transfer":
-            return self._jittered(self.cal.gas_per_transfer_msg, cal.GAS_JITTER_TRANSFER)
-        if kind == "recv_packet":
-            return self._jittered(self.cal.gas_per_recv_msg, cal.GAS_JITTER_RECV)
-        if kind in ("acknowledgement", "timeout"):
-            return self._jittered(self.cal.gas_per_ack_msg, cal.GAS_JITTER_ACK)
-        if kind == "update_client":
-            return 80_000
-        # Handshake and administrative messages.
-        return 60_000
-
     def estimate_tx_gas(self, msg_kinds: list[str]) -> int:
         """Deterministic (jitter-free) estimate used for tx gas limits."""
+        costs = self._costs
         total = self.cal.gas_tx_overhead
         for kind in msg_kinds:
-            if kind == "transfer":
-                total += self.cal.gas_per_transfer_msg
-            elif kind == "recv_packet":
-                total += self.cal.gas_per_recv_msg
-            elif kind in ("acknowledgement", "timeout"):
-                total += self.cal.gas_per_ack_msg
-            elif kind == "update_client":
-                total += 80_000
-            else:
-                total += 60_000
+            total += costs.get(kind, _FLAT_GAS)[0]
         return total

@@ -14,7 +14,7 @@ paper's bottleneck findings.
 from __future__ import annotations
 
 from dataclasses import field
-from typing import Any, Optional, Protocol
+from typing import Any, Callable, Iterable, Optional, Protocol
 
 from repro.cosmos.journal import Journaled
 from repro.errors import (
@@ -98,6 +98,10 @@ class ExecContext:
 
     def __post_init__(self) -> None:
         self.here = Height(0, self.height)
+
+
+#: Bills one message's gas just before a run route executes it.
+Charge = Callable[[Any], None]
 
 
 class IbcApplication(Protocol):
@@ -243,7 +247,7 @@ class IbcModule(Journaled):
 
     def connection_open_init(
         self, msg: MsgConnectionOpenInit, ctx: ExecContext
-    ) -> tuple[str, list[AbciEvent]]:
+    ) -> list[AbciEvent]:
         self._client(msg.client_id)
         connection_id = keys.connection_id(self._connection_index)
         self._connection_index += 1
@@ -254,7 +258,7 @@ class IbcModule(Journaled):
             counterparty=ConnectionCounterparty(client_id=msg.counterparty_client_id),
         )
         self._store_connection(end)
-        return connection_id, [
+        return [
             self._event(
                 "connection_open_init",
                 connection_id=connection_id,
@@ -264,7 +268,7 @@ class IbcModule(Journaled):
 
     def connection_open_try(
         self, msg: MsgConnectionOpenTry, ctx: ExecContext
-    ) -> tuple[str, list[AbciEvent]]:
+    ) -> list[AbciEvent]:
         self._client(msg.client_id)
         expected = ConnectionEnd(
             connection_id=msg.counterparty_connection_id,
@@ -291,7 +295,7 @@ class IbcModule(Journaled):
             ),
         )
         self._store_connection(end)
-        return connection_id, [
+        return [
             self._event(
                 "connection_open_try",
                 connection_id=connection_id,
@@ -374,7 +378,7 @@ class IbcModule(Journaled):
 
     def channel_open_init(
         self, msg: MsgChannelOpenInit, ctx: ExecContext
-    ) -> tuple[str, list[AbciEvent]]:
+    ) -> list[AbciEvent]:
         self.app_for_port(msg.port_id)
         connection = self._connection(msg.connection_id)
         connection.expect_state(ConnectionState.OPEN)
@@ -394,7 +398,7 @@ class IbcModule(Journaled):
         # The bound application validates the proposed channel (version
         # checks etc.) at INIT, as in ibc-go's OnChanOpenInit.
         self.app_for_port(msg.port_id).on_chan_open(end)
-        return channel_id, [
+        return [
             self._event(
                 "channel_open_init", port_id=msg.port_id, channel_id=channel_id
             )
@@ -402,7 +406,7 @@ class IbcModule(Journaled):
 
     def channel_open_try(
         self, msg: MsgChannelOpenTry, ctx: ExecContext
-    ) -> tuple[str, list[AbciEvent]]:
+    ) -> list[AbciEvent]:
         self.app_for_port(msg.port_id)
         connection = self._connection(msg.connection_id)
         connection.expect_state(ConnectionState.OPEN)
@@ -441,7 +445,7 @@ class IbcModule(Journaled):
         self._store_channel(end)
         self._init_sequences(end)
         self.app_for_port(msg.port_id).on_chan_open(end)
-        return channel_id, [
+        return [
             self._event(
                 "channel_open_try", port_id=msg.port_id, channel_id=channel_id
             )
@@ -564,35 +568,39 @@ class IbcModule(Journaled):
     # ICS-04: packet life cycle
     # ------------------------------------------------------------------
 
-    def send_packet(
+    def sending_channel(
         self,
         port_id: str,
         channel_id: str,
-        data: bytes,
         timeout_height: Height,
         timeout_timestamp: float,
-        ctx: ExecContext,
-    ) -> tuple[Packet, list[AbciEvent]]:
-        """SendPacket (Fig. 2 step 1): store commitment + timeout."""
+    ) -> ChannelEnd:
+        """SendPacket's checks: the channel is OPEN and the packet expires."""
         end = self._channel(port_id, channel_id)
         end.expect_state(ChannelState.OPEN)
         if timeout_height.is_zero and timeout_timestamp <= 0:
             raise PacketError("packet must have a timeout height or timestamp")
-        key = (port_id, channel_id)
+        return end
+
+    def send_packet(
+        self,
+        end: ChannelEnd,
+        data: bytes,
+        timeout_height: Height,
+        timeout_timestamp: float,
+    ) -> AbciEvent:
+        """SendPacket (Fig. 2 step 1) on an end that passed
+        :meth:`sending_channel`: store the commitment + timeout."""
+        port_id, channel_id = key = (end.port_id, end.channel_id)
         sequence = self.next_sequence_send[key]
         journal = self.journal
         if journal is not None:
             journal.record_kv(self.next_sequence_send, key, sequence)
         self.next_sequence_send[key] = sequence + 1
+        counterparty = end.counterparty
         packet = Packet(
-            sequence=sequence,
-            source_port=port_id,
-            source_channel=channel_id,
-            destination_port=end.counterparty.port_id,
-            destination_channel=end.counterparty.channel_id,
-            data=data,
-            timeout_height=timeout_height,
-            timeout_timestamp=timeout_timestamp,
+            sequence, port_id, channel_id, counterparty.port_id,
+            counterparty.channel_id, data, timeout_height, timeout_timestamp,
         )
         commitment = packet.commitment()
         commit_key = (port_id, channel_id, sequence)
@@ -602,160 +610,180 @@ class IbcModule(Journaled):
             journal.record_kv(self._sent_packets, commit_key, None)
         commitments[sequence] = commitment
         self._sent_packets[commit_key] = packet
-        self.store.set(
-            keys.packet_commitment_path(port_id, channel_id, sequence), commitment
-        )
-        return packet, [self._packet_event("send_packet", packet, self.chain_id)]
+        self.store.set(keys.packet_commitment_path(*commit_key), commitment)
+        size = self.event_bytes["send_packet"]
+        return AbciEvent("send_packet", (), size, packet, self.chain_id)
 
-    def recv_packet(self, msg: MsgRecvPacket, ctx: ExecContext) -> list[AbciEvent]:
-        """RecvPacket (Fig. 2 steps 3-5): verify, route, acknowledge."""
-        packet = msg.packet
-        end = self._channel(packet.destination_port, packet.destination_channel)
+    def _packet_route(self, key: tuple[str, str]) -> tuple:
+        """What each packet message on channel ``key`` needs before its own
+        checks: the OPEN end, the counterparty (port, channel), the light
+        client and its chain id, the bound app, and whether it is ORDERED.
+        A recv or ack run resolves it once per channel; neither changes it."""
+        end = self._channel(*key)
         end.expect_state(ChannelState.OPEN)
-        if (
-            end.counterparty.port_id != packet.source_port
-            or end.counterparty.channel_id != packet.source_channel
-        ):
-            raise ChannelError(
-                f"packet route {packet.source_port}/{packet.source_channel} does "
-                f"not match channel counterparty {end.counterparty}"
+        client = self._client(self._connection(end.connection_id).client_id)
+        source = (end.counterparty.port_id, end.counterparty.channel_id)
+        ordered = end.ordering is ChannelOrder.ORDERED
+        app = self.app_for_port(key[0])
+        return end, source, client, client.state.chain_id, app, ordered
+
+    def recv_packets(
+        self, run: Iterable[MsgRecvPacket], ctx: ExecContext, charge: Charge,
+        events: list[AbciEvent],
+    ) -> None:
+        """RecvPacket (Fig. 2 steps 3-5) for a run: verify, route, acknowledge.
+
+        Each packet gets every ICS-04 check, in order, once ``charge`` has
+        billed it; only the channel's :meth:`_packet_route` and the fold
+        memo of each proof height are looked up once per run.
+        """
+        journal = self.journal
+        receipts, acks, store = self._receipts, self._acks, self.store
+        recv_size = self.event_bytes["recv_packet"]
+        ack_size = self.event_bytes["write_acknowledgement"]
+        routes: dict[tuple[str, str], tuple] = {}
+        folds: dict[tuple[Any, int], tuple[bytes, dict]] = {}
+        for msg in run:
+            charge(msg)
+            packet = msg.packet
+            dest = (packet.destination_port, packet.destination_channel)
+            route = routes.get(dest)
+            if route is None:
+                route = routes[dest] = self._packet_route(dest)
+            end, source, client, src_chain, app, ordered = route
+            if (packet.source_port, packet.source_channel) != source:
+                raise ChannelError(
+                    f"packet route {packet.source_port}/{packet.source_channel} does "
+                    f"not match channel counterparty {end.counterparty}"
+                )
+            # Timeout check from the destination's point of view.
+            if packet.timed_out(ctx.here, ctx.time):
+                raise PacketTimeoutError(
+                    f"packet {packet.sequence} timed out at receive "
+                    f"(height {ctx.height}, time {ctx.time:.2f})"
+                )
+            # Verify the commitment recorded by the sending chain.
+            fold = folds.get((client, msg.proof_height))
+            if fold is None:
+                fold = folds[client, msg.proof_height] = client.fold_memo_at(
+                    msg.proof_height
+                )
+            root, memo = fold
+            verify_membership(
+                root,
+                keys.packet_commitment_path(*source, packet.sequence),
+                packet.commitment(),
+                msg.proof_commitment,
+                memo,
             )
-        # Timeout check from the destination's point of view.
-        if packet.timed_out(ctx.here, ctx.time):
-            raise PacketTimeoutError(
-                f"packet {packet.sequence} timed out at receive "
-                f"(height {ctx.height}, time {ctx.time:.2f})"
-            )
-        # Verify the commitment recorded by the sending chain.
-        connection = self._connection(end.connection_id)
-        self._verify_counterparty_commitment(
-            client_id=connection.client_id,
-            proof_height=msg.proof_height,
-            key=keys.packet_commitment_path(
-                packet.source_port, packet.source_channel, packet.sequence
-            ),
-            value=packet.commitment(),
-            proof=msg.proof_commitment,
-        )
-        dest_key = (packet.destination_port, packet.destination_channel)
-        if end.ordering == ChannelOrder.ORDERED:
-            expected = self.next_sequence_recv[dest_key]
-            if packet.sequence < expected:
+            receipt_key = (*dest, packet.sequence)
+            if ordered:
+                expected = self.next_sequence_recv[dest]
+                if packet.sequence < expected:
+                    raise RedundantPacketError(
+                        f"ordered packet {packet.sequence} already received "
+                        f"(next expected {expected})"
+                    )
+                if packet.sequence > expected:
+                    raise PacketError(
+                        f"ordered channel expects sequence {expected}, "
+                        f"got {packet.sequence}"
+                    )
+                if journal is not None:
+                    journal.record_kv(self.next_sequence_recv, dest, expected)
+                self.next_sequence_recv[dest] = expected + 1
+                self._store_next_sequence_recv(dest, expected + 1)
+            else:
+                if receipt_key in receipts:
+                    raise RedundantPacketError(
+                        f"unordered packet {packet.sequence} already received"
+                    )
+                if journal is not None:
+                    journal.record_kv(receipts, receipt_key, None)
+                receipts[receipt_key] = True
+                store.set(keys.packet_receipt_path(*receipt_key), b"\x01")
+            # Route to the application (Fig. 2 step 4), write the ack (step 5).
+            ack = app.on_recv_packet(packet, ctx)
+            events.append(AbciEvent("recv_packet", (), recv_size, packet, src_chain))
+            # Applications that forward packets onward (packet-forward
+            # middleware) queue the onward send events during the callback;
+            # drain them here so they land after this hop's recv_packet and
+            # before its write_acknowledgement, in the same transaction.
+            events.extend(app.drain_forward_events())
+            if receipt_key in acks:
                 raise RedundantPacketError(
-                    f"ordered packet {packet.sequence} already received "
-                    f"(next expected {expected})"
+                    f"acknowledgement for packet {packet.sequence} already written"
                 )
-            if packet.sequence > expected:
-                raise PacketError(
-                    f"ordered channel expects sequence {expected}, "
-                    f"got {packet.sequence}"
-                )
-            if self.journal is not None:
-                self.journal.record_kv(self.next_sequence_recv, dest_key, expected)
-            self.next_sequence_recv[dest_key] = expected + 1
-            self._store_next_sequence_recv(dest_key, expected + 1)
-        else:
-            receipt_key = (
-                packet.destination_port,
-                packet.destination_channel,
-                packet.sequence,
+            if journal is not None:
+                journal.record_kv(acks, receipt_key, None)
+            acks[receipt_key] = ack
+            store.set(keys.packet_acknowledgement_path(*receipt_key), ack.commitment())
+            events.append(
+                AbciEvent("write_acknowledgement", (), ack_size, packet, src_chain, ack)
             )
-            if receipt_key in self._receipts:
+
+    def acknowledge_packets(
+        self, run: Iterable[MsgAcknowledgement], ctx: ExecContext, charge: Charge,
+        events: list[AbciEvent],
+    ) -> None:
+        """AcknowledgePacket (Fig. 2 step 6) for a run: verify each ack,
+        clear its commitment.  Hoisted as in :meth:`recv_packets`; the
+        channel is resolved after the commitment checks, where a lone
+        message looks it up, so an unknown channel still reads redundant."""
+        journal, store = self.journal, self.store
+        size = self.event_bytes["acknowledge_packet"]
+        routes: dict[tuple[str, str], tuple] = {}
+        folds: dict[tuple[Any, int], tuple[bytes, dict]] = {}
+        for msg in run:
+            charge(msg)
+            packet = msg.packet
+            sequence = packet.sequence
+            source = (packet.source_port, packet.source_channel)
+            commitments = self._commitments.get(source) or {}
+            commitment = commitments.get(sequence)
+            if commitment is None:
                 raise RedundantPacketError(
-                    f"unordered packet {packet.sequence} already received"
+                    f"no commitment for packet {sequence}; already acknowledged"
                 )
-            if self.journal is not None:
-                self.journal.record_kv(self._receipts, receipt_key, None)
-            self._receipts[receipt_key] = True
-            self.store.set(
-                keys.packet_receipt_path(
-                    packet.destination_port,
-                    packet.destination_channel,
-                    packet.sequence,
+            if commitment != packet.commitment():
+                raise PacketError(f"packet {sequence} does not match stored commitment")
+            route = routes.get(source)
+            if route is None:
+                route = routes[source] = self._packet_route(source)
+            _end, _dest, client, _chain, app, ordered = route
+            fold = folds.get((client, msg.proof_height))
+            if fold is None:
+                fold = folds[client, msg.proof_height] = client.fold_memo_at(
+                    msg.proof_height
+                )
+            root, memo = fold
+            verify_membership(
+                root,
+                keys.packet_acknowledgement_path(
+                    packet.destination_port, packet.destination_channel, sequence
                 ),
-                b"\x01",
+                msg.acknowledgement.commitment(),
+                msg.proof_acked,
+                memo,
             )
-        # Route to the application (Fig. 2 step 4) and write the ack (step 5).
-        app = self.app_for_port(packet.destination_port)
-        src_chain = self._client(connection.client_id).state.chain_id
-        ack = app.on_recv_packet(packet, ctx)
-        events = [
-            self._packet_event("recv_packet", packet, src_chain)
-        ]
-        # Applications that forward packets onward (packet-forward
-        # middleware) queue the onward send events during the callback;
-        # drain them here so they land after this hop's recv_packet and
-        # before its write_acknowledgement, in the same transaction.
-        events.extend(app.drain_forward_events())
-        events.extend(self._write_acknowledgement(packet, ack, src_chain))
-        return events
-
-    def _write_acknowledgement(
-        self, packet: Packet, ack: Acknowledgement, src_chain: str
-    ) -> list[AbciEvent]:
-        key = (packet.destination_port, packet.destination_channel, packet.sequence)
-        if key in self._acks:
-            raise RedundantPacketError(
-                f"acknowledgement for packet {packet.sequence} already written"
+            if ordered:
+                expected = self.next_sequence_ack[source]
+                if sequence != expected:
+                    raise PacketError(
+                        f"ordered channel expects ack sequence {expected}, "
+                        f"got {sequence}"
+                    )
+                if journal is not None:
+                    journal.record_kv(self.next_sequence_ack, source, expected)
+                self.next_sequence_ack[source] = expected + 1
+            if journal is not None:
+                journal.record_kv(commitments, sequence, commitment)
+            del commitments[sequence]
+            store.delete(keys.packet_commitment_path(*source, sequence))
+            app.on_acknowledgement(packet, msg.acknowledgement, ctx)
+            events.append(
+                AbciEvent("acknowledge_packet", (), size, packet, self.chain_id)
             )
-        if self.journal is not None:
-            self.journal.record_kv(self._acks, key, None)
-        self._acks[key] = ack
-        self.store.set(
-            keys.packet_acknowledgement_path(*key), ack.commitment()
-        )
-        return [self._packet_event("write_acknowledgement", packet, src_chain, ack)]
-
-    def acknowledge_packet(
-        self, msg: MsgAcknowledgement, ctx: ExecContext
-    ) -> list[AbciEvent]:
-        """AcknowledgePacket (Fig. 2 step 6): verify ack, clear commitment."""
-        packet = msg.packet
-        src_key = (packet.source_port, packet.source_channel, packet.sequence)
-        commitments = self._commitments.get(src_key[:2], {})
-        commitment = commitments.get(packet.sequence)
-        if commitment is None:
-            raise RedundantPacketError(
-                f"no commitment for packet {packet.sequence}; already acknowledged"
-            )
-        if commitment != packet.commitment():
-            raise PacketError(
-                f"packet {packet.sequence} does not match stored commitment"
-            )
-        end = self._channel(packet.source_port, packet.source_channel)
-        end.expect_state(ChannelState.OPEN)
-        connection = self._connection(end.connection_id)
-        self._verify_counterparty_commitment(
-            client_id=connection.client_id,
-            proof_height=msg.proof_height,
-            key=keys.packet_acknowledgement_path(
-                packet.destination_port,
-                packet.destination_channel,
-                packet.sequence,
-            ),
-            value=msg.acknowledgement.commitment(),
-            proof=msg.proof_acked,
-        )
-        if end.ordering == ChannelOrder.ORDERED:
-            ack_key = (packet.source_port, packet.source_channel)
-            expected = self.next_sequence_ack[ack_key]
-            if packet.sequence != expected:
-                raise PacketError(
-                    f"ordered channel expects ack sequence {expected}, "
-                    f"got {packet.sequence}"
-                )
-            if self.journal is not None:
-                self.journal.record_kv(self.next_sequence_ack, ack_key, expected)
-            self.next_sequence_ack[ack_key] = expected + 1
-        if self.journal is not None:
-            self.journal.record_kv(commitments, packet.sequence, commitment)
-        del commitments[packet.sequence]
-        self.store.delete(keys.packet_commitment_path(*src_key))
-        app = self.app_for_port(packet.source_port)
-        app.on_acknowledgement(packet, msg.acknowledgement, ctx)
-        return [
-            self._packet_event("acknowledge_packet", packet, self.chain_id)
-        ]
 
     def timeout_packet(self, msg: MsgTimeout, ctx: ExecContext) -> list[AbciEvent]:
         """OnPacketTimeout (Fig. 3): prove non-receipt, undo, clear."""
@@ -816,9 +844,8 @@ class IbcModule(Journaled):
         self.store.delete(keys.packet_commitment_path(*src_key))
         app = self.app_for_port(packet.source_port)
         app.on_timeout(packet, ctx)
-        return [
-            self._packet_event("timeout_packet", packet, self.chain_id)
-        ]
+        size = self.event_bytes["timeout_packet"]
+        return [AbciEvent("timeout_packet", (), size, packet, self.chain_id)]
 
     # ------------------------------------------------------------------
     # State queries (used by the RPC layer and the relayer)
@@ -925,19 +952,4 @@ class IbcModule(Journaled):
             type=event_type,
             attributes=tuple(attrs.items()),
             size_bytes=self.event_bytes.get(event_type, 200),
-        )
-
-    def _packet_event(
-        self,
-        event_type: str,
-        packet: Packet,
-        src_chain: str,
-        ack: Optional[Acknowledgement] = None,
-    ) -> AbciEvent:
-        return AbciEvent(
-            type=event_type,
-            size_bytes=self.event_bytes[event_type],
-            packet=packet,
-            src_chain=src_chain,
-            ack=ack,
         )

@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from typing import Optional, Protocol
+from typing import Iterable, Optional, Protocol
 
 from repro.cosmos.bank import module_address
 from repro.cosmos.denom import DenomRegistry, DenomTrace
 from repro.errors import IbcError, PacketError
 from repro.ibc import keys
 from repro.ibc.channel import ChannelEnd, ChannelState
-from repro.ibc.module import ExecContext, IbcModule
+from repro.ibc.module import Charge, ExecContext, IbcModule
 from repro.ibc.msgs import MsgTransfer
 from repro.ibc.packet import Acknowledgement, Height, Packet
 from repro.sim.records import record
@@ -73,7 +73,7 @@ _PAYLOAD_CACHE_SIZE = 1 << 15
 def _ftpd_encode(denom: str, amount: int, sender: str, receiver: str) -> bytes:
     # Payloads repeat heavily (same sender/receiver/amount across a run),
     # so each distinct payload is serialised once.  Keyed by the four
-    # fields, so ``msg_transfer`` encodes straight from the message without
+    # fields, so ``send_transfers`` encodes straight from the message without
     # building a FungibleTokenPacketData first (DESIGN.md, "Frozen records").
     return json.dumps(
         {
@@ -191,6 +191,14 @@ def parse_forward_receiver(receiver: str) -> Optional[ForwardRoute]:
     )
 
 
+#: The success acknowledgement every receive writes.
+_SUCCESS_ACK = Acknowledgement(success=True, result="AQ==")
+
+
+def _uncharged(msg: MsgTransfer) -> None:
+    """A forward hop's onward send is part of its receive's gas."""
+
+
 class TransferApp:
     """The ICS-20 application bound to the ``transfer`` port."""
 
@@ -211,31 +219,45 @@ class TransferApp:
     # Sending (MsgTransfer handler)
     # ------------------------------------------------------------------
 
-    def msg_transfer(
-        self, msg: MsgTransfer, ctx: ExecContext
-    ) -> tuple[Packet, list[AbciEvent]]:
-        """Handle a user transfer request: lock/burn tokens, send packet."""
-        if msg.amount <= 0:
-            raise PacketError(f"transfer amount must be positive: {msg.amount}")
-        trace = self.denoms.resolve(msg.denom)
-        if sender_chain_is_source(msg.source_port, msg.source_channel, trace):
-            # Token is native from this chain's perspective: escrow it.
-            escrow = escrow_address(msg.source_port, msg.source_channel)
-            self.bank.send(msg.sender, escrow, msg.denom, msg.amount)
-        else:
-            # Voucher going back where it came from: burn it here.
-            self.bank.burn(msg.sender, msg.denom, msg.amount)
-        packet, events = self.ibc.send_packet(
-            port_id=msg.source_port,
-            channel_id=msg.source_channel,
-            data=_ftpd_encode(
-                trace.full_path(), msg.amount, msg.sender, msg.receiver
-            ),
-            timeout_height=msg.timeout_height,
-            timeout_timestamp=msg.timeout_timestamp,
-            ctx=ctx,
-        )
-        return packet, events
+    def send_transfers(
+        self, run: Iterable[MsgTransfer], ctx: ExecContext, charge: Charge,
+        events: list[AbciEvent],
+    ) -> None:
+        """The ``MsgTransfer`` handler, for a run: lock or burn each
+        message's tokens and send its packet.  The CLI repeats one frozen
+        message ``--number-msgs`` times, so what depends only on the message
+        (trace, escrow or burn, payload, the channel's send checks) is done
+        once per stretch of one object; the bank move and packet are not."""
+        ibc = self.ibc
+        last = None
+        for msg in run:
+            charge(msg)
+            if msg is not last:
+                if msg.amount <= 0:
+                    raise PacketError(f"transfer amount must be positive: {msg.amount}")
+                port, channel = msg.source_port, msg.source_channel
+                trace = self.denoms.resolve(msg.denom)
+                # Escrow unless a voucher goes back over its own hop: burn that.
+                escrow = (
+                    escrow_address(port, channel)
+                    if sender_chain_is_source(port, channel, trace)
+                    else None
+                )
+                data = _ftpd_encode(
+                    trace.full_path(), msg.amount, msg.sender, msg.receiver
+                )
+            if escrow is None:
+                self.bank.burn(msg.sender, msg.denom, msg.amount)
+            else:
+                self.bank.send(msg.sender, escrow, msg.denom, msg.amount)
+            if msg is not last:  # after the bank move, as for a lone message
+                end = ibc.sending_channel(
+                    port, channel, msg.timeout_height, msg.timeout_timestamp
+                )
+                last = msg
+            events.append(
+                ibc.send_packet(end, data, msg.timeout_height, msg.timeout_timestamp)
+            )
 
     # ------------------------------------------------------------------
     # IbcApplication callbacks
@@ -259,17 +281,18 @@ class TransferApp:
         except Exception as exc:  # noqa: BLE001 - ack carries the error
             self._forward_events.clear()
             return Acknowledgement(success=False, error=str(exc))
-        return Acknowledgement(success=True, result="AQ==")
+        return _SUCCESS_ACK
 
     def drain_forward_events(self) -> list[AbciEvent]:
         """Events of onward sends made inside the current receive.
 
-        Called by :meth:`IbcModule.recv_packet` after the application
+        Called by :meth:`IbcModule.recv_packets` after the application
         callback so forwarded ``send_packet`` events land in the same
         transaction, after the hop's ``recv_packet`` event.
         """
         events = self._forward_events
-        self._forward_events = []
+        if events:
+            self._forward_events = []
         return events
 
     def _apply_receive(
@@ -333,8 +356,7 @@ class TransferApp:
             receiver=route.next_receiver,
             timeout_height=timeout,
         )
-        _packet, events = self.msg_transfer(onward, ctx)
-        self._forward_events.extend(events)
+        self.send_transfers((onward,), ctx, _uncharged, self._forward_events)
 
     def on_acknowledgement(
         self, packet: Packet, ack: Acknowledgement, ctx: ExecContext

@@ -585,7 +585,7 @@ def test_timestamp_timeout_rejects_receive_and_refunds_sender():
         pair.b.make_block([])
     _update, recv = pair.recv_msgs([packet])
     with pytest.raises(PacketTimeoutError):
-        pair.b.ibc.recv_packet(recv, pair.b.ctx())
+        pair.b.ibc.recv_packets([recv], pair.b.ctx(), lambda msg: None, [])
     # MsgTimeout with the absence proof unlocks the escrow (Fig. 3).
     pair.exec_ok(pair.a, pair.relayer_a, pair.timeout_msgs([packet]))
     assert pair.a.bank.balance(pair.user.wallet.address, TRANSFER_DENOM) == before
