@@ -8,9 +8,10 @@ implements the ABCI protocol for the consensus engine:
 * ``DeliverTx`` — ante (sequence increment + fee deduction, persisted even
   when message execution later fails, exactly like the SDK), then atomic
   message execution, one route call per run of same-type messages
-  (DESIGN.md, "Message runs"): keepers roll back through a journal, and
-  the provable store buffers the transaction's writes in an overlay it
-  merges or drops.
+  (DESIGN.md, "Message runs"): the chain's one journal, which every keeper
+  got at construction, records the keepers' writes and undoes them if a
+  message fails, and the provable store buffers the transaction's writes
+  in an overlay it merges or drops.
 * ``Commit`` — commits the provable store; the resulting app hash is what
   counterparty light clients verify proofs against.
 """
@@ -111,7 +112,12 @@ class GaiaApp:
         self.address_index = AddressIndex()
         self.accounts = AccountKeeper(index=self.address_index)
         self.store = ProvableStore()
-        self.bank = BankKeeper(store=self.store, index=self.address_index)
+        # One journal records every keeper's writes while a transaction
+        # is open (cosmos/journal.py).
+        self.journal = Journal()
+        self.bank = BankKeeper(
+            store=self.store, index=self.address_index, journal=self.journal
+        )
         # The testbed injects a named stream from its RngRegistry (see
         # tendermint.node.Chain); default-constructed apps derive a
         # deterministic per-chain stream instead of a hard-coded seed.
@@ -124,6 +130,7 @@ class GaiaApp:
             store=self.store,
             proof_mode=proof_mode,
             event_bytes=self.cal.event_bytes,
+            journal=self.journal,
         )
         self.transfer = TransferApp(self.ibc, self.bank)
         self.fee_pool = FeePool()
@@ -167,6 +174,7 @@ class GaiaApp:
         for denom, amount in (coins or {}).items():
             if amount > 0:
                 self.bank.mint(wallet.address, denom, amount)
+        self.bank.write_back()
 
     def genesis_population(self, count: int, coins: dict[str, int]) -> range:
         """Create ``count`` genesis accounts holding ``coins`` each and
@@ -251,6 +259,7 @@ class GaiaApp:
             fee_amount = int(tx.fee)
             if fee_amount > 0:
                 self.bank.burn(tx.signer_address, FEE_DENOM, fee_amount)
+                self.bank.write_back()
                 self.fee_pool.collected += fee_amount
         except ChainError as exc:
             return ResponseDeliverTx(
@@ -271,8 +280,8 @@ class GaiaApp:
 
         # The keepers' typed state rolls back through the journal; the
         # provable store buffers the transaction's writes in its overlay.
-        journal = Journal()
-        self._attach_journal(journal)
+        journal = self.journal
+        journal.begin()
         store = self.store
         store.open_overlay()
         events: list[AbciEvent] = []
@@ -302,8 +311,6 @@ class GaiaApp:
                 gas_used=meter.consumed,
                 codespace="ibc",
             )
-        finally:
-            self._attach_journal(None)
         if failure is not None:
             journal.rollback()
             self.bank.discard_writes()
@@ -319,17 +326,16 @@ class GaiaApp:
             events=events,
         )
 
-    def _attach_journal(self, journal: Optional[Journal]) -> None:
-        self.bank.journal = journal
-        self.ibc.journal = journal
-
     def _create_client(
         self, msg: MsgCreateClient, ctx: ExecContext
     ) -> list[AbciEvent]:
         info = self._counterparties.get(msg.chain_id)
         if info is None:
             raise ChainError(f"unknown counterparty chain {msg.chain_id!r}")
-        return self.ibc.handle_create_client(msg, ctx, info)
+        _, events = self.ibc.create_client(
+            info, msg.initial_header, now=ctx.time, trusting_period=msg.trusting_period
+        )
+        return events
 
     def _bank_send(self, msg: MsgSend, ctx: ExecContext) -> list[AbciEvent]:
         if msg.sender != ctx.signer:

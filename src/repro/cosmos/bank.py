@@ -8,16 +8,17 @@ maintained by construction and checked by property tests.
 Balances live in per-denom ``array('q')`` columns indexed by the shared
 :class:`~repro.cosmos.accounts.AddressIndex`, not per-address dicts: a
 denom held by a million accounts costs eight bytes per account (and a
-genesis population is funded by slot range, without naming anyone).  The
-rollback journal records ``(column, index, previous)`` triples — an array
-indexes exactly like the dicts :meth:`Journal.record_kv` was built for,
-and a balance's previous value is never ``None``, so the journal's
-restore branch applies unchanged.
+genesis population is funded by slot range, without naming anyone).  Every
+balance and supply write goes through the chain's
+:class:`~repro.cosmos.journal.Journal`, given at construction, which
+records it while a transaction is open; an array indexes exactly like a
+dict, so :meth:`Journal.put` restores a column slot as it restores a key.
 
-Inside a transaction (a journal is attached) a balance write only notes
-its ``(address, denom)``; :meth:`BankKeeper.write_back` then mirrors each
-noted balance into the provable store once, at its final value, however
-many messages moved it.
+A balance write also notes its ``(address, denom)``, and
+:meth:`BankKeeper.write_back` mirrors each noted balance into the provable
+store once, at its final value, however many messages moved it: the
+application writes back after genesis funding, after the fee and after a
+transaction's messages succeed.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from collections import defaultdict
 from typing import Iterable, Optional
 
 from repro.cosmos.accounts import AddressIndex
-from repro.cosmos.journal import Journaled
+from repro.cosmos.journal import Journal
 from repro.errors import ChainError, InsufficientFundsError
 from repro.tendermint.crypto import sha256
 
@@ -37,25 +38,28 @@ def module_address(name: str) -> str:
     return sha256(b"module/" + name.encode())[:20].hex()
 
 
-class BankKeeper(Journaled):
+class BankKeeper:
     """Balances per (address, denom), with supply tracking.
 
     When bound to a provable ``store`` (the application does this), every
     balance is mirrored under ``balances/<address>/<denom>`` so the chain's
-    app hash commits to bank state, as on a real chain: written through
-    outside a transaction (genesis, the fee), and by :meth:`write_back` at
-    the end of one.
+    app hash commits to bank state, as on a real chain, by
+    :meth:`write_back`.
     """
 
     def __init__(
-        self, store=None, index: Optional[AddressIndex] = None
+        self,
+        store=None,
+        index: Optional[AddressIndex] = None,
+        journal: Optional[Journal] = None,
     ) -> None:
         self.index = index if index is not None else AddressIndex()
+        self.journal = journal if journal is not None else Journal()
         self._columns: dict[str, array] = {}
         self._supply: dict[str, int] = defaultdict(int)
         self._store = store
         # (address, denom) -> column index of each balance written since
-        # the last write_back; filled only while a journal is attached.
+        # the last write_back (none without a store).
         self._touched: dict[tuple[str, str], int] = {}
 
     def _column(self, denom: str, idx: int) -> array:
@@ -73,24 +77,15 @@ class BankKeeper(Journaled):
         self, column: array, idx: int, address: str, denom: str, value: int
     ) -> None:
         """Set ``address``'s balance, already resolved to ``column[idx]``."""
-        journal = self.journal
-        if journal is not None:
-            # Balances default to 0, so the undo value is never None and
-            # the journal entry restores it exactly.
-            journal.record_kv(column, idx, column[idx])
-        column[idx] = value
-        store = self._store
-        if store is None:
-            return
-        if journal is not None:
+        self.journal.put(column, idx, value)
+        if self._store is not None:
             self._touched[address, denom] = idx
-        else:
-            store.set(f"balances/{address}/{denom}".encode(), str(value).encode())
 
     def write_back(self) -> None:
-        """Mirror each balance written in the transaction into the store,
-        once, at its final value (the application calls this after the
-        messages succeed, before it merges the store's overlay)."""
+        """Mirror each balance written since the last call into the store,
+        once, at its final value (the application calls this after genesis
+        funding, after the fee, and after a transaction's messages succeed,
+        before it merges the store's overlay)."""
         touched = self._touched
         if not touched:
             return
@@ -109,9 +104,7 @@ class BankKeeper(Journaled):
         self._touched.clear()
 
     def _set_supply(self, denom: str, value: int) -> None:
-        if self.journal is not None:
-            self.journal.record_kv(self._supply, denom, self._supply[denom])
-        self._supply[denom] = value
+        self.journal.put(self._supply, denom, value)
 
     # -- queries --------------------------------------------------------------
 
@@ -192,13 +185,13 @@ class BankKeeper(Journaled):
 
         Appends to the balance column directly and skips the provable-store
         mirror — a million genesis balances would otherwise dominate the
-        store.  Valid only at genesis (no journal attached, ``denom`` not
+        store.  Valid only at genesis (no transaction open, ``denom`` not
         yet credited at or past the block); runtime writes store absolute
         values, so any balance the simulation later touches lands in the
         store as usual.
         """
         self._require_positive(amount)
-        if self.journal is not None:
+        if self.journal.open:
             raise RuntimeError("genesis_mint_range is a genesis-only operation")
         column = self._column(denom, block.start - 1)
         if len(column) > block.start:

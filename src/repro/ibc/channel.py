@@ -12,7 +12,7 @@ import enum
 import json
 
 from repro.errors import ChannelError
-from repro.sim.records import dataclass
+from repro.sim.records import dataclass, record
 
 
 class ChannelOrder(enum.Enum):
@@ -34,9 +34,10 @@ class ChannelCounterparty:
     channel_id: str = ""
 
 
-@dataclass
+@record
 class ChannelEnd:
-    """One chain's view of a channel."""
+    """One chain's view of a channel: a value, so a handshake step stores
+    a new end rather than changing the stored one."""
 
     port_id: str
     channel_id: str

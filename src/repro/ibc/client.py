@@ -5,12 +5,19 @@ height it stores a :class:`ConsensusState` holding the app-state root and
 the header time.  ``update`` verifies a :class:`SignedHeader` — height
 monotonicity, trusting period, and that >2/3 of the known validator set
 signed the commit — exactly the checks that make IBC trust-minimised.
+
+A client hosted by an IBC module writes its consensus states, latest
+height and latest time through the chain's journal, so a failed
+transaction's ``MsgUpdateClient`` leaves no header behind.  A freeze is
+written directly: misbehaviour evidence outlives the transaction that
+carried it.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+from repro.cosmos.journal import Journal
 from repro.errors import ClientError
 from repro.sim.records import dataclass, record
 from repro.tendermint.crypto import GLOBAL_SIGNATURES, hash_value
@@ -80,7 +87,9 @@ class TendermintLightClient:
         chain_id: str,
         validator_set: ValidatorSet,
         trusting_period: float = 14 * 24 * 3600.0,
+        journal: Optional[Journal] = None,
     ):
+        self.journal = journal if journal is not None else Journal()
         self.state = ClientState(
             client_id=client_id, chain_id=chain_id, trusting_period=trusting_period
         )
@@ -147,14 +156,13 @@ class TendermintLightClient:
             timestamp=header.time,
             next_validators_hash=header.next_validators_hash,
         )
-        self.consensus_states[header.height] = state
+        journal = self.journal
+        journal.add(self.consensus_states, header.height, state)
         if header.height > self.state.latest_height:
-            self.state.latest_height = header.height
-            self._latest_time = (
-                header.time
-                if self._latest_time is None
-                else max(self._latest_time, header.time)
-            )
+            journal.assign(self.state, "latest_height", header.height)
+            latest = self._latest_time
+            time = header.time if latest is None else max(latest, header.time)
+            journal.assign(self, "_latest_time", time)
         return state
 
     def _verify_commit(self, header: SignedHeader) -> None:

@@ -12,7 +12,7 @@ import enum
 import json
 from repro.errors import ConnectionError_
 from repro.ibc import keys
-from repro.sim.records import dataclass
+from repro.sim.records import dataclass, record
 
 
 class ConnectionState(enum.Enum):
@@ -28,9 +28,10 @@ class ConnectionCounterparty:
     connection_id: str = ""
 
 
-@dataclass
+@record
 class ConnectionEnd:
-    """One chain's view of a connection."""
+    """One chain's view of a connection: a value, so a handshake step
+    stores a new end rather than changing the stored one."""
 
     connection_id: str
     state: ConnectionState

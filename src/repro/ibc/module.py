@@ -13,10 +13,10 @@ paper's bottleneck findings.
 
 from __future__ import annotations
 
-from dataclasses import field
+from dataclasses import field, replace
 from typing import Any, Callable, Iterable, Optional, Protocol
 
-from repro.cosmos.journal import Journaled
+from repro.cosmos.journal import Journal
 from repro.errors import (
     ChannelError,
     ClientError,
@@ -49,7 +49,6 @@ from repro.ibc.msgs import (
     MsgConnectionOpenConfirm,
     MsgConnectionOpenInit,
     MsgConnectionOpenTry,
-    MsgCreateClient,
     MsgRecvPacket,
     MsgTimeout,
     MsgUpdateClient,
@@ -132,19 +131,27 @@ class CounterpartyChainInfo:
     validator_set: ValidatorSet
 
 
-class IbcModule(Journaled):
-    """Keeper of all IBC state for one chain."""
+class IbcModule:
+    """Keeper of all IBC state for one chain.
+
+    Every write to its typed state, and to its light clients', goes through
+    ``journal`` (cosmos/journal.py).  Client, connection and channel ids
+    are numbered by the size of their tables: ids are never freed, and a
+    creation that a failed transaction rolls back frees its id with it.
+    """
 
     def __init__(
         self,
         chain_id: str,
         store: ProvableStore,
         event_bytes: dict[str, int],
+        journal: Journal,
         proof_mode: str = PROOF_MODE_MERKLE,
     ):
         if proof_mode not in (PROOF_MODE_MERKLE, PROOF_MODE_STUB):
             raise IbcError(f"unknown proof mode {proof_mode!r}")
         self.chain_id = chain_id
+        self.journal = journal
         self.store = store
         self.proof_mode = proof_mode
         self.event_bytes = {**DEFAULT_EVENT_BYTES, **event_bytes}
@@ -166,10 +173,6 @@ class IbcModule(Journaled):
         # Archive of sent packets (what packet-clearing queries reconstruct
         # from the chain's tx history in the real system).
         self._sent_packets: dict[tuple[str, str, int], Packet] = {}
-
-        self._client_index = 0
-        self._connection_index = 0
-        self._channel_index = 0
 
     # ------------------------------------------------------------------
     # Port binding
@@ -198,16 +201,16 @@ class IbcModule(Journaled):
         now: float,
         trusting_period: float = 14 * 24 * 3600.0,
     ) -> tuple[str, list[AbciEvent]]:
-        client_id = keys.client_id(self._client_index)
-        self._client_index += 1
+        client_id = keys.client_id(len(self.clients))
         client = TendermintLightClient(
             client_id=client_id,
             chain_id=counterparty.chain_id,
             validator_set=counterparty.validator_set,
             trusting_period=trusting_period,
+            journal=self.journal,
         )
         client.update(initial_header, now=now)
-        self.clients[client_id] = client
+        self.journal.add(self.clients, client_id, client)
         self.store.set(keys.client_state_path(client_id), counterparty.chain_id.encode())
         return client_id, [self._event("create_client", client_id=client_id)]
 
@@ -231,16 +234,6 @@ class IbcModule(Journaled):
             raise ClientError(f"unknown client {client_id!r}")
         return client
 
-    def handle_create_client(
-        self, msg: MsgCreateClient, ctx: ExecContext,
-        counterparty: CounterpartyChainInfo,
-    ) -> list[AbciEvent]:
-        _, events = self.create_client(
-            counterparty, msg.initial_header, now=ctx.time,
-            trusting_period=msg.trusting_period,
-        )
-        return events
-
     # ------------------------------------------------------------------
     # ICS-03: connection handshake
     # ------------------------------------------------------------------
@@ -249,15 +242,14 @@ class IbcModule(Journaled):
         self, msg: MsgConnectionOpenInit, ctx: ExecContext
     ) -> list[AbciEvent]:
         self._client(msg.client_id)
-        connection_id = keys.connection_id(self._connection_index)
-        self._connection_index += 1
+        connection_id = keys.connection_id(len(self.connections))
         end = ConnectionEnd(
             connection_id=connection_id,
             state=ConnectionState.INIT,
             client_id=msg.client_id,
             counterparty=ConnectionCounterparty(client_id=msg.counterparty_client_id),
         )
-        self._store_connection(end)
+        self._store_connection(end, self.journal.add)
         return [
             self._event(
                 "connection_open_init",
@@ -283,8 +275,7 @@ class IbcModule(Journaled):
             value=expected.encode(),
             proof=msg.proof_init,
         )
-        connection_id = keys.connection_id(self._connection_index)
-        self._connection_index += 1
+        connection_id = keys.connection_id(len(self.connections))
         end = ConnectionEnd(
             connection_id=connection_id,
             state=ConnectionState.TRYOPEN,
@@ -294,7 +285,7 @@ class IbcModule(Journaled):
                 connection_id=msg.counterparty_connection_id,
             ),
         )
-        self._store_connection(end)
+        self._store_connection(end, self.journal.add)
         return [
             self._event(
                 "connection_open_try",
@@ -323,12 +314,15 @@ class IbcModule(Journaled):
             value=expected.encode(),
             proof=msg.proof_try,
         )
-        end.state = ConnectionState.OPEN
-        end.counterparty = ConnectionCounterparty(
-            client_id=end.counterparty.client_id,
-            connection_id=msg.counterparty_connection_id,
+        end = replace(
+            end,
+            state=ConnectionState.OPEN,
+            counterparty=ConnectionCounterparty(
+                client_id=end.counterparty.client_id,
+                connection_id=msg.counterparty_connection_id,
+            ),
         )
-        self._store_connection(end)
+        self._store_connection(end, self.journal.put)
         return [
             self._event("connection_open_ack", connection_id=msg.connection_id)
         ]
@@ -353,8 +347,8 @@ class IbcModule(Journaled):
             value=expected.encode(),
             proof=msg.proof_ack,
         )
-        end.state = ConnectionState.OPEN
-        self._store_connection(end)
+        end = replace(end, state=ConnectionState.OPEN)
+        self._store_connection(end, self.journal.put)
         return [
             self._event("connection_open_confirm", connection_id=msg.connection_id)
         ]
@@ -365,11 +359,10 @@ class IbcModule(Journaled):
             raise ConnectionError_(f"unknown connection {connection_id!r}")
         return end
 
-    def _store_connection(self, end: ConnectionEnd) -> None:
-        journal = self.journal
-        if journal is not None and end.connection_id not in self.connections:
-            journal.record_kv(self.connections, end.connection_id, None)
-        self.connections[end.connection_id] = end
+    def _store_connection(self, end: ConnectionEnd, write: Callable) -> None:
+        """Store ``end`` through ``write``: the journal's ``add`` for a new
+        end, its ``put`` for one that replaces the stored end."""
+        write(self.connections, end.connection_id, end)
         self.store.set(keys.connection_path(end.connection_id), end.encode())
 
     # ------------------------------------------------------------------
@@ -382,8 +375,7 @@ class IbcModule(Journaled):
         self.app_for_port(msg.port_id)
         connection = self._connection(msg.connection_id)
         connection.expect_state(ConnectionState.OPEN)
-        channel_id = keys.channel_id(self._channel_index)
-        self._channel_index += 1
+        channel_id = keys.channel_id(len(self.channels))
         end = ChannelEnd(
             port_id=msg.port_id,
             channel_id=channel_id,
@@ -393,7 +385,7 @@ class IbcModule(Journaled):
             connection_hops=(msg.connection_id,),
             version=msg.version,
         )
-        self._store_channel(end)
+        self._store_channel(end, self.journal.add)
         self._init_sequences(end)
         # The bound application validates the proposed channel (version
         # checks etc.) at INIT, as in ibc-go's OnChanOpenInit.
@@ -428,8 +420,7 @@ class IbcModule(Journaled):
             value=expected.encode(),
             proof=msg.proof_init,
         )
-        channel_id = keys.channel_id(self._channel_index)
-        self._channel_index += 1
+        channel_id = keys.channel_id(len(self.channels))
         end = ChannelEnd(
             port_id=msg.port_id,
             channel_id=channel_id,
@@ -442,7 +433,7 @@ class IbcModule(Journaled):
             connection_hops=(msg.connection_id,),
             version=msg.version,
         )
-        self._store_channel(end)
+        self._store_channel(end, self.journal.add)
         self._init_sequences(end)
         self.app_for_port(msg.port_id).on_chan_open(end)
         return [
@@ -477,12 +468,15 @@ class IbcModule(Journaled):
             value=expected.encode(),
             proof=msg.proof_try,
         )
-        end.state = ChannelState.OPEN
-        end.counterparty = ChannelCounterparty(
-            port_id=end.counterparty.port_id,
-            channel_id=msg.counterparty_channel_id,
+        end = replace(
+            end,
+            state=ChannelState.OPEN,
+            counterparty=ChannelCounterparty(
+                port_id=end.counterparty.port_id,
+                channel_id=msg.counterparty_channel_id,
+            ),
         )
-        self._store_channel(end)
+        self._store_channel(end, self.journal.put)
         self.app_for_port(msg.port_id).on_chan_open(end)
         return [
             self._event(
@@ -516,8 +510,8 @@ class IbcModule(Journaled):
             value=expected.encode(),
             proof=msg.proof_ack,
         )
-        end.state = ChannelState.OPEN
-        self._store_channel(end)
+        end = replace(end, state=ChannelState.OPEN)
+        self._store_channel(end, self.journal.put)
         self.app_for_port(msg.port_id).on_chan_open(end)
         return [
             self._event(
@@ -533,25 +527,19 @@ class IbcModule(Journaled):
             raise ChannelError(f"unknown channel {port_id}/{channel_id}")
         return end
 
-    def _store_channel(self, end: ChannelEnd) -> None:
-        key = (end.port_id, end.channel_id)
-        journal = self.journal
-        if journal is not None and key not in self.channels:
-            journal.record_kv(self.channels, key, None)
-        self.channels[key] = end
+    def _store_channel(self, end: ChannelEnd, write: Callable) -> None:
+        """Store ``end`` as :meth:`_store_connection` stores a connection."""
+        write(self.channels, (end.port_id, end.channel_id), end)
         self.store.set(keys.channel_path(end.port_id, end.channel_id), end.encode())
 
     def _init_sequences(self, end: ChannelEnd) -> None:
         key = (end.port_id, end.channel_id)
+        journal = self.journal
         for sequences in (
             self.next_sequence_send, self.next_sequence_recv, self.next_sequence_ack
         ):
-            if self.journal is not None:
-                self.journal.record_kv(sequences, key, sequences.get(key))
-            sequences[key] = 1
-        if self.journal is not None:
-            self.journal.record_kv(self._commitments, key, self._commitments.get(key))
-        self._commitments[key] = {}
+            journal.add(sequences, key, 1)
+        journal.add(self._commitments, key, {})
         if end.ordering == ChannelOrder.ORDERED:
             self._store_next_sequence_recv(key, 1)
 
@@ -594,9 +582,7 @@ class IbcModule(Journaled):
         port_id, channel_id = key = (end.port_id, end.channel_id)
         sequence = self.next_sequence_send[key]
         journal = self.journal
-        if journal is not None:
-            journal.record_kv(self.next_sequence_send, key, sequence)
-        self.next_sequence_send[key] = sequence + 1
+        journal.put(self.next_sequence_send, key, sequence + 1)
         counterparty = end.counterparty
         packet = Packet(
             sequence, port_id, channel_id, counterparty.port_id,
@@ -604,12 +590,8 @@ class IbcModule(Journaled):
         )
         commitment = packet.commitment()
         commit_key = (port_id, channel_id, sequence)
-        commitments = self._commitments[key]
-        if journal is not None:
-            journal.record_kv(commitments, sequence, None)
-            journal.record_kv(self._sent_packets, commit_key, None)
-        commitments[sequence] = commitment
-        self._sent_packets[commit_key] = packet
+        journal.add(self._commitments[key], sequence, commitment)
+        journal.add(self._sent_packets, commit_key, packet)
         self.store.set(keys.packet_commitment_path(*commit_key), commitment)
         size = self.event_bytes["send_packet"]
         return AbciEvent("send_packet", (), size, packet, self.chain_id)
@@ -689,18 +671,14 @@ class IbcModule(Journaled):
                         f"ordered channel expects sequence {expected}, "
                         f"got {packet.sequence}"
                     )
-                if journal is not None:
-                    journal.record_kv(self.next_sequence_recv, dest, expected)
-                self.next_sequence_recv[dest] = expected + 1
+                journal.put(self.next_sequence_recv, dest, expected + 1)
                 self._store_next_sequence_recv(dest, expected + 1)
             else:
                 if receipt_key in receipts:
                     raise RedundantPacketError(
                         f"unordered packet {packet.sequence} already received"
                     )
-                if journal is not None:
-                    journal.record_kv(receipts, receipt_key, None)
-                receipts[receipt_key] = True
+                journal.add(receipts, receipt_key, True)
                 store.set(keys.packet_receipt_path(*receipt_key), b"\x01")
             # Route to the application (Fig. 2 step 4), write the ack (step 5).
             ack = app.on_recv_packet(packet, ctx)
@@ -714,9 +692,7 @@ class IbcModule(Journaled):
                 raise RedundantPacketError(
                     f"acknowledgement for packet {packet.sequence} already written"
                 )
-            if journal is not None:
-                journal.record_kv(acks, receipt_key, None)
-            acks[receipt_key] = ack
+            journal.add(acks, receipt_key, ack)
             store.set(keys.packet_acknowledgement_path(*receipt_key), ack.commitment())
             events.append(
                 AbciEvent("write_acknowledgement", (), ack_size, packet, src_chain, ack)
@@ -773,12 +749,8 @@ class IbcModule(Journaled):
                         f"ordered channel expects ack sequence {expected}, "
                         f"got {sequence}"
                     )
-                if journal is not None:
-                    journal.record_kv(self.next_sequence_ack, source, expected)
-                self.next_sequence_ack[source] = expected + 1
-            if journal is not None:
-                journal.record_kv(commitments, sequence, commitment)
-            del commitments[sequence]
+                journal.put(self.next_sequence_ack, source, expected + 1)
+            journal.pop(commitments, sequence)
             store.delete(keys.packet_commitment_path(*source, sequence))
             app.on_acknowledgement(packet, msg.acknowledgement, ctx)
             events.append(
@@ -838,9 +810,7 @@ class IbcModule(Journaled):
                 ),
                 proof=msg.proof_unreceived,
             )
-        if self.journal is not None:
-            self.journal.record_kv(commitments, packet.sequence, commitment)
-        del commitments[packet.sequence]
+        self.journal.pop(commitments, packet.sequence)
         self.store.delete(keys.packet_commitment_path(*src_key))
         app = self.app_for_port(packet.source_port)
         app.on_timeout(packet, ctx)

@@ -92,14 +92,13 @@ def test_module_address_deterministic():
 
 
 def test_journal_rollback_restores_bank():
-    bank = BankKeeper()
-    bank.mint("alice", "uatom", 100)
     journal = Journal()
-    bank.journal = journal
+    bank = BankKeeper(journal=journal)
+    bank.mint("alice", "uatom", 100)
+    journal.begin()
     bank.send("alice", "bob", "uatom", 60)
     bank.burn("bob", "uatom", 10)
     journal.rollback()
-    bank.journal = None
     assert bank.balance("alice", "uatom") == 100
     assert bank.balance("bob", "uatom") == 0
     assert bank.supply("uatom") == 100

@@ -88,7 +88,8 @@ class BankDifferential(RuleBasedStateMachine):
         super().__init__()
         self.index = AddressIndex()
         self.accounts = AccountKeeper(index=self.index)
-        self.bank = BankKeeper(index=self.index)
+        self.journal = Journal()
+        self.bank = BankKeeper(index=self.index, journal=self.journal)
         self.model = DictModel()
         #: Accounts a rule may name: created users and bound members.
         self.created: set = set()
@@ -184,8 +185,8 @@ class BankDifferential(RuleBasedStateMachine):
         """A journaled mutation burst, then rollback: the array columns
         must restore to exactly the reference state (which never moved),
         and a bound member stays bound."""
-        journal = Journal()
-        self.bank.journal = journal
+        journal = self.journal
+        journal.begin()
         try:
             self.bank.mint(sender, denom, mint_amount)
             try:
@@ -197,7 +198,6 @@ class BankDifferential(RuleBasedStateMachine):
             pass
         finally:
             journal.rollback()
-            self.bank.journal = None
         self.check_balances_match()
 
     # -- invariants ----------------------------------------------------

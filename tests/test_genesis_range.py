@@ -116,12 +116,14 @@ def test_create_range_numbers_accounts_in_slot_order():
 
 def test_genesis_mint_range_is_genesis_only():
     index = AddressIndex()
-    bank = BankKeeper(index=index)
+    journal = Journal()
+    bank = BankKeeper(index=index, journal=journal)
     block = AccountKeeper(index=index).create_range(3)
-    bank.journal = Journal()
+    journal.begin()  # inside a transaction: refused, and nothing written
     with pytest.raises(RuntimeError, match="genesis-only"):
         bank.genesis_mint_range(block, "stake", 10)
-    bank.journal = None
+    assert bank.supply("stake") == bank.total_of("stake") == 0
+    journal.commit()
     bank.genesis_mint_range(block, "stake", 10)
     assert bank.supply("stake") == bank.total_of("stake") == 30
     # A second funding of the same block would overwrite, not add.

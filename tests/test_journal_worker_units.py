@@ -3,64 +3,83 @@
 import pytest
 
 from repro.calibration import DEFAULT_CALIBRATION
-from repro.cosmos.journal import Journal, Journaled
+from repro.cosmos.journal import Journal
 
 
 def test_journal_rollback_order_is_reverse():
-    """Two writes to one key roll back to the oldest value, and a key that
-    was absent before its first write is removed."""
+    """Two writes to one key roll back to the oldest value, a key that was
+    absent before its first write is removed, a removed key and an
+    attribute come back, and rollback closes the transaction."""
     journal = Journal()
-    state = {"a": 1}
-    journal.record_kv(state, "a", state["a"])
-    state["a"] = 2
-    journal.record_kv(state, "a", state["a"])
-    state["a"] = 3
-    journal.record_kv(state, "b", None)
-    state["b"] = 9
+    state = {"a": 1, "c": 4}
+
+    class Holder:
+        height = 5
+
+    holder = Holder()
+    journal.begin()
+    journal.put(state, "a", 2)
+    journal.put(state, "a", 3)
+    journal.add(state, "b", 9)
+    assert journal.pop(state, "c") == 4
+    journal.assign(holder, "height", 6)
+    assert (state, holder.height, len(journal)) == ({"a": 3, "b": 9}, 6, 5)
     journal.rollback()
-    assert state == {"a": 1}
-    assert len(journal) == 0
+    assert state == {"a": 1, "c": 4}
+    assert holder.height == 5
+    assert len(journal) == 0 and not journal.open
 
 
 def test_journal_commit_discards_undos():
     journal = Journal()
     state = {"a": 1}
-    journal.record_kv(state, "a", state["a"])
-    state["a"] = 2
-    journal.record_kv(state, "b", None)
-    state["b"] = 5
+    journal.begin()
+    journal.put(state, "a", 2)
+    journal.add(state, "b", 5)
     journal.commit()
+    assert not journal.open
     journal.rollback()  # nothing left to undo
     assert state == {"a": 2, "b": 5}
 
 
-def test_journaled_mixin_noop_without_journal():
-    """A keeper with no journal attached records nothing: its writes
-    stand, and a journal attached afterwards has nothing to undo."""
+def test_journal_records_nothing_outside_a_transaction():
+    """A keeper's writes with no transaction open stand, and a transaction
+    opened afterwards has nothing to undo."""
     from repro.cosmos.bank import BankKeeper
 
-    bank = BankKeeper()
-    assert isinstance(bank, Journaled) and bank.journal is None
+    journal = Journal()
+    bank = BankKeeper(journal=journal)
+    assert bank.journal is journal
     bank.mint("alice", "x", 10)
     bank.send("alice", "bob", "x", 4)
-    journal = Journal()
-    bank.journal = journal
+    journal.begin()
     assert len(journal) == 0
     journal.rollback()
     assert (bank.balance("alice", "x"), bank.balance("bob", "x")) == (6, 4)
 
 
-def test_journaled_mixin_records_when_attached():
+def test_journal_records_a_keepers_writes_inside_a_transaction():
     from repro.cosmos.bank import BankKeeper
 
-    bank = BankKeeper()
-    bank.mint("alice", "x", 10)
     journal = Journal()
-    bank.journal = journal
+    bank = BankKeeper(journal=journal)
+    bank.mint("alice", "x", 10)
+    journal.begin()
     bank.send("alice", "bob", "x", 4)
     assert len(journal) == 2  # one (column, index, previous) per balance
     journal.rollback()
     assert (bank.balance("alice", "x"), bank.balance("bob", "x")) == (10, 0)
+
+
+def test_keepers_built_bare_get_a_journal_of_their_own():
+    """Outside an application a keeper still writes through a journal;
+    the application hands all of its keepers one."""
+    from repro.cosmos.app import GaiaApp
+    from repro.cosmos.bank import BankKeeper
+
+    assert isinstance(BankKeeper().journal, Journal)
+    app = GaiaApp("journal-chain")
+    assert app.bank.journal is app.ibc.journal is app.journal
 
 
 def test_nested_state_rollback_composition():

@@ -60,12 +60,13 @@ def net():
 
 @contextmanager
 def closed(chain, channel_id):
-    end = chain.ibc.channels[("transfer", channel_id)]
-    end.state = ChannelState.CLOSED
+    channels, key = chain.ibc.channels, ("transfer", channel_id)
+    end = channels[key]
+    channels[key] = replace(end, state=ChannelState.CLOSED)
     try:
         yield
     finally:
-        end.state = ChannelState.OPEN
+        channels[key] = end
 
 
 def replay(chain) -> GasSchedule:

@@ -31,8 +31,18 @@ import pytest
 
 import repro
 from repro.errors import from_wire, to_wire
-from repro.ibc.channel import ChannelOrder
+from repro.ibc.channel import (
+    ChannelCounterparty,
+    ChannelEnd,
+    ChannelOrder,
+    ChannelState,
+)
 from repro.ibc.client import ConsensusState, SignedHeader
+from repro.ibc.connection import (
+    ConnectionCounterparty,
+    ConnectionEnd,
+    ConnectionState,
+)
 from repro.ibc.msgs import (
     MsgAcknowledgement,
     MsgChannelOpenAck,
@@ -147,6 +157,15 @@ SAMPLES = {
         ),
         MsgChannelOpenAck("transfer", "channel-0", "channel-1", _STORE_PROOF, 4, "r"),
         MsgChannelOpenConfirm("transfer", "channel-1", _STORE_PROOF, 4, "relayer"),
+        ConnectionEnd(
+            "connection-0", ConnectionState.OPEN, "07-tendermint-0",
+            ConnectionCounterparty("07-tendermint-1", "connection-1"), ("1",), 5.0,
+        ),
+        ChannelEnd(
+            "transfer", "channel-0", ChannelState.OPEN, ChannelOrder.UNORDERED,
+            ChannelCounterparty("transfer", "channel-1"), ("connection-0",),
+            "ics20-1",
+        ),
         MsgTransfer(
             "transfer", "channel-0", "uatom", 5, "alice", "bob",
             Height(0, 120), 90.0, "alice",

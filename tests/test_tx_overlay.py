@@ -4,16 +4,21 @@
 go to an overlay that is merged on success and dropped on failure, and the
 bank mirrors each balance it touched once, at its final value.  These tests
 pin the write counts of a Hermes ``ft-transfer --number-msgs`` transaction
-and guard that the overlay stays the store's only transaction mechanism.
+and guard that the overlay stays the store's only transaction mechanism,
+and that the journal (cosmos/journal.py) is the only code that records
+undo entries.
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
+import textwrap
 from collections import Counter
 from pathlib import Path
 
 from repro.cosmos.app import FEE_DENOM, TRANSFER_DENOM
+from repro.cosmos.journal import Journal
 from repro.ibc import packet as packet_module
 from repro.ibc.msgs import MsgTransfer
 from repro.ibc.packet import Height
@@ -25,6 +30,24 @@ from tests.ibc_harness import IbcPair
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 _OVERLAY_METHODS = {"open_overlay", "merge_overlay", "drop_overlay"}
+_JOURNAL_MODULE = "repro.cosmos.journal"
+
+
+def _record_methods() -> frozenset[str]:
+    """The journal's write methods: every public method whose body appends
+    an undo entry, found by reading the class, so a renamed or added
+    method is covered without editing this file."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(Journal)))
+    return frozenset(
+        method.name
+        for method in tree.body[0].body
+        if isinstance(method, ast.FunctionDef)
+        and not method.name.startswith("_")
+        and any(
+            isinstance(node, ast.Call) and _method_name(node) == "append"
+            for node in ast.walk(method)
+        )
+    )
 
 
 def test_number_msgs_transfer_writes_each_key_once(monkeypatch):
@@ -127,11 +150,31 @@ def _method_name(call: ast.Call) -> str:
 
 
 def _journals_a_store(call: ast.Call) -> bool:
-    """A ``record_kv`` whose mapping is a store or a store's data dict."""
-    if _method_name(call) != "record_kv" or not call.args:
+    """A journal write whose target is a store or a store's data dict."""
+    if _method_name(call) not in _record_methods() or not call.args:
         return False
+    if "journal" not in ast.unparse(call.func.value):
+        return False  # ``set.add``, ``dict.pop``: not a journal write
     mapping = ast.unparse(call.args[0])
     return "store" in mapping or "_data" in mapping
+
+
+def _appends_undo(module: str, tree: ast.AST) -> list[str]:
+    """Where a module other than the journal touches an undo log: the
+    journal's private list, or an ``append`` onto anything named undo."""
+    if module == _JOURNAL_MODULE:
+        return []
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "_undo":
+            found.append(ast.unparse(node))
+        elif (
+            isinstance(node, ast.Call)
+            and _method_name(node) == "append"
+            and "undo" in ast.unparse(node.func.value).lower()
+        ):
+            found.append(ast.unparse(node))
+    return [f"{module}: {spelling}" for spelling in found]
 
 
 def _overlay_offenders(calls) -> list[str]:
@@ -143,12 +186,25 @@ def _overlay_offenders(calls) -> list[str]:
     ]
 
 
+def test_record_methods_are_found():
+    assert {"add", "put", "pop", "assign"} <= _record_methods()
+    assert not {"begin", "commit", "rollback"} & _record_methods()
+
+
 def test_no_store_mapping_is_journaled():
     offenders = [
         f"{module}:{function}: {ast.unparse(call)}"
         for module, function, call in _source_calls()
         if _journals_a_store(call)
     ]
+    assert offenders == []
+
+
+def test_only_the_journal_appends_undo_entries():
+    offenders = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        offenders += _appends_undo(module, ast.parse(path.read_text(), str(path)))
     assert offenders == []
 
 
@@ -164,20 +220,33 @@ def test_only_deliver_tx_opens_merges_or_drops_the_overlay():
 
 
 def test_guards_recognise_the_forbidden_spellings():
+    writes = "".join(
+        f"        self.journal.{name}(self.store._data, k, v)\n"
+        f"        journal.{name}(self._data, k, v)\n"
+        f"        journal.{name}(self._commitments, k, v)\n"
+        f"        self.stores.{name}(store, k, v)\n"
+        for name in sorted(_record_methods())
+    )
     tree = ast.parse(
         "class Keeper:\n"
         "    def write(self):\n"
-        "        self.journal.record_kv(self.store._data, k, None)\n"
-        "        journal.record_kv(self._data, k, None)\n"
-        "        journal.record_kv(self._commitments, k, None)\n"
-        "        self.store.open_overlay()\n"
+        + writes
+        + "        self.store.open_overlay()\n"
+        "        self.journal._undo.append((setitem, m, k, v))\n"
+        "        undo_log.append(entry)\n"
         "def helper(store):\n"
         "    store.merge_overlay()\n"
         "    store.drop_overlay()\n"
     )
     calls = [("repro.x", f, c) for f, c in _calls_in_functions(tree)]
     journaled = [ast.unparse(c.args[0]) for _, _, c in calls if _journals_a_store(c)]
-    assert journaled == ["self.store._data", "self._data"]
+    assert journaled == ["self.store._data", "self._data"] * len(_record_methods())
+    assert sorted(_appends_undo("repro.x", tree)) == [
+        "repro.x: self.journal._undo",
+        "repro.x: self.journal._undo.append((setitem, m, k, v))",
+        "repro.x: undo_log.append(entry)",
+    ]
+    assert _appends_undo(_JOURNAL_MODULE, tree) == []
     assert _overlay_offenders(calls) == [
         "repro.x:Keeper.write.open_overlay",
         "repro.x:helper.merge_overlay",
