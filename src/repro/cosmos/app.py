@@ -73,7 +73,8 @@ class FeePool:
 
 
 #: A route executes one run of same-type messages: ``charge(msg)`` just
-#: before each message, its events appended to ``events``.
+#: before each message (or ``charge(msg, count)`` before a stretch of one
+#: repeated message), its events appended to ``events``.
 Route = Callable[[Iterable[Any], ExecContext, Charge, list[AbciEvent]], None]
 
 
@@ -270,13 +271,11 @@ class GaiaApp:
             )
 
         meter = GasMeter(limit=tx.gas_limit)
-        meter.consume(self.cal.gas_tx_overhead, "tx overhead")
-        consume = meter.consume
-        gas_for_msg = self.gas_schedule.gas_for_msg
+        meter.consume(self.cal.gas_tx_overhead)
+        bill = self.gas_schedule.charge
 
-        def charge(msg: Any) -> None:
-            kind = getattr(msg, "kind", "unknown")
-            consume(gas_for_msg(kind), kind)
+        def charge(msg: Any, count: int = 1) -> None:
+            bill(meter, getattr(msg, "kind", "unknown"), count)
 
         # The keepers' typed state rolls back through the journal; the
         # provable store buffers the transaction's writes in its overlay.

@@ -25,7 +25,7 @@ class GasMeter:
     limit: int
     consumed: int = 0
 
-    def consume(self, amount: int, descriptor: str = "") -> None:
+    def consume(self, amount: int) -> None:
         self.consumed += amount
         if self.consumed > self.limit:
             raise OutOfGasError(limit=self.limit, used=self.consumed)
@@ -73,6 +73,31 @@ class GasSchedule:
         if band <= 0:
             return base
         return int(base * (1.0 + self._rng.uniform(-band, band)))
+
+    def charge(self, meter: GasMeter, kind: str, count: int = 1) -> None:
+        """Bill ``count`` messages of ``kind`` to ``meter`` in one loop.
+
+        Makes the draws of ``count`` :meth:`gas_for_msg` calls, in order,
+        and adds each message's gas as :meth:`GasMeter.consume` would: the
+        first message that takes the meter over its limit raises
+        :class:`OutOfGasError` with the total up to and including it, and
+        the messages after it draw nothing.  So billing a stretch of
+        repeated messages at once moves the RNG stream and the meter
+        exactly as billing them one at a time does.
+        """
+        base, band = self._costs.get(kind, _FLAT_GAS)
+        # ``rng.uniform(-band, band)`` is ``lo + (hi - lo) * rng.random()``;
+        # inlined, with the same operands, so each draw is bit-identical.
+        lo = -band
+        span = band - lo
+        draw = self._rng.random
+        consumed, limit = meter.consumed, meter.limit
+        for _ in range(count):
+            consumed += int(base * (1.0 + (lo + span * draw()))) if band > 0 else base
+            if consumed > limit:
+                meter.consumed = consumed
+                raise OutOfGasError(limit=limit, used=consumed)
+        meter.consumed = consumed
 
     def estimate_tx_gas(self, msg_kinds: list[str]) -> int:
         """Deterministic (jitter-free) estimate used for tx gas limits."""

@@ -99,8 +99,12 @@ class ExecContext:
         self.here = Height(0, self.height)
 
 
-#: Bills one message's gas just before a run route executes it.
-Charge = Callable[[Any], None]
+class Charge(Protocol):
+    """Bills gas just before a run route executes ``msg``: one message's,
+    or, with ``count``, that of ``count`` repeats of it, drawn and checked
+    against the limit one message at a time."""
+
+    def __call__(self, msg: Any, count: int = 1) -> None: ...
 
 
 class IbcApplication(Protocol):
@@ -570,31 +574,39 @@ class IbcModule:
             raise PacketError("packet must have a timeout height or timestamp")
         return end
 
-    def send_packet(
+    def send_packets(
         self,
         end: ChannelEnd,
         data: bytes,
         timeout_height: Height,
         timeout_timestamp: float,
-    ) -> AbciEvent:
-        """SendPacket (Fig. 2 step 1) on an end that passed
-        :meth:`sending_channel`: store the commitment + timeout."""
+        count: int,
+        events: list[AbciEvent],
+    ) -> None:
+        """SendPacket (Fig. 2 step 1), ``count`` times, on an end that
+        passed :meth:`sending_channel`: advance ``nextSequenceSend`` once
+        by ``count``, then store each packet's commitment and timeout and
+        append its event.  Every packet keeps its own sequence, commitment,
+        sent-packet entry, store write and event."""
         port_id, channel_id = key = (end.port_id, end.channel_id)
-        sequence = self.next_sequence_send[key]
+        first = self.next_sequence_send[key]
         journal = self.journal
-        journal.put(self.next_sequence_send, key, sequence + 1)
+        journal.put(self.next_sequence_send, key, first + count)
         counterparty = end.counterparty
-        packet = Packet(
-            sequence, port_id, channel_id, counterparty.port_id,
-            counterparty.channel_id, data, timeout_height, timeout_timestamp,
-        )
-        commitment = packet.commitment()
-        commit_key = (port_id, channel_id, sequence)
-        journal.add(self._commitments[key], sequence, commitment)
-        journal.add(self._sent_packets, commit_key, packet)
-        self.store.set(keys.packet_commitment_path(*commit_key), commitment)
-        size = self.event_bytes["send_packet"]
-        return AbciEvent("send_packet", (), size, packet, self.chain_id)
+        dest_port, dest_channel = counterparty.port_id, counterparty.channel_id
+        commitments, sent, store = self._commitments[key], self._sent_packets, self.store
+        size, chain_id = self.event_bytes["send_packet"], self.chain_id
+        for sequence in range(first, first + count):
+            packet = Packet(
+                sequence, port_id, channel_id, dest_port, dest_channel, data,
+                timeout_height, timeout_timestamp,
+            )
+            commitment = packet.commitment()
+            commit_key = (port_id, channel_id, sequence)
+            journal.add(commitments, sequence, commitment)
+            journal.add(sent, commit_key, packet)
+            store.set(keys.packet_commitment_path(*commit_key), commitment)
+            events.append(AbciEvent("send_packet", (), size, packet, chain_id))
 
     def _packet_route(self, key: tuple[str, str]) -> tuple:
         """What each packet message on channel ``key`` needs before its own

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
+from itertools import groupby
 from typing import Iterable, Optional, Protocol
 
 from repro.cosmos.bank import module_address
@@ -195,7 +196,7 @@ def parse_forward_receiver(receiver: str) -> Optional[ForwardRoute]:
 _SUCCESS_ACK = Acknowledgement(success=True, result="AQ==")
 
 
-def _uncharged(msg: MsgTransfer) -> None:
+def _uncharged(msg: MsgTransfer, count: int = 1) -> None:
     """A forward hop's onward send is part of its receive's gas."""
 
 
@@ -224,40 +225,64 @@ class TransferApp:
         events: list[AbciEvent],
     ) -> None:
         """The ``MsgTransfer`` handler, for a run: lock or burn each
-        message's tokens and send its packet.  The CLI repeats one frozen
-        message ``--number-msgs`` times, so what depends only on the message
-        (trace, escrow or burn, payload, the channel's send checks) is done
-        once per stretch of one object; the bank move and packet are not."""
-        ibc = self.ibc
-        last = None
-        for msg in run:
-            charge(msg)
-            if msg is not last:
-                if msg.amount <= 0:
-                    raise PacketError(f"transfer amount must be positive: {msg.amount}")
-                port, channel = msg.source_port, msg.source_channel
-                trace = self.denoms.resolve(msg.denom)
-                # Escrow unless a voucher goes back over its own hop: burn that.
-                escrow = (
-                    escrow_address(port, channel)
-                    if sender_chain_is_source(port, channel, trace)
-                    else None
-                )
-                data = _ftpd_encode(
-                    trace.full_path(), msg.amount, msg.sender, msg.receiver
-                )
-            if escrow is None:
-                self.bank.burn(msg.sender, msg.denom, msg.amount)
-            else:
-                self.bank.send(msg.sender, escrow, msg.denom, msg.amount)
-            if msg is not last:  # after the bank move, as for a lone message
+        message's tokens and send its packet.
+
+        The CLI repeats one frozen message ``--number-msgs`` times, so the
+        run executes per *stretch* of one message object (the same object
+        means the same fields): its gas is drawn in one ``charge`` loop,
+        its tokens move in one bank move and its packets are sent by one
+        :meth:`IbcModule.send_packets`.  Failures stay those of message by
+        message execution.  The first message is charged, checked (amount,
+        trace, payload), moved and its channel checked, in that order.  The
+        moves that would succeed one by one (the *affordable* prefix) go as
+        one; the rest of the stretch is charged through its first
+        unaffordable message, which then fails as a lone bank move, with
+        the bank's own error.  DESIGN.md, "Message runs"."""
+        ibc, bank = self.ibc, self.bank
+        # By identity: equal messages may still commit differently (a
+        # timestamp of 0 and one of 0.0).
+        for _, stretch in groupby(run, id):
+            msgs = list(stretch)
+            msg, count = msgs[0], len(msgs)
+            charge(msg)  # the first message's, before its checks
+            amount, sender, denom = msg.amount, msg.sender, msg.denom
+            if amount <= 0:
+                raise PacketError(f"transfer amount must be positive: {amount}")
+            port, channel = msg.source_port, msg.source_channel
+            trace = self.denoms.resolve(denom)
+            # Escrow unless a voucher goes back over its own hop: burn that.
+            escrow = (
+                escrow_address(port, channel)
+                if sender_chain_is_source(port, channel, trace)
+                else None
+            )
+            data = _ftpd_encode(trace.full_path(), amount, sender, msg.receiver)
+            affordable = min(count, bank.balance(sender, denom) // amount)
+            moved = affordable * amount
+            if affordable and sender == escrow:
+                # A move to itself leaves the balance as it was: all succeed.
+                affordable, moved = count, amount
+            if affordable:
+                self._lock(sender, escrow, denom, moved)
                 end = ibc.sending_channel(
                     port, channel, msg.timeout_height, msg.timeout_timestamp
                 )
-                last = msg
-            events.append(
-                ibc.send_packet(end, data, msg.timeout_height, msg.timeout_timestamp)
+                # The rest, through the first unaffordable message.
+                charge(msg, min(affordable + 1, count) - 1)
+            if affordable < count:
+                # Less than ``amount`` is left: this move raises.
+                self._lock(sender, escrow, denom, amount)
+            ibc.send_packets(
+                end, data, msg.timeout_height, msg.timeout_timestamp, count, events
             )
+
+    def _lock(self, sender: str, escrow: Optional[str], denom: str, amount: int) -> None:
+        """Escrow ``amount`` of the sender's tokens, or burn them when
+        ``escrow`` is None."""
+        if escrow is None:
+            self.bank.burn(sender, denom, amount)
+        else:
+            self.bank.send(sender, escrow, denom, amount)
 
     # ------------------------------------------------------------------
     # IbcApplication callbacks

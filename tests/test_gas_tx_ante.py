@@ -49,6 +49,35 @@ def test_gas_jitter_bands_match_paper():
         assert max(values) <= base * (1 + band) + 1
 
 
+@pytest.mark.parametrize("kind", ["transfer", "recv_packet", "acknowledgement", "connection_open_init"])
+def test_charge_draws_and_fails_as_one_message_at_a_time(kind):
+    """``charge(meter, kind, count)`` makes the draws of ``count``
+    ``gas_for_msg`` calls, bit for bit, and fails at the same message with
+    the same total as consuming them one by one; the messages after the
+    failing one draw nothing."""
+    def schedule():
+        return GasSchedule(rng=RngRegistry(2).stream("test/gas-charge"))
+
+    one_by_one, stretch = schedule(), schedule()
+    draws = [one_by_one.gas_for_msg(kind) for _ in range(50)]
+    meter = GasMeter(limit=10**12)
+    stretch.charge(meter, kind, 0)
+    assert meter.consumed == 0
+    stretch.charge(meter, kind, 50)
+    assert meter.consumed == sum(draws)
+    assert stretch.gas_for_msg(kind) == one_by_one.gas_for_msg(kind)
+
+    for k in (0, 1, 25, 49):
+        one_by_one, stretch = schedule(), schedule()
+        draws = [one_by_one.gas_for_msg(kind) for _ in range(k + 1)]
+        limit = 1_000 + sum(draws) - 1  # message k's draw is the first too many
+        meter = GasMeter(limit=limit, consumed=1_000)
+        with pytest.raises(OutOfGasError) as caught:
+            stretch.charge(meter, kind, 50)
+        assert (caught.value.used, meter.consumed) == (limit + 1, limit + 1)
+        assert stretch.gas_for_msg(kind) == one_by_one.gas_for_msg(kind)
+
+
 def test_estimate_is_deterministic():
     schedule = GasSchedule()
     kinds = ["transfer"] * 100

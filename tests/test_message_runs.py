@@ -3,10 +3,11 @@ runs of one message type with one route call each (DESIGN.md, "Message
 runs").
 
 A run may look up once what depends only on the message object, the
-channel or the proof height, but its failures must stay those of message
-by message execution.  Each case below fails message ``k`` of a transfer,
-recv or ack run and checks, against a replay of the chain's own gas
-stream, that:
+channel or the proof height, and a transfer run moves a stretch of one
+repeated message's tokens in one bank move, but its failures must stay
+those of message by message execution.  Each case below fails message
+``k`` of a transfer, recv or ack run and checks, against a replay of the
+chain's own gas stream, that:
 
 * the code and log are the failing message's;
 * ``gas_used`` is the overhead plus the draws of messages ``0..k`` (the
@@ -16,7 +17,8 @@ stream, that:
   ``k``'s.
 
 A mixed transaction then pins the events and state of a successful
-transaction made of four runs.
+transaction made of four runs, and a chain-only run at the mempool limit
+pins the report bytes of the send path.
 """
 
 from __future__ import annotations
@@ -28,13 +30,16 @@ from dataclasses import replace
 
 import pytest
 
+from repro import ExperimentConfig, run_experiment
 from repro.cosmos.accounts import Wallet
 from repro.cosmos.app import TRANSFER_DENOM
 from repro.cosmos.gas import GasSchedule
+from repro.cosmos.journal import Journal
 from repro.ibc import keys
 from repro.ibc.channel import ChannelOrder, ChannelState
 from repro.ibc.msgs import MsgAcknowledgement, MsgTransfer
 from repro.ibc.packet import Acknowledgement, Height
+from repro.ibc.transfer import escrow_address
 
 from tests.ibc_harness import DirectChain, IbcPair
 from tests.test_journal_rollback import snapshot
@@ -75,12 +80,12 @@ def replay(chain) -> GasSchedule:
     return GasSchedule(chain.app.cal, rng=rng)
 
 
-def transfer(pair, amount=AMOUNT, sender=None, channel=None) -> MsgTransfer:
+def transfer(pair, amount=AMOUNT, sender=None, channel=None, denom=TRANSFER_DENOM) -> MsgTransfer:
     sender = sender or pair.user
     return MsgTransfer(
         source_port="transfer",
         source_channel=channel or pair.chan_a,
-        denom=TRANSFER_DENOM,
+        denom=denom,
         amount=amount,
         sender=sender.wallet.address,
         receiver=pair.receiver.address,
@@ -113,6 +118,25 @@ def check_failed_run(chain, factory, prefix_gas, msgs, k, *, code, log, gas_limi
     assert chain.app.gas_schedule.gas_for_msg(kind) == schedule.gas_for_msg(kind)
 
 
+def check_ok_run(chain, factory, msgs):
+    """Run ``msgs`` as one tx on ``chain``; it must succeed, bill each
+    message's draw of the chain's gas stream, and send one packet each."""
+    schedule = replay(chain)
+    draws = [schedule.gas_for_msg(m.kind) for m in msgs]
+    (result,) = chain.make_block([factory.build(msgs, gas_limit=10**9)])
+    assert result.ok, result.log
+    assert result.gas_used == chain.app.cal.gas_tx_overhead + sum(draws)
+    assert [e.type for e in result.events] == ["send_packet"] * len(msgs)
+    kind = msgs[0].kind
+    assert chain.app.gas_schedule.gas_for_msg(kind) == schedule.gas_for_msg(kind)
+    return result
+
+
+def insufficient(factory, held, denom=TRANSFER_DENOM) -> str:
+    """The bank's log for a move of ``AMOUNT`` that finds ``held``."""
+    return f"{factory.wallet.address} has {held}{denom}, needs {AMOUNT}{denom}"
+
+
 def out_of_gas_limit(chain, prefix_gas, msgs, k) -> int:
     """A gas limit that message ``k``'s charge is the first to exceed."""
     schedule = replay(chain)
@@ -133,8 +157,102 @@ def test_transfer_run_insufficient_funds(net, k):
     ab, _, _ = net
     poor = ab.a.fund_wallet(Wallet.named(f"runs-poor-{k}"), tokens=k * AMOUNT + AMOUNT - 1)
     msgs = [transfer(ab, sender=poor)] * RUN  # one object, as the CLI sends it
-    log = f"{poor.wallet.address} has {AMOUNT - 1}{TRANSFER_DENOM}, needs {AMOUNT}{TRANSFER_DENOM}"
-    check_failed_run(ab.a, poor, 0, msgs, k, code=5, log=log)
+    check_failed_run(ab.a, poor, 0, msgs, k, code=5, log=insufficient(poor, AMOUNT - 1))
+
+
+def test_transfer_stretch_at_exactly_its_balance(net):
+    """A balance of exactly ``RUN x AMOUNT`` pays every message of a
+    stretch; one token less fails its last message, as message-by-message
+    execution does, with the bank's log and the gas of all ``RUN`` draws."""
+    ab, _, _ = net
+    exact = ab.a.fund_wallet(Wallet.named("runs-exact"), tokens=RUN * AMOUNT)
+    check_ok_run(ab.a, exact, [transfer(ab, sender=exact)] * RUN)
+    assert ab.a.bank.balance(exact.wallet.address, TRANSFER_DENOM) == 0
+    short = ab.a.fund_wallet(Wallet.named("runs-short"), tokens=RUN * AMOUNT - 1)
+    msgs = [transfer(ab, sender=short)] * RUN
+    log = insufficient(short, AMOUNT - 1)
+    check_failed_run(ab.a, short, 0, msgs, RUN - 1, code=5, log=log)
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_second_stretch_failure_rolls_back_the_first(net, k):
+    """Two objects of one type make two stretches of one run; the second
+    stretch failing at its message ``k`` (funds, then gas) rolls back the
+    first stretch's moves, sequences and packets as well."""
+    ab, _, _ = net
+    first_cost, second_cost = 3 * AMOUNT, 2 * AMOUNT
+    tokens = first_cost + k * second_cost + second_cost - 1
+    poor = ab.a.fund_wallet(Wallet.named(f"runs-two-{k}"), tokens=tokens)
+    msgs = [transfer(ab, sender=poor)] * 3 + [transfer(ab, amount=2 * AMOUNT, sender=poor)] * 3
+    log = f"{poor.wallet.address} has {second_cost - 1}{TRANSFER_DENOM}, needs {second_cost}{TRANSFER_DENOM}"
+    check_failed_run(ab.a, poor, 0, msgs, 3 + k, code=5, log=log)
+    msgs = [transfer(ab)] * 3 + [transfer(ab, amount=2 * AMOUNT)] * 3
+    limit = out_of_gas_limit(ab.a, 0, msgs, 3 + k)
+    log = f"out of gas: limit {limit}, used {limit + 1}"
+    check_failed_run(ab.a, ab.user, 0, msgs, 3 + k, code=11, log=log, gas_limit=limit)
+
+
+def voucher_holder(ab, name, vouchers):
+    """A wallet on B holding ``vouchers`` of A's token (and no other
+    voucher), whose sends home over the voucher's own hop burn."""
+    holder = ab.b.fund_wallet(Wallet.named(name))
+    ab.relay_recv([ab.transfer(amount=vouchers, receiver=holder.wallet.address)])
+    return holder
+
+
+def test_burn_stretch_keeps_supply(net):
+    ab, _, _ = net
+    voucher = ab.voucher_denom()
+    holder = voucher_holder(ab, "runs-burn-ok", RUN * AMOUNT)
+    supply = ab.b.bank.supply(voucher)
+    back = ab.reverse()
+    check_ok_run(ab.b, holder, [transfer(back, sender=holder, denom=voucher)] * RUN)
+    assert ab.b.bank.balance(holder.wallet.address, voucher) == 0
+    assert ab.b.bank.supply(voucher) == supply - RUN * AMOUNT
+    assert ab.b.bank.check_supply_invariant([voucher, TRANSFER_DENOM])
+
+
+@pytest.mark.parametrize("k", POSITIONS)
+def test_burn_stretch_insufficient_funds(net, k):
+    ab, _, _ = net
+    voucher = ab.voucher_denom()
+    holder = voucher_holder(ab, f"runs-burn-poor-{k}", k * AMOUNT + AMOUNT - 1)
+    msgs = [transfer(ab.reverse(), sender=holder, denom=voucher)] * RUN
+    log = insufficient(holder, AMOUNT - 1, voucher)
+    check_failed_run(ab.b, holder, 0, msgs, k, code=5, log=log)
+    assert ab.b.bank.check_supply_invariant([voucher, TRANSFER_DENOM])
+
+
+def test_escrow_sending_to_itself_runs_every_message(net):
+    """A transfer's sender is not checked against the signer, so a stretch
+    may send from its own escrow account; each move then leaves the
+    balance as it was, and every message succeeds, as one by one."""
+    ab, _, _ = net
+    escrow = escrow_address("transfer", ab.chan_a)
+    ab.transfer(amount=AMOUNT)  # the escrow now holds at least AMOUNT
+    held = ab.a.bank.balance(escrow, TRANSFER_DENOM)
+    msg = replace(transfer(ab), sender=escrow, amount=held)
+    check_ok_run(ab.a, ab.user, [msg] * RUN)
+    assert ab.a.bank.balance(escrow, TRANSFER_DENOM) == held
+
+
+@pytest.mark.parametrize("count", [1, RUN, 100])
+def test_escrow_stretch_journal_cost(net, monkeypatch, count):
+    """A successful ``count``-message escrow stretch records ``3 + 2 x
+    count`` undo entries: the sender's and the escrow's balance and
+    ``next_sequence_send`` once, then each packet's commitment and
+    sent-packet entry."""
+    ab, _, _ = net
+    entries = []
+    commit = Journal.commit
+
+    def counting_commit(journal):
+        entries.append(len(journal))
+        commit(journal)
+
+    monkeypatch.setattr(Journal, "commit", counting_commit)
+    ab.exec_ok(ab.a, ab.user, [transfer(ab)] * count)
+    assert entries == [3 + 2 * count]
 
 
 @pytest.mark.parametrize("k", POSITIONS)
@@ -366,6 +484,23 @@ PINNED_MIXED = (
     "4bf03ae554e52c525d27bb3766749be3137796bd4b91235b71de16e6d6cf6b99",
     "ea771d4979ee8181f4021d8f436328caebc947d2f7cb30f487f96f91f9129185",
 )
+
+
+# -- a chain-only run at the mempool limit ---------------------------------------
+
+
+def test_chain_only_run_at_mempool_limit_is_pinned():
+    """45 000 transfers in Hermes CLI transactions of 100 repeats of one
+    ``MsgTransfer``, sent with no relayer (Fig. 6 / Table I's send side).
+    No registry scenario is chain-only, so this pins the bytes of the
+    transfer-run path; the digest was taken from message-by-message bank
+    moves, before stretches existed."""
+    report = run_experiment(
+        ExperimentConfig(input_rate=3000, measurement_blocks=3, chain_only=True, seed=3)
+    )
+    assert report.workload.committed_chain == 45_000
+    digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+    assert digest == "f6f0b050e38a2b44cbc1d93182c99ef8002b34ddccb4908ec95686a3d4ec396b"
 
 
 # -- a declared deviation: ORDERED timeouts leave the channel open ---------------
