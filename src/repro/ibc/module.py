@@ -14,7 +14,8 @@ paper's bottleneck findings.
 from __future__ import annotations
 
 from dataclasses import field, replace
-from typing import Any, Callable, Iterable, Optional, Protocol
+from itertools import groupby
+from typing import Any, Callable, Iterable, Optional, Protocol, Sequence
 
 from repro.cosmos.journal import Journal
 from repro.errors import (
@@ -112,7 +113,15 @@ class IbcApplication(Protocol):
 
     def on_chan_open(self, channel: ChannelEnd) -> None: ...
 
-    def on_recv_packet(self, packet: Packet, ctx: ExecContext) -> Acknowledgement: ...
+    def on_recv_packets(
+        self, packet: Packet, count: int, ctx: ExecContext
+    ) -> tuple[list[Acknowledgement], list[Sequence[AbciEvent]]]:
+        """Receive a stretch of ``count`` packets that differ only in their
+        sequence, ``packet`` the first of them, and return one
+        acknowledgement per packet and, per packet, the events of the
+        sends it made onward (empty for an application that never
+        forwards).  It never raises: an error becomes an error ack."""
+        ...
 
     def on_acknowledgement(
         self, packet: Packet, ack: Acknowledgement, ctx: ExecContext
@@ -120,10 +129,21 @@ class IbcApplication(Protocol):
 
     def on_timeout(self, packet: Packet, ctx: ExecContext) -> None: ...
 
-    def drain_forward_events(self) -> list[AbciEvent]:
-        """Events of onward sends the last ``on_recv_packet`` made
-        (empty for an application that never forwards)."""
-        ...
+
+def _stretch_key(msg: Any) -> tuple:
+    """What the packets of a recv or ack *stretch* share: every field but
+    the sequence.  The payload and the timeouts count by identity, as
+    ``Packet.commitment`` keeps them, so one stretch has one commitment."""
+    packet = msg.packet
+    return (
+        id(packet.data),
+        id(packet.timeout_height),
+        id(packet.timeout_timestamp),
+        packet.source_port,
+        packet.source_channel,
+        packet.destination_port,
+        packet.destination_channel,
+    )
 
 
 @dataclass
@@ -627,9 +647,22 @@ class IbcModule:
     ) -> None:
         """RecvPacket (Fig. 2 steps 3-5) for a run: verify, route, acknowledge.
 
-        Each packet gets every ICS-04 check, in order, once ``charge`` has
-        billed it; only the channel's :meth:`_packet_route` and the fold
-        memo of each proof height are looked up once per run.
+        The run goes by *stretch*: consecutive packets that differ only in
+        their sequence (:func:`_stretch_key`), as Hermes relays the packets
+        of one repeated transfer.  Each packet, in message order, is
+        charged, then proven against its own commitment path, then gets its
+        receipt (or, ORDERED, its ``nextSequenceRecv`` write) and the check
+        that no ack is written for it yet.  What depends only on fields the
+        stretch shares runs at its first packet: the channel's
+        :meth:`_packet_route`, the route and timeout checks, the commitment,
+        and the fold memo of the proof height.  Then the application takes
+        the stretch in one ``on_recv_packets`` call, and each packet gets
+        its ``recv_packet`` event, its onward events, its ack and its
+        ``write_acknowledgement`` event, in the order a lone packet makes
+        them; each ack object is committed once.  The callback can run
+        after the stretch's checks because it cannot fail the transaction
+        (its errors become error acks) and no check reads what it writes.
+        DESIGN.md, "Message runs".
         """
         journal = self.journal
         receipts, acks, store = self._receipts, self._acks, self.store
@@ -637,137 +670,176 @@ class IbcModule:
         ack_size = self.event_bytes["write_acknowledgement"]
         routes: dict[tuple[str, str], tuple] = {}
         folds: dict[tuple[Any, int], tuple[bytes, dict]] = {}
-        for msg in run:
-            charge(msg)
-            packet = msg.packet
-            dest = (packet.destination_port, packet.destination_channel)
-            route = routes.get(dest)
-            if route is None:
-                route = routes[dest] = self._packet_route(dest)
-            end, source, client, src_chain, app, ordered = route
-            if (packet.source_port, packet.source_channel) != source:
-                raise ChannelError(
-                    f"packet route {packet.source_port}/{packet.source_channel} does "
-                    f"not match channel counterparty {end.counterparty}"
+        for _, stretch in groupby(run, _stretch_key):
+            packets: list[Packet] = []
+            for msg in stretch:
+                charge(msg)
+                packet = msg.packet
+                if not packets:
+                    head = packet
+                    dest = (packet.destination_port, packet.destination_channel)
+                    route = routes.get(dest)
+                    if route is None:
+                        route = routes[dest] = self._packet_route(dest)
+                    end, source, client, src_chain, app, ordered = route
+                    if (packet.source_port, packet.source_channel) != source:
+                        raise ChannelError(
+                            f"packet route {packet.source_port}/"
+                            f"{packet.source_channel} does not match channel "
+                            f"counterparty {end.counterparty}"
+                        )
+                    # Timeout check from the destination's point of view.
+                    if packet.timed_out(ctx.here, ctx.time):
+                        raise PacketTimeoutError(
+                            f"packet {packet.sequence} timed out at receive "
+                            f"(height {ctx.height}, time {ctx.time:.2f})"
+                        )
+                    commitment = packet.commitment()
+                    proof_height = None
+                if msg.proof_height != proof_height:
+                    proof_height = msg.proof_height
+                    fold = folds.get((client, proof_height))
+                    if fold is None:
+                        fold = folds[client, proof_height] = client.fold_memo_at(
+                            proof_height
+                        )
+                    root, memo = fold
+                # Verify the commitment recorded by the sending chain.
+                sequence = packet.sequence
+                verify_membership(
+                    root,
+                    keys.packet_commitment_path(*source, sequence),
+                    commitment,
+                    msg.proof_commitment,
+                    memo,
                 )
-            # Timeout check from the destination's point of view.
-            if packet.timed_out(ctx.here, ctx.time):
-                raise PacketTimeoutError(
-                    f"packet {packet.sequence} timed out at receive "
-                    f"(height {ctx.height}, time {ctx.time:.2f})"
-                )
-            # Verify the commitment recorded by the sending chain.
-            fold = folds.get((client, msg.proof_height))
-            if fold is None:
-                fold = folds[client, msg.proof_height] = client.fold_memo_at(
-                    msg.proof_height
-                )
-            root, memo = fold
-            verify_membership(
-                root,
-                keys.packet_commitment_path(*source, packet.sequence),
-                packet.commitment(),
-                msg.proof_commitment,
-                memo,
-            )
-            receipt_key = (*dest, packet.sequence)
-            if ordered:
-                expected = self.next_sequence_recv[dest]
-                if packet.sequence < expected:
+                receipt_key = (*dest, sequence)
+                if ordered:
+                    expected = self.next_sequence_recv[dest]
+                    if sequence < expected:
+                        raise RedundantPacketError(
+                            f"ordered packet {sequence} already received "
+                            f"(next expected {expected})"
+                        )
+                    if sequence > expected:
+                        raise PacketError(
+                            f"ordered channel expects sequence {expected}, "
+                            f"got {sequence}"
+                        )
+                    journal.put(self.next_sequence_recv, dest, expected + 1)
+                    self._store_next_sequence_recv(dest, expected + 1)
+                else:
+                    if receipt_key in receipts:
+                        raise RedundantPacketError(
+                            f"unordered packet {sequence} already received"
+                        )
+                    journal.add(receipts, receipt_key, True)
+                    store.set(keys.packet_receipt_path(*receipt_key), b"\x01")
+                if receipt_key in acks:
                     raise RedundantPacketError(
-                        f"ordered packet {packet.sequence} already received "
-                        f"(next expected {expected})"
+                        f"acknowledgement for packet {sequence} already written"
                     )
-                if packet.sequence > expected:
-                    raise PacketError(
-                        f"ordered channel expects sequence {expected}, "
-                        f"got {packet.sequence}"
-                    )
-                journal.put(self.next_sequence_recv, dest, expected + 1)
-                self._store_next_sequence_recv(dest, expected + 1)
-            else:
-                if receipt_key in receipts:
-                    raise RedundantPacketError(
-                        f"unordered packet {packet.sequence} already received"
-                    )
-                journal.add(receipts, receipt_key, True)
-                store.set(keys.packet_receipt_path(*receipt_key), b"\x01")
-            # Route to the application (Fig. 2 step 4), write the ack (step 5).
-            ack = app.on_recv_packet(packet, ctx)
-            events.append(AbciEvent("recv_packet", (), recv_size, packet, src_chain))
-            # Applications that forward packets onward (packet-forward
-            # middleware) queue the onward send events during the callback;
-            # drain them here so they land after this hop's recv_packet and
-            # before its write_acknowledgement, in the same transaction.
-            events.extend(app.drain_forward_events())
-            if receipt_key in acks:
-                raise RedundantPacketError(
-                    f"acknowledgement for packet {packet.sequence} already written"
+                packets.append(packet)
+            # Route to the application (Fig. 2 step 4), write the acks (step
+            # 5).  An application that forwards (packet-forward middleware)
+            # returns each packet's onward send events, which land after
+            # the packet's recv_packet and before its write_acknowledgement.
+            written, onward = app.on_recv_packets(head, len(packets), ctx)
+            ack = None
+            for packet, sent, packet_ack in zip(packets, onward, written, strict=True):
+                events.append(
+                    AbciEvent("recv_packet", (), recv_size, packet, src_chain)
                 )
-            journal.add(acks, receipt_key, ack)
-            store.set(keys.packet_acknowledgement_path(*receipt_key), ack.commitment())
-            events.append(
-                AbciEvent("write_acknowledgement", (), ack_size, packet, src_chain, ack)
-            )
+                if sent:
+                    events.extend(sent)
+                if packet_ack is not ack:
+                    ack = packet_ack
+                    ack_commitment = ack.commitment()
+                ack_key = (*dest, packet.sequence)
+                journal.add(acks, ack_key, ack)
+                store.set(keys.packet_acknowledgement_path(*ack_key), ack_commitment)
+                events.append(
+                    AbciEvent(
+                        "write_acknowledgement", (), ack_size, packet, src_chain, ack
+                    )
+                )
 
     def acknowledge_packets(
         self, run: Iterable[MsgAcknowledgement], ctx: ExecContext, charge: Charge,
         events: list[AbciEvent],
     ) -> None:
         """AcknowledgePacket (Fig. 2 step 6) for a run: verify each ack,
-        clear its commitment.  Hoisted as in :meth:`recv_packets`; the
-        channel is resolved after the commitment checks, where a lone
-        message looks it up, so an unknown channel still reads redundant."""
+        clear its commitment, and call the application's
+        ``on_acknowledgement``, message by message: a refund that fails
+        must fail after its own draw.  As in :meth:`recv_packets`, what a
+        stretch shares is looked up at its first packet (the expected
+        commitment, the channel's route, the fold memo), and each ack
+        object is committed once.  The channel is resolved after the first
+        packet's commitment checks, where a lone message looks it up, so an
+        unknown channel still reads redundant."""
         journal, store = self.journal, self.store
         size = self.event_bytes["acknowledge_packet"]
         routes: dict[tuple[str, str], tuple] = {}
         folds: dict[tuple[Any, int], tuple[bytes, dict]] = {}
-        for msg in run:
-            charge(msg)
-            packet = msg.packet
-            sequence = packet.sequence
-            source = (packet.source_port, packet.source_channel)
-            commitments = self._commitments.get(source) or {}
-            commitment = commitments.get(sequence)
-            if commitment is None:
-                raise RedundantPacketError(
-                    f"no commitment for packet {sequence}; already acknowledged"
-                )
-            if commitment != packet.commitment():
-                raise PacketError(f"packet {sequence} does not match stored commitment")
-            route = routes.get(source)
-            if route is None:
-                route = routes[source] = self._packet_route(source)
-            _end, _dest, client, _chain, app, ordered = route
-            fold = folds.get((client, msg.proof_height))
-            if fold is None:
-                fold = folds[client, msg.proof_height] = client.fold_memo_at(
-                    msg.proof_height
-                )
-            root, memo = fold
-            verify_membership(
-                root,
-                keys.packet_acknowledgement_path(
-                    packet.destination_port, packet.destination_channel, sequence
-                ),
-                msg.acknowledgement.commitment(),
-                msg.proof_acked,
-                memo,
-            )
-            if ordered:
-                expected = self.next_sequence_ack[source]
-                if sequence != expected:
-                    raise PacketError(
-                        f"ordered channel expects ack sequence {expected}, "
-                        f"got {sequence}"
+        for _, stretch in groupby(run, _stretch_key):
+            route = None
+            ack = None
+            for msg in stretch:
+                charge(msg)
+                packet = msg.packet
+                sequence = packet.sequence
+                if route is None:
+                    source = (packet.source_port, packet.source_channel)
+                    commitments = self._commitments.get(source) or {}
+                    expected = packet.commitment()
+                commitment = commitments.get(sequence)
+                if commitment is None:
+                    raise RedundantPacketError(
+                        f"no commitment for packet {sequence}; already acknowledged"
                     )
-                journal.put(self.next_sequence_ack, source, expected + 1)
-            journal.pop(commitments, sequence)
-            store.delete(keys.packet_commitment_path(*source, sequence))
-            app.on_acknowledgement(packet, msg.acknowledgement, ctx)
-            events.append(
-                AbciEvent("acknowledge_packet", (), size, packet, self.chain_id)
-            )
+                if commitment != expected:
+                    raise PacketError(
+                        f"packet {sequence} does not match stored commitment"
+                    )
+                if route is None:
+                    route = routes.get(source)
+                    if route is None:
+                        route = routes[source] = self._packet_route(source)
+                    _end, _dest, client, _chain, app, ordered = route
+                    dest = (packet.destination_port, packet.destination_channel)
+                    proof_height = None
+                if msg.proof_height != proof_height:
+                    proof_height = msg.proof_height
+                    fold = folds.get((client, proof_height))
+                    if fold is None:
+                        fold = folds[client, proof_height] = client.fold_memo_at(
+                            proof_height
+                        )
+                    root, memo = fold
+                if msg.acknowledgement is not ack:
+                    ack = msg.acknowledgement
+                    ack_commitment = ack.commitment()
+                verify_membership(
+                    root,
+                    keys.packet_acknowledgement_path(*dest, sequence),
+                    ack_commitment,
+                    msg.proof_acked,
+                    memo,
+                )
+                if ordered:
+                    expected_ack = self.next_sequence_ack[source]
+                    if sequence != expected_ack:
+                        raise PacketError(
+                            f"ordered channel expects ack sequence {expected_ack}, "
+                            f"got {sequence}"
+                        )
+                    journal.put(self.next_sequence_ack, source, expected_ack + 1)
+                journal.pop(commitments, sequence)
+                store.delete(keys.packet_commitment_path(*source, sequence))
+                app.on_acknowledgement(packet, ack, ctx)
+                events.append(
+                    AbciEvent("acknowledge_packet", (), size, packet, self.chain_id)
+                )
 
     def timeout_packet(self, msg: MsgTimeout, ctx: ExecContext) -> list[AbciEvent]:
         """OnPacketTimeout (Fig. 3): prove non-receipt, undo, clear."""

@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Protocol
 
 from repro.cosmos.bank import module_address
 from repro.cosmos.denom import DenomRegistry, DenomTrace
-from repro.errors import IbcError, PacketError
+from repro.errors import ChainError, IbcError, PacketError
 from repro.ibc import keys
 from repro.ibc.channel import ChannelEnd, ChannelState
 from repro.ibc.module import Charge, ExecContext, IbcModule
@@ -211,9 +211,6 @@ class TransferApp:
         self.ibc = ibc
         self.bank = bank
         self.denoms = DenomRegistry()
-        #: send_packet events produced by forwards inside the current
-        #: receive, drained by the IBC module into the receive's tx events.
-        self._forward_events: list[AbciEvent] = []
         ibc.bind_port(keys.TRANSFER_PORT, self)
 
     # ------------------------------------------------------------------
@@ -232,49 +229,57 @@ class TransferApp:
         means the same fields): its gas is drawn in one ``charge`` loop,
         its tokens move in one bank move and its packets are sent by one
         :meth:`IbcModule.send_packets`.  Failures stay those of message by
-        message execution.  The first message is charged, checked (amount,
-        trace, payload), moved and its channel checked, in that order.  The
-        moves that would succeed one by one (the *affordable* prefix) go as
-        one; the rest of the stretch is charged through its first
-        unaffordable message, which then fails as a lone bank move, with
-        the bank's own error.  DESIGN.md, "Message runs"."""
-        ibc, bank = self.ibc, self.bank
-        # By identity: equal messages may still commit differently (a
-        # timestamp of 0 and one of 0.0).
+        message execution.  The first message is charged, then its sender
+        is checked against the transaction's signer (code 4, as a bank
+        send), then the stretch runs as :meth:`_send_stretch` says.
+        DESIGN.md, "Message runs"."""
         for _, stretch in groupby(run, id):
             msgs = list(stretch)
-            msg, count = msgs[0], len(msgs)
+            msg = msgs[0]
             charge(msg)  # the first message's, before its checks
-            amount, sender, denom = msg.amount, msg.sender, msg.denom
-            if amount <= 0:
-                raise PacketError(f"transfer amount must be positive: {amount}")
-            port, channel = msg.source_port, msg.source_channel
-            trace = self.denoms.resolve(denom)
-            # Escrow unless a voucher goes back over its own hop: burn that.
-            escrow = (
-                escrow_address(port, channel)
-                if sender_chain_is_source(port, channel, trace)
-                else None
+            if msg.sender != ctx.signer:
+                raise ChainError("transfer sender must be the tx signer", code=4)
+            self._send_stretch(msg, len(msgs), charge, events)
+
+    def _send_stretch(
+        self, msg: MsgTransfer, count: int, charge: Charge, events: list[AbciEvent]
+    ) -> None:
+        """Send ``count`` repeats of ``msg``, the first already charged,
+        for whichever sender it names: the route's stretch, and a forward
+        hop's onward send from its fallback address.
+
+        The first message is checked (amount, trace, payload), moved and
+        its channel checked, in that order.  The moves that would succeed
+        one by one (the *affordable* prefix) go as one; the rest of the
+        stretch is charged through its first unaffordable message, which
+        then fails as a lone bank move, with the bank's own error."""
+        ibc, bank = self.ibc, self.bank
+        amount, sender, denom = msg.amount, msg.sender, msg.denom
+        if amount <= 0:
+            raise PacketError(f"transfer amount must be positive: {amount}")
+        port, channel = msg.source_port, msg.source_channel
+        trace = self.denoms.resolve(denom)
+        # Escrow unless a voucher goes back over its own hop: burn that.
+        escrow = (
+            escrow_address(port, channel)
+            if sender_chain_is_source(port, channel, trace)
+            else None
+        )
+        data = _ftpd_encode(trace.full_path(), amount, sender, msg.receiver)
+        affordable = min(count, bank.balance(sender, denom) // amount)
+        if affordable:
+            self._lock(sender, escrow, denom, affordable * amount)
+            end = ibc.sending_channel(
+                port, channel, msg.timeout_height, msg.timeout_timestamp
             )
-            data = _ftpd_encode(trace.full_path(), amount, sender, msg.receiver)
-            affordable = min(count, bank.balance(sender, denom) // amount)
-            moved = affordable * amount
-            if affordable and sender == escrow:
-                # A move to itself leaves the balance as it was: all succeed.
-                affordable, moved = count, amount
-            if affordable:
-                self._lock(sender, escrow, denom, moved)
-                end = ibc.sending_channel(
-                    port, channel, msg.timeout_height, msg.timeout_timestamp
-                )
-                # The rest, through the first unaffordable message.
-                charge(msg, min(affordable + 1, count) - 1)
-            if affordable < count:
-                # Less than ``amount`` is left: this move raises.
-                self._lock(sender, escrow, denom, amount)
-            ibc.send_packets(
-                end, data, msg.timeout_height, msg.timeout_timestamp, count, events
-            )
+            # The rest, through the first unaffordable message.
+            charge(msg, min(affordable + 1, count) - 1)
+        if affordable < count:
+            # Less than ``amount`` is left: this move raises.
+            self._lock(sender, escrow, denom, amount)
+        ibc.send_packets(
+            end, data, msg.timeout_height, msg.timeout_timestamp, count, events
+        )
 
     def _lock(self, sender: str, escrow: Optional[str], denom: str, amount: int) -> None:
         """Escrow ``amount`` of the sender's tokens, or burn them when
@@ -295,74 +300,85 @@ class TransferApp:
                 f"got {channel.version!r}"
             )
 
-    def on_recv_packet(self, packet: Packet, ctx: ExecContext) -> Acknowledgement:
+    def on_recv_packets(
+        self, packet: Packet, count: int, ctx: ExecContext
+    ) -> tuple[list[Acknowledgement], list[tuple[AbciEvent, ...]]]:
+        """Receive a stretch of ``count`` packets that differ only in their
+        sequence (``packet`` is the first): credit the receiver, or the
+        fallback address of a forward and send the tokens onward.  Returns
+        one ack per packet and, per packet, its onward ``send_packet``
+        event (none when it does not forward or fails).
+
+        The payload, the forward route and the denom trace are read once,
+        in the order a lone packet reads them, and an error there fails
+        every packet with the same ack.  Then the packets that would be
+        paid one by one are paid in one bank move (:meth:`_credit`: a mint
+        of their total, or the un-escrow of the affordable prefix), and a
+        forward sends their onward packets as one stretch of one onward
+        ``MsgTransfer``, so the next hop receives a stretch too.  The first
+        packet that cannot be paid runs as a lone move: its ack carries the
+        bank's own error, and every later packet gets the same ack.  The
+        payment repeats until the stretch is paid or a move fails, because
+        tokens that end in the escrow they left (a receiver that is the
+        escrow, a forward back over the arrival channel) leave the escrow
+        able to pay the next packets as well.
+        """
+        paid = 0
+        sent: list[AbciEvent] = []
         try:
             data = FungibleTokenPacketData.decode(packet.data)
             route = parse_forward_receiver(data.receiver)
-            if route is not None:
-                self._receive_and_forward(packet, data, route, ctx)
+            if route is None:
+                receiver = data.receiver
             else:
-                self._apply_receive(packet, data, data.receiver)
-        except Exception as exc:  # noqa: BLE001 - ack carries the error
-            self._forward_events.clear()
-            return Acknowledgement(success=False, error=str(exc))
-        return _SUCCESS_ACK
-
-    def drain_forward_events(self) -> list[AbciEvent]:
-        """Events of onward sends made inside the current receive.
-
-        Called by :meth:`IbcModule.recv_packets` after the application
-        callback so forwarded ``send_packet`` events land in the same
-        transaction, after the hop's ``recv_packet`` event.
-        """
-        events = self._forward_events
-        if events:
-            self._forward_events = []
-        return events
-
-    def _apply_receive(
-        self, packet: Packet, data: FungibleTokenPacketData, receiver: str
-    ) -> str:
-        """Credit ``receiver`` and return the denom as named on this chain."""
-        trace = DenomTrace.parse(data.denom)
-        if receiver_chain_is_source(
-            packet.source_port, packet.source_channel, trace
-        ):
-            # Our own token coming home: un-escrow the original.
-            local_trace = trace.unwind()
-            local_denom = (
-                local_trace.base_denom
-                if local_trace.is_native
-                else self.denoms.register(local_trace)
-            )
-            escrow = escrow_address(
-                packet.destination_port, packet.destination_channel
-            )
-            self.bank.send(escrow, receiver, local_denom, data.amount)
+                # A bad onward hop fails before any balance moves, so the
+                # origin refunds and nothing is left here.
+                receiver = route.fallback
+                timeout = self._forward_timeout(route)
+            trace = DenomTrace.parse(data.denom)
+            port, channel = packet.destination_port, packet.destination_channel
+            if receiver_chain_is_source(
+                packet.source_port, packet.source_channel, trace
+            ):
+                # Our own token coming home: un-escrow the original.
+                home = trace.unwind()
+                denom = (
+                    home.base_denom if home.is_native else self.denoms.register(home)
+                )
+                escrow = escrow_address(port, channel)
+            else:
+                # Foreign token arriving: extend the trace, mint a voucher.
+                denom = self.denoms.register(trace.prepend(port, channel))
+                escrow = None
+            onward = None
+            if route is not None:
+                onward = MsgTransfer(
+                    source_port=route.port,
+                    source_channel=route.channel,
+                    denom=denom,
+                    amount=data.amount,
+                    sender=route.fallback,
+                    receiver=route.next_receiver,
+                    timeout_height=timeout,
+                )
+            while paid < count:
+                credited = self._credit(
+                    escrow, receiver, denom, data.amount, count - paid
+                )
+                if onward is not None:
+                    self._send_stretch(onward, credited, _uncharged, sent)
+                paid += credited
+        except Exception as exc:  # noqa: BLE001 - the ack carries the error
+            error = Acknowledgement(success=False, error=str(exc))
+            acks = [_SUCCESS_ACK] * paid + [error] * (count - paid)
         else:
-            # Foreign token arriving: extend the trace, mint a voucher.
-            voucher_trace = trace.prepend(
-                packet.destination_port, packet.destination_channel
-            )
-            local_denom = self.denoms.register(voucher_trace)
-            self.bank.mint(receiver, local_denom, data.amount)
-        return local_denom
+            acks = [_SUCCESS_ACK] * count
+        return acks, [(event,) for event in sent] + [()] * (count - len(sent))
 
-    def _receive_and_forward(
-        self,
-        packet: Packet,
-        data: FungibleTokenPacketData,
-        route: ForwardRoute,
-        ctx: ExecContext,
-    ) -> None:
-        """Receive to the hop's fallback address, then send onward.
-
-        The onward hop is validated *before* any balance changes so a bad
-        route fails into an error ack (refund happens at the origin with
-        no residue here).  A failure past the onward send — a timeout or
-        error ack on the next hop — refunds the fallback address on this
-        chain only; the origin's escrow is final once hop 1 succeeds.
-        """
+    def _forward_timeout(self, route: ForwardRoute) -> Height:
+        """The timeout height of a forward's onward packets: a margin above
+        the light client's view of the next chain.  Raises when the
+        onward channel is not open."""
         end = self.ibc.channels.get((route.port, route.channel))
         if end is None or end.state is not ChannelState.OPEN:
             raise PacketError(
@@ -370,18 +386,25 @@ class TransferApp:
             )
         connection = self.ibc.connections[end.connection_id]
         client = self.ibc.clients[connection.client_id]
-        timeout = Height(0, client.latest_height + self.forward_timeout_blocks)
-        local_denom = self._apply_receive(packet, data, route.fallback)
-        onward = MsgTransfer(
-            source_port=route.port,
-            source_channel=route.channel,
-            denom=local_denom,
-            amount=data.amount,
-            sender=route.fallback,
-            receiver=route.next_receiver,
-            timeout_height=timeout,
-        )
-        self.send_transfers((onward,), ctx, _uncharged, self._forward_events)
+        return Height(0, client.latest_height + self.forward_timeout_blocks)
+
+    def _credit(
+        self, escrow: Optional[str], receiver: str, denom: str, amount: int, count: int
+    ) -> int:
+        """Pay ``receiver`` for the first ``n`` of ``count`` packets of
+        ``amount`` in one bank move and return ``n``: all of them for a
+        mint (``escrow`` None), the affordable prefix for an un-escrow.
+        ``n`` is at least one, so a packet that cannot be paid fails here,
+        as a lone move, with the bank's own error."""
+        bank = self.bank
+        if escrow is None:
+            n = count if amount > 0 else 1
+            bank.mint(receiver, denom, n * amount)
+        else:
+            affordable = bank.balance(escrow, denom) // amount if amount > 0 else 0
+            n = max(1, min(count, affordable))
+            bank.send(escrow, receiver, denom, n * amount)
+        return n
 
     def on_acknowledgement(
         self, packet: Packet, ack: Acknowledgement, ctx: ExecContext

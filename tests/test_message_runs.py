@@ -3,9 +3,11 @@ runs of one message type with one route call each (DESIGN.md, "Message
 runs").
 
 A run may look up once what depends only on the message object, the
-channel or the proof height, and a transfer run moves a stretch of one
-repeated message's tokens in one bank move, but its failures must stay
-those of message by message execution.  Each case below fails message
+channel or the proof height; a transfer run moves a stretch of one
+repeated message's tokens in one bank move, and a recv run hands a
+stretch of packets that differ only in their sequence to the transfer
+app in one call; but its failures must stay those of message by message
+execution.  Each case below fails message
 ``k`` of a transfer, recv or ack run and checks, against a replay of the
 chain's own gas stream, that:
 
@@ -16,9 +18,11 @@ chain's own gas stream, that:
   in the SDK), and the gas stream's next draw is the one after message
   ``k``'s.
 
-A mixed transaction then pins the events and state of a successful
-transaction made of four runs, and a chain-only run at the mempool limit
-pins the report bytes of the send path.
+Successful recv stretches (mint, un-escrow, forward, malformed payload)
+are checked the same way, and an oracle runs each as one stretch and as
+stretches of one.  A mixed transaction then pins the events and state of
+a successful transaction made of four runs, and a chain-only run at the
+mempool limit pins the report bytes of the send path.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from repro.ibc import keys
 from repro.ibc.channel import ChannelOrder, ChannelState
 from repro.ibc.msgs import MsgAcknowledgement, MsgTransfer
 from repro.ibc.packet import Acknowledgement, Height
-from repro.ibc.transfer import escrow_address
+from repro.ibc.transfer import encode_forward_receiver, escrow_address
 
 from tests.ibc_harness import DirectChain, IbcPair
 from tests.test_journal_rollback import snapshot
@@ -48,6 +52,9 @@ from tests.test_journal_rollback import snapshot
 RUN = 6
 POSITIONS = (0, 1, RUN // 2, RUN - 1)
 AMOUNT = 10
+SUCCESS = Acknowledgement(success=True, result="AQ==")
+#: A forwarded packet's events, in the order a lone packet makes them.
+FORWARDED = ["recv_packet", "send_packet", "write_acknowledgement"]
 #: Gas of the ``MsgUpdateClient`` in front of a relayer's run (no jitter).
 UPDATE_CLIENT_GAS = 80_000
 
@@ -80,7 +87,9 @@ def replay(chain) -> GasSchedule:
     return GasSchedule(chain.app.cal, rng=rng)
 
 
-def transfer(pair, amount=AMOUNT, sender=None, channel=None, denom=TRANSFER_DENOM) -> MsgTransfer:
+def transfer(
+    pair, amount=AMOUNT, sender=None, channel=None, denom=TRANSFER_DENOM, receiver=None
+) -> MsgTransfer:
     sender = sender or pair.user
     return MsgTransfer(
         source_port="transfer",
@@ -88,15 +97,16 @@ def transfer(pair, amount=AMOUNT, sender=None, channel=None, denom=TRANSFER_DENO
         denom=denom,
         amount=amount,
         sender=sender.wallet.address,
-        receiver=pair.receiver.address,
+        receiver=receiver or pair.receiver.address,
         timeout_height=Height(0, pair.b.height + 100),
         signer=sender.wallet.address,
     )
 
 
-def send(pair, count=RUN, channel=None):
-    """``count`` packets sent from A in one transaction."""
-    result = pair.exec_ok(pair.a, pair.user, [transfer(pair, channel=channel)] * count)
+def send(pair, count=RUN, channel=None, receiver=None):
+    """``count`` packets of one transfer sent from A in one transaction."""
+    msg = transfer(pair, channel=channel, receiver=receiver)
+    result = pair.exec_ok(pair.a, pair.user, [msg] * count)
     return [e.packet for e in result.events if e.type == "send_packet"]
 
 
@@ -118,18 +128,23 @@ def check_failed_run(chain, factory, prefix_gas, msgs, k, *, code, log, gas_limi
     assert chain.app.gas_schedule.gas_for_msg(kind) == schedule.gas_for_msg(kind)
 
 
-def check_ok_run(chain, factory, msgs):
-    """Run ``msgs`` as one tx on ``chain``; it must succeed, bill each
-    message's draw of the chain's gas stream, and send one packet each."""
+def check_ok_run(chain, factory, prefix_gas, msgs):
+    """Run ``msgs`` (``prefix_gas`` of fixed-gas messages, then the run) as
+    one tx on ``chain``; it must succeed and bill each run message's draw
+    of the chain's gas stream.  Returns the run's events."""
     schedule = replay(chain)
-    draws = [schedule.gas_for_msg(m.kind) for m in msgs]
+    run = [m for m in msgs if m.kind != "update_client"]
+    draws = [schedule.gas_for_msg(m.kind) for m in run]
     (result,) = chain.make_block([factory.build(msgs, gas_limit=10**9)])
     assert result.ok, result.log
-    assert result.gas_used == chain.app.cal.gas_tx_overhead + sum(draws)
-    assert [e.type for e in result.events] == ["send_packet"] * len(msgs)
-    kind = msgs[0].kind
+    assert result.gas_used == chain.app.cal.gas_tx_overhead + prefix_gas + sum(draws)
+    kind = run[0].kind
     assert chain.app.gas_schedule.gas_for_msg(kind) == schedule.gas_for_msg(kind)
-    return result
+    return result.events[len(msgs) - len(run):]
+
+
+def acks_of(events) -> list:
+    return [e.ack for e in events if e.type == "write_acknowledgement"]
 
 
 def insufficient(factory, held, denom=TRANSFER_DENOM) -> str:
@@ -166,7 +181,8 @@ def test_transfer_stretch_at_exactly_its_balance(net):
     execution does, with the bank's log and the gas of all ``RUN`` draws."""
     ab, _, _ = net
     exact = ab.a.fund_wallet(Wallet.named("runs-exact"), tokens=RUN * AMOUNT)
-    check_ok_run(ab.a, exact, [transfer(ab, sender=exact)] * RUN)
+    events = check_ok_run(ab.a, exact, 0, [transfer(ab, sender=exact)] * RUN)
+    assert [e.type for e in events] == ["send_packet"] * RUN
     assert ab.a.bank.balance(exact.wallet.address, TRANSFER_DENOM) == 0
     short = ab.a.fund_wallet(Wallet.named("runs-short"), tokens=RUN * AMOUNT - 1)
     msgs = [transfer(ab, sender=short)] * RUN
@@ -206,7 +222,8 @@ def test_burn_stretch_keeps_supply(net):
     holder = voucher_holder(ab, "runs-burn-ok", RUN * AMOUNT)
     supply = ab.b.bank.supply(voucher)
     back = ab.reverse()
-    check_ok_run(ab.b, holder, [transfer(back, sender=holder, denom=voucher)] * RUN)
+    events = check_ok_run(ab.b, holder, 0, [transfer(back, sender=holder, denom=voucher)] * RUN)
+    assert [e.type for e in events] == ["send_packet"] * RUN
     assert ab.b.bank.balance(holder.wallet.address, voucher) == 0
     assert ab.b.bank.supply(voucher) == supply - RUN * AMOUNT
     assert ab.b.bank.check_supply_invariant([voucher, TRANSFER_DENOM])
@@ -223,17 +240,33 @@ def test_burn_stretch_insufficient_funds(net, k):
     assert ab.b.bank.check_supply_invariant([voucher, TRANSFER_DENOM])
 
 
-def test_escrow_sending_to_itself_runs_every_message(net):
-    """A transfer's sender is not checked against the signer, so a stretch
-    may send from its own escrow account; each move then leaves the
-    balance as it was, and every message succeeds, as one by one."""
+def test_transfer_from_another_account_fails(net):
+    """A transfer's sender must sign its transaction, as in the SDK, whose
+    ``MsgTransfer`` signer is its sender: a user-signed stretch from the
+    escrow account fails at its first message, with a bank send's code 4
+    and one message's gas, and moves nothing."""
     ab, _, _ = net
-    escrow = escrow_address("transfer", ab.chan_a)
-    ab.transfer(amount=AMOUNT)  # the escrow now holds at least AMOUNT
-    held = ab.a.bank.balance(escrow, TRANSFER_DENOM)
-    msg = replace(transfer(ab), sender=escrow, amount=held)
-    check_ok_run(ab.a, ab.user, [msg] * RUN)
-    assert ab.a.bank.balance(escrow, TRANSFER_DENOM) == held
+    msg = replace(transfer(ab), sender=escrow_address("transfer", ab.chan_a))
+    log = "transfer sender must be the tx signer"
+    check_failed_run(ab.a, ab.user, 0, [msg] * RUN, 0, code=4, log=log)
+
+
+def test_forward_from_the_onward_escrow_runs_every_packet(net):
+    """A forward hop sends from its fallback address, which signs nothing:
+    a fallback that is the onward channel's escrow is credited, then moves
+    the tokens to itself, and every packet of the stretch goes onward."""
+    ab, _, bc = net
+    escrow = escrow_address("transfer", bc.chan_a)
+    receiver = encode_forward_receiver(
+        [(escrow, "transfer", bc.chan_a)], bc.receiver.address
+    )
+    packets = send(ab, receiver=receiver)
+    voucher = ab.voucher_denom()
+    held = ab.b.bank.balance(escrow, voucher)
+    events = check_ok_run(ab.b, ab.relayer_b, UPDATE_CLIENT_GAS, ab.recv_msgs(packets))
+    assert [e.type for e in events] == FORWARDED * RUN
+    assert acks_of(events) == [SUCCESS] * RUN
+    assert ab.b.bank.balance(escrow, voucher) == held + RUN * AMOUNT
 
 
 @pytest.mark.parametrize("count", [1, RUN, 100])
@@ -360,6 +393,232 @@ def test_recv_run_bad_proof(net, k):
     check_failed_run(ab.b, ab.relayer_b, UPDATE_CLIENT_GAS, msgs, k, code=code, log=log)
 
 
+@pytest.mark.parametrize("k", POSITIONS)
+def test_recv_run_ack_already_written(net, k):
+    """An ack already in the table for message ``k``'s packet (planted
+    without a receipt: no run leaves that) fails the run at that packet,
+    after its own draw, before the stretch reaches the application."""
+    ab, _, _ = net
+    msgs = recv_run(ab)
+    key = ("transfer", ab.chan_b, msgs[1 + k].packet.sequence)
+    ab.b.ibc._acks[key] = SUCCESS
+    code, log = ibc_log(
+        "RedundantPacketError",
+        f"packet messages are redundant: acknowledgement for packet {key[2]} "
+        "already written",
+    )
+    try:
+        check_failed_run(ab.b, ab.relayer_b, UPDATE_CLIENT_GAS, msgs, k, code=code, log=log)
+    finally:
+        del ab.b.ibc._acks[key]
+
+
+# -- recv stretches -------------------------------------------------------------
+
+
+def line():
+    """A fresh A-B-C line (A-B, and B-C sharing B) with the same gas
+    streams every time it is built."""
+    ab = IbcPair()
+    return ab, IbcPair(chains=(ab.b, DirectChain("direct-c")))
+
+
+def drain(chain, escrow, held):
+    """Leave ``held`` tokens in ``escrow``.  A correct chain's escrow never
+    holds less than the vouchers out, so a test short of it burns the rest
+    by hand, outside any transaction."""
+    excess = chain.bank.balance(escrow, TRANSFER_DENOM) - held
+    if excess:
+        chain.bank.burn(escrow, TRANSFER_DENOM, excess)
+        chain.bank.write_back()
+
+
+def going_home(ab, holder_name, vouchers, receiver=None):
+    """A ``RUN``-packet stretch of ``AMOUNT`` vouchers each, sent home from
+    B to A by a holder that got ``vouchers`` from A (so a fresh pair's A
+    escrow holds ``vouchers``); returns the relaying view and the packets."""
+    holder = voucher_holder(ab, holder_name, vouchers)
+    back = ab.reverse()
+    msg = transfer(back, sender=holder, denom=ab.voucher_denom(), receiver=receiver)
+    result = back.exec_ok(ab.b, holder, [msg] * RUN)
+    return back, [e.packet for e in result.events if e.type == "send_packet"]
+
+
+@pytest.mark.parametrize("short", [0, 1])
+def test_unescrow_stretch_at_exactly_its_escrow(short):
+    """A stretch of vouchers going home un-escrows its affordable prefix
+    in one move.  An escrow holding exactly ``RUN x AMOUNT`` pays every
+    packet; one token less pays all but the last, whose ack carries the
+    bank's own text, as packet by packet."""
+    ab, _ = line()
+    back, packets = going_home(ab, "runs-home", RUN * AMOUNT)
+    escrow = escrow_address("transfer", ab.chan_a)
+    drain(ab.a, escrow, RUN * AMOUNT - short)
+    user = ab.user.wallet.address
+    before = ab.a.bank.balance(user, TRANSFER_DENOM)
+    events = check_ok_run(ab.a, ab.relayer_a, UPDATE_CLIENT_GAS, back.recv_msgs(packets))
+    error = Acknowledgement(
+        success=False,
+        error=f"{escrow} has {AMOUNT - 1}{TRANSFER_DENOM}, needs {AMOUNT}{TRANSFER_DENOM}",
+    )
+    assert acks_of(events) == [SUCCESS] * (RUN - short) + [error] * short
+    assert ab.a.bank.balance(user, TRANSFER_DENOM) == before + (RUN - short) * AMOUNT
+    assert ab.a.bank.balance(escrow, TRANSFER_DENOM) == short * (AMOUNT - 1)
+    assert ab.a.bank.check_supply_invariant([TRANSFER_DENOM])
+
+
+def test_malformed_payload_stretch_fails_every_packet(net):
+    """A payload the app cannot read is read once for the stretch, and
+    every packet gets the same error ack; nothing is credited."""
+    ab, _, _ = net
+    receiver = "runs-fallback|transfer"  # a forward with no channel
+    packets = send(ab, receiver=receiver)
+    supply = ab.b.bank.supply(ab.voucher_denom())
+    events = check_ok_run(ab.b, ab.relayer_b, UPDATE_CLIENT_GAS, ab.recv_msgs(packets))
+    assert [e.type for e in events] == ["recv_packet", "write_acknowledgement"] * RUN
+    error = Acknowledgement(success=False, error=f"malformed forward receiver {receiver!r}")
+    assert acks_of(events) == [error] * RUN
+    assert ab.b.bank.supply(ab.voucher_denom()) == supply
+
+
+def test_forward_stretch_interleaves_events_per_packet(net):
+    """A forward stretch credits the hop's fallback once and sends one
+    onward stretch: each packet's events still read recv, onward send,
+    ack, and the onward packets take consecutive sequences and share one
+    payload and one timeout, so the next hop receives a stretch too."""
+    ab, _, bc = net
+    fallback = Wallet.named("runs-forward-fallback").address
+    receiver = encode_forward_receiver(
+        [(fallback, "transfer", bc.chan_a)], bc.receiver.address
+    )
+    packets = send(ab, receiver=receiver)
+    first = ab.b.ibc.next_sequence_send[("transfer", bc.chan_a)]
+    events = check_ok_run(ab.b, ab.relayer_b, UPDATE_CLIENT_GAS, ab.recv_msgs(packets))
+    assert [e.type for e in events] == FORWARDED * RUN
+    assert [e.packet for e in events if e.type != "send_packet"] == [
+        p for p in packets for _ in range(2)
+    ]
+    onward = [e.packet for e in events if e.type == "send_packet"]
+    assert [p.sequence for p in onward] == list(range(first, first + RUN))
+    assert len({(id(p.data), id(p.timeout_height)) for p in onward}) == 1
+    assert acks_of(events) == [SUCCESS] * RUN
+    assert ab.b.bank.balance(fallback, ab.voucher_denom()) == 0
+
+
+@pytest.mark.parametrize("k", POSITIONS)
+def test_second_recv_stretch_failure_rolls_back_the_first(net, k):
+    """A recv run of two payloads is two stretches; a bad proof at message
+    ``k`` of the second fails the transaction after the first stretch's
+    mint, and rolls that back with everything else."""
+    ab, _, _ = net
+    second = ab.exec_ok(ab.a, ab.user, [transfer(ab, amount=2 * AMOUNT)] * RUN)
+    packets = send(ab) + [e.packet for e in second.events if e.type == "send_packet"]
+    msgs = ab.recv_msgs(packets)
+    other = msgs[1 + RUN + (k + 1) % RUN]
+    msgs[1 + RUN + k] = replace(msgs[1 + RUN + k], proof_commitment=other.proof_commitment)
+    packet = msgs[1 + RUN + k].packet
+    expected = keys.packet_commitment_path("transfer", ab.chan_a, packet.sequence)
+    code, log = ibc_log(
+        "ProofVerificationError",
+        f"proof is for key {other.proof_commitment.key!r}, expected {expected!r}",
+    )
+    check_failed_run(ab.b, ab.relayer_b, UPDATE_CLIENT_GAS, msgs, RUN + k, code=code, log=log)
+
+
+@pytest.mark.parametrize("count", [1, RUN, 100])
+def test_mint_stretch_journal_cost(net, monkeypatch, count):
+    """A successful ``count``-packet mint stretch on an UNORDERED channel
+    records ``2 + 2 x count`` undo entries: a receipt and an ack per
+    packet, then the receiver's balance and the voucher supply once."""
+    ab, _, _ = net
+    msgs = ab.recv_msgs(send(ab, count=count))
+    ab.exec_ok(ab.b, ab.relayer_b, msgs[:1])  # the client update, on its own
+    entries = []
+    commit = Journal.commit
+
+    def counting_commit(journal):
+        entries.append(len(journal))
+        commit(journal)
+
+    monkeypatch.setattr(Journal, "commit", counting_commit)
+    ab.exec_ok(ab.b, ab.relayer_b, msgs[1:])
+    assert entries == [2 + 2 * count]
+
+
+# -- the stretch oracle: each packet a stretch of its own ------------------------
+
+
+def mint_case(ab, bc):
+    return ab, send(ab)
+
+
+def unescrow_case(ab, bc):
+    """Vouchers going home to an escrow one token short of the stretch."""
+    back, packets = going_home(ab, "oracle-home", RUN * AMOUNT)
+    drain(ab.a, escrow_address("transfer", ab.chan_a), RUN * AMOUNT - 1)
+    return back, packets
+
+
+def forward_case(ab, bc):
+    fallback = Wallet.named("oracle-fallback").address
+    receiver = encode_forward_receiver([(fallback, "transfer", bc.chan_a)], "final")
+    return ab, send(ab, receiver=receiver)
+
+
+def forward_home_case(ab, bc):
+    """Vouchers going home, forwarded back over the channel they arrived
+    on: each packet takes the tokens out of the escrow and puts them back,
+    so an escrow holding two and a half packets' worth pays them all."""
+    fallback = Wallet.named("oracle-fallback").address
+    back = ab.reverse()
+    receiver = encode_forward_receiver([(fallback, "transfer", ab.chan_a)], "final")
+    packets = going_home(ab, "oracle-round", RUN * AMOUNT, receiver)[1]
+    drain(ab.a, escrow_address("transfer", ab.chan_a), 2 * AMOUNT + AMOUNT // 2)
+    return back, packets
+
+
+def home_to_escrow_case(ab, bc):
+    """Vouchers going home to the escrow itself, which holds one packet's
+    worth: each un-escrow moves the tokens to where they are."""
+    escrow = escrow_address("transfer", ab.chan_a)
+    back, packets = going_home(ab, "oracle-self", RUN * AMOUNT, escrow)
+    drain(ab.a, escrow, AMOUNT)
+    return back, packets
+
+
+def malformed_case(ab, bc):
+    return ab, send(ab, receiver="oracle-fallback|transfer")
+
+
+@pytest.mark.parametrize(
+    "case",
+    [mint_case, unescrow_case, forward_case, forward_home_case, home_to_escrow_case, malformed_case],
+)
+def test_stretch_receives_as_packets_one_by_one(case):
+    """One recv run on two fresh, identical lines: once as relayed, one
+    stretch, and once with each packet's payload copied into a bytes
+    object of its own, so that each packet is a stretch of one.  The
+    acks, the events, ``gas_used``, every balance, the supply, the whole
+    IBC and store state and the app hash must agree."""
+    outcomes = []
+    for split in (False, True):
+        pair, packets = case(*line())
+        msgs = pair.recv_msgs(packets)
+        payloads = {id(m.packet.data) for m in msgs[1:]}
+        assert len(payloads) == 1
+        if split:
+            msgs[1:] = [
+                replace(m, packet=replace(m.packet, data=bytes(bytearray(m.packet.data))))
+                for m in msgs[1:]
+            ]
+            assert len({id(m.packet.data) for m in msgs[1:]}) == RUN
+        chain = pair.b
+        (result,) = chain.make_block([pair.relayer_b.build(msgs, gas_limit=10**9)])
+        assert result.ok, result.log
+        outcomes.append((result.gas_used, result.events, snapshot(chain), chain.app_hash))
+    assert outcomes[0] == outcomes[1]
+
+
 # -- ack runs ------------------------------------------------------------------
 
 
@@ -452,14 +711,16 @@ def test_ack_run_bad_proof(net, k):
 
 def test_mixed_transaction_events_and_state_are_pinned():
     """``UpdateClient``, recv x 2, ack x 4 and transfer x 3 (one object
-    twice, then another) in one transaction on A.  The digests were taken
-    from message-by-message execution, before runs existed."""
+    twice, then another, sent by the relayer that signs) in one
+    transaction on A.  The digests were taken from message-by-message
+    execution, before runs existed."""
     pair = IbcPair()
     out = [pair.transfer(amount=5 + i) for i in range(4)]
     pair.relay_recv(out)
     back = pair.reverse()
     home = [back.transfer(amount=2 + i, denom=pair.voucher_denom()) for i in range(2)]
-    repeated, distinct = transfer(pair, amount=7), transfer(pair, amount=9)
+    repeated = transfer(pair, amount=7, sender=pair.relayer_a)
+    distinct = transfer(pair, amount=9, sender=pair.relayer_a)
     msgs = [
         *back.recv_msgs(home),
         *pair.ack_msgs(out)[1:],
@@ -481,8 +742,8 @@ def test_mixed_transaction_events_and_state_are_pinned():
 
 PINNED_MIXED = (
     507_990,
-    "4bf03ae554e52c525d27bb3766749be3137796bd4b91235b71de16e6d6cf6b99",
-    "ea771d4979ee8181f4021d8f436328caebc947d2f7cb30f487f96f91f9129185",
+    "f318117318c16935405dadc908dde9f49c51ea4e36d0402ed21274ac4c5a57ac",
+    "034b9922bb6a4755ccd7c9389b5927a0683c05fd952894bbc8a438ea113fec47",
 )
 
 
